@@ -290,37 +290,6 @@ func BenchmarkObservability(b *testing.B) {
 	}
 }
 
-// BenchmarkDistributedSOI runs the real distributed pipeline end to end
-// on in-process ranks.
-func BenchmarkDistributedSOI(b *testing.B) {
-	const n, ranks = 1 << 18, 8
-	p := core.Params{N: n, P: 8, Mu: 5, Nu: 4, B: 72}
-	pl, err := core.NewPlan(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	src := signal.Random(n, 5)
-	dst := make([]complex128, n)
-	nLocal := n / ranks
-	b.SetBytes(int64(n) * 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w, err := mpi.NewWorld(ranks)
-		if err != nil {
-			b.Fatal(err)
-		}
-		err = w.Run(func(c *mpi.Comm) error {
-			_, err := pl.RunDistributed(context.Background(), c,
-				dst[c.Rank()*nLocal:(c.Rank()+1)*nLocal],
-				src[c.Rank()*nLocal:(c.Rank()+1)*nLocal])
-			return err
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkSixStepBaseline runs the triple-all-to-all comparator.
 func BenchmarkSixStepBaseline(b *testing.B) {
 	const n, ranks = 1 << 18, 8

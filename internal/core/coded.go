@@ -46,7 +46,7 @@ var CodedExchangeFailpoint func(rank int) error
 // DegradedError reports a transform that COMPLETED with the correct,
 // bit-exact spectrum after reconstructing one or more dead ranks'
 // contributions from parity. It is informational: localOut is fully
-// valid when RunDistributedCoded returns it. It is deliberately not a
+// valid when RunDistributed returns it. It is deliberately not a
 // Fault — RecoverFault must never swallow it.
 type DegradedError struct {
 	// ReconstructedRanks lists the dead ranks whose codewords were
@@ -109,13 +109,17 @@ func ValidateCoded(r, m int) error {
 	return nil
 }
 
-// RunDistributedCoded is RunDistributed with an erasure-protected
-// exchange: each rank encodes its R outgoing chunks (its own included)
-// into m parity shares over GF(2^8) and fans data plus parity across its
-// peers, so the transform survives rank deaths mid-exchange.
+// runCoded is the erasure-protected distributed transform behind
+// RunDistributed(..., WithCoding(m)): each rank encodes its R outgoing
+// chunks (its own included) into m parity shares over GF(2^8) and fans
+// data plus parity across its peers, so the transform survives rank
+// deaths mid-exchange. Phases 1–2, the coded exchange (blocking fan-out,
+// or streamed tile fan-out when an async window is configured and the
+// transport supports it), detection/recovery, then phase 4 with output
+// takeover on the coordinator.
 //
 // Outcomes:
-//   - no loss: identical to RunDistributed, bit for bit, at a wire cost
+//   - no loss: identical to the uncoded run, bit for bit, at a wire cost
 //     of (R−1+m)/(R−1) times the plain exchange;
 //   - ranks die but every lost codeword retains ≥ R of its R+m shares
 //     (guaranteed for any single death with m ≥ 1 when the victim's
@@ -132,25 +136,8 @@ func ValidateCoded(r, m int) error {
 // that point. Deaths during the recovery itself surface as typed
 // transport errors (clean failure, never a wrong answer).
 //
-// Deprecated: call RunDistributed with WithCoding(m), which is this
-// path (and composes with WithAsyncWindow).
-func (pl *Plan) RunDistributedCoded(c CodedComm, m int, localOut, localIn []complex128) (DistributedTimes, error) {
-	return pl.RunDistributed(context.Background(), c, localOut, localIn, WithCoding(m))
-}
-
-// RunDistributedCodedContext is RunDistributedCoded with cancellation
-// checks at phase boundaries.
-//
-// Deprecated: call RunDistributed with WithCoding(m).
-func (pl *Plan) RunDistributedCodedContext(ctx context.Context, c CodedComm, m int, localOut, localIn []complex128) (DistributedTimes, error) {
-	return pl.RunDistributed(ctx, c, localOut, localIn, WithCoding(m))
-}
-
-// runCoded is the erasure-protected distributed transform behind
-// RunDistributed(..., WithCoding(m)): phases 1–2, the coded exchange
-// (blocking fan-out, or streamed tile fan-out when an async window is
-// configured and the transport supports it), detection/recovery, then
-// phase 4 with output takeover on the coordinator.
+// Only a clean run returns its workspace to the plan; a degraded or
+// failed one drops it, and TakenOver blocks are caller-owned makes.
 func (pl *Plan) runCoded(ctx context.Context, c Comm, cfg distOptions, localOut, localIn []complex128) (dt DistributedTimes, err error) {
 	defer RecoverFault(&err)
 	cc, ok := c.(CodedComm)
@@ -161,22 +148,23 @@ func (pl *Plan) runCoded(ctx context.Context, c Comm, cfg distOptions, localOut,
 	if err := ValidateCoded(cc.Size(), m); err != nil {
 		return dt, err
 	}
-	rec := cfg.rec
-	e, err := pl.newDistExec(ctx, cfg, instrumentComm(c, rec), localOut, localIn)
+	e, localIn, err := pl.newDistExec(ctx, cfg, c, localOut, localIn)
 	if err != nil {
 		return dt, err
 	}
 
-	cx := &codedExchange{e: e, c: cc, m: m}
+	cx := &codedExchange{e: e, c: cc, m: m, send: e.ws.send}
+	if e.rec.On() { // match the uncoded path: count only when observing
+		cx.rec = e.rec
+	}
 	var deg *DegradedError
-	if _, streams := c.(StreamComm); streams && cfg.window > 0 {
+	if e.window > 0 {
 		deg, err = cx.runStreamed(ctx, localIn)
 		if err != nil {
 			return e.dt, err
 		}
 	} else {
-		cx.send, err = e.phase12(ctx, localIn)
-		if err != nil {
+		if _, err = e.produce(ctx, nil, []int{0, e.ws.jMid, e.bpr}, localIn, nil); err != nil {
 			return e.dt, err
 		}
 		t0 := time.Now()
@@ -194,24 +182,24 @@ func (pl *Plan) runCoded(ctx context.Context, c Comm, cfg distOptions, localOut,
 
 	t0 := time.Now()
 	e.tr.Begin(e.tid, e.rank, instrument.StageSegmentFFT.String())
-	e.phase4(cx.columnChunk, localOut)
+	e.phase4(nil, cx.columnChunk, localOut)
 	if deg != nil && e.rank == deg.Coordinator {
 		// Take over the dead ranks' segment assembly: the pipeline is
 		// owner-agnostic, so feeding it dead rank d's column (pooled
 		// survivor chunks plus decoded chunks) yields d's exact block.
 		for _, d := range deg.ReconstructedRanks {
 			out := make([]complex128, e.nLocal)
-			e.phase4(func(src int) []complex128 { return cx.column(d, src) }, out)
+			e.phase4(nil, func(src int) []complex128 { return cx.column(d, src) }, out)
 			deg.TakenOver[d] = out
 		}
 	}
 	e.dt.SegmentFT = time.Since(t0)
 	e.tr.End(e.tid, e.rank, instrument.StageSegmentFFT.String())
 
-	e.report()
+	e.finish(localOut, deg)
 	if deg != nil {
-		if rec.On() {
-			rec.CountDegraded()
+		if e.rec.On() {
+			e.rec.CountDegraded()
 		}
 		return e.dt, deg
 	}
@@ -222,8 +210,9 @@ func (pl *Plan) runCoded(ctx context.Context, c Comm, cfg distOptions, localOut,
 type codedExchange struct {
 	e    *distExec
 	c    CodedComm
+	rec  *instrument.Recorder // nil unless observing
 	m    int
-	send []complex128 // packed phase-2 buffer; dest t's chunk at [t·chunk, (t+1)·chunk)
+	send []complex128 // the workspace's packed buffer; dest t's chunk at [t·chunk, (t+1)·chunk)
 
 	recv     [][]complex128 // recv[src] = C_{src→rank}; nil until received/refilled
 	parityIn map[int][]complex128
@@ -254,8 +243,7 @@ func (cx *codedExchange) column(d, src int) []complex128 {
 func (cx *codedExchange) markDead(rank int) { cx.dead[rank] = true }
 
 // setup initializes the per-rank exchange state shared by the blocking
-// and streamed fan-outs (cx.send must already be packed or, for the
-// streamed path, be the persistent buffer the producer packs).
+// and streamed fan-outs.
 func (cx *codedExchange) setup() {
 	r := cx.e.r
 	cx.recv = make([][]complex128, r)
@@ -264,13 +252,20 @@ func (cx *codedExchange) setup() {
 	cx.masks = make([]uint64, r)
 }
 
+// codeStripElems is the strip length of the parity encode: the shares'
+// byte images are produced and coded a strip at a time, so the scratch is
+// (R+m)·64 KiB of cache-resident bytes instead of a second copy of the
+// whole exchange buffer. The code is byte-wise, so stripping changes no
+// parity bit.
+const codeStripElems = 4096
+
 // encodeParity encodes this rank's codeword: the R outgoing chunks — the
 // unsent self-chunk included, so the exchange's redundancy also covers
 // this rank's contribution to its own column — plus m parity shares.
 // Coding is on the Float64bits byte image, so any k-of-n subset decodes
-// to bit-identical chunks.
+// to bit-identical chunks. The shares live in the workspace.
 func (cx *codedExchange) encodeParity() (*erasure.Code, [][]complex128, error) {
-	r, chunk, m := cx.e.r, cx.e.chunk, cx.m
+	r, chunk, m, ws := cx.e.r, cx.e.chunk, cx.m, cx.e.ws
 	if m == 0 {
 		return nil, nil, nil
 	}
@@ -278,20 +273,29 @@ func (cx *codedExchange) encodeParity() (*erasure.Code, [][]complex128, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	data := make([][]byte, r)
-	for j := 0; j < r; j++ {
-		data[j] = erasure.ComplexToBytes(nil, cx.send[j*chunk:(j+1)*chunk])
-	}
-	parity := make([][]byte, m)
-	for i := range parity {
-		parity[i] = make([]byte, chunk*16)
-	}
-	if err := code.Encode(data, parity); err != nil {
-		return nil, nil, err
-	}
+	ws.parity = grown(ws.parity, m*chunk)
+	ws.code = grown(ws.code, (r+m)*codeStripElems*16)
+	shares := make([][]byte, r+m)
 	parityOut := make([][]complex128, m)
-	for i := range parity {
-		parityOut[i], _ = erasure.BytesToComplex(nil, parity[i])
+	for i := range parityOut {
+		parityOut[i] = ws.parity[i*chunk : (i+1)*chunk]
+	}
+	for off := 0; off < chunk; off += codeStripElems {
+		n := min(codeStripElems, chunk-off)
+		for j := range shares {
+			shares[j] = ws.code[j*codeStripElems*16:][:n*16]
+			if j < r {
+				erasure.ComplexToBytes(shares[j][:0], cx.send[j*chunk+off:j*chunk+off+n])
+			}
+		}
+		if err := code.Encode(shares[:r], shares[r:]); err != nil {
+			return nil, nil, err
+		}
+		for i, out := range parityOut {
+			if _, err := erasure.BytesToComplex(out[off:off], shares[r+i]); err != nil {
+				return nil, nil, err
+			}
+		}
 	}
 	return code, parityOut, nil
 }
@@ -299,7 +303,7 @@ func (cx *codedExchange) encodeParity() (*erasure.Code, [][]complex128, error) {
 // sendParity ships parity share i to rank+1+i (the blocking and streamed
 // fan-outs share it; on the streamed path the per-link FIFO places these
 // frames after every data tile, so receivers drain the stream first).
-func (cx *codedExchange) sendParity(parityOut [][]complex128, rec *instrument.Recorder) {
+func (cx *codedExchange) sendParity(parityOut [][]complex128) {
 	e, c := cx.e, cx.c
 	for i := 0; i < cx.m; i++ {
 		s := (e.rank + 1 + i) % e.r
@@ -309,7 +313,22 @@ func (cx *codedExchange) sendParity(parityOut [][]complex128, rec *instrument.Re
 		}
 		cx.parityBytes += int64(e.chunk) * 16
 	}
-	rec.CountParityBytes(cx.parityBytes)
+	cx.rec.CountParityBytes(cx.parityBytes)
+}
+
+// fanOutParity encodes and ships this rank's parity shares — the shared
+// tail of the blocking and streamed data fan-outs — then passes the
+// chaos failpoint.
+func (cx *codedExchange) fanOutParity() (*erasure.Code, error) {
+	code, parityOut, err := cx.encodeParity()
+	if err != nil {
+		return nil, err
+	}
+	cx.sendParity(parityOut)
+	if fp := CodedExchangeFailpoint; fp != nil {
+		return code, fp(cx.e.rank)
+	}
+	return code, nil
 }
 
 // run executes the blocking coded exchange: encode, fan out, detect, and
@@ -317,18 +336,9 @@ func (cx *codedExchange) sendParity(parityOut [][]complex128, rec *instrument.Re
 // column is complete; a non-nil *DegradedError reports reconstructions.
 func (cx *codedExchange) run() (*DegradedError, error) {
 	e, c, m := cx.e, cx.c, cx.m
-	r, rank, chunk := e.r, e.rank, e.chunk
-	rec := e.rec
-	if !rec.On() { // match the uncoded path: count only when observing
-		rec = nil
-	}
+	r, rank, chunk, rec := e.r, e.rank, e.chunk, cx.rec
 	cx.setup()
 	cx.recv[rank] = cx.send[rank*chunk : (rank+1)*chunk]
-
-	code, parityOut, err := cx.encodeParity()
-	if err != nil {
-		return nil, err
-	}
 
 	// Fan out: data chunk to every peer, parity share i to rank+1+i. A
 	// send failure means the peer is already dead; note it and move on.
@@ -342,12 +352,9 @@ func (cx *codedExchange) run() (*DegradedError, error) {
 			cx.markDead(s)
 		}
 	}
-	cx.sendParity(parityOut, rec)
-
-	if fp := CodedExchangeFailpoint; fp != nil {
-		if err := fp(rank); err != nil {
-			return nil, err
-		}
+	code, err := cx.fanOutParity()
+	if err != nil {
+		return nil, err
 	}
 
 	// Receive data (and the parity share each source addressed to us, if
@@ -462,11 +469,7 @@ func (cx *codedExchange) detect(code *erasure.Code, rec *instrument.Recorder) (*
 		return nil, &UnrecoverableLossError{DeadRanks: deadList, Parity: m}
 	}
 
-	deg, err := cx.recover(code, deadList)
-	if err != nil {
-		return nil, err
-	}
-	return deg, nil
+	return cx.recover(code, deadList)
 }
 
 // runStreamed executes the coded exchange over the streamed tile
@@ -481,39 +484,27 @@ func (cx *codedExchange) detect(code *erasure.Code, rec *instrument.Recorder) (*
 // identical to the blocking coded exchange.
 func (cx *codedExchange) runStreamed(ctx context.Context, localIn []complex128) (deg *DegradedError, err error) {
 	e, c, m := cx.e, cx.c, cx.m
-	r, rank, chunk := e.r, e.rank, e.chunk
-	rec := e.rec
-	if !rec.On() {
-		rec = nil
-	}
+	r, rank, chunk, rec := e.r, e.rank, e.chunk, cx.rec
 	cx.setup()
 
-	bounds := e.tileBounds()
-	sizes := make([]int, len(bounds)-1)
-	for k := range sizes {
-		sizes[k] = (bounds[k+1] - bounds[k]) * e.spr
-	}
-	st := e.c.(StreamComm).StartAlltoallv(exch.Options{Sizes: sizes, Window: e.window})
+	st, bounds := e.startStream()
 	defer st.Close()
 	streamStart := time.Now()
 
-	// Remote sources scatter into pre-allocated chunk buffers (tile k at
-	// [bounds[k]·spr, bounds[k+1]·spr)); the self-chunk aliases the packed
-	// send buffer once the producer finishes.
+	// Remote sources scatter into the workspace's per-source chunks (tile
+	// k at [bounds[k]·spr, bounds[k+1]·spr)); the self-chunk aliases the
+	// packed send buffer once the producer finishes.
 	for src := 0; src < r; src++ {
 		if src != rank {
-			cx.recv[src] = make([]complex128, chunk)
+			cx.recv[src] = e.ws.recv[src*chunk : (src+1)*chunk]
 		}
 	}
 	got := make([]int, r)
 	consDone := make(chan error, 1)
 	go func() { consDone <- cx.drainStream(st, bounds, got) }()
 
-	send, sendWait, perr := e.produceStream(ctx, st, bounds, localIn, func(dst int, err error) error {
-		cx.markDead(dst) // route around the dead peer; detection settles it
-		return nil
-	})
-	cx.send = send
+	// Route around a dead destination; detection settles it.
+	sendWait, perr := e.produce(ctx, st, bounds, localIn, cx.markDead)
 	tExch := time.Now()
 	e.tr.Begin(e.tid, rank, instrument.StageExchange.String())
 	defer func() {
@@ -535,18 +526,11 @@ func (cx *codedExchange) runStreamed(ctx context.Context, localIn []complex128) 
 	if perr != nil {
 		return nil, perr // context cancellation or a halo send failure
 	}
-	cx.recv[rank] = send[rank*chunk : (rank+1)*chunk]
+	cx.recv[rank] = cx.send[rank*chunk : (rank+1)*chunk]
 
-	code, parityOut, err := cx.encodeParity()
+	code, err := cx.fanOutParity()
 	if err != nil {
 		return nil, err
-	}
-	cx.sendParity(parityOut, rec)
-
-	if fp := CodedExchangeFailpoint; fp != nil {
-		if err := fp(rank); err != nil {
-			return nil, err
-		}
 	}
 
 	// Drain fully before any parity receive: the stream's per-source
@@ -563,7 +547,7 @@ func (cx *codedExchange) runStreamed(ctx context.Context, localIn []complex128) 
 	// loop, a gracefully dying peer's flushed tiles and parity included.
 	for off := 1; off < r; off++ {
 		src := (rank + off) % r
-		if got[src] < len(sizes) {
+		if got[src] < len(bounds)-1 {
 			cx.recv[src] = nil
 			cx.markDead(src)
 			continue
@@ -657,11 +641,7 @@ func (cx *codedExchange) exchangeMasks(tag int, mine uint64, out []uint64) {
 // coordinator's output takeover.
 func (cx *codedExchange) recover(code *erasure.Code, deadList []int) (*DegradedError, error) {
 	e, c, m := cx.e, cx.c, cx.m
-	r, rank, chunk := e.r, e.rank, e.chunk
-	rec := e.rec
-	if !rec.On() {
-		rec = nil
-	}
+	r, rank, chunk, rec := e.r, e.rank, e.chunk, cx.rec
 
 	coord := -1
 	for j := 0; j < r; j++ {

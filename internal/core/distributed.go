@@ -140,12 +140,25 @@ func (cc *countingComm) Send(to, tag int, data any) {
 	cc.Comm.Send(to, tag, data)
 }
 
-func (cc *countingComm) Alltoall(send []complex128, chunk int) []complex128 {
+func (cc *countingComm) countAlltoall(chunk int) {
 	if cc.Comm.Rank() == 0 {
 		cc.rec.CountAlltoallOp()
 	}
 	cc.rec.CountAlltoallBytes(int64(cc.Comm.Size()-1) * int64(chunk) * 16)
+}
+
+func (cc *countingComm) Alltoall(send []complex128, chunk int) []complex128 {
+	cc.countAlltoall(chunk)
 	return cc.Comm.Alltoall(send, chunk)
+}
+
+func (cc *countingComm) AlltoallInto(recv, send []complex128, chunk int) {
+	cc.countAlltoall(chunk)
+	cc.Comm.(IntoComm).AlltoallInto(recv, send, chunk)
+}
+
+func (cc *countingComm) RecvInto(dst []complex128, from, tag int) {
+	cc.Comm.(IntoComm).RecvInto(dst, from, tag)
 }
 
 func (cc *countingComm) PairwiseAlltoallv(send []complex128, sendCounts, recvCounts []int) []complex128 {
@@ -248,16 +261,23 @@ func payloadBytes(data any) int64 {
 // I/O deadline bounds those), and ranks that stop early leave peers to
 // fail with their own deadline faults.
 func (pl *Plan) RunDistributed(ctx context.Context, c Comm, localOut, localIn []complex128, opts ...DistOption) (DistributedTimes, error) {
+	return pl.runDistributed(ctx, c, localOut, localIn, opts, false)
+}
+
+// runDistributed is RunDistributed, or with inverse set its conjugated
+// twin (see RunDistributedInverse).
+func (pl *Plan) runDistributed(ctx context.Context, c Comm, localOut, localIn []complex128, opts []DistOption, inverse bool) (DistributedTimes, error) {
 	cfg := pl.resolveDistOptions(opts)
+	cfg.inverse = inverse
 	// Capabilities are discovered on the unwrapped Comm (the counting
 	// wrapper forwards them blindly).
 	if _, ok := c.(CheckedComm); ok {
 		cfg.haloChecked = true
 	}
-	if cfg.adaptive && cfg.window == 0 {
-		if _, ok := c.(StreamComm); ok {
-			cfg.window = pl.adaptiveWindow(c.Rank(), c.Size()).Window
-		}
+	if _, ok := c.(StreamComm); !ok {
+		cfg.window = 0
+	} else if cfg.adaptive && cfg.window == 0 {
+		cfg.window = pl.adaptiveWindow(c.Rank(), c.Size()).Window
 	}
 	if cfg.coded {
 		return pl.runCoded(ctx, c, cfg, localOut, localIn)
@@ -265,75 +285,71 @@ func (pl *Plan) RunDistributed(ctx context.Context, c Comm, localOut, localIn []
 	return pl.runFlat(ctx, c, cfg, localOut, localIn)
 }
 
-// RunDistributedContext is the pre-option spelling of RunDistributed.
-//
-// Deprecated: call RunDistributed, which now takes the context and
-// options directly.
-func (pl *Plan) RunDistributedContext(ctx context.Context, c Comm, localOut, localIn []complex128) (DistributedTimes, error) {
-	return pl.RunDistributed(ctx, c, localOut, localIn)
-}
-
-// runFlat is the uncoded distributed transform: phases 1–2, the single
-// all-to-all (blocking, or streamed when an async window is configured
-// and the transport supports it), then phase 4.
+// runFlat is the uncoded distributed transform: phases 1–2 and the single
+// all-to-all (blocking, or streamed and overlapped when an async window
+// is configured and the transport supports it), then phase 4.
 func (pl *Plan) runFlat(ctx context.Context, c Comm, cfg distOptions, localOut, localIn []complex128) (dt DistributedTimes, err error) {
 	defer RecoverFault(&err)
-	e, err := pl.newDistExec(ctx, cfg, instrumentComm(c, cfg.rec), localOut, localIn)
+	e, localIn, err := pl.newDistExec(ctx, cfg, c, localOut, localIn)
 	if err != nil {
 		return dt, err
 	}
-	if _, ok := c.(StreamComm); ok && cfg.window > 0 {
-		err = e.runStreamed(ctx, localOut, localIn)
-		if err == nil {
-			e.report()
+	// Phases 1–3. Streamed: the consumer leaves phase 4's input
+	// segment-major in xcol. Blocking: the single all-to-all (stride-P
+	// permutation P_perm^{P,N'}) leaves per-source chunks in recv.
+	var xcol []complex128
+	recv := e.ws.recv
+	if e.window > 0 {
+		xcol = recv
+		if err := e.exchangeStreamed(ctx, xcol, localIn); err != nil {
+			return e.dt, err
 		}
-		return e.dt, err
-	}
-	send, err := e.phase12(ctx, localIn)
-	if err != nil {
-		return e.dt, err
-	}
-
-	// Phase 3: the single all-to-all (stride-P permutation P_perm^{P,N'}).
-	t0 := time.Now()
-	e.tr.Begin(e.tid, e.rank, instrument.StageExchange.String())
-	var recv []complex128
-	if pl.prm.Exchange == ExchangePairwise {
-		counts := make([]int, e.r)
-		for i := range counts {
-			counts[i] = e.chunk
-		}
-		recv = e.c.PairwiseAlltoallv(send, counts, counts)
 	} else {
-		recv = e.c.Alltoall(send, e.chunk)
+		if _, err := e.produce(ctx, nil, []int{0, e.ws.jMid, e.bpr}, localIn, nil); err != nil {
+			return e.dt, err
+		}
+		t0 := time.Now()
+		e.tr.Begin(e.tid, e.rank, instrument.StageExchange.String())
+		switch {
+		case pl.prm.Exchange == ExchangePairwise:
+			counts := make([]int, e.r)
+			for i := range counts {
+				counts[i] = e.chunk
+			}
+			recv = e.c.PairwiseAlltoallv(e.ws.send, counts, counts)
+		case e.into != nil:
+			e.into.AlltoallInto(recv, e.ws.send, e.chunk)
+		default:
+			recv = e.c.Alltoall(e.ws.send, e.chunk)
+		}
+		e.dt.Exchange = time.Since(t0)
+		e.tr.End(e.tid, e.rank, instrument.StageExchange.String())
 	}
-	e.dt.Exchange = time.Since(t0)
-	e.tr.End(e.tid, e.rank, instrument.StageExchange.String())
 	if err := ctx.Err(); err != nil {
 		return e.dt, err
 	}
 
-	// Phase 4: assemble each owned segment's oversampled sequence, run
-	// F_M', project and demodulate.
-	t0 = time.Now()
+	// Phase 4: each owned segment's oversampled sequence through F_M',
+	// projection and demodulation.
+	t0 := time.Now()
 	e.tr.Begin(e.tid, e.rank, instrument.StageSegmentFFT.String())
-	e.phase4(func(src int) []complex128 {
-		return recv[src*e.chunk : (src+1)*e.chunk]
-	}, localOut)
+	e.phase4(xcol, func(src int) []complex128 { return recv[src*e.chunk : (src+1)*e.chunk] }, localOut)
 	e.dt.SegmentFT = time.Since(t0)
 	e.tr.End(e.tid, e.rank, instrument.StageSegmentFFT.String())
 
-	e.report()
+	e.finish(localOut, nil)
 	return e.dt, nil
 }
 
 // distExec is the per-rank execution state one distributed transform
 // shares between its phases; the plain and coded drivers both build one
-// and differ only in how chunks cross the wire between phase12 and
+// and differ only in how chunks cross the wire between produce and
 // phase4.
 type distExec struct {
 	pl                *Plan
 	c                 Comm                 // collective/halo surface (instrument-wrapped when observing)
+	into              IntoComm             // c's receive-into capability, nil when the transport lacks it
+	ws                *distWorkspace       // every payload-sized buffer of the run
 	rec               *instrument.Recorder // this run's recorder (plan's unless WithRecorder overrode it)
 	rank, r           int
 	workers           int
@@ -344,6 +360,7 @@ type distExec struct {
 	window            int  // streamed-exchange in-flight window (0 = blocking)
 	adaptive          bool // window chosen by the plan's controller; observe after the run
 	haloChecked       bool // stream the halo through checked chunked sends
+	inverse           bool // conjugate in, conjugate-and-scale out
 	tr                *trace.Tracer
 	tid               trace.ID
 	tele              *telemetry.Plane
@@ -352,158 +369,237 @@ type distExec struct {
 	dt                DistributedTimes
 }
 
-// newDistExec validates plan/world/buffer shapes and assembles the
-// execution state.
-func (pl *Plan) newDistExec(ctx context.Context, cfg distOptions, c Comm, localOut, localIn []complex128) (*distExec, error) {
+// newDistExec validates plan/world/buffer shapes, takes a workspace and
+// assembles the execution state. It returns the input the phases must
+// read: localIn itself, or on an inverse run its conjugate in the
+// workspace.
+func (pl *Plan) newDistExec(ctx context.Context, cfg distOptions, c Comm, localOut, localIn []complex128) (*distExec, []complex128, error) {
 	r := c.Size()
 	if err := pl.ValidateDistributed(r); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	p := pl.prm
-	workers := p.Workers
-	if workers <= 0 {
-		workers = 1 // one goroutine per rank unless hybrid mode is requested
-	}
 	nLocal := p.N / r
 	if len(localIn) != nLocal || len(localOut) != nLocal {
-		return nil, fmt.Errorf("core: rank %d: need local length %d, got in %d out %d: %w",
+		return nil, nil, fmt.Errorf("core: rank %d: need local length %d, got in %d out %d: %w",
 			c.Rank(), nLocal, len(localIn), len(localOut), ErrLength)
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	e := &distExec{
-		pl: pl, c: c, rec: cfg.rec, rank: c.Rank(), r: r, workers: workers, nLocal: nLocal,
-		bpr: pl.mp / r, spr: p.P / r, chunk: (pl.mp / r) * (p.P / r),
+		pl: pl, c: instrumentComm(c, cfg.rec), ws: pl.getDistWorkspace(r),
+		rec: cfg.rec, rank: c.Rank(), r: r, nLocal: nLocal,
+		workers: max(p.Workers, 1), // one goroutine per rank unless hybrid mode is requested
+		bpr:     pl.mp / r, spr: p.P / r, chunk: (pl.mp / r) * (p.P / r),
 		window:      cfg.window,
 		adaptive:    cfg.adaptive && cfg.window > 0,
 		haloChecked: cfg.haloChecked,
+		inverse:     cfg.inverse,
 		tele:        cfg.tele,
 		timed:       cfg.rec.Timing(),
 	}
+	if _, ok := c.(IntoComm); ok {
+		e.into = e.c.(IntoComm)
+	}
 	e.tr, e.tid = pl.tracerFor(ctx)
-	return e, nil
+	if e.inverse {
+		e.ws.conj = grown(e.ws.conj, nLocal)
+		conjInto(e.ws.conj, localIn)
+		localIn = e.ws.conj
+	}
+	return e, localIn, nil
 }
 
-// phase12 runs the halo exchange and the convolution/block-FFT phase and
-// returns the packed exchange buffer: destination t's chunk occupies
-// [t·chunk, (t+1)·chunk).
-func (e *distExec) phase12(ctx context.Context, localIn []complex128) ([]complex128, error) {
-	pl, p, rank, r := e.pl, e.pl.prm, e.rank, e.r
+// finish closes a run that produced a complete spectrum: the inverse's
+// output fix-up, the stage report, and — only on a clean run, here, with
+// every helper goroutine joined and the stream closed — the workspace's
+// return to the free list. Every other exit, a degraded one included,
+// drops the workspace.
+func (e *distExec) finish(localOut []complex128, deg *DegradedError) {
+	if e.inverse {
+		scale := 1 / float64(e.pl.prm.N)
+		conjScale(localOut, scale)
+		if deg != nil {
+			for _, block := range deg.TakenOver {
+				conjScale(block, scale)
+			}
+		}
+	}
+	e.report()
+	if deg == nil {
+		e.pl.putDistWorkspace(e.ws)
+	}
+}
 
-	// Phase 1: halo exchange, overlapped with interior convolution. The
-	// convolution of the last local rows reads up to (B−1)·P elements
-	// past the owned block, so rank p posts its own prefix to the
-	// preceding rank(s) immediately (sends are asynchronous), convolves
-	// every row whose taps stay inside the owned block, and only then
-	// waits for the neighbour prefix(es) to finish the boundary rows. In
-	// production shapes the halo is a single short neighbour message
-	// (paper: "typically less than 0.01% of M"); tiny test shapes may
-	// span several neighbours.
+// produce is the tile-wise phase 1–2, shared by every exchange: post the
+// halo, then per tile [bounds[k], bounds[k+1]) of local rows convolve →
+// F_P → pack into the workspace's send buffer (destination t's chunk at
+// [t·chunk, (t+1)·chunk)) and, when st is non-nil, fan the tile out so
+// destination links carry tile k while tile k+1 is still convolving. The
+// blocking exchanges pass st == nil and the two tiles {interior,
+// boundary}: the interior rows overlap the halo flight and nothing
+// leaves before the caller's all-to-all. The neighbour prefix is awaited
+// before the first tile holding a boundary row.
+//
+// In-flight chunks may reference the send buffer until the stream is
+// closed; the coded exchange encodes parity over it after the fan-out.
+// sendWait is the cumulative time Send spent blocked on window
+// backpressure. A send error fails the run unless onDead is set: the
+// coded path notes the dead destination there and carries on.
+func (e *distExec) produce(ctx context.Context, st exch.Stream, bounds []int, localIn []complex128, onDead func(dst int)) (sendWait time.Duration, err error) {
+	pl, rank, r, ws := e.pl, e.rank, e.r, e.ws
 	halo := pl.HaloLen()
+	own := len(ws.stitch) - halo // owned columns the boundary rows read
+	copy(ws.stitch, localIn[ws.stitchCol:])
+
+	// Phase 1: post the halo prefix(es) immediately (sends are
+	// asynchronous). In production shapes the halo is a single short
+	// neighbour message (paper: "typically less than 0.01% of M"); tiny
+	// test shapes may span several neighbours.
 	t0 := time.Now()
 	e.tr.Begin(e.tid, rank, instrument.StageHalo.String())
-	ext := make([]complex128, e.nLocal+halo)
-	copy(ext, localIn)
-	depth := 0 // neighbour distance the halo spans
-	if r > 1 {
+	var hs *haloStream
+	switch {
+	case r == 1:
+		copy(ws.stitch[own:], localIn[:halo])
+	case st != nil && e.haloChecked:
+		hs, err = e.startHaloStream(localIn, ws.stitch[own:])
+	default:
 		for d := 1; (d-1)*e.nLocal < halo; d++ {
-			need := halo - (d-1)*e.nLocal
-			if need > e.nLocal {
-				need = e.nLocal
-			}
-			e.c.Send((rank-d+r*d)%r, tagHalo+d, localIn[:need])
-			depth = d
-		}
-	}
-	e.dt.Halo = time.Since(t0)
-	e.tr.End(e.tid, rank, instrument.StageHalo.String())
-
-	// Phase 2: convolution rows and their P-point FFTs. Interior rows
-	// (taps within the owned block) run while the halo is in flight.
-	t0 = time.Now()
-	e.tr.Begin(e.tid, rank, instrument.StageConvolve.String())
-	jLo := rank * e.bpr
-	jMid := jLo
-	for jMid < jLo+e.bpr && pl.rowEndCol(jMid) <= (rank+1)*e.nLocal {
-		jMid++
-	}
-	v := make([]complex128, e.bpr*p.P)
-	conv := make([]complex128, e.bpr*p.P)
-	parfor(e.workers, jMid-jLo, func(lo, hi int) {
-		w0 := time.Now()
-		pl.ConvolveRange(conv[lo*p.P:hi*p.P], ext, jLo+lo, jLo+hi, rank*e.nLocal)
-		if e.timed {
-			e.convBusy.Add(int64(time.Since(w0)))
-		}
-	})
-	e.dt.Convolve = time.Since(t0)
-
-	t0 = time.Now()
-	e.tr.Begin(e.tid, rank, instrument.StageHalo.String())
-	if r == 1 {
-		copy(ext[e.nLocal:], localIn[:halo])
-	} else {
-		for d := 1; d <= depth; d++ {
-			data := e.c.RecvC((rank+d)%r, tagHalo+d)
-			copy(ext[e.nLocal+(d-1)*e.nLocal:], data)
+			e.c.Send((rank-d+r*d)%r, tagHalo+d, localIn[:min(halo-(d-1)*e.nLocal, e.nLocal)])
 		}
 	}
 	e.dt.Halo += time.Since(t0)
 	e.tr.End(e.tid, rank, instrument.StageHalo.String())
+	if err != nil {
+		return 0, err
+	}
 
-	t0 = time.Now()
-	pl.ConvolveRange(conv[(jMid-jLo)*p.P:], ext, jMid, jLo+e.bpr, rank*e.nLocal)
-	if e.timed {
-		e.convBusy.Add(int64(time.Since(t0)))
-	}
-	parfor(e.workers, e.bpr, func(lo, hi int) {
-		w0 := time.Now()
-		pl.BlockFFTBatch(v[lo*p.P:hi*p.P], conv[lo*p.P:hi*p.P], hi-lo)
-		if e.timed {
-			e.convBusy.Add(int64(time.Since(w0)))
-		}
-	})
+	haveHalo := r == 1
+	for k := 0; k+1 < len(bounds); k++ {
+		lo, hi := bounds[k], bounds[k+1]
 
-	// Pack for the exchange: destination t gets lanes [t·spr, (t+1)·spr)
-	// of every local block (the node-local permutation of paper Fig 3).
-	send := make([]complex128, e.bpr*p.P)
-	for t := 0; t < r; t++ {
-		base := t * e.chunk
-		for j := 0; j < e.bpr; j++ {
-			copy(send[base+j*e.spr:base+(j+1)*e.spr], v[j*p.P+t*e.spr:j*p.P+(t+1)*e.spr])
+		// The boundary rows need the neighbour prefix(es); the tiles before
+		// this point overlapped with the halo flight.
+		if !haveHalo && (hi > ws.jMid || k+2 == len(bounds)) {
+			haveHalo = true
+			t0 = time.Now()
+			e.tr.Begin(e.tid, rank, instrument.StageHalo.String())
+			if hs != nil {
+				err = hs.wait()
+			} else {
+				for d := 1; (d-1)*e.nLocal < halo; d++ {
+					dst := ws.stitch[own+(d-1)*e.nLocal : own+min(d*e.nLocal, halo)]
+					if e.into != nil {
+						e.into.RecvInto(dst, (rank+d)%r, tagHalo+d)
+					} else {
+						copy(dst, e.c.RecvC((rank+d)%r, tagHalo+d))
+					}
+				}
+			}
+			e.dt.Halo += time.Since(t0)
+			e.tr.End(e.tid, rank, instrument.StageHalo.String())
+			if err != nil {
+				return sendWait, err
+			}
+		}
+
+		// Phase 2 for this tile.
+		t0 = time.Now()
+		e.tr.Begin(e.tid, rank, instrument.StageConvolve.String())
+		parfor(e.workers, hi-lo, func(a, b int) {
+			w0 := time.Now()
+			e.packRows(localIn, lo+a, lo+b)
+			if e.timed {
+				e.convBusy.Add(int64(time.Since(w0)))
+			}
+		})
+		e.dt.Convolve += time.Since(t0)
+		e.tr.End(e.tid, rank, instrument.StageConvolve.String())
+
+		// Fan tile k out, neighbours first, self last; Send blocks only on
+		// the in-flight window (wire pacing), which we book as visible
+		// exchange time.
+		for off := 0; st != nil && off < r; off++ {
+			dst := (rank + 1 + off) % r
+			w0 := time.Now()
+			e.tr.ChunkBegin(e.tid, rank, "exchange_chunk_send", k)
+			serr := st.Send(dst, k, ws.send[dst*e.chunk+lo*e.spr:dst*e.chunk+hi*e.spr])
+			e.tr.ChunkEnd(e.tid, rank, "exchange_chunk_send", k)
+			sendWait += time.Since(w0)
+			if serr != nil {
+				if onDead == nil {
+					return sendWait, serr
+				}
+				onDead(dst)
+			}
+		}
+		if err := ctx.Err(); err != nil {
+			return sendWait, err
 		}
 	}
-	e.dt.Convolve += time.Since(t0)
-	e.tr.End(e.tid, rank, instrument.StageConvolve.String())
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return send, nil
+	return sendWait, nil
 }
 
-// phase4 assembles, segment-FFTs and demodulates one rank's worth of
-// owned segments into out (nLocal elements). chunkOf(src) must return
-// the bpr·spr chunk that source rank src addressed to the output owner;
-// the segment pipeline itself is owner-agnostic (the global segment
-// identity is baked into the chunk data by the phase-2 modulation), so
-// the coded driver reuses it verbatim to take over a dead rank's output
-// with bit-identical results.
-func (e *distExec) phase4(chunkOf func(src int) []complex128, out []complex128) {
+// packRows is the fused phase-2 kernel for local rows [lo, hi), the
+// distributed twin of convPass: per convTileRows-row tile, ConvolveRange
+// → F_P batch → each destination's lanes written straight into the
+// packed send layout while the tile is cache-hot (the node-local
+// permutation of paper Fig 3: destination t gets lanes [t·spr, (t+1)·spr)
+// of every block). Interior rows convolve directly from localIn; rows
+// from jMid on read the halo stitch buffer. Disjoint row ranges touch
+// disjoint cells of send, so ranges may run concurrently.
+func (e *distExec) packRows(localIn []complex128, lo, hi int) {
+	pl, ws, lanes := e.pl, e.ws, e.pl.prm.P
+	sc := <-ws.scratch
+	defer func() { ws.scratch <- sc }()
+	jLo, col := e.rank*e.bpr, e.rank*e.nLocal
+	for t := lo; t < hi; t += convTileRows {
+		tEnd := min(t+convTileRows, hi)
+		n := tEnd - t
+		mid := min(max(ws.jMid, t), tEnd) // first boundary row of the tile
+		pl.ConvolveRange(sc.conv, localIn, jLo+t, jLo+mid, col)
+		pl.ConvolveRange(sc.conv[(mid-t)*lanes:], ws.stitch, jLo+mid, jLo+tEnd, col+ws.stitchCol)
+		pl.fftP.Batch(sc.v[:n*lanes], sc.conv[:n*lanes], n)
+		for d := 0; d < e.r; d++ {
+			out := ws.send[d*e.chunk+t*e.spr : d*e.chunk+tEnd*e.spr]
+			for j := 0; j < n; j++ {
+				copy(out[j*e.spr:(j+1)*e.spr], sc.v[j*lanes+d*e.spr:])
+			}
+		}
+	}
+}
+
+// phase4 segment-FFTs and demodulates one rank's worth of owned segments
+// into out (nLocal elements). Each segment's oversampled sequence is
+// either already contiguous in xcol (segment-major: the stream consumer
+// did the transpose behind the wire) or, with xcol nil, gathered from the
+// per-source chunks: chunkOf(src) must return the bpr·spr chunk that
+// source rank src addressed to the output owner. The segment pipeline is
+// owner-agnostic (the global segment identity is baked into the chunk
+// data by the phase-2 modulation), so the coded driver reuses it verbatim
+// to take over a dead rank's output with bit-identical results.
+func (e *distExec) phase4(xcol []complex128, chunkOf func(src int) []complex128, out []complex128) {
 	pl := e.pl
 	parfor(e.workers, e.spr, func(sLo, sHi int) {
 		w0 := time.Now()
-		xt := make([]complex128, pl.mp)
-		yt := make([]complex128, pl.mp)
+		sc := <-e.ws.scratch
+		defer func() { e.ws.scratch <- sc }()
 		for ss := sLo; ss < sHi; ss++ {
-			for src := 0; src < e.r; src++ {
-				cb := chunkOf(src)
-				for j := 0; j < e.bpr; j++ {
-					xt[src*e.bpr+j] = cb[j*e.spr+ss]
+			xt := sc.xt
+			if xcol != nil {
+				xt = xcol[ss*pl.mp : (ss+1)*pl.mp]
+			} else {
+				for src := 0; src < e.r; src++ {
+					cb := chunkOf(src)
+					for j := 0; j < e.bpr; j++ {
+						xt[src*e.bpr+j] = cb[j*e.spr+ss]
+					}
 				}
 			}
-			pl.SegmentFFT(yt, xt)
-			pl.Demodulate(out[ss*pl.m:(ss+1)*pl.m], yt)
+			pl.SegmentFFT(sc.yt, xt)
+			pl.Demodulate(out[ss*pl.m:(ss+1)*pl.m], sc.yt)
 		}
 		if e.timed {
 			e.segBusy.Add(int64(time.Since(w0)))

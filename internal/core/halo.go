@@ -35,20 +35,17 @@ func (hs *haloStream) wait() error {
 
 // startHaloStream posts this rank's prefix chunks to the preceding
 // rank(s) and starts the background receiver assembling the neighbour
-// prefix(es) into ext[nLocal:]. The receiver writes only past nLocal
-// and the interior tiles read only below it, so the two proceed
-// concurrently; boundary tiles synchronize through wait's channel.
+// prefix(es) into dst (the halo part of the workspace's stitch buffer).
+// Only boundary rows read dst, and they synchronize through wait's
+// channel, so the receiver and the interior tiles proceed concurrently.
 // A send error (dead neighbour link) is returned immediately — the
 // halo is not erasure-protected, so there is nothing to route around.
-func (e *distExec) startHaloStream(localIn, ext []complex128) (*haloStream, error) {
+func (e *distExec) startHaloStream(localIn, dst []complex128) (*haloStream, error) {
 	cc := e.c.(CheckedComm) // capability verified on the unwrapped Comm; the wrapper forwards
 	rank, r := e.rank, e.r
 	halo := e.pl.HaloLen()
 	for d := 1; (d-1)*e.nLocal < halo; d++ {
-		need := halo - (d-1)*e.nLocal
-		if need > e.nLocal {
-			need = e.nLocal
-		}
+		need := min(halo-(d-1)*e.nLocal, e.nLocal)
 		dst := (rank - d + r*d) % r
 		off := 0
 		for i, sz := range exch.HaloSizes(need) {
@@ -63,12 +60,9 @@ func (e *distExec) startHaloStream(localIn, ext []complex128) (*haloStream, erro
 	go func() {
 		defer close(hs.done)
 		for d := 1; (d-1)*e.nLocal < halo; d++ {
-			need := halo - (d-1)*e.nLocal
-			if need > e.nLocal {
-				need = e.nLocal
-			}
+			need := min(halo-(d-1)*e.nLocal, e.nLocal)
 			src := (rank + d) % r
-			off := e.nLocal + (d-1)*e.nLocal
+			off := (d - 1) * e.nLocal
 			for i, sz := range exch.HaloSizes(need) {
 				data, err := cc.RecvCChecked(src, exch.HaloTag(d, i))
 				if err != nil {
@@ -81,7 +75,7 @@ func (e *distExec) startHaloStream(localIn, ext []complex128) (*haloStream, erro
 					return
 				}
 				e.tr.ChunkInstant(e.tid, rank, "halo_chunk_recv", i)
-				copy(ext[off:off+sz], data)
+				copy(dst[off:off+sz], data)
 				off += sz
 			}
 		}

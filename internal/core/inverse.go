@@ -17,11 +17,11 @@ func (pl *Plan) InverseTransform(dst, src []complex128) error {
 }
 
 // InverseTransformContext is InverseTransform with the forward path's
-// cancellation checks at stage boundaries.
+// cancellation checks at stage boundaries. The conjugation happens while
+// the input is loaded into the pooled workspace, so the inverse
+// allocates exactly what the forward transform does.
 func (pl *Plan) InverseTransformContext(ctx context.Context, dst, src []complex128) error {
-	tmp := make([]complex128, len(src))
-	conjInto(tmp, src)
-	if err := pl.TransformContext(ctx, dst, tmp); err != nil {
+	if _, err := pl.transform(ctx, dst, src, true); err != nil {
 		return err
 	}
 	conjScale(dst, 1/float64(pl.prm.N))
@@ -32,25 +32,10 @@ func (pl *Plan) InverseTransformContext(ctx context.Context, dst, src []complex1
 // InverseTransform: conjugation and scaling are rank-local, so the
 // communication profile is identical to the forward run (one halo
 // exchange plus a single all-to-all), and the forward driver's options
-// (WithAsyncWindow, WithCoding, WithRecorder) apply unchanged.
+// (WithAsyncWindow, WithCoding, WithRecorder) apply unchanged. The
+// conjugated input lives in the rank's workspace.
 func (pl *Plan) RunDistributedInverse(ctx context.Context, c Comm, localOut, localIn []complex128, opts ...DistOption) (DistributedTimes, error) {
-	tmp := make([]complex128, len(localIn))
-	conjInto(tmp, localIn)
-	dt, err := pl.RunDistributed(ctx, c, localOut, tmp, opts...)
-	if err != nil {
-		return dt, err
-	}
-	conjScale(localOut, 1/float64(pl.prm.N))
-	return dt, nil
-}
-
-// RunDistributedInverseContext is the pre-option spelling of
-// RunDistributedInverse.
-//
-// Deprecated: call RunDistributedInverse, which now takes the context
-// and options directly.
-func (pl *Plan) RunDistributedInverseContext(ctx context.Context, c Comm, localOut, localIn []complex128) (DistributedTimes, error) {
-	return pl.RunDistributedInverse(ctx, c, localOut, localIn)
+	return pl.runDistributed(ctx, c, localOut, localIn, opts, true)
 }
 
 func conjInto(dst, src []complex128) {

@@ -25,6 +25,16 @@ type StreamComm interface {
 	StartAlltoallv(o exch.Options) exch.Stream
 }
 
+// IntoComm is the optional receive-into capability a Comm may implement:
+// the blocking all-to-all and the point-to-point receive landing in the
+// driver's workspace instead of a fresh slice. Both *mpi.Comm and
+// *mpinet.Proc implement it; without it the driver falls back to
+// Alltoall / RecvC. Failures raise typed Faults as those do.
+type IntoComm interface {
+	AlltoallInto(recv, send []complex128, chunk int)
+	RecvInto(dst []complex128, from, tag int)
+}
+
 // DistOption configures one distributed transform run (see
 // Plan.RunDistributed).
 type DistOption func(*distOptions)
@@ -38,6 +48,7 @@ type distOptions struct {
 	// the unwrapped Comm has the CheckedComm capability, enabling the
 	// chunk-streamed halo on the streamed path.
 	haloChecked bool
+	inverse     bool // set by RunDistributedInverse, not an option
 	rec         *instrument.Recorder
 	tele        *telemetry.Plane
 }
@@ -57,8 +68,8 @@ func (pl *Plan) resolveDistOptions(opts []DistOption) distOptions {
 // per codeword, so the transform survives up to m rank deaths
 // mid-exchange (bit-exact, reported via *DegradedError). Requires a Comm
 // with the CheckedComm capability; m = 0 means detection without
-// repair. See the former RunDistributedCoded for the full protocol
-// contract.
+// repair. The protocol contract (outcomes, what deaths it survives) is
+// documented on runCoded in coded.go.
 func WithCoding(m int) DistOption {
 	return func(o *distOptions) { o.coded = true; o.parity = m }
 }

@@ -66,6 +66,16 @@ type Plan struct {
 	windowPrior float64
 
 	ws sync.Pool // *workspace, reused across Transform calls
+
+	// distFree holds the distributed driver's idle per-rank workspaces.
+	// A mutex-guarded list, not a second sync.Pool: the GC never empties
+	// it and no per-P cache hides entries, so it holds at most the peak
+	// number of ranks that ran concurrently on this plan, and a warm rank
+	// never re-allocates. distOnRelease (tests only) sees every workspace
+	// on its way back.
+	distMu        sync.Mutex
+	distFree      []*distWorkspace
+	distOnRelease func(*distWorkspace)
 }
 
 // workspace holds the per-transform scratch buffers and timing cells so
@@ -83,6 +93,95 @@ type workspace struct {
 
 	busyConv, nsScatter atomic.Int64 // pass A worker busy / scatter slices
 	busySeg, nsDemod    atomic.Int64 // pass B worker busy / demod slices
+}
+
+// distWorkspace holds every payload-sized buffer one rank's distributed
+// transform needs, sized by the plan and the world size alone (the row
+// geometry is rank-invariant), so a steady-state RunDistributed allocates
+// only bookkeeping. A run takes one from the plan's free list and puts it
+// back only after it succeeded with every helper goroutine joined; a run
+// that failed, was cancelled or panicked drops it, because a straggling
+// receiver may still be writing into it. Nothing that outlives the call
+// may alias these buffers.
+type distWorkspace struct {
+	r int // world size the buffers are cut for
+
+	// send is the packed exchange buffer, destination t's chunk at
+	// [t·chunk, (t+1)·chunk); recv receives the exchange — per-source
+	// chunks in rank order (blocking, coded) or the segment-major phase-4
+	// input the stream consumer scatters into. N'/R elements each.
+	send, recv []complex128
+
+	// Rows from jMid on have taps leaving the owned block and read stitch:
+	// the owned tail from local column stitchCol onward, then the
+	// (B−1)·P-element neighbour halo.
+	jMid, stitchCol int
+	stitch          []complex128
+
+	scratch chan *rankScratch // one per worker goroutine
+
+	conj   []complex128 // inverse runs only: the conjugated input
+	parity []complex128 // coded runs only: m parity shares of chunk elements
+	code   []byte       // coded runs only: one strip of share byte images
+}
+
+// rankScratch is one worker's tile and segment buffers.
+type rankScratch struct {
+	conv, v []complex128 // one convTileRows-row tile before / after F_P
+	xt, yt  []complex128 // one segment's oversampled sequence and spectrum
+}
+
+// grown returns buf resliced to n elements, reallocating only when its
+// capacity falls short (the lazily sized workspace buffers).
+func grown[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// getDistWorkspace pops an idle workspace cut for r ranks, or builds one.
+func (pl *Plan) getDistWorkspace(r int) *distWorkspace {
+	pl.distMu.Lock()
+	for i, ws := range pl.distFree {
+		if ws.r == r {
+			last := len(pl.distFree) - 1
+			pl.distFree[i], pl.distFree[last] = pl.distFree[last], nil
+			pl.distFree = pl.distFree[:last]
+			pl.distMu.Unlock()
+			return ws
+		}
+	}
+	pl.distMu.Unlock()
+
+	p := pl.prm
+	bpr, nLocal := pl.mp/r, p.N/r
+	ws := &distWorkspace{r: r, send: make([]complex128, bpr*p.P), recv: make([]complex128, bpr*p.P), stitchCol: nLocal}
+	for ws.jMid < bpr && pl.rowEndCol(ws.jMid) <= nLocal {
+		ws.jMid++
+	}
+	if ws.jMid < bpr {
+		ws.stitchCol = pl.rowEndCol(ws.jMid) - p.B*p.P
+	}
+	ws.stitch = make([]complex128, nLocal-ws.stitchCol+pl.HaloLen())
+	ws.scratch = make(chan *rankScratch, max(p.Workers, 1))
+	for w := 0; w < cap(ws.scratch); w++ {
+		ws.scratch <- &rankScratch{
+			conv: make([]complex128, convTileRows*p.P), v: make([]complex128, convTileRows*p.P),
+			xt: make([]complex128, pl.mp), yt: make([]complex128, pl.mp),
+		}
+	}
+	return ws
+}
+
+// putDistWorkspace returns a workspace no goroutine references any more.
+func (pl *Plan) putDistWorkspace(ws *distWorkspace) {
+	if pl.distOnRelease != nil {
+		pl.distOnRelease(ws)
+	}
+	pl.distMu.Lock()
+	pl.distFree = append(pl.distFree, ws)
+	pl.distMu.Unlock()
 }
 
 // NewPlan validates p, designs a window if none is given, and precomputes

@@ -59,31 +59,36 @@ func (e *distExec) tileBounds() []int {
 	return bounds
 }
 
-// runStreamed executes phases 1–4 with the chunked overlapped exchange.
-// The capability was checked by the caller on the unwrapped Comm;
-// e.c may be the counting wrapper, which forwards it.
-func (e *distExec) runStreamed(ctx context.Context, localOut, localIn []complex128) error {
-	bounds := e.tileBounds()
+// startStream opens the chunked all-to-all on the tile schedule. The
+// capability was checked by the caller on the unwrapped Comm; e.c may be
+// the counting wrapper, which forwards it.
+func (e *distExec) startStream() (st exch.Stream, bounds []int) {
+	bounds = e.tileBounds()
 	sizes := make([]int, len(bounds)-1)
 	for k := range sizes {
 		sizes[k] = (bounds[k+1] - bounds[k]) * e.spr
 	}
-	st := e.c.(StreamComm).StartAlltoallv(exch.Options{Sizes: sizes, Window: e.window})
+	return e.c.(StreamComm).StartAlltoallv(exch.Options{Sizes: sizes, Window: e.window}), bounds
+}
+
+// exchangeStreamed executes phases 1–3 with the chunked overlapped
+// exchange, leaving phase 4's input in xcol.
+func (e *distExec) exchangeStreamed(ctx context.Context, xcol, localIn []complex128) error {
+	st, bounds := e.startStream()
 	defer st.Close()
 
 	e.tr.Counter(e.tid, e.rank, "adaptive_window", int64(e.window))
 	streamStart := time.Now()
 
-	// Phase-4 input in column-major (segment-major) layout: segment ss's
-	// oversampled sequence is the contiguous xcol[ss·mp, (ss+1)·mp), with
-	// source src's block j at offset src·bpr+j — exactly the xt vector the
-	// blocking phase4 gathers, assembled here by the consumer while later
-	// chunks are still on the wire.
-	xcol := make([]complex128, e.spr*e.pl.mp)
+	// xcol is segment-major: segment ss's oversampled sequence is the
+	// contiguous xcol[ss·mp, (ss+1)·mp), with source src's block j at offset
+	// src·bpr+j — exactly the xt vector the blocking phase4 gathers,
+	// assembled here by the consumer while later chunks are still on the
+	// wire.
 	consErr := make(chan error, 1)
 	go func() { consErr <- e.consumeStream(st, bounds, xcol) }()
 
-	_, sendWait, perr := e.produceStream(ctx, st, bounds, localIn, nil)
+	sendWait, perr := e.produce(ctx, st, bounds, localIn, nil)
 	if perr != nil {
 		// A producer that bailed mid-schedule left self-delivery slots the
 		// consumer would otherwise wait on forever; Close aborts the
@@ -92,9 +97,10 @@ func (e *distExec) runStreamed(ctx context.Context, localOut, localIn []complex1
 	}
 
 	// Drain: whatever the producer's outcome, wait for the consumer — its
-	// receive loops are deadline-bounded, and xcol must not be shared past
-	// this frame. The visible exchange time is the send backpressure plus
-	// this tail; everything else ran behind compute.
+	// receive loops are deadline-bounded, and it must be done with xcol
+	// before the workspace can go back to the free list. The visible
+	// exchange time is the send backpressure plus this tail; everything
+	// else ran behind compute.
 	prodDone := time.Now()
 	e.tr.Begin(e.tid, e.rank, instrument.StageExchange.String())
 	cerr := <-consErr
@@ -120,154 +126,7 @@ func (e *distExec) runStreamed(ctx context.Context, localOut, localIn []complex1
 	if e.adaptive {
 		e.observeAdaptive(hidden, sendWait)
 	}
-
-	t0 := time.Now()
-	e.tr.Begin(e.tid, e.rank, instrument.StageSegmentFFT.String())
-	e.phase4Cols(xcol, localOut)
-	e.dt.SegmentFT = time.Since(t0)
-	e.tr.End(e.tid, e.rank, instrument.StageSegmentFFT.String())
 	return nil
-}
-
-// produceStream is the tile-wise phase 1–2: halo exchange, then per tile
-// convolve + block-FFT + pack + fan out, so destination links carry tile
-// k while tile k+1 is still convolving. The packed send buffer is
-// persistent and written once per region — in-flight chunks reference it
-// until their frames flush; it is returned because the coded exchange
-// encodes parity over it after the fan-out. sendWait is the cumulative
-// time Send spent blocked on window backpressure. A nil onSendErr fails
-// fast on the first send error; the coded path passes a callback that
-// marks the destination dead and continues.
-func (e *distExec) produceStream(ctx context.Context, st exch.Stream, bounds []int, localIn []complex128, onSendErr func(dst int, err error) error) (send []complex128, sendWait time.Duration, err error) {
-	pl, p, rank, r := e.pl, e.pl.prm, e.rank, e.r
-
-	// Phase 1: post the halo prefix(es) immediately (sends are
-	// asynchronous); the receive is deferred until the first tile whose
-	// rows read past the owned block.
-	halo := pl.HaloLen()
-	t0 := time.Now()
-	e.tr.Begin(e.tid, rank, instrument.StageHalo.String())
-	ext := make([]complex128, e.nLocal+halo)
-	copy(ext, localIn)
-	depth := 0
-	var hs *haloStream
-	if r > 1 {
-		if e.haloChecked {
-			var herr error
-			hs, herr = e.startHaloStream(localIn, ext)
-			if herr != nil {
-				e.dt.Halo += time.Since(t0)
-				e.tr.End(e.tid, rank, instrument.StageHalo.String())
-				return nil, 0, herr
-			}
-		} else {
-			for d := 1; (d-1)*e.nLocal < halo; d++ {
-				need := halo - (d-1)*e.nLocal
-				if need > e.nLocal {
-					need = e.nLocal
-				}
-				e.c.Send((rank-d+r*d)%r, tagHalo+d, localIn[:need])
-				depth = d
-			}
-		}
-	}
-	e.dt.Halo += time.Since(t0)
-	e.tr.End(e.tid, rank, instrument.StageHalo.String())
-
-	// jMid: first local row whose convolution taps leave the owned block.
-	jLo := rank * e.bpr
-	jMid := jLo
-	for jMid < jLo+e.bpr && pl.rowEndCol(jMid) <= (rank+1)*e.nLocal {
-		jMid++
-	}
-
-	maxTile := 0
-	for k := 0; k+1 < len(bounds); k++ {
-		if w := bounds[k+1] - bounds[k]; w > maxTile {
-			maxTile = w
-		}
-	}
-	send = make([]complex128, e.bpr*p.P) // persistent: dst t's chunk at [t·chunk, (t+1)·chunk)
-	conv := make([]complex128, maxTile*p.P)
-	v := make([]complex128, maxTile*p.P)
-
-	haveHalo := false
-	for k := 0; k+1 < len(bounds); k++ {
-		lo, hi := bounds[k], bounds[k+1]
-
-		// The boundary rows need the neighbour prefix(es); interior tiles
-		// before this point overlapped with the halo flight.
-		if !haveHalo && jLo+hi > jMid {
-			t0 = time.Now()
-			e.tr.Begin(e.tid, rank, instrument.StageHalo.String())
-			switch {
-			case r == 1:
-				copy(ext[e.nLocal:], localIn[:halo])
-			case hs != nil:
-				if herr := hs.wait(); herr != nil {
-					e.dt.Halo += time.Since(t0)
-					e.tr.End(e.tid, rank, instrument.StageHalo.String())
-					return send, sendWait, herr
-				}
-			default:
-				for d := 1; d <= depth; d++ {
-					data := e.c.RecvC((rank+d)%r, tagHalo+d)
-					copy(ext[e.nLocal+(d-1)*e.nLocal:], data)
-				}
-			}
-			e.dt.Halo += time.Since(t0)
-			e.tr.End(e.tid, rank, instrument.StageHalo.String())
-			haveHalo = true
-		}
-
-		// Phase 2 for this tile: convolution rows, their P-point FFTs, and
-		// the node-local pack (lanes [t·spr, (t+1)·spr) of each block to
-		// destination t) — identical arithmetic to the blocking phase12,
-		// just row-range-restricted, so the results are bit-identical.
-		t0 = time.Now()
-		e.tr.Begin(e.tid, rank, instrument.StageConvolve.String())
-		parfor(e.workers, hi-lo, func(a, b int) {
-			w0 := time.Now()
-			pl.ConvolveRange(conv[a*p.P:b*p.P], ext, jLo+lo+a, jLo+lo+b, rank*e.nLocal)
-			pl.BlockFFTBatch(v[a*p.P:b*p.P], conv[a*p.P:b*p.P], b-a)
-			if e.timed {
-				e.convBusy.Add(int64(time.Since(w0)))
-			}
-		})
-		for t := 0; t < r; t++ {
-			base := t * e.chunk
-			for j := lo; j < hi; j++ {
-				copy(send[base+j*e.spr:base+(j+1)*e.spr], v[(j-lo)*p.P+t*e.spr:(j-lo)*p.P+(t+1)*e.spr])
-			}
-		}
-		e.dt.Convolve += time.Since(t0)
-		e.tr.End(e.tid, rank, instrument.StageConvolve.String())
-
-		// Fan tile k out, neighbours first, self last; Send blocks only on
-		// the in-flight window (wire pacing), which we book as visible
-		// exchange time.
-		for off := 0; off < r; off++ {
-			dst := (rank + 1 + off) % r
-			data := send[dst*e.chunk+lo*e.spr : dst*e.chunk+hi*e.spr]
-			w0 := time.Now()
-			e.tr.ChunkBegin(e.tid, rank, "exchange_chunk_send", k)
-			serr := st.Send(dst, k, data)
-			e.tr.ChunkEnd(e.tid, rank, "exchange_chunk_send", k)
-			sendWait += time.Since(w0)
-			if serr != nil {
-				if onSendErr == nil {
-					return send, sendWait, serr
-				}
-				if err := onSendErr(dst, serr); err != nil {
-					return send, sendWait, err
-				}
-			}
-		}
-		if err := ctx.Err(); err != nil {
-			return send, sendWait, err
-		}
-	}
-	return send, sendWait, nil
 }
 
 // consumeStream scatters arriving chunks into the column-major phase-4
@@ -332,22 +191,4 @@ func (e *distExec) observeAdaptive(hidden, sendWait time.Duration) {
 	if d.Changed {
 		e.tr.ChunkInstant(e.tid, e.rank, "adaptive_decision", d.Window)
 	}
-}
-
-// phase4Cols is phase4 over the pre-scattered column-major buffer:
-// segment ss's input is already contiguous, so it feeds SegmentFFT with
-// no per-segment gather (the consumer did the transpose behind the wire).
-func (e *distExec) phase4Cols(xcol, out []complex128) {
-	pl := e.pl
-	parfor(e.workers, e.spr, func(sLo, sHi int) {
-		w0 := time.Now()
-		yt := make([]complex128, pl.mp)
-		for ss := sLo; ss < sHi; ss++ {
-			pl.SegmentFFT(yt, xcol[ss*pl.mp:(ss+1)*pl.mp])
-			pl.Demodulate(out[ss*pl.m:(ss+1)*pl.m], yt)
-		}
-		if e.timed {
-			e.segBusy.Add(int64(time.Since(w0)))
-		}
-	})
 }

@@ -170,78 +170,48 @@ func TestAsyncCodedBitIdentity(t *testing.T) {
 	}
 }
 
-// TestDeprecatedWrappersDelegate: the pre-option entry points must keep
-// compiling and produce bit-identical results by delegating to
-// RunDistributed.
-func TestDeprecatedWrappersDelegate(t *testing.T) {
+// TestRunDistributedInverseOptions: the distributed inverse takes the
+// forward driver's options unchanged — every exchange variant returns
+// the same bits, equal to the shared-memory inverse of the same spectrum,
+// and repeated runs on the warm plan (conjugate input in the reused
+// workspace) stay identical.
+func TestRunDistributedInverseOptions(t *testing.T) {
 	const r, seed = 4, 304
-	ref, _, _ := runSOIDistributed(t, streamParams, r, seed)
+	freq, _, _ := runSOIDistributed(t, streamParams, r, seed)
 	pl, err := NewPlan(streamParams)
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := signal.Random(streamParams.N, seed)
+	want := make([]complex128, streamParams.N)
+	if err := pl.InverseTransform(want, freq); err != nil {
+		t.Fatal(err)
+	}
 	nLocal := streamParams.N / r
-
-	runWorld := func(name string, body func(c *mpi.Comm, out, in []complex128) error) []complex128 {
-		t.Helper()
-		got := make([]complex128, streamParams.N)
-		w, err := mpi.NewWorld(r)
-		if err != nil {
-			t.Fatal(err)
+	variants := map[string][]DistOption{
+		"blocking": nil,
+		"streamed": {WithAsyncWindow(2)},
+		"coded":    {WithCoding(1)},
+	}
+	for name, opts := range variants {
+		for pass := 0; pass < 2; pass++ {
+			got := make([]complex128, streamParams.N)
+			w, err := mpi.NewWorld(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = w.Run(func(c *mpi.Comm) error {
+				k := c.Rank()
+				_, err := pl.RunDistributedInverse(context.Background(), c,
+					got[k*nLocal:(k+1)*nLocal], freq[k*nLocal:(k+1)*nLocal], opts...)
+				return err
+			})
+			if err != nil {
+				t.Fatalf("%s pass %d: %v", name, pass, err)
+			}
+			if e := signal.MaxAbsErr(got, want); e != 0 {
+				t.Errorf("%s pass %d: distributed inverse differs from InverseTransform by %.3e", name, pass, e)
+			}
 		}
-		err = w.Run(func(c *mpi.Comm) error {
-			rank := c.Rank()
-			return body(c, got[rank*nLocal:(rank+1)*nLocal], src[rank*nLocal:(rank+1)*nLocal])
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		return got
-	}
-
-	plain := runWorld("RunDistributedContext", func(c *mpi.Comm, out, in []complex128) error {
-		//lint:ignore SA1019 the wrapper's delegation contract is under test
-		_, err := pl.RunDistributedContext(context.Background(), c, out, in)
-		return err
-	})
-	if e := signal.MaxAbsErr(plain, ref); e != 0 {
-		t.Errorf("RunDistributedContext differs from RunDistributed by %.3e", e)
-	}
-
-	coded := runWorld("RunDistributedCoded", func(c *mpi.Comm, out, in []complex128) error {
-		//lint:ignore SA1019 the wrapper's delegation contract is under test
-		_, err := pl.RunDistributedCoded(c, 1, out, in)
-		return err
-	})
-	if e := signal.MaxAbsErr(coded, ref); e != 0 {
-		t.Errorf("RunDistributedCoded differs from RunDistributed by %.3e", e)
-	}
-
-	codedCtx := runWorld("RunDistributedCodedContext", func(c *mpi.Comm, out, in []complex128) error {
-		//lint:ignore SA1019 the wrapper's delegation contract is under test
-		_, err := pl.RunDistributedCodedContext(context.Background(), c, 1, out, in)
-		return err
-	})
-	if e := signal.MaxAbsErr(codedCtx, ref); e != 0 {
-		t.Errorf("RunDistributedCodedContext differs from RunDistributed by %.3e", e)
-	}
-
-	// Inverse: forward then deprecated inverse must round-trip to the
-	// same bits as the current inverse entry point.
-	invNew := runWorld("RunDistributedInverse", func(c *mpi.Comm, out, in []complex128) error {
-		rank := c.Rank()
-		_, err := pl.RunDistributedInverse(context.Background(), c, out, ref[rank*nLocal:(rank+1)*nLocal])
-		return err
-	})
-	invOld := runWorld("RunDistributedInverseContext", func(c *mpi.Comm, out, in []complex128) error {
-		rank := c.Rank()
-		//lint:ignore SA1019 the wrapper's delegation contract is under test
-		_, err := pl.RunDistributedInverseContext(context.Background(), c, out, ref[rank*nLocal:(rank+1)*nLocal])
-		return err
-	})
-	if e := signal.MaxAbsErr(invOld, invNew); e != 0 {
-		t.Errorf("RunDistributedInverseContext differs from RunDistributedInverse by %.3e", e)
 	}
 }
 

@@ -48,7 +48,7 @@ func (t PhaseTimes) Total() time.Duration {
 // shared-memory parallelism. dst and src must have length N and must not
 // alias.
 func (pl *Plan) Transform(dst, src []complex128) error {
-	_, err := pl.transform(context.Background(), dst, src)
+	_, err := pl.transform(context.Background(), dst, src, false)
 	return err
 }
 
@@ -57,22 +57,24 @@ func (pl *Plan) Transform(dst, src []complex128) error {
 // stage and returns ctx.Err(). A stage already running completes (stages
 // are pure compute; the longest is a fraction of the transform).
 func (pl *Plan) TransformContext(ctx context.Context, dst, src []complex128) error {
-	_, err := pl.transform(ctx, dst, src)
+	_, err := pl.transform(ctx, dst, src, false)
 	return err
 }
 
 // TransformTimed is Transform with per-phase wall-time reporting.
 func (pl *Plan) TransformTimed(dst, src []complex128) (PhaseTimes, error) {
-	return pl.transform(context.Background(), dst, src)
+	return pl.transform(context.Background(), dst, src, false)
 }
 
-func (pl *Plan) transform(ctx context.Context, dst, src []complex128) (PhaseTimes, error) {
+// transform is the shared-memory pipeline; conj loads the conjugate of
+// src instead (the inverse's first half).
+func (pl *Plan) transform(ctx context.Context, dst, src []complex128, conj bool) (PhaseTimes, error) {
 	var pt PhaseTimes
 	p := pl.prm
 	if len(src) != p.N || len(dst) != p.N {
 		return pt, fmt.Errorf("core: need len %d, got dst %d src %d: %w", p.N, len(dst), len(src), ErrLength)
 	}
-	if len(src) > 0 && len(dst) > 0 && &dst[0] == &src[0] {
+	if !conj && len(src) > 0 && len(dst) > 0 && &dst[0] == &src[0] {
 		return pt, fmt.Errorf("core: dst must not alias src: %w", ErrAlias)
 	}
 	if err := ctx.Err(); err != nil {
@@ -93,8 +95,12 @@ func (pl *Plan) transform(ctx context.Context, dst, src []complex128) (PhaseTime
 	ws := pl.ws.Get().(*workspace)
 	defer pl.ws.Put(ws)
 	xext := ws.ext
-	copy(xext, src)
-	copy(xext[p.N:], src[:pl.HaloLen()])
+	if conj {
+		conjInto(xext, src)
+	} else {
+		copy(xext, src)
+	}
+	copy(xext[p.N:], xext[:pl.HaloLen()])
 	tr.End(tid, 0, instrument.StageHalo.String())
 
 	// Pass A — stages 1+2+3 fused per tile: convolution, P-point FFTs and
@@ -215,35 +221,6 @@ func (pl *Plan) segPass(ws *workspace, dst []complex128, sLo, sHi int, timed boo
 	}
 }
 
-// ConvolveRange computes output blocks j ∈ [jLo, jHi) of the convolution
-// W·x into dst (block-major: dst[(j−jLo)*P + i]). src is a contiguous
-// window of the input starting at global column colOff; it must cover
-// every tap of the requested rows, i.e. global columns
-// [s_jLo·P, (s_{jHi−1}+B)·P). The caller supplies halo data past its own
-// range; ConvolveRange never wraps indices.
-//
-// Each output element is a length-B stride-P inner product with one of μ
-// weight rows (paper Section 6, loops a–d).
-//
-// The kernel exploits the exact factorization of the weight tensor into
-// a real tap table and a per-(r, i) phase (see buildWeights): each lane
-// is a real·complex dot product over one contiguous B·P input slab —
-// half the arithmetic and half the table traffic of the complex MAC
-// form — followed by a single complex multiply by the lane phase.
-func (pl *Plan) ConvolveRange(dst, src []complex128, jLo, jHi, colOff int) {
-	p := pl.prm
-	lanes, taps := p.P, p.B
-	for j := jLo; j < jHi; j++ {
-		g, r := j/p.Mu, j%p.Mu
-		start := (g*p.Nu+pl.dstart[r])*lanes - colOff
-		h := pl.hre[r*taps*lanes : (r*taps+taps)*lanes]
-		xs := src[start : start+taps*lanes]
-		ph := pl.phase[r*lanes : (r+1)*lanes]
-		out := dst[(j-jLo)*lanes : (j-jLo+1)*lanes]
-		convDot(out, h, xs, ph, lanes)
-	}
-}
-
 // convDot computes out[i] = ph[i] · Σ_b h[b·lanes+i]·x[b·lanes+i] for
 // each lane. h and x are one row's contiguous tap slab (len B·lanes);
 // the per-lane walk is lanes-strided but the whole slab is L1-resident.
@@ -273,6 +250,35 @@ func convDot(out []complex128, h []float64, x []complex128, ph []complex128, lan
 		p := ph[i]
 		re, im := re0+re1, im0+im1
 		out[i] = complex(re*real(p)-im*imag(p), re*imag(p)+im*real(p))
+	}
+}
+
+// ConvolveRange computes output blocks j ∈ [jLo, jHi) of the convolution
+// W·x into dst (block-major: dst[(j−jLo)*P + i]). src is a contiguous
+// window of the input starting at global column colOff; it must cover
+// every tap of the requested rows, i.e. global columns
+// [s_jLo·P, (s_{jHi−1}+B)·P). The caller supplies halo data past its own
+// range; ConvolveRange never wraps indices.
+//
+// Each output element is a length-B stride-P inner product with one of μ
+// weight rows (paper Section 6, loops a–d).
+//
+// The kernel exploits the exact factorization of the weight tensor into
+// a real tap table and a per-(r, i) phase (see buildWeights): each lane
+// is a real·complex dot product over one contiguous B·P input slab —
+// half the arithmetic and half the table traffic of the complex MAC
+// form — followed by a single complex multiply by the lane phase.
+func (pl *Plan) ConvolveRange(dst, src []complex128, jLo, jHi, colOff int) {
+	p := pl.prm
+	lanes, taps := p.P, p.B
+	for j := jLo; j < jHi; j++ {
+		g, r := j/p.Mu, j%p.Mu
+		start := (g*p.Nu+pl.dstart[r])*lanes - colOff
+		h := pl.hre[r*taps*lanes : (r*taps+taps)*lanes]
+		xs := src[start : start+taps*lanes]
+		ph := pl.phase[r*lanes : (r+1)*lanes]
+		out := dst[(j-jLo)*lanes : (j-jLo+1)*lanes]
+		convDot(out, h, xs, ph, lanes)
 	}
 }
 

@@ -79,6 +79,36 @@ func HaloSizes(total int) []int {
 	return sizes
 }
 
+// Spans locates each rank's chunk in a packed exchange buffer: prefix
+// offsets for per-rank counts, plain arithmetic when every chunk has the
+// same length — so the equal-counts collectives of both transports
+// build no slices per call.
+type Spans struct {
+	offs  []int // nil: equal chunks
+	chunk int
+}
+
+// EqualSpans describes back-to-back chunks of chunk elements each.
+func EqualSpans(chunk int) Spans { return Spans{chunk: chunk} }
+
+// CountSpans describes back-to-back chunks of the given per-rank lengths.
+func CountSpans(counts []int) Spans {
+	offs := make([]int, len(counts)+1)
+	for i, n := range counts {
+		offs[i+1] = offs[i] + n
+	}
+	return Spans{offs: offs}
+}
+
+// Of returns rank r's element range [lo, hi); Of(size-1)'s hi is the
+// buffer length.
+func (s Spans) Of(r int) (lo, hi int) {
+	if s.offs == nil {
+		return r * s.chunk, (r + 1) * s.chunk
+	}
+	return s.offs[r], s.offs[r+1]
+}
+
 // Chunk is one delivered piece of a streamed all-to-all: chunk Index of
 // source rank Src's contribution to this rank, or — when Err is non-nil
 // — the typed failure that ended Src's stream (Data is nil then, and no

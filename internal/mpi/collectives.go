@@ -1,6 +1,10 @@
 package mpi
 
-import "fmt"
+import (
+	"fmt"
+
+	"soifft/internal/exch"
+)
 
 // Collective tags live in a reserved band so they can never collide with
 // user point-to-point tags (which should be small non-negative ints).
@@ -137,12 +141,9 @@ func (c *Comm) GatherChecked(root int, chunk []complex128) (out []complex128, er
 		if r == root {
 			continue
 		}
-		data := c.recv(r, tagGather).([]complex128)
-		if len(data) != len(chunk) {
-			return nil, &CollectiveError{Op: "gather", Rank: c.rank, Err: fmt.Errorf(
-				"%w: chunk from rank %d is %d elements, want %d", ErrCountMismatch, r, len(data), len(chunk))}
+		if err := c.recvInto("gather", out[r*len(chunk):(r+1)*len(chunk)], r, tagGather); err != nil {
+			return nil, err
 		}
-		copy(out[r*len(chunk):], data)
 	}
 	return out, nil
 }
@@ -162,11 +163,20 @@ func (c *Comm) Allgather(chunk []complex128) []complex128 {
 // holds, in rank order, the chunk each rank sent to us. This is the
 // paper's "global transpose" primitive.
 func (c *Comm) Alltoall(send []complex128, chunk int) []complex128 {
-	counts := make([]int, c.world.size)
-	for i := range counts {
-		counts[i] = chunk
+	recv := make([]complex128, c.world.size*chunk)
+	c.AlltoallInto(recv, send, chunk)
+	return recv
+}
+
+// AlltoallInto is Alltoall receiving into the caller's size*chunk
+// buffer: each incoming chunk is copied from its queued message straight
+// into place, so a caller that keeps recv allocates nothing here beyond
+// the buffered copies of its own sends.
+func (c *Comm) AlltoallInto(recv, send []complex128, chunk int) {
+	sp := exch.EqualSpans(chunk)
+	if err := c.alltoallInto(recv, send, sp, sp); err != nil {
+		panic(err)
 	}
-	return c.Alltoallv(send, counts, counts)
 }
 
 // Alltoallv is Alltoall with per-destination counts. send holds the
@@ -186,43 +196,67 @@ func (c *Comm) Alltoallv(send []complex128, sendCounts, recvCounts []int) []comp
 // panicking: *CollectiveError wrapping ErrCountMismatch for count/length
 // disagreements (naming the offending peer), or the abort fault if the
 // world died mid-call.
-func (c *Comm) AlltoallvChecked(send []complex128, sendCounts, recvCounts []int) (out []complex128, err error) {
-	defer recoverFault(&err)
+func (c *Comm) AlltoallvChecked(send []complex128, sendCounts, recvCounts []int) ([]complex128, error) {
+	return c.exchangev("alltoallv", c.alltoallInto, send, sendCounts, recvCounts)
+}
+
+// exchangev validates per-rank counts and runs one of the two all-to-all
+// algorithms into a fresh result buffer.
+func (c *Comm) exchangev(op string, into func(recv, send []complex128, ss, rs exch.Spans) error, send []complex128, sendCounts, recvCounts []int) ([]complex128, error) {
 	size := c.world.size
 	if len(sendCounts) != size || len(recvCounts) != size {
-		return nil, &CollectiveError{Op: "alltoallv", Rank: c.rank, Err: fmt.Errorf(
+		return nil, &CollectiveError{Op: op, Rank: c.rank, Err: fmt.Errorf(
 			"%w: needs %d counts, got %d/%d", ErrCountMismatch, size, len(sendCounts), len(recvCounts))}
+	}
+	rs := exch.CountSpans(recvCounts)
+	_, n := rs.Of(size - 1)
+	recv := make([]complex128, n)
+	if err := into(recv, send, exch.CountSpans(sendCounts), rs); err != nil {
+		return nil, err
+	}
+	return recv, nil
+}
+
+// enterAlltoall, the all-to-all algorithms' shared preamble, checks the
+// buffer lengths against the layouts and counts the op once per world.
+func (c *Comm) enterAlltoall(op string, recv, send []complex128, ss, rs exch.Spans) error {
+	_, ns := ss.Of(c.world.size - 1)
+	_, nr := rs.Of(c.world.size - 1)
+	if len(send) != ns || len(recv) != nr {
+		return &CollectiveError{Op: op, Rank: c.rank, Err: fmt.Errorf(
+			"%w: send/recv lengths %d/%d, counts sum %d/%d", ErrCountMismatch, len(send), len(recv), ns, nr)}
 	}
 	if c.rank == 0 {
 		c.world.stats.alltoalls.Add(1)
 	}
-	offs := prefix(sendCounts)
-	if len(send) != offs[size] {
-		return nil, &CollectiveError{Op: "alltoallv", Rank: c.rank, Err: fmt.Errorf(
-			"%w: send length %d, counts sum %d", ErrCountMismatch, len(send), offs[size])}
+	return nil
+}
+
+// alltoallInto is the one all-to-all implementation: post every send
+// first (buffered, cannot block), then copy each queued chunk into place.
+func (c *Comm) alltoallInto(recv, send []complex128, ss, rs exch.Spans) (err error) {
+	defer recoverFault(&err)
+	if err := c.enterAlltoall("alltoallv", recv, send, ss, rs); err != nil {
+		return err
 	}
-	// Post every send first (buffered, cannot block), then drain receives.
-	for r := 0; r < size; r++ {
+	for r := 0; r < c.world.size; r++ {
+		lo, hi := ss.Of(r)
+		if r == c.rank {
+			rlo, rhi := rs.Of(r)
+			copy(recv[rlo:rhi], send[lo:hi])
+			continue
+		}
+		c.world.stats.alltoallBytes.Add(int64(hi-lo) * 16)
+		c.send(r, tagAlltoall, send[lo:hi])
+	}
+	for r := 0; r < c.world.size; r++ {
 		if r == c.rank {
 			continue
 		}
-		chunk := send[offs[r]:offs[r+1]]
-		c.world.stats.alltoallBytes.Add(sizeOf(chunk))
-		c.send(r, tagAlltoall, chunk)
-	}
-	roffs := prefix(recvCounts)
-	out = make([]complex128, roffs[size])
-	copy(out[roffs[c.rank]:roffs[c.rank+1]], send[offs[c.rank]:offs[c.rank+1]])
-	for r := 0; r < size; r++ {
-		if r == c.rank {
-			continue
+		lo, hi := rs.Of(r)
+		if err := c.recvInto("alltoallv", recv[lo:hi], r, tagAlltoall); err != nil {
+			return err
 		}
-		data := c.recv(r, tagAlltoall).([]complex128)
-		if len(data) != recvCounts[r] {
-			return nil, &CollectiveError{Op: "alltoallv", Rank: c.rank, Err: fmt.Errorf(
-				"%w: expected %d elements from rank %d, got %d", ErrCountMismatch, recvCounts[r], r, len(data))}
-		}
-		copy(out[roffs[r]:roffs[r+1]], data)
 	}
-	return out, nil
+	return nil
 }

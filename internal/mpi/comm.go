@@ -37,6 +37,25 @@ func (c *Comm) RecvC(from, tag int) []complex128 {
 	return c.recv(from, tag).([]complex128)
 }
 
+// RecvInto is RecvC into the caller's buffer: the queued payload is
+// copied straight into dst, whose length it must match (a typed
+// *CollectiveError otherwise). With AlltoallInto: core.IntoComm.
+func (c *Comm) RecvInto(dst []complex128, from, tag int) {
+	if err := c.recvInto("recv_into", dst, from, tag); err != nil {
+		panic(err)
+	}
+}
+
+func (c *Comm) recvInto(op string, dst []complex128, from, tag int) error {
+	data := c.recv(from, tag).([]complex128)
+	if len(data) != len(dst) {
+		return &CollectiveError{Op: op, Rank: c.rank, Err: fmt.Errorf(
+			"%w: expected %d elements from rank %d, got %d", ErrCountMismatch, len(dst), from, len(data))}
+	}
+	copy(dst, data)
+	return nil
+}
+
 // SendChecked is Send returning the abort fault as an error instead of
 // letting it unwind the rank. On the in-process runtime sends are
 // buffered and cannot otherwise fail.

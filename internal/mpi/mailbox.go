@@ -16,6 +16,7 @@ type mailbox struct {
 	mu    sync.Mutex
 	cond  *sync.Cond
 	queue []packet
+	head  int  // next packet to pop; the queue rewinds when it drains
 	dead  bool // set when the world aborts; wakes blocked receivers
 }
 
@@ -38,16 +39,19 @@ func (m *mailbox) put(p packet) {
 func (m *mailbox) get(tag int) (packet, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for len(m.queue) == 0 && !m.dead {
+	for m.head == len(m.queue) && !m.dead {
 		m.cond.Wait()
 	}
-	if m.dead && len(m.queue) == 0 {
+	if m.head == len(m.queue) {
 		return packet{}, false
 	}
-	p := m.queue[0]
-	// Drop the reference so the backing array can be collected.
-	m.queue[0] = packet{}
-	m.queue = m.queue[1:]
+	p := m.queue[m.head]
+	m.queue[m.head] = packet{} // drop the payload reference
+	if m.head++; m.head == len(m.queue) {
+		// Drained: rewind so put reuses the backing array instead of
+		// growing a fresh one behind an ever-advancing window.
+		m.queue, m.head = m.queue[:0], 0
+	}
 	if p.tag != tag {
 		panic(&TagMismatchError{Want: tag, Got: p.tag})
 	}

@@ -473,3 +473,58 @@ func TestPairwiseCountsAsOneAlltoall(t *testing.T) {
 		t.Errorf("pairwise exchange counted as %d all-to-alls, want 1", got)
 	}
 }
+
+// TestMailboxRewindsWhenDrained: a mailbox that is emptied between bursts
+// must keep reusing one backing array; before the rewind, get advanced a
+// window over it forever and put re-grew a fresh array every few packets.
+func TestMailboxRewindsWhenDrained(t *testing.T) {
+	m := newMailbox()
+	m.put(packet{tag: 1})
+	m.get(1)
+	base := cap(m.queue)
+	for i := 0; i < 1000; i++ {
+		m.put(packet{tag: 1})
+		if _, ok := m.get(1); !ok {
+			t.Fatal("mailbox died")
+		}
+	}
+	if cap(m.queue) != base || len(m.queue) != 0 || m.head != 0 {
+		t.Errorf("after 1000 drained bursts: cap %d (was %d), len %d, head %d", cap(m.queue), base, len(m.queue), m.head)
+	}
+}
+
+// TestAlltoallIntoMatchesAlltoall: the receive-into form fills the
+// caller's buffer with exactly what the allocating wrapper returns, and
+// counts the same traffic.
+func TestAlltoallIntoMatchesAlltoall(t *testing.T) {
+	const size, chunk = 4, 5
+	w, _ := NewWorld(size)
+	err := w.Run(func(c *Comm) error {
+		send := make([]complex128, size*chunk)
+		for i := range send {
+			send[i] = complex(float64(c.Rank()), float64(i))
+		}
+		want := c.Alltoall(send, chunk)
+		got := make([]complex128, size*chunk)
+		c.AlltoallInto(got, send, chunk)
+		for i := range got {
+			if got[i] != want[i] {
+				return fmt.Errorf("rank %d element %d: into %v, alltoall %v", c.Rank(), i, got[i], want[i])
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := w.Stats(); st.Alltoalls != 2 || st.AlltoallBytes != 2*size*(size-1)*chunk*16 {
+		t.Errorf("stats %+v: want 2 all-to-alls of %d bytes each", st, size*(size-1)*chunk*16)
+	}
+	err = w.Run(func(c *Comm) error {
+		c.AlltoallInto(make([]complex128, size*chunk-1), make([]complex128, size*chunk), chunk)
+		return nil
+	})
+	if !errors.Is(err, ErrCountMismatch) {
+		t.Errorf("short recv buffer: err %v, want ErrCountMismatch", err)
+	}
+}

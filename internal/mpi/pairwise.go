@@ -1,6 +1,6 @@
 package mpi
 
-import "fmt"
+import "soifft/internal/exch"
 
 // PairwiseAlltoallv is an alternative all-to-all implementation built
 // from pairwise Sendrecv exchanges (paper Fig 3: "implemented via the
@@ -19,52 +19,39 @@ func (c *Comm) PairwiseAlltoallv(send []complex128, sendCounts, recvCounts []int
 
 // PairwiseAlltoallvChecked is PairwiseAlltoallv returning typed errors
 // instead of panicking, mirroring AlltoallvChecked.
-func (c *Comm) PairwiseAlltoallvChecked(send []complex128, sendCounts, recvCounts []int) (out []complex128, err error) {
-	defer recoverFault(&err)
-	size := c.world.size
-	if len(sendCounts) != size || len(recvCounts) != size {
-		return nil, &CollectiveError{Op: "pairwise_alltoallv", Rank: c.rank, Err: fmt.Errorf(
-			"%w: needs %d counts, got %d/%d", ErrCountMismatch, size, len(sendCounts), len(recvCounts))}
-	}
-	if c.rank == 0 {
-		c.world.stats.alltoalls.Add(1)
-	}
-	offs := prefix(sendCounts)
-	roffs := prefix(recvCounts)
-	if len(send) != offs[size] {
-		return nil, &CollectiveError{Op: "pairwise_alltoallv", Rank: c.rank, Err: fmt.Errorf(
-			"%w: send length %d, counts sum %d", ErrCountMismatch, len(send), offs[size])}
-	}
-	out = make([]complex128, roffs[size])
-	copy(out[roffs[c.rank]:roffs[c.rank+1]], send[offs[c.rank]:offs[c.rank+1]])
-	for d := 1; d < size; d++ {
-		to := (c.rank + d) % size
-		from := (c.rank - d + size) % size
-		chunk := send[offs[to]:offs[to+1]]
-		c.world.stats.alltoallBytes.Add(sizeOf(chunk))
-		data := c.Sendrecv(to, tagAlltoall-d, chunk, from, tagAlltoall-d).([]complex128)
-		if len(data) != recvCounts[from] {
-			return nil, &CollectiveError{Op: "pairwise_alltoallv", Rank: c.rank, Err: fmt.Errorf(
-				"%w: expected %d elements from rank %d, got %d", ErrCountMismatch, recvCounts[from], from, len(data))}
-		}
-		copy(out[roffs[from]:roffs[from+1]], data)
-	}
-	return out, nil
+func (c *Comm) PairwiseAlltoallvChecked(send []complex128, sendCounts, recvCounts []int) ([]complex128, error) {
+	return c.exchangev("pairwise_alltoallv", c.pairwiseInto, send, sendCounts, recvCounts)
 }
 
 // PairwiseAlltoall is the equal-counts form of PairwiseAlltoallv.
 func (c *Comm) PairwiseAlltoall(send []complex128, chunk int) []complex128 {
-	counts := make([]int, c.world.size)
-	for i := range counts {
-		counts[i] = chunk
+	recv := make([]complex128, c.world.size*chunk)
+	sp := exch.EqualSpans(chunk)
+	if err := c.pairwiseInto(recv, send, sp, sp); err != nil {
+		panic(err)
 	}
-	return c.PairwiseAlltoallv(send, counts, counts)
+	return recv
 }
 
-func prefix(counts []int) []int {
-	offs := make([]int, len(counts)+1)
-	for i, n := range counts {
-		offs[i+1] = offs[i] + n
+func (c *Comm) pairwiseInto(recv, send []complex128, ss, rs exch.Spans) (err error) {
+	defer recoverFault(&err)
+	if err := c.enterAlltoall("pairwise_alltoallv", recv, send, ss, rs); err != nil {
+		return err
 	}
-	return offs
+	size := c.world.size
+	lo, hi := ss.Of(c.rank)
+	rlo, rhi := rs.Of(c.rank)
+	copy(recv[rlo:rhi], send[lo:hi])
+	for d := 1; d < size; d++ {
+		to, from := (c.rank+d)%size, (c.rank-d+size)%size
+		lo, hi = ss.Of(to)
+		rlo, rhi = rs.Of(from)
+		c.world.stats.alltoallBytes.Add(int64(hi-lo) * 16)
+		c.world.stats.sendrecvs.Add(1)
+		c.send(to, tagAlltoall-d, send[lo:hi])
+		if err := c.recvInto("pairwise_alltoallv", recv[rlo:rhi], from, tagAlltoall-d); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -369,7 +369,7 @@ func TestChaosSendFailsFastAfterWriterDeath(t *testing.T) {
 	go func() {
 		var firstErr error
 		for i := 0; i < 10000; i++ { // far beyond the 4096 buffer
-			if err := pe.send(frame); err != nil {
+			if err := pe.sendFrame(frame, nil); err != nil {
 				firstErr = err
 				break
 			}

@@ -35,6 +35,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"soifft/internal/exch"
 	"soifft/internal/instrument"
 	"soifft/internal/telemetry"
 	"soifft/internal/trace"
@@ -420,7 +421,7 @@ func (p *Proc) SendChecked(to, tag int, data any) error {
 		panic(fmt.Sprintf("mpinet: send to invalid rank %d", to))
 	}
 	pe := p.peers[to]
-	if err := pe.send(encodeFrame(tag, buf)); err != nil {
+	if err := pe.sendFrame(pe.encode(tag, buf), nil); err != nil {
 		pe.wire.sendErrors.Add(1)
 		return &TransportError{Rank: to, Op: "send", Err: err}
 	}
@@ -442,17 +443,32 @@ func (p *Proc) RecvC(from, tag int) []complex128 {
 // raising it. All bookkeeping (deadline counters, flight dumps) is
 // identical to RecvC.
 func (p *Proc) RecvCChecked(from, tag int) ([]complex128, error) {
-	if from < 0 || from >= p.size || from == p.rank {
-		panic(fmt.Sprintf("mpinet: recv from invalid rank %d", from))
-	}
-	pe := p.peers[from]
-	return p.recvFromBox(pe, pe.box, from, tag)
+	pe := p.peerOf(from, "recv")
+	return p.recvFrame(pe, pe.box, nil, tag)
 }
 
-// recvFromBox pops the next frame of one peer mailbox and checks its
-// tag; ordinary receives and the streamed exchange each drain their own
-// box, so their consumers never race for a frame.
-func (p *Proc) recvFromBox(pe *peer, box *netMailbox, from, tag int) ([]complex128, error) {
+// RecvInto is RecvC into the caller's buffer: the payload is decoded from
+// the link's reusable wire buffer straight into dst, whose length the
+// frame must match. With AlltoallInto: core.IntoComm.
+func (p *Proc) RecvInto(dst []complex128, from, tag int) {
+	pe := p.peerOf(from, "recv")
+	if _, err := p.recvFrame(pe, pe.box, dst, tag); err != nil {
+		panic(err)
+	}
+}
+
+func (p *Proc) peerOf(rank int, op string) *peer {
+	if rank < 0 || rank >= p.size || rank == p.rank {
+		panic(fmt.Sprintf("mpinet: %s with invalid rank %d", op, rank))
+	}
+	return p.peers[rank]
+}
+
+// recvFrame pops the next frame of one peer mailbox, checks its tag and
+// decodes it into dst (a fresh slice when dst is nil). Ordinary receives
+// and the streamed exchange each drain their own box, so their consumers
+// never race for a frame.
+func (p *Proc) recvFrame(pe *peer, box *netMailbox, dst []complex128, tag int) ([]complex128, error) {
 	pkt, err := box.get(p.IOTimeout())
 	if err != nil {
 		select {
@@ -465,52 +481,66 @@ func (p *Proc) recvFromBox(pe *peer, box *netMailbox, from, tag int) ([]complex1
 				p.flightFault(err)
 			}
 		}
-		return nil, &TransportError{Rank: from, Op: "recv", Err: err}
+		return nil, &TransportError{Rank: pe.rank, Op: "recv", Err: err}
 	}
 	if pkt.tag != tag {
-		return nil, &TransportError{Rank: from, Op: "recv",
+		return nil, &TransportError{Rank: pe.rank, Op: "recv",
 			Err: fmt.Errorf("tag mismatch: want %d got %d", tag, pkt.tag)}
 	}
-	return pkt.data, nil
+	return pe.decode(dst, pkt)
 }
 
 // Alltoall is the equal-counts personalized exchange (see mpi.Alltoall).
 func (p *Proc) Alltoall(send []complex128, chunk int) []complex128 {
-	counts := make([]int, p.size)
-	for i := range counts {
-		counts[i] = chunk
-	}
-	return p.PairwiseAlltoallv(send, counts, counts)
+	recv := make([]complex128, p.size*chunk)
+	p.AlltoallInto(recv, send, chunk)
+	return recv
+}
+
+// AlltoallInto is Alltoall receiving into the caller's size*chunk
+// buffer: frames move through the links' reusable wire buffers, so on a
+// warm mesh the exchange allocates nothing payload-sized.
+func (p *Proc) AlltoallInto(recv, send []complex128, chunk int) {
+	sp := exch.EqualSpans(chunk)
+	p.alltoallInto(recv, send, sp, sp)
 }
 
 // PairwiseAlltoallv exchanges variable-size chunks in rank order.
 func (p *Proc) PairwiseAlltoallv(send []complex128, sendCounts, recvCounts []int) []complex128 {
-	offs := prefix(sendCounts)
-	roffs := prefix(recvCounts)
-	if len(send) != offs[p.size] {
-		panic(fmt.Sprintf("mpinet: alltoallv send length %d, counts sum %d", len(send), offs[p.size]))
+	rs := exch.CountSpans(recvCounts)
+	_, n := rs.Of(p.size - 1)
+	recv := make([]complex128, n)
+	p.alltoallInto(recv, send, exch.CountSpans(sendCounts), rs)
+	return recv
+}
+
+// alltoallInto is the one all-to-all implementation: queue a frame per
+// peer, copy the self chunk, then decode each peer's frame into place.
+// Shape errors and wire faults alike raise a typed *TransportError.
+func (p *Proc) alltoallInto(recv, send []complex128, ss, rs exch.Spans) {
+	_, ns := ss.Of(p.size - 1)
+	_, nr := rs.Of(p.size - 1)
+	if len(send) != ns || len(recv) != nr {
+		panic(&TransportError{Rank: p.rank, Op: "alltoallv",
+			Err: fmt.Errorf("send/recv lengths %d/%d, counts sum %d/%d", len(send), len(recv), ns, nr)})
 	}
 	const tag = -6
 	for r := 0; r < p.size; r++ {
+		lo, hi := ss.Of(r)
 		if r == p.rank {
+			rlo, rhi := rs.Of(r)
+			copy(recv[rlo:rhi], send[lo:hi])
 			continue
 		}
-		p.Send(r, tag, send[offs[r]:offs[r+1]])
+		p.Send(r, tag, send[lo:hi])
 	}
-	out := make([]complex128, roffs[p.size])
-	copy(out[roffs[p.rank]:roffs[p.rank+1]], send[offs[p.rank]:offs[p.rank+1]])
 	for r := 0; r < p.size; r++ {
 		if r == p.rank {
 			continue
 		}
-		data := p.RecvC(r, tag)
-		if len(data) != recvCounts[r] {
-			panic(&TransportError{Rank: r, Op: "alltoallv",
-				Err: fmt.Errorf("expected %d elements, got %d", recvCounts[r], len(data))})
-		}
-		copy(out[roffs[r]:roffs[r+1]], data)
+		lo, hi := rs.Of(r)
+		p.RecvInto(recv[lo:hi], r, tag)
 	}
-	return out
 }
 
 // Gather concatenates equal-length chunks at root (nil elsewhere).
@@ -526,8 +556,7 @@ func (p *Proc) Gather(root int, chunk []complex128) []complex128 {
 		if r == root {
 			continue
 		}
-		data := p.RecvC(r, tag)
-		copy(out[r*len(chunk):], data)
+		p.RecvInto(out[r*len(chunk):(r+1)*len(chunk)], r, tag)
 	}
 	return out
 }
@@ -546,14 +575,6 @@ func (p *Proc) Barrier() {
 	}
 	p.Send(0, tag, []complex128{})
 	p.RecvC(0, tag)
-}
-
-func prefix(counts []int) []int {
-	offs := make([]int, len(counts)+1)
-	for i, n := range counts {
-		offs[i+1] = offs[i] + n
-	}
-	return offs
 }
 
 // --- wire details ---
@@ -600,9 +621,14 @@ func heartbeatFrame(ts int64, echo bool) []byte {
 	return encodeFrame(tagHeartbeat, []complex128{complex(math.Float64frombits(uint64(ts)), marker)})
 }
 
-// encodeFrame lays out the header and payload and stamps the checksum.
+// encodeFrame lays out one frame in a fresh buffer.
 func encodeFrame(tag int, data []complex128) []byte {
-	buf := make([]byte, frameHdrLen+16*len(data))
+	return putFrame(make([]byte, frameHdrLen+16*len(data)), tag, data)
+}
+
+// putFrame lays out the header and payload in buf (exactly the frame's
+// length) and stamps the checksum.
+func putFrame(buf []byte, tag int, data []complex128) []byte {
 	binary.LittleEndian.PutUint64(buf[:8], uint64(int64(tag)))
 	binary.LittleEndian.PutUint64(buf[8:16], uint64(len(data)))
 	binary.LittleEndian.PutUint32(buf[20:24], frameMagic)
@@ -616,9 +642,61 @@ func encodeFrame(tag int, data []complex128) []byte {
 	return buf
 }
 
+// packet is one validated inbound frame: its tag and the payload's wire
+// image, in a buffer on loan from the link's pool until decode.
 type packet struct {
-	tag  int
-	data []complex128
+	tag int
+	raw []byte
+}
+
+const (
+	// maxFreeBufs bounds a link's idle wire buffers: a credit window of
+	// stream tiles each way, not every frame of a burst forever.
+	maxFreeBufs = 16
+	// minPooledBuf keeps control-sized frames (heartbeats, masks) from
+	// occupying, or being handed, a payload-sized buffer.
+	minPooledBuf = 4 << 10
+)
+
+// bufPool is one link's free list of wire buffers, shared by its encode
+// (send) and raw-payload (receive) sides: after the first exchange of a
+// given shape the link moves frames without allocating.
+type bufPool struct {
+	mu   sync.Mutex
+	free [][]byte
+}
+
+// get returns a buffer of length n, reusing the smallest idle buffer
+// that fits.
+func (bp *bufPool) get(n int) []byte {
+	bp.mu.Lock()
+	best := -1
+	for i, b := range bp.free {
+		if cap(b) >= n && (best < 0 || cap(b) < cap(bp.free[best])) {
+			best = i
+		}
+	}
+	if best < 0 || n < minPooledBuf {
+		bp.mu.Unlock()
+		return make([]byte, n)
+	}
+	b, last := bp.free[best], len(bp.free)-1
+	bp.free[best] = bp.free[last]
+	bp.free = bp.free[:last]
+	bp.mu.Unlock()
+	return b[:n]
+}
+
+// put returns a buffer nothing references any more.
+func (bp *bufPool) put(b []byte) {
+	if cap(b) < minPooledBuf {
+		return
+	}
+	bp.mu.Lock()
+	if len(bp.free) < maxFreeBufs {
+		bp.free = append(bp.free, b)
+	}
+	bp.mu.Unlock()
 }
 
 // outFrame is one queued wire frame: the encoded bytes plus an optional
@@ -658,6 +736,7 @@ type peer struct {
 	tbox *netMailbox // telemetry stat frames (tag telemetry.TagStat)
 	pr   *Proc       // back-reference for the I/O deadline and wire counters
 	wire wireStats
+	bufs bufPool // reusable wire buffers, both directions
 	// echo hands a received ping's timestamp to the writer for
 	// reflection. It bypasses pe.out, which close/shutdown may have
 	// closed while reads are still draining.
@@ -712,16 +791,39 @@ func (pe *peer) failure() error {
 	return pe.failErr
 }
 
-// send queues a frame for the writer, failing fast if the link is dead
-// (a failed writeLoop no longer drains out at full rate, so blocking on
-// a dead peer's queue would hang forever once 4096 frames pile up).
-func (pe *peer) send(frame []byte) error {
-	return pe.sendFrame(frame, nil)
+// encode lays out one data frame in a pooled buffer, which the writer
+// returns once the frame is written. The payload is copied here, so the
+// caller's slice is its own again on return.
+func (pe *peer) encode(tag int, data []complex128) []byte {
+	return putFrame(pe.bufs.get(frameHdrLen+16*len(data)), tag, data)
 }
 
-// sendFrame is send with an optional flush callback, run by the writer
-// once the frame's bytes have all reached the socket. If the link dies
-// before the frame flushes, the callback is dropped along with the frame.
+// decode converts a received payload into dst (a fresh slice when dst is
+// nil) and returns the wire buffer to the pool.
+func (pe *peer) decode(dst []complex128, pkt packet) ([]complex128, error) {
+	n := len(pkt.raw) / 16
+	if dst == nil {
+		dst = make([]complex128, n)
+	} else if len(dst) != n {
+		pe.bufs.put(pkt.raw)
+		return nil, &TransportError{Rank: pe.rank, Op: "recv",
+			Err: fmt.Errorf("expected %d elements, got %d", len(dst), n)}
+	}
+	for i := range dst {
+		re := math.Float64frombits(binary.LittleEndian.Uint64(pkt.raw[i*16:]))
+		im := math.Float64frombits(binary.LittleEndian.Uint64(pkt.raw[i*16+8:]))
+		dst[i] = complex(re, im)
+	}
+	pe.bufs.put(pkt.raw)
+	return dst, nil
+}
+
+// sendFrame queues a frame for the writer, failing fast if the link is
+// dead (a failed writeLoop no longer drains out at full rate, so
+// blocking on a dead peer's queue would hang forever once 4096 frames
+// pile up). The optional flush callback is run by the writer once the
+// frame's bytes have all reached the socket; if the link dies before the
+// frame flushes, the callback is dropped along with the frame.
 func (pe *peer) sendFrame(frame []byte, flushed func()) error {
 	select {
 	case <-pe.dead:
@@ -826,6 +928,7 @@ func (pe *peer) writeLoop() {
 			pe.wire.framesSent.Add(1)
 			pe.wire.bytesSent.Add(int64(len(fr.buf)))
 			pe.wire.flushNs.Add(int64(time.Since(start)))
+			pe.bufs.put(fr.buf)
 		}
 	}
 }
@@ -889,7 +992,7 @@ func (pe *peer) readLoop() {
 				ErrFrameTooLarge, count, MaxFrameElems))
 			return
 		}
-		raw := make([]byte, count*16)
+		raw := pe.bufs.get(int(count) * 16)
 		if err := pe.readFull(raw); err != nil {
 			pe.fail(classify(err, pe.timeout()))
 			return
@@ -902,18 +1005,13 @@ func (pe *peer) readLoop() {
 		}
 		if tag == tagHeartbeat {
 			pe.handleHeartbeat(raw)
+			pe.bufs.put(raw)
 			continue
 		}
 		pe.pr.stats.framesReceived.Add(1)
 		pe.pr.stats.bytesReceived.Add(int64(frameHdrLen + len(raw)))
 		pe.wire.framesReceived.Add(1)
 		pe.wire.bytesReceived.Add(int64(frameHdrLen + len(raw)))
-		data := make([]complex128, count)
-		for i := range data {
-			re := math.Float64frombits(binary.LittleEndian.Uint64(raw[i*16:]))
-			im := math.Float64frombits(binary.LittleEndian.Uint64(raw[i*16+8:]))
-			data[i] = complex(re, im)
-		}
 		// Stream chunks and telemetry frames land in their own
 		// mailboxes: their consumers (the windowed exchange's receiver
 		// goroutines, rank 0's telemetry drain) run concurrently with
@@ -921,11 +1019,11 @@ func (pe *peer) readLoop() {
 		// shared FIFO would let any consumer pop another's frame.
 		switch {
 		case isStreamTag(tag):
-			pe.sbox.put(packet{tag: tag, data: data})
+			pe.sbox.put(packet{tag: tag, raw: raw})
 		case tag == telemetry.TagStat:
-			pe.tbox.put(packet{tag: tag, data: data})
+			pe.tbox.put(packet{tag: tag, raw: raw})
 		default:
-			pe.box.put(packet{tag: tag, data: data})
+			pe.box.put(packet{tag: tag, raw: raw})
 		}
 	}
 }
@@ -981,6 +1079,7 @@ func (pe *peer) shutdown() {
 type netMailbox struct {
 	mu     sync.Mutex
 	queue  []packet
+	head   int // next packet to pop; the queue rewinds when it drains
 	dead   bool
 	cause  error
 	notify chan struct{} // 1-buffered wake-up for the single consumer
@@ -1028,10 +1127,12 @@ func (m *netMailbox) get(timeout time.Duration) (packet, error) {
 	}
 	for {
 		m.mu.Lock()
-		if len(m.queue) > 0 {
-			p := m.queue[0]
-			m.queue[0] = packet{}
-			m.queue = m.queue[1:]
+		if m.head < len(m.queue) {
+			p := m.queue[m.head]
+			m.queue[m.head] = packet{}
+			if m.head++; m.head == len(m.queue) {
+				m.queue, m.head = m.queue[:0], 0
+			}
 			m.mu.Unlock()
 			return p, nil
 		}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -113,6 +114,59 @@ func TestTCPAlltoall(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// TestAlltoallIntoWarmAllocs: on a warm loopback pair AlltoallInto moves
+// its frames through the links' pooled wire buffers into the caller's
+// buffer — after the first call nothing payload-sized is allocated — and
+// delivers exactly what Alltoall does.
+func TestAlltoallIntoWarmAllocs(t *testing.T) {
+	const size, chunk = 2, 1 << 16 // 1 MiB of payload per link
+	procs := mesh(t, size)
+	var send, recv [size][]complex128
+	for r := range send {
+		send[r] = signal.Random(size*chunk, int64(r+1))
+		recv[r] = make([]complex128, size*chunk)
+	}
+	exchange := func() {
+		spmd(t, procs, func(p *Proc) error {
+			p.AlltoallInto(recv[p.Rank()], send[p.Rank()], chunk)
+			return nil
+		})
+	}
+	exchange() // the first calls size the pools
+	exchange()
+	const calls = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		exchange()
+	}
+	runtime.ReadMemStats(&after)
+	if perCall := (after.TotalAlloc - before.TotalAlloc) / calls; perCall > 16*chunk/4 {
+		t.Errorf("warm AlltoallInto allocates %d bytes per call; one payload is %d", perCall, 16*chunk)
+	}
+	spmd(t, procs, func(p *Proc) error {
+		want := p.Alltoall(send[p.Rank()], chunk)
+		for i, v := range recv[p.Rank()] {
+			if v != want[i] {
+				return fmt.Errorf("rank %d element %d: AlltoallInto %v, Alltoall %v", p.Rank(), i, v, want[i])
+			}
+		}
+		return nil
+	})
+}
+
+// TestAlltoallvShapeErrorIsTyped: a send buffer that disagrees with the
+// counts raises the same typed *TransportError every sibling raises, not
+// a bare string.
+func TestAlltoallvShapeErrorIsTyped(t *testing.T) {
+	procs := mesh(t, 2)
+	err := core.GuardComm(func() { procs[0].PairwiseAlltoallv(make([]complex128, 3), []int{1, 1}, []int{1, 1}) })
+	var te *TransportError
+	if !errors.As(err, &te) || te.Op != "alltoallv" {
+		t.Errorf("length mismatch surfaced as %v, want a typed alltoallv TransportError", err)
+	}
 }
 
 func TestTCPGatherBarrier(t *testing.T) {

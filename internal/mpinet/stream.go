@@ -83,7 +83,7 @@ func (s *netStream) Send(dst, idx int, data []complex128) error {
 			return &TransportError{Rank: dst, Op: "stream-send", Err: pe.failure()}
 		}
 	}
-	if err := pe.sendFrame(encodeFrame(exch.Tag(idx), wire), func() { <-cr }); err != nil {
+	if err := pe.sendFrame(pe.encode(exch.Tag(idx), wire), func() { <-cr }); err != nil {
 		return &TransportError{Rank: dst, Op: "stream-send", Err: err}
 	}
 	return nil
@@ -97,7 +97,7 @@ func (s *netStream) Send(dst, idx int, data []complex128) error {
 func (s *netStream) recvLoop(src int) {
 	pe := s.p.peers[src]
 	for idx := range s.o.Sizes {
-		data, err := s.p.recvFromBox(pe, pe.sbox, src, exch.Tag(idx))
+		data, err := s.p.recvFrame(pe, pe.sbox, nil, exch.Tag(idx))
 		if err == nil && s.o.Codec != nil {
 			data, err = s.o.Codec.DecodeChunk(data, s.o.Sizes[idx])
 			if err != nil {

@@ -1,10 +1,6 @@
 package mpinet
 
-import (
-	"fmt"
-
-	"soifft/internal/telemetry"
-)
+import "soifft/internal/telemetry"
 
 // Telemetry capabilities: together with Rank/Size/SendChecked these make
 // *Proc satisfy telemetry.Conn, telemetry.Receiver and
@@ -19,15 +15,12 @@ import (
 // typed death cause once the peer is gone, which is the drain
 // goroutine's signal to mark the rank stale.
 func (p *Proc) RecvTelemetry(from int) ([]complex128, error) {
-	if from < 0 || from >= p.size || from == p.rank {
-		panic(fmt.Sprintf("mpinet: recv telemetry from invalid rank %d", from))
-	}
-	pe := p.peers[from]
+	pe := p.peerOf(from, "recv telemetry")
 	pkt, err := pe.tbox.get(0)
 	if err != nil {
 		return nil, &TransportError{Rank: from, Op: "recv-telemetry", Err: err}
 	}
-	return pkt.data, nil
+	return pe.decode(nil, pkt)
 }
 
 // LinkStats snapshots every live link's wire counters, sender-side.
