@@ -13,7 +13,6 @@ import (
 
 	"soifft/internal/baseline"
 	"soifft/internal/bench"
-	"soifft/internal/core"
 	"soifft/internal/fft"
 	"soifft/internal/mpi"
 	"soifft/internal/netsim"
@@ -172,31 +171,6 @@ func BenchmarkFFTBluestein(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.Forward(dst, src)
-	}
-}
-
-// BenchmarkConvolve measures the SOI convolution kernel W·x — the
-// "extra" arithmetic SOI trades for communication (Section 6 loops a–d).
-func BenchmarkConvolve(b *testing.B) {
-	for _, n := range []int{1 << 16, 1 << 18, 1 << 20} {
-		b.Run(sizeName(n), func(b *testing.B) {
-			p := core.Params{N: n, P: 8, Mu: 5, Nu: 4, B: 72}
-			cp, err := core.NewPlan(p)
-			if err != nil {
-				b.Fatal(err)
-			}
-			src := signal.Random(n, 3)
-			ext := make([]complex128, n+cp.HaloLen())
-			copy(ext, src)
-			copy(ext[n:], src[:cp.HaloLen()])
-			out := make([]complex128, cp.NPrime())
-			b.SetBytes(int64(n) * 16)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				cp.ConvolveRange(out, ext, 0, cp.MPrime(), 0)
-			}
-			reportGFLOPS(b, float64(cp.ConvFlops()))
-		})
 	}
 }
 
@@ -363,26 +337,4 @@ func itoa(n int) string {
 
 func reportGFLOPS(b *testing.B, flopsPerOp float64) {
 	b.ReportMetric(flopsPerOp*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
-}
-
-// BenchmarkConvolveJammed measures the Section 6 unroll-and-jam kernel
-// against the straightforward loop nest (BenchmarkConvolve).
-func BenchmarkConvolveJammed(b *testing.B) {
-	const n = 1 << 18
-	p := core.Params{N: n, P: 8, Mu: 5, Nu: 4, B: 72}
-	cp, err := core.NewPlan(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	src := signal.Random(n, 3)
-	ext := make([]complex128, n+cp.HaloLen())
-	copy(ext, src)
-	copy(ext[n:], src[:cp.HaloLen()])
-	out := make([]complex128, cp.NPrime())
-	b.SetBytes(int64(n) * 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cp.ConvolveRangeJammed(out, ext, 0, cp.MPrime(), 0)
-	}
-	reportGFLOPS(b, float64(cp.ConvFlops()))
 }

@@ -30,6 +30,7 @@ import (
 
 	"soifft"
 	"soifft/client"
+	"soifft/internal/core"
 	"soifft/internal/logutil"
 	"soifft/internal/serve"
 	sig "soifft/internal/signal"
@@ -117,7 +118,7 @@ func runServe(args []string) {
 	if err := s.Listen(); err != nil {
 		fail(err)
 	}
-	logger.Info("listening", "addr", s.Addr().String(), "tracing", tracer.Enabled())
+	logger.Info("listening", "addr", s.Addr().String(), "tracing", tracer.Enabled(), "convolve_kernel", core.ConvolveKernel())
 
 	if *metricsAddr != "" {
 		ms := &http.Server{Addr: *metricsAddr, Handler: s.Metrics().Handler()}

@@ -77,6 +77,7 @@ func ObservabilityReport(n, ranks, segments, b int) (*Table, error) {
 		fmt.Sprintf("vs triple-all-to-all baseline (%d bytes): measured ratio %.3f, paper predicts 3/(1+beta) = %.3f",
 			baseline, float64(baseline)/float64(measured), model.AsymptoticSpeedup()),
 		fmt.Sprintf("stage rows aggregate all %d ranks; occupancy is busy/(wall*workers)", ranks),
+		fmt.Sprintf("convolve kernel: %s", core.ConvolveKernel()),
 	)
 	return t, nil
 }
@@ -129,7 +130,7 @@ func InstrumentationOverhead(n, iters int) (off, timers time.Duration, err error
 // WriteStageReport renders a recorder snapshot as a compact per-stage
 // text block, used by soinode -report for a single rank's view.
 func WriteStageReport(w io.Writer, label string, snap instrument.Snapshot) {
-	fmt.Fprintf(w, "%s: %d transform(s)\n", label, snap.Transforms)
+	fmt.Fprintf(w, "%s: %d transform(s), convolve kernel %s\n", label, snap.Transforms, core.ConvolveKernel())
 	for _, st := range snap.Stages {
 		if st.Calls == 0 {
 			continue

@@ -8,16 +8,20 @@ package core
 // the weights and the input (the paper reports 40% of peak for its SIMD
 // version of this kernel).
 //
-// Measured finding (BenchmarkConvolveJammed vs BenchmarkConvolve): with
-// Go's scalar code generation the jam is ~20% *slower* than the simple
-// loop nest — the transformation pays off when it feeds SIMD registers,
-// which the paper's C intrinsics had and Go does not. Both kernels are
-// kept: one as the production path, one as the faithful Section 6
-// reproduction.
+// Measured finding (BenchmarkConvolveRange, N = 2^18, P = 8, B = 72, one
+// 2.1 GHz core): jammed 58–77 ms, the Go real-tap kernel 21–23 ms, the
+// AVX2 real-tap kernel 6.4–7.0 ms. The jam stays scalar and multiplies by
+// the full complex tensor, so it does twice the arithmetic of the real-tap
+// form and gains nothing from locality: one row's B·P tap and input slabs
+// already sit in L1 without it. The paper's SIMD came with the jam; ours
+// (convdot_amd64.s) came with the factorization instead and vectorizes
+// across the P lanes of one row. This kernel is kept as the faithful
+// Section 6 reproduction, not as a production path.
 //
 // The range [jLo, jHi) must be row-group aligned: μ | jLo and μ | jHi.
-// Results are bit-identical to ConvolveRange (same per-element operation
-// order).
+// Results are bit-identical to convolveRangeRef, the complex-tensor
+// reference (same per-element operation order), and within a few ulps of
+// ConvolveRange.
 func (pl *Plan) ConvolveRangeJammed(dst, src []complex128, jLo, jHi, colOff int) {
 	p := pl.prm
 	if jLo%p.Mu != 0 || jHi%p.Mu != 0 {

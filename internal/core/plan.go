@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -85,11 +86,15 @@ type Plan struct {
 // parallel path's closures would otherwise force a heap allocation per
 // transform.
 type workspace struct {
-	ext  []complex128 // input + halo, N + (B−1)P
-	conv []complex128 // convolution output, N'
-	v    []complex128 // after I⊗F_P, N'
-	seg  []complex128 // segment-major permutation, N'
-	yb   []complex128 // segment spectra, N'
+	ext []complex128 // input + halo, N + (B−1)P
+	seg []complex128 // segment-major permutation, N'
+	yb  []complex128 // segment spectra, N'
+
+	// tiles holds one tile pair per worker goroutine: a tile's convolution
+	// and F_P output live only until its scatter into seg, so they never
+	// leave the cache. Sized when the workspace is built; a pass that runs
+	// more workers than that (GOMAXPROCS raised since) queues for a pair.
+	tiles chan tilePair
 
 	busyConv, nsScatter atomic.Int64 // pass A worker busy / scatter slices
 	busySeg, nsDemod    atomic.Int64 // pass B worker busy / demod slices
@@ -125,10 +130,17 @@ type distWorkspace struct {
 	code   []byte       // coded runs only: one strip of share byte images
 }
 
+// tilePair is one worker's convTileRows-row tile before and after F_P.
+type tilePair struct{ conv, v []complex128 }
+
+func newTilePair(lanes int) tilePair {
+	return tilePair{conv: make([]complex128, convTileRows*lanes), v: make([]complex128, convTileRows*lanes)}
+}
+
 // rankScratch is one worker's tile and segment buffers.
 type rankScratch struct {
-	conv, v []complex128 // one convTileRows-row tile before / after F_P
-	xt, yt  []complex128 // one segment's oversampled sequence and spectrum
+	tilePair
+	xt, yt []complex128 // one segment's oversampled sequence and spectrum
 }
 
 // grown returns buf resliced to n elements, reallocating only when its
@@ -167,8 +179,8 @@ func (pl *Plan) getDistWorkspace(r int) *distWorkspace {
 	ws.scratch = make(chan *rankScratch, max(p.Workers, 1))
 	for w := 0; w < cap(ws.scratch); w++ {
 		ws.scratch <- &rankScratch{
-			conv: make([]complex128, convTileRows*p.P), v: make([]complex128, convTileRows*p.P),
-			xt: make([]complex128, pl.mp), yt: make([]complex128, pl.mp),
+			tilePair: newTilePair(p.P),
+			xt:       make([]complex128, pl.mp), yt: make([]complex128, pl.mp),
 		}
 	}
 	return ws
@@ -214,13 +226,20 @@ func NewPlan(p Params) (*Plan, error) {
 	pl.buildDemodulation()
 	pl.metrics = window.Analyze(p.Win, p.Beta(), p.B)
 	pl.ws.New = func() any {
-		return &workspace{
-			ext:  make([]complex128, pl.prm.N+pl.HaloLen()),
-			conv: make([]complex128, pl.np),
-			v:    make([]complex128, pl.np),
-			seg:  make([]complex128, pl.np),
-			yb:   make([]complex128, pl.np),
+		workers := pl.prm.Workers
+		if workers <= 0 {
+			workers = runtime.GOMAXPROCS(0)
 		}
+		ws := &workspace{
+			ext:   make([]complex128, pl.prm.N+pl.HaloLen()),
+			seg:   make([]complex128, pl.np),
+			yb:    make([]complex128, pl.np),
+			tiles: make(chan tilePair, workers),
+		}
+		for w := 0; w < workers; w++ {
+			ws.tiles <- newTilePair(pl.prm.P)
+		}
+		return ws
 	}
 	return pl, nil
 }

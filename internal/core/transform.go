@@ -168,9 +168,10 @@ const convTileRows = 256
 
 // convPass runs the fused stage-1/2/3 pipeline for rows [jLo, jHi):
 // convolve a tile of rows, apply the P-point FFT batch to it, scatter it
-// into segment-major layout, then move to the next tile. Disjoint row
-// ranges touch disjoint cells of every buffer, so ranges may run
-// concurrently; per-call timing lands in the workspace atomics.
+// into segment-major layout, then move to the next tile. Only the scatter
+// leaves the worker's own tile pair, and disjoint row ranges scatter to
+// disjoint cells of seg, so ranges may run concurrently; per-call timing
+// lands in the workspace atomics.
 func (pl *Plan) convPass(ws *workspace, jLo, jHi int, timed bool) {
 	var w0 time.Time
 	if timed {
@@ -179,11 +180,13 @@ func (pl *Plan) convPass(ws *workspace, jLo, jHi int, timed bool) {
 	lanes := pl.prm.P
 	mp := pl.mp
 	seg := ws.seg
+	tile := <-ws.tiles
+	defer func() { ws.tiles <- tile }()
 	var scat int64
 	for t := jLo; t < jHi; t += convTileRows {
 		tEnd := min(t+convTileRows, jHi)
-		tmp := ws.conv[t*lanes : tEnd*lanes]
-		v := ws.v[t*lanes : tEnd*lanes]
+		tmp := tile.conv[:(tEnd-t)*lanes]
+		v := tile.v[:(tEnd-t)*lanes]
 		pl.ConvolveRange(tmp, ws.ext, t, tEnd, 0)
 		pl.fftP.Batch(v, tmp, tEnd-t)
 		s0 := time.Now()
@@ -221,14 +224,48 @@ func (pl *Plan) segPass(ws *workspace, dst []complex128, sLo, sHi int, timed boo
 	}
 }
 
+// convBlock8, when the package's init found a SIMD kernel this CPU and OS
+// can run, computes one row for a block of eight lanes out of stride; nil
+// leaves every row to convDotGo. It is written once, before any plan
+// exists, and never again: the one kernel decision of the package.
+var convBlock8 func(out *complex128, h *float64, x, ph *complex128, taps, stride int)
+
+// ConvolveKernel names the convolution kernel plans with P % 8 == 0 run
+// on this machine: "avx2" or, where the build or the CPU has none, "go"
+// (which every other P runs regardless). The two return the same bits.
+func ConvolveKernel() string {
+	if convBlock8 != nil {
+		return "avx2"
+	}
+	return "go"
+}
+
 // convDot computes out[i] = ph[i] · Σ_b h[b·lanes+i]·x[b·lanes+i] for
-// each lane. h and x are one row's contiguous tap slab (len B·lanes);
-// the per-lane walk is lanes-strided but the whole slab is L1-resident.
-// Two accumulator pairs per lane break the add dependency chain.
-func convDot(out []complex128, h []float64, x []complex128, ph []complex128, lanes int) {
+// each lane. h and x are one row's contiguous tap slab (len B·lanes).
+// It is the only caller of the assembly, which checks no bounds: every
+// pointer it passes comes from a slice whose length is asserted here.
+func convDot(out []complex128, h []float64, x, ph []complex128, taps, lanes int) {
+	if taps < 1 || lanes < 1 || len(h) != taps*lanes || len(x) != len(h) || len(out) != lanes || len(ph) != lanes {
+		panic("core: convDot: slab lengths do not match taps × lanes")
+	}
+	if convBlock8 == nil || lanes%8 != 0 {
+		convDotGo(out, h, x, ph, lanes)
+		return
+	}
+	for i := 0; i < lanes; i += 8 {
+		convBlock8(&out[i], &h[i], &x[i], &ph[i], taps, lanes)
+	}
+}
+
+// convDotGo is the portable kernel and the reference the assembly must
+// match bit for bit. The per-lane walk is lanes-strided but the whole
+// slab is L1-resident. Two accumulator pairs per lane (even taps, odd
+// taps) break the add dependency chain; that association is part of the
+// result's bits, so it is the contract of every other kernel too.
+func convDotGo(out []complex128, h []float64, x, ph []complex128, lanes int) {
 	n := len(h)
-	if len(x) < n {
-		n = len(x)
+	if len(x) != n { // also what lets the compiler drop x's bounds checks below
+		panic("core: convDotGo: input slab and tap slab differ in length")
 	}
 	step := 2 * lanes
 	for i := range out {
@@ -271,14 +308,17 @@ func convDot(out []complex128, h []float64, x []complex128, ph []complex128, lan
 func (pl *Plan) ConvolveRange(dst, src []complex128, jLo, jHi, colOff int) {
 	p := pl.prm
 	lanes, taps := p.P, p.B
+	g, r := jLo/p.Mu, jLo%p.Mu
 	for j := jLo; j < jHi; j++ {
-		g, r := j/p.Mu, j%p.Mu
 		start := (g*p.Nu+pl.dstart[r])*lanes - colOff
 		h := pl.hre[r*taps*lanes : (r*taps+taps)*lanes]
 		xs := src[start : start+taps*lanes]
 		ph := pl.phase[r*lanes : (r+1)*lanes]
 		out := dst[(j-jLo)*lanes : (j-jLo+1)*lanes]
-		convDot(out, h, xs, ph, lanes)
+		convDot(out, h, xs, ph, taps, lanes)
+		if r++; r == p.Mu {
+			g, r = g+1, 0
+		}
 	}
 }
 
@@ -366,11 +406,4 @@ func parfor(workers, n int, fn func(lo, hi int)) {
 		}(lo, hi)
 	}
 	wg.Wait()
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

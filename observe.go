@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"soifft/internal/core"
 	"soifft/internal/instrument"
 )
 
@@ -113,6 +114,12 @@ type CommReport struct {
 type Report struct {
 	// Level is the instrumentation level the data was recorded at.
 	Level InstrumentLevel
+	// ConvolveKernel names the convolution kernel this process runs for
+	// plans whose segment count is a multiple of 8: "avx2", or "go" where
+	// the build or the CPU has no SIMD kernel. Both return the same bits;
+	// a host that reads "go" where its peers read "avx2" convolves about
+	// four times slower.
+	ConvolveKernel string
 	// Transforms counts completed transform executions. Shared-memory
 	// calls count once each; distributed runs count once per rank.
 	Transforms int64
@@ -134,9 +141,10 @@ func (p *Plan) ResetReport() { p.inner.Recorder().Reset() }
 
 func reportFromSnapshot(s instrument.Snapshot) Report {
 	r := Report{
-		Level:      InstrumentLevel(s.Level),
-		Transforms: s.Transforms,
-		Stages:     make([]StageReport, 0, len(s.Stages)),
+		Level:          InstrumentLevel(s.Level),
+		ConvolveKernel: core.ConvolveKernel(),
+		Transforms:     s.Transforms,
+		Stages:         make([]StageReport, 0, len(s.Stages)),
 	}
 	for _, st := range s.Stages {
 		r.Stages = append(r.Stages, StageReport{
@@ -169,7 +177,7 @@ func reportFromSnapshot(s instrument.Snapshot) Report {
 // format the -report flags of soibench and soinode print).
 func (r Report) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "instrumentation: %s, transforms: %d\n", r.Level, r.Transforms)
+	fmt.Fprintf(&b, "instrumentation: %s, transforms: %d, convolve kernel: %s\n", r.Level, r.Transforms, r.ConvolveKernel)
 	fmt.Fprintf(&b, "%-12s %8s %12s %10s %7s %12s %9s\n",
 		"stage", "calls", "wall", "occup", "workers", "gflop", "gflop/s")
 	for _, st := range r.Stages {

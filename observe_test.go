@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"soifft"
+	"soifft/internal/core"
 	"soifft/internal/signal"
 )
 
@@ -110,11 +111,11 @@ func TestReportStageTimers(t *testing.T) {
 		t.Errorf("convolve occupancy %g outside [0,1]", occ)
 	}
 
-	// String() renders every active stage.
+	// String() renders every active stage and names the kernel that ran.
 	s := rep.String()
-	for _, name := range []string{"convolve", "segment_fft", "demod"} {
+	for _, name := range []string{"convolve", "segment_fft", "demod", "convolve kernel: " + core.ConvolveKernel()} {
 		if !strings.Contains(s, name) {
-			t.Errorf("Report.String() missing stage %s:\n%s", name, s)
+			t.Errorf("Report.String() missing %q:\n%s", name, s)
 		}
 	}
 
