@@ -13,7 +13,6 @@ import (
 
 	"soifft/internal/baseline"
 	"soifft/internal/bench"
-	"soifft/internal/fft"
 	"soifft/internal/mpi"
 	"soifft/internal/netsim"
 	"soifft/internal/signal"
@@ -139,40 +138,6 @@ func BenchmarkSNRFullAccuracy(b *testing.B) {
 }
 
 // --- kernel microbenchmarks ---
-
-func BenchmarkFFTForward(b *testing.B) {
-	for _, n := range []int{1 << 10, 1 << 14, 1 << 18, 1 << 20} {
-		b.Run(sizeName(n), func(b *testing.B) {
-			p, err := fft.CachedPlan(n)
-			if err != nil {
-				b.Fatal(err)
-			}
-			src := signal.Random(n, 1)
-			dst := make([]complex128, n)
-			b.SetBytes(int64(n) * 16)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p.Forward(dst, src)
-			}
-			reportGFLOPS(b, 5*float64(n)*math.Log2(float64(n)))
-		})
-	}
-}
-
-func BenchmarkFFTBluestein(b *testing.B) {
-	const n = 65537 // prime
-	p, err := fft.CachedPlan(n)
-	if err != nil {
-		b.Fatal(err)
-	}
-	src := signal.Random(n, 2)
-	dst := make([]complex128, n)
-	b.SetBytes(int64(n) * 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Forward(dst, src)
-	}
-}
 
 // BenchmarkTransform measures the full shared-memory SOI pipeline.
 func BenchmarkTransform(b *testing.B) {

@@ -31,6 +31,7 @@ import (
 	"soifft"
 	"soifft/client"
 	"soifft/internal/core"
+	"soifft/internal/fft"
 	"soifft/internal/logutil"
 	"soifft/internal/serve"
 	sig "soifft/internal/signal"
@@ -118,7 +119,7 @@ func runServe(args []string) {
 	if err := s.Listen(); err != nil {
 		fail(err)
 	}
-	logger.Info("listening", "addr", s.Addr().String(), "tracing", tracer.Enabled(), "convolve_kernel", core.ConvolveKernel())
+	logger.Info("listening", "addr", s.Addr().String(), "tracing", tracer.Enabled(), "convolve_kernel", core.ConvolveKernel(), "fft_kernel", fft.Kernel())
 
 	if *metricsAddr != "" {
 		ms := &http.Server{Addr: *metricsAddr, Handler: s.Metrics().Handler()}

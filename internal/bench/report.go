@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"soifft/internal/core"
+	"soifft/internal/fft"
 	"soifft/internal/instrument"
 	"soifft/internal/mpi"
 	"soifft/internal/perfmodel"
@@ -130,7 +131,8 @@ func InstrumentationOverhead(n, iters int) (off, timers time.Duration, err error
 // WriteStageReport renders a recorder snapshot as a compact per-stage
 // text block, used by soinode -report for a single rank's view.
 func WriteStageReport(w io.Writer, label string, snap instrument.Snapshot) {
-	fmt.Fprintf(w, "%s: %d transform(s), convolve kernel %s\n", label, snap.Transforms, core.ConvolveKernel())
+	fmt.Fprintf(w, "%s: %d transform(s), convolve kernel %s, fft kernel %s\n",
+		label, snap.Transforms, core.ConvolveKernel(), fft.Kernel())
 	for _, st := range snap.Stages {
 		if st.Calls == 0 {
 			continue

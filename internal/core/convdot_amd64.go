@@ -2,15 +2,15 @@
 
 package core
 
+import "soifft/internal/fft"
+
 // Implemented in convdot_amd64.s.
-
-func cpuHasAVX2() bool
-
+//
 //go:noescape
 func convDotAVX2(out *complex128, h *float64, x, ph *complex128, taps, stride int)
 
 func init() {
-	if cpuHasAVX2() {
+	if fft.HasAVX2() { // the repository's one CPUID routine lives beside the FFT kernels
 		convBlock8 = convDotAVX2
 	}
 }

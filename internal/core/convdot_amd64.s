@@ -2,38 +2,6 @@
 
 #include "textflag.h"
 
-// func cpuHasAVX2() bool
-//
-// AVX2 is usable when the CPU reports it (CPUID.7.0:EBX bit 5) and the OS
-// saves the YMM state (CPUID.1:ECX OSXSAVE+AVX, then XCR0 bits 1 and 2).
-TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
-	MOVL $0, AX
-	MOVL $0, CX
-	CPUID
-	CMPL AX, $7
-	JLT  no
-	MOVL $1, AX
-	MOVL $0, CX
-	CPUID
-	ANDL $0x18000000, CX // OSXSAVE | AVX
-	CMPL CX, $0x18000000
-	JNE  no
-	MOVL $0, CX
-	XGETBV
-	ANDL $6, AX // XMM | YMM state enabled
-	CMPL AX, $6
-	JNE  no
-	MOVL $7, AX
-	MOVL $0, CX
-	CPUID
-	TESTL $0x20, BX // AVX2
-	JZ   no
-	MOVB $1, ret+0(FP)
-	RET
-no:
-	MOVB $0, ret+0(FP)
-	RET
-
 // MAC adds one tap row into four accumulators: the row's eight real taps
 // (two loads) are duplicated across the re/im halves of the eight complex
 // lanes, multiplied by the input row and added. Multiply then add, never

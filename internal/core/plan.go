@@ -90,11 +90,12 @@ type workspace struct {
 	seg []complex128 // segment-major permutation, N'
 	yb  []complex128 // segment spectra, N'
 
-	// tiles holds one tile pair per worker goroutine: a tile's convolution
-	// and F_P output live only until its scatter into seg, so they never
-	// leave the cache. Sized when the workspace is built; a pass that runs
-	// more workers than that (GOMAXPROCS raised since) queues for a pair.
-	tiles chan tilePair
+	// tiles holds one convTileRows-row tile per worker goroutine: a tile's
+	// convolution output lives only until F_P scatters it into seg, so it
+	// never leaves the cache. Sized when the workspace is built; a pass
+	// that runs more workers than that (GOMAXPROCS raised since) queues
+	// for a tile.
+	tiles chan []complex128
 
 	busyConv, nsScatter atomic.Int64 // pass A worker busy / scatter slices
 	busySeg, nsDemod    atomic.Int64 // pass B worker busy / demod slices
@@ -130,17 +131,10 @@ type distWorkspace struct {
 	code   []byte       // coded runs only: one strip of share byte images
 }
 
-// tilePair is one worker's convTileRows-row tile before and after F_P.
-type tilePair struct{ conv, v []complex128 }
-
-func newTilePair(lanes int) tilePair {
-	return tilePair{conv: make([]complex128, convTileRows*lanes), v: make([]complex128, convTileRows*lanes)}
-}
-
 // rankScratch is one worker's tile and segment buffers.
 type rankScratch struct {
-	tilePair
-	xt, yt []complex128 // one segment's oversampled sequence and spectrum
+	conv, v []complex128 // a convTileRows-row tile before and after F_P
+	xt, yt  []complex128 // one segment's oversampled sequence and spectrum
 }
 
 // grown returns buf resliced to n elements, reallocating only when its
@@ -179,8 +173,8 @@ func (pl *Plan) getDistWorkspace(r int) *distWorkspace {
 	ws.scratch = make(chan *rankScratch, max(p.Workers, 1))
 	for w := 0; w < cap(ws.scratch); w++ {
 		ws.scratch <- &rankScratch{
-			tilePair: newTilePair(p.P),
-			xt:       make([]complex128, pl.mp), yt: make([]complex128, pl.mp),
+			conv: make([]complex128, convTileRows*p.P), v: make([]complex128, convTileRows*p.P),
+			xt: make([]complex128, pl.mp), yt: make([]complex128, pl.mp),
 		}
 	}
 	return ws
@@ -234,10 +228,10 @@ func NewPlan(p Params) (*Plan, error) {
 			ext:   make([]complex128, pl.prm.N+pl.HaloLen()),
 			seg:   make([]complex128, pl.np),
 			yb:    make([]complex128, pl.np),
-			tiles: make(chan tilePair, workers),
+			tiles: make(chan []complex128, workers),
 		}
 		for w := 0; w < workers; w++ {
-			ws.tiles <- newTilePair(pl.prm.P)
+			ws.tiles <- make([]complex128, convTileRows*pl.prm.P)
 		}
 		return ws
 	}

@@ -27,14 +27,14 @@ func (pl *Plan) tracerFor(ctx context.Context) (*trace.Tracer, trace.ID) {
 // feeds the performance-model calibration and the op-count ablation
 // (paper Section 7.4 measures convolution time ≈ FFT time within SOI).
 //
-// The shared-memory pipeline runs fused (the permutation happens tile by
-// tile inside the convolution pass, demodulation segment by segment
-// inside the FFT pass), so Transpose and Demod report the accumulated
-// time of those fused slices and Convolve/SegmentFT the remainder of
-// their pass walls.
+// The shared-memory pipeline runs fused (I_M'⊗F_P and the permutation
+// are one call per tile inside the convolution pass, demodulation runs
+// segment by segment inside the FFT pass), so Transpose and Demod report
+// the accumulated time of those fused slices and Convolve/SegmentFT the
+// remainder of their pass walls.
 type PhaseTimes struct {
-	Convolve  time.Duration // W·x plus the fused I_M'⊗F_P stage
-	Transpose time.Duration // the stride-P permutation (shared-memory form)
+	Convolve  time.Duration // W·x (plus the input copy and halo extension)
+	Transpose time.Duration // I_M'⊗F_P storing straight into segment-major order
 	SegmentFT time.Duration // per-segment F_M'
 	Demod     time.Duration // projection + Ŵ⁻¹ scaling
 }
@@ -162,40 +162,28 @@ func (pl *Plan) transform(ctx context.Context, dst, src []complex128, conj bool)
 
 // convTileRows is the tile height of the fused convolve→F_P→scatter
 // pass: 256 rows × P lanes × 16 B ≈ 32 KiB per tile buffer at P = 8, so
-// a tile's convolution output is still in L1/L2 when its FFTs and its
-// scatter run.
+// a tile's convolution output is still in L1/L2 when its FFTs read it.
 const convTileRows = 256
 
 // convPass runs the fused stage-1/2/3 pipeline for rows [jLo, jHi):
-// convolve a tile of rows, apply the P-point FFT batch to it, scatter it
-// into segment-major layout, then move to the next tile. Only the scatter
-// leaves the worker's own tile pair, and disjoint row ranges scatter to
-// disjoint cells of seg, so ranges may run concurrently; per-call timing
-// lands in the workspace atomics.
+// convolve a tile of rows, then one BatchScatter applies the P-point FFTs
+// and stores lane s of row j at seg[s·M'+j] — the codelet's stores are
+// the stride-P permutation. Disjoint row ranges scatter to disjoint
+// cells of seg, so ranges may run concurrently; per-call timing lands in
+// the workspace atomics.
 func (pl *Plan) convPass(ws *workspace, jLo, jHi int, timed bool) {
 	var w0 time.Time
 	if timed {
 		w0 = time.Now()
 	}
-	lanes := pl.prm.P
-	mp := pl.mp
-	seg := ws.seg
 	tile := <-ws.tiles
 	defer func() { ws.tiles <- tile }()
 	var scat int64
 	for t := jLo; t < jHi; t += convTileRows {
 		tEnd := min(t+convTileRows, jHi)
-		tmp := tile.conv[:(tEnd-t)*lanes]
-		v := tile.v[:(tEnd-t)*lanes]
-		pl.ConvolveRange(tmp, ws.ext, t, tEnd, 0)
-		pl.fftP.Batch(v, tmp, tEnd-t)
+		pl.ConvolveRange(tile, ws.ext, t, tEnd, 0)
 		s0 := time.Now()
-		for s := 0; s < lanes; s++ {
-			sgr := seg[s*mp:]
-			for j := t; j < tEnd; j++ {
-				sgr[j] = v[(j-t)*lanes+s]
-			}
-		}
+		pl.fftP.BatchScatter(ws.seg[t:], tile, tEnd-t, pl.mp)
 		scat += int64(time.Since(s0))
 	}
 	ws.nsScatter.Add(scat)

@@ -14,14 +14,53 @@ func (p *Plan) Batch(dst, src []complex128, count int) {
 	if c := p.codelet; c != nil {
 		// Tiny transforms: one indirect call per vector, no per-call
 		// length checks or stage dispatch. This is the I⊗F_P hot loop of
-		// the SOI pipeline (count ≈ M' calls per transform).
-		for i := 0; i < count; i++ {
+		// the SOI pipeline (count ≈ M' calls per transform); at n = 8 the
+		// SIMD kernel takes the rows two at a time first.
+		i := 0
+		if n == 8 {
+			i = dft8Rows(dst, src, count, 8, 1)
+		}
+		for ; i < count; i++ {
 			c(dst[i*n:(i+1)*n], src[i*n:(i+1)*n])
 		}
 		return
 	}
 	for i := 0; i < count; i++ {
 		p.Forward(dst[i*n:(i+1)*n], src[i*n:(i+1)*n])
+	}
+}
+
+// BatchScatter is Batch with the outputs transposed on the way out:
+// dst[u*stride+i] = F_n(src[i*n:(i+1)*n])[u], so each output index u
+// fills a contiguous run of count elements, stride apart. It is the
+// I⊗F_P stage fused with the stride-P permutation of the SOI pipeline
+// (dst = the segment-major array at the tile's first row, stride = M').
+// dst must not overlap src.
+func (p *Plan) BatchScatter(dst, src []complex128, count, stride int) {
+	n := p.n
+	if count < 0 || stride < count || len(src) < count*n || (count > 0 && len(dst) < (n-1)*stride+count) {
+		panic(fmt.Sprintf("fft: scatter of %d x %d at stride %d needs src %d dst %d, got src %d dst %d",
+			count, n, stride, count*n, (n-1)*stride+count, len(src), len(dst)))
+	}
+	i := 0
+	if n == 8 {
+		i = dft8Rows(dst, src, count, 1, stride)
+	}
+	if i == count {
+		return
+	}
+	tmp := p.getScratch()
+	defer p.putScratch(tmp)
+	row, c := *tmp, p.codelet
+	for ; i < count; i++ {
+		if c != nil { // as in Batch: no per-row checks or dispatch
+			c(row, src[i*n:(i+1)*n])
+		} else {
+			p.Forward(row, src[i*n:(i+1)*n])
+		}
+		for u, v := range row {
+			dst[u*stride+i] = v
+		}
 	}
 }
 
@@ -57,9 +96,7 @@ func (p *Plan) ParallelBatch(dst, src []complex128, count, workers int) {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				p.Forward(dst[i*n:(i+1)*n], src[i*n:(i+1)*n])
-			}
+			p.Batch(dst[lo*n:hi*n], src[lo*n:hi*n], hi-lo)
 		}(lo, hi)
 	}
 	wg.Wait()

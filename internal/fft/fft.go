@@ -244,9 +244,13 @@ func applyStageRange(st *stage, x, y []complex128, lo, hi int) {
 			stageRadix4S1(st, x, y, lo, hi)
 			return
 		case 8:
-			stageRadix8S1(st, x, y, lo, hi)
+			stageRadix8S1(st, x, y, stageFirst8(st, x, y, lo, hi), hi)
 			return
 		}
+	}
+	if k := laneKernel(st); k != nil {
+		stageLanes(k, st, x, y, lo, hi)
+		return
 	}
 	switch st.radix {
 	case 2:

@@ -6,6 +6,21 @@ import "math"
 // Input element (lane q, block p, component t) is read from
 // x[q + s*(p + m*t)] and output (lane q, block p, frequency u) is written
 // to y[q + s*(radix*p + u)], multiplied by the stage twiddle w^(p*u).
+//
+// stageRadix8, stageRadix8S1, stageRadix5 and stageRadix4 (and codelet8)
+// have assembly twins in kernels_amd64.s that must return their bits: any
+// change to the order or association of the arithmetic below has to be
+// mirrored there, or the bit-identity tables in simd_test.go fail.
+
+// scale multiplies z by the real c with two multiplies. It is not
+// written complex(c, 0)*z: that is a full complex multiply whose 0·im
+// and 0·re terms cost two more multiplies and two adds for the same bits
+// on finite non-zero data (the two forms differ only in the sign of an
+// exact zero and where 0·Inf makes a NaN), and the assembly needs one
+// definition to match.
+func scale(c float64, z complex128) complex128 {
+	return complex(c*real(z), c*imag(z))
+}
 
 func stageRadix2(st *stage, x, y []complex128, lo, hi int) {
 	m, s := st.m, st.s
@@ -36,7 +51,7 @@ func stageRadix3(st *stage, x, y []complex128, lo, hi int) {
 		for q := 0; q < s; q++ {
 			a, b, c := x0[q], x1[q], x2[q]
 			t1 := b + c
-			t2 := a - complex(half, 0)*t1
+			t2 := a - scale(half, t1)
 			// t3 = -i*sin3*(b-c) for the forward (negative exponent) sign.
 			d := b - c
 			t3 := complex(sin3*imag(d), -sin3*real(d))
@@ -74,13 +89,17 @@ func stageRadix4(st *stage, x, y []complex128, lo, hi int) {
 	}
 }
 
+// radix5Consts holds cos and sin of 2πk/5 for k = 1, 2 as {c1, s1, c2,
+// s2}. stageRadix5 and its assembly twin both read them here, so the two
+// multiply by the same bits whatever math.Cos returns on the platform.
+var radix5Consts = [4]float64{
+	math.Cos(2 * math.Pi / 5), math.Sin(2 * math.Pi / 5),
+	math.Cos(4 * math.Pi / 5), math.Sin(4 * math.Pi / 5),
+}
+
 func stageRadix5(st *stage, x, y []complex128, lo, hi int) {
 	m, s := st.m, st.s
-	// Real and imaginary parts of exp(-2*pi*i*k/5), k = 1, 2.
-	c1 := math.Cos(2 * math.Pi / 5)
-	s1 := math.Sin(2 * math.Pi / 5)
-	c2 := math.Cos(4 * math.Pi / 5)
-	s2 := math.Sin(4 * math.Pi / 5)
+	c1, s1, c2, s2 := radix5Consts[0], radix5Consts[1], radix5Consts[2], radix5Consts[3]
 	for p := lo; p < hi; p++ {
 		w1 := st.tw[p*4]
 		w2 := st.tw[p*4+1]
@@ -98,8 +117,8 @@ func stageRadix5(st *stage, x, y []complex128, lo, hi int) {
 			t2 := a2 + a3
 			t3 := a1 - a4
 			t4 := a2 - a3
-			m1 := a0 + complex(c1, 0)*t1 + complex(c2, 0)*t2
-			m2 := a0 + complex(c2, 0)*t1 + complex(c1, 0)*t2
+			m1 := a0 + scale(c1, t1) + scale(c2, t2)
+			m2 := a0 + scale(c2, t1) + scale(c1, t2)
 			// n1 = -i*(s1*t3 + s2*t4), n2 = -i*(s2*t3 - s1*t4)
 			u := complex(s1*real(t3)+s2*real(t4), s1*imag(t3)+s2*imag(t4))
 			v := complex(s2*real(t3)-s1*real(t4), s2*imag(t3)-s1*imag(t4))

@@ -1,0 +1,32 @@
+//go:build amd64 && !purego
+
+package fft
+
+// Implemented in kernels_amd64.s.
+
+// HasAVX2 reports whether this CPU and OS run AVX2 code: the one CPUID
+// routine of the repository, shared with the convolution kernel in
+// internal/core (a purego build compiles neither).
+func HasAVX2() bool
+
+//go:noescape
+func stage8LanesAVX2(x, y, tw *complex128, s, m, count int)
+
+//go:noescape
+func stage8FirstAVX2(x, y, tw *complex128, m, pairs int)
+
+//go:noescape
+func stage5LanesAVX2(x, y, tw *complex128, s, m, count int)
+
+//go:noescape
+func stage4LanesAVX2(x, y, tw *complex128, s, m, count int)
+
+//go:noescape
+func dft8PairAVX2(dst, src *complex128, pairs, rowStride, elemStride int)
+
+func init() {
+	if HasAVX2() {
+		lanes8, lanes5, lanes4 = stage8LanesAVX2, stage5LanesAVX2, stage4LanesAVX2
+		first8, dft8Pair = stage8FirstAVX2, dft8PairAVX2
+	}
+}

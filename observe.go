@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"soifft/internal/core"
+	"soifft/internal/fft"
 	"soifft/internal/instrument"
 )
 
@@ -120,6 +121,10 @@ type Report struct {
 	// a host that reads "go" where its peers read "avx2" convolves about
 	// four times slower.
 	ConvolveKernel string
+	// FFTKernel names the butterfly kernels this process runs for the
+	// segment FFT and the P-point batch, "avx2" or "go" under the same
+	// rules; a "go" host runs those stages about twice slower.
+	FFTKernel string
 	// Transforms counts completed transform executions. Shared-memory
 	// calls count once each; distributed runs count once per rank.
 	Transforms int64
@@ -143,6 +148,7 @@ func reportFromSnapshot(s instrument.Snapshot) Report {
 	r := Report{
 		Level:          InstrumentLevel(s.Level),
 		ConvolveKernel: core.ConvolveKernel(),
+		FFTKernel:      fft.Kernel(),
 		Transforms:     s.Transforms,
 		Stages:         make([]StageReport, 0, len(s.Stages)),
 	}
@@ -177,7 +183,8 @@ func reportFromSnapshot(s instrument.Snapshot) Report {
 // format the -report flags of soibench and soinode print).
 func (r Report) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "instrumentation: %s, transforms: %d, convolve kernel: %s\n", r.Level, r.Transforms, r.ConvolveKernel)
+	fmt.Fprintf(&b, "instrumentation: %s, transforms: %d, convolve kernel: %s, fft kernel: %s\n",
+		r.Level, r.Transforms, r.ConvolveKernel, r.FFTKernel)
 	fmt.Fprintf(&b, "%-12s %8s %12s %10s %7s %12s %9s\n",
 		"stage", "calls", "wall", "occup", "workers", "gflop", "gflop/s")
 	for _, st := range r.Stages {

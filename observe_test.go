@@ -11,6 +11,7 @@ import (
 
 	"soifft"
 	"soifft/internal/core"
+	"soifft/internal/fft"
 	"soifft/internal/signal"
 )
 
@@ -113,7 +114,7 @@ func TestReportStageTimers(t *testing.T) {
 
 	// String() renders every active stage and names the kernel that ran.
 	s := rep.String()
-	for _, name := range []string{"convolve", "segment_fft", "demod", "convolve kernel: " + core.ConvolveKernel()} {
+	for _, name := range []string{"convolve", "segment_fft", "demod", "convolve kernel: " + core.ConvolveKernel(), "fft kernel: " + fft.Kernel()} {
 		if !strings.Contains(s, name) {
 			t.Errorf("Report.String() missing %q:\n%s", name, s)
 		}
