@@ -3,132 +3,113 @@
 //
 // Usage:
 //
-//	soibench [-experiment all|table1|fig5|fig6|fig7|fig8|fig9|snr|measured|
-//	          ablate-beta|ablate-window|ablate-segments|ablate-opcount]
-//	         [-points-per-node N] [-go-rates] [-measure-points N]
+//	soibench [-experiment all|<name>] [-points-per-node N] [-go-rates]
+//	         [-csv] [-measure-points N]
 //
-// Compute rates default to the paper's node (Table 1 hardware at the
-// Section 7.4 efficiencies); -go-rates calibrates this machine's Go
-// kernels instead. Wire times always come from the interconnect models in
-// internal/netsim.
+// soibench -h lists the experiment names. Compute rates default to the
+// paper's node (Table 1 hardware at the Section 7.4 efficiencies);
+// -go-rates calibrates this machine's Go kernels instead. Wire times
+// always come from the interconnect models in internal/netsim. Measured
+// performance is benchmark/run.sh's job, not this command's.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 
 	"soifft/internal/bench"
 	"soifft/internal/netsim"
 )
 
+// options is what an experiment may read: the model configuration, the
+// size of the real in-process runs, and where and how tables are
+// written.
+type options struct {
+	cfg      bench.Config
+	measureN int
+	csv      bool
+	out      io.Writer
+}
+
+// table writes t in the selected format; it takes a generator's
+// (table, error) pair so an experiment is one expression.
+func (o *options) table(t *bench.Table, err error) error {
+	if err != nil {
+		return err
+	}
+	if o.csv {
+		t.FprintCSV(o.out)
+	} else {
+		t.Fprint(o.out)
+	}
+	return nil
+}
+
+// experiments is the one list of experiment names: lookup, -experiment
+// all (which runs them in this order) and the flag's usage string all
+// derive from it.
+var experiments = []struct {
+	name string
+	run  func(o *options) error
+}{
+	{"table1", func(o *options) error { return o.table(bench.Table1(), nil) }},
+	{"fig5", func(o *options) error { return o.table(bench.Fig5(o.cfg), nil) }},
+	{"fig6", func(o *options) error { return o.table(bench.Fig6(o.cfg), nil) }},
+	{"fig7", func(o *options) error { return o.table(bench.Fig7(o.cfg)) }},
+	{"fig8", func(o *options) error { return o.table(bench.Fig8(o.cfg), nil) }},
+	{"fig9", func(o *options) error { return o.table(bench.Fig9(o.cfg), nil) }},
+	{"snr", func(o *options) error { return o.table(bench.SNRTable(o.cfg)) }},
+	{"measured", func(o *options) error { return o.table(bench.MeasuredWeakScaling(o.measureN, []int{1, 2, 4, 8}, 72)) }},
+	{"app-conv", func(o *options) error { return o.table(bench.AppConvolution(o.cfg, o.measureN*4, 4)) }},
+	{"timeline", func(o *options) error { bench.Timeline(o.out, o.cfg, netsim.Gordon(), 64); return nil }},
+	{"strong-scaling", func(o *options) error { return o.table(bench.StrongScaling(o.cfg, o.cfg.PointsPerNode*16), nil) }},
+	{"modern-fabric", func(o *options) error { return o.table(bench.ModernFabric(o.cfg), nil) }},
+	{"ablate-beta", func(o *options) error { return o.table(bench.AblateBeta(o.cfg), nil) }},
+	{"ablate-window", func(o *options) error { return o.table(bench.AblateWindow(o.cfg)) }},
+	{"ablate-segments", func(o *options) error { return o.table(bench.AblateSegments(o.measureN, 4, 48)) }},
+	{"ablate-opcount", func(o *options) error { return o.table(bench.AblateOpcount(o.cfg)) }},
+	{"ablate-workers", func(o *options) error { return o.table(bench.AblateWorkers(o.measureN*4, 72)) }},
+	{"ablate-scaling", func(o *options) error { return o.table(bench.AblateScaling(72)) }},
+	{"ablate-precision", func(o *options) error { return o.table(bench.AblatePrecision(o.cfg), nil) }},
+}
+
+var errUnknownExperiment = errors.New("unknown experiment")
+
+// runExperiment runs the named experiment, or every one for "all".
+func runExperiment(name string, o *options) error {
+	found := false
+	for _, e := range experiments {
+		if name != "all" && name != e.name {
+			continue
+		}
+		found = true
+		if err := e.run(o); err != nil {
+			return err
+		}
+	}
+	if !found {
+		return fmt.Errorf("%w %q", errUnknownExperiment, name)
+	}
+	return nil
+}
+
 func main() {
-	exp := flag.String("experiment", "all", "which experiment to run")
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		names[i] = e.name
+	}
+	exp := flag.String("experiment", "all", "which experiment to run: all, or one of "+strings.Join(names, ", "))
 	ppn := flag.Int64("points-per-node", 1<<28, "weak-scaling points per node for the models")
 	goRates := flag.Bool("go-rates", false, "calibrate compute rates from this machine's Go kernels instead of the paper's node")
 	asCSV := flag.Bool("csv", false, "emit tables as CSV instead of aligned text")
 	measureN := flag.Int("measure-points", 1<<18, "points per rank for the real in-process runs")
-	report := flag.Bool("report", false, "run an instrumented distributed transform and print the observability report (stage timings, measured vs predicted comm volume), then exit")
-	ranks := flag.Int("ranks", 4, "in-process ranks for -report, -trace and -bench-json")
-	traceOut := flag.String("trace", "", "run one traced distributed transform and write its Perfetto timeline JSON here (open in ui.perfetto.dev), then exit")
-	benchJSON := flag.String("bench-json", "", "measure distributed transforms across sizes and write a machine-readable summary here (e.g. BENCH_soi.json), then exit")
-	benchBase := flag.String("bench-baseline", "", "with -bench-json: committed baseline report to compare against; exit 1 on regression")
-	benchTol := flag.Float64("bench-tol", 0.10, "with -bench-baseline: allowed ns/op slowdown before the gate fails (0.10 = 10%)")
-	overlapTol := flag.Float64("overlap-tol", 0.10, "with -bench-baseline: allowed relative loss of streamed-exchange overlap before the gate fails (0.10 = hides 10% less of the wire than the baseline); applies only to runs whose baseline overlap was meaningful")
 	flag.Parse()
 
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fail(err)
-		}
-		err = bench.TracedRun(f, *measureN, *ranks, 8, 72)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("trace written to %s (N=%d, %d ranks)\n", *traceOut, *measureN, *ranks)
-		return
-	}
-
-	if *benchJSON != "" {
-		rep, err := bench.JSONReport([]int{1 << 14, 1 << 16, 1 << 18}, *ranks, 8, 72)
-		if err != nil {
-			fail(err)
-		}
-		f, err := os.Create(*benchJSON)
-		if err != nil {
-			fail(err)
-		}
-		err = rep.WriteJSON(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("benchmark summary written to %s (%d sizes, %d ranks)\n", *benchJSON, len(rep.Runs), *ranks)
-		if *benchBase != "" {
-			bf, err := os.Open(*benchBase)
-			if err != nil {
-				fail(err)
-			}
-			baseline, err := bench.ReadReport(bf)
-			bf.Close()
-			if err != nil {
-				fail(err)
-			}
-			bench.CompareTable(baseline, rep).Fprint(os.Stdout)
-			regs, err := bench.Compare(baseline, rep, *benchTol)
-			if err != nil {
-				fail(err)
-			}
-			oregs, err := bench.CompareOverlap(baseline, rep, *overlapTol)
-			if err != nil {
-				fail(err)
-			}
-			if len(regs) > 0 || len(oregs) > 0 {
-				for _, r := range regs {
-					fmt.Fprintln(os.Stderr, "soibench: REGRESSION:", r)
-				}
-				for _, r := range oregs {
-					fmt.Fprintln(os.Stderr, "soibench: OVERLAP REGRESSION:", r)
-				}
-				fmt.Fprintf(os.Stderr, "soibench: %d run(s) regressed beyond %.0f%% ns/op or %.0f%% overlap vs %s\n",
-					len(regs)+len(oregs), 100**benchTol, 100**overlapTol, *benchBase)
-				os.Exit(1)
-			}
-			fmt.Printf("benchmark gate passed: no run more than %.0f%% slower or hiding %.0f%% less wire than %s\n",
-				100**benchTol, 100**overlapTol, *benchBase)
-		}
-		return
-	}
-
-	if *report {
-		t, err := bench.ObservabilityReport(*measureN, *ranks, 8, 72)
-		if err != nil {
-			fail(err)
-		}
-		if *asCSV {
-			t.FprintCSV(os.Stdout)
-		} else {
-			t.Fprint(os.Stdout)
-		}
-		off, timers, err := bench.InstrumentationOverhead(1<<16, 5)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("instrumentation overhead at N=65536 (best of 5): off %v, timers %v (%.1f%%)\n",
-			off, timers, 100*(float64(timers)/float64(off)-1))
-		return
-	}
-
-	cfg, err := bench.DefaultConfig()
-	if err != nil {
-		fail(err)
-	}
+	cfg := bench.DefaultConfig()
 	cfg.PointsPerNode = *ppn
 	if *goRates {
 		cal, err := bench.Calibrate(1 << 20)
@@ -141,79 +122,9 @@ func main() {
 	} else {
 		fmt.Println("compute rates: paper node (330 GF peak; FFT 10%, conv 40% of peak, Section 7.4)")
 	}
-
-	emit := func(t *bench.Table) {
-		if *asCSV {
-			t.FprintCSV(os.Stdout)
-			return
-		}
-		t.Fprint(os.Stdout)
-	}
-	run := func(name string) {
-		switch name {
-		case "table1":
-			emit(bench.Table1())
-		case "fig5":
-			emit(bench.Fig5(cfg))
-		case "fig6":
-			emit(bench.Fig6(cfg))
-		case "fig7":
-			must(bench.Fig7(cfg)).Fprint(os.Stdout)
-		case "fig8":
-			emit(bench.Fig8(cfg))
-		case "fig9":
-			emit(bench.Fig9(cfg))
-		case "snr":
-			emit(must(bench.SNRTable(cfg)))
-		case "measured":
-			emit(must(bench.MeasuredWeakScaling(*measureN, []int{1, 2, 4, 8}, 72)))
-		case "ablate-beta":
-			emit(bench.AblateBeta(cfg))
-		case "ablate-window":
-			emit(must(bench.AblateWindow(cfg)))
-		case "ablate-segments":
-			emit(must(bench.AblateSegments(*measureN, 4, 48)))
-		case "ablate-opcount":
-			emit(must(bench.AblateOpcount(cfg)))
-		case "app-conv":
-			emit(must(bench.AppConvolution(cfg, *measureN*4, 4)))
-		case "ablate-workers":
-			emit(must(bench.AblateWorkers(*measureN*4, 72)))
-		case "ablate-scaling":
-			emit(must(bench.AblateScaling(72)))
-		case "ablate-precision":
-			emit(bench.AblatePrecision(cfg))
-		case "timeline":
-			bench.Timeline(os.Stdout, cfg, netsim.Gordon(), 64)
-		case "strong-scaling":
-			emit(bench.StrongScaling(cfg, (*ppn)*16))
-		case "modern-fabric":
-			emit(bench.ModernFabric(cfg))
-		default:
-			fail(fmt.Errorf("unknown experiment %q", name))
-		}
-	}
-
-	if *exp == "all" {
-		for _, name := range []string{
-			"table1", "fig5", "fig6", "fig7", "fig8", "fig9", "snr",
-			"measured", "app-conv", "timeline", "strong-scaling",
-			"modern-fabric", "ablate-beta", "ablate-window",
-			"ablate-segments", "ablate-opcount", "ablate-workers",
-			"ablate-scaling", "ablate-precision",
-		} {
-			run(name)
-		}
-		return
-	}
-	run(*exp)
-}
-
-func must(t *bench.Table, err error) *bench.Table {
-	if err != nil {
+	if err := runExperiment(*exp, &options{cfg: cfg, measureN: *measureN, csv: *asCSV, out: os.Stdout}); err != nil {
 		fail(err)
 	}
-	return t
 }
 
 func fail(err error) {

@@ -78,6 +78,7 @@ func main() {
 	}
 
 	got := make([]complex128, len(src))
+	var st soifft.CommStats
 	start := time.Now()
 	switch {
 	case *ranks > 0:
@@ -93,7 +94,7 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		st := w.Stats()
+		st = w.Stats()
 		fmt.Printf("distributed over %d ranks in %v\n", *ranks, time.Since(start))
 		fmt.Printf("communication: %d all-to-all(s), %.2f MB exchanged, %d messages, %.2f MB total wire\n",
 			st.Alltoalls, float64(st.AlltoallBytes)/1e6, st.Messages, float64(st.Bytes)/1e6)
@@ -138,6 +139,17 @@ func main() {
 
 	if *report {
 		fmt.Print(plan.Report())
+		if *ranks > 0 {
+			// The paper's claim on live counters: one all-to-all of
+			// (1+beta)N points against three of N.
+			r, beta := int64(*ranks), plan.Oversampling()
+			nPrime := int64(math.Round((1 + beta) * float64(plan.N())))
+			triple := 3 * 16 * int64(plan.N()) * (r - 1) / r
+			fmt.Printf("all-to-all: %d bytes measured; analytic 16(1+beta)N(R-1)/R = %d bytes\n",
+				st.AlltoallBytes, 16*nPrime*(r-1)/r)
+			fmt.Printf("vs triple-all-to-all baseline (%d bytes): ratio %.3f, paper predicts 3/(1+beta) = %.3f\n",
+				triple, float64(triple)/float64(st.AlltoallBytes), 3/(1+beta))
+		}
 	}
 
 	if *outFile != "" {

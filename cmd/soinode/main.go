@@ -47,7 +47,6 @@ import (
 	"strings"
 	"time"
 
-	"soifft/internal/bench"
 	"soifft/internal/core"
 	"soifft/internal/faultnet"
 	"soifft/internal/fft"
@@ -370,7 +369,7 @@ func main() {
 
 	if *report {
 		snap := plan.Recorder().Snapshot()
-		bench.WriteStageReport(os.Stdout, fmt.Sprintf("rank %d", *rank), snap)
+		writeStageReport(fmt.Sprintf("rank %d", *rank), snap)
 		nPrime := int64(*n) * 5 / 4
 		perRank := 16 * nPrime * int64(*size-1) / int64(*size) / int64(*size)
 		baseline := 3 * 16 * int64(*n) * int64(*size-1) / int64(*size) / int64(*size)
@@ -405,6 +404,32 @@ func main() {
 		fmt.Printf("rank %d: wire: %d frames out (%d B), %d frames in (%d B), %d heartbeats, %d dial retries, %d deadline, %d checksum, %d link failures\n",
 			*rank, ns.FramesSent, ns.BytesSent, ns.FramesReceived, ns.BytesReceived,
 			ns.HeartbeatsSent, ns.DialRetries, ns.DeadlineEvents, ns.ChecksumErrors, ns.LinkFailures)
+	}
+}
+
+// writeStageReport prints a recorder snapshot as a compact per-stage
+// text block: this rank's view for -report.
+func writeStageReport(label string, snap instrument.Snapshot) {
+	fmt.Printf("%s: %d transform(s), convolve kernel %s, fft kernel %s\n",
+		label, snap.Transforms, core.ConvolveKernel(), fft.Kernel())
+	for _, st := range snap.Stages {
+		if st.Calls == 0 {
+			continue
+		}
+		fmt.Printf("%s:   %-11s calls %-4d wall %-12v occup %.2f  %.2f GF/s\n",
+			label, st.Stage.String(), st.Calls, st.Wall, st.Occupancy(), st.GFlopsPerSec())
+	}
+	c := snap.Comm
+	if c.Messages+c.Alltoalls > 0 {
+		fmt.Printf("%s:   comm: %d msgs (%d B), %d all-to-all (%d B), %d retransmits, %d deadline, %d checksum\n",
+			label, c.Messages, c.Bytes, c.Alltoalls, c.AlltoallBytes,
+			c.Retransmits, c.DeadlineEvents, c.ChecksumErrors)
+	}
+	if c.StreamChunks > 0 {
+		fmt.Printf("%s:   stream: %d chunks, overlap %.0f%%, credit-stall %v\n",
+			label, c.StreamChunks,
+			100*c.OverlapRatio(snap.Stages[instrument.StageExchange].Wall),
+			c.CreditStall.Round(time.Microsecond))
 	}
 }
 

@@ -1,5 +1,5 @@
 // Command soitrace post-processes Perfetto trace files written by the
-// tracing layer (soinode -trace-out, soibench -trace, soiserve's
+// tracing layer (soinode -trace-out, soifft -trace, soiserve's
 // /debug/flight).
 //
 //	soitrace merge -o merged.json rank0.json rank1.json rank2.json

@@ -141,7 +141,7 @@ type Decision struct {
 	// Window is the async window the next transform should run with.
 	Window int
 	// Prior is the model-prior window the controller started from —
-	// BENCH_soi.json reports both, chosen vs model.
+	// soinode -report prints both: "window W (adaptive, model prior P)".
 	Prior int
 	// Changed reports whether this decision moved the window.
 	Changed bool

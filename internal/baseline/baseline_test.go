@@ -221,3 +221,29 @@ func TestDistTransposeValues(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// BenchmarkSixStepBaseline runs the triple-all-to-all comparator.
+func BenchmarkSixStepBaseline(b *testing.B) {
+	const n, ranks = 1 << 18, 8
+	src := signal.Random(n, 6)
+	dst := make([]complex128, n)
+	nLocal := n / ranks
+	alg := SixStep{}
+	b.SetBytes(int64(n) * 16)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w, err := mpi.NewWorld(ranks)
+		if err != nil {
+			b.Fatal(err)
+		}
+		err = w.Run(func(c *mpi.Comm) error {
+			_, err := alg.Transform(c,
+				dst[c.Rank()*nLocal:(c.Rank()+1)*nLocal],
+				src[c.Rank()*nLocal:(c.Rank()+1)*nLocal], n)
+			return err
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}

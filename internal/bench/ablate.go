@@ -162,19 +162,19 @@ func AblateOpcount(cfg Config) (*Table, error) {
 		copy(ext, src)
 		copy(ext[n:], src[:cp.HaloLen()])
 		v := make([]complex128, cp.NPrime())
-		t0 := nowMono()
+		t0 := time.Now()
 		cp.ConvolveRange(v, ext, 0, cp.MPrime(), 0)
-		convTime := sinceMono(t0)
+		convTime := time.Since(t0)
 
 		// Time the FFT stages alone (I⊗F_P batch plus per-segment F_M').
 		w := make([]complex128, cp.NPrime())
 		yt := make([]complex128, cp.MPrime())
-		t0 = nowMono()
+		t0 = time.Now()
 		cp.BlockFFTBatch(w, v, cp.MPrime())
 		for s := 0; s < p.P; s++ {
 			cp.SegmentFFT(yt, w[s*cp.MPrime():(s+1)*cp.MPrime()])
 		}
-		fftTime := sinceMono(t0)
+		fftTime := time.Since(t0)
 		ratio := float64(cp.ConvFlops()) / float64(cp.FFTFlops())
 		t.AddRow(
 			fmt.Sprintf("%d", n),
@@ -190,7 +190,3 @@ func AblateOpcount(cfg Config) (*Table, error) {
 		"paper: conv ops ~4x FFT ops at B=72, conv time ~= in-SOI FFT time thanks to the regular stride-P kernel")
 	return t, nil
 }
-
-// nowMono/sinceMono isolate the timing primitive for the ablations.
-func nowMono() time.Time                  { return time.Now() }
-func sinceMono(t time.Time) time.Duration { return time.Since(t) }

@@ -129,10 +129,3 @@ func AppConvolution(cfg Config, n, ranks int) (*Table, error) {
 		"paper intro: out-of-order data (e.g. convolution) reduces transposes; SOI compounds the saving")
 	return t, nil
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -355,26 +355,3 @@ func TestAblatePrecision(t *testing.T) {
 		t.Errorf("10-digit SOI (%.2f) should be comparable to single-precision best case (%.2f)", soi10, single)
 	}
 }
-
-func TestObservabilityReport(t *testing.T) {
-	tb, err := ObservabilityReport(4096, 2, 8, 48)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tb.Rows) < 3 {
-		t.Fatalf("report has %d stage rows, want >= 3:\n%+v", len(tb.Rows), tb.Rows)
-	}
-	// The analytic check rides in the notes: the measured exchange must
-	// have matched (1+beta)N and the 3/(1+beta) baseline ratio.
-	joined := strings.Join(tb.Notes, "\n")
-	if !strings.Contains(joined, "measured ratio 2.400") {
-		t.Errorf("notes missing the 2.400 comm ratio:\n%s", joined)
-	}
-	off, timers, err := InstrumentationOverhead(4096, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if off <= 0 || timers <= 0 {
-		t.Errorf("overhead measurement: off %v, timers %v", off, timers)
-	}
-}

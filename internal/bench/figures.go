@@ -26,14 +26,14 @@ type Config struct {
 // paper's node compute rates, so the modeled figures reproduce the
 // published shapes. Swap Cal for a Calibrate() result to project this Go
 // implementation's own compute rates instead.
-func DefaultConfig() (Config, error) {
+func DefaultConfig() Config {
 	return Config{
 		Cal:           PaperNodeRates(),
 		PointsPerNode: 1 << 28,
 		Beta:          0.25,
 		B:             72,
 		Nodes:         []int{1, 2, 4, 8, 16, 32, 64},
-	}, nil
+	}
 }
 
 // gflops converts a modeled run time into the paper's reporting metric.

@@ -528,3 +528,23 @@ func TestAlltoallIntoMatchesAlltoall(t *testing.T) {
 		t.Errorf("short recv buffer: err %v, want ErrCountMismatch", err)
 	}
 }
+
+// BenchmarkAlltoall measures the in-process exchange primitive itself.
+func BenchmarkAlltoall(b *testing.B) {
+	const ranks, chunk = 8, 1 << 14
+	b.SetBytes(int64(ranks) * ranks * chunk * 16)
+	for i := 0; i < b.N; i++ {
+		w, err := NewWorld(ranks)
+		if err != nil {
+			b.Fatal(err)
+		}
+		err = w.Run(func(c *Comm) error {
+			send := make([]complex128, ranks*chunk)
+			c.Alltoall(send, chunk)
+			return nil
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}

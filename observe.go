@@ -180,7 +180,7 @@ func reportFromSnapshot(s instrument.Snapshot) Report {
 }
 
 // String renders the report as an aligned human-readable table (the
-// format the -report flags of soibench and soinode print).
+// format the -report flags of soifft and soinode print).
 func (r Report) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "instrumentation: %s, transforms: %d, convolve kernel: %s, fft kernel: %s\n",
