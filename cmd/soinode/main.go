@@ -185,7 +185,7 @@ func main() {
 		if *rank == 0 {
 			tid = trace.NewID()
 		}
-		if err := core.GuardComm(func() { tid = proc.ShareTraceID(tid) }); err != nil {
+		if tid, err = proc.ShareTraceID(tid); err != nil {
 			fail(log, err)
 		}
 		ctx = trace.WithTracer(trace.WithID(ctx, tid), tracer)
@@ -249,7 +249,7 @@ func main() {
 	src := signal.Random(*n, *seed)
 	nLocal := *n / *size
 	out := make([]complex128, nLocal)
-	if err := core.GuardComm(proc.Barrier); err != nil {
+	if err := proc.Barrier(); err != nil {
 		fail(log, err)
 	}
 	// The sync instant lands right after a barrier, so every rank emits
@@ -292,20 +292,12 @@ func main() {
 			"decision", d.Reason)
 	}
 
-	var full []complex128
-	reportRank := 0
-	if *coded >= 0 {
-		var at int
-		full, at, err = core.GatherDegraded(proc, 0, out, deg)
-		if err != nil {
-			fail(log, err)
-		}
-		if at != 0 {
-			log.Warn("gather rerouted around dead root", "landed_at", at)
-		}
-		reportRank = at
-	} else if err := core.GuardComm(func() { full = proc.Gather(0, out) }); err != nil {
+	full, reportRank, err := core.GatherDegraded(proc, 0, out, deg)
+	if err != nil {
 		fail(log, err)
+	}
+	if reportRank != 0 {
+		log.Warn("gather rerouted around dead root", "landed_at", reportRank)
 	}
 	if *rank == reportRank {
 		ref, err := fft.Forward(src)
@@ -319,7 +311,7 @@ func main() {
 	if deg == nil {
 		// The closing barrier needs every rank; after a degraded run the
 		// dead rank can never join it.
-		if err := core.GuardComm(proc.Barrier); err != nil {
+		if err := proc.Barrier(); err != nil {
 			fail(log, err)
 		}
 	}

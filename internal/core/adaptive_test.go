@@ -4,7 +4,6 @@ import (
 	"context"
 	"testing"
 
-	"soifft/internal/instrument"
 	"soifft/internal/mpi"
 	"soifft/internal/signal"
 	"soifft/internal/trace"
@@ -105,44 +104,5 @@ func TestAdaptiveComposesWithCoding(t *testing.T) {
 	}
 	if _, ok := pl.AdaptiveDecision(0); !ok {
 		t.Error("no adaptive decision after a coded adaptive run")
-	}
-}
-
-// TestAdaptiveFallbackWithoutCapability: on a transport without
-// StreamComm the adaptive option degrades to the blocking exchange —
-// same bits, no streamed chunks, no controller ever created.
-func TestAdaptiveFallbackWithoutCapability(t *testing.T) {
-	const r, seed = 4, 306
-	ref, _, _ := runSOIDistributed(t, streamParams, r, seed)
-	pl, err := NewPlan(streamParams)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := instrument.New(instrument.LevelCounters)
-	src := signal.Random(streamParams.N, seed)
-	got := make([]complex128, streamParams.N)
-	w, err := mpi.NewWorld(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nLocal := streamParams.N / r
-	err = w.Run(func(c *mpi.Comm) error {
-		_, err := pl.RunDistributed(context.Background(), opaqueComm{c},
-			got[c.Rank()*nLocal:(c.Rank()+1)*nLocal],
-			src[c.Rank()*nLocal:(c.Rank()+1)*nLocal],
-			WithAdaptiveWindow(), WithRecorder(rec))
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e := signal.MaxAbsErr(got, ref); e != 0 {
-		t.Errorf("fallback result differs from blocking by %.3e", e)
-	}
-	if n := rec.Snapshot().Comm.StreamChunks; n != 0 {
-		t.Errorf("capability-less transport streamed %d chunks, want 0", n)
-	}
-	if _, ok := pl.AdaptiveDecision(0); ok {
-		t.Error("controller created despite the transport lacking StreamComm")
 	}
 }

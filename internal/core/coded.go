@@ -13,8 +13,8 @@ import (
 )
 
 // Coded-exchange tags live in a far negative band of their own, away
-// from the collective tags of both transports (mpi: -1..-6 and the
-// pairwise -6-d series; mpinet: -4..-7) and the positive halo band.
+// from the collective tags of both transports (mpi: -1..-6; mpinet:
+// -4..-7) and the positive halo band.
 const (
 	tagCodedData    = -1000 // the all-to-all data chunk C_{src→dst}
 	tagCodedParity  = -1001 // parity share i of a source's codeword: tagCodedParity - i
@@ -25,16 +25,6 @@ const (
 	tagCodedRefill  = -1300 // reconstructed chunk refill for dead rank d: tagCodedRefill - d
 	tagCodedGather  = -1400 // degraded gather; dead rank d's block: tagCodedGather - 1 - d
 )
-
-// CodedComm is the transport surface the coded exchange needs: the
-// plain Comm collectives for the halo, plus per-peer checked send and
-// receive, where a dead peer is an error to route around rather than a
-// rank-fatal panic. Both *mpi.Comm and *mpinet.Proc satisfy it.
-type CodedComm interface {
-	Comm
-	SendChecked(to, tag int, data any) error
-	RecvCChecked(from, tag int) ([]complex128, error)
-}
 
 // CodedExchangeFailpoint, when non-nil, is invoked on every rank between
 // the coded send fan-out and the view round. A non-nil return makes the
@@ -47,7 +37,8 @@ var CodedExchangeFailpoint func(rank int) error
 // bit-exact spectrum after reconstructing one or more dead ranks'
 // contributions from parity. It is informational: localOut is fully
 // valid when RunDistributed returns it. It is deliberately not a
-// Fault — RecoverFault must never swallow it.
+// Fault: callers that treat every Fault as a failed run must not drop a
+// complete spectrum.
 type DegradedError struct {
 	// ReconstructedRanks lists the dead ranks whose codewords were
 	// rebuilt, ascending. Every survivor reports the same set.
@@ -114,9 +105,9 @@ func ValidateCoded(r, m int) error {
 // chunks (its own included) into m parity shares over GF(2^8) and fans
 // data plus parity across its peers, so the transform survives rank
 // deaths mid-exchange. Phases 1–2, the coded exchange (blocking fan-out,
-// or streamed tile fan-out when an async window is configured and the
-// transport supports it), detection/recovery, then phase 4 with output
-// takeover on the coordinator.
+// or streamed tile fan-out when an async window is configured),
+// detection/recovery, then phase 4 with output takeover on the
+// coordinator.
 //
 // Outcomes:
 //   - no loss: identical to the uncoded run, bit for bit, at a wire cost
@@ -138,22 +129,19 @@ func ValidateCoded(r, m int) error {
 //
 // Only a clean run returns its workspace to the plan; a degraded or
 // failed one drops it, and TakenOver blocks are caller-owned makes.
-func (pl *Plan) runCoded(ctx context.Context, c Comm, cfg distOptions, localOut, localIn []complex128) (dt DistributedTimes, err error) {
-	defer RecoverFault(&err)
-	cc, ok := c.(CodedComm)
-	if !ok {
-		return dt, fmt.Errorf("core: WithCoding needs checked peer messaging, which %T lacks: %w", c, ErrPlanMismatch)
-	}
+func (pl *Plan) runCoded(ctx context.Context, c Comm, cfg distOptions, localOut, localIn []complex128) (DistributedTimes, error) {
 	m := cfg.parity
-	if err := ValidateCoded(cc.Size(), m); err != nil {
-		return dt, err
+	if err := ValidateCoded(c.Size(), m); err != nil {
+		return DistributedTimes{}, err
 	}
 	e, localIn, err := pl.newDistExec(ctx, cfg, c, localOut, localIn)
 	if err != nil {
-		return dt, err
+		return DistributedTimes{}, err
 	}
 
-	cx := &codedExchange{e: e, c: cc, m: m, send: e.ws.send}
+	// The protocol runs on the unwrapped c, not e.c: its parity and
+	// recovery frames are booked by their own counters, not as messages.
+	cx := &codedExchange{e: e, c: c, m: m, send: e.ws.send}
 	if e.rec.On() { // match the uncoded path: count only when observing
 		cx.rec = e.rec
 	}
@@ -209,7 +197,7 @@ func (pl *Plan) runCoded(ctx context.Context, c Comm, cfg distOptions, localOut,
 // codedExchange is the per-rank state of one erasure-protected exchange.
 type codedExchange struct {
 	e    *distExec
-	c    CodedComm
+	c    Comm
 	rec  *instrument.Recorder // nil unless observing
 	m    int
 	send []complex128 // the workspace's packed buffer; dest t's chunk at [t·chunk, (t+1)·chunk)
@@ -307,7 +295,7 @@ func (cx *codedExchange) sendParity(parityOut [][]complex128) {
 	e, c := cx.e, cx.c
 	for i := 0; i < cx.m; i++ {
 		s := (e.rank + 1 + i) % e.r
-		if err := c.SendChecked(s, tagCodedParity-i, parityOut[i]); err != nil {
+		if err := c.Send(s, tagCodedParity-i, parityOut[i]); err != nil {
 			cx.markDead(s)
 			continue
 		}
@@ -348,7 +336,7 @@ func (cx *codedExchange) run() (*DegradedError, error) {
 	rec.CountAlltoallBytes(int64(r-1) * int64(chunk) * 16)
 	for off := 1; off < r; off++ {
 		s := (rank + off) % r
-		if err := c.SendChecked(s, tagCodedData, cx.send[s*chunk:(s+1)*chunk]); err != nil {
+		if err := c.Send(s, tagCodedData, cx.send[s*chunk:(s+1)*chunk]); err != nil {
 			cx.markDead(s)
 		}
 	}
@@ -367,7 +355,7 @@ func (cx *codedExchange) run() (*DegradedError, error) {
 	// immediately, without a deadline wait.
 	for off := 1; off < r; off++ {
 		src := (rank + off) % r
-		data, err := c.RecvCChecked(src, tagCodedData)
+		data, err := c.RecvC(src, tagCodedData)
 		if err != nil {
 			cx.markDead(src)
 			continue
@@ -378,7 +366,7 @@ func (cx *codedExchange) run() (*DegradedError, error) {
 		}
 		cx.recv[src] = data
 		if i := (rank - src - 1 + 2*r) % r; i < m {
-			pdata, err := c.RecvCChecked(src, tagCodedParity-i)
+			pdata, err := c.RecvC(src, tagCodedParity-i)
 			if err != nil {
 				cx.markDead(src)
 				continue
@@ -535,7 +523,7 @@ func (cx *codedExchange) runStreamed(ctx context.Context, localIn []complex128) 
 
 	// Drain fully before any parity receive: the stream's per-source
 	// receiver goroutines pop tile frames from the same per-link mailboxes
-	// the checked receives use, so the parity frames are safe to receive
+	// the ordinary receives use, so the parity frames are safe to receive
 	// only once every receiver has delivered its last event.
 	if err := <-consDone; err != nil {
 		return nil, err
@@ -553,7 +541,7 @@ func (cx *codedExchange) runStreamed(ctx context.Context, localIn []complex128) 
 			continue
 		}
 		if i := (rank - src - 1 + 2*r) % r; i < m {
-			pdata, err := c.RecvCChecked(src, tagCodedParity-i)
+			pdata, err := c.RecvC(src, tagCodedParity-i)
 			if err != nil {
 				cx.markDead(src)
 				continue
@@ -615,7 +603,7 @@ func (cx *codedExchange) exchangeMasks(tag int, mine uint64, out []uint64) {
 		if cx.dead[s] {
 			continue
 		}
-		if err := c.SendChecked(s, tag, payload); err != nil {
+		if err := c.Send(s, tag, payload); err != nil {
 			cx.markDead(s)
 			continue
 		}
@@ -626,7 +614,7 @@ func (cx *codedExchange) exchangeMasks(tag int, mine uint64, out []uint64) {
 		if cx.dead[src] {
 			continue
 		}
-		v, err := c.RecvCChecked(src, tag)
+		v, err := c.RecvC(src, tag)
 		if err != nil || len(v) != 1 {
 			cx.markDead(src)
 			continue
@@ -684,7 +672,7 @@ func (cx *codedExchange) recover(code *erasure.Code, deadList []int) (*DegradedE
 			if s == coord || cx.dead[s] {
 				continue
 			}
-			if err := c.SendChecked(s, tagCodedOutcome, verdict); err != nil {
+			if err := c.Send(s, tagCodedOutcome, verdict); err != nil {
 				cx.markDead(s) // died during recovery; skip its refills
 				if lateErr == nil {
 					lateErr = err
@@ -697,7 +685,7 @@ func (cx *codedExchange) recover(code *erasure.Code, deadList []int) (*DegradedE
 			return nil, decodeErr
 		}
 	} else {
-		v, err := c.RecvCChecked(coord, tagCodedOutcome)
+		v, err := c.RecvC(coord, tagCodedOutcome)
 		if err != nil {
 			return nil, err
 		}
@@ -715,7 +703,7 @@ func (cx *codedExchange) recover(code *erasure.Code, deadList []int) (*DegradedE
 				if s == coord || cx.dead[s] || cx.heldBy(s, d) {
 					continue
 				}
-				if err := c.SendChecked(s, tagCodedRefill-d, cx.decoded[d][s]); err != nil {
+				if err := c.Send(s, tagCodedRefill-d, cx.decoded[d][s]); err != nil {
 					return nil, err
 				}
 				cx.recoveryBytes += int64(chunk) * 16
@@ -723,7 +711,7 @@ func (cx *codedExchange) recover(code *erasure.Code, deadList []int) (*DegradedE
 			continue
 		}
 		if cx.recv[d] == nil {
-			data, err := c.RecvCChecked(coord, tagCodedRefill-d)
+			data, err := c.RecvC(coord, tagCodedRefill-d)
 			if err != nil {
 				return nil, err
 			}
@@ -775,7 +763,7 @@ func (cx *codedExchange) sendPool(coord, d int) error {
 	}
 	frame = append(frame, cx.send[d*chunk:(d+1)*chunk]...)
 	frame[0] = complex(float64(held), 0)
-	if err := cx.c.SendChecked(coord, tagCodedPool-d, frame); err != nil {
+	if err := cx.c.Send(coord, tagCodedPool-d, frame); err != nil {
 		return err
 	}
 	cx.recoveryBytes += int64(len(frame)) * 16
@@ -813,7 +801,7 @@ func (cx *codedExchange) poolAndDecode(code *erasure.Code, d, coord int) error {
 		if s == coord || cx.dead[s] {
 			continue
 		}
-		frame, err := c.RecvCChecked(s, tagCodedPool-d)
+		frame, err := c.RecvC(s, tagCodedPool-d)
 		if err != nil {
 			return err
 		}
@@ -874,15 +862,15 @@ func (cx *codedExchange) poolAndDecode(code *erasure.Code, d, coord int) error {
 }
 
 // GatherDegraded collects the full spectrum after a coded transform.
-// With deg == nil it is a guarded plain Gather at root. After a
-// degraded run, survivors route around the dead ranks: the gather lands
-// at root if root survived, else at the recovery coordinator, and the
-// coordinator contributes the taken-over blocks. It returns the full
+// With deg == nil it is a plain Gather at root. After a degraded run,
+// survivors route around the dead ranks: the gather lands at root if
+// root survived, else at the recovery coordinator, and the coordinator
+// contributes the taken-over blocks. It returns the full
 // output (nil on ranks other than the effective root), the effective
 // root's rank, and any typed transport failure.
-func GatherDegraded(c CodedComm, root int, own []complex128, deg *DegradedError) (full []complex128, at int, err error) {
+func GatherDegraded(c Comm, root int, own []complex128, deg *DegradedError) (full []complex128, at int, err error) {
 	if deg == nil {
-		err = GuardComm(func() { full = c.Gather(root, own) })
+		full, err = c.Gather(root, own)
 		return full, root, err
 	}
 	r, rank, nLocal := c.Size(), c.Rank(), len(own)
@@ -895,12 +883,12 @@ func GatherDegraded(c CodedComm, root int, own []complex128, deg *DegradedError)
 		at = deg.Coordinator
 	}
 	if rank != at {
-		if err := c.SendChecked(at, tagCodedGather, own); err != nil {
+		if err := c.Send(at, tagCodedGather, own); err != nil {
 			return nil, at, err
 		}
 		if rank == deg.Coordinator {
 			for _, d := range deg.ReconstructedRanks {
-				if err := c.SendChecked(at, tagCodedGather-1-d, deg.TakenOver[d]); err != nil {
+				if err := c.Send(at, tagCodedGather-1-d, deg.TakenOver[d]); err != nil {
 					return nil, at, err
 				}
 			}
@@ -913,7 +901,7 @@ func GatherDegraded(c CodedComm, root int, own []complex128, deg *DegradedError)
 		if s == rank || dead[s] {
 			continue
 		}
-		data, err := c.RecvCChecked(s, tagCodedGather)
+		data, err := c.RecvC(s, tagCodedGather)
 		if err != nil {
 			return nil, at, err
 		}
@@ -929,7 +917,7 @@ func GatherDegraded(c CodedComm, root int, own []complex128, deg *DegradedError)
 			block = deg.TakenOver[d]
 		} else {
 			var err error
-			block, err = c.RecvCChecked(deg.Coordinator, tagCodedGather-1-d)
+			block, err = c.RecvC(deg.Coordinator, tagCodedGather-1-d)
 			if err != nil {
 				return nil, at, err
 			}

@@ -19,7 +19,7 @@ var codedParams = Params{N: 1024, P: 8, Mu: 5, Nu: 4, B: 32, Workers: 1}
 // runSOICoded executes the coded transform over r in-process ranks and
 // returns each rank's (output block, error).
 func runSOICoded(t *testing.T, pl *Plan, src []complex128, r, m int,
-	wrap func(c *mpi.Comm) CodedComm) ([][]complex128, []error) {
+	wrap func(c *mpi.Comm) Comm) ([][]complex128, []error) {
 	t.Helper()
 	w, err := mpi.NewWorld(r)
 	if err != nil {
@@ -30,7 +30,7 @@ func runSOICoded(t *testing.T, pl *Plan, src []complex128, r, m int,
 	errs := make([]error, r)
 	if err := w.Run(func(c *mpi.Comm) error {
 		rank := c.Rank()
-		var cc CodedComm = c
+		var cc Comm = c
 		if wrap != nil {
 			cc = wrap(c)
 		}
@@ -142,18 +142,18 @@ type postFlushDeath struct {
 	victims map[int]bool
 }
 
-func (c *postFlushDeath) SendChecked(to, tag int, data any) error {
+func (c *postFlushDeath) Send(to, tag int, data []complex128) error {
 	if c.victims[to] && tag <= tagCodedView {
 		return &linkFault{peer: to}
 	}
-	return c.Comm.SendChecked(to, tag, data)
+	return c.Comm.Send(to, tag, data)
 }
 
-func (c *postFlushDeath) RecvCChecked(from, tag int) ([]complex128, error) {
+func (c *postFlushDeath) RecvC(from, tag int) ([]complex128, error) {
 	if c.victims[from] && tag <= tagCodedView {
 		return nil, &linkFault{peer: from}
 	}
-	return c.Comm.RecvCChecked(from, tag)
+	return c.Comm.RecvC(from, tag)
 }
 
 var errFailpointKill = errors.New("test: failpoint kill")
@@ -174,7 +174,7 @@ func runSOICodedWithDeaths(t *testing.T, pl *Plan, src []complex128, r, m int, v
 		return nil
 	}
 	defer func() { CodedExchangeFailpoint = prev }()
-	return runSOICoded(t, pl, src, r, m, func(c *mpi.Comm) CodedComm {
+	return runSOICoded(t, pl, src, r, m, func(c *mpi.Comm) Comm {
 		return &postFlushDeath{Comm: c, victims: vset}
 	})
 }

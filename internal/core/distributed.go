@@ -17,54 +17,38 @@ const (
 	tagHalo = 100
 )
 
-// Comm is the communication surface the distributed driver needs. It is
-// satisfied by *mpi.Comm (the in-process runtime) and by *mpinet.Proc
-// (the TCP transport), so the same SOI code runs over goroutines or over
-// real sockets.
+// Comm is the one transport contract of the distributed drivers, held
+// by *mpi.Comm (the in-process runtime) and *mpinet.Proc (TCP), so the
+// same SOI code runs over goroutines or over real sockets. It holds only
+// what the drivers call. Like an MPI call returning its code, every
+// fallible method reports a transport failure (peer death, corrupted
+// frame, expired I/O deadline, aborted world) as a returned error that
+// implements Fault; misuse (an invalid rank) still panics.
 type Comm interface {
 	Rank() int
 	Size() int
-	Send(to, tag int, data any)
-	RecvC(from, tag int) []complex128
-	Alltoall(send []complex128, chunk int) []complex128
-	PairwiseAlltoallv(send []complex128, sendCounts, recvCounts []int) []complex128
-	Gather(root int, chunk []complex128) []complex128
+	Send(to, tag int, data []complex128) error
+	RecvC(from, tag int) ([]complex128, error)
+	RecvInto(dst []complex128, from, tag int) error
+	AlltoallInto(recv, send []complex128, chunk int) error
+	Gather(root int, chunk []complex128) ([]complex128, error)
+	StartAlltoallv(o exch.Options) exch.Stream
 }
 
-// Fault is the marker interface for typed communication failures. A
-// Comm implementation raises one as a panic when the transport itself
-// breaks mid-collective (peer death, corrupted frame, expired I/O
-// deadline); *mpinet.TransportError and *mpi.AbortError implement it.
-// The distributed drivers recover Faults (and only Faults) into ordinary
-// error returns, so a wire failure surfaces as a typed error from
-// RunDistributed instead of a panic or a hang.
+// Fault is the marker interface for typed communication failures:
+// *mpinet.TransportError, *mpi.AbortError and *mpi.CollectiveError
+// implement it, and the drivers return them unchanged, so a wire failure
+// surfaces as a typed error from RunDistributed instead of a hang.
 type Fault interface {
 	error
 	CommFault()
 }
 
-// RecoverFault converts an in-flight Fault panic into *err. Defer it (or
-// use GuardComm) around any code that calls Comm methods directly.
-// Non-fault panics — programming errors — propagate unchanged.
-func RecoverFault(err *error) {
-	r := recover()
-	if r == nil {
-		return
-	}
-	if f, ok := r.(Fault); ok {
-		if *err == nil {
-			*err = f
-		}
-		return
-	}
-	panic(r)
-}
-
-// GuardComm runs fn and returns the typed communication Fault it raised,
-// if any — the bridge for callers driving a Comm outside the Run*
-// helpers (e.g. a bare Gather or Barrier in cmd/soinode).
-func GuardComm(fn func()) (err error) {
-	defer RecoverFault(&err)
+// GuardComm runs fn and returns nil.
+//
+// Deprecated: Comm methods return their Faults; check those errors
+// instead.
+func GuardComm(fn func()) error {
 	fn()
 	return nil
 }
@@ -104,23 +88,14 @@ func (pl *Plan) ValidateDistributed(r int) error {
 	return nil
 }
 
-// countingComm wraps a Comm once — whatever its optional capabilities —
-// and mirrors its traffic into a Recorder: point-to-point payload bytes
-// at the sender, all-to-all volume as this rank's inter-rank
-// contribution (self-copies excluded, matching what a fabric would
-// carry — summed over per-rank recorders, or accumulated in one shared
-// recorder, the total is 16·(1+β)·N·(R−1)/R bytes per SOI transform,
-// identical for the blocking, pairwise, and streamed exchanges). The
+// countingComm mirrors a Comm's traffic into a Recorder: point-to-point
+// payload bytes at the sender, all-to-all volume as this rank's
+// inter-rank contribution (self-copies excluded, matching what a fabric
+// would carry — summed over per-rank recorders, or accumulated in one
+// shared recorder, the total is 16·(1+β)·N·(R−1)/R bytes per SOI
+// transform, identical for the blocking and streamed exchanges). The
 // collective op itself is counted once per world, on rank 0, mirroring
-// the mpi.World statistics convention.
-//
-// The optional capabilities forward by asserting the inner Comm, so the
-// wrapper exposes the full unified surface; callers must discover a
-// capability on the unwrapped Comm before using it through the wrapper.
-// Checked point-to-point traffic is deliberately NOT counted here: the
-// only checked caller is the coded exchange, which classifies its own
-// protocol traffic (parity vs recovery bytes) more precisely than a
-// generic wrapper could.
+// the mpi.World statistics convention. Receives forward by embedding.
 type countingComm struct {
 	Comm
 	rec *instrument.Recorder
@@ -135,72 +110,37 @@ func instrumentComm(c Comm, rec *instrument.Recorder) Comm {
 	return &countingComm{Comm: c, rec: rec}
 }
 
-func (cc *countingComm) Send(to, tag int, data any) {
-	cc.rec.CountMessage(payloadBytes(data))
-	cc.Comm.Send(to, tag, data)
+func (cc *countingComm) Send(to, tag int, data []complex128) error {
+	cc.rec.CountMessage(int64(len(data)) * 16)
+	return cc.Comm.Send(to, tag, data)
 }
 
-func (cc *countingComm) countAlltoall(chunk int) {
+func (cc *countingComm) AlltoallInto(recv, send []complex128, chunk int) error {
 	if cc.Comm.Rank() == 0 {
 		cc.rec.CountAlltoallOp()
 	}
 	cc.rec.CountAlltoallBytes(int64(cc.Comm.Size()-1) * int64(chunk) * 16)
+	return cc.Comm.AlltoallInto(recv, send, chunk)
 }
 
-func (cc *countingComm) Alltoall(send []complex128, chunk int) []complex128 {
-	cc.countAlltoall(chunk)
-	return cc.Comm.Alltoall(send, chunk)
-}
-
-func (cc *countingComm) AlltoallInto(recv, send []complex128, chunk int) {
-	cc.countAlltoall(chunk)
-	cc.Comm.(IntoComm).AlltoallInto(recv, send, chunk)
-}
-
-func (cc *countingComm) RecvInto(dst []complex128, from, tag int) {
-	cc.Comm.(IntoComm).RecvInto(dst, from, tag)
-}
-
-func (cc *countingComm) PairwiseAlltoallv(send []complex128, sendCounts, recvCounts []int) []complex128 {
-	if cc.Comm.Rank() == 0 {
-		cc.rec.CountAlltoallOp()
-	}
-	var n int64
-	for t, cnt := range sendCounts {
-		if t != cc.Comm.Rank() {
-			n += int64(cnt)
-		}
-	}
-	cc.rec.CountAlltoallBytes(n * 16)
-	return cc.Comm.PairwiseAlltoallv(send, sendCounts, recvCounts)
-}
-
-func (cc *countingComm) Gather(root int, chunk []complex128) []complex128 {
+func (cc *countingComm) Gather(root int, chunk []complex128) ([]complex128, error) {
 	if cc.Comm.Rank() != root {
 		cc.rec.CountMessage(int64(len(chunk)) * 16)
 	}
 	return cc.Comm.Gather(root, chunk)
 }
 
-func (cc *countingComm) SendChecked(to, tag int, data any) error {
-	return cc.Comm.(CheckedComm).SendChecked(to, tag, data)
-}
-
-func (cc *countingComm) RecvCChecked(from, tag int) ([]complex128, error) {
-	return cc.Comm.(CheckedComm).RecvCChecked(from, tag)
-}
-
-// StartAlltoallv forwards the streaming capability and counts the
-// chunked frames against the same analytic budget as the blocking
-// exchange: the op once on rank 0, and every non-self chunk's payload at
-// the sender. Summed over a stream, the chunks partition exactly the
-// blocking exchange's (R−1)·chunk elements, so the live 3/(1+β) ratio
-// check holds unchanged regardless of window size.
+// StartAlltoallv counts the chunked frames against the same analytic
+// budget as the blocking exchange: the op once on rank 0, and every
+// non-self chunk's payload at the sender. Summed over a stream, the
+// chunks partition exactly the blocking exchange's (R−1)·chunk elements,
+// so the live 3/(1+β) ratio check holds unchanged regardless of window
+// size.
 func (cc *countingComm) StartAlltoallv(o exch.Options) exch.Stream {
 	if cc.Comm.Rank() == 0 {
 		cc.rec.CountAlltoallOp()
 	}
-	return &countedStream{Stream: cc.Comm.(StreamComm).StartAlltoallv(o), cc: cc}
+	return &countedStream{Stream: cc.Comm.StartAlltoallv(o), cc: cc}
 }
 
 type countedStream struct {
@@ -214,20 +154,6 @@ func (s *countedStream) Send(dst, idx int, data []complex128) error {
 		s.cc.rec.CountStreamChunk()
 	}
 	return s.Stream.Send(dst, idx, data)
-}
-
-// payloadBytes sizes the wire payload of a Send argument.
-func payloadBytes(data any) int64 {
-	switch d := data.(type) {
-	case []complex128:
-		return int64(len(d)) * 16
-	case []float64:
-		return int64(len(d)) * 8
-	case []byte:
-		return int64(len(d))
-	default:
-		return 0
-	}
 }
 
 // RunDistributed executes the SOI factorization over the communicator:
@@ -247,14 +173,13 @@ func payloadBytes(data any) int64 {
 //     per rank: the model prior first, then adapted between transforms
 //     from the measured overlap and credit-stall;
 //   - WithCoding(m) erasure-protects the exchange so the transform
-//     survives up to m rank deaths (requires the CheckedComm
-//     capability); coding composes with WithAsyncWindow and
-//     WithAdaptiveWindow;
+//     survives up to m rank deaths; coding composes with
+//     WithAsyncWindow and WithAdaptiveWindow;
 //   - WithRecorder(rec) observes the run with a specific recorder.
 //
-// On a streamed run over a Comm with checked messaging, the halo
-// prefix exchange streams in chunks too (the exch.HaloSizes schedule),
-// so both communication phases hide behind compute.
+// On a streamed run the halo prefix exchange streams in chunks too (the
+// exch.HaloSizes schedule), so both communication phases hide behind
+// compute.
 //
 // A cancelled context stops this rank before its next local phase; it
 // does not interrupt a collective already in flight (the transport's
@@ -269,14 +194,7 @@ func (pl *Plan) RunDistributed(ctx context.Context, c Comm, localOut, localIn []
 func (pl *Plan) runDistributed(ctx context.Context, c Comm, localOut, localIn []complex128, opts []DistOption, inverse bool) (DistributedTimes, error) {
 	cfg := pl.resolveDistOptions(opts)
 	cfg.inverse = inverse
-	// Capabilities are discovered on the unwrapped Comm (the counting
-	// wrapper forwards them blindly).
-	if _, ok := c.(CheckedComm); ok {
-		cfg.haloChecked = true
-	}
-	if _, ok := c.(StreamComm); !ok {
-		cfg.window = 0
-	} else if cfg.adaptive && cfg.window == 0 {
+	if cfg.adaptive && cfg.window == 0 {
 		cfg.window = pl.adaptiveWindow(c.Rank(), c.Size()).Window
 	}
 	if cfg.coded {
@@ -287,12 +205,11 @@ func (pl *Plan) runDistributed(ctx context.Context, c Comm, localOut, localIn []
 
 // runFlat is the uncoded distributed transform: phases 1–2 and the single
 // all-to-all (blocking, or streamed and overlapped when an async window
-// is configured and the transport supports it), then phase 4.
-func (pl *Plan) runFlat(ctx context.Context, c Comm, cfg distOptions, localOut, localIn []complex128) (dt DistributedTimes, err error) {
-	defer RecoverFault(&err)
+// is configured), then phase 4.
+func (pl *Plan) runFlat(ctx context.Context, c Comm, cfg distOptions, localOut, localIn []complex128) (DistributedTimes, error) {
 	e, localIn, err := pl.newDistExec(ctx, cfg, c, localOut, localIn)
 	if err != nil {
-		return dt, err
+		return DistributedTimes{}, err
 	}
 	// Phases 1–3. Streamed: the consumer leaves phase 4's input
 	// segment-major in xcol. Blocking: the single all-to-all (stride-P
@@ -310,20 +227,12 @@ func (pl *Plan) runFlat(ctx context.Context, c Comm, cfg distOptions, localOut, 
 		}
 		t0 := time.Now()
 		e.tr.Begin(e.tid, e.rank, instrument.StageExchange.String())
-		switch {
-		case pl.prm.Exchange == ExchangePairwise:
-			counts := make([]int, e.r)
-			for i := range counts {
-				counts[i] = e.chunk
-			}
-			recv = e.c.PairwiseAlltoallv(e.ws.send, counts, counts)
-		case e.into != nil:
-			e.into.AlltoallInto(recv, e.ws.send, e.chunk)
-		default:
-			recv = e.c.Alltoall(e.ws.send, e.chunk)
-		}
+		err = e.c.AlltoallInto(recv, e.ws.send, e.chunk)
 		e.dt.Exchange = time.Since(t0)
 		e.tr.End(e.tid, e.rank, instrument.StageExchange.String())
+		if err != nil {
+			return e.dt, err
+		}
 	}
 	if err := ctx.Err(); err != nil {
 		return e.dt, err
@@ -348,7 +257,6 @@ func (pl *Plan) runFlat(ctx context.Context, c Comm, cfg distOptions, localOut, 
 type distExec struct {
 	pl                *Plan
 	c                 Comm                 // collective/halo surface (instrument-wrapped when observing)
-	into              IntoComm             // c's receive-into capability, nil when the transport lacks it
 	ws                *distWorkspace       // every payload-sized buffer of the run
 	rec               *instrument.Recorder // this run's recorder (plan's unless WithRecorder overrode it)
 	rank, r           int
@@ -359,7 +267,6 @@ type distExec struct {
 	chunk             int  // elements per destination in the exchange (bpr·spr)
 	window            int  // streamed-exchange in-flight window (0 = blocking)
 	adaptive          bool // window chosen by the plan's controller; observe after the run
-	haloChecked       bool // stream the halo through checked chunked sends
 	inverse           bool // conjugate in, conjugate-and-scale out
 	tr                *trace.Tracer
 	tid               trace.ID
@@ -392,15 +299,11 @@ func (pl *Plan) newDistExec(ctx context.Context, cfg distOptions, c Comm, localO
 		rec: cfg.rec, rank: c.Rank(), r: r, nLocal: nLocal,
 		workers: max(p.Workers, 1), // one goroutine per rank unless hybrid mode is requested
 		bpr:     pl.mp / r, spr: p.P / r, chunk: (pl.mp / r) * (p.P / r),
-		window:      cfg.window,
-		adaptive:    cfg.adaptive && cfg.window > 0,
-		haloChecked: cfg.haloChecked,
-		inverse:     cfg.inverse,
-		tele:        cfg.tele,
-		timed:       cfg.rec.Timing(),
-	}
-	if _, ok := c.(IntoComm); ok {
-		e.into = e.c.(IntoComm)
+		window:   cfg.window,
+		adaptive: cfg.adaptive && cfg.window > 0,
+		inverse:  cfg.inverse,
+		tele:     cfg.tele,
+		timed:    cfg.rec.Timing(),
 	}
 	e.tr, e.tid = pl.tracerFor(ctx)
 	if e.inverse {
@@ -463,11 +366,11 @@ func (e *distExec) produce(ctx context.Context, st exch.Stream, bounds []int, lo
 	switch {
 	case r == 1:
 		copy(ws.stitch[own:], localIn[:halo])
-	case st != nil && e.haloChecked:
+	case st != nil:
 		hs, err = e.startHaloStream(localIn, ws.stitch[own:])
 	default:
-		for d := 1; (d-1)*e.nLocal < halo; d++ {
-			e.c.Send((rank-d+r*d)%r, tagHalo+d, localIn[:min(halo-(d-1)*e.nLocal, e.nLocal)])
+		for d := 1; err == nil && (d-1)*e.nLocal < halo; d++ {
+			err = e.c.Send((rank-d+r*d)%r, tagHalo+d, localIn[:min(halo-(d-1)*e.nLocal, e.nLocal)])
 		}
 	}
 	e.dt.Halo += time.Since(t0)
@@ -489,13 +392,9 @@ func (e *distExec) produce(ctx context.Context, st exch.Stream, bounds []int, lo
 			if hs != nil {
 				err = hs.wait()
 			} else {
-				for d := 1; (d-1)*e.nLocal < halo; d++ {
+				for d := 1; err == nil && (d-1)*e.nLocal < halo; d++ {
 					dst := ws.stitch[own+(d-1)*e.nLocal : own+min(d*e.nLocal, halo)]
-					if e.into != nil {
-						e.into.RecvInto(dst, (rank+d)%r, tagHalo+d)
-					} else {
-						copy(dst, e.c.RecvC((rank+d)%r, tagHalo+d))
-					}
+					err = e.c.RecvInto(dst, (rank+d)%r, tagHalo+d)
 				}
 			}
 			e.dt.Halo += time.Since(t0)

@@ -10,10 +10,10 @@ import (
 // The blocking form posts the neighbour prefix(es) up front and then
 // stalls the first boundary tile on one monolithic RecvC per depth. The
 // streamed form chunks each prefix through the exch.HaloSizes schedule
-// over checked sends and assembles arriving chunks in a background
-// receiver, so by the time the producer's boundary tile asks, most (or
-// all) of the halo has already landed behind the interior tiles'
-// convolution; the boundary wait is only the residual chunks in flight.
+// and assembles arriving chunks in a background receiver, so by the time
+// the producer's boundary tile asks, most (or all) of the halo has
+// already landed behind the interior tiles' convolution; the boundary
+// wait is only the residual chunks in flight.
 //
 // The chunks ride the transports' ordinary (positive-tag) mailboxes on
 // tags exch.HaloTag(d, i). During the produce loop they are the only
@@ -41,7 +41,6 @@ func (hs *haloStream) wait() error {
 // A send error (dead neighbour link) is returned immediately — the
 // halo is not erasure-protected, so there is nothing to route around.
 func (e *distExec) startHaloStream(localIn, dst []complex128) (*haloStream, error) {
-	cc := e.c.(CheckedComm) // capability verified on the unwrapped Comm; the wrapper forwards
 	rank, r := e.rank, e.r
 	halo := e.pl.HaloLen()
 	for d := 1; (d-1)*e.nLocal < halo; d++ {
@@ -49,7 +48,7 @@ func (e *distExec) startHaloStream(localIn, dst []complex128) (*haloStream, erro
 		dst := (rank - d + r*d) % r
 		off := 0
 		for i, sz := range exch.HaloSizes(need) {
-			if err := cc.SendChecked(dst, exch.HaloTag(d, i), localIn[off:off+sz]); err != nil {
+			if err := e.c.Send(dst, exch.HaloTag(d, i), localIn[off:off+sz]); err != nil {
 				return nil, err
 			}
 			e.tr.ChunkInstant(e.tid, rank, "halo_chunk_send", i)
@@ -64,7 +63,7 @@ func (e *distExec) startHaloStream(localIn, dst []complex128) (*haloStream, erro
 			src := (rank + d) % r
 			off := (d - 1) * e.nLocal
 			for i, sz := range exch.HaloSizes(need) {
-				data, err := cc.RecvCChecked(src, exch.HaloTag(d, i))
+				data, err := e.c.RecvC(src, exch.HaloTag(d, i))
 				if err != nil {
 					hs.err = err
 					return

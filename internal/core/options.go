@@ -1,39 +1,9 @@
 package core
 
 import (
-	"soifft/internal/exch"
 	"soifft/internal/instrument"
 	"soifft/internal/telemetry"
 )
-
-// CheckedComm is the optional per-peer checked-messaging capability a
-// Comm may implement (discovered by type assertion, like io.ReaderFrom):
-// point-to-point operations that report a dead peer as an error to route
-// around rather than a rank-fatal panic. Both *mpi.Comm and *mpinet.Proc
-// implement it; WithCoding requires it.
-type CheckedComm interface {
-	SendChecked(to, tag int, data any) error
-	RecvCChecked(from, tag int) ([]complex128, error)
-}
-
-// StreamComm is the optional streaming-collective capability a Comm may
-// implement: a chunked, windowed, asynchronous all-to-all whose chunks
-// the driver fans out while later tiles are still convolving. Both
-// *mpi.Comm and *mpinet.Proc implement it; WithAsyncWindow uses it (and
-// falls back to the blocking exchange when it is absent).
-type StreamComm interface {
-	StartAlltoallv(o exch.Options) exch.Stream
-}
-
-// IntoComm is the optional receive-into capability a Comm may implement:
-// the blocking all-to-all and the point-to-point receive landing in the
-// driver's workspace instead of a fresh slice. Both *mpi.Comm and
-// *mpinet.Proc implement it; without it the driver falls back to
-// Alltoall / RecvC. Failures raise typed Faults as those do.
-type IntoComm interface {
-	AlltoallInto(recv, send []complex128, chunk int)
-	RecvInto(dst []complex128, from, tag int)
-}
 
 // DistOption configures one distributed transform run (see
 // Plan.RunDistributed).
@@ -44,13 +14,9 @@ type distOptions struct {
 	parity   int
 	window   int
 	adaptive bool
-	// haloChecked is derived, not an option: the run drivers set it when
-	// the unwrapped Comm has the CheckedComm capability, enabling the
-	// chunk-streamed halo on the streamed path.
-	haloChecked bool
-	inverse     bool // set by RunDistributedInverse, not an option
-	rec         *instrument.Recorder
-	tele        *telemetry.Plane
+	inverse  bool // set by RunDistributedInverse, not an option
+	rec      *instrument.Recorder
+	tele     *telemetry.Plane
 }
 
 // resolveDistOptions folds the options over the plan's defaults.
@@ -66,10 +32,9 @@ func (pl *Plan) resolveDistOptions(opts []DistOption) distOptions {
 
 // WithCoding runs the exchange erasure-protected with m parity shares
 // per codeword, so the transform survives up to m rank deaths
-// mid-exchange (bit-exact, reported via *DegradedError). Requires a Comm
-// with the CheckedComm capability; m = 0 means detection without
-// repair. The protocol contract (outcomes, what deaths it survives) is
-// documented on runCoded in coded.go.
+// mid-exchange (bit-exact, reported via *DegradedError); m = 0 means
+// detection without repair. The protocol contract (outcomes, what deaths
+// it survives) is documented on runCoded in coded.go.
 func WithCoding(m int) DistOption {
 	return func(o *distOptions) { o.coded = true; o.parity = m }
 }
@@ -78,8 +43,8 @@ func WithCoding(m int) DistOption {
 // in flight (queued but unflushed) per destination link, overlapping
 // wire time with convolution on the send side and with segment assembly
 // on the receive side. w <= 0 selects the blocking exchange (the
-// default); so does a Comm without the StreamComm capability. Results
-// are bit-identical to the blocking exchange for every window.
+// default). Results are bit-identical to the blocking exchange for every
+// window.
 func WithAsyncWindow(w int) DistOption {
 	return func(o *distOptions) {
 		if w < 0 {
@@ -95,11 +60,9 @@ func WithAsyncWindow(w int) DistOption {
 // adapt.DefaultWindow without one), and between transforms the
 // controller adapts from the measured overlap ratio, credit-stall share
 // and wire/compute ratio, with hysteresis so a noisy link doesn't
-// thrash the schedule. Requires the StreamComm capability (falls back
-// to the blocking exchange without it, like WithAsyncWindow); an
-// explicit WithAsyncWindow(w > 0) in the same run overrides the
-// controller. Composes with WithCoding. Results remain bit-identical to
-// the blocking exchange at every chosen window.
+// thrash the schedule. An explicit WithAsyncWindow(w > 0) in the same
+// run overrides the controller. Composes with WithCoding. Results remain
+// bit-identical to the blocking exchange at every chosen window.
 func WithAdaptiveWindow() DistOption {
 	return func(o *distOptions) { o.adaptive = true }
 }

@@ -11,7 +11,7 @@
 //
 // The package provides both a shared-memory execution path (Plan.Transform,
 // used for validation and node-local work) and the building blocks the
-// distributed driver composes over an mpi.Comm.
+// distributed driver composes over a Comm.
 package core
 
 import (
@@ -40,22 +40,7 @@ type Params struct {
 	// Workers bounds the goroutines used by shared-memory execution;
 	// 0 means GOMAXPROCS.
 	Workers int
-	// Exchange selects the all-to-all implementation for distributed
-	// runs (paper Fig 3 offers both the collective primitive and a
-	// pairwise non-blocking send-receive schedule).
-	Exchange ExchangeKind
 }
-
-// ExchangeKind selects how the single global exchange is realized.
-type ExchangeKind int
-
-// Exchange implementations.
-const (
-	// ExchangeAlltoall uses the collective all-to-all primitive.
-	ExchangeAlltoall ExchangeKind = iota
-	// ExchangePairwise uses a schedule of pairwise send-receive rounds.
-	ExchangePairwise
-)
 
 // DefaultParams returns the paper's favourite configuration (β = 1/4,
 // B = 72 full accuracy) for an N-point transform with P segments.

@@ -108,8 +108,7 @@ func (pl *Plan) TransformSegmentContext(ctx context.Context, dst, src []complex1
 // points per rank plus the usual halo — far below even the SOI
 // transform's all-to-all. Returns the segment (length M) on root, nil on
 // other ranks.
-func (pl *Plan) RunDistributedSegment(c Comm, localIn []complex128, s, root int) (out []complex128, err error) {
-	defer RecoverFault(&err)
+func (pl *Plan) RunDistributedSegment(c Comm, localIn []complex128, s, root int) ([]complex128, error) {
 	p := pl.prm
 	r := c.Size()
 	if err := pl.ValidateDistributed(r); err != nil {
@@ -136,18 +135,15 @@ func (pl *Plan) RunDistributedSegment(c Comm, localIn []complex128, s, root int)
 	if r == 1 {
 		copy(ext[nLocal:], localIn[:halo])
 	} else {
-		depth := 0
 		for d := 1; (d-1)*nLocal < halo; d++ {
-			need := halo - (d-1)*nLocal
-			if need > nLocal {
-				need = nLocal
+			if err := c.Send((rank-d+r*d)%r, tagHalo+d, localIn[:min(halo-(d-1)*nLocal, nLocal)]); err != nil {
+				return nil, err
 			}
-			c.Send((rank-d+r*d)%r, tagHalo+d, localIn[:need])
-			depth = d
 		}
-		for d := 1; d <= depth; d++ {
-			data := c.RecvC((rank+d)%r, tagHalo+d)
-			copy(ext[nLocal+(d-1)*nLocal:], data)
+		for d := 1; (d-1)*nLocal < halo; d++ {
+			if err := c.RecvInto(ext[d*nLocal:min((d+1)*nLocal, nLocal+halo)], (rank+d)%r, tagHalo+d); err != nil {
+				return nil, err
+			}
 		}
 	}
 
@@ -170,13 +166,13 @@ func (pl *Plan) RunDistributedSegment(c Comm, localIn []complex128, s, root int)
 		part[j] = acc
 	}
 
-	xt := c.Gather(root, part)
-	if rank != root {
-		return nil, nil
+	xt, err := c.Gather(root, part)
+	if err != nil || rank != root {
+		return nil, err
 	}
 	yt := make([]complex128, pl.mp)
 	pl.SegmentFFT(yt, xt)
-	out = make([]complex128, pl.m)
+	out := make([]complex128, pl.m)
 	pl.Demodulate(out, yt)
 	return out, nil
 }

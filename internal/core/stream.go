@@ -59,16 +59,14 @@ func (e *distExec) tileBounds() []int {
 	return bounds
 }
 
-// startStream opens the chunked all-to-all on the tile schedule. The
-// capability was checked by the caller on the unwrapped Comm; e.c may be
-// the counting wrapper, which forwards it.
+// startStream opens the chunked all-to-all on the tile schedule.
 func (e *distExec) startStream() (st exch.Stream, bounds []int) {
 	bounds = e.tileBounds()
 	sizes := make([]int, len(bounds)-1)
 	for k := range sizes {
 		sizes[k] = (bounds[k+1] - bounds[k]) * e.spr
 	}
-	return e.c.(StreamComm).StartAlltoallv(exch.Options{Sizes: sizes, Window: e.window}), bounds
+	return e.c.StartAlltoallv(exch.Options{Sizes: sizes, Window: e.window}), bounds
 }
 
 // exchangeStreamed executes phases 1–3 with the chunked overlapped

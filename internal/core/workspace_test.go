@@ -17,7 +17,7 @@ import (
 // rankRunner runs fn once per rank on a fresh r-rank world and returns
 // the per-rank errors. With victim ≥ 0 that rank dies gracefully at the
 // coded failpoint (its exchange frames flushed, gone by the view round).
-type rankRunner func(t *testing.T, r, victim int, fn func(c CodedComm) error) []error
+type rankRunner func(t *testing.T, r, victim int, fn func(c Comm) error) []error
 
 func killAt(victim int, die func()) (restore func()) {
 	prev := CodedExchangeFailpoint
@@ -31,7 +31,7 @@ func killAt(victim int, die func()) (restore func()) {
 	return func() { CodedExchangeFailpoint = prev }
 }
 
-func runOnMPI(t *testing.T, r, victim int, fn func(c CodedComm) error) []error {
+func runOnMPI(t *testing.T, r, victim int, fn func(c Comm) error) []error {
 	t.Helper()
 	if victim >= 0 {
 		defer killAt(victim, func() {})()
@@ -42,7 +42,7 @@ func runOnMPI(t *testing.T, r, victim int, fn func(c CodedComm) error) []error {
 	}
 	errs := make([]error, r)
 	if err := w.Run(func(c *mpi.Comm) error {
-		var cc CodedComm = c
+		var cc Comm = c
 		if victim >= 0 {
 			cc = &postFlushDeath{Comm: c, victims: map[int]bool{victim: true}}
 		}
@@ -102,16 +102,14 @@ func onMesh(procs []*mpinet.Proc, fn func(p *mpinet.Proc) error) []error {
 		wg.Add(1)
 		go func(k int, p *mpinet.Proc) {
 			defer wg.Done()
-			if fault := GuardComm(func() { errs[k] = fn(p) }); fault != nil {
-				errs[k] = fault
-			}
+			errs[k] = fn(p)
 		}(k, p)
 	}
 	wg.Wait()
 	return errs
 }
 
-func runOnMesh(t *testing.T, r, victim int, fn func(c CodedComm) error) []error {
+func runOnMesh(t *testing.T, r, victim int, fn func(c Comm) error) []error {
 	t.Helper()
 	procs := loopbackMesh(t, r)
 	if victim >= 0 {
@@ -199,7 +197,7 @@ func TestWorkspacePoisonedReuse(t *testing.T) {
 						t.Fatal(err)
 					}
 					var tmu sync.Mutex
-					errs := run(t, r, tc.victim, func(c CodedComm) error {
+					errs := run(t, r, tc.victim, func(c Comm) error {
 						k := c.Rank()
 						_, err := pl.RunDistributed(context.Background(), c,
 							res.got[k*nLocal:(k+1)*nLocal], src[k*nLocal:(k+1)*nLocal], tc.opts...)

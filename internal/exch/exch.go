@@ -21,9 +21,8 @@ import "sync"
 
 // TagBase is the top of the stream tag band: chunk idx travels with tag
 // TagBase-idx. The band grows downward from -2000, clear of both
-// transports' collective tags (mpi -1..-6 and the pairwise -6-d series,
-// mpinet -4..-7), the positive halo band, and the coded-exchange bands
-// (-1000..-1400s).
+// transports' collective tags (mpi -1..-6, mpinet -4..-7), the positive
+// halo band, and the coded-exchange bands (-1000..-1400s).
 const TagBase = -2000
 
 // Tag returns the wire tag of chunk index idx.
@@ -32,7 +31,7 @@ func Tag(idx int) int { return TagBase - idx }
 // The halo exchange streams through the same chunk-schedule idea as the
 // all-to-all, but over the transports' ordinary (positive-tag) mailboxes:
 // the neighbour prefix to depth d is split into HaloSizes chunks, each
-// sent checked with HaloTag(d, i), and the boundary tiles of the
+// sent with HaloTag(d, i), and the boundary tiles of the
 // streamed producer wait only for the residual chunks still in flight.
 // Per link the chunks are the only ordinary-tag traffic during the
 // produce loop, so both transports' FIFO pop order matches the send
@@ -77,36 +76,6 @@ func HaloSizes(total int) []int {
 		lo = hi
 	}
 	return sizes
-}
-
-// Spans locates each rank's chunk in a packed exchange buffer: prefix
-// offsets for per-rank counts, plain arithmetic when every chunk has the
-// same length — so the equal-counts collectives of both transports
-// build no slices per call.
-type Spans struct {
-	offs  []int // nil: equal chunks
-	chunk int
-}
-
-// EqualSpans describes back-to-back chunks of chunk elements each.
-func EqualSpans(chunk int) Spans { return Spans{chunk: chunk} }
-
-// CountSpans describes back-to-back chunks of the given per-rank lengths.
-func CountSpans(counts []int) Spans {
-	offs := make([]int, len(counts)+1)
-	for i, n := range counts {
-		offs[i+1] = offs[i] + n
-	}
-	return Spans{offs: offs}
-}
-
-// Of returns rank r's element range [lo, hi); Of(size-1)'s hi is the
-// buffer length.
-func (s Spans) Of(r int) (lo, hi int) {
-	if s.offs == nil {
-		return r * s.chunk, (r + 1) * s.chunk
-	}
-	return s.offs[r], s.offs[r+1]
 }
 
 // Chunk is one delivered piece of a streamed all-to-all: chunk Index of
@@ -172,14 +141,13 @@ type Stream interface {
 	Close()
 }
 
-// Conn is the checked peer-messaging surface the generic Stream
-// implementation runs on; *mpi.Comm satisfies it (and *mpinet.Proc would,
-// though mpinet ships its own natively windowed implementation).
+// Conn is the point-to-point subset of core.Comm the generic Stream
+// runs on (*mpinet.Proc ships its own natively windowed Stream).
 type Conn interface {
 	Rank() int
 	Size() int
-	SendChecked(to, tag int, data any) error
-	RecvCChecked(from, tag int) ([]complex128, error)
+	Send(to, tag int, data []complex128) error
+	RecvC(from, tag int) ([]complex128, error)
 }
 
 // Tracker is the consumer-side bookkeeping shared by Stream
@@ -240,10 +208,10 @@ func (t *Tracker) Next() (Chunk, bool) {
 	return c, true
 }
 
-// stream is the generic Stream over a checked point-to-point Conn. Sends
-// delegate to SendChecked (window pacing is left to the transport: on
-// the in-process runtime sends are buffered and complete immediately);
-// one goroutine per source drives sequential checked receives.
+// stream is the generic Stream over a point-to-point Conn. Sends
+// delegate to Conn.Send (window pacing is left to the transport: on the
+// in-process runtime sends are buffered and complete immediately); one
+// goroutine per source drives sequential receives.
 type stream struct {
 	c   Conn
 	o   Options
@@ -272,12 +240,12 @@ func (s *stream) Send(dst, idx int, data []complex128) error {
 	if s.o.Codec != nil {
 		wire = s.o.Codec.EncodeChunk(data)
 	}
-	return s.c.SendChecked(dst, Tag(idx), wire)
+	return s.c.Send(dst, Tag(idx), wire)
 }
 
 func (s *stream) recvLoop(src int) {
 	for idx := range s.o.Sizes {
-		data, err := s.c.RecvCChecked(src, Tag(idx))
+		data, err := s.c.RecvC(src, Tag(idx))
 		if err == nil && s.o.Codec != nil {
 			data, err = s.o.Codec.DecodeChunk(data, s.o.Sizes[idx])
 		}

@@ -43,8 +43,7 @@ type fakeConn struct {
 func (c *fakeConn) Rank() int { return c.rank }
 func (c *fakeConn) Size() int { return c.w.size }
 
-func (c *fakeConn) SendChecked(to, tag int, data any) error {
-	buf := data.([]complex128)
+func (c *fakeConn) Send(to, tag int, buf []complex128) error {
 	w := c.w
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -57,7 +56,7 @@ func (c *fakeConn) SendChecked(to, tag int, data any) error {
 	return nil
 }
 
-func (c *fakeConn) RecvCChecked(from, tag int) ([]complex128, error) {
+func (c *fakeConn) RecvC(from, tag int) ([]complex128, error) {
 	w := c.w
 	key := [2]int{from, c.rank}
 	w.mu.Lock()
@@ -210,12 +209,12 @@ func TestStreamDeadSourceYieldsOneTypedFailure(t *testing.T) {
 	defer s.Close()
 	c1 := &fakeConn{w: w, rank: 1}
 	c2 := &fakeConn{w: w, rank: 2}
-	if err := c1.SendChecked(0, Tag(0), payload(1, 0, 0, 2)); err != nil {
+	if err := c1.Send(0, Tag(0), payload(1, 0, 0, 2)); err != nil {
 		t.Fatal(err)
 	}
 	w.kill(1, 0, boom)
 	for idx := range o.Sizes {
-		if err := c2.SendChecked(0, Tag(idx), payload(2, 0, idx, 2)); err != nil {
+		if err := c2.Send(0, Tag(idx), payload(2, 0, idx, 2)); err != nil {
 			t.Fatal(err)
 		}
 	}

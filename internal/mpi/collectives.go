@@ -1,10 +1,6 @@
 package mpi
 
-import (
-	"fmt"
-
-	"soifft/internal/exch"
-)
+import "fmt"
 
 // Collective tags live in a reserved band so they can never collide with
 // user point-to-point tags (which should be small non-negative ints).
@@ -113,29 +109,14 @@ func (c *Comm) reduceInternal(root, tag int, v complex128) complex128 {
 
 // Gather concatenates equal-length chunks at the root: the result at root
 // is size*len(chunk) elements ordered by rank; other ranks get nil. A
-// chunk-length mismatch panics with a typed *CollectiveError (use
-// GatherChecked for an error return).
-func (c *Comm) Gather(root int, chunk []complex128) []complex128 {
-	out, err := c.GatherChecked(root, chunk)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
-// GatherChecked is Gather returning typed errors instead of panicking:
-// *CollectiveError wrapping ErrCountMismatch when a peer's chunk length
-// disagrees with ours, or the abort fault if the world died mid-call.
-func (c *Comm) GatherChecked(root int, chunk []complex128) (out []complex128, err error) {
-	defer recoverFault(&err)
-	if c.rank == root {
-		c.world.stats.gathers.Add(1)
-	}
+// peer whose chunk length disagrees with root's is a typed
+// *CollectiveError wrapping ErrCountMismatch.
+func (c *Comm) Gather(root int, chunk []complex128) ([]complex128, error) {
 	if c.rank != root {
-		c.send(root, tagGather, chunk)
-		return nil, nil
+		return nil, c.Send(root, tagGather, chunk)
 	}
-	out = make([]complex128, len(chunk)*c.world.size)
+	c.world.stats.gathers.Add(1)
+	out := make([]complex128, len(chunk)*c.world.size)
 	copy(out[c.rank*len(chunk):], chunk)
 	for r := 0; r < c.world.size; r++ {
 		if r == root {
@@ -153,108 +134,53 @@ func (c *Comm) Allgather(chunk []complex128) []complex128 {
 	if c.rank == 0 {
 		c.world.stats.allgathers.Add(1)
 	}
-	all := c.Gather(0, chunk)
+	all, err := c.Gather(0, chunk)
+	if err != nil {
+		panic(err)
+	}
 	res := c.bcastInternal(0, tagAllgather, all)
 	return res.([]complex128)
 }
 
-// Alltoall performs the equal-counts personalized exchange: send must be
-// size*chunk elements; chunk elements go to each rank; the returned slice
-// holds, in rank order, the chunk each rank sent to us. This is the
-// paper's "global transpose" primitive.
+// Alltoall is AlltoallInto into a fresh buffer, for the experiment
+// drivers: a failure unwinds the rank through World.Run.
 func (c *Comm) Alltoall(send []complex128, chunk int) []complex128 {
 	recv := make([]complex128, c.world.size*chunk)
-	c.AlltoallInto(recv, send, chunk)
+	if err := c.AlltoallInto(recv, send, chunk); err != nil {
+		panic(err)
+	}
 	return recv
 }
 
-// AlltoallInto is Alltoall receiving into the caller's size*chunk
-// buffer: each incoming chunk is copied from its queued message straight
+// AlltoallInto performs the equal-counts personalized exchange — the
+// paper's "global transpose" primitive. send and recv hold size*chunk
+// elements; chunk elements go to each rank, and recv receives, in rank
+// order, the chunk each rank sent to us. Every send is posted first
+// (buffered, cannot block), then each queued chunk is copied straight
 // into place, so a caller that keeps recv allocates nothing here beyond
 // the buffered copies of its own sends.
-func (c *Comm) AlltoallInto(recv, send []complex128, chunk int) {
-	sp := exch.EqualSpans(chunk)
-	if err := c.alltoallInto(recv, send, sp, sp); err != nil {
-		panic(err)
-	}
-}
-
-// Alltoallv is Alltoall with per-destination counts. send holds the
-// outgoing chunks back-to-back in rank order with lengths sendCounts;
-// the result holds incoming chunks in rank order with lengths recvCounts.
-// Malformed counts panic with a typed *CollectiveError (use
-// AlltoallvChecked for an error return).
-func (c *Comm) Alltoallv(send []complex128, sendCounts, recvCounts []int) []complex128 {
-	out, err := c.AlltoallvChecked(send, sendCounts, recvCounts)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
-// AlltoallvChecked is Alltoallv returning typed errors instead of
-// panicking: *CollectiveError wrapping ErrCountMismatch for count/length
-// disagreements (naming the offending peer), or the abort fault if the
-// world died mid-call.
-func (c *Comm) AlltoallvChecked(send []complex128, sendCounts, recvCounts []int) ([]complex128, error) {
-	return c.exchangev("alltoallv", c.alltoallInto, send, sendCounts, recvCounts)
-}
-
-// exchangev validates per-rank counts and runs one of the two all-to-all
-// algorithms into a fresh result buffer.
-func (c *Comm) exchangev(op string, into func(recv, send []complex128, ss, rs exch.Spans) error, send []complex128, sendCounts, recvCounts []int) ([]complex128, error) {
+func (c *Comm) AlltoallInto(recv, send []complex128, chunk int) error {
 	size := c.world.size
-	if len(sendCounts) != size || len(recvCounts) != size {
-		return nil, &CollectiveError{Op: op, Rank: c.rank, Err: fmt.Errorf(
-			"%w: needs %d counts, got %d/%d", ErrCountMismatch, size, len(sendCounts), len(recvCounts))}
-	}
-	rs := exch.CountSpans(recvCounts)
-	_, n := rs.Of(size - 1)
-	recv := make([]complex128, n)
-	if err := into(recv, send, exch.CountSpans(sendCounts), rs); err != nil {
-		return nil, err
-	}
-	return recv, nil
-}
-
-// enterAlltoall, the all-to-all algorithms' shared preamble, checks the
-// buffer lengths against the layouts and counts the op once per world.
-func (c *Comm) enterAlltoall(op string, recv, send []complex128, ss, rs exch.Spans) error {
-	_, ns := ss.Of(c.world.size - 1)
-	_, nr := rs.Of(c.world.size - 1)
-	if len(send) != ns || len(recv) != nr {
-		return &CollectiveError{Op: op, Rank: c.rank, Err: fmt.Errorf(
-			"%w: send/recv lengths %d/%d, counts sum %d/%d", ErrCountMismatch, len(send), len(recv), ns, nr)}
+	if len(send) != size*chunk || len(recv) != size*chunk {
+		return &CollectiveError{Op: "alltoall", Rank: c.rank, Err: fmt.Errorf(
+			"%w: send/recv lengths %d/%d, want %d", ErrCountMismatch, len(send), len(recv), size*chunk)}
 	}
 	if c.rank == 0 {
 		c.world.stats.alltoalls.Add(1)
 	}
-	return nil
-}
-
-// alltoallInto is the one all-to-all implementation: post every send
-// first (buffered, cannot block), then copy each queued chunk into place.
-func (c *Comm) alltoallInto(recv, send []complex128, ss, rs exch.Spans) (err error) {
-	defer recoverFault(&err)
-	if err := c.enterAlltoall("alltoallv", recv, send, ss, rs); err != nil {
-		return err
-	}
-	for r := 0; r < c.world.size; r++ {
-		lo, hi := ss.Of(r)
+	for r := 0; r < size; r++ {
 		if r == c.rank {
-			rlo, rhi := rs.Of(r)
-			copy(recv[rlo:rhi], send[lo:hi])
+			copy(recv[r*chunk:(r+1)*chunk], send[r*chunk:(r+1)*chunk])
 			continue
 		}
-		c.world.stats.alltoallBytes.Add(int64(hi-lo) * 16)
-		c.send(r, tagAlltoall, send[lo:hi])
+		c.world.stats.alltoallBytes.Add(int64(chunk) * 16)
+		c.send(r, tagAlltoall, send[r*chunk:(r+1)*chunk])
 	}
-	for r := 0; r < c.world.size; r++ {
+	for r := 0; r < size; r++ {
 		if r == c.rank {
 			continue
 		}
-		lo, hi := rs.Of(r)
-		if err := c.recvInto("alltoallv", recv[lo:hi], r, tagAlltoall); err != nil {
+		if err := c.recvInto("alltoall", recv[r*chunk:(r+1)*chunk], r, tagAlltoall); err != nil {
 			return err
 		}
 	}

@@ -20,56 +20,46 @@ func (c *Comm) Rank() int { return c.rank }
 // Size returns the world size.
 func (c *Comm) Size() int { return c.world.size }
 
-// Send delivers data to rank `to` with a matching tag. Slice payloads are
-// copied; Send never blocks.
-func (c *Comm) Send(to, tag int, data any) {
+// Send delivers data to rank `to` with a matching tag. The payload is
+// copied, so Send never blocks; it fails only once the world has
+// aborted, with *AbortError.
+func (c *Comm) Send(to, tag int, data []complex128) error {
+	if c.world.aborted.Load() {
+		return &AbortError{Rank: c.rank}
+	}
 	c.send(to, tag, data)
+	return nil
 }
 
-// Recv blocks until the next message from rank `from` arrives and returns
-// its payload. The message's tag must equal tag.
-func (c *Comm) Recv(from, tag int) any {
-	return c.recv(from, tag)
-}
-
-// RecvC is Recv for []complex128 payloads.
-func (c *Comm) RecvC(from, tag int) []complex128 {
-	return c.recv(from, tag).([]complex128)
+// RecvC blocks until the next message from rank `from` arrives and
+// returns its payload, or *AbortError once the world has aborted. The
+// message's tag must equal tag.
+func (c *Comm) RecvC(from, tag int) ([]complex128, error) {
+	data, err := c.get(from, tag)
+	if err != nil {
+		return nil, err
+	}
+	return data.([]complex128), nil
 }
 
 // RecvInto is RecvC into the caller's buffer: the queued payload is
 // copied straight into dst, whose length it must match (a typed
-// *CollectiveError otherwise). With AlltoallInto: core.IntoComm.
-func (c *Comm) RecvInto(dst []complex128, from, tag int) {
-	if err := c.recvInto("recv_into", dst, from, tag); err != nil {
-		panic(err)
-	}
+// *CollectiveError otherwise).
+func (c *Comm) RecvInto(dst []complex128, from, tag int) error {
+	return c.recvInto("recv_into", dst, from, tag)
 }
 
 func (c *Comm) recvInto(op string, dst []complex128, from, tag int) error {
-	data := c.recv(from, tag).([]complex128)
+	data, err := c.RecvC(from, tag)
+	if err != nil {
+		return err
+	}
 	if len(data) != len(dst) {
 		return &CollectiveError{Op: op, Rank: c.rank, Err: fmt.Errorf(
 			"%w: expected %d elements from rank %d, got %d", ErrCountMismatch, len(dst), from, len(data))}
 	}
 	copy(dst, data)
 	return nil
-}
-
-// SendChecked is Send returning the abort fault as an error instead of
-// letting it unwind the rank. On the in-process runtime sends are
-// buffered and cannot otherwise fail.
-func (c *Comm) SendChecked(to, tag int, data any) (err error) {
-	defer recoverFault(&err)
-	c.send(to, tag, data)
-	return nil
-}
-
-// RecvCChecked is RecvC returning typed faults (the abort error when the
-// world died mid-receive) instead of panicking.
-func (c *Comm) RecvCChecked(from, tag int) (out []complex128, err error) {
-	defer recoverFault(&err)
-	return c.recv(from, tag).([]complex128), nil
 }
 
 // Sendrecv exchanges payloads with two (possibly distinct) partners in a
@@ -108,13 +98,25 @@ func (c *Comm) send(to, tag int, data any) {
 	c.world.box(c.rank, to, tag).put(packet{tag: tag, data: copyPayload(data)})
 }
 
-func (c *Comm) recv(from, tag int) any {
+// get pops the next payload from rank `from`, or *AbortError once the
+// world has aborted and the queue is drained.
+func (c *Comm) get(from, tag int) (any, error) {
 	if from < 0 || from >= c.world.size {
 		panic(fmt.Sprintf("mpi: recv from invalid rank %d (size %d)", from, c.world.size))
 	}
 	p, ok := c.world.box(from, c.rank, tag).get(tag)
 	if !ok {
-		panic(&AbortError{Rank: c.rank})
+		return nil, &AbortError{Rank: c.rank}
 	}
-	return p.data
+	return p.data, nil
+}
+
+// recv is get for the experiment-only collectives, which leave an abort
+// to unwind the rank through World.Run.
+func (c *Comm) recv(from, tag int) any {
+	data, err := c.get(from, tag)
+	if err != nil {
+		panic(err)
+	}
+	return data
 }

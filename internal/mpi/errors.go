@@ -11,12 +11,9 @@ import (
 var ErrCountMismatch = errors.New("mpi: count mismatch")
 
 // CollectiveError is a typed failure of one collective call on one
-// rank. It implements the core.Fault contract (CommFault), so a panic
-// carrying it is converted to an error return by core.RecoverFault and
-// stored typed by World.Run instead of being flattened into a generic
-// "rank panicked" string.
+// rank, returned as a core.Fault (CommFault).
 type CollectiveError struct {
-	Op   string // "gather", "alltoallv", "pairwise_alltoallv", ...
+	Op   string // "gather", "alltoall", "recv_into"
 	Rank int    // the rank that detected the failure
 	Err  error  // cause; wraps ErrCountMismatch for shape errors
 }
@@ -35,17 +32,4 @@ func (e *CollectiveError) CommFault() {}
 type commFault interface {
 	error
 	CommFault()
-}
-
-// recoverFault converts a comm-fault panic into an error return for the
-// *Checked collective variants. Non-fault panics (tag mismatches,
-// invalid ranks — SPMD programming bugs) keep propagating.
-func recoverFault(err *error) {
-	if p := recover(); p != nil {
-		if e, ok := p.(commFault); ok {
-			*err = e
-			return
-		}
-		panic(p)
-	}
 }

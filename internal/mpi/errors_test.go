@@ -6,7 +6,8 @@ import (
 )
 
 // TestGatherMismatchTyped: a rank sending the wrong chunk length must
-// surface as a typed CollectiveError from World.Run, not a crash.
+// come back from the root's Gather as a typed CollectiveError, with no
+// partial result, not a crash.
 func TestGatherMismatchTyped(t *testing.T) {
 	w, err := NewWorld(3)
 	if err != nil {
@@ -17,8 +18,11 @@ func TestGatherMismatchTyped(t *testing.T) {
 		if c.Rank() == 2 {
 			n = 5 // malformed: disagrees with the other ranks
 		}
-		c.Gather(0, make([]complex128, n))
-		return nil
+		out, err := c.Gather(0, make([]complex128, n))
+		if out != nil {
+			t.Errorf("rank %d: got a result alongside %v", c.Rank(), err)
+		}
+		return err
 	})
 	var ce *CollectiveError
 	if !errors.As(err, &ce) {
@@ -32,13 +36,13 @@ func TestGatherMismatchTyped(t *testing.T) {
 	}
 }
 
-// TestGatherCheckedMismatch: the checked variant returns the error
-// directly on the detecting rank.
+// TestGatherCheckedMismatch: the mismatch comes back directly on the
+// detecting rank, so a rank that handles it keeps the world up.
 func TestGatherCheckedMismatch(t *testing.T) {
 	w, _ := NewWorld(2)
 	err := w.Run(func(c *Comm) error {
 		n := 2 + c.Rank()
-		out, err := c.GatherChecked(0, make([]complex128, n))
+		out, err := c.Gather(0, make([]complex128, n))
 		if c.Rank() == 0 {
 			if !errors.Is(err, ErrCountMismatch) {
 				t.Errorf("rank 0: got %v, want ErrCountMismatch", err)
@@ -55,42 +59,35 @@ func TestGatherCheckedMismatch(t *testing.T) {
 	}
 }
 
-// TestAlltoallvMalformedCounts: wrong count-slice lengths and
-// inconsistent send lengths are typed errors for both implementations.
+// TestAlltoallvMalformedCounts: send or recv buffers that disagree with
+// size·chunk are a typed error on the calling rank, before any traffic.
 func TestAlltoallvMalformedCounts(t *testing.T) {
 	w, _ := NewWorld(2)
 	err := w.Run(func(c *Comm) error {
-		if _, err := c.AlltoallvChecked(nil, []int{1}, []int{1, 1}); !errors.Is(err, ErrCountMismatch) {
-			t.Errorf("alltoallv short counts: %v", err)
-		}
-		if _, err := c.AlltoallvChecked(make([]complex128, 3), []int{1, 1}, []int{1, 1}); !errors.Is(err, ErrCountMismatch) {
-			t.Errorf("alltoallv bad send length: %v", err)
-		}
-		if _, err := c.PairwiseAlltoallvChecked(nil, []int{1}, []int{1, 1}); !errors.Is(err, ErrCountMismatch) {
-			t.Errorf("pairwise short counts: %v", err)
-		}
-		if _, err := c.PairwiseAlltoallvChecked(make([]complex128, 3), []int{1, 1}, []int{1, 1}); !errors.Is(err, ErrCountMismatch) {
-			t.Errorf("pairwise bad send length: %v", err)
+		for _, n := range [][2]int{{3, 4}, {4, 3}} {
+			err := c.AlltoallInto(make([]complex128, n[0]), make([]complex128, n[1]), 2)
+			var ce *CollectiveError
+			if !errors.As(err, &ce) || !errors.Is(err, ErrCountMismatch) {
+				t.Errorf("recv/send lengths %v: got %v, want a CollectiveError wrapping ErrCountMismatch", n, err)
+			}
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatalf("world failed: %v", err)
 	}
+	if st := w.Stats(); st.Alltoalls != 0 || st.P2PMessages != 0 {
+		t.Errorf("malformed calls moved traffic: %+v", st)
+	}
 }
 
-// TestAlltoallvPeerCountMismatch: ranks disagreeing about recvCounts is
-// detected on receive and names the offending peer.
+// TestAlltoallvPeerCountMismatch: ranks disagreeing about the chunk
+// length is detected on receive and returned typed.
 func TestAlltoallvPeerCountMismatch(t *testing.T) {
 	w, _ := NewWorld(2)
 	err := w.Run(func(c *Comm) error {
-		sendCounts := []int{1, 1}
-		recvCounts := []int{1, 1}
-		if c.Rank() == 0 {
-			recvCounts = []int{1, 2} // expects more than rank 1 sends
-		}
-		c.Alltoallv(make([]complex128, 2), sendCounts, recvCounts)
-		return nil
+		chunk := 1 + c.Rank() // the ranks disagree about the chunk length
+		return c.AlltoallInto(make([]complex128, 2*chunk), make([]complex128, 2*chunk), chunk)
 	})
 	var ce *CollectiveError
 	if !errors.As(err, &ce) {
@@ -110,8 +107,8 @@ func TestRunKeepsTypedFaults(t *testing.T) {
 		if c.Rank() == 1 {
 			panic(want)
 		}
-		c.Recv(1, 0) // blocks until the abort wakes it
-		return nil
+		_, err := c.RecvC(1, 0) // blocks until the abort wakes it
+		return err
 	})
 	var ce *CollectiveError
 	if !errors.As(err, &ce) || ce != want {
@@ -119,8 +116,8 @@ func TestRunKeepsTypedFaults(t *testing.T) {
 	}
 }
 
-// TestCheckedAbortSurfaces: SendChecked/RecvCChecked convert the abort
-// fault to an error return.
+// TestCheckedAbortSurfaces: a world abort comes back from Send and RecvC
+// as a returned *AbortError, not a panic.
 func TestCheckedAbortSurfaces(t *testing.T) {
 	w, _ := NewWorld(2)
 	errs := make([]error, 2)
@@ -128,12 +125,15 @@ func TestCheckedAbortSurfaces(t *testing.T) {
 		if c.Rank() == 1 {
 			return errors.New("rank 1 dies")
 		}
-		_, err := c.RecvCChecked(1, 7)
+		_, err := c.RecvC(1, 7)
 		errs[0] = err
+		errs[1] = c.Send(1, 7, nil)
 		return nil
 	})
-	var ae *AbortError
-	if !errors.As(errs[0], &ae) {
-		t.Fatalf("rank 0 RecvCChecked: got %v, want *AbortError", errs[0])
+	for i, op := range []string{"RecvC", "Send"} {
+		var ae *AbortError
+		if !errors.As(errs[i], &ae) {
+			t.Errorf("rank 0 %s: got %v, want *AbortError", op, errs[i])
+		}
 	}
 }

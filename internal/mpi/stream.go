@@ -2,13 +2,13 @@ package mpi
 
 import "soifft/internal/exch"
 
-// StartAlltoallv begins a chunked, asynchronous all-to-all (the
-// streaming collective surface core.StreamComm) over the in-process
-// runtime. Sends are buffered and complete immediately, so the in-flight
-// window never blocks here; the value of the in-process stream is that
-// the same streamed driver code runs under the world's traffic counters
-// (the collective op counted once, payload bytes at each sender —
-// exactly the blocking Alltoall's accounting, regardless of chunking).
+// StartAlltoallv begins a chunked, asynchronous all-to-all (core.Comm's
+// streamed exchange) over the in-process runtime. Sends are buffered and
+// complete immediately, so the in-flight window never blocks here; the
+// value of the in-process stream is that the same streamed driver code
+// runs under the world's traffic counters (the collective op counted
+// once, payload bytes at each sender — exactly the blocking exchange's
+// accounting, regardless of chunking).
 func (c *Comm) StartAlltoallv(o exch.Options) exch.Stream {
 	if c.rank == 0 {
 		c.world.stats.alltoalls.Add(1)
@@ -17,7 +17,7 @@ func (c *Comm) StartAlltoallv(o exch.Options) exch.Stream {
 }
 
 // countedStream mirrors streamed payloads into the world statistics at
-// the sender, self-chunks excluded, matching Alltoallv.
+// the sender, self-chunks excluded, matching AlltoallInto.
 type countedStream struct {
 	exch.Stream
 	c *Comm

@@ -13,7 +13,8 @@
 // Semantics notes: sends are buffered and asynchronous (the payload is
 // copied, so buffers are immediately reusable); receives match per
 // (source, tag) in FIFO order. A rank returning an error aborts the
-// world, waking any blocked receivers.
+// world: the core.Comm methods then return *AbortError, and the other
+// collectives unwind the rank through Run.
 package mpi
 
 import (
@@ -38,9 +39,7 @@ func (e *AbortError) Error() string {
 	return fmt.Sprintf("mpi: rank %d aborted: another rank failed", e.Rank)
 }
 
-// CommFault marks aborts as typed communication faults, so
-// core.RecoverFault converts a mid-collective abort into an error return
-// instead of letting the panic unwind the rank.
+// CommFault marks aborts as typed communication faults (core.Fault).
 func (e *AbortError) CommFault() {}
 
 // Stats aggregates communication volume over a world's lifetime.

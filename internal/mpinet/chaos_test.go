@@ -2,8 +2,8 @@
 // over real TCP, under a matrix of seeded faultnet plans. The invariant
 // under test is the transport's whole contract: every run either
 // produces a correct spectrum or returns typed *TransportError values
-// within twice the configured I/O deadline — never a panic escaping to
-// the caller, never a hang. CI runs this file with
+// within twice the configured I/O deadline — never a panic, never a
+// hang. CI runs this file with
 // `go test -race -run Chaos ./...`.
 package mpinet
 
@@ -143,11 +143,11 @@ func TestChaosMatrix(t *testing.T) {
 					if _, err := pl.RunDistributed(context.Background(), p, out, src[p.Rank()*nLocal:(p.Rank()+1)*nLocal]); err != nil {
 						return err
 					}
-					return core.GuardComm(func() {
-						if g := p.Gather(0, out); p.Rank() == 0 {
-							copy(full, g)
-						}
-					})
+					g, err := p.Gather(0, out)
+					if p.Rank() == 0 {
+						copy(full, g)
+					}
+					return err
 				})
 
 				failed := false
@@ -198,9 +198,10 @@ func TestChaosCorruptFrameNamesSender(t *testing.T) {
 	}
 	errs, _ := runRanks(t, procs, 2*time.Second, func(p *Proc) error {
 		if p.Rank() == sender {
-			return core.GuardComm(func() { p.Send(0, 9, payload) })
+			return p.Send(0, 9, payload)
 		}
-		return core.GuardComm(func() { p.RecvC(sender, 9) })
+		_, err := p.RecvC(sender, 9)
+		return err
 	})
 	err := errs[0]
 	if err == nil {
@@ -231,9 +232,10 @@ func TestChaosHungPeerDetectedWithinDeadline(t *testing.T) {
 	})
 	errs, elapsed := runRanks(t, procs, 2*ioT, func(p *Proc) error {
 		if p.Rank() == 1 {
-			return core.GuardComm(func() { p.Send(0, 3, []complex128{1}) })
+			return p.Send(0, 3, []complex128{1})
 		}
-		return core.GuardComm(func() { p.RecvC(1, 3) })
+		_, err := p.RecvC(1, 3)
+		return err
 	})
 	err := errs[0]
 	if err == nil {
@@ -260,13 +262,14 @@ func TestChaosHeartbeatKeepsIdleLinkAlive(t *testing.T) {
 	errs, _ := runRanks(t, procs, 4*time.Second, func(p *Proc) error {
 		time.Sleep(4 * ioT) // well past the deadline, link idle throughout
 		other := 1 - p.Rank()
-		return core.GuardComm(func() {
-			p.Send(other, 8, []complex128{complex(float64(p.Rank()), 0)})
-			got := p.RecvC(other, 8)
-			if len(got) != 1 || got[0] != complex(float64(other), 0) {
-				panic(fmt.Sprintf("rank %d got %v", p.Rank(), got))
-			}
-		})
+		if err := p.Send(other, 8, []complex128{complex(float64(p.Rank()), 0)}); err != nil {
+			return err
+		}
+		got, err := p.RecvC(other, 8)
+		if err == nil && (len(got) != 1 || got[0] != complex(float64(other), 0)) {
+			err = fmt.Errorf("rank %d got %v", p.Rank(), got)
+		}
+		return err
 	})
 	for r, err := range errs {
 		if err != nil {
@@ -306,9 +309,8 @@ func peerDeath(t *testing.T, victim int, fn func(p *Proc) error) {
 
 func TestChaosPeerDeathAlltoall(t *testing.T) {
 	peerDeath(t, 2, func(p *Proc) error {
-		return core.GuardComm(func() {
-			p.Alltoall(make([]complex128, 4*8), 8)
-		})
+		_, err := p.Alltoall(make([]complex128, 4*8), 8)
+		return err
 	})
 }
 
@@ -317,17 +319,15 @@ func TestChaosPeerDeathGather(t *testing.T) {
 	// survivors hit the barrier that follows (as every real driver does)
 	// and find rank 0 already gone.
 	peerDeath(t, 2, func(p *Proc) error {
-		return core.GuardComm(func() {
-			p.Gather(0, make([]complex128, 8))
-			p.Barrier()
-		})
+		if _, err := p.Gather(0, make([]complex128, 8)); err != nil {
+			return err
+		}
+		return p.Barrier()
 	})
 }
 
 func TestChaosPeerDeathBarrier(t *testing.T) {
-	peerDeath(t, 2, func(p *Proc) error {
-		return core.GuardComm(p.Barrier)
-	})
+	peerDeath(t, 2, (*Proc).Barrier)
 }
 
 // TestChaosOversizedFrameRejected: a frame length from the wire must be

@@ -12,9 +12,8 @@
 // frames while idle, so a silently hung peer is detected within one
 // deadline instead of never. Every wire anomaly — checksum mismatch,
 // oversized or malformed frame, reset, timeout, peer death — surfaces as
-// a typed *TransportError naming the peer rank and the operation; the
-// collectives raise it as a panic that core.RunDistributed (via
-// core.RecoverFault) converts back into an ordinary error return.
+// a typed *TransportError naming the peer rank and the operation,
+// returned from the failing call.
 //
 // It exists to show the algorithm end-to-end outside a single address
 // space (cmd/soinode runs one rank per OS process); the in-process
@@ -35,7 +34,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"soifft/internal/exch"
 	"soifft/internal/instrument"
 	"soifft/internal/telemetry"
 	"soifft/internal/trace"
@@ -94,12 +92,10 @@ func (e *PeerError) Error() string {
 
 func (e *PeerError) Unwrap() error { return e.Err }
 
-// TransportError is the typed failure of an established link: the peer
-// rank involved, the operation that observed the fault ("send", "recv",
-// "alltoallv", ...), and the wire-level cause (one of the Err* sentinels
-// or an OS error). Collectives raise it as a panic; core.RecoverFault
-// (deferred inside core.RunDistributed and friends, or via
-// core.GuardComm) converts it into an ordinary error return.
+// TransportError is the typed failure of an established link (a
+// core.Fault): the peer rank involved, the operation that observed the
+// fault ("send", "recv", "alltoall", ...), and the wire-level cause (one
+// of the Err* sentinels or an OS error).
 type TransportError struct {
 	Rank int    // peer rank on the failed link
 	Op   string // operation that observed the fault
@@ -112,8 +108,7 @@ func (e *TransportError) Error() string {
 
 func (e *TransportError) Unwrap() error { return e.Err }
 
-// CommFault marks the error as a typed communication fault for
-// core.RecoverFault.
+// CommFault marks the error as a typed communication fault.
 func (e *TransportError) CommFault() {}
 
 // Timeout reports whether the fault was a deadline expiry.
@@ -397,31 +392,18 @@ func (p *Proc) Shutdown() {
 	}
 }
 
-// Send transmits a []complex128 payload (the only type the SOI driver
-// moves) to rank `to`. Asynchronous: the frame is queued for the writer.
-// If the link to `to` has already failed, Send raises the peer's typed
-// *TransportError instead of queueing into the void (or blocking forever
-// on a full queue — the fail-fast path for dead peers).
-func (p *Proc) Send(to, tag int, data any) {
-	if err := p.SendChecked(to, tag, data); err != nil {
-		panic(err)
-	}
+// Send transmits data to rank `to`. Asynchronous: the frame is queued
+// for the writer. If the link to `to` has already failed, Send returns
+// the peer's typed *TransportError instead of queueing into the void (or
+// blocking forever on a full queue — the fail-fast path for dead peers).
+func (p *Proc) Send(to, tag int, data []complex128) error {
+	return p.send(to, tag, data, nil)
 }
 
-// SendChecked is Send returning the typed *TransportError instead of
-// raising it — the primitive the coded exchange uses, where a dead peer
-// is an expected outcome to route around rather than a rank-fatal fault.
-// Invalid payload types and ranks (programming errors) still panic.
-func (p *Proc) SendChecked(to, tag int, data any) error {
-	buf, ok := data.([]complex128)
-	if !ok {
-		panic(fmt.Sprintf("mpinet: unsupported payload type %T", data))
-	}
-	if to < 0 || to >= p.size || to == p.rank {
-		panic(fmt.Sprintf("mpinet: send to invalid rank %d", to))
-	}
-	pe := p.peers[to]
-	if err := pe.sendFrame(pe.encode(tag, buf), nil); err != nil {
+// send is Send with the writer's flush callback (see sendFrame).
+func (p *Proc) send(to, tag int, data []complex128, flushed func()) error {
+	pe := p.peerOf(to, "send")
+	if err := pe.sendFrame(pe.encode(tag, data), flushed); err != nil {
 		pe.wire.sendErrors.Add(1)
 		return &TransportError{Rank: to, Op: "send", Err: err}
 	}
@@ -429,32 +411,20 @@ func (p *Proc) SendChecked(to, tag int, data any) error {
 }
 
 // RecvC blocks for the next frame from rank `from` and checks its tag.
-// A dead link, a corrupted frame, or an expired I/O deadline raises a
+// A dead link, a corrupted frame, or an expired I/O deadline returns a
 // typed *TransportError naming `from`.
-func (p *Proc) RecvC(from, tag int) []complex128 {
-	out, err := p.RecvCChecked(from, tag)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
-// RecvCChecked is RecvC returning the typed *TransportError instead of
-// raising it. All bookkeeping (deadline counters, flight dumps) is
-// identical to RecvC.
-func (p *Proc) RecvCChecked(from, tag int) ([]complex128, error) {
+func (p *Proc) RecvC(from, tag int) ([]complex128, error) {
 	pe := p.peerOf(from, "recv")
 	return p.recvFrame(pe, pe.box, nil, tag)
 }
 
 // RecvInto is RecvC into the caller's buffer: the payload is decoded from
 // the link's reusable wire buffer straight into dst, whose length the
-// frame must match. With AlltoallInto: core.IntoComm.
-func (p *Proc) RecvInto(dst []complex128, from, tag int) {
+// frame must match.
+func (p *Proc) RecvInto(dst []complex128, from, tag int) error {
 	pe := p.peerOf(from, "recv")
-	if _, err := p.recvFrame(pe, pe.box, dst, tag); err != nil {
-		panic(err)
-	}
+	_, err := p.recvFrame(pe, pe.box, dst, tag)
+	return err
 }
 
 func (p *Proc) peerOf(rank int, op string) *peer {
@@ -490,65 +460,71 @@ func (p *Proc) recvFrame(pe *peer, box *netMailbox, dst []complex128, tag int) (
 	return pe.decode(dst, pkt)
 }
 
-// Alltoall is the equal-counts personalized exchange (see mpi.Alltoall).
-func (p *Proc) Alltoall(send []complex128, chunk int) []complex128 {
+// Alltoall is AlltoallInto into a fresh buffer.
+func (p *Proc) Alltoall(send []complex128, chunk int) ([]complex128, error) {
 	recv := make([]complex128, p.size*chunk)
-	p.AlltoallInto(recv, send, chunk)
-	return recv
+	if err := p.AlltoallInto(recv, send, chunk); err != nil {
+		return nil, err
+	}
+	return recv, nil
 }
 
-// AlltoallInto is Alltoall receiving into the caller's size*chunk
-// buffer: frames move through the links' reusable wire buffers, so on a
-// warm mesh the exchange allocates nothing payload-sized.
-func (p *Proc) AlltoallInto(recv, send []complex128, chunk int) {
-	sp := exch.EqualSpans(chunk)
-	p.alltoallInto(recv, send, sp, sp)
-}
-
-// PairwiseAlltoallv exchanges variable-size chunks in rank order.
-func (p *Proc) PairwiseAlltoallv(send []complex128, sendCounts, recvCounts []int) []complex128 {
-	rs := exch.CountSpans(recvCounts)
-	_, n := rs.Of(p.size - 1)
-	recv := make([]complex128, n)
-	p.alltoallInto(recv, send, exch.CountSpans(sendCounts), rs)
-	return recv
-}
-
-// alltoallInto is the one all-to-all implementation: queue a frame per
-// peer, copy the self chunk, then decode each peer's frame into place.
-// Shape errors and wire faults alike raise a typed *TransportError.
-func (p *Proc) alltoallInto(recv, send []complex128, ss, rs exch.Spans) {
-	_, ns := ss.Of(p.size - 1)
-	_, nr := rs.Of(p.size - 1)
-	if len(send) != ns || len(recv) != nr {
-		panic(&TransportError{Rank: p.rank, Op: "alltoallv",
-			Err: fmt.Errorf("send/recv lengths %d/%d, counts sum %d/%d", len(send), len(recv), ns, nr)})
+// AlltoallInto is the equal-counts personalized exchange (see
+// mpi.Comm.AlltoallInto): queue a frame per peer, copy the self chunk,
+// then decode each peer's frame into place through the links' reusable
+// wire buffers. It returns only once its own frames are on the wire and
+// their buffers back in the pools, so the next exchange reuses them
+// instead of racing the writers: on a warm mesh it allocates nothing
+// payload-sized.
+func (p *Proc) AlltoallInto(recv, send []complex128, chunk int) error {
+	if len(send) != p.size*chunk || len(recv) != p.size*chunk {
+		return &TransportError{Rank: p.rank, Op: "alltoall",
+			Err: fmt.Errorf("send/recv lengths %d/%d, want %d", len(send), len(recv), p.size*chunk)}
 	}
 	const tag = -6
+	flushed := make([]chan struct{}, p.size)
 	for r := 0; r < p.size; r++ {
-		lo, hi := ss.Of(r)
 		if r == p.rank {
-			rlo, rhi := rs.Of(r)
-			copy(recv[rlo:rhi], send[lo:hi])
+			copy(recv[r*chunk:(r+1)*chunk], send[r*chunk:(r+1)*chunk])
 			continue
 		}
-		p.Send(r, tag, send[lo:hi])
+		ch := make(chan struct{}, 1)
+		flushed[r] = ch
+		if err := p.send(r, tag, send[r*chunk:(r+1)*chunk], func() { ch <- struct{}{} }); err != nil {
+			return err
+		}
 	}
 	for r := 0; r < p.size; r++ {
 		if r == p.rank {
 			continue
 		}
-		lo, hi := rs.Of(r)
-		p.RecvInto(recv[lo:hi], r, tag)
+		if err := p.RecvInto(recv[r*chunk:(r+1)*chunk], r, tag); err != nil {
+			return err
+		}
 	}
+	for r, ch := range flushed {
+		if ch == nil {
+			continue
+		}
+		pe := p.peers[r]
+		select {
+		case <-ch:
+		case <-pe.dead:
+			select {
+			case <-ch: // flushed before the link died
+			default:
+				return &TransportError{Rank: r, Op: "send", Err: pe.failure()}
+			}
+		}
+	}
+	return nil
 }
 
 // Gather concatenates equal-length chunks at root (nil elsewhere).
-func (p *Proc) Gather(root int, chunk []complex128) []complex128 {
+func (p *Proc) Gather(root int, chunk []complex128) ([]complex128, error) {
 	const tag = -4
 	if p.rank != root {
-		p.Send(root, tag, chunk)
-		return nil
+		return nil, p.Send(root, tag, chunk)
 	}
 	out := make([]complex128, len(chunk)*p.size)
 	copy(out[p.rank*len(chunk):], chunk)
@@ -556,25 +532,34 @@ func (p *Proc) Gather(root int, chunk []complex128) []complex128 {
 		if r == root {
 			continue
 		}
-		p.RecvInto(out[r*len(chunk):(r+1)*len(chunk)], r, tag)
+		if err := p.RecvInto(out[r*len(chunk):(r+1)*len(chunk)], r, tag); err != nil {
+			return nil, err
+		}
 	}
-	return out
+	return out, nil
 }
 
 // Barrier blocks until every rank has entered (gather at 0, then notify).
-func (p *Proc) Barrier() {
+func (p *Proc) Barrier() error {
 	const tag = -5
-	if p.rank == 0 {
-		for r := 1; r < p.size; r++ {
-			p.RecvC(r, tag)
+	if p.rank != 0 {
+		if err := p.Send(0, tag, nil); err != nil {
+			return err
 		}
-		for r := 1; r < p.size; r++ {
-			p.Send(r, tag, []complex128{})
-		}
-		return
+		_, err := p.RecvC(0, tag)
+		return err
 	}
-	p.Send(0, tag, []complex128{})
-	p.RecvC(0, tag)
+	for r := 1; r < p.size; r++ {
+		if _, err := p.RecvC(r, tag); err != nil {
+			return err
+		}
+	}
+	for r := 1; r < p.size; r++ {
+		if err := p.Send(r, tag, nil); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // --- wire details ---
@@ -650,17 +635,19 @@ type packet struct {
 }
 
 const (
-	// maxFreeBufs bounds a link's idle wire buffers: a credit window of
-	// stream tiles each way, not every frame of a burst forever.
+	// maxFreeBufs bounds one direction of a link's idle wire buffers: a
+	// credit window of stream tiles, not every frame of a burst forever.
 	maxFreeBufs = 16
 	// minPooledBuf keeps control-sized frames (heartbeats, masks) from
 	// occupying, or being handed, a payload-sized buffer.
 	minPooledBuf = 4 << 10
 )
 
-// bufPool is one link's free list of wire buffers, shared by its encode
-// (send) and raw-payload (receive) sides: after the first exchange of a
-// given shape the link moves frames without allocating.
+// bufPool is the free list of wire buffers for one direction of a link
+// (encoded frames out, raw payloads in): after the first exchange of a
+// given shape the link moves frames without allocating. The directions
+// keep separate lists so neither can take the buffer the other was
+// sized with on a warm exchange.
 type bufPool struct {
 	mu   sync.Mutex
 	free [][]byte
@@ -736,7 +723,9 @@ type peer struct {
 	tbox *netMailbox // telemetry stat frames (tag telemetry.TagStat)
 	pr   *Proc       // back-reference for the I/O deadline and wire counters
 	wire wireStats
-	bufs bufPool // reusable wire buffers, both directions
+	// sendBufs and recvBufs are the reusable wire buffers of outbound
+	// frames and inbound payloads.
+	sendBufs, recvBufs bufPool
 	// echo hands a received ping's timestamp to the writer for
 	// reflection. It bypasses pe.out, which close/shutdown may have
 	// closed while reads are still draining.
@@ -795,7 +784,7 @@ func (pe *peer) failure() error {
 // returns once the frame is written. The payload is copied here, so the
 // caller's slice is its own again on return.
 func (pe *peer) encode(tag int, data []complex128) []byte {
-	return putFrame(pe.bufs.get(frameHdrLen+16*len(data)), tag, data)
+	return putFrame(pe.sendBufs.get(frameHdrLen+16*len(data)), tag, data)
 }
 
 // decode converts a received payload into dst (a fresh slice when dst is
@@ -805,7 +794,7 @@ func (pe *peer) decode(dst []complex128, pkt packet) ([]complex128, error) {
 	if dst == nil {
 		dst = make([]complex128, n)
 	} else if len(dst) != n {
-		pe.bufs.put(pkt.raw)
+		pe.recvBufs.put(pkt.raw)
 		return nil, &TransportError{Rank: pe.rank, Op: "recv",
 			Err: fmt.Errorf("expected %d elements, got %d", len(dst), n)}
 	}
@@ -814,7 +803,7 @@ func (pe *peer) decode(dst []complex128, pkt packet) ([]complex128, error) {
 		im := math.Float64frombits(binary.LittleEndian.Uint64(pkt.raw[i*16+8:]))
 		dst[i] = complex(re, im)
 	}
-	pe.bufs.put(pkt.raw)
+	pe.recvBufs.put(pkt.raw)
 	return dst, nil
 }
 
@@ -917,9 +906,6 @@ func (pe *peer) writeLoop() {
 			}
 			return
 		}
-		if fr.flushed != nil {
-			fr.flushed()
-		}
 		if fr.control {
 			pe.pr.stats.heartbeatsSent.Add(1)
 		} else {
@@ -928,7 +914,12 @@ func (pe *peer) writeLoop() {
 			pe.wire.framesSent.Add(1)
 			pe.wire.bytesSent.Add(int64(len(fr.buf)))
 			pe.wire.flushNs.Add(int64(time.Since(start)))
-			pe.bufs.put(fr.buf)
+			pe.sendBufs.put(fr.buf)
+		}
+		// Notified last, so whoever waits on the flush finds the
+		// buffer already back in the pool.
+		if fr.flushed != nil {
+			fr.flushed()
 		}
 	}
 }
@@ -992,7 +983,7 @@ func (pe *peer) readLoop() {
 				ErrFrameTooLarge, count, MaxFrameElems))
 			return
 		}
-		raw := pe.bufs.get(int(count) * 16)
+		raw := pe.recvBufs.get(int(count) * 16)
 		if err := pe.readFull(raw); err != nil {
 			pe.fail(classify(err, pe.timeout()))
 			return
@@ -1005,7 +996,7 @@ func (pe *peer) readLoop() {
 		}
 		if tag == tagHeartbeat {
 			pe.handleHeartbeat(raw)
-			pe.bufs.put(raw)
+			pe.recvBufs.put(raw)
 			continue
 		}
 		pe.pr.stats.framesReceived.Add(1)

@@ -84,8 +84,13 @@ func TestTCPSendRecv(t *testing.T) {
 	spmd(t, procs, func(p *Proc) error {
 		next := (p.Rank() + 1) % p.Size()
 		prev := (p.Rank() - 1 + p.Size()) % p.Size()
-		p.Send(next, 7, []complex128{complex(float64(p.Rank()), -1)})
-		got := p.RecvC(prev, 7)
+		if err := p.Send(next, 7, []complex128{complex(float64(p.Rank()), -1)}); err != nil {
+			return err
+		}
+		got, err := p.RecvC(prev, 7)
+		if err != nil {
+			return err
+		}
 		if len(got) != 1 || got[0] != complex(float64(prev), -1) {
 			return fmt.Errorf("rank %d got %v", p.Rank(), got)
 		}
@@ -103,7 +108,10 @@ func TestTCPAlltoall(t *testing.T) {
 				send[r*chunk+k] = complex(float64(p.Rank()), float64(r*chunk+k))
 			}
 		}
-		got := p.Alltoall(send, chunk)
+		got, err := p.Alltoall(send, chunk)
+		if err != nil {
+			return err
+		}
 		for r := 0; r < size; r++ {
 			for k := 0; k < chunk; k++ {
 				want := complex(float64(r), float64(p.Rank()*chunk+k))
@@ -130,8 +138,7 @@ func TestAlltoallIntoWarmAllocs(t *testing.T) {
 	}
 	exchange := func() {
 		spmd(t, procs, func(p *Proc) error {
-			p.AlltoallInto(recv[p.Rank()], send[p.Rank()], chunk)
-			return nil
+			return p.AlltoallInto(recv[p.Rank()], send[p.Rank()], chunk)
 		})
 	}
 	exchange() // the first calls size the pools
@@ -147,7 +154,10 @@ func TestAlltoallIntoWarmAllocs(t *testing.T) {
 		t.Errorf("warm AlltoallInto allocates %d bytes per call; one payload is %d", perCall, 16*chunk)
 	}
 	spmd(t, procs, func(p *Proc) error {
-		want := p.Alltoall(send[p.Rank()], chunk)
+		want, err := p.Alltoall(send[p.Rank()], chunk)
+		if err != nil {
+			return err
+		}
 		for i, v := range recv[p.Rank()] {
 			if v != want[i] {
 				return fmt.Errorf("rank %d element %d: AlltoallInto %v, Alltoall %v", p.Rank(), i, v, want[i])
@@ -158,22 +168,27 @@ func TestAlltoallIntoWarmAllocs(t *testing.T) {
 }
 
 // TestAlltoallvShapeErrorIsTyped: a send buffer that disagrees with the
-// counts raises the same typed *TransportError every sibling raises, not
+// chunk returns the same typed *TransportError every sibling returns, not
 // a bare string.
 func TestAlltoallvShapeErrorIsTyped(t *testing.T) {
 	procs := mesh(t, 2)
-	err := core.GuardComm(func() { procs[0].PairwiseAlltoallv(make([]complex128, 3), []int{1, 1}, []int{1, 1}) })
+	err := procs[0].AlltoallInto(make([]complex128, 2), make([]complex128, 3), 1)
 	var te *TransportError
-	if !errors.As(err, &te) || te.Op != "alltoallv" {
-		t.Errorf("length mismatch surfaced as %v, want a typed alltoallv TransportError", err)
+	if !errors.As(err, &te) || te.Op != "alltoall" {
+		t.Errorf("length mismatch surfaced as %v, want a typed alltoall TransportError", err)
 	}
 }
 
 func TestTCPGatherBarrier(t *testing.T) {
 	procs := mesh(t, 4)
 	spmd(t, procs, func(p *Proc) error {
-		p.Barrier()
-		g := p.Gather(2, []complex128{complex(float64(p.Rank()), 0)})
+		if err := p.Barrier(); err != nil {
+			return err
+		}
+		g, err := p.Gather(2, []complex128{complex(float64(p.Rank()), 0)})
+		if err != nil {
+			return err
+		}
 		if p.Rank() == 2 {
 			for r := 0; r < 4; r++ {
 				if g[r] != complex(float64(r), 0) {
@@ -183,8 +198,7 @@ func TestTCPGatherBarrier(t *testing.T) {
 		} else if g != nil {
 			return fmt.Errorf("non-root got data")
 		}
-		p.Barrier()
-		return nil
+		return p.Barrier()
 	})
 }
 

@@ -8,7 +8,7 @@ import (
 )
 
 // StartAlltoallv begins a chunked, windowed, asynchronous all-to-all
-// (the streaming collective surface core.StreamComm). Unlike the generic
+// (core.Comm's streamed exchange). Unlike the generic
 // exch implementation, the window here is real: Send blocks while
 // o.Window chunks for that destination are queued but not yet flushed to
 // the socket, so a producer racing ahead of a slow link is paced by the
@@ -16,7 +16,7 @@ import (
 // ordinary framed message (CRC32C, size guard) under the per-operation
 // I/O deadline, and a dead or hung peer surfaces as one per-source
 // *TransportError through Next — the stream analogue of the blocking
-// collectives' typed faults.
+// collectives' returned faults.
 //
 // One goroutine may produce (Send) while one other consumes (Next); the
 // stream must be fully drained or abandoned before the next collective

@@ -2,10 +2,8 @@ package mpinet
 
 import "soifft/internal/telemetry"
 
-// Telemetry capabilities: together with Rank/Size/SendChecked these make
-// *Proc satisfy telemetry.Conn, telemetry.Receiver and
-// telemetry.LinkStatser, so the cluster plane discovers everything it
-// needs from the transport handle by type assertion.
+// Telemetry capabilities: with these *Proc is a telemetry.Receiver and
+// telemetry.LinkStatser as well as a telemetry.Conn.
 
 // RecvTelemetry blocks for the next stat frame from rank `from`. Stat
 // frames ride the dedicated telemetry mailbox (tag telemetry.TagStat),

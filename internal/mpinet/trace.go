@@ -16,7 +16,7 @@ import (
 
 // tagTraceID is the reserved control tag trace IDs travel under; it
 // sits with the other negative collective tags (-4 gather, -5 barrier,
-// -6 alltoallv).
+// -6 alltoall).
 const tagTraceID = -7
 
 // SetTracer attaches (or, with nil, detaches) the event tracer the
@@ -36,27 +36,31 @@ func (p *Proc) TraceID() trace.ID { return trace.ID(p.traceID.Load()) }
 // argument is ignored), and all ranks return — and remember — the
 // agreed value. The uint64 rides in the real part of one complex128
 // bit-for-bit (the frame codec moves raw Float64bits, so NaN-pattern
-// payloads survive). Transport failures raise the usual typed
-// *TransportError panic; wrap with core.GuardComm when calling
-// directly.
-func (p *Proc) ShareTraceID(id trace.ID) trace.ID {
+// payloads survive). Transport failures return the usual typed
+// *TransportError.
+func (p *Proc) ShareTraceID(id trace.ID) (trace.ID, error) {
 	if p.size > 1 {
 		if p.rank == 0 {
 			frame := []complex128{complex(math.Float64frombits(uint64(id)), 0)}
 			for r := 1; r < p.size; r++ {
-				p.Send(r, tagTraceID, frame)
+				if err := p.Send(r, tagTraceID, frame); err != nil {
+					return 0, err
+				}
 			}
 		} else {
-			data := p.RecvC(0, tagTraceID)
+			data, err := p.RecvC(0, tagTraceID)
+			if err != nil {
+				return 0, err
+			}
 			if len(data) != 1 {
-				panic(&TransportError{Rank: 0, Op: "trace-id",
-					Err: errors.New("malformed trace-id frame")})
+				return 0, &TransportError{Rank: 0, Op: "trace-id",
+					Err: errors.New("malformed trace-id frame")}
 			}
 			id = trace.ID(math.Float64bits(real(data[0])))
 		}
 	}
 	p.traceID.Store(uint64(id))
-	return id
+	return id, nil
 }
 
 // flightFault classifies a wire fault and triggers the attached

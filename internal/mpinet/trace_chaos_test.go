@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"soifft/internal/core"
 	"soifft/internal/faultnet"
 	"soifft/internal/trace"
 )
@@ -25,13 +24,13 @@ func TestShareTraceID(t *testing.T) {
 	want := trace.NewID()
 	got := make([]trace.ID, ranks)
 	errs, _ := runRanks(t, procs, 2*time.Second, func(p *Proc) error {
-		return core.GuardComm(func() {
-			id := trace.ID(0)
-			if p.Rank() == 0 {
-				id = want
-			}
-			got[p.Rank()] = p.ShareTraceID(id)
-		})
+		id := trace.ID(0)
+		if p.Rank() == 0 {
+			id = want
+		}
+		var err error
+		got[p.Rank()], err = p.ShareTraceID(id)
+		return err
 	})
 	for r, err := range errs {
 		if err != nil {
@@ -72,9 +71,10 @@ func TestChaosFlightDumpOnChecksumFault(t *testing.T) {
 	}
 	errs, _ := runRanks(t, procs, 2*time.Second, func(p *Proc) error {
 		if p.Rank() == sender {
-			return core.GuardComm(func() { p.Send(0, 9, payload) })
+			return p.Send(0, 9, payload)
 		}
-		return core.GuardComm(func() { p.RecvC(sender, 9) })
+		_, err := p.RecvC(sender, 9)
+		return err
 	})
 	if errs[0] == nil {
 		t.Fatal("receiver accepted a corrupted frame")

@@ -10,14 +10,14 @@ import (
 	"soifft/internal/trace"
 )
 
-// Conn is the transport capability the plane ships frames over: the
-// checked point-to-point send both *mpi.Comm and *mpinet.Proc expose.
+// Conn is the subset of core.Comm the plane ships frames over: the
+// point-to-point send of *mpi.Comm and *mpinet.Proc.
 // Stat frames ride the same links as the transform, on their own
 // control tag, so the plane needs no side channel.
 type Conn interface {
 	Rank() int
 	Size() int
-	SendChecked(to, tag int, data any) error
+	Send(to, tag int, data []complex128) error
 }
 
 // Receiver is the root-side capability: a blocking receive of the next
@@ -182,7 +182,7 @@ func (p *Plane) ship(final bool) {
 		p.agg.Observe(f)
 		return
 	}
-	if err := p.cfg.Conn.SendChecked(0, TagStat, f.Pack()); err != nil {
+	if err := p.cfg.Conn.Send(0, TagStat, f.Pack()); err != nil {
 		p.done.Store(true)
 	}
 }

@@ -230,7 +230,7 @@ func TestExplainerQuietOnModel(t *testing.T) {
 }
 
 // fakeConn wires Plane instances together in-process: rank 0's Receiver
-// reads what other ranks SendChecked.
+// reads what other ranks Send.
 type fakeConn struct {
 	rank, world int
 	net         *fakeNet
@@ -262,7 +262,7 @@ func (n *fakeNet) kill(rank int, err error) {
 func (c *fakeConn) Rank() int { return c.rank }
 func (c *fakeConn) Size() int { return c.world }
 
-func (c *fakeConn) SendChecked(to, tag int, data any) error {
+func (c *fakeConn) Send(to, tag int, data []complex128) error {
 	if tag != TagStat {
 		return fmt.Errorf("unexpected tag %d", tag)
 	}
@@ -272,7 +272,7 @@ func (c *fakeConn) SendChecked(to, tag int, data any) error {
 	if dead != nil {
 		return dead
 	}
-	c.net.boxes[c.rank] <- data.([]complex128)
+	c.net.boxes[c.rank] <- data
 	return nil
 }
 
