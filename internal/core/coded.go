@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"soifft/internal/erasure"
-	"soifft/internal/exch"
 	"soifft/internal/instrument"
 )
 
@@ -170,14 +169,14 @@ func (pl *Plan) runCoded(ctx context.Context, c Comm, cfg distOptions, localOut,
 
 	t0 := time.Now()
 	e.tr.Begin(e.tid, e.rank, instrument.StageSegmentFFT.String())
-	e.phase4(nil, cx.columnChunk, localOut)
+	e.phase4(cx.columnChunk, localOut)
 	if deg != nil && e.rank == deg.Coordinator {
 		// Take over the dead ranks' segment assembly: the pipeline is
 		// owner-agnostic, so feeding it dead rank d's column (pooled
 		// survivor chunks plus decoded chunks) yields d's exact block.
 		for _, d := range deg.ReconstructedRanks {
 			out := make([]complex128, e.nLocal)
-			e.phase4(nil, func(src int) []complex128 { return cx.column(d, src) }, out)
+			e.phase4(func(src int) []complex128 { return cx.column(d, src) }, out)
 			deg.TakenOver[d] = out
 		}
 	}
@@ -365,21 +364,34 @@ func (cx *codedExchange) run() (*DegradedError, error) {
 				Cause: fmt.Errorf("malformed coded chunk from rank %d: %d elements, want %d", src, len(data), chunk)}
 		}
 		cx.recv[src] = data
-		if i := (rank - src - 1 + 2*r) % r; i < m {
-			pdata, err := c.RecvC(src, tagCodedParity-i)
-			if err != nil {
-				cx.markDead(src)
-				continue
-			}
-			if len(pdata) != chunk {
-				return nil, &UnrecoverableLossError{Parity: m,
-					Cause: fmt.Errorf("malformed parity share from rank %d: %d elements, want %d", src, len(pdata), chunk)}
-			}
-			cx.parityIn[src] = pdata
+		if err := cx.recvParity(src); err != nil {
+			return nil, err
 		}
 	}
 
 	return cx.detect(code, rec)
+}
+
+// recvParity receives the parity share src addressed to this rank, if
+// any; it follows src's data on the link. A failed receive marks src
+// dead; a malformed share is a typed loss.
+func (cx *codedExchange) recvParity(src int) error {
+	e := cx.e
+	i := (e.rank - src - 1 + 2*e.r) % e.r
+	if i >= cx.m {
+		return nil
+	}
+	pdata, err := cx.c.RecvC(src, tagCodedParity-i)
+	switch {
+	case err != nil:
+		cx.markDead(src)
+	case len(pdata) != e.chunk:
+		return &UnrecoverableLossError{Parity: cx.m,
+			Cause: fmt.Errorf("malformed parity share from rank %d: %d elements, want %d", src, len(pdata), e.chunk)}
+	default:
+		cx.parityIn[src] = pdata
+	}
+	return nil
 }
 
 // detect runs the view and agreement rounds over the received state and,
@@ -471,50 +483,30 @@ func (cx *codedExchange) detect(code *erasure.Code, rec *instrument.Recorder) (*
 // tail, so outcomes (clean, degraded bit-exact, typed loss) are
 // identical to the blocking coded exchange.
 func (cx *codedExchange) runStreamed(ctx context.Context, localIn []complex128) (deg *DegradedError, err error) {
-	e, c, m := cx.e, cx.c, cx.m
-	r, rank, chunk, rec := e.r, e.rank, e.chunk, cx.rec
+	e, r, rank, rec := cx.e, cx.e.r, cx.e.rank, cx.rec
 	cx.setup()
 
-	st, bounds := e.startStream()
+	st, bounds, got, done := e.startStream()
 	defer st.Close()
 	streamStart := time.Now()
 
-	// Remote sources scatter into the workspace's per-source chunks (tile
-	// k at [bounds[k]·spr, bounds[k+1]·spr)); the self-chunk aliases the
-	// packed send buffer once the producer finishes.
+	// Remote tiles land in the workspace's per-source chunks; the
+	// self-chunk aliases the packed send buffer once the producer
+	// finishes.
 	for src := 0; src < r; src++ {
-		if src != rank {
-			cx.recv[src] = e.ws.recv[src*chunk : (src+1)*chunk]
-		}
+		cx.recv[src] = e.chunkOf(src)
 	}
-	got := make([]int, r)
-	consDone := make(chan error, 1)
-	go func() { consDone <- cx.drainStream(st, bounds, got) }()
 
 	// Route around a dead destination; detection settles it.
 	sendWait, perr := e.produce(ctx, st, bounds, localIn, cx.markDead)
 	tExch := time.Now()
 	e.tr.Begin(e.tid, rank, instrument.StageExchange.String())
-	defer func() {
-		e.dt.Exchange = sendWait + time.Since(tExch)
-		e.tr.End(e.tid, rank, instrument.StageExchange.String())
-		hidden := time.Since(streamStart) - e.dt.Exchange
-		if hidden < 0 {
-			hidden = 0
-		}
-		if e.timed && hidden > 0 {
-			e.rec.AddHiddenExchange(hidden)
-		}
-		// Degraded-but-complete runs still carry a valid overlap
-		// measurement; only typed failures skip the controller.
-		if err == nil && e.adaptive {
-			e.observeAdaptive(hidden, sendWait)
-		}
-	}()
+	// Degraded-but-complete runs still carry a valid overlap measurement;
+	// only typed failures skip the controller.
+	defer func() { e.bookStream(streamStart, tExch, sendWait, err == nil) }()
 	if perr != nil {
 		return nil, perr // context cancellation or a halo send failure
 	}
-	cx.recv[rank] = cx.send[rank*chunk : (rank+1)*chunk]
 
 	code, err := cx.fanOutParity()
 	if err != nil {
@@ -525,14 +517,13 @@ func (cx *codedExchange) runStreamed(ctx context.Context, localIn []complex128) 
 	// receiver goroutines pop tile frames from the same per-link mailboxes
 	// the ordinary receives use, so the parity frames are safe to receive
 	// only once every receiver has delivered its last event.
-	if err := <-consDone; err != nil {
-		return nil, err
-	}
+	<-done
 
-	// A source whose stream ended early lost tiles: dead (its receiver may
-	// have left tile frames queued, so its parity is unreachable — skip
-	// it). Completed sources behave exactly as in the blocking receive
-	// loop, a gracefully dying peer's flushed tiles and parity included.
+	// A source whose stream ended early lost tiles — a dead link, or a
+	// frame the wrong size for its slot: dead (its receiver may have left
+	// tile frames queued, so its parity is unreachable — skip it).
+	// Completed sources behave exactly as in the blocking receive loop, a
+	// gracefully dying peer's flushed tiles and parity included.
 	for off := 1; off < r; off++ {
 		src := (rank + off) % r
 		if got[src] < len(bounds)-1 {
@@ -540,56 +531,12 @@ func (cx *codedExchange) runStreamed(ctx context.Context, localIn []complex128) 
 			cx.markDead(src)
 			continue
 		}
-		if i := (rank - src - 1 + 2*r) % r; i < m {
-			pdata, err := c.RecvC(src, tagCodedParity-i)
-			if err != nil {
-				cx.markDead(src)
-				continue
-			}
-			if len(pdata) != chunk {
-				return nil, &UnrecoverableLossError{Parity: m,
-					Cause: fmt.Errorf("malformed parity share from rank %d: %d elements, want %d", src, len(pdata), chunk)}
-			}
-			cx.parityIn[src] = pdata
+		if err := cx.recvParity(src); err != nil {
+			return nil, err
 		}
 	}
 
 	return cx.detect(code, rec)
-}
-
-// drainStream scatters arriving data tiles into the per-source receive
-// buffers while later tiles are still on the wire. Per-source stream
-// failures are not fatal here — the caller infers them from the tile
-// counts after the drain (and the view round settles the dead set); only
-// a malformed frame aborts.
-func (cx *codedExchange) drainStream(st exch.Stream, bounds []int, got []int) error {
-	e := cx.e
-	var firstErr error
-	for {
-		ch, ok := st.Next()
-		if !ok {
-			return firstErr
-		}
-		if ch.Err != nil {
-			continue
-		}
-		lo, hi := bounds[ch.Index], bounds[ch.Index+1]
-		if len(ch.Data) != (hi-lo)*e.spr {
-			if firstErr == nil {
-				firstErr = &UnrecoverableLossError{Parity: cx.m,
-					Cause: fmt.Errorf("malformed coded stream chunk %d from rank %d: %d elements, want %d",
-						ch.Index, ch.Src, len(ch.Data), (hi-lo)*e.spr)}
-			}
-			continue
-		}
-		if ch.Src == e.rank {
-			got[e.rank]++
-			continue // the self-chunk aliases the packed send buffer
-		}
-		e.tr.ChunkInstant(e.tid, e.rank, "exchange_chunk_recv", ch.Index)
-		copy(cx.recv[ch.Src][lo*e.spr:hi*e.spr], ch.Data)
-		got[ch.Src]++
-	}
 }
 
 // exchangeMasks runs one all-pairs round of single-value control frames,

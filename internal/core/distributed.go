@@ -211,14 +211,11 @@ func (pl *Plan) runFlat(ctx context.Context, c Comm, cfg distOptions, localOut, 
 	if err != nil {
 		return DistributedTimes{}, err
 	}
-	// Phases 1–3. Streamed: the consumer leaves phase 4's input
-	// segment-major in xcol. Blocking: the single all-to-all (stride-P
-	// permutation P_perm^{P,N'}) leaves per-source chunks in recv.
-	var xcol []complex128
-	recv := e.ws.recv
+	// Phases 1–3: the single all-to-all (stride-P permutation
+	// P_perm^{P,N'}), blocking or streamed, leaves the per-source chunks
+	// where chunkOf finds them.
 	if e.window > 0 {
-		xcol = recv
-		if err := e.exchangeStreamed(ctx, xcol, localIn); err != nil {
+		if err := e.exchangeStreamed(ctx, localIn); err != nil {
 			return e.dt, err
 		}
 	} else {
@@ -227,7 +224,7 @@ func (pl *Plan) runFlat(ctx context.Context, c Comm, cfg distOptions, localOut, 
 		}
 		t0 := time.Now()
 		e.tr.Begin(e.tid, e.rank, instrument.StageExchange.String())
-		err = e.c.AlltoallInto(recv, e.ws.send, e.chunk)
+		err = e.c.AlltoallInto(e.ws.recv, e.ws.send, e.chunk)
 		e.dt.Exchange = time.Since(t0)
 		e.tr.End(e.tid, e.rank, instrument.StageExchange.String())
 		if err != nil {
@@ -242,7 +239,7 @@ func (pl *Plan) runFlat(ctx context.Context, c Comm, cfg distOptions, localOut, 
 	// projection and demodulation.
 	t0 := time.Now()
 	e.tr.Begin(e.tid, e.rank, instrument.StageSegmentFFT.String())
-	e.phase4(xcol, func(src int) []complex128 { return recv[src*e.chunk : (src+1)*e.chunk] }, localOut)
+	e.phase4(e.chunkOf, localOut)
 	e.dt.SegmentFT = time.Since(t0)
 	e.tr.End(e.tid, e.rank, instrument.StageSegmentFFT.String())
 
@@ -470,16 +467,25 @@ func (e *distExec) packRows(localIn []complex128, lo, hi int) {
 	}
 }
 
+// chunkOf returns the chunk source rank src addressed to this rank: the
+// self chunk never leaves the packed send buffer, every other lands in
+// recv in the blocking layout, whichever exchange ran.
+func (e *distExec) chunkOf(src int) []complex128 {
+	if src == e.rank {
+		return e.ws.send[src*e.chunk : (src+1)*e.chunk]
+	}
+	return e.ws.recv[src*e.chunk : (src+1)*e.chunk]
+}
+
 // phase4 segment-FFTs and demodulates one rank's worth of owned segments
 // into out (nLocal elements). Each segment's oversampled sequence is
-// either already contiguous in xcol (segment-major: the stream consumer
-// did the transpose behind the wire) or, with xcol nil, gathered from the
-// per-source chunks: chunkOf(src) must return the bpr·spr chunk that
-// source rank src addressed to the output owner. The segment pipeline is
+// gathered from the per-source chunks (the receive side of the stride-P
+// transpose): chunkOf(src) must return the bpr·spr chunk that source
+// rank src addressed to the output owner. The segment pipeline is
 // owner-agnostic (the global segment identity is baked into the chunk
 // data by the phase-2 modulation), so the coded driver reuses it verbatim
 // to take over a dead rank's output with bit-identical results.
-func (e *distExec) phase4(xcol []complex128, chunkOf func(src int) []complex128, out []complex128) {
+func (e *distExec) phase4(chunkOf func(src int) []complex128, out []complex128) {
 	pl := e.pl
 	parfor(e.workers, e.spr, func(sLo, sHi int) {
 		w0 := time.Now()
@@ -487,14 +493,10 @@ func (e *distExec) phase4(xcol []complex128, chunkOf func(src int) []complex128,
 		defer func() { e.ws.scratch <- sc }()
 		for ss := sLo; ss < sHi; ss++ {
 			xt := sc.xt
-			if xcol != nil {
-				xt = xcol[ss*pl.mp : (ss+1)*pl.mp]
-			} else {
-				for src := 0; src < e.r; src++ {
-					cb := chunkOf(src)
-					for j := 0; j < e.bpr; j++ {
-						xt[src*e.bpr+j] = cb[j*e.spr+ss]
-					}
+			for src := 0; src < e.r; src++ {
+				cb := chunkOf(src)
+				for j := 0; j < e.bpr; j++ {
+					xt[src*e.bpr+j] = cb[j*e.spr+ss]
 				}
 			}
 			pl.SegmentFFT(sc.yt, xt)

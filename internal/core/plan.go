@@ -113,9 +113,8 @@ type distWorkspace struct {
 	r int // world size the buffers are cut for
 
 	// send is the packed exchange buffer, destination t's chunk at
-	// [t·chunk, (t+1)·chunk); recv receives the exchange — per-source
-	// chunks in rank order (blocking, coded) or the segment-major phase-4
-	// input the stream consumer scatters into. N'/R elements each.
+	// [t·chunk, (t+1)·chunk); recv receives every exchange in the same
+	// layout, source s's chunk at [s·chunk, (s+1)·chunk). N'/R each.
 	send, recv []complex128
 
 	// Rows from jMid on have taps leaving the owned block and read stitch:

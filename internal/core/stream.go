@@ -1,8 +1,8 @@
 package core
 
 import (
+	"cmp"
 	"context"
-	"fmt"
 	"time"
 
 	"soifft/internal/adapt"
@@ -13,8 +13,9 @@ import (
 // This file is the streamed (async pipelined) variant of the distributed
 // driver: instead of convolving every block and then blocking in one
 // monolithic all-to-all, the producer fans phase-1/2 output out
-// tile-by-tile while later tiles are still convolving, and a consumer
-// goroutine scatters chunks into phase-4 layout as they land. Wire time
+// tile-by-tile while later tiles are still convolving, and the transport
+// decodes each arriving chunk straight into the workspace's recv, in the
+// blocking exchange's layout, which phase 4 gathers from. Wire time
 // hides behind compute; DistributedTimes.Exchange reports only the
 // un-hidden remainder (send backpressure plus the post-compute drain
 // tail), and the overlapped span is booked via Recorder.AddHiddenExchange.
@@ -41,17 +42,9 @@ import (
 func (e *distExec) tileBounds() []int {
 	w := e.window
 	if e.adaptive {
-		if w = e.r; w < 2 {
-			w = 2
-		}
+		w = max(e.r, 2)
 	}
-	T := 2 * w
-	if T < 4 {
-		T = 4
-	}
-	if T > e.bpr {
-		T = e.bpr
-	}
+	T := min(max(2*w, 4), e.bpr)
 	bounds := make([]int, T+1)
 	for k := 0; k <= T; k++ {
 		bounds[k] = k * e.bpr / T
@@ -59,107 +52,84 @@ func (e *distExec) tileBounds() []int {
 	return bounds
 }
 
-// startStream opens the chunked all-to-all on the tile schedule.
-func (e *distExec) startStream() (st exch.Stream, bounds []int) {
+// startStream opens the chunked all-to-all on the tile schedule, tile k
+// of source src landing in recv at src·chunk + bounds[k]·spr, and starts
+// draining it: done yields the first per-source failure, and got holds
+// each source's delivered chunk count, once every source has finished or
+// failed.
+func (e *distExec) startStream() (st exch.Stream, bounds, got []int, done <-chan error) {
 	bounds = e.tileBounds()
 	sizes := make([]int, len(bounds)-1)
 	for k := range sizes {
 		sizes[k] = (bounds[k+1] - bounds[k]) * e.spr
 	}
-	return e.c.StartAlltoallv(exch.Options{Sizes: sizes, Window: e.window}), bounds
+	st = e.c.StartAlltoallv(exch.Options{Sizes: sizes, Recv: e.ws.recv, Window: e.window})
+	got, ch := make([]int, e.r), make(chan error, 1)
+	go func() { ch <- e.drain(st, got) }()
+	return st, bounds, got, ch
+}
+
+// drain counts the chunks as the transport lands them in recv and
+// returns the first per-source failure (a dead link, or a frame the wrong
+// size for its slot). The flat exchange fails with it; the coded one
+// treats a short count as a lost source.
+func (e *distExec) drain(st exch.Stream, got []int) (err error) {
+	for {
+		c, ok := st.Next()
+		if !ok {
+			return err
+		}
+		if c.Err != nil {
+			err = cmp.Or(err, c.Err)
+			continue
+		}
+		if c.Src != e.rank {
+			e.tr.ChunkInstant(e.tid, e.rank, "exchange_chunk_recv", c.Index)
+		}
+		got[c.Src]++
+	}
 }
 
 // exchangeStreamed executes phases 1–3 with the chunked overlapped
-// exchange, leaving phase 4's input in xcol.
-func (e *distExec) exchangeStreamed(ctx context.Context, xcol, localIn []complex128) error {
-	st, bounds := e.startStream()
+// exchange.
+func (e *distExec) exchangeStreamed(ctx context.Context, localIn []complex128) error {
+	st, bounds, _, done := e.startStream()
 	defer st.Close()
 
 	e.tr.Counter(e.tid, e.rank, "adaptive_window", int64(e.window))
 	streamStart := time.Now()
 
-	// xcol is segment-major: segment ss's oversampled sequence is the
-	// contiguous xcol[ss·mp, (ss+1)·mp), with source src's block j at offset
-	// src·bpr+j — exactly the xt vector the blocking phase4 gathers,
-	// assembled here by the consumer while later chunks are still on the
-	// wire.
-	consErr := make(chan error, 1)
-	go func() { consErr <- e.consumeStream(st, bounds, xcol) }()
-
 	sendWait, perr := e.produce(ctx, st, bounds, localIn, nil)
 	if perr != nil {
 		// A producer that bailed mid-schedule left self-delivery slots the
-		// consumer would otherwise wait on forever; Close aborts the
-		// tracker so the drain below stays bounded.
+		// drain would otherwise wait on forever; Close aborts the tracker
+		// so the drain below stays bounded.
 		st.Close()
 	}
 
-	// Drain: whatever the producer's outcome, wait for the consumer — its
-	// receive loops are deadline-bounded, and it must be done with xcol
-	// before the workspace can go back to the free list. The visible
-	// exchange time is the send backpressure plus this tail; everything
-	// else ran behind compute.
+	// Drain: whatever the producer's outcome, wait for the receivers —
+	// their loops are deadline-bounded, and they must be done with recv
+	// before the workspace can go back to the free list.
 	prodDone := time.Now()
 	e.tr.Begin(e.tid, e.rank, instrument.StageExchange.String())
-	cerr := <-consErr
-	e.tr.End(e.tid, e.rank, instrument.StageExchange.String())
+	err := cmp.Or(perr, <-done, ctx.Err())
+	e.bookStream(streamStart, prodDone, sendWait, err == nil)
+	return err
+}
+
+// bookStream closes a streamed exchange's stage: the visible exchange
+// time is the send backpressure plus the tail since the producer
+// finished; everything else of the stream's span ran hidden behind
+// compute. A run that completed feeds the adaptive controller.
+func (e *distExec) bookStream(start, prodDone time.Time, sendWait time.Duration, completed bool) {
 	e.dt.Exchange = sendWait + time.Since(prodDone)
-	hidden := time.Since(streamStart) - e.dt.Exchange
-	if hidden < 0 {
-		hidden = 0
-	}
+	e.tr.End(e.tid, e.rank, instrument.StageExchange.String())
+	hidden := max(time.Since(start)-e.dt.Exchange, 0)
 	if e.timed && hidden > 0 {
 		e.rec.AddHiddenExchange(hidden)
 	}
-
-	if perr != nil {
-		return perr
-	}
-	if cerr != nil {
-		return cerr
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if e.adaptive {
+	if completed && e.adaptive {
 		e.observeAdaptive(hidden, sendWait)
-	}
-	return nil
-}
-
-// consumeStream scatters arriving chunks into the column-major phase-4
-// buffer — the receive side of the stride-P transpose, overlapped with
-// the wire. The first per-source failure is returned (after the stream
-// drains; the tracker retires a failed source's remaining slots).
-func (e *distExec) consumeStream(st exch.Stream, bounds []int, xcol []complex128) error {
-	mp := e.pl.mp
-	var firstErr error
-	for {
-		c, ok := st.Next()
-		if !ok {
-			return firstErr
-		}
-		if c.Err != nil {
-			if firstErr == nil {
-				firstErr = c.Err
-			}
-			continue
-		}
-		lo, hi := bounds[c.Index], bounds[c.Index+1]
-		if len(c.Data) != (hi-lo)*e.spr {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("core: rank %d: stream chunk %d from %d has %d elements, want %d: %w",
-					e.rank, c.Index, c.Src, len(c.Data), (hi-lo)*e.spr, ErrLength)
-			}
-			continue
-		}
-		e.tr.ChunkInstant(e.tid, e.rank, "exchange_chunk_recv", c.Index)
-		for j := lo; j < hi; j++ {
-			row := c.Data[(j-lo)*e.spr : (j-lo+1)*e.spr]
-			for ss, val := range row {
-				xcol[ss*mp+c.Src*e.bpr+j] = val
-			}
-		}
 	}
 }
 
@@ -176,10 +146,7 @@ func (e *distExec) observeAdaptive(hidden, sendWait time.Duration) {
 		m.OverlapRatio = float64(hidden) / float64(total)
 	}
 	if visible > 0 {
-		m.StallShare = float64(sendWait) / float64(visible)
-		if m.StallShare > 1 {
-			m.StallShare = 1
-		}
+		m.StallShare = min(float64(sendWait)/float64(visible), 1)
 	}
 	if e.dt.Convolve > 0 {
 		m.WireComputeRatio = float64(hidden+visible) / float64(e.dt.Convolve)

@@ -2,10 +2,15 @@ package core
 
 import (
 	"context"
+	"errors"
+	"sync"
 	"testing"
+	"time"
 
+	"soifft/internal/exch"
 	"soifft/internal/instrument"
 	"soifft/internal/mpi"
+	"soifft/internal/mpinet"
 	"soifft/internal/signal"
 )
 
@@ -131,6 +136,110 @@ func TestStreamedHaloBytesCounted(t *testing.T) {
 			t.Errorf("%s: recorder booked %d messages, %d bytes; want %d halo messages, %d bytes",
 				tc.name, got.Messages, got.Bytes, r, want)
 		}
+	}
+}
+
+// truncating shortens every streamed chunk its rank sends to a peer by
+// one element, so each arrives the wrong size for its recv slot.
+type truncating struct{ Comm }
+
+func (c truncating) StartAlltoallv(o exch.Options) exch.Stream {
+	return truncStream{c.Comm.StartAlltoallv(o), c.Rank()}
+}
+
+type truncStream struct {
+	exch.Stream
+	rank int
+}
+
+func (s truncStream) Send(dst, idx int, data []complex128) error {
+	if dst != s.rank {
+		data = data[:len(data)-1]
+	}
+	return s.Stream.Send(dst, idx, data)
+}
+
+// TestStreamWrongSizeChunk pins what a streamed chunk the wrong size for
+// its recv slot does, on both transports: the transport fails that
+// source with a typed fault. The flat driver fails with it on every rank
+// the source sent to. The coded driver treats the source as lost, like a
+// dead link — here beyond the m = 1 budget, since every data share of
+// its codeword went — and fails typed naming it.
+func TestStreamWrongSizeChunk(t *testing.T) {
+	const r, bad = 4, 2
+	pl, err := NewPlan(streamParams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := signal.Random(streamParams.N, 5)
+	nLocal := streamParams.N / r
+	transform := func(c Comm, opts []DistOption) error {
+		k := c.Rank()
+		if k == bad {
+			c = truncating{c}
+		}
+		_, err := pl.RunDistributed(context.Background(), c, make([]complex128, nLocal), src[k*nLocal:(k+1)*nLocal], opts...)
+		return err
+	}
+	transports := map[string]func(t *testing.T, opts []DistOption) []error{
+		// The source's coded protocol waits for peers that wrote it off:
+		// once the others have their outcome, aborting the world frees it.
+		"mpi": func(t *testing.T, opts []DistOption) []error {
+			w, err := mpi.NewWorld(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			errs := make([]error, r)
+			var others sync.WaitGroup
+			others.Add(r - 1)
+			_ = w.Run(func(c *mpi.Comm) error {
+				errs[c.Rank()] = transform(c, opts)
+				if c.Rank() == bad {
+					return nil
+				}
+				others.Done()
+				others.Wait()
+				return errors.New("test: outcomes recorded")
+			})
+			return errs
+		},
+		// On the mesh the source's own I/O deadline frees it.
+		"mpinet": func(t *testing.T, opts []DistOption) []error {
+			procs := loopbackMesh(t, r)
+			for _, p := range procs {
+				p.SetIOTimeout(300 * time.Millisecond)
+			}
+			return onMesh(procs, func(p *mpinet.Proc) error { return transform(p, opts) })
+		},
+	}
+	for name, run := range transports {
+		t.Run(name+"/flat", func(t *testing.T) {
+			errs := run(t, []DistOption{WithAsyncWindow(2)})
+			for k, err := range errs {
+				if k == bad {
+					continue
+				}
+				if !errors.As(err, new(Fault)) {
+					t.Errorf("rank %d: got %v, want the source's typed fault", k, err)
+				}
+				var te *mpinet.TransportError
+				if !errors.Is(err, mpi.ErrCountMismatch) && !(errors.As(err, &te) && te.Rank == bad) {
+					t.Errorf("rank %d: got %v, want a count mismatch from rank %d", k, err, bad)
+				}
+			}
+		})
+		t.Run(name+"/coded", func(t *testing.T) {
+			errs := run(t, []DistOption{WithAsyncWindow(2), WithCoding(1)})
+			for k, err := range errs {
+				if k == bad {
+					continue
+				}
+				var loss *UnrecoverableLossError
+				if !errors.As(err, &loss) || len(loss.DeadRanks) != 1 || loss.DeadRanks[0] != bad {
+					t.Errorf("rank %d: got %v, want an UnrecoverableLossError naming rank %d", k, err, bad)
+				}
+			}
+		})
 	}
 }
 

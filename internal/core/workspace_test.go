@@ -308,11 +308,14 @@ func runInproc(pl *Plan, r int, out, in []complex128, opts ...DistOption) error 
 
 // TestRunDistributedSteadyStateAllocBytes is the distributed twin of
 // TestTransformSteadyStateAllocs: on a warm plan with caller-owned
-// buffers, one transform of a fresh 2-rank world allocates bookkeeping
-// (≤ 1 MB) plus at most the in-process transport's buffered-send copy of
-// each rank's outgoing payload — (R−1) data chunks, plus m parity shares
-// when coded. Any workspace buffer that slipped back onto the per-call
-// path is 1.3 MB or more and breaks the bound.
+// buffers, one transform of a 2-rank world allocates bookkeeping
+// (≤ 1 MB) plus whatever payload copies its transport makes. The
+// in-process blocking all-to-all is a rendezvous and the mesh decodes
+// stream chunks straight into the workspace, so those make none; the
+// in-process streamed and coded exchanges still go through the buffered
+// Send, one copy of each rank's outgoing payload — (R−1) data chunks,
+// plus m parity shares when coded. Any workspace buffer that slipped back
+// onto the per-call path is 1.3 MB or more and breaks the bound.
 func TestRunDistributedSteadyStateAllocBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's allocations and dropped pool puts are not the steady state")
@@ -325,17 +328,28 @@ func TestRunDistributedSteadyStateAllocBytes(t *testing.T) {
 	in := signal.Random(allocParams.N, 3)
 	out := make([]complex128, allocParams.N)
 	chunkBytes := uint64(16 * pl.NPrime() / (r * r))
+	procs := loopbackMesh(t, r)
+	onWire := func(pl *Plan, r int, out, in []complex128, opts ...DistOption) error {
+		nLocal := len(in) / r
+		return errors.Join(onMesh(procs, func(p *mpinet.Proc) error {
+			k := p.Rank()
+			_, err := pl.RunDistributed(context.Background(), p, out[k*nLocal:(k+1)*nLocal], in[k*nLocal:(k+1)*nLocal], opts...)
+			return err
+		})...)
+	}
 	for _, tc := range []struct {
 		name     string
+		run      func(pl *Plan, r int, out, in []complex128, opts ...DistOption) error
 		opts     []DistOption
 		outgoing uint64 // buffered-send copies per op, all ranks
 	}{
-		{"blocking", nil, r * (r - 1) * chunkBytes},
-		{"streamed", []DistOption{WithAsyncWindow(2)}, r * (r - 1) * chunkBytes},
-		{"coded", []DistOption{WithCoding(parity)}, r * (r - 1 + parity) * chunkBytes},
+		{"blocking", runInproc, nil, 0},
+		{"streamed", runInproc, []DistOption{WithAsyncWindow(2)}, r * (r - 1) * chunkBytes},
+		{"coded", runInproc, []DistOption{WithCoding(parity)}, r * (r - 1 + parity) * chunkBytes},
+		{"mpinet/streamed", onWire, []DistOption{WithAsyncWindow(2)}, 0},
 	} {
 		for warm := 0; warm < 2; warm++ {
-			if err := runInproc(pl, r, out, in, tc.opts...); err != nil {
+			if err := tc.run(pl, r, out, in, tc.opts...); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -343,12 +357,13 @@ func TestRunDistributedSteadyStateAllocBytes(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i := 0; i < ops; i++ {
-			if err := runInproc(pl, r, out, in, tc.opts...); err != nil {
+			if err := tc.run(pl, r, out, in, tc.opts...); err != nil {
 				t.Fatal(err)
 			}
 		}
 		runtime.ReadMemStats(&after)
 		perOp := (after.TotalAlloc - before.TotalAlloc) / ops
+		t.Logf("%s: %d bytes/op", tc.name, perOp)
 		if limit := tc.outgoing + 1<<20; perOp > limit {
 			t.Errorf("%s: %d bytes/op, want ≤ %d (1 MB + %d of buffered sends)", tc.name, perOp, limit, tc.outgoing)
 		}

@@ -20,6 +20,7 @@
 package erasure
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -77,6 +78,32 @@ func ginv(a byte) byte {
 	return expTbl[255-int(logTbl[a])]
 }
 
+// mulTable fills t with the 256 products c·v, v = 0..255: the lookup row
+// the Encode and Reconstruct loops index with each source byte.
+func mulTable(t *[256]byte, c byte) {
+	for v := range t {
+		t[v] = gmul(c, byte(v))
+	}
+}
+
+// mulAdd xors c·src into out byte-wise, c given by its product row; it
+// moves eight bytes per load and store.
+func mulAdd(out, src []byte, tbl *[256]byte) {
+	out = out[:len(src)]
+	n := len(src) &^ 7
+	for b := 0; b < n; b += 8 {
+		s := binary.LittleEndian.Uint64(src[b:])
+		p := uint64(tbl[byte(s)]) | uint64(tbl[byte(s>>8)])<<8 |
+			uint64(tbl[byte(s>>16)])<<16 | uint64(tbl[byte(s>>24)])<<24 |
+			uint64(tbl[byte(s>>32)])<<32 | uint64(tbl[byte(s>>40)])<<40 |
+			uint64(tbl[byte(s>>48)])<<48 | uint64(tbl[byte(s>>56)])<<56
+		binary.LittleEndian.PutUint64(out[b:], binary.LittleEndian.Uint64(out[b:])^p)
+	}
+	for b := n; b < len(src); b++ {
+		out[b] ^= tbl[src[b]]
+	}
+}
+
 // Code is a systematic (k+m, k) Reed–Solomon code. It is immutable and
 // safe for concurrent use.
 type Code struct {
@@ -85,6 +112,8 @@ type Code struct {
 	// the identity and are never materialized): parity share i is
 	// Σ_j gen[i][j]·data[j] in GF(2^8), applied byte-wise.
 	gen [][]byte
+	// tbl[i·k+j] is the product row of gen[i][j].
+	tbl [][256]byte
 }
 
 // New builds a code with k data shares and m parity shares. k must be
@@ -93,7 +122,7 @@ func New(k, m int) (*Code, error) {
 	if k < 1 || m < 0 || k+m > 256 {
 		return nil, fmt.Errorf("%w: k=%d m=%d", ErrParams, k, m)
 	}
-	c := &Code{k: k, m: m, gen: make([][]byte, m)}
+	c := &Code{k: k, m: m, gen: make([][]byte, m), tbl: make([][256]byte, m*k)}
 	// Cauchy rows: gen[i][j] = 1/(x_i ⊕ y_j) with x_i = k+i, y_j = j.
 	// The index sets are disjoint, so every entry is defined, and the
 	// stacked [I; C] generator is MDS.
@@ -101,6 +130,7 @@ func New(k, m int) (*Code, error) {
 		row := make([]byte, k)
 		for j := 0; j < k; j++ {
 			row[j] = ginv(byte(k+i) ^ byte(j))
+			mulTable(&c.tbl[i*k+j], row[j])
 		}
 		c.gen[i] = row
 	}
@@ -136,20 +166,10 @@ func (c *Code) Encode(data, parity [][]byte) error {
 			return fmt.Errorf("%w: parity share of %d bytes, data shares of %d", ErrShardSize, len(p), size)
 		}
 	}
-	for i := 0; i < c.m; i++ {
-		out := parity[i]
-		for b := range out {
-			out[b] = 0
-		}
-		for j := 0; j < c.k; j++ {
-			g := c.gen[i][j]
-			if g == 0 {
-				continue
-			}
-			src := data[j]
-			for b, v := range src {
-				out[b] ^= gmul(g, v)
-			}
+	for i, out := range parity {
+		clear(out)
+		for j, src := range data {
+			mulAdd(out, src, &c.tbl[i*c.k+j])
 		}
 	}
 	return nil
@@ -208,17 +228,12 @@ func (c *Code) Reconstruct(shares [][]byte) error {
 		return err
 	}
 	// Missing data share j is row j of inv times the survivor vector.
+	var tbl [256]byte
 	for _, j := range missing {
 		out := make([]byte, size)
-		for t := 0; t < c.k; t++ {
-			g := inv[j][t]
-			if g == 0 {
-				continue
-			}
-			src := shares[present[t]]
-			for b, v := range src {
-				out[b] ^= gmul(g, v)
-			}
+		for t, idx := range present {
+			mulTable(&tbl, inv[j][t])
+			mulAdd(out, shares[idx], &tbl)
 		}
 		shares[j] = out
 	}

@@ -51,6 +51,121 @@ func TestGFArithmetic(t *testing.T) {
 	}
 }
 
+// TestMulTableMatchesGmul: every one of the 65,536 table products is the
+// log/exp product.
+func TestMulTableMatchesGmul(t *testing.T) {
+	var tbl [256]byte
+	for c := 0; c < 256; c++ {
+		mulTable(&tbl, byte(c))
+		for v := 0; v < 256; v++ {
+			if tbl[v] != gmul(byte(c), byte(v)) {
+				t.Fatalf("table %d·%d = %d, gmul says %d", c, v, tbl[v], gmul(byte(c), byte(v)))
+			}
+		}
+	}
+}
+
+// encodeGmul and reconstructGmul are the byte-at-a-time log/exp loops the
+// table-driven Encode and Reconstruct replaced, kept as their reference.
+func encodeGmul(c *Code, data, parity [][]byte) {
+	for i := 0; i < c.m; i++ {
+		out := parity[i]
+		for b := range out {
+			out[b] = 0
+		}
+		for j := 0; j < c.k; j++ {
+			g := c.gen[i][j]
+			if g == 0 {
+				continue
+			}
+			for b, v := range data[j] {
+				out[b] ^= gmul(g, v)
+			}
+		}
+	}
+}
+
+func reconstructGmul(t *testing.T, c *Code, shares [][]byte) {
+	t.Helper()
+	var present, missing []int
+	size := 0
+	for idx, s := range shares {
+		switch {
+		case s == nil && idx < c.k:
+			missing = append(missing, idx)
+		case s != nil && len(present) < c.k:
+			present = append(present, idx)
+			size = len(s)
+		}
+	}
+	a := make([][]byte, c.k)
+	for r, idx := range present {
+		a[r] = make([]byte, c.k)
+		if idx < c.k {
+			a[r][idx] = 1
+		} else {
+			copy(a[r], c.gen[idx-c.k])
+		}
+	}
+	inv, err := invertMatrix(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range missing {
+		out := make([]byte, size)
+		for s := 0; s < c.k; s++ {
+			g := inv[j][s]
+			if g == 0 {
+				continue
+			}
+			for b, v := range shares[present[s]] {
+				out[b] ^= gmul(g, v)
+			}
+		}
+		shares[j] = out
+	}
+}
+
+// TestTableCodecMatchesGmulLoops: over random shapes and erasure
+// patterns, Encode and Reconstruct produce exactly the reference loops'
+// bytes.
+func TestTableCodecMatchesGmulLoops(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 200; trial++ {
+		k, m, size := 1+rng.Intn(12), rng.Intn(5), rng.Intn(300)
+		c, err := New(k, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := randomShares(rng, k, size)
+		parity := encodeAll(t, c, data, size)
+		want := make([][]byte, m)
+		for i := range want {
+			want[i] = make([]byte, size)
+		}
+		encodeGmul(c, data, want)
+		for i := range want {
+			if !bytes.Equal(parity[i], want[i]) {
+				t.Fatalf("k=%d m=%d size=%d: parity %d differs from the gmul loop", k, m, size, i)
+			}
+		}
+		got := append(append([][]byte(nil), data...), parity...)
+		for _, idx := range rng.Perm(k + m)[:rng.Intn(m+1)] {
+			got[idx] = nil
+		}
+		ref := append([][]byte(nil), got...)
+		if err := c.Reconstruct(got); err != nil {
+			t.Fatal(err)
+		}
+		reconstructGmul(t, c, ref)
+		for i := 0; i < k; i++ {
+			if !bytes.Equal(got[i], ref[i]) || !bytes.Equal(got[i], data[i]) {
+				t.Fatalf("k=%d m=%d size=%d: share %d differs from the gmul loop", k, m, size, i)
+			}
+		}
+	}
+}
+
 // TestReconstructEveryErasurePattern exhausts all erasure patterns of
 // weight ≤ m for a small code: every one must reconstruct bit-exactly
 // (the MDS property, which the coded exchange's "any k shares decode"
@@ -207,6 +322,46 @@ func TestReconstructRecoversComplexChunks(t *testing.T) {
 			if got[j] != orig[idx][j] {
 				t.Fatalf("chunk %d element %d: %v != %v", idx, j, got[j], orig[idx][j])
 			}
+		}
+	}
+}
+
+// The benchmarks' shape is the coded exchange's at two ranks and one
+// parity share, each share one 64 KiB strip of the parity encode.
+const benchK, benchM, benchSize = 2, 1, 64 << 10
+
+// BenchmarkEncode measures parity throughput over the data bytes.
+func BenchmarkEncode(b *testing.B) {
+	c, err := New(benchK, benchM)
+	if err != nil {
+		b.Fatal(err)
+	}
+	data := randomShares(rand.New(rand.NewSource(1)), benchK, benchSize)
+	parity := [][]byte{make([]byte, benchSize)}
+	b.SetBytes(benchK * benchSize)
+	for i := 0; i < b.N; i++ {
+		if err := c.Encode(data, parity); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkReconstruct measures rebuilding one lost data share from the
+// survivors.
+func BenchmarkReconstruct(b *testing.B) {
+	c, err := New(benchK, benchM)
+	if err != nil {
+		b.Fatal(err)
+	}
+	data := randomShares(rand.New(rand.NewSource(1)), benchK, benchSize)
+	parity := [][]byte{make([]byte, benchSize)}
+	if err := c.Encode(data, parity); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(benchK * benchSize)
+	for i := 0; i < b.N; i++ {
+		if err := c.Reconstruct([][]byte{nil, data[1], parity[0]}); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -17,7 +17,11 @@
 // ends that source's stream without disturbing the others.
 package exch
 
-import "sync"
+import (
+	"errors"
+	"fmt"
+	"sync"
+)
 
 // TagBase is the top of the stream tag band: chunk idx travels with tag
 // TagBase-idx. The band grows downward from -2000, clear of both
@@ -78,10 +82,26 @@ func HaloSizes(total int) []int {
 	return sizes
 }
 
+// ErrOverlap is the cause both transports' AlltoallInto give a recv
+// buffer that shares memory with send.
+var ErrOverlap = errors.New("exch: all-to-all recv overlaps send")
+
+// Overlap reports whether a and b share memory. Slices of one array share
+// its last element, so equal capacity ends identify the array and the
+// capacities place each slice in it (a capacity trimmed by a full slice
+// expression escapes the check).
+func Overlap(a, b []complex128) bool {
+	if len(a) == 0 || len(b) == 0 || &a[:cap(a)][cap(a)-1] != &b[:cap(b)][cap(b)-1] {
+		return false
+	}
+	return cap(a)-len(a) < cap(b) && cap(b)-len(b) < cap(a)
+}
+
 // Chunk is one delivered piece of a streamed all-to-all: chunk Index of
 // source rank Src's contribution to this rank, or — when Err is non-nil
 // — the typed failure that ended Src's stream (Data is nil then, and no
-// further chunks from Src will arrive).
+// further chunks from Src will arrive). A remote chunk's Data is its
+// Options.Recv slot; a self chunk's is the slice this rank sent.
 type Chunk struct {
 	Src   int
 	Index int
@@ -103,18 +123,51 @@ type Codec interface {
 
 // Options is the shared schedule of one streamed all-to-all. Every rank
 // must start its stream with identical Sizes (and compatible Codec);
-// Window is local pacing and may differ per rank.
+// Window and Recv are local and may differ per rank.
 type Options struct {
 	// Sizes holds the element count of each chunk index; the same
 	// schedule applies to every (source, destination) pair.
 	Sizes []int
+	// Recv (required) receives the remote chunks in the blocking
+	// exchange's layout, Size()·Σ Sizes elements: source src's chunks in
+	// rank order, chunk idx at Σ Sizes[:idx] within them (see Slot).
+	// Chunks are decoded straight into it; a frame whose size disagrees
+	// with its slot fails its source. Self chunks are not copied here.
+	Recv []complex128
 	// Window caps the queued-but-unflushed chunks per destination link;
 	// values below 1 are treated as 1. Transports whose sends complete
 	// synchronously (the in-process runtime) treat every send as
 	// immediately flushed, so the window never blocks there.
 	Window int
 	// Codec optionally transforms payloads on the wire; nil = identity.
+	// Decoded chunks are copied into their slot.
 	Codec Codec
+}
+
+// Slot returns the span of Recv that chunk idx from source src lands in.
+func (o Options) Slot(src, idx int) []complex128 {
+	total, off := 0, 0
+	for i, n := range o.Sizes {
+		if i < idx {
+			off += n
+		}
+		total += n
+	}
+	return o.Recv[src*total+off:][:o.Sizes[idx]]
+}
+
+// DecodeInto decodes a wire chunk with c into slot, whose length the
+// decoded chunk must match.
+func DecodeInto(c Codec, slot, wire []complex128) error {
+	data, err := c.DecodeChunk(wire, len(slot))
+	if err != nil {
+		return err
+	}
+	if len(data) != len(slot) {
+		return fmt.Errorf("exch: codec decoded %d elements, want %d", len(data), len(slot))
+	}
+	copy(slot, data)
+	return nil
 }
 
 // Stream is a handle on one in-flight chunked all-to-all. One goroutine
@@ -142,12 +195,15 @@ type Stream interface {
 }
 
 // Conn is the point-to-point subset of core.Comm the generic Stream
-// runs on (*mpinet.Proc ships its own natively windowed Stream).
+// runs on (*mpinet.Proc ships its own natively windowed Stream). Chunks
+// arrive through RecvInto, straight into their Options.Recv slot, whose
+// length the frame must match; RecvC serves only a Codec's wire form.
 type Conn interface {
 	Rank() int
 	Size() int
 	Send(to, tag int, data []complex128) error
 	RecvC(from, tag int) ([]complex128, error)
+	RecvInto(dst []complex128, from, tag int) error
 }
 
 // Tracker is the consumer-side bookkeeping shared by Stream
@@ -245,15 +301,21 @@ func (s *stream) Send(dst, idx int, data []complex128) error {
 
 func (s *stream) recvLoop(src int) {
 	for idx := range s.o.Sizes {
-		data, err := s.c.RecvC(src, Tag(idx))
-		if err == nil && s.o.Codec != nil {
-			data, err = s.o.Codec.DecodeChunk(data, s.o.Sizes[idx])
+		slot := s.o.Slot(src, idx)
+		var err error
+		if s.o.Codec == nil {
+			err = s.c.RecvInto(slot, src, Tag(idx))
+		} else {
+			var wire []complex128
+			if wire, err = s.c.RecvC(src, Tag(idx)); err == nil {
+				err = DecodeInto(s.o.Codec, slot, wire)
+			}
 		}
 		if err != nil {
 			s.trk.Deliver(Chunk{Src: src, Err: err})
 			return
 		}
-		s.trk.Deliver(Chunk{Src: src, Index: idx, Data: data})
+		s.trk.Deliver(Chunk{Src: src, Index: idx, Data: slot})
 	}
 }
 

@@ -77,6 +77,25 @@ func (c *fakeConn) RecvC(from, tag int) ([]complex128, error) {
 	}
 }
 
+func (c *fakeConn) RecvInto(dst []complex128, from, tag int) error {
+	data, err := c.RecvC(from, tag)
+	if err == nil && len(data) != len(dst) {
+		err = fmt.Errorf("got %d elements, want %d", len(data), len(dst))
+	}
+	copy(dst, data)
+	return err
+}
+
+// withRecv returns o with a fresh Recv for a size-rank world.
+func withRecv(o Options, size int) Options {
+	total := 0
+	for _, n := range o.Sizes {
+		total += n
+	}
+	o.Recv = make([]complex128, size*total)
+	return o
+}
+
 // payload builds a distinguishable chunk for (src, dst, idx).
 func payload(src, dst, idx, n int) []complex128 {
 	out := make([]complex128, n)
@@ -98,7 +117,7 @@ func runWorld(t *testing.T, w *fakeWorld, o Options) []map[[2]int][]complex128 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s := Start(&fakeConn{w: w, rank: rank}, o)
+			s := Start(&fakeConn{w: w, rank: rank}, withRecv(o, w.size))
 			defer s.Close()
 			done := make(chan struct{})
 			go func() {
@@ -205,7 +224,7 @@ func TestStreamDeadSourceYieldsOneTypedFailure(t *testing.T) {
 	// Rank 1's link to rank 0 dies after one chunk; ranks 1<->2 and
 	// 0->1, 0->2, 2->0 stay healthy. Run only rank 0's consumer; feed it
 	// by hand from ranks 1 and 2.
-	s := Start(&fakeConn{w: w, rank: 0}, o)
+	s := Start(&fakeConn{w: w, rank: 0}, withRecv(o, 3))
 	defer s.Close()
 	c1 := &fakeConn{w: w, rank: 1}
 	c2 := &fakeConn{w: w, rank: 2}
@@ -245,6 +264,79 @@ func TestStreamDeadSourceYieldsOneTypedFailure(t *testing.T) {
 	// 3 self + 3 from rank 2 + 1 from rank 1 before its link died.
 	if chunks != 7 {
 		t.Fatalf("got %d data chunks, want 7", chunks)
+	}
+}
+
+// TestStreamLandsChunksInRecvSlots: every remote chunk is delivered as
+// its Recv slot, in the blocking layout, holding the sent payload; a
+// frame the wrong size for its slot ends that source's stream with one
+// failure and leaves the other sources alone.
+func TestStreamLandsChunksInRecvSlots(t *testing.T) {
+	w := newFakeWorld(3)
+	o := withRecv(Options{Sizes: []int{2, 3}, Window: 1}, 3)
+	s := Start(&fakeConn{w: w, rank: 0}, o)
+	defer s.Close()
+	c1, c2 := &fakeConn{w: w, rank: 1}, &fakeConn{w: w, rank: 2}
+	for idx, n := range o.Sizes {
+		if err := c1.Send(0, Tag(idx), payload(1, 0, idx, n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c2.Send(0, Tag(0), payload(2, 0, 0, 1)); err != nil { // one element short
+		t.Fatal(err)
+	}
+	for idx, n := range o.Sizes {
+		if err := s.Send(0, idx, payload(0, 0, idx, n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var fails int
+	for {
+		c, ok := s.Next()
+		if !ok {
+			break
+		}
+		if c.Err != nil {
+			if fails++; c.Src != 2 {
+				t.Errorf("source %d failed: %v", c.Src, c.Err)
+			}
+			continue
+		}
+		if c.Src == 1 && &c.Data[0] != &o.Slot(1, c.Index)[0] {
+			t.Errorf("chunk %d from 1 was not delivered in its Recv slot", c.Index)
+		}
+	}
+	if fails != 1 {
+		t.Fatalf("%d failure events, want one for source 2", fails)
+	}
+	want := append(payload(1, 0, 0, 2), payload(1, 0, 1, 3)...)
+	for i, v := range want {
+		if got := o.Recv[5+i]; got != v {
+			t.Fatalf("Recv[%d] = %v, want %v (source 1's chunks at offset 5)", 5+i, got, v)
+		}
+	}
+}
+
+// TestOverlap: slices of one array overlap exactly when their element
+// ranges intersect; distinct arrays never do.
+func TestOverlap(t *testing.T) {
+	a := make([]complex128, 10)
+	for _, tc := range []struct {
+		x, y []complex128
+		want bool
+	}{
+		{a, a, true},
+		{a[:5], a[5:], false},
+		{a[:6], a[5:], true},
+		{a[2:4], a[3:9], true},
+		{a[8:], a[:8], false},
+		{a[:0], a, false},
+		{a, make([]complex128, 10), false},
+	} {
+		if got := Overlap(tc.x, tc.y); got != tc.want {
+			t.Errorf("Overlap(len %d cap %d, len %d cap %d) = %v, want %v",
+				len(tc.x), cap(tc.x), len(tc.y), cap(tc.y), got, tc.want)
+		}
 	}
 }
 

@@ -24,18 +24,21 @@ func (c *Comm) Size() int { return c.world.size }
 // copied, so Send never blocks; it fails only once the world has
 // aborted, with *AbortError.
 func (c *Comm) Send(to, tag int, data []complex128) error {
-	if c.world.aborted.Load() {
+	select {
+	case <-c.world.dead:
 		return &AbortError{Rank: c.rank}
+	default:
 	}
 	c.send(to, tag, data)
 	return nil
 }
 
 // RecvC blocks until the next message from rank `from` arrives and
-// returns its payload, or *AbortError once the world has aborted. The
-// message's tag must equal tag.
+// returns its payload, or *AbortError once the world has aborted. A
+// message with another tag is a *CollectiveError wrapping
+// *TagMismatchError.
 func (c *Comm) RecvC(from, tag int) ([]complex128, error) {
-	data, err := c.get(from, tag)
+	data, err := c.get("recv", from, tag)
 	if err != nil {
 		return nil, err
 	}
@@ -50,10 +53,15 @@ func (c *Comm) RecvInto(dst []complex128, from, tag int) error {
 }
 
 func (c *Comm) recvInto(op string, dst []complex128, from, tag int) error {
-	data, err := c.RecvC(from, tag)
+	data, err := c.get(op, from, tag)
 	if err != nil {
 		return err
 	}
+	return c.fill(op, dst, data.([]complex128), from)
+}
+
+// fill copies a received payload into dst, whose length it must match.
+func (c *Comm) fill(op string, dst, data []complex128, from int) error {
 	if len(data) != len(dst) {
 		return &CollectiveError{Op: op, Rank: c.rank, Err: fmt.Errorf(
 			"%w: expected %d elements from rank %d, got %d", ErrCountMismatch, len(dst), from, len(data))}
@@ -98,15 +106,24 @@ func (c *Comm) send(to, tag int, data any) {
 	c.world.box(c.rank, to, tag).put(packet{tag: tag, data: copyPayload(data)})
 }
 
-// get pops the next payload from rank `from`, or *AbortError once the
-// world has aborted and the queue is drained.
-func (c *Comm) get(from, tag int) (any, error) {
+// get pops the next payload from rank `from`: *AbortError once the world
+// has aborted and the queue is drained, and for a message with another
+// tag — the SPMD program's sends and receives are mis-sequenced — a
+// *CollectiveError of op wrapping *TagMismatchError (a chunk lent under
+// that tag is handed back, so its lender does not wait on it).
+func (c *Comm) get(op string, from, tag int) (any, error) {
 	if from < 0 || from >= c.world.size {
 		panic(fmt.Sprintf("mpi: recv from invalid rank %d (size %d)", from, c.world.size))
 	}
-	p, ok := c.world.box(from, c.rank, tag).get(tag)
+	p, ok := c.world.box(from, c.rank, tag).get()
 	if !ok {
 		return nil, &AbortError{Rank: c.rank}
+	}
+	if p.tag != tag {
+		if l, ok := p.data.(*loan); ok && l.take() {
+			l.back <- struct{}{}
+		}
+		return nil, &CollectiveError{Op: op, Rank: c.rank, Err: &TagMismatchError{Want: tag, Got: p.tag}}
 	}
 	return p.data, nil
 }
@@ -114,7 +131,7 @@ func (c *Comm) get(from, tag int) (any, error) {
 // recv is get for the experiment-only collectives, which leave an abort
 // to unwind the rank through World.Run.
 func (c *Comm) recv(from, tag int) any {
-	data, err := c.get(from, tag)
+	data, err := c.get("recv", from, tag)
 	if err != nil {
 		panic(err)
 	}

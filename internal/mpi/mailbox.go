@@ -33,10 +33,9 @@ func (m *mailbox) put(p packet) {
 	m.cond.Signal()
 }
 
-// get blocks for the next packet and checks its tag. A tag mismatch means
-// the SPMD program's sends and receives are mis-sequenced, which is a
-// programming error: it panics with a diagnostic.
-func (m *mailbox) get(tag int) (packet, bool) {
+// get blocks for the next packet; ok is false once the world aborted and
+// the queue is drained.
+func (m *mailbox) get() (p packet, ok bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for m.head == len(m.queue) && !m.dead {
@@ -45,15 +44,12 @@ func (m *mailbox) get(tag int) (packet, bool) {
 	if m.head == len(m.queue) {
 		return packet{}, false
 	}
-	p := m.queue[m.head]
+	p = m.queue[m.head]
 	m.queue[m.head] = packet{} // drop the payload reference
 	if m.head++; m.head == len(m.queue) {
 		// Drained: rewind so put reuses the backing array instead of
 		// growing a fresh one behind an ever-advancing window.
 		m.queue, m.head = m.queue[:0], 0
-	}
-	if p.tag != tag {
-		panic(&TagMismatchError{Want: tag, Got: p.tag})
 	}
 	return p, true
 }

@@ -310,18 +310,38 @@ func TestRunRecoversPanics(t *testing.T) {
 	}
 }
 
-func TestTagMismatchPanics(t *testing.T) {
-	w := mustWorld(t, 2)
-	err := w.Run(func(c *Comm) error {
-		if c.Rank() == 0 {
-			c.Send(1, 1, []complex128{1})
+// TestTagMismatchIsTyped: a receive that finds another tag heading the
+// queue returns a typed comm fault naming both tags, on every core.Comm
+// receive, instead of panicking.
+func TestTagMismatchIsTyped(t *testing.T) {
+	recvs := map[string]func(c *Comm) error{
+		"RecvC": func(c *Comm) error {
+			_, err := c.RecvC(0, 2)
+			return err
+		},
+		"RecvInto": func(c *Comm) error { return c.RecvInto(make([]complex128, 1), 0, 2) },
+		"AlltoallInto": func(c *Comm) error {
+			return c.AlltoallInto(make([]complex128, 2), make([]complex128, 2), 1)
+		},
+	}
+	for name, recv := range recvs {
+		w := mustWorld(t, 2)
+		var got error
+		err := w.Run(func(c *Comm) error {
+			if c.Rank() == 0 {
+				return c.Send(1, 1, []complex128{1})
+			}
+			got = recv(c)
 			return nil
+		})
+		if err != nil {
+			t.Fatalf("%s: world failed: %v", name, err)
 		}
-		c.RecvC(0, 2) // wrong tag: must panic, surfaced as error
-		return nil
-	})
-	if err == nil {
-		t.Fatal("expected tag mismatch error")
+		var ce *CollectiveError
+		var tm *TagMismatchError
+		if !errors.As(got, &ce) || !errors.As(got, &tm) || tm.Got != 1 {
+			t.Errorf("%s: got %v (%T), want a *CollectiveError wrapping *TagMismatchError", name, got, got)
+		}
 	}
 }
 
@@ -388,11 +408,11 @@ func TestPropAlltoallIsPermutation(t *testing.T) {
 func TestMailboxRewindsWhenDrained(t *testing.T) {
 	m := newMailbox()
 	m.put(packet{tag: 1})
-	m.get(1)
+	m.get()
 	base := cap(m.queue)
 	for i := 0; i < 1000; i++ {
 		m.put(packet{tag: 1})
-		if _, ok := m.get(1); !ok {
+		if _, ok := m.get(); !ok {
 			t.Fatal("mailbox died")
 		}
 	}

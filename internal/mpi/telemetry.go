@@ -1,10 +1,6 @@
 package mpi
 
-import (
-	"fmt"
-
-	"soifft/internal/telemetry"
-)
+import "fmt"
 
 // RecvTelemetry blocks for the next telemetry stat frame from rank
 // `from` (the telemetry.Receiver capability). Stat frames ride their own
@@ -20,7 +16,7 @@ func (c *Comm) RecvTelemetry(from int) ([]complex128, error) {
 	if from < 0 || from >= c.world.size {
 		panic(fmt.Sprintf("mpi: recv telemetry from invalid rank %d (size %d)", from, c.world.size))
 	}
-	p, ok := c.world.tboxes[from*c.world.size+c.rank].get(telemetry.TagStat)
+	p, ok := c.world.tboxes[from*c.world.size+c.rank].get() // stat frames only
 	if !ok {
 		return nil, &AbortError{Rank: c.rank}
 	}

@@ -1,8 +1,8 @@
 // Package mpi is an in-process message-passing runtime with MPI-shaped
 // semantics: a World of R ranks, each running the same SPMD function on
-// its own goroutine, communicating through point-to-point sends/receives
-// and collectives (Barrier, Bcast, Reduce, Allreduce, Gather, Allgather,
-// Alltoall, Alltoallv, Sendrecv).
+// its own goroutine, communicating through point-to-point sends/receives,
+// collectives (Barrier, Bcast, Reduce, Allreduce, Gather, Allgather,
+// Alltoall, Sendrecv) and the streamed all-to-all.
 //
 // It substitutes for the MPI layer of the paper's implementation (Go has
 // no MPI ecosystem): the programming model, message matching and
@@ -10,11 +10,11 @@
 // the wire is counted, so the interconnect models in internal/netsim can
 // price a run on the paper's fabrics.
 //
-// Semantics notes: sends are buffered and asynchronous (the payload is
-// copied, so buffers are immediately reusable); receives match per
-// (source, tag) in FIFO order. A rank returning an error aborts the
-// world: the core.Comm methods then return *AbortError, and the other
-// collectives unwind the rank through Run.
+// Sends are buffered (the payload is copied, so buffers are immediately
+// reusable) and receives match per (source, tag) in FIFO order; the one
+// rendezvous is AlltoallInto, which returns once its peers have copied
+// send. A rank returning an error aborts the world: the core.Comm methods
+// then return *AbortError, and the other collectives unwind through Run.
 package mpi
 
 import (
@@ -68,7 +68,7 @@ type World struct {
 	tboxes []*mailbox // same geometry, telemetry stat frames (tag telemetry.TagStat)
 
 	abortOnce sync.Once
-	aborted   atomic.Bool
+	dead      chan struct{} // closed when the world aborts; wakes waiting senders
 
 	stats struct {
 		p2pMessages, p2pBytes atomic.Int64
@@ -91,6 +91,7 @@ func NewWorld(size int) (*World, error) {
 		boxes:  make([]*mailbox, size*size),
 		sboxes: make([]*mailbox, size*size),
 		tboxes: make([]*mailbox, size*size),
+		dead:   make(chan struct{}),
 	}
 	for i := range w.boxes {
 		w.boxes[i] = newMailbox()
@@ -155,7 +156,7 @@ func (w *World) Run(fn func(c *Comm) error) error {
 
 func (w *World) abort() {
 	w.abortOnce.Do(func() {
-		w.aborted.Store(true)
+		close(w.dead)
 		for _, b := range w.boxes {
 			b.kill()
 		}

@@ -36,12 +36,12 @@ func TestCommContractReturnsFaults(t *testing.T) {
 			return err
 		}},
 		{"StreamSend", func(c core.Comm) error {
-			st := c.StartAlltoallv(exch.Options{Sizes: []int{1}, Window: 1})
+			st := c.StartAlltoallv(exch.Options{Sizes: []int{1}, Recv: make([]complex128, 2), Window: 1})
 			defer st.Close()
 			return st.Send(1, 0, []complex128{1})
 		}},
 		{"StreamNext", func(c core.Comm) error {
-			st := c.StartAlltoallv(exch.Options{Sizes: []int{1}, Window: 1})
+			st := c.StartAlltoallv(exch.Options{Sizes: []int{1}, Recv: make([]complex128, 2), Window: 1})
 			defer st.Close()
 			for {
 				ch, ok := st.Next()
@@ -89,6 +89,49 @@ func TestCommContractReturnsFaults(t *testing.T) {
 			return call(procs[0])
 		}},
 	}
+	// A frame with another tag from a live peer is a Fault on both
+	// transports too, never a panic.
+	mistagged := map[string]func(t *testing.T, recv func(c core.Comm) error) error{
+		"mpi": func(t *testing.T, recv func(c core.Comm) error) error {
+			w, err := mpi.NewWorld(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got error
+			if err := w.Run(func(c *mpi.Comm) error {
+				if c.Rank() == 1 {
+					return c.Send(0, 6, []complex128{1})
+				}
+				got = recv(c)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			return got
+		},
+		"mpinet": func(t *testing.T, recv func(c core.Comm) error) error {
+			procs := chaosMesh(t, 2, ioT, nil)
+			if err := procs[1].Send(0, 6, []complex128{1}); err != nil {
+				t.Fatal(err)
+			}
+			return recv(procs[0])
+		},
+	}
+	for name, run := range mistagged {
+		t.Run(name+"/mis-tagged frame", func(t *testing.T) {
+			err := run(t, func(c core.Comm) error {
+				_, err := c.RecvC(1, 5)
+				return err
+			})
+			if !errors.As(err, new(core.Fault)) {
+				t.Errorf("a mis-tagged frame returned %T (%v), not a core.Fault", err, err)
+			}
+			if name == "mpi" && !errors.As(err, new(*mpi.TagMismatchError)) {
+				t.Errorf("mpi mis-tagged frame returned %v, want it to wrap *mpi.TagMismatchError", err)
+			}
+		})
+	}
+
 	for _, tr := range transports {
 		for _, op := range ops {
 			t.Run(tr.name+"/"+op.name, func(t *testing.T) {

@@ -34,6 +34,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"soifft/internal/exch"
 	"soifft/internal/instrument"
 	"soifft/internal/telemetry"
 	"soifft/internal/trace"
@@ -470,16 +471,19 @@ func (p *Proc) Alltoall(send []complex128, chunk int) ([]complex128, error) {
 }
 
 // AlltoallInto is the equal-counts personalized exchange (see
-// mpi.Comm.AlltoallInto): queue a frame per peer, copy the self chunk,
-// then decode each peer's frame into place through the links' reusable
-// wire buffers. It returns only once its own frames are on the wire and
-// their buffers back in the pools, so the next exchange reuses them
-// instead of racing the writers: on a warm mesh it allocates nothing
-// payload-sized.
+// mpi.Comm.AlltoallInto; recv must not overlap send): queue a frame per
+// peer, copy the self chunk, then decode each peer's frame into place
+// through the links' reusable wire buffers. It returns only once its own
+// frames are on the wire and their buffers back in the pools, so the
+// next exchange reuses them instead of racing the writers: on a warm
+// mesh it allocates nothing payload-sized.
 func (p *Proc) AlltoallInto(recv, send []complex128, chunk int) error {
 	if len(send) != p.size*chunk || len(recv) != p.size*chunk {
 		return &TransportError{Rank: p.rank, Op: "alltoall",
 			Err: fmt.Errorf("send/recv lengths %d/%d, want %d", len(send), len(recv), p.size*chunk)}
+	}
+	if exch.Overlap(recv, send) {
+		return &TransportError{Rank: p.rank, Op: "alltoall", Err: exch.ErrOverlap}
 	}
 	const tag = -6
 	flushed := make([]chan struct{}, p.size)

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"soifft/internal/core"
+	"soifft/internal/exch"
 	"soifft/internal/fft"
 	"soifft/internal/signal"
 )
@@ -176,6 +177,14 @@ func TestAlltoallvShapeErrorIsTyped(t *testing.T) {
 	var te *TransportError
 	if !errors.As(err, &te) || te.Op != "alltoall" {
 		t.Errorf("length mismatch surfaced as %v, want a typed alltoall TransportError", err)
+	}
+	// recv overlapping send is refused the same way, as on mpi (the
+	// deadline turns a missed check into a failure, not a hang).
+	procs[0].SetIOTimeout(time.Second)
+	buf := make([]complex128, 3)
+	err = procs[0].AlltoallInto(buf[1:], buf[:2], 1)
+	if !errors.As(err, &te) || te.Op != "alltoall" || !errors.Is(err, exch.ErrOverlap) {
+		t.Errorf("aliased recv/send surfaced as %v, want a typed alltoall TransportError wrapping exch.ErrOverlap", err)
 	}
 }
 

@@ -91,16 +91,20 @@ func (s *netStream) Send(dst, idx int, data []complex128) error {
 
 // recvLoop drives source src's chunk sequence: per-link FIFO delivery
 // means chunk idx always heads the mailbox when its turn comes, each
-// under a fresh I/O deadline. The first anomaly (death, deadline,
-// checksum, tag desync) ends the source's stream with one typed failure
-// event.
+// under a fresh I/O deadline, and is decoded from the wire buffer
+// straight into its Options.Recv slot. The first anomaly (death,
+// deadline, checksum, tag desync, a frame the wrong size for its slot)
+// ends the source's stream with one typed failure event.
 func (s *netStream) recvLoop(src int) {
 	pe := s.p.peers[src]
 	for idx := range s.o.Sizes {
-		data, err := s.p.recvFrame(pe, pe.sbox, nil, exch.Tag(idx))
-		if err == nil && s.o.Codec != nil {
-			data, err = s.o.Codec.DecodeChunk(data, s.o.Sizes[idx])
-			if err != nil {
+		slot := s.o.Slot(src, idx)
+		var wire []complex128
+		var err error
+		if s.o.Codec == nil {
+			_, err = s.p.recvFrame(pe, pe.sbox, slot, exch.Tag(idx))
+		} else if wire, err = s.p.recvFrame(pe, pe.sbox, nil, exch.Tag(idx)); err == nil {
+			if err = exch.DecodeInto(s.o.Codec, slot, wire); err != nil {
 				err = &TransportError{Rank: src, Op: "stream-recv", Err: err}
 			}
 		}
@@ -108,7 +112,7 @@ func (s *netStream) recvLoop(src int) {
 			s.trk.Deliver(exch.Chunk{Src: src, Err: err})
 			return
 		}
-		s.trk.Deliver(exch.Chunk{Src: src, Index: idx, Data: data})
+		s.trk.Deliver(exch.Chunk{Src: src, Index: idx, Data: slot})
 	}
 }
 
