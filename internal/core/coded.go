@@ -232,7 +232,8 @@ func (cx *codedExchange) markDead(rank int) { cx.dead[rank] = true }
 // setup initializes the per-rank exchange state shared by the blocking
 // and streamed fan-outs.
 func (cx *codedExchange) setup() {
-	r := cx.e.r
+	r, ws := cx.e.r, cx.e.ws
+	ws.parityIn = grown(ws.parityIn, cx.m*cx.e.chunk)
 	cx.recv = make([][]complex128, r)
 	cx.parityIn = make(map[int][]complex128)
 	cx.dead = make([]bool, r)
@@ -322,10 +323,10 @@ func (cx *codedExchange) fanOutParity() (*erasure.Code, error) {
 // (when needed and possible) recover. On success every survivor's own
 // column is complete; a non-nil *DegradedError reports reconstructions.
 func (cx *codedExchange) run() (*DegradedError, error) {
-	e, c, m := cx.e, cx.c, cx.m
+	e, c := cx.e, cx.c
 	r, rank, chunk, rec := e.r, e.rank, e.chunk, cx.rec
 	cx.setup()
-	cx.recv[rank] = cx.send[rank*chunk : (rank+1)*chunk]
+	cx.recv[rank] = e.chunkOf(rank)
 
 	// Fan out: data chunk to every peer, parity share i to rank+1+i. A
 	// send failure means the peer is already dead; note it and move on.
@@ -345,53 +346,44 @@ func (cx *codedExchange) run() (*DegradedError, error) {
 	}
 
 	// Receive data (and the parity share each source addressed to us, if
-	// any). Frame order per link is fixed — data, then parity — matching
-	// the fan-out. Receives are attempted even from peers already marked
-	// dead (e.g. because our send to them failed): a gracefully dying
-	// peer flushes its frames before the FIN and the transport keeps a
-	// dead link's queued frames readable, so the victim's contribution
-	// usually survives it; a dead link with nothing queued fails
-	// immediately, without a deadline wait.
+	// any) into the workspace, in the layout of every other exchange.
+	// Frame order per link is fixed — data, then parity — matching the
+	// fan-out. Receives are attempted even from peers already marked dead
+	// (e.g. because our send to them failed): a gracefully dying peer
+	// flushes its frames before the FIN and the transport keeps a dead
+	// link's queued frames readable, so the victim's contribution usually
+	// survives it; a dead link with nothing queued fails immediately,
+	// without a deadline wait. A frame the wrong size fails its receive
+	// like a dead link: the source is lost.
 	for off := 1; off < r; off++ {
 		src := (rank + off) % r
-		data, err := c.RecvC(src, tagCodedData)
-		if err != nil {
+		dst := e.chunkOf(src)
+		if err := c.RecvInto(dst, src, tagCodedData); err != nil {
 			cx.markDead(src)
 			continue
 		}
-		if len(data) != chunk {
-			return nil, &UnrecoverableLossError{Parity: m,
-				Cause: fmt.Errorf("malformed coded chunk from rank %d: %d elements, want %d", src, len(data), chunk)}
-		}
-		cx.recv[src] = data
-		if err := cx.recvParity(src); err != nil {
-			return nil, err
-		}
+		cx.recv[src] = dst
+		cx.recvParity(src)
 	}
 
 	return cx.detect(code, rec)
 }
 
 // recvParity receives the parity share src addressed to this rank, if
-// any; it follows src's data on the link. A failed receive marks src
-// dead; a malformed share is a typed loss.
-func (cx *codedExchange) recvParity(src int) error {
+// any, into the workspace; it follows src's data on the link. A failed
+// receive marks src dead.
+func (cx *codedExchange) recvParity(src int) {
 	e := cx.e
 	i := (e.rank - src - 1 + 2*e.r) % e.r
 	if i >= cx.m {
-		return nil
+		return
 	}
-	pdata, err := cx.c.RecvC(src, tagCodedParity-i)
-	switch {
-	case err != nil:
+	share := e.ws.parityIn[i*e.chunk : (i+1)*e.chunk]
+	if err := cx.c.RecvInto(share, src, tagCodedParity-i); err != nil {
 		cx.markDead(src)
-	case len(pdata) != e.chunk:
-		return &UnrecoverableLossError{Parity: cx.m,
-			Cause: fmt.Errorf("malformed parity share from rank %d: %d elements, want %d", src, len(pdata), e.chunk)}
-	default:
-		cx.parityIn[src] = pdata
+		return
 	}
-	return nil
+	cx.parityIn[src] = share
 }
 
 // detect runs the view and agreement rounds over the received state and,
@@ -531,9 +523,7 @@ func (cx *codedExchange) runStreamed(ctx context.Context, localIn []complex128) 
 			cx.markDead(src)
 			continue
 		}
-		if err := cx.recvParity(src); err != nil {
-			return nil, err
-		}
+		cx.recvParity(src)
 	}
 
 	return cx.detect(code, rec)
@@ -696,20 +686,22 @@ func (cx *codedExchange) heldBy(s, d int) bool {
 func (cx *codedExchange) sendPool(coord, d int) error {
 	e, chunk := cx.e, cx.e.chunk
 	r, rank := e.r, e.rank
-	held := uint64(0)
-	frame := make([]complex128, 0, 1+2*chunk)
-	frame = append(frame, 0) // mask patched below
-	if cx.recv[d] != nil {   // data share index = this rank
+	held, parts := uint64(0), make([][]complex128, 0, 3)
+	if cx.recv[d] != nil { // data share index = this rank
 		held |= 1 << uint(rank)
-		frame = append(frame, cx.recv[d]...)
+		parts = append(parts, cx.recv[d])
 	}
 	if p, ok := cx.parityIn[d]; ok { // parity share index = r + i
 		i := (rank - d - 1 + 2*r) % r
 		held |= 1 << uint(r+i)
+		parts = append(parts, p)
+	}
+	parts = append(parts, cx.send[d*chunk:(d+1)*chunk])
+	frame := make([]complex128, 1, 1+len(parts)*chunk) // sized exactly
+	frame[0] = complex(float64(held), 0)
+	for _, p := range parts {
 		frame = append(frame, p...)
 	}
-	frame = append(frame, cx.send[d*chunk:(d+1)*chunk]...)
-	frame[0] = complex(float64(held), 0)
 	if err := cx.c.Send(coord, tagCodedPool-d, frame); err != nil {
 		return err
 	}

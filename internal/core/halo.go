@@ -1,14 +1,10 @@
 package core
 
-import (
-	"fmt"
-
-	"soifft/internal/exch"
-)
+import "soifft/internal/exch"
 
 // This file streams the halo exchange — the other communication phase.
 // The blocking form posts the neighbour prefix(es) up front and then
-// stalls the first boundary tile on one monolithic RecvC per depth. The
+// stalls the first boundary tile on one monolithic receive per depth. The
 // streamed form chunks each prefix through the exch.HaloSizes schedule
 // and assembles arriving chunks in a background receiver, so by the time
 // the producer's boundary tile asks, most (or all) of the halo has
@@ -63,18 +59,12 @@ func (e *distExec) startHaloStream(localIn, dst []complex128) (*haloStream, erro
 			src := (rank + d) % r
 			off := (d - 1) * e.nLocal
 			for i, sz := range exch.HaloSizes(need) {
-				data, err := e.c.RecvC(src, exch.HaloTag(d, i))
-				if err != nil {
+				// A chunk the wrong size fails RecvInto with the source's typed fault.
+				if err := e.c.RecvInto(dst[off:off+sz], src, exch.HaloTag(d, i)); err != nil {
 					hs.err = err
 					return
 				}
-				if len(data) != sz {
-					hs.err = fmt.Errorf("core: rank %d: halo chunk %d from %d has %d elements, want %d: %w",
-						rank, i, src, len(data), sz, ErrLength)
-					return
-				}
 				e.tr.ChunkInstant(e.tid, rank, "halo_chunk_recv", i)
-				copy(dst[off:off+sz], data)
 				off += sz
 			}
 		}

@@ -125,9 +125,10 @@ type distWorkspace struct {
 
 	scratch chan *rankScratch // one per worker goroutine
 
-	conj   []complex128 // inverse runs only: the conjugated input
-	parity []complex128 // coded runs only: m parity shares of chunk elements
-	code   []byte       // coded runs only: one strip of share byte images
+	conj     []complex128 // inverse runs only: the conjugated input
+	parity   []complex128 // coded runs only: m parity shares of chunk elements
+	parityIn []complex128 // coded runs only: the m shares received, share i at [i·chunk, (i+1)·chunk)
+	code     []byte       // coded runs only: one strip of share byte images
 }
 
 // rankScratch is one worker's tile and segment buffers.

@@ -139,12 +139,20 @@ func TestStreamedHaloBytesCounted(t *testing.T) {
 	}
 }
 
-// truncating shortens every streamed chunk its rank sends to a peer by
-// one element, so each arrives the wrong size for its recv slot.
+// truncating shortens every streamed chunk, and every blocking coded data
+// chunk, its rank sends to a peer by one element, so each arrives the
+// wrong size for its recv slot.
 type truncating struct{ Comm }
 
 func (c truncating) StartAlltoallv(o exch.Options) exch.Stream {
 	return truncStream{c.Comm.StartAlltoallv(o), c.Rank()}
+}
+
+func (c truncating) Send(to, tag int, data []complex128) error {
+	if tag == tagCodedData {
+		data = data[:len(data)-1]
+	}
+	return c.Comm.Send(to, tag, data)
 }
 
 type truncStream struct {
@@ -159,12 +167,12 @@ func (s truncStream) Send(dst, idx int, data []complex128) error {
 	return s.Stream.Send(dst, idx, data)
 }
 
-// TestStreamWrongSizeChunk pins what a streamed chunk the wrong size for
-// its recv slot does, on both transports: the transport fails that
-// source with a typed fault. The flat driver fails with it on every rank
-// the source sent to. The coded driver treats the source as lost, like a
-// dead link — here beyond the m = 1 budget, since every data share of
-// its codeword went — and fails typed naming it.
+// TestStreamWrongSizeChunk pins what a chunk the wrong size for its recv
+// slot does, on both transports: the transport fails that source with a
+// typed fault. The flat streamed driver fails with it on every rank the
+// source sent to. Both coded drivers, streamed and blocking, treat the
+// source as lost, like a dead link — here beyond the m = 1 budget, since
+// every data share of its codeword went — and fail typed naming it.
 func TestStreamWrongSizeChunk(t *testing.T) {
 	const r, bad = 4, 2
 	pl, err := NewPlan(streamParams)
@@ -228,18 +236,22 @@ func TestStreamWrongSizeChunk(t *testing.T) {
 				}
 			}
 		})
-		t.Run(name+"/coded", func(t *testing.T) {
-			errs := run(t, []DistOption{WithAsyncWindow(2), WithCoding(1)})
-			for k, err := range errs {
-				if k == bad {
-					continue
+		for variant, opts := range map[string][]DistOption{
+			"coded":          {WithAsyncWindow(2), WithCoding(1)},
+			"coded-blocking": {WithCoding(1)},
+		} {
+			t.Run(name+"/"+variant, func(t *testing.T) {
+				for k, err := range run(t, opts) {
+					if k == bad {
+						continue
+					}
+					var loss *UnrecoverableLossError
+					if !errors.As(err, &loss) || len(loss.DeadRanks) != 1 || loss.DeadRanks[0] != bad {
+						t.Errorf("rank %d: got %v, want an UnrecoverableLossError naming rank %d", k, err, bad)
+					}
 				}
-				var loss *UnrecoverableLossError
-				if !errors.As(err, &loss) || len(loss.DeadRanks) != 1 || loss.DeadRanks[0] != bad {
-					t.Errorf("rank %d: got %v, want an UnrecoverableLossError naming rank %d", k, err, bad)
-				}
-			}
-		})
+			})
+		}
 	}
 }
 

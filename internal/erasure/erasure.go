@@ -12,11 +12,11 @@
 // works over GF(2^8) rather than the reals: real-field erasure codes
 // (Vandermonde over float64) would reconstruct only up to rounding.
 //
-// Construction: the generator is the k×k identity stacked on an m×k
-// Cauchy matrix with disjoint index sets, so the code is MDS — every
-// k×k submatrix of the generator is invertible, hence any k shares
-// decode (the property the recovery protocol relies on when it pools
-// whatever shares survived a rank death).
+// Construction: the k×k identity stacked on an m×k Cauchy matrix whose
+// columns are scaled so parity row 0 is all ones (share 0 is the XOR of
+// the data). Every square submatrix of a Cauchy matrix is nonsingular and
+// scaling a column keeps it so: any k shares decode, which the recovery
+// protocol relies on when it pools what survived a rank death.
 package erasure
 
 import (
@@ -86,18 +86,28 @@ func mulTable(t *[256]byte, c byte) {
 	}
 }
 
-// mulAdd xors c·src into out byte-wise, c given by its product row; it
-// moves eight bytes per load and store.
+// mulAdd xors c·src into out byte-wise, c given by its product row, eight
+// bytes per step — at c = 1 a plain XOR, four words per step.
 func mulAdd(out, src []byte, tbl *[256]byte) {
 	out = out[:len(src)]
-	n := len(src) &^ 7
-	for b := 0; b < n; b += 8 {
-		s := binary.LittleEndian.Uint64(src[b:])
-		p := uint64(tbl[byte(s)]) | uint64(tbl[byte(s>>8)])<<8 |
-			uint64(tbl[byte(s>>16)])<<16 | uint64(tbl[byte(s>>24)])<<24 |
-			uint64(tbl[byte(s>>32)])<<32 | uint64(tbl[byte(s>>40)])<<40 |
-			uint64(tbl[byte(s>>48)])<<48 | uint64(tbl[byte(s>>56)])<<56
-		binary.LittleEndian.PutUint64(out[b:], binary.LittleEndian.Uint64(out[b:])^p)
+	n := 0
+	if tbl[1] == 1 {
+		for ; n+32 <= len(src); n += 32 {
+			o, s := out[n:n+32], src[n:n+32]
+			binary.LittleEndian.PutUint64(o, binary.LittleEndian.Uint64(o)^binary.LittleEndian.Uint64(s))
+			binary.LittleEndian.PutUint64(o[8:], binary.LittleEndian.Uint64(o[8:])^binary.LittleEndian.Uint64(s[8:]))
+			binary.LittleEndian.PutUint64(o[16:], binary.LittleEndian.Uint64(o[16:])^binary.LittleEndian.Uint64(s[16:]))
+			binary.LittleEndian.PutUint64(o[24:], binary.LittleEndian.Uint64(o[24:])^binary.LittleEndian.Uint64(s[24:]))
+		}
+	} else {
+		for ; n+8 <= len(src); n += 8 {
+			s := binary.LittleEndian.Uint64(src[n:])
+			p := uint64(tbl[byte(s)]) | uint64(tbl[byte(s>>8)])<<8 |
+				uint64(tbl[byte(s>>16)])<<16 | uint64(tbl[byte(s>>24)])<<24 |
+				uint64(tbl[byte(s>>32)])<<32 | uint64(tbl[byte(s>>40)])<<40 |
+				uint64(tbl[byte(s>>48)])<<48 | uint64(tbl[byte(s>>56)])<<56
+			binary.LittleEndian.PutUint64(out[n:], binary.LittleEndian.Uint64(out[n:])^p)
+		}
 	}
 	for b := n; b < len(src); b++ {
 		out[b] ^= tbl[src[b]]
@@ -123,13 +133,13 @@ func New(k, m int) (*Code, error) {
 		return nil, fmt.Errorf("%w: k=%d m=%d", ErrParams, k, m)
 	}
 	c := &Code{k: k, m: m, gen: make([][]byte, m), tbl: make([][256]byte, m*k)}
-	// Cauchy rows: gen[i][j] = 1/(x_i ⊕ y_j) with x_i = k+i, y_j = j.
-	// The index sets are disjoint, so every entry is defined, and the
-	// stacked [I; C] generator is MDS.
+	// Cauchy rows: gen[i][j] = 1/(x_i ⊕ y_j) with x_i = k+i, y_j = j,
+	// then column j scaled by 1/gen[0][j] = x_0 ⊕ y_j, so row 0 is all
+	// ones (see the package doc for why the code stays MDS).
 	for i := 0; i < m; i++ {
 		row := make([]byte, k)
 		for j := 0; j < k; j++ {
-			row[j] = ginv(byte(k+i) ^ byte(j))
+			row[j] = gmul(ginv(byte(k+i)^byte(j)), byte(k)^byte(j))
 			mulTable(&c.tbl[i*k+j], row[j])
 		}
 		c.gen[i] = row

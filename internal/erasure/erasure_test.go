@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 )
@@ -209,6 +210,88 @@ func TestReconstructEveryErasurePattern(t *testing.T) {
 			if !bytes.Equal(shares[i], data[i]) {
 				t.Fatalf("mask %#x: share %d reconstructed wrong", mask, i)
 			}
+		}
+	}
+}
+
+// TestParityRowZeroIsAllOnes: the scaled Cauchy construction makes parity
+// share 0 the XOR of the data for every k, at small parity budgets and,
+// for a sample of k, at the largest one k admits.
+func TestParityRowZeroIsAllOnes(t *testing.T) {
+	for k := 1; k <= 255; k++ {
+		ms := []int{1, min(3, 256-k)}
+		if k%32 == 0 || k == 255 {
+			ms = append(ms, 256-k)
+		}
+		for _, m := range ms {
+			c, err := New(k, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j, g := range c.gen[0] {
+				if g != 1 {
+					t.Fatalf("k=%d m=%d: gen[0][%d] = %d, want 1", k, m, j, g)
+				}
+			}
+		}
+	}
+}
+
+// TestEveryKSubsetDecodes tries every code with k+m ≤ 8 and, for each,
+// every choice of k surviving shares: all must decode to the data (the
+// MDS property, which column scaling must not break).
+func TestEveryKSubsetDecodes(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	for n := 1; n <= 8; n++ {
+		for k := 1; k <= n; k++ {
+			m := n - k
+			c, err := New(k, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			size := 1 + rng.Intn(40)
+			data := randomShares(rng, k, size)
+			all := append(append([][]byte(nil), data...), encodeAll(t, c, data, size)...)
+			for keep := 0; keep < 1<<n; keep++ {
+				if bits.OnesCount(uint(keep)) != k {
+					continue
+				}
+				shares := make([][]byte, n)
+				for i := range shares {
+					if keep&(1<<i) != 0 {
+						shares[i] = all[i]
+					}
+				}
+				if err := c.Reconstruct(shares); err != nil {
+					t.Fatalf("k=%d m=%d keep %#b: %v", k, m, keep, err)
+				}
+				for i := 0; i < k; i++ {
+					if !bytes.Equal(shares[i], data[i]) {
+						t.Fatalf("k=%d m=%d keep %#b: share %d decoded wrong", k, m, keep, i)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestXORPathMatchesGmul: mulAdd at coefficient 1 (the word-wide XOR) is
+// byte-equal to the gmul loop at every length, tails included.
+func TestXORPathMatchesGmul(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var one [256]byte
+	mulTable(&one, 1)
+	for size := 0; size < 70; size++ {
+		src, out := make([]byte, size), make([]byte, size)
+		rng.Read(src)
+		rng.Read(out)
+		want := append([]byte(nil), out...)
+		for b, v := range src {
+			want[b] ^= gmul(1, v)
+		}
+		mulAdd(out, src, &one)
+		if !bytes.Equal(out, want) {
+			t.Fatalf("size %d: XOR path differs from the gmul loop", size)
 		}
 	}
 }

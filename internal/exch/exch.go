@@ -3,7 +3,7 @@
 // convolution. It is a leaf package: both transports (internal/mpi,
 // internal/mpinet) implement the Stream surface against these types, and
 // internal/core consumes it, so the three packages agree on one schedule
-// and one event shape without import cycles.
+// and one event shape (and one FreeList) without import cycles.
 //
 // Protocol: all ranks derive the same chunk schedule (Options.Sizes, an
 // element count per chunk index) and each rank streams chunk idx to

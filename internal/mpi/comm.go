@@ -21,8 +21,8 @@ func (c *Comm) Rank() int { return c.rank }
 func (c *Comm) Size() int { return c.world.size }
 
 // Send delivers data to rank `to` with a matching tag. The payload is
-// copied, so Send never blocks; it fails only once the world has
-// aborted, with *AbortError.
+// copied into a recycled buffer, so Send never blocks; it fails only once
+// the world has aborted, with *AbortError.
 func (c *Comm) Send(to, tag int, data []complex128) error {
 	select {
 	case <-c.world.dead:
@@ -34,9 +34,9 @@ func (c *Comm) Send(to, tag int, data []complex128) error {
 }
 
 // RecvC blocks until the next message from rank `from` arrives and
-// returns its payload, or *AbortError once the world has aborted. A
-// message with another tag is a *CollectiveError wrapping
-// *TagMismatchError.
+// returns its payload, the caller's to keep, or *AbortError once the
+// world has aborted. A message with another tag is a *CollectiveError
+// wrapping *TagMismatchError.
 func (c *Comm) RecvC(from, tag int) ([]complex128, error) {
 	data, err := c.get("recv", from, tag)
 	if err != nil {
@@ -47,7 +47,7 @@ func (c *Comm) RecvC(from, tag int) ([]complex128, error) {
 
 // RecvInto is RecvC into the caller's buffer: the queued payload is
 // copied straight into dst, whose length it must match (a typed
-// *CollectiveError otherwise).
+// *CollectiveError otherwise), and its buffer goes back to Send.
 func (c *Comm) RecvInto(dst []complex128, from, tag int) error {
 	return c.recvInto("recv_into", dst, from, tag)
 }
@@ -57,7 +57,10 @@ func (c *Comm) recvInto(op string, dst []complex128, from, tag int) error {
 	if err != nil {
 		return err
 	}
-	return c.fill(op, dst, data.([]complex128), from)
+	payload := data.([]complex128)
+	err = c.fill(op, dst, payload, from)
+	sendCopies.Put(payload)
+	return err
 }
 
 // fill copies a received payload into dst, whose length it must match.

@@ -10,17 +10,19 @@
 // the wire is counted, so the interconnect models in internal/netsim can
 // price a run on the paper's fabrics.
 //
-// Sends are buffered (the payload is copied, so buffers are immediately
-// reusable) and receives match per (source, tag) in FIFO order; the one
-// rendezvous is AlltoallInto, which returns once its peers have copied
-// send. A rank returning an error aborts the world: the core.Comm methods
-// then return *AbortError, and the other collectives unwind through Run.
+// Sends are buffered (the payload is copied into a recycled buffer, which
+// RecvInto hands back) and receives match per (source, tag) in FIFO order;
+// the one rendezvous is AlltoallInto, which returns once its peers have
+// copied send. A rank returning an error aborts the world: the core.Comm
+// methods then return *AbortError, the other collectives unwind via Run.
 package mpi
 
 import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"soifft/internal/exch"
 )
 
 // TagMismatchError reports an out-of-sequence message, which indicates a
@@ -208,12 +210,19 @@ func sizeOf(data any) int64 {
 	}
 }
 
+// sendCopies recycles the buffered copies of []complex128 payloads: Comm
+// hands one back once RecvInto has copied it out. One list per process,
+// not per world, because callers build a fresh world per transform.
+var sendCopies exch.FreeList[complex128]
+
 // copyPayload deep-copies slice payloads so senders can reuse buffers
 // immediately (MPI buffered-send semantics).
 func copyPayload(data any) any {
 	switch v := data.(type) {
 	case []complex128:
-		return append([]complex128(nil), v...)
+		b := sendCopies.Get(len(v))
+		copy(b, v)
+		return b
 	case []float64:
 		return append([]float64(nil), v...)
 	case []int:

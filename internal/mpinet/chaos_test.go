@@ -9,6 +9,7 @@ package mpinet
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -351,6 +352,26 @@ func TestChaosOversizedFrameRejected(t *testing.T) {
 	}
 	if !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversized frame surfaced as %v, want ErrFrameTooLarge", err)
+	}
+}
+
+// TestChaosOldMagicFrameRejected: a frame from a peer on the "SOI1" wire
+// format, whose parity shares are coded differently, kills the link with
+// ErrBadFrame instead of being decoded as if it were current.
+func TestChaosOldMagicFrameRejected(t *testing.T) {
+	a, b := net.Pipe()
+	defer a.Close()
+	defer b.Close()
+	pe := newPeer(a, 1, &Proc{rank: 0, size: 2})
+	go pe.readLoop()
+
+	frame := encodeFrame(3, []complex128{1, 2})
+	binary.LittleEndian.PutUint32(frame[20:24], 0x31494F53) // "SOI1"; the CRC does not cover the magic
+	go func() { _, _ = b.Write(frame) }()
+
+	_, err := pe.box.get(5 * time.Second)
+	if !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("old-magic frame surfaced as %v, want ErrBadFrame", err)
 	}
 }
 

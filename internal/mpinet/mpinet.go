@@ -575,7 +575,7 @@ func (p *Proc) Barrier() error {
 // corruption.
 const (
 	frameHdrLen = 24
-	frameMagic  = 0x31494F53 // "SOI1" little-endian
+	frameMagic  = 0x32494F53 // "SOI2" little-endian; "SOI1" peers code parity differently
 
 	// tagHeartbeat marks the empty keep-alive frames idle links carry
 	// while an I/O deadline is armed; readers drop them silently.
@@ -638,58 +638,6 @@ type packet struct {
 	raw []byte
 }
 
-const (
-	// maxFreeBufs bounds one direction of a link's idle wire buffers: a
-	// credit window of stream tiles, not every frame of a burst forever.
-	maxFreeBufs = 16
-	// minPooledBuf keeps control-sized frames (heartbeats, masks) from
-	// occupying, or being handed, a payload-sized buffer.
-	minPooledBuf = 4 << 10
-)
-
-// bufPool is the free list of wire buffers for one direction of a link
-// (encoded frames out, raw payloads in): after the first exchange of a
-// given shape the link moves frames without allocating. The directions
-// keep separate lists so neither can take the buffer the other was
-// sized with on a warm exchange.
-type bufPool struct {
-	mu   sync.Mutex
-	free [][]byte
-}
-
-// get returns a buffer of length n, reusing the smallest idle buffer
-// that fits.
-func (bp *bufPool) get(n int) []byte {
-	bp.mu.Lock()
-	best := -1
-	for i, b := range bp.free {
-		if cap(b) >= n && (best < 0 || cap(b) < cap(bp.free[best])) {
-			best = i
-		}
-	}
-	if best < 0 || n < minPooledBuf {
-		bp.mu.Unlock()
-		return make([]byte, n)
-	}
-	b, last := bp.free[best], len(bp.free)-1
-	bp.free[best] = bp.free[last]
-	bp.free = bp.free[:last]
-	bp.mu.Unlock()
-	return b[:n]
-}
-
-// put returns a buffer nothing references any more.
-func (bp *bufPool) put(b []byte) {
-	if cap(b) < minPooledBuf {
-		return
-	}
-	bp.mu.Lock()
-	if len(bp.free) < maxFreeBufs {
-		bp.free = append(bp.free, b)
-	}
-	bp.mu.Unlock()
-}
-
 // outFrame is one queued wire frame: the encoded bytes plus an optional
 // flush notification, invoked by the writer after the frame's last byte
 // reached the socket. The callback is the windowed stream's credit
@@ -728,8 +676,10 @@ type peer struct {
 	pr   *Proc       // back-reference for the I/O deadline and wire counters
 	wire wireStats
 	// sendBufs and recvBufs are the reusable wire buffers of outbound
-	// frames and inbound payloads.
-	sendBufs, recvBufs bufPool
+	// frames and inbound payloads: after the first exchange of a given
+	// shape the link moves frames without allocating. Separate lists, so
+	// neither direction takes the buffer the other was sized with.
+	sendBufs, recvBufs exch.FreeList[byte]
 	// echo hands a received ping's timestamp to the writer for
 	// reflection. It bypasses pe.out, which close/shutdown may have
 	// closed while reads are still draining.
@@ -788,7 +738,7 @@ func (pe *peer) failure() error {
 // returns once the frame is written. The payload is copied here, so the
 // caller's slice is its own again on return.
 func (pe *peer) encode(tag int, data []complex128) []byte {
-	return putFrame(pe.sendBufs.get(frameHdrLen+16*len(data)), tag, data)
+	return putFrame(pe.sendBufs.Get(frameHdrLen+16*len(data)), tag, data)
 }
 
 // decode converts a received payload into dst (a fresh slice when dst is
@@ -798,7 +748,7 @@ func (pe *peer) decode(dst []complex128, pkt packet) ([]complex128, error) {
 	if dst == nil {
 		dst = make([]complex128, n)
 	} else if len(dst) != n {
-		pe.recvBufs.put(pkt.raw)
+		pe.recvBufs.Put(pkt.raw)
 		return nil, &TransportError{Rank: pe.rank, Op: "recv",
 			Err: fmt.Errorf("expected %d elements, got %d", len(dst), n)}
 	}
@@ -807,7 +757,7 @@ func (pe *peer) decode(dst []complex128, pkt packet) ([]complex128, error) {
 		im := math.Float64frombits(binary.LittleEndian.Uint64(pkt.raw[i*16+8:]))
 		dst[i] = complex(re, im)
 	}
-	pe.recvBufs.put(pkt.raw)
+	pe.recvBufs.Put(pkt.raw)
 	return dst, nil
 }
 
@@ -918,7 +868,7 @@ func (pe *peer) writeLoop() {
 			pe.wire.framesSent.Add(1)
 			pe.wire.bytesSent.Add(int64(len(fr.buf)))
 			pe.wire.flushNs.Add(int64(time.Since(start)))
-			pe.sendBufs.put(fr.buf)
+			pe.sendBufs.Put(fr.buf)
 		}
 		// Notified last, so whoever waits on the flush finds the
 		// buffer already back in the pool.
@@ -987,7 +937,7 @@ func (pe *peer) readLoop() {
 				ErrFrameTooLarge, count, MaxFrameElems))
 			return
 		}
-		raw := pe.recvBufs.get(int(count) * 16)
+		raw := pe.recvBufs.Get(int(count) * 16)
 		if err := pe.readFull(raw); err != nil {
 			pe.fail(classify(err, pe.timeout()))
 			return
@@ -1000,7 +950,7 @@ func (pe *peer) readLoop() {
 		}
 		if tag == tagHeartbeat {
 			pe.handleHeartbeat(raw)
-			pe.recvBufs.put(raw)
+			pe.recvBufs.Put(raw)
 			continue
 		}
 		pe.pr.stats.framesReceived.Add(1)
