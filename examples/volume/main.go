@@ -57,8 +57,8 @@ func main() {
 	st := w.Stats()
 	fmt.Printf("2-D %dx%d over a %dx%d grid: rel err vs serial %.1e\n",
 		rows, cols, pr, pc, signal.RelErrL2(out, want))
-	fmt.Printf("  %d subgroup all-to-alls, %.1f MB exchanged — no machine-wide exchange needed\n",
-		st.Alltoalls, float64(st.AlltoallBytes)/1e6)
+	fmt.Printf("  %d messages, %.1f MB exchanged within row and column groups — no machine-wide exchange needed\n",
+		st.P2PMessages, float64(st.P2PBytes)/1e6)
 
 	// ---- 3-D: a 32³ volume over the same grid ----
 	g3, err := fft2d.NewGrid3D(32, 32, 32, pr, pc)

@@ -14,7 +14,7 @@
 //     all-to-all to restore natural order — communication grows with
 //     log(R), which is how some older libraries behave at scale.
 //
-// Both operate on the same block data distribution as the SOI driver:
+// Both run on any core.Comm, with the SOI driver's block distribution:
 // rank p holds x[p·N/R : (p+1)·N/R] in and y[p·N/R : (p+1)·N/R] out.
 package baseline
 
@@ -22,7 +22,7 @@ import (
 	"fmt"
 	"time"
 
-	"soifft/internal/mpi"
+	"soifft/internal/core"
 )
 
 // Times records one rank's phase breakdown; Exchanges is the total time
@@ -42,11 +42,11 @@ type Algorithm interface {
 	Name() string
 	// Transform computes the N-point DFT: localIn/localOut have length
 	// N/R on every rank, block distribution, natural order.
-	Transform(c *mpi.Comm, localOut, localIn []complex128, n int) (Times, error)
+	Transform(c core.Comm, localOut, localIn []complex128, n int) (Times, error)
 }
 
 // checkArgs validates the common distribution contract.
-func checkArgs(c *mpi.Comm, localOut, localIn []complex128, n int) (nLocal int, err error) {
+func checkArgs(c core.Comm, localOut, localIn []complex128, n int) (nLocal int, err error) {
 	r := c.Size()
 	if n <= 0 || n%r != 0 {
 		return 0, fmt.Errorf("baseline: N=%d must be a positive multiple of ranks=%d", n, r)
@@ -59,11 +59,12 @@ func checkArgs(c *mpi.Comm, localOut, localIn []complex128, n int) (nLocal int, 
 	return nLocal, nil
 }
 
-// distTranspose redistributes an n1×n2 row-major matrix, block-distributed
+// Transpose redistributes an n1×n2 row-major matrix, block-distributed
 // by rows (rank p owns rows [p·n1/R, (p+1)·n1/R)), into its n2×n1
 // transpose with the same row-block distribution. This is the "local
-// permutation + all-to-all" global transpose of paper Fig 3.
-func distTranspose(c *mpi.Comm, local []complex128, n1, n2 int) ([]complex128, error) {
+// permutation + all-to-all" global transpose of paper Fig 3; a failed
+// all-to-all returns an error wrapping c's fault.
+func Transpose(c core.Comm, local []complex128, n1, n2 int) ([]complex128, error) {
 	r := c.Size()
 	if n1%r != 0 || n2%r != 0 {
 		return nil, fmt.Errorf("baseline: transpose dims %dx%d not divisible by ranks %d", n1, n2, r)
@@ -84,7 +85,10 @@ func distTranspose(c *mpi.Comm, local []complex128, n1, n2 int) ([]complex128, e
 			}
 		}
 	}
-	recv := c.Alltoall(send, rn1*rn2)
+	recv := make([]complex128, rn1*n2)
+	if err := c.AlltoallInto(recv, send, rn1*rn2); err != nil {
+		return nil, fmt.Errorf("baseline: transpose %dx%d: %w", n1, n2, err)
+	}
 	out := make([]complex128, rn2*n1)
 	for src := 0; src < r; src++ {
 		chunk := recv[src*rn1*rn2 : (src+1)*rn1*rn2]

@@ -125,21 +125,21 @@ func TestBinaryExchangeRejectsBadShapes(t *testing.T) {
 }
 
 func TestChooseSplit(t *testing.T) {
-	n1, n2, err := chooseSplit(4096, 8, SplitSquare)
+	n1, n2, err := ChooseSplit(4096, 8, SplitSquare)
 	if err != nil || n1*n2 != 4096 || n1%8 != 0 || n2%8 != 0 {
 		t.Fatalf("square split: %d×%d err=%v", n1, n2, err)
 	}
 	if n1 != 64 {
 		t.Errorf("square split of 4096 should be 64×64, got %d×%d", n1, n2)
 	}
-	t1, t2, err := chooseSplit(4096, 8, SplitTall)
+	t1, t2, err := ChooseSplit(4096, 8, SplitTall)
 	if err != nil || t1*t2 != 4096 {
 		t.Fatalf("tall split: %d×%d err=%v", t1, t2, err)
 	}
 	if t1 <= n1 {
 		t.Errorf("tall split n1=%d should exceed square n1=%d", t1, n1)
 	}
-	if _, _, err := chooseSplit(30, 4, SplitSquare); err == nil {
+	if _, _, err := ChooseSplit(30, 4, SplitSquare); err == nil {
 		t.Error("expected no-split error for N=30, R=4")
 	}
 }
@@ -172,11 +172,11 @@ func TestDistTransposeRoundTrip(t *testing.T) {
 	err := w.Run(func(c *mpi.Comm) error {
 		rows := n1 / r
 		local := src[c.Rank()*rows*n2 : (c.Rank()+1)*rows*n2]
-		tr, err := distTranspose(c, local, n1, n2)
+		tr, err := Transpose(c, local, n1, n2)
 		if err != nil {
 			return err
 		}
-		back, err := distTranspose(c, tr, n2, n1)
+		back, err := Transpose(c, tr, n2, n1)
 		if err != nil {
 			return err
 		}
@@ -201,7 +201,7 @@ func TestDistTransposeValues(t *testing.T) {
 	err := w.Run(func(c *mpi.Comm) error {
 		rows := n1 / r
 		local := src[c.Rank()*rows*n2 : (c.Rank()+1)*rows*n2]
-		tr, err := distTranspose(c, local, n1, n2)
+		tr, err := Transpose(c, local, n1, n2)
 		if err != nil {
 			return err
 		}

@@ -7,8 +7,8 @@ import (
 	"math/cmplx"
 	"time"
 
+	"soifft/internal/core"
 	"soifft/internal/fft"
-	"soifft/internal/mpi"
 )
 
 // BinaryExchange is the hypercube (butterfly) distributed FFT: log2(R)
@@ -26,7 +26,7 @@ func (BinaryExchange) Name() string { return "binexchange" }
 const tagButterfly = 200
 
 // Transform requires a power-of-two rank count and N divisible by R².
-func (BinaryExchange) Transform(c *mpi.Comm, localOut, localIn []complex128, n int) (Times, error) {
+func (BinaryExchange) Transform(c core.Comm, localOut, localIn []complex128, n int) (Times, error) {
 	var tm Times
 	nLocal, err := checkArgs(c, localOut, localIn, n)
 	if err != nil {
@@ -42,6 +42,7 @@ func (BinaryExchange) Transform(c *mpi.Comm, localOut, localIn []complex128, n i
 	rho := bits.Len(uint(r)) - 1
 	p := c.Rank()
 	cur := append([]complex128(nil), localIn...)
+	other := make([]complex128, nLocal) // the partner's block, then the final all-to-all's
 
 	// Cross-rank DIF butterfly stages: at stage ℓ the sub-problem length
 	// is m = n / 2^ℓ and the partner differs in rank bit (ρ−1−ℓ).
@@ -50,7 +51,12 @@ func (BinaryExchange) Transform(c *mpi.Comm, localOut, localIn []complex128, n i
 		h := m >> 1
 		partner := p ^ (h / nLocal)
 		t0 := time.Now()
-		other := c.Sendrecv(partner, tagButterfly+l, cur, partner, tagButterfly+l).([]complex128)
+		if err := c.Send(partner, tagButterfly+l, cur); err != nil {
+			return tm, fmt.Errorf("baseline: binexchange stage %d send: %w", l, err)
+		}
+		if err := c.RecvInto(other, partner, tagButterfly+l); err != nil {
+			return tm, fmt.Errorf("baseline: binexchange stage %d receive: %w", l, err)
+		}
 		tm.Exchanges += time.Since(t0)
 		tm.NumXchg++
 
@@ -86,10 +92,12 @@ func (BinaryExchange) Transform(c *mpi.Comm, localOut, localIn []complex128, n i
 	// Element q of cur is y[q·R + br]; destination rank is (q·R+br)/nLocal
 	// = q/qPer, so contiguous q-ranges map to ranks in order: cur is
 	// already packed correctly for an equal-count all-to-all.
-	recv := c.Alltoall(cur, qPer)
+	if err := c.AlltoallInto(other, cur, qPer); err != nil {
+		return tm, fmt.Errorf("baseline: binexchange final all-to-all: %w", err)
+	}
 	for src := 0; src < r; src++ {
 		sbr := reverseBits(src, rho)
-		chunk := recv[src*qPer : (src+1)*qPer]
+		chunk := other[src*qPer : (src+1)*qPer]
 		for qq := 0; qq < qPer; qq++ {
 			localOut[qq*r+sbr] = chunk[qq]
 		}

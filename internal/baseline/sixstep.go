@@ -6,8 +6,8 @@ import (
 	"math/cmplx"
 	"time"
 
+	"soifft/internal/core"
 	"soifft/internal/fft"
-	"soifft/internal/mpi"
 )
 
 // SixStep is the transpose-based in-order distributed FFT. Split controls
@@ -35,28 +35,18 @@ func (s SixStep) Name() string {
 	return "sixstep"
 }
 
-// chooseSplit returns n1, n2 with n = n1·n2, both divisible by r.
-func chooseSplit(n, r int, kind SplitKind) (int, int, error) {
+// ChooseSplit returns n1, n2 with n = n1·n2, both divisible by r.
+// SplitSquare takes the n1 closest to √N: the largest feasible n1 ≤ √N,
+// since a feasible n1 above √N has a feasible cofactor N/n1 below it that
+// is closer. SplitTall takes the largest feasible n1.
+func ChooseSplit(n, r int, kind SplitKind) (int, int, error) {
 	best := -1
 	for n1 := r; n1 <= n/r; n1++ {
-		if n%n1 != 0 {
+		if n%n1 != 0 || n1%r != 0 || (n/n1)%r != 0 {
 			continue
 		}
-		n2 := n / n1
-		if n1%r != 0 || n2%r != 0 {
-			continue
-		}
-		switch kind {
-		case SplitSquare:
-			// Prefer n1 closest to sqrt(n).
-			if best == -1 || absInt(n1*n1-n) < absInt(best*best-n) {
-				best = n1
-			}
-		case SplitTall:
-			// Prefer the largest feasible n1.
-			if n1 > best {
-				best = n1
-			}
+		if kind == SplitTall || (kind == SplitSquare && n1*n1 <= n) {
+			best = n1
 		}
 	}
 	if best == -1 {
@@ -65,40 +55,35 @@ func chooseSplit(n, r int, kind SplitKind) (int, int, error) {
 	return best, n / best, nil
 }
 
-func absInt(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
 // Transform runs the six-step algorithm; see the package comment for the
-// step list. The three distTranspose calls are the triple all-to-all.
-func (s SixStep) Transform(c *mpi.Comm, localOut, localIn []complex128, n int) (Times, error) {
+// step list. The three transpose calls are the triple all-to-all.
+func (s SixStep) Transform(c core.Comm, localOut, localIn []complex128, n int) (Times, error) {
 	var tm Times
-	nLocal, err := checkArgs(c, localOut, localIn, n)
-	if err != nil {
+	if _, err := checkArgs(c, localOut, localIn, n); err != nil {
 		return tm, err
 	}
 	r := c.Size()
-	n1, n2, err := chooseSplit(n, r, s.Split)
+	n1, n2, err := ChooseSplit(n, r, s.Split)
 	if err != nil {
 		return tm, err
 	}
 	rn1, rn2 := n1/r, n2/r
-	_ = nLocal
+	transpose := func(local []complex128, rows, cols int) ([]complex128, error) {
+		t0 := time.Now()
+		out, err := Transpose(c, local, rows, cols)
+		tm.Exchanges += time.Since(t0)
+		tm.NumXchg++
+		return out, err
+	}
 
 	// Step 1: transpose the n1×n2 view to n2×n1.
-	t0 := time.Now()
-	a, err := distTranspose(c, localIn, n1, n2)
+	a, err := transpose(localIn, n1, n2)
 	if err != nil {
 		return tm, err
 	}
-	tm.Exchanges += time.Since(t0)
-	tm.NumXchg++
 
 	// Step 2: rn2 local FFTs of length n1.
-	t0 = time.Now()
+	t0 := time.Now()
 	p1, err := fft.CachedPlan(n1)
 	if err != nil {
 		return tm, err
@@ -118,13 +103,10 @@ func (s SixStep) Transform(c *mpi.Comm, localOut, localIn []complex128, n int) (
 	tm.Compute += time.Since(t0)
 
 	// Step 4: transpose back to the n1×n2 view.
-	t0 = time.Now()
-	b, err := distTranspose(c, a, n2, n1)
+	b, err := transpose(a, n2, n1)
 	if err != nil {
 		return tm, err
 	}
-	tm.Exchanges += time.Since(t0)
-	tm.NumXchg++
 
 	// Step 5: rn1 local FFTs of length n2.
 	t0 = time.Now()
@@ -136,13 +118,10 @@ func (s SixStep) Transform(c *mpi.Comm, localOut, localIn []complex128, n int) (
 	tm.Compute += time.Since(t0)
 
 	// Step 6: final transpose delivers y in natural order.
-	t0 = time.Now()
-	y, err := distTranspose(c, b, n1, n2)
+	y, err := transpose(b, n1, n2)
 	if err != nil {
 		return tm, err
 	}
-	tm.Exchanges += time.Since(t0)
-	tm.NumXchg++
 	copy(localOut, y)
 	return tm, nil
 }

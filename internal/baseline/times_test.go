@@ -56,14 +56,14 @@ func TestSixStepReportsThreeExchanges(t *testing.T) {
 func TestDistTransposeDimensionErrors(t *testing.T) {
 	w, _ := mpi.NewWorld(3)
 	err := w.Run(func(c *mpi.Comm) error {
-		_, err := distTranspose(c, make([]complex128, 8), 4, 6) // 3 does not divide 4
+		_, err := Transpose(c, make([]complex128, 8), 4, 6) // 3 does not divide 4
 		return err
 	})
 	if err == nil {
 		t.Error("expected dims error")
 	}
 	err = w.Run(func(c *mpi.Comm) error {
-		_, err := distTranspose(c, make([]complex128, 5), 6, 6) // wrong local length
+		_, err := Transpose(c, make([]complex128, 5), 6, 6) // wrong local length
 		return err
 	})
 	if err == nil {

@@ -18,21 +18,19 @@ package conv
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"math/cmplx"
 
 	"soifft/internal/baseline"
 	"soifft/internal/core"
 	"soifft/internal/fft"
-	"soifft/internal/mpi"
 )
 
 // SOI performs localOut = IDFT(DFT(x)·filterSpec) with two SOI passes.
 // filterSpecLocal is this rank's natural-order block of the filter's
 // spectrum (length N/R), typically computed once and cached. Options
 // (e.g. core.WithAsyncWindow) apply to both passes.
-func SOI(c *mpi.Comm, pl *core.Plan, localOut, localX, filterSpecLocal []complex128, opts ...core.DistOption) error {
+func SOI(c core.Comm, pl *core.Plan, localOut, localX, filterSpecLocal []complex128, opts ...core.DistOption) error {
 	spec := make([]complex128, len(localX))
 	if _, err := pl.RunDistributed(context.Background(), c, spec, localX, opts...); err != nil {
 		return err
@@ -46,7 +44,7 @@ func SOI(c *mpi.Comm, pl *core.Plan, localOut, localX, filterSpecLocal []complex
 
 // InOrder performs the same convolution with the conventional in-order
 // transpose algorithm on both sides (6 exchanges).
-func InOrder(c *mpi.Comm, localOut, localX, filterSpecLocal []complex128, n int) error {
+func InOrder(c core.Comm, localOut, localX, filterSpecLocal []complex128, n int) error {
 	alg := baseline.SixStep{}
 	spec := make([]complex128, len(localX))
 	if _, err := alg.Transform(c, spec, localX, n); err != nil {
@@ -78,42 +76,20 @@ type OutOfOrder struct {
 
 // PlanOutOfOrder chooses a square-ish split for n on r ranks.
 func PlanOutOfOrder(n, r int) (OutOfOrder, error) {
-	best := -1
-	for n1 := r; n1*n1 <= n*r; n1++ {
-		if n%n1 != 0 {
-			continue
-		}
-		n2 := n / n1
-		if n1%r != 0 || n2%r != 0 {
-			continue
-		}
-		if best == -1 || absInt(n1*n1-n) < absInt(best*best-n) {
-			best = n1
-		}
-	}
-	if best == -1 {
-		return OutOfOrder{}, fmt.Errorf("conv: no N1·N2 split of %d for %d ranks", n, r)
-	}
-	return OutOfOrder{N1: best, N2: n / best}, nil
-}
-
-func absInt(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
+	n1, n2, err := baseline.ChooseSplit(n, r, baseline.SplitSquare)
+	return OutOfOrder{N1: n1, N2: n2}, err
 }
 
 // Forward computes the spectrum of localIn in the transposed layout:
 // the returned slice is this rank's rows of the n1×n2 matrix
 // Z[k1][j2→k2], i.e. Z[k1][k2] = y[k2·N1 + k1]. Two exchanges.
-func (o OutOfOrder) Forward(c *mpi.Comm, localIn []complex128) ([]complex128, error) {
+func (o OutOfOrder) Forward(c core.Comm, localIn []complex128) ([]complex128, error) {
 	r := c.Size()
 	n := o.N1 * o.N2
 	rn2 := o.N2 / r
 	// Steps 1-5 of the six-step algorithm (see baseline.SixStep), minus
 	// the final transpose.
-	a, err := distTransposeHere(c, localIn, o.N1, o.N2)
+	a, err := baseline.Transpose(c, localIn, o.N1, o.N2)
 	if err != nil {
 		return nil, err
 	}
@@ -131,7 +107,7 @@ func (o OutOfOrder) Forward(c *mpi.Comm, localIn []complex128) ([]complex128, er
 			row[k1] *= cmplx.Exp(complex(0, ang))
 		}
 	}
-	b, err := distTransposeHere(c, a, o.N2, o.N1)
+	b, err := baseline.Transpose(c, a, o.N2, o.N1)
 	if err != nil {
 		return nil, err
 	}
@@ -145,7 +121,7 @@ func (o OutOfOrder) Forward(c *mpi.Comm, localIn []complex128) ([]complex128, er
 
 // Inverse reconstructs the natural-order block-distributed sequence from
 // a transposed-layout spectrum. Two exchanges.
-func (o OutOfOrder) Inverse(c *mpi.Comm, localZ []complex128) ([]complex128, error) {
+func (o OutOfOrder) Inverse(c core.Comm, localZ []complex128) ([]complex128, error) {
 	r := c.Size()
 	n := o.N1 * o.N2
 	rn1 := o.N1 / r
@@ -157,7 +133,7 @@ func (o OutOfOrder) Inverse(c *mpi.Comm, localZ []complex128) ([]complex128, err
 	z := append([]complex128(nil), localZ...)
 	p2.InverseBatch(z, z, rn1)
 	// Undo step 4: transpose back to the n2×n1 view.
-	a, err := distTransposeHere(c, z, o.N1, o.N2)
+	a, err := baseline.Transpose(c, z, o.N1, o.N2)
 	if err != nil {
 		return nil, err
 	}
@@ -179,12 +155,12 @@ func (o OutOfOrder) Inverse(c *mpi.Comm, localZ []complex128) ([]complex128, err
 	}
 	p1.InverseBatch(a, a, rn2)
 	// Undo step 1: transpose back to natural order.
-	return distTransposeHere(c, a, o.N2, o.N1)
+	return baseline.Transpose(c, a, o.N2, o.N1)
 }
 
 // Convolve runs the 4-exchange out-of-order convolution; filterSpecT is
 // the filter spectrum in the same transposed layout (from Forward).
-func (o OutOfOrder) Convolve(c *mpi.Comm, localOut, localX, filterSpecT []complex128) error {
+func (o OutOfOrder) Convolve(c core.Comm, localOut, localX, filterSpecT []complex128) error {
 	spec, err := o.Forward(c, localX)
 	if err != nil {
 		return err
@@ -204,36 +180,4 @@ func conjInPlace(x []complex128) {
 	for i, v := range x {
 		x[i] = cmplx.Conj(v)
 	}
-}
-
-// distTransposeHere mirrors baseline's global transpose (kept local to
-// avoid exporting an internal detail from that package).
-func distTransposeHere(c *mpi.Comm, local []complex128, n1, n2 int) ([]complex128, error) {
-	r := c.Size()
-	if n1%r != 0 || n2%r != 0 {
-		return nil, fmt.Errorf("conv: transpose dims %dx%d not divisible by ranks %d", n1, n2, r)
-	}
-	rn1, rn2 := n1/r, n2/r
-	if len(local) != rn1*n2 {
-		return nil, fmt.Errorf("conv: transpose local length %d, want %d", len(local), rn1*n2)
-	}
-	send := make([]complex128, rn1*n2)
-	for t := 0; t < r; t++ {
-		base := t * rn1 * rn2
-		for j2 := 0; j2 < rn2; j2++ {
-			col := t*rn2 + j2
-			for j1 := 0; j1 < rn1; j1++ {
-				send[base+j2*rn1+j1] = local[j1*n2+col]
-			}
-		}
-	}
-	recv := c.Alltoall(send, rn1*rn2)
-	out := make([]complex128, rn2*n1)
-	for src := 0; src < r; src++ {
-		chunk := recv[src*rn1*rn2 : (src+1)*rn1*rn2]
-		for j2 := 0; j2 < rn2; j2++ {
-			copy(out[j2*n1+src*rn1:j2*n1+(src+1)*rn1], chunk[j2*rn1:(j2+1)*rn1])
-		}
-	}
-	return out, nil
 }

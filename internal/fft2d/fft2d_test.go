@@ -103,20 +103,21 @@ func TestDistributed2DRoundTrip(t *testing.T) {
 }
 
 func TestDistributed2DSubgroupExchanges(t *testing.T) {
-	// Four subgroup all-to-alls per transform: the multi-dimensional FFT
-	// never needs a full-machine exchange, unlike in-order 1-D.
+	// The multi-dimensional FFT never needs a full-machine exchange,
+	// unlike in-order 1-D: every message stays inside a row or column
+	// group.
 	g, err := NewGrid(32, 32, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	src := signal.Random(32*32, 10)
 	_, stats := runGrid(t, g, src, false)
-	// Two groups run row-phase a2a (counted once per group leader) and
-	// two groups run the column phase: 2 phases × 2 a2a each... each
-	// lineFFT does 2 alltoalls, counted once per subgroup leader. With
-	// Pr=Pc=2 there are 2 row groups and 2 column groups.
-	if stats.Alltoalls != 8 {
-		t.Errorf("subgroup all-to-alls = %d, want 8 (2 phases × 2 exchanges × 2 groups)", stats.Alltoalls)
+	if stats.Alltoalls != 0 {
+		t.Errorf("world all-to-alls = %d, want 0", stats.Alltoalls)
+	}
+	// 4 ranks × 2 phases × 2 exchanges × 1 peer in a group of 2.
+	if stats.P2PMessages != 16 {
+		t.Errorf("point-to-point messages = %d, want 16", stats.P2PMessages)
 	}
 }
 

@@ -3,8 +3,8 @@ package fft2d
 import (
 	"fmt"
 
+	"soifft/internal/core"
 	"soifft/internal/fft"
-	"soifft/internal/mpi"
 )
 
 // Grid3D distributes an n1×n2×n3 volume over a Pr×Pc process grid in
@@ -12,7 +12,7 @@ import (
 // production 3-D FFTs): rank (i, j) owns the pencil
 // [i·n1/Pr, (i+1)·n1/Pr) × [j·n2/Pc, (j+1)·n2/Pc) × [0, n3), stored
 // x-major then y then z (z contiguous). The z-dimension transforms are
-// entirely local; x and y reuse the subgroup line machinery of Grid.
+// entirely local; x and y reuse the group line machinery of Grid.
 type Grid3D struct {
 	N1, N2, N3 int
 	Pr, Pc     int
@@ -50,17 +50,17 @@ func (g Grid3D) Coords(rank int) (int, int) { return rank / g.Pc, rank % g.Pc }
 
 // Forward computes the 3-D DFT of the distributed volume; the result
 // keeps the same pencil distribution. The z transforms are local; the y
-// and x phases each cost two subgroup all-to-alls.
-func (g Grid3D) Forward(c *mpi.Comm, local []complex128) ([]complex128, error) {
+// and x phases each cost two group exchanges.
+func (g Grid3D) Forward(c core.Comm, local []complex128) ([]complex128, error) {
 	return g.transform(c, local, false)
 }
 
 // Inverse computes the inverse 3-D DFT scaled by 1/(n1·n2·n3).
-func (g Grid3D) Inverse(c *mpi.Comm, local []complex128) ([]complex128, error) {
+func (g Grid3D) Inverse(c core.Comm, local []complex128) ([]complex128, error) {
 	return g.transform(c, local, true)
 }
 
-func (g Grid3D) transform(c *mpi.Comm, local []complex128, inverse bool) ([]complex128, error) {
+func (g Grid3D) transform(c core.Comm, local []complex128, inverse bool) ([]complex128, error) {
 	if c.Size() != g.Pr*g.Pc {
 		return nil, fmt.Errorf("fft2d: 3-D grid %dx%d needs %d ranks, world has %d",
 			g.Pr, g.Pc, g.Pr*g.Pc, c.Size())
@@ -77,28 +77,27 @@ func (g Grid3D) transform(c *mpi.Comm, local []complex128, inverse bool) ([]comp
 		return nil, err
 	}
 
-	// Phase y: view the pencil as l1·N3 lines along y (stride l2·? — we
-	// first permute so y becomes contiguous: (x, y, z) → (x, z, y)).
+	// Phase y: permute (x, y, z) → (x, z, y) so the y lines are
+	// contiguous; the row group {(i, ·)} spans the full y extent.
 	ayz := make([]complex128, len(a))
-	permute3(ayz, a, l1, l2, g.N3, false)
-	rowComm := c.Split(i, j) // ranks sharing i span the full y extent
-	by, err := lineFFT(rowComm, ayz, l1*g.N3, l2, g.N2, inverse)
+	permute(ayz, a, l1, l2, g.N3, l2*g.N3, 1, l2, false)
+	by, err := lineFFT(c, members(i*g.Pc, 1, g.Pc), ayz, l1*g.N3, l2, g.N2, inverse)
 	if err != nil {
 		return nil, err
 	}
 	b := make([]complex128, len(a))
-	permute3(b, by, l1, l2, g.N3, true)
+	permute(b, by, l1, l2, g.N3, l2*g.N3, 1, l2, true)
 
-	// Phase x: permute so x becomes contiguous: (x, y, z) → (y, z, x).
+	// Phase x: permute (x, y, z) → (y, z, x) so the x lines are
+	// contiguous; the column group {(·, j)} spans the full x extent.
 	cxz := make([]complex128, len(b))
-	permuteXFront(cxz, b, l1, l2, g.N3, false)
-	colComm := c.Split(j, i) // ranks sharing j span the full x extent
-	dx, err := lineFFT(colComm, cxz, l2*g.N3, l1, g.N1, inverse)
+	permute(cxz, b, l1, l2, g.N3, 1, l1*g.N3, l1, false)
+	dx, err := lineFFT(c, members(j, g.Pc, g.Pr), cxz, l2*g.N3, l1, g.N1, inverse)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]complex128, len(b))
-	permuteXFront(out, dx, l1, l2, g.N3, true)
+	permute(out, dx, l1, l2, g.N3, 1, l1*g.N3, l1, true)
 	return out, nil
 }
 
@@ -117,32 +116,16 @@ func batchLines(a []complex128, n int, inverse bool) error {
 	return nil
 }
 
-// permute3 reorders (x, y, z) → (x, z, y):
-// dst[(x*N3+z)*l2+y] = src[(x*l2+y)*N3+z]; back=true inverts the mapping.
-func permute3(dst, src []complex128, l1, l2, n3 int, back bool) {
+// permute moves element (x, y, z) of an l1×l2×n3 pencil from
+// (x·l2+y)·n3+z to x·sx+y·sy+z·sz; back=true inverts the mapping. The
+// strides (l2·n3, 1, l2) give the (x, z, y) order and (1, l1·n3, l1) the
+// (y, z, x) order.
+func permute(dst, src []complex128, l1, l2, n3, sx, sy, sz int, back bool) {
 	for x := 0; x < l1; x++ {
 		for y := 0; y < l2; y++ {
 			for z := 0; z < n3; z++ {
 				a := (x*l2+y)*n3 + z
-				b := (x*n3+z)*l2 + y
-				if back {
-					dst[a] = src[b]
-				} else {
-					dst[b] = src[a]
-				}
-			}
-		}
-	}
-}
-
-// permuteXFront reorders (x, y, z) → (y, z, x):
-// dst[(y*N3+z)*l1+x] = src[(x*l2+y)*N3+z]; back=true inverts.
-func permuteXFront(dst, src []complex128, l1, l2, n3 int, back bool) {
-	for x := 0; x < l1; x++ {
-		for y := 0; y < l2; y++ {
-			for z := 0; z < n3; z++ {
-				a := (x*l2+y)*n3 + z
-				b := (y*n3+z)*l1 + x
+				b := x*sx + y*sy + z*sz
 				if back {
 					dst[a] = src[b]
 				} else {

@@ -138,14 +138,12 @@ func TestPermutationsInvert(t *testing.T) {
 	src := signal.Random(l1*l2*n3, 12)
 	mid := make([]complex128, len(src))
 	back := make([]complex128, len(src))
-	permute3(mid, src, l1, l2, n3, false)
-	permute3(back, mid, l1, l2, n3, true)
-	if e := signal.MaxAbsErr(back, src); e != 0 {
-		t.Error("permute3 round trip failed")
-	}
-	permuteXFront(mid, src, l1, l2, n3, false)
-	permuteXFront(back, mid, l1, l2, n3, true)
-	if e := signal.MaxAbsErr(back, src); e != 0 {
-		t.Error("permuteXFront round trip failed")
+	// The (x, z, y) and (y, z, x) orders the y and x phases use.
+	for _, st := range [][3]int{{l2 * n3, 1, l2}, {1, l1 * n3, l1}} {
+		permute(mid, src, l1, l2, n3, st[0], st[1], st[2], false)
+		permute(back, mid, l1, l2, n3, st[0], st[1], st[2], true)
+		if e := signal.MaxAbsErr(back, src); e != 0 {
+			t.Errorf("strides %v: round trip failed", st)
+		}
 	}
 }

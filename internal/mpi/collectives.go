@@ -7,110 +7,12 @@ import (
 	"soifft/internal/exch"
 )
 
-// Collective tags live in a reserved band so they can never collide with
-// user point-to-point tags (which should be small non-negative ints).
+// Collective tags live in a reserved negative band, clear of the user
+// point-to-point tags, with the values mpinet gives the same collectives.
 const (
-	tagBarrier = -(1 + iota)
-	tagBcast
-	tagReduce
-	tagGather
-	tagAllgather
-	tagAlltoall
+	tagGather   = -4
+	tagAlltoall = -6
 )
-
-// Barrier blocks until every rank has entered it. Implementation:
-// gather-to-root then broadcast, which is O(log R) rounds in message
-// depth through the binomial trees below.
-func (c *Comm) Barrier() {
-	if c.rank == 0 {
-		c.world.stats.barriers.Add(1)
-	}
-	c.reduceInternal(0, tagBarrier, complex(0, 0))
-	c.bcastInternal(0, tagBcast, nil)
-}
-
-// Bcast distributes root's payload to every rank and returns it (ranks
-// other than root pass data=nil).
-func (c *Comm) Bcast(root int, data any) any {
-	if c.rank == root {
-		c.world.stats.bcasts.Add(1)
-	}
-	return c.bcastInternal(root, tagBcast, data)
-}
-
-// bcastInternal runs a binomial-tree broadcast rooted at root.
-func (c *Comm) bcastInternal(root, tag int, data any) any {
-	size := c.world.size
-	// Rotate so the root is virtual rank 0.
-	vrank := (c.rank - root + size) % size
-	if vrank != 0 {
-		// Receive from parent: clear the lowest set bit.
-		parent := (vrank&(vrank-1) + root) % size
-		data = c.recv(parent, tag)
-	}
-	// Forward to children: set successively higher bits.
-	mask := 1
-	for mask < size {
-		if vrank&(mask-1) == 0 && vrank&mask == 0 {
-			child := vrank | mask
-			if child < size {
-				c.send((child+root)%size, tag, data)
-			}
-		}
-		mask <<= 1
-	}
-	return data
-}
-
-// Reduce combines one complex value per rank with + at the root and
-// returns the sum there (zero elsewhere).
-func (c *Comm) Reduce(root int, v complex128) complex128 {
-	if c.rank == root {
-		c.world.stats.reduces.Add(1)
-	}
-	if root != 0 {
-		// Fold through virtual rank 0 for simplicity of the tree math.
-		sum := c.reduceInternal(0, tagReduce, v)
-		if c.rank == 0 {
-			c.send(root, tagReduce, sum)
-		}
-		if c.rank == root {
-			return c.recv(0, tagReduce).(complex128)
-		}
-		return 0
-	}
-	return c.reduceInternal(0, tagReduce, v)
-}
-
-// Allreduce is Reduce followed by Bcast.
-func (c *Comm) Allreduce(v complex128) complex128 {
-	if c.rank == 0 {
-		c.world.stats.allreduces.Add(1)
-	}
-	sum := c.reduceInternal(0, tagReduce, v)
-	return c.bcastInternal(0, tagBcast, sum).(complex128)
-}
-
-// reduceInternal folds values up a binomial tree rooted at rank 0.
-func (c *Comm) reduceInternal(root, tag int, v complex128) complex128 {
-	size := c.world.size
-	vrank := c.rank
-	mask := 1
-	acc := v
-	for mask < size {
-		if vrank&mask != 0 {
-			c.send(vrank&^mask, tag, acc)
-			return 0
-		}
-		partner := vrank | mask
-		if partner < size {
-			acc += c.recv(partner, tag).(complex128)
-		}
-		mask <<= 1
-	}
-	_ = root
-	return acc
-}
 
 // Gather concatenates equal-length chunks at the root: the result at root
 // is size*len(chunk) elements ordered by rank; other ranks get nil. A
@@ -134,27 +36,13 @@ func (c *Comm) Gather(root int, chunk []complex128) ([]complex128, error) {
 	return out, nil
 }
 
-// Allgather gives every rank the concatenation of all chunks.
-func (c *Comm) Allgather(chunk []complex128) []complex128 {
-	if c.rank == 0 {
-		c.world.stats.allgathers.Add(1)
-	}
-	all, err := c.Gather(0, chunk)
-	if err != nil {
-		panic(err)
-	}
-	res := c.bcastInternal(0, tagAllgather, all)
-	return res.([]complex128)
-}
-
-// Alltoall is AlltoallInto into a fresh buffer, for the experiment
-// drivers: a failure unwinds the rank through World.Run.
-func (c *Comm) Alltoall(send []complex128, chunk int) []complex128 {
+// Alltoall is AlltoallInto into a fresh buffer.
+func (c *Comm) Alltoall(send []complex128, chunk int) ([]complex128, error) {
 	recv := make([]complex128, c.world.size*chunk)
 	if err := c.AlltoallInto(recv, send, chunk); err != nil {
-		panic(err)
+		return nil, err
 	}
-	return recv
+	return recv, nil
 }
 
 // AlltoallInto performs the equal-counts personalized exchange — the
@@ -189,7 +77,7 @@ func (c *Comm) AlltoallInto(recv, send []complex128, chunk int) error {
 			c.world.stats.p2pMessages.Add(1)
 			c.world.stats.p2pBytes.Add(int64(chunk) * 16)
 			c.world.stats.alltoallBytes.Add(int64(chunk) * 16)
-			c.world.box(c.rank, r, tagAlltoall).put(packet{tag: tagAlltoall, data: l})
+			c.world.box(c.rank, r, tagAlltoall).put(packet{tag: tagAlltoall, loan: l})
 		}
 	}
 	copy(recv[c.rank*chunk:(c.rank+1)*chunk], send[c.rank*chunk:(c.rank+1)*chunk])
@@ -219,11 +107,11 @@ func (l *loan) take() bool { return l.claimed.CompareAndSwap(false, true) }
 
 // borrow copies the chunk rank src lent us into dst and hands it back.
 func (c *Comm) borrow(dst []complex128, src int) error {
-	data, err := c.get("alltoall", src, tagAlltoall)
+	p, err := c.get("alltoall", src, tagAlltoall)
 	if err != nil {
 		return err
 	}
-	l := data.(*loan)
+	l := p.loan
 	if !l.take() {
 		return &AbortError{Rank: c.rank}
 	}

@@ -20,16 +20,24 @@ func (c *Comm) Rank() int { return c.rank }
 // Size returns the world size.
 func (c *Comm) Size() int { return c.world.size }
 
-// Send delivers data to rank `to` with a matching tag. The payload is
-// copied into a recycled buffer, so Send never blocks; it fails only once
-// the world has aborted, with *AbortError.
+// Send delivers data to rank `to` with a matching tag, counting it at the
+// wire level. The payload is copied into a recycled buffer, so Send never
+// blocks; it fails once the world has aborted, with *AbortError, and for a
+// rank outside the world, with a *CollectiveError.
 func (c *Comm) Send(to, tag int, data []complex128) error {
 	select {
 	case <-c.world.dead:
 		return &AbortError{Rank: c.rank}
 	default:
 	}
-	c.send(to, tag, data)
+	if err := c.checkRank("send", to); err != nil {
+		return err
+	}
+	c.world.stats.p2pMessages.Add(1)
+	c.world.stats.p2pBytes.Add(int64(len(data)) * 16)
+	b := sendCopies.Get(len(data))
+	copy(b, data)
+	c.world.box(c.rank, to, tag).put(packet{tag: tag, data: b})
 	return nil
 }
 
@@ -38,11 +46,8 @@ func (c *Comm) Send(to, tag int, data []complex128) error {
 // world has aborted. A message with another tag is a *CollectiveError
 // wrapping *TagMismatchError.
 func (c *Comm) RecvC(from, tag int) ([]complex128, error) {
-	data, err := c.get("recv", from, tag)
-	if err != nil {
-		return nil, err
-	}
-	return data.([]complex128), nil
+	p, err := c.get("recv", from, tag)
+	return p.data, err
 }
 
 // RecvInto is RecvC into the caller's buffer: the queued payload is
@@ -53,13 +58,12 @@ func (c *Comm) RecvInto(dst []complex128, from, tag int) error {
 }
 
 func (c *Comm) recvInto(op string, dst []complex128, from, tag int) error {
-	data, err := c.get(op, from, tag)
+	p, err := c.get(op, from, tag)
 	if err != nil {
 		return err
 	}
-	payload := data.([]complex128)
-	err = c.fill(op, dst, payload, from)
-	sendCopies.Put(payload)
+	err = c.fill(op, dst, p.data, from)
+	sendCopies.Put(p.data)
 	return err
 }
 
@@ -71,14 +75,6 @@ func (c *Comm) fill(op string, dst, data []complex128, from int) error {
 	}
 	copy(dst, data)
 	return nil
-}
-
-// Sendrecv exchanges payloads with two (possibly distinct) partners in a
-// deadlock-free way and returns the received payload.
-func (c *Comm) Sendrecv(to, sendTag int, data any, from, recvTag int) any {
-	c.world.stats.sendrecvs.Add(1)
-	c.send(to, sendTag, data)
-	return c.recv(from, recvTag)
 }
 
 // box selects the FIFO for one (src, dst, tag) triple: the streamed
@@ -98,45 +94,32 @@ func (w *World) box(src, dst, tag int) *mailbox {
 	}
 }
 
-// send counts every message at the wire level (collectives included) and
-// enqueues a copy of the payload.
-func (c *Comm) send(to, tag int, data any) {
-	if to < 0 || to >= c.world.size {
-		panic(fmt.Sprintf("mpi: send to invalid rank %d (size %d)", to, c.world.size))
+// checkRank rejects a peer outside the world as a *CollectiveError of op.
+func (c *Comm) checkRank(op string, peer int) error {
+	if peer < 0 || peer >= c.world.size {
+		return &CollectiveError{Op: op, Rank: c.rank, Err: fmt.Errorf("invalid rank %d (size %d)", peer, c.world.size)}
 	}
-	c.world.stats.p2pMessages.Add(1)
-	c.world.stats.p2pBytes.Add(sizeOf(data))
-	c.world.box(c.rank, to, tag).put(packet{tag: tag, data: copyPayload(data)})
+	return nil
 }
 
-// get pops the next payload from rank `from`: *AbortError once the world
+// get pops the next packet from rank `from`: *AbortError once the world
 // has aborted and the queue is drained, and for a message with another
 // tag — the SPMD program's sends and receives are mis-sequenced — a
 // *CollectiveError of op wrapping *TagMismatchError (a chunk lent under
 // that tag is handed back, so its lender does not wait on it).
-func (c *Comm) get(op string, from, tag int) (any, error) {
-	if from < 0 || from >= c.world.size {
-		panic(fmt.Sprintf("mpi: recv from invalid rank %d (size %d)", from, c.world.size))
+func (c *Comm) get(op string, from, tag int) (packet, error) {
+	if err := c.checkRank(op, from); err != nil {
+		return packet{}, err
 	}
 	p, ok := c.world.box(from, c.rank, tag).get()
 	if !ok {
-		return nil, &AbortError{Rank: c.rank}
+		return packet{}, &AbortError{Rank: c.rank}
 	}
 	if p.tag != tag {
-		if l, ok := p.data.(*loan); ok && l.take() {
-			l.back <- struct{}{}
+		if p.loan != nil && p.loan.take() {
+			p.loan.back <- struct{}{}
 		}
-		return nil, &CollectiveError{Op: op, Rank: c.rank, Err: &TagMismatchError{Want: tag, Got: p.tag}}
+		return packet{}, &CollectiveError{Op: op, Rank: c.rank, Err: &TagMismatchError{Want: tag, Got: p.tag}}
 	}
-	return p.data, nil
-}
-
-// recv is get for the experiment-only collectives, which leave an abort
-// to unwind the rank through World.Run.
-func (c *Comm) recv(from, tag int) any {
-	data, err := c.get("recv", from, tag)
-	if err != nil {
-		panic(err)
-	}
-	return data
+	return p, nil
 }

@@ -26,10 +26,3 @@ func (e *CollectiveError) Unwrap() error { return e.Err }
 
 // CommFault marks the error as a communication fault.
 func (e *CollectiveError) CommFault() {}
-
-// commFault matches any typed communication fault carried by a panic
-// (AbortError, CollectiveError, mpinet.TransportError, ...).
-type commFault interface {
-	error
-	CommFault()
-}

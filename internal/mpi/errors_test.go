@@ -98,24 +98,6 @@ func TestAlltoallvPeerCountMismatch(t *testing.T) {
 	}
 }
 
-// TestRunKeepsTypedFaults: a panic carrying a comm fault comes back from
-// Run as that same typed error.
-func TestRunKeepsTypedFaults(t *testing.T) {
-	w, _ := NewWorld(2)
-	want := &CollectiveError{Op: "test", Rank: 1, Err: ErrCountMismatch}
-	err := w.Run(func(c *Comm) error {
-		if c.Rank() == 1 {
-			panic(want)
-		}
-		_, err := c.RecvC(1, 0) // blocks until the abort wakes it
-		return err
-	})
-	var ce *CollectiveError
-	if !errors.As(err, &ce) || ce != want {
-		t.Fatalf("got %v, want the original *CollectiveError", err)
-	}
-}
-
 // TestCheckedAbortSurfaces: a world abort comes back from Send and RecvC
 // as a returned *AbortError, not a panic.
 func TestCheckedAbortSurfaces(t *testing.T) {

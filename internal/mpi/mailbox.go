@@ -2,10 +2,12 @@ package mpi
 
 import "sync"
 
-// packet is one in-flight message.
+// packet is one in-flight message: a Send's buffered copy, or a chunk
+// AlltoallInto lends by reference.
 type packet struct {
 	tag  int
-	data any
+	data []complex128
+	loan *loan
 }
 
 // mailbox is an unbounded FIFO queue of packets for one (sender,

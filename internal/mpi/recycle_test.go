@@ -12,7 +12,7 @@ func queued(w *World, src, dst int) []complex128 {
 	b := w.boxes[src*w.size+dst]
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.queue[b.head].data.([]complex128)
+	return b.queue[b.head].data
 }
 
 func ramp(n int, base float64) []complex128 {

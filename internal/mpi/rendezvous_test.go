@@ -81,7 +81,7 @@ func TestAlltoallIntoLenderAbortsBeforeCopying(t *testing.T) {
 				for r := 0; r < size; r++ {
 					if r != 1 {
 						l := &loan{data: send[r*chunk : (r+1)*chunk], back: back}
-						c.world.box(1, r, tagAlltoall).put(packet{tag: tagAlltoall, data: l})
+						c.world.box(1, r, tagAlltoall).put(packet{tag: tagAlltoall, loan: l})
 					}
 				}
 				time.Sleep(20 * time.Millisecond) // the peers reach their wait first

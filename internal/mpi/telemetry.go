@@ -1,7 +1,5 @@
 package mpi
 
-import "fmt"
-
 // RecvTelemetry blocks for the next telemetry stat frame from rank
 // `from` (the telemetry.Receiver capability). Stat frames ride their own
 // per-pair mailbox, so this wait never competes with the rank's ordinary
@@ -13,12 +11,12 @@ import "fmt"
 // The in-process runtime has no wire, so there is no LinkStats here —
 // the plane simply finds the capability absent.
 func (c *Comm) RecvTelemetry(from int) ([]complex128, error) {
-	if from < 0 || from >= c.world.size {
-		panic(fmt.Sprintf("mpi: recv telemetry from invalid rank %d (size %d)", from, c.world.size))
+	if err := c.checkRank("recv_telemetry", from); err != nil {
+		return nil, err
 	}
 	p, ok := c.world.tboxes[from*c.world.size+c.rank].get() // stat frames only
 	if !ok {
 		return nil, &AbortError{Rank: c.rank}
 	}
-	return p.data.([]complex128), nil
+	return p.data, nil
 }

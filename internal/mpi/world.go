@@ -1,8 +1,8 @@
 // Package mpi is an in-process message-passing runtime with MPI-shaped
 // semantics: a World of R ranks, each running the same SPMD function on
-// its own goroutine, communicating through point-to-point sends/receives,
-// collectives (Barrier, Bcast, Reduce, Allreduce, Gather, Allgather,
-// Alltoall, Sendrecv) and the streamed all-to-all.
+// its own goroutine, communicating through core.Comm — point-to-point
+// []complex128 sends and receives, Gather, the rendezvous all-to-all and
+// the streamed all-to-all.
 //
 // It substitutes for the MPI layer of the paper's implementation (Go has
 // no MPI ecosystem): the programming model, message matching and
@@ -13,8 +13,8 @@
 // Sends are buffered (the payload is copied into a recycled buffer, which
 // RecvInto hands back) and receives match per (source, tag) in FIFO order;
 // the one rendezvous is AlltoallInto, which returns once its peers have
-// copied send. A rank returning an error aborts the world: the core.Comm
-// methods then return *AbortError, the other collectives unwind via Run.
+// copied send. Every method returns its fault: a rank returning an error
+// aborts the world, and the other ranks' calls then return *AbortError.
 package mpi
 
 import (
@@ -51,15 +51,9 @@ func (e *AbortError) CommFault() {}
 type Stats struct {
 	P2PMessages   int64
 	P2PBytes      int64
-	Barriers      int64
-	Bcasts        int64
-	Reduces       int64
-	Allreduces    int64
 	Gathers       int64
-	Allgathers    int64
 	Alltoalls     int64 // number of all-to-all collectives — the paper's key metric
 	AlltoallBytes int64 // inter-rank bytes carried by all-to-alls
-	Sendrecvs     int64
 }
 
 // World is a fixed-size set of ranks sharing mailboxes and counters.
@@ -74,12 +68,8 @@ type World struct {
 
 	stats struct {
 		p2pMessages, p2pBytes atomic.Int64
-		barriers, bcasts      atomic.Int64
-		reduces, allreduces   atomic.Int64
-		gathers, allgathers   atomic.Int64
-		alltoalls             atomic.Int64
+		gathers, alltoalls    atomic.Int64
 		alltoallBytes         atomic.Int64
-		sendrecvs             atomic.Int64
 	}
 }
 
@@ -109,7 +99,8 @@ func (w *World) Size() int { return w.size }
 // Run executes fn once per rank, each on its own goroutine, and waits for
 // all of them. The first non-nil error aborts the world (blocked
 // receivers are woken) and is returned; ranks that were interrupted
-// report AbortError, which Run folds into the primary error.
+// report AbortError, which Run folds into the primary error. A panic in
+// fn is a bug and is not recovered.
 func (w *World) Run(fn func(c *Comm) error) error {
 	errs := make([]error, w.size)
 	var wg sync.WaitGroup
@@ -117,25 +108,7 @@ func (w *World) Run(fn func(c *Comm) error) error {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					if ae, ok := p.(*AbortError); ok {
-						errs[rank] = ae
-						return
-					}
-					if cf, ok := p.(commFault); ok {
-						// Typed communication faults (CollectiveError,
-						// transport errors) stay typed through Run.
-						errs[rank] = cf
-						w.abort()
-						return
-					}
-					errs[rank] = fmt.Errorf("mpi: rank %d panicked: %v", rank, p)
-					w.abort()
-				}
-			}()
-			errs[rank] = fn(&Comm{world: w, rank: rank})
-			if errs[rank] != nil {
+			if errs[rank] = fn(&Comm{world: w, rank: rank}); errs[rank] != nil {
 				w.abort()
 			}
 		}(r)
@@ -176,60 +149,13 @@ func (w *World) Stats() Stats {
 	return Stats{
 		P2PMessages:   w.stats.p2pMessages.Load(),
 		P2PBytes:      w.stats.p2pBytes.Load(),
-		Barriers:      w.stats.barriers.Load(),
-		Bcasts:        w.stats.bcasts.Load(),
-		Reduces:       w.stats.reduces.Load(),
-		Allreduces:    w.stats.allreduces.Load(),
 		Gathers:       w.stats.gathers.Load(),
-		Allgathers:    w.stats.allgathers.Load(),
 		Alltoalls:     w.stats.alltoalls.Load(),
 		AlltoallBytes: w.stats.alltoallBytes.Load(),
-		Sendrecvs:     w.stats.sendrecvs.Load(),
 	}
 }
 
-// sizeOf estimates the wire size of a payload in bytes.
-func sizeOf(data any) int64 {
-	switch v := data.(type) {
-	case []complex128:
-		return int64(len(v)) * 16
-	case []float64:
-		return int64(len(v)) * 8
-	case []int:
-		return int64(len(v)) * 8
-	case []byte:
-		return int64(len(v))
-	case complex128:
-		return 16
-	case float64, int, int64:
-		return 8
-	case nil:
-		return 0
-	default:
-		return 8 // conservative placeholder for small control values
-	}
-}
-
-// sendCopies recycles the buffered copies of []complex128 payloads: Comm
-// hands one back once RecvInto has copied it out. One list per process,
-// not per world, because callers build a fresh world per transform.
+// sendCopies recycles the buffered copies Send makes: Comm hands one back
+// once RecvInto has copied it out. One list per process, not per world,
+// because callers build a fresh world per transform.
 var sendCopies exch.FreeList[complex128]
-
-// copyPayload deep-copies slice payloads so senders can reuse buffers
-// immediately (MPI buffered-send semantics).
-func copyPayload(data any) any {
-	switch v := data.(type) {
-	case []complex128:
-		b := sendCopies.Get(len(v))
-		copy(b, v)
-		return b
-	case []float64:
-		return append([]float64(nil), v...)
-	case []int:
-		return append([]int(nil), v...)
-	case []byte:
-		return append([]byte(nil), v...)
-	default:
-		return data
-	}
-}

@@ -6,16 +6,18 @@ import (
 	"testing"
 	"time"
 
+	"soifft/internal/baseline"
 	"soifft/internal/core"
 	"soifft/internal/exch"
 	"soifft/internal/mpi"
 )
 
-// TestCommContractReturnsFaults runs every fallible core.Comm method
-// against a failed peer on both transports — an in-process world aborted
-// by its other rank, and a TCP mesh whose other rank has closed. Each
-// call must return an error that is a core.Fault, within twice the I/O
-// deadline, and must never panic.
+// TestCommContractReturnsFaults runs every fallible core.Comm method, and
+// the comparators built on them, against a failed peer on both transports
+// — an in-process world aborted by its other rank, and a TCP mesh whose
+// other rank has closed. Each call must return an error that is (or
+// wraps) a core.Fault, within twice the I/O deadline, and must never
+// panic.
 func TestCommContractReturnsFaults(t *testing.T) {
 	const ioT = 300 * time.Millisecond
 	ops := []struct {
@@ -52,6 +54,14 @@ func TestCommContractReturnsFaults(t *testing.T) {
 					return ch.Err
 				}
 			}
+		}},
+		{"SixStep.Transform", func(c core.Comm) error {
+			_, err := baseline.SixStep{}.Transform(c, make([]complex128, 8), make([]complex128, 8), 16)
+			return err
+		}},
+		{"BinaryExchange.Transform", func(c core.Comm) error {
+			_, err := baseline.BinaryExchange{}.Transform(c, make([]complex128, 8), make([]complex128, 8), 16)
+			return err
 		}},
 	}
 	// Each transport hands the call rank 0 of a two-rank world whose rank

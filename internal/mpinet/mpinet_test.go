@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"runtime"
 	"strings"
@@ -11,9 +12,12 @@ import (
 	"testing"
 	"time"
 
+	"soifft/internal/baseline"
+	"soifft/internal/conv"
 	"soifft/internal/core"
 	"soifft/internal/exch"
 	"soifft/internal/fft"
+	"soifft/internal/mpi"
 	"soifft/internal/signal"
 )
 
@@ -242,6 +246,61 @@ func TestTCPDistributedSOI(t *testing.T) {
 	})
 	if e := signal.RelErrL2(back, src); e > 1e-10 {
 		t.Errorf("TCP round trip rel err %.3e", e)
+	}
+}
+
+// TestTransportParity: the comparators run unchanged on the wire — the
+// six-step and binary-exchange baselines and the in-order convolution
+// return the same bits on a TCP mesh as on an in-process world.
+func TestTransportParity(t *testing.T) {
+	const n = 256
+	src, filter := signal.Random(n, 15), signal.Random(n, 16)
+	algs := []struct {
+		name string
+		run  func(c core.Comm, out, in []complex128) error
+	}{
+		{"sixstep", func(c core.Comm, out, in []complex128) error {
+			_, err := baseline.SixStep{Split: baseline.SplitSquare}.Transform(c, out, in, n)
+			return err
+		}},
+		{"sixstep-tall", func(c core.Comm, out, in []complex128) error {
+			_, err := baseline.SixStep{Split: baseline.SplitTall}.Transform(c, out, in, n)
+			return err
+		}},
+		{"binexchange", func(c core.Comm, out, in []complex128) error {
+			_, err := baseline.BinaryExchange{}.Transform(c, out, in, n)
+			return err
+		}},
+		{"conv.InOrder", func(c core.Comm, out, in []complex128) error {
+			lo := c.Rank() * len(in)
+			return conv.InOrder(c, out, in, filter[lo:lo+len(in)], n)
+		}},
+	}
+	for _, ranks := range []int{2, 4} {
+		procs := mesh(t, ranks)
+		nLocal := n / ranks
+		block := func(x []complex128, k int) []complex128 { return x[k*nLocal : (k+1)*nLocal] }
+		for _, alg := range algs {
+			onWorld, onMesh := make([]complex128, n), make([]complex128, n)
+			w, err := mpi.NewWorld(ranks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Run(func(c *mpi.Comm) error {
+				return alg.run(c, block(onWorld, c.Rank()), block(src, c.Rank()))
+			}); err != nil {
+				t.Fatalf("%s R=%d in process: %v", alg.name, ranks, err)
+			}
+			spmd(t, procs, func(p *Proc) error {
+				return alg.run(p, block(onMesh, p.Rank()), block(src, p.Rank()))
+			})
+			for i := range onWorld {
+				a, b := onWorld[i], onMesh[i]
+				if math.Float64bits(real(a)) != math.Float64bits(real(b)) || math.Float64bits(imag(a)) != math.Float64bits(imag(b)) {
+					t.Fatalf("%s R=%d: element %d is %v in process, %v on the mesh", alg.name, ranks, i, a, b)
+				}
+			}
+		}
 	}
 }
 

@@ -388,17 +388,20 @@ func TestRunSPMD(t *testing.T) {
 	if w.Ranks() != 3 {
 		t.Fatalf("Ranks = %d", w.Ranks())
 	}
-	sum := make([]complex128, 3)
+	var all []complex128
 	err = w.RunSPMD(func(c *mpi.Comm) error {
-		sum[c.Rank()] = c.Allreduce(complex(1, 0))
-		return nil
+		g, err := c.Gather(0, []complex128{complex(float64(c.Rank()), 1)})
+		if c.Rank() == 0 {
+			all = g
+		}
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for r, v := range sum {
-		if v != 3 {
-			t.Errorf("rank %d: allreduce %v", r, v)
+	for r := 0; r < 3; r++ {
+		if len(all) != 3 || all[r] != complex(float64(r), 1) {
+			t.Fatalf("gathered %v, want rank r's value in slot r", all)
 		}
 	}
 }
