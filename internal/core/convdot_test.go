@@ -213,10 +213,9 @@ func FuzzConvDotMatchesGo(f *testing.F) {
 // BenchmarkConvolveRange measures the SOI convolution W·x — the "extra"
 // arithmetic SOI trades for communication (Section 6 loops a–d) — at the
 // paper's shape, one leg per kernel: the one init chose where it is not
-// the Go kernel already, the Go kernel, and the Section 6 unroll-and-jam
-// reproduction over the complex weight tensor. GF/s is the nominal
-// ConvFlops count (8 per complex multiply-add) like every other report;
-// the real-tap kernels execute half of it.
+// the Go kernel already, and the Go kernel. GF/s is the nominal ConvFlops
+// count (8 per complex multiply-add) like every other report; the real-tap
+// kernels execute half of it.
 func BenchmarkConvolveRange(b *testing.B) {
 	const n = 1 << 18
 	pl, err := NewPlan(Params{N: n, P: 8, Mu: 5, Nu: 4, B: 72})
@@ -240,5 +239,4 @@ func BenchmarkConvolveRange(b *testing.B) {
 		useGoKernel(b)
 		run(b, pl.ConvolveRange)
 	})
-	b.Run("jammed", func(b *testing.B) { run(b, pl.ConvolveRangeJammed) })
 }

@@ -390,37 +390,25 @@ func TestTransformSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-func TestConvolveRangeJammedBitIdentical(t *testing.T) {
-	p := Params{N: 2048, P: 8, Mu: 5, Nu: 4, B: 40}
-	pl, err := NewPlan(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := signal.Random(p.N, 51)
-	ext := make([]complex128, p.N+pl.HaloLen())
-	copy(ext, src)
-	copy(ext[p.N:], src[:pl.HaloLen()])
-	a := make([]complex128, pl.MPrime()*p.P)
-	b := make([]complex128, pl.MPrime()*p.P)
-	pl.convolveRangeRef(a, ext, 0, pl.MPrime(), 0)
-	pl.ConvolveRangeJammed(b, ext, 0, pl.MPrime(), 0)
-	if e := signal.MaxAbsErr(a, b); e != 0 {
-		t.Errorf("jammed kernel differs by %.3e", e)
-	}
-	// Aligned sub-range.
-	sub := make([]complex128, 10*p.Mu*p.P)
-	pl.ConvolveRangeJammed(sub, ext, 5*p.Mu, 15*p.Mu, 0)
-	if e := signal.MaxAbsErr(sub, a[5*p.Mu*p.P:15*p.Mu*p.P]); e != 0 {
-		t.Errorf("jammed sub-range differs by %.3e", e)
-	}
-	// Unaligned ranges fall back to the production kernel and agree with
-	// it bit for bit.
-	fast := make([]complex128, pl.MPrime()*p.P)
-	pl.ConvolveRange(fast, ext, 0, pl.MPrime(), 0)
-	sub2 := make([]complex128, 7*p.P)
-	pl.ConvolveRangeJammed(sub2, ext, 3, 10, 0)
-	if e := signal.MaxAbsErr(sub2, fast[3*p.P:10*p.P]); e != 0 {
-		t.Errorf("jammed fallback differs by %.3e", e)
+// TestNewPlanMetricsMatchAnalyze pins Plan.Metrics to window.Analyze of
+// the plan's window, for a window NewPlan designed (whose metrics come
+// from Design) and for one the caller gave.
+func TestNewPlanMetricsMatchAnalyze(t *testing.T) {
+	for _, p := range []Params{
+		{N: 2048, P: 8, Mu: 5, Nu: 4, B: 40},
+		{N: 2048, P: 8, Mu: 5, Nu: 4, B: 40, Win: window.TauSigma{Tau: 0.8, Sigma: 90}},
+	} {
+		pl, err := NewPlan(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := pl.Metrics(), window.Analyze(pl.win, p.Beta(), p.B)
+		for _, v := range [][2]float64{{got.Kappa, want.Kappa}, {got.EpsAlias, want.EpsAlias}, {got.EpsTrunc, want.EpsTrunc}} {
+			if math.Float64bits(v[0]) != math.Float64bits(v[1]) {
+				t.Errorf("%v: Metrics() = %+v, Analyze = %+v", pl.win, got, want)
+				break
+			}
+		}
 	}
 }
 

@@ -196,18 +196,25 @@ func NewPlan(p Params) (*Plan, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	// Design returns its window's metrics; only a caller's window is
+	// analysed here.
+	var metrics window.Metrics
 	if p.Win == nil {
-		p.Win = window.Design(p.B, p.Beta(), 1e3).Window
+		d := window.Design(p.B, p.Beta(), 1e3)
+		p.Win, metrics = d.Window, d.Metrics
+	} else {
+		metrics = window.Analyze(p.Win, p.Beta(), p.B)
 	}
 	m := p.N / p.P
 	mp := m / p.Nu * p.Mu
 	pl := &Plan{
-		prm:    p,
-		m:      m,
-		mp:     mp,
-		np:     mp * p.P,
-		groups: mp / p.Mu,
-		win:    p.Win,
+		prm:     p,
+		m:       m,
+		mp:      mp,
+		np:      mp * p.P,
+		groups:  mp / p.Mu,
+		win:     p.Win,
+		metrics: metrics,
 	}
 	var err error
 	if pl.fftP, err = fft.CachedPlan(p.P); err != nil {
@@ -218,7 +225,6 @@ func NewPlan(p Params) (*Plan, error) {
 	}
 	pl.buildWeights()
 	pl.buildDemodulation()
-	pl.metrics = window.Analyze(p.Win, p.Beta(), p.B)
 	pl.ws.New = func() any {
 		workers := pl.prm.Workers
 		if workers <= 0 {

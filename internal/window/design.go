@@ -26,7 +26,11 @@ func (d DesignResult) String() string {
 // procedure of obtaining a (τ, σ) pair for a given B (Section 7.2).
 //
 // The search uses cheap closed-form proxies to rank candidates and runs
-// the accurate quadrature-based Analyze only on the winner.
+// the accurate quadrature-based Analyze only on the winner. A candidate is
+// dropped once k·(a+ε_fft), for a lower bound a of its ε_alias, reaches the
+// best score: ε_trunc ≥ 0 and rounding is monotone, so that bounds its
+// score from below, it could not have won the strict <, and the winner is
+// the exhaustive scan's bit for bit. A NaN bound drops nothing.
 func Design(b int, beta, kappaMax float64) DesignResult {
 	if b < 2 {
 		b = 2
@@ -45,10 +49,15 @@ func Design(b int, beta, kappaMax float64) DesignResult {
 			sigma := math.Exp(math.Log(2) + float64(si)/80*math.Log(sigmaHi/2))
 			w := TauSigma{Tau: tau, Sigma: sigma}
 			k := kappaProxy(w)
-			if k > kappaMax {
+			bounded := func(alias float64) bool { return k*(alias+EpsFFT) >= bestScore }
+			if k > kappaMax || bounded(0) {
 				continue
 			}
-			score := k * (aliasProxy(w, beta) + truncProxy(w, b) + EpsFFT)
+			alias, ok := aliasProxy(w, beta, bounded)
+			if !ok || bounded(alias) {
+				continue
+			}
+			score := k * (alias + truncProxy(w, b) + EpsFFT)
 			if score < bestScore {
 				bestScore = score
 				best = w
@@ -72,7 +81,8 @@ func DesignGaussian(b int, beta float64) DesignResult {
 	for ai := 1; ai <= 400; ai++ {
 		a := float64(ai) * 0.5
 		w := Gaussian{A: a}
-		score := kappaProxy(w) * (aliasProxy(w, beta) + truncProxy(w, b) + EpsFFT)
+		alias, _ := aliasProxy(w, beta, nil)
+		score := kappaProxy(w) * (alias + truncProxy(w, b) + EpsFFT)
 		if score < bestScore {
 			bestScore = score
 			best = w
@@ -96,15 +106,18 @@ func kappaProxy(w Window) float64 {
 	return math.Abs(w.HHat(0)) / lo
 }
 
-// aliasProxy approximates ε_alias with coarse Simpson quadrature.
-func aliasProxy(w Window, beta float64) float64 {
+// aliasProxy approximates ε_alias with coarse Simpson quadrature. It gives
+// up, returning false, once a non-nil stop accepts a partial tail's ratio.
+func aliasProxy(w Window, beta float64, stop func(alias float64) bool) (float64, bool) {
 	inner := integrateAbs(w.HHat, -0.5, 0.5, 64)
-	edge := 0.5 + beta
-	tail := 2 * integrateAbs(w.HHat, edge, edge+6, 256)
 	if inner == 0 {
-		return math.Inf(1)
+		return math.Inf(1), true
 	}
-	return tail / inner
+	edge := 0.5 + beta
+	tail, ok := integrateAbsUntil(w.HHat, edge, edge+6, 256, func(part float64) bool {
+		return stop != nil && stop((2*part)/inner)
+	})
+	return (2 * tail) / inner, ok
 }
 
 // truncProxy approximates ε_trunc with coarse quadrature.

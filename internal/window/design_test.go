@@ -1,6 +1,7 @@
 package window
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -92,5 +93,110 @@ func TestAllPresetsProduceValidWindows(t *testing.T) {
 		if m.Digits() < 5 {
 			t.Errorf("preset %s: only %.1f digits", pr.Name, m.Digits())
 		}
+	}
+}
+
+// aliasProxyExhaustive is aliasProxy without the early exit: the whole
+// Simpson tail, always.
+func aliasProxyExhaustive(w Window, beta float64) float64 {
+	inner := integrateAbs(w.HHat, -0.5, 0.5, 64)
+	edge := 0.5 + beta
+	tail := 2 * integrateAbs(w.HHat, edge, edge+6, 256)
+	if inner == 0 {
+		return math.Inf(1)
+	}
+	return tail / inner
+}
+
+// designExhaustive is Design without the bound pruning: every candidate
+// under the κ bound is scored in full. TestDesignMatchesExhaustiveScan
+// holds Design to it.
+func designExhaustive(b int, beta, kappaMax float64) DesignResult {
+	if b < 2 {
+		b = 2
+	}
+	if kappaMax <= 1 {
+		kappaMax = 1e3
+	}
+	bestScore := math.Inf(1)
+	var best TauSigma
+	sigmaHi := float64(b*b) * 2
+	for ti := 1; ti <= 60; ti++ {
+		tau := float64(ti) * 0.02
+		for si := 0; si <= 80; si++ {
+			sigma := math.Exp(math.Log(2) + float64(si)/80*math.Log(sigmaHi/2))
+			w := TauSigma{Tau: tau, Sigma: sigma}
+			k := kappaProxy(w)
+			if k > kappaMax {
+				continue
+			}
+			score := k * (aliasProxyExhaustive(w, beta) + truncProxy(w, b) + EpsFFT)
+			if score < bestScore {
+				bestScore = score
+				best = w
+			}
+		}
+	}
+	return DesignResult{Window: best, Metrics: Analyze(best, beta, b), B: b, Beta: beta}
+}
+
+// TestDesignMatchesExhaustiveScan holds the bound-pruned search to the
+// exhaustive one, bit for bit in τ, σ and every metric: each Fig 7 rung at
+// four oversamplings under κ ≤ 1e3 and under its own κ bound, small, odd
+// and large tap counts, and the arguments Design clamps.
+func TestDesignMatchesExhaustiveScan(t *testing.T) {
+	type args struct {
+		b          int
+		beta, kmax float64
+	}
+	var cases []args
+	for _, beta := range []float64{0.125, 0.25, 0.5, 1} {
+		for _, p := range Presets {
+			cases = append(cases, args{p.B, beta, 1e3})
+			if p.KappaMax != 1e3 {
+				cases = append(cases, args{p.B, beta, p.KappaMax})
+			}
+		}
+	}
+	for _, b := range []int{2, 3, 7, 128} {
+		cases = append(cases, args{b, 0.25, 1e3})
+	}
+	cases = append(cases, args{1, 0.25, 0.5})
+	for _, c := range cases {
+		t.Run(fmt.Sprintf("B=%d/beta=%g/kmax=%g", c.b, c.beta, c.kmax), func(t *testing.T) {
+			t.Parallel()
+			got, want := Design(c.b, c.beta, c.kmax), designExhaustive(c.b, c.beta, c.kmax)
+			gw, ww := got.Window.(TauSigma), want.Window.(TauSigma)
+			for _, f := range []struct {
+				name      string
+				got, want float64
+			}{
+				{"tau", gw.Tau, ww.Tau},
+				{"sigma", gw.Sigma, ww.Sigma},
+				{"kappa", got.Metrics.Kappa, want.Metrics.Kappa},
+				{"eps_alias", got.Metrics.EpsAlias, want.Metrics.EpsAlias},
+				{"eps_trunc", got.Metrics.EpsTrunc, want.Metrics.EpsTrunc},
+			} {
+				if math.Float64bits(f.got) != math.Float64bits(f.want) {
+					t.Errorf("%s = %v, exhaustive scan %v", f.name, f.got, f.want)
+				}
+			}
+		})
+	}
+}
+
+var designSink DesignResult
+
+// BenchmarkDesign times the search core.NewPlan runs for a plan built
+// without a window (β = 1/4, κ ≤ 1e3), at the full-accuracy and the
+// smallest Fig 7 tap count.
+func BenchmarkDesign(b *testing.B) {
+	for _, taps := range []int{72, 26} {
+		b.Run(fmt.Sprintf("B=%d", taps), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				designSink = Design(taps, 0.25, 1e3)
+			}
+			b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/op")
+		})
 	}
 }

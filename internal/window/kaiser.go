@@ -82,7 +82,8 @@ func DesignKaiser(bTaps int, beta, kappaMax float64) DesignResult {
 		if k > kappaMax {
 			continue
 		}
-		score := k * (aliasProxy(w, beta) + EpsFFT)
+		alias, _ := aliasProxy(w, beta, nil)
+		score := k * (alias + EpsFFT)
 		if score < bestScore {
 			bestScore = score
 			best = w

@@ -179,8 +179,17 @@ func epsTrunc(w Window, b int) float64 {
 // integrateAbs computes ∫|f| over [a,b] by the composite Simpson rule
 // with n panels (n is rounded up to even).
 func integrateAbs(f func(float64) float64, a, b float64, n int) float64 {
+	v, _ := integrateAbsUntil(f, a, b, n, nil)
+	return v
+}
+
+// integrateAbsUntil is integrateAbs that gives up, returning false, once a
+// non-nil stop accepts the partial integral, offered every 4 panels. The
+// terms are non-negative and summed in a fixed order, so each partial
+// integral is a lower bound of integrateAbs's result.
+func integrateAbsUntil(f func(float64) float64, a, b float64, n int, stop func(float64) bool) (float64, bool) {
 	if b <= a {
-		return 0
+		return 0, true
 	}
 	if n%2 == 1 {
 		n++
@@ -194,6 +203,9 @@ func integrateAbs(f func(float64) float64, a, b float64, n int) float64 {
 		} else {
 			sum += 2 * math.Abs(f(x))
 		}
+		if stop != nil && i%4 == 0 && stop(sum*h/3) {
+			return 0, false
+		}
 	}
-	return sum * h / 3
+	return sum * h / 3, true
 }
