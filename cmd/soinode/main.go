@@ -74,10 +74,8 @@ func main() {
 		"per-operation I/O deadline on peer links; a peer that stalls longer is declared dead with a typed error (0 = wait forever)")
 	coded := flag.Int("coded", -1,
 		"erasure parity shares m for the coded exchange: survive ranks dying mid-transform at a wire cost of (R-1+m)/(R-1) (0 = detection only, -1 = plain exchange)")
-	asyncWindow := flag.String("async-window", "0",
-		"stream the all-to-all in chunks with this many in flight per link, overlapping wire time with convolution (0 = blocking exchange, 'auto' = the closed-loop controller picks and adapts the window between transforms); composes with -coded")
-	transforms := flag.Int("transforms", 1,
-		"run this many back-to-back transforms on the same input (with -async-window=auto the controller re-tunes the window between them)")
+	window := flag.Int("async-window", 0,
+		"stream the all-to-all in chunks with this many in flight per link, overlapping wire time with convolution (0 = blocking exchange, at most -size); composes with -coded")
 	faultPlan := flag.String("fault-plan", "",
 		"faultnet chaos plan injected into this rank's links, e.g. seed=42,corrupt=0.001,latency=1ms (see internal/faultnet)")
 	report := flag.Bool("report", false,
@@ -106,16 +104,11 @@ func main() {
 	}
 	log := logger.With("rank", *rank)
 
-	// Flag validation that needs no network: reject a malformed window
-	// or transform count before any socket is opened, so a typo fails in
-	// milliseconds instead of after the mesh dial.
-	window, adaptive, err := parseAsyncWindow(*asyncWindow, *size)
-	if err != nil {
+	// Flag validation that needs no network: reject an out-of-range
+	// window before any socket is opened, so a typo fails in milliseconds
+	// instead of after the mesh dial.
+	if err := validateAsyncWindow(*window, *size); err != nil {
 		fail(log, err)
-	}
-	if *transforms < 1 {
-		fail(log, &UsageError{Flag: "-transforms", Value: fmt.Sprint(*transforms),
-			Reason: "must be at least 1"})
 	}
 
 	addrs := strings.Split(*peers, ",")
@@ -203,7 +196,7 @@ func main() {
 			Recorder: plan.Recorder(),
 			Shape: telemetry.Shape{
 				N: *n, Segments: *segments, Taps: *taps, Beta: 0.25,
-				Parity: *coded, Window: window,
+				Parity: *coded, Window: *window,
 			},
 			Interval: *telemetryInterval,
 			Tracer:   tracer,
@@ -257,40 +250,28 @@ func main() {
 	// the per-rank files on it.
 	tracer.Sync(tid, *rank)
 	t0 := time.Now()
-	var dt core.DistributedTimes
 	var deg *core.DegradedError
 	localIn := src[*rank*nLocal : (*rank+1)*nLocal]
-	opts := []core.DistOption{core.WithTelemetry(plane)}
-	if adaptive {
-		opts = append(opts, core.WithAdaptiveWindow())
-	} else {
-		opts = append(opts, core.WithAsyncWindow(window))
-	}
+	opts := []core.DistOption{core.WithTelemetry(plane), core.WithAsyncWindow(*window)}
 	if *coded >= 0 {
 		opts = append(opts, core.WithCoding(*coded))
 	}
-	for i := 0; i < *transforms; i++ {
-		dt, err = plan.RunDistributed(ctx, proc, out, localIn, opts...)
-		if *coded >= 0 && errors.As(err, &deg) {
-			// The spectrum is complete and bit-exact; the error is
-			// informational. Degraded completion is a success exit.
-			log.Warn("transform completed degraded: dead rank(s) reconstructed from parity",
-				"reconstructed", fmt.Sprint(deg.ReconstructedRanks),
-				"coordinator", deg.Coordinator,
-				"parity_bytes", deg.ParityBytes, "recovery_bytes", deg.RecoveryBytes)
-			err = nil
-		}
-		if err != nil {
-			fail(log, err)
-		}
+	dt, err := plan.RunDistributed(ctx, proc, out, localIn, opts...)
+	if *coded >= 0 && errors.As(err, &deg) {
+		// The spectrum is complete and bit-exact; the error is
+		// informational. Degraded completion is a success exit.
+		log.Warn("transform completed degraded: dead rank(s) reconstructed from parity",
+			"reconstructed", fmt.Sprint(deg.ReconstructedRanks),
+			"coordinator", deg.Coordinator,
+			"parity_bytes", deg.ParityBytes, "recovery_bytes", deg.RecoveryBytes)
+		err = nil
 	}
-	log.Info("transform done", "transforms", *transforms, "elapsed", time.Since(t0).String(),
+	if err != nil {
+		fail(log, err)
+	}
+	log.Info("transform done", "elapsed", time.Since(t0).String(),
 		"halo", dt.Halo.String(), "convolve", dt.Convolve.String(),
 		"exchange", dt.Exchange.String(), "segment_fft", dt.SegmentFT.String())
-	if d, ok := plan.AdaptiveDecision(proc.Rank()); ok {
-		log.Info("adaptive window", "window", d.Window, "model_prior", d.Prior,
-			"decision", d.Reason)
-	}
 
 	full, reportRank, err := core.GatherDegraded(proc, 0, out, deg)
 	if err != nil {
@@ -366,25 +347,16 @@ func main() {
 		perRank := 16 * nPrime * int64(*size-1) / int64(*size) / int64(*size)
 		baseline := 3 * 16 * int64(*n) * int64(*size-1) / int64(*size) / int64(*size)
 		model := perfmodel.Model{Beta: 0.25}
-		// Counters accumulate across -transforms runs; the analytic volume
-		// and the paper's 3/(1+β) ratio are per-transform, so normalize.
-		perTransform := snap.Comm.AlltoallBytes / int64(*transforms)
 		ratio := 0.0
-		if perTransform > 0 {
-			ratio = float64(baseline) / float64(perTransform)
+		if snap.Comm.AlltoallBytes > 0 {
+			ratio = float64(baseline) / float64(snap.Comm.AlltoallBytes)
 		}
 		fmt.Printf("rank %d: exchange volume %d B/transform (analytic per-rank %d B); vs triple-all-to-all %d B: ratio %.3f, paper predicts 3/(1+beta) = %.3f\n",
-			*rank, perTransform, perRank, baseline, ratio, model.AsymptoticSpeedup())
-		if window > 0 || adaptive {
-			w := window
-			wNote := "fixed"
-			if d, ok := plan.AdaptiveDecision(proc.Rank()); ok {
-				w = d.Window
-				wNote = fmt.Sprintf("adaptive, model prior %d", d.Prior)
-			}
+			*rank, snap.Comm.AlltoallBytes, perRank, baseline, ratio, model.AsymptoticSpeedup())
+		if *window > 0 {
 			exWall := snap.Stages[instrument.StageExchange].Wall
-			fmt.Printf("rank %d: async exchange: %d chunks streamed, window %d (%s), un-hidden %s, hidden behind compute %s, overlap %.2f, credit-stall %s\n",
-				*rank, snap.Comm.StreamChunks, w, wNote, exWall,
+			fmt.Printf("rank %d: async exchange: %d chunks streamed, window %d, un-hidden %s, hidden behind compute %s, overlap %.2f, credit-stall %s\n",
+				*rank, snap.Comm.StreamChunks, *window, exWall,
 				snap.Comm.HiddenExchange, snap.Comm.OverlapRatio(exWall), snap.Comm.CreditStall)
 		}
 		if *coded >= 0 {
@@ -439,30 +411,21 @@ func (e *UsageError) Error() string {
 	return fmt.Sprintf("usage: %s=%s: %s", e.Flag, e.Value, e.Reason)
 }
 
-// parseAsyncWindow resolves the -async-window flag: "auto" arms the
-// closed-loop controller, an integer in [0, size] fixes the window
-// (0 = blocking exchange). Anything else — a non-integer, a negative,
-// or a window wider than the rank count (more in-flight chunks than
-// destinations could ever absorb) — is a *UsageError, never a silent
-// clamp.
-func parseAsyncWindow(s string, size int) (window int, adaptive bool, err error) {
-	if strings.EqualFold(s, "auto") {
-		return 0, true, nil
-	}
-	w, err := strconv.Atoi(s)
-	if err != nil {
-		return 0, false, &UsageError{Flag: "-async-window", Value: s,
-			Reason: "must be an integer window or 'auto'"}
-	}
+// validateAsyncWindow checks the -async-window flag: a window in
+// [0, size] (0 = blocking exchange). A negative window, or one wider
+// than the rank count (more in-flight chunks than destinations could
+// ever absorb), is a *UsageError, never a silent clamp.
+func validateAsyncWindow(w, size int) error {
+	v := strconv.Itoa(w)
 	if w < 0 {
-		return 0, false, &UsageError{Flag: "-async-window", Value: s,
+		return &UsageError{Flag: "-async-window", Value: v,
 			Reason: "window must not be negative (0 selects the blocking exchange)"}
 	}
 	if w > size {
-		return 0, false, &UsageError{Flag: "-async-window", Value: s,
+		return &UsageError{Flag: "-async-window", Value: v,
 			Reason: fmt.Sprintf("window exceeds the rank count %d; deeper windows cannot add in-flight chunks", size)}
 	}
-	return w, false, nil
+	return nil
 }
 
 // fail exits non-zero; a typed transport fault names the failed peer and

@@ -6,49 +6,37 @@ import (
 	"testing"
 )
 
-func TestParseAsyncWindow(t *testing.T) {
+func TestValidateAsyncWindow(t *testing.T) {
 	const size = 4
 	cases := []struct {
-		in       string
-		window   int
-		adaptive bool
-		wantErr  string // substring of the usage error, "" = accepted
+		w       int
+		wantErr string // substring of the usage error, "" = accepted
 	}{
-		{"0", 0, false, ""},
-		{"1", 1, false, ""},
-		{"4", 4, false, ""},
-		{"auto", 0, true, ""},
-		{"AUTO", 0, true, ""},
-		{"-1", 0, false, "negative"},
-		{"-17", 0, false, "negative"},
-		{"5", 0, false, "exceeds the rank count"},
-		{"2.5", 0, false, "integer"},
-		{"wide", 0, false, "integer"},
-		{"", 0, false, "integer"},
+		{0, ""},
+		{1, ""},
+		{4, ""},
+		{-1, "negative"},
+		{-17, "negative"},
+		{5, "exceeds the rank count"},
 	}
 	for _, tc := range cases {
-		w, adaptive, err := parseAsyncWindow(tc.in, size)
+		err := validateAsyncWindow(tc.w, size)
 		if tc.wantErr == "" {
 			if err != nil {
-				t.Errorf("parseAsyncWindow(%q): unexpected error %v", tc.in, err)
-				continue
-			}
-			if w != tc.window || adaptive != tc.adaptive {
-				t.Errorf("parseAsyncWindow(%q) = (%d, %v), want (%d, %v)",
-					tc.in, w, adaptive, tc.window, tc.adaptive)
+				t.Errorf("validateAsyncWindow(%d): unexpected error %v", tc.w, err)
 			}
 			continue
 		}
 		var ue *UsageError
 		if !errors.As(err, &ue) {
-			t.Errorf("parseAsyncWindow(%q): error %v is not a *UsageError", tc.in, err)
+			t.Errorf("validateAsyncWindow(%d): error %v is not a *UsageError", tc.w, err)
 			continue
 		}
 		if ue.Flag != "-async-window" {
-			t.Errorf("parseAsyncWindow(%q): usage error names flag %q", tc.in, ue.Flag)
+			t.Errorf("validateAsyncWindow(%d): usage error names flag %q", tc.w, ue.Flag)
 		}
 		if !strings.Contains(ue.Reason, tc.wantErr) {
-			t.Errorf("parseAsyncWindow(%q): reason %q does not mention %q", tc.in, ue.Reason, tc.wantErr)
+			t.Errorf("validateAsyncWindow(%d): reason %q does not mention %q", tc.w, ue.Reason, tc.wantErr)
 		}
 	}
 }

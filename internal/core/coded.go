@@ -493,9 +493,7 @@ func (cx *codedExchange) runStreamed(ctx context.Context, localIn []complex128) 
 	sendWait, perr := e.produce(ctx, st, bounds, localIn, cx.markDead)
 	tExch := time.Now()
 	e.tr.Begin(e.tid, rank, instrument.StageExchange.String())
-	// Degraded-but-complete runs still carry a valid overlap measurement;
-	// only typed failures skip the controller.
-	defer func() { e.bookStream(streamStart, tExch, sendWait, err == nil) }()
+	defer e.bookStream(streamStart, tExch, sendWait)
 	if perr != nil {
 		return nil, perr // context cancellation or a halo send failure
 	}

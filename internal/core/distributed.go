@@ -23,7 +23,7 @@ const (
 // what the drivers call. Like an MPI call returning its code, every
 // fallible method reports a transport failure (peer death, corrupted
 // frame, expired I/O deadline, aborted world) as a returned error that
-// implements Fault; misuse (an invalid rank) still panics.
+// implements Fault, and so does a call naming a rank outside the world.
 type Comm interface {
 	Rank() int
 	Size() int
@@ -169,12 +169,9 @@ func (s *countedStream) Send(dst, idx int, data []complex128) error {
 //     per link, overlapped with convolution — wire time hides behind
 //     compute, and the Exchange stage time reports only the un-hidden
 //     remainder;
-//   - WithAdaptiveWindow() has the plan's closed-loop controller pick w
-//     per rank: the model prior first, then adapted between transforms
-//     from the measured overlap and credit-stall;
 //   - WithCoding(m) erasure-protects the exchange so the transform
 //     survives up to m rank deaths; coding composes with
-//     WithAsyncWindow and WithAdaptiveWindow;
+//     WithAsyncWindow;
 //   - WithRecorder(rec) observes the run with a specific recorder.
 //
 // On a streamed run the halo prefix exchange streams in chunks too (the
@@ -194,9 +191,6 @@ func (pl *Plan) RunDistributed(ctx context.Context, c Comm, localOut, localIn []
 func (pl *Plan) runDistributed(ctx context.Context, c Comm, localOut, localIn []complex128, opts []DistOption, inverse bool) (DistributedTimes, error) {
 	cfg := pl.resolveDistOptions(opts)
 	cfg.inverse = inverse
-	if cfg.adaptive && cfg.window == 0 {
-		cfg.window = pl.adaptiveWindow(c.Rank(), c.Size()).Window
-	}
 	if cfg.coded {
 		return pl.runCoded(ctx, c, cfg, localOut, localIn)
 	}
@@ -263,7 +257,6 @@ type distExec struct {
 	spr               int  // segments per rank
 	chunk             int  // elements per destination in the exchange (bpr·spr)
 	window            int  // streamed-exchange in-flight window (0 = blocking)
-	adaptive          bool // window chosen by the plan's controller; observe after the run
 	inverse           bool // conjugate in, conjugate-and-scale out
 	tr                *trace.Tracer
 	tid               trace.ID
@@ -296,11 +289,10 @@ func (pl *Plan) newDistExec(ctx context.Context, cfg distOptions, c Comm, localO
 		rec: cfg.rec, rank: c.Rank(), r: r, nLocal: nLocal,
 		workers: max(p.Workers, 1), // one goroutine per rank unless hybrid mode is requested
 		bpr:     pl.mp / r, spr: p.P / r, chunk: (pl.mp / r) * (p.P / r),
-		window:   cfg.window,
-		adaptive: cfg.adaptive && cfg.window > 0,
-		inverse:  cfg.inverse,
-		tele:     cfg.tele,
-		timed:    cfg.rec.Timing(),
+		window:  cfg.window,
+		inverse: cfg.inverse,
+		tele:    cfg.tele,
+		timed:   cfg.rec.Timing(),
 	}
 	e.tr, e.tid = pl.tracerFor(ctx)
 	if e.inverse {

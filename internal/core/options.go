@@ -10,13 +10,12 @@ import (
 type DistOption func(*distOptions)
 
 type distOptions struct {
-	coded    bool
-	parity   int
-	window   int
-	adaptive bool
-	inverse  bool // set by RunDistributedInverse, not an option
-	rec      *instrument.Recorder
-	tele     *telemetry.Plane
+	coded   bool
+	parity  int
+	window  int
+	inverse bool // set by RunDistributedInverse, not an option
+	rec     *instrument.Recorder
+	tele    *telemetry.Plane
 }
 
 // resolveDistOptions folds the options over the plan's defaults.
@@ -52,19 +51,6 @@ func WithAsyncWindow(w int) DistOption {
 		}
 		o.window = w
 	}
-}
-
-// WithAdaptiveWindow lets the plan's closed-loop controller pick the
-// streamed exchange's window instead of a fixed WithAsyncWindow(w): the
-// first transform runs at the model prior (SetWindowPrior, or the
-// adapt.DefaultWindow without one), and between transforms the
-// controller adapts from the measured overlap ratio, credit-stall share
-// and wire/compute ratio, with hysteresis so a noisy link doesn't
-// thrash the schedule. An explicit WithAsyncWindow(w > 0) in the same
-// run overrides the controller. Composes with WithCoding. Results remain
-// bit-identical to the blocking exchange at every chosen window.
-func WithAdaptiveWindow() DistOption {
-	return func(o *distOptions) { o.adaptive = true }
 }
 
 // WithRecorder observes this run with rec instead of the plan's own

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"soifft/internal/adapt"
 	"soifft/internal/fft"
 	"soifft/internal/instrument"
 	"soifft/internal/trace"
@@ -56,15 +55,6 @@ type Plan struct {
 	// tr is the optional event tracer, with the same nil-is-free
 	// contract as rec; a tracer on the context overrides it.
 	tr *trace.Tracer
-
-	// Adaptive-window controller state: one controller per rank (an
-	// in-process world shares the plan across ranks), created lazily on
-	// the first WithAdaptiveWindow run and persisting across transforms —
-	// that persistence IS the adaptation. windowPrior is the predicted
-	// wire/compute ratio seeding each controller (SetWindowPrior).
-	adaptMu     sync.Mutex
-	adaptCtl    map[int]*adapt.Controller
-	windowPrior float64
 
 	ws sync.Pool // *workspace, reused across Transform calls
 
@@ -322,62 +312,6 @@ func (pl *Plan) SetTracer(t *trace.Tracer) { pl.tr = t }
 
 // Tracer returns the attached tracer (nil when tracing is off).
 func (pl *Plan) Tracer() *trace.Tracer { return pl.tr }
-
-// SetWindowPrior seeds the adaptive window controllers with the
-// perfmodel-predicted wire/compute ratio (Model.WireComputeRatio): the
-// first WithAdaptiveWindow transform runs at adapt.PriorWindow(ratio)
-// instead of the uncalibrated default. Like SetRecorder it is a plain
-// write — install before sharing the plan. It has no effect on
-// controllers that already exist.
-func (pl *Plan) SetWindowPrior(ratio float64) { pl.windowPrior = ratio }
-
-// adaptiveWindow returns rank's controller decision for the next
-// transform, creating the controller at the model prior on first use.
-// MaxWindow is the world size: in-flight chunks beyond one per
-// destination stop buying overlap.
-func (pl *Plan) adaptiveWindow(rank, size int) adapt.Decision {
-	pl.adaptMu.Lock()
-	defer pl.adaptMu.Unlock()
-	if pl.adaptCtl == nil {
-		pl.adaptCtl = make(map[int]*adapt.Controller)
-	}
-	ctl := pl.adaptCtl[rank]
-	if ctl == nil {
-		max := size
-		if max < 2 {
-			max = 2
-		}
-		ctl = adapt.New(adapt.Config{MaxWindow: max, Prior: pl.windowPrior})
-		pl.adaptCtl[rank] = ctl
-	}
-	return ctl.Decision()
-}
-
-// adaptObserve folds one completed streamed transform into rank's
-// controller and returns the decision for the next transform.
-func (pl *Plan) adaptObserve(rank int, m adapt.Measurement) adapt.Decision {
-	pl.adaptMu.Lock()
-	defer pl.adaptMu.Unlock()
-	ctl := pl.adaptCtl[rank]
-	if ctl == nil {
-		return adapt.Decision{}
-	}
-	return ctl.Observe(m)
-}
-
-// AdaptiveDecision reports rank's latest adaptive-window decision —
-// the window its next WithAdaptiveWindow transform will stream with,
-// the model prior it started from, and the controller's reasoning.
-// ok is false before the rank's first adaptive run.
-func (pl *Plan) AdaptiveDecision(rank int) (adapt.Decision, bool) {
-	pl.adaptMu.Lock()
-	defer pl.adaptMu.Unlock()
-	ctl := pl.adaptCtl[rank]
-	if ctl == nil {
-		return adapt.Decision{}, false
-	}
-	return ctl.Decision(), true
-}
 
 // M returns the segment length N/P.
 func (pl *Plan) M() int { return pl.m }

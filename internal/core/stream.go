@@ -5,7 +5,6 @@ import (
 	"context"
 	"time"
 
-	"soifft/internal/adapt"
 	"soifft/internal/exch"
 	"soifft/internal/instrument"
 )
@@ -31,20 +30,12 @@ import (
 
 // tileBounds splits this rank's bpr convolution blocks into T tiles,
 // T = min(bpr, max(4, 2·window)): enough tiles to keep the window busy,
-// never more than one block each. bounds has T+1 entries.
-//
-// The schedule must come out identical on every rank — receivers size
-// the expected chunks from their own bounds. A fixed WithAsyncWindow(w)
-// is rank-invariant by construction; under the adaptive controller the
-// per-rank windows diverge between transforms, so the schedule is
-// pinned to the controller's rank-invariant ceiling (the world size)
-// and the live window steers only the per-destination credit depth.
+// never more than one block each. bounds has T+1 entries. The window is
+// the caller's WithAsyncWindow(w), the same on every rank, so the
+// schedule — which receivers size the expected chunks from — comes out
+// identical everywhere.
 func (e *distExec) tileBounds() []int {
-	w := e.window
-	if e.adaptive {
-		w = max(e.r, 2)
-	}
-	T := min(max(2*w, 4), e.bpr)
+	T := min(max(2*e.window, 4), e.bpr)
 	bounds := make([]int, T+1)
 	for k := 0; k <= T; k++ {
 		bounds[k] = k * e.bpr / T
@@ -96,7 +87,6 @@ func (e *distExec) exchangeStreamed(ctx context.Context, localIn []complex128) e
 	st, bounds, _, done := e.startStream()
 	defer st.Close()
 
-	e.tr.Counter(e.tid, e.rank, "adaptive_window", int64(e.window))
 	streamStart := time.Now()
 
 	sendWait, perr := e.produce(ctx, st, bounds, localIn, nil)
@@ -113,47 +103,18 @@ func (e *distExec) exchangeStreamed(ctx context.Context, localIn []complex128) e
 	prodDone := time.Now()
 	e.tr.Begin(e.tid, e.rank, instrument.StageExchange.String())
 	err := cmp.Or(perr, <-done, ctx.Err())
-	e.bookStream(streamStart, prodDone, sendWait, err == nil)
+	e.bookStream(streamStart, prodDone, sendWait)
 	return err
 }
 
 // bookStream closes a streamed exchange's stage: the visible exchange
 // time is the send backpressure plus the tail since the producer
 // finished; everything else of the stream's span ran hidden behind
-// compute. A run that completed feeds the adaptive controller.
-func (e *distExec) bookStream(start, prodDone time.Time, sendWait time.Duration, completed bool) {
+// compute.
+func (e *distExec) bookStream(start, prodDone time.Time, sendWait time.Duration) {
 	e.dt.Exchange = sendWait + time.Since(prodDone)
 	e.tr.End(e.tid, e.rank, instrument.StageExchange.String())
-	hidden := max(time.Since(start)-e.dt.Exchange, 0)
-	if e.timed && hidden > 0 {
+	if hidden := time.Since(start) - e.dt.Exchange; e.timed && hidden > 0 {
 		e.rec.AddHiddenExchange(hidden)
-	}
-	if completed && e.adaptive {
-		e.observeAdaptive(hidden, sendWait)
-	}
-}
-
-// observeAdaptive feeds this run's measured overlap back to the plan's
-// window controller so the next transform starts at the adapted window.
-// Called only on successful streamed runs whose window the controller
-// chose (never for an explicit WithAsyncWindow); the decision is traced
-// with bounded-cardinality names so long campaigns don't grow the
-// tracer's interned-name table.
-func (e *distExec) observeAdaptive(hidden, sendWait time.Duration) {
-	visible := e.dt.Exchange
-	m := adapt.Measurement{Window: e.window}
-	if total := hidden + visible; total > 0 {
-		m.OverlapRatio = float64(hidden) / float64(total)
-	}
-	if visible > 0 {
-		m.StallShare = min(float64(sendWait)/float64(visible), 1)
-	}
-	if e.dt.Convolve > 0 {
-		m.WireComputeRatio = float64(hidden+visible) / float64(e.dt.Convolve)
-	}
-	d := e.pl.adaptObserve(e.rank, m)
-	e.tr.Counter(e.tid, e.rank, "adaptive_window", int64(d.Window))
-	if d.Changed {
-		e.tr.ChunkInstant(e.tid, e.rank, "adaptive_decision", d.Window)
 	}
 }

@@ -140,8 +140,8 @@ type commCounters struct {
 
 	// creditStallNs is time streamed senders spent blocked on a full
 	// per-destination credit window — the producer outrunning the wire.
-	// It is the adaptive-window input: sustained stall means the window
-	// (or the link) is too small for the compute rate.
+	// Sustained stall means the window (or the link) is too small for
+	// the compute rate; the explainer attributes excess exchange to it.
 	creditStallNs atomic.Int64
 }
 
@@ -418,7 +418,7 @@ type CommSnapshot struct {
 	// excluded from the StageExchange wall timer.
 	HiddenExchange time.Duration
 	// CreditStall is time streamed sends spent blocked on a full
-	// per-destination window — the adaptive-window signal.
+	// per-destination window: the producer outrunning the link.
 	CreditStall time.Duration
 }
 

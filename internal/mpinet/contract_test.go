@@ -55,6 +55,14 @@ func TestCommContractReturnsFaults(t *testing.T) {
 				}
 			}
 		}},
+		// A rank outside the world is a Fault too, not a panic.
+		{"Send/invalid rank", func(c core.Comm) error { return c.Send(7, 5, []complex128{1}) }},
+		{"RecvInto/invalid rank", func(c core.Comm) error { return c.RecvInto(make([]complex128, 1), -1, 5) }},
+		{"StreamSend/invalid rank", func(c core.Comm) error {
+			st := c.StartAlltoallv(exch.Options{Sizes: []int{1}, Recv: make([]complex128, 2), Window: 1})
+			defer st.Close()
+			return st.Send(7, 0, []complex128{1})
+		}},
 		{"SixStep.Transform", func(c core.Comm) error {
 			_, err := baseline.SixStep{}.Transform(c, make([]complex128, 8), make([]complex128, 8), 16)
 			return err

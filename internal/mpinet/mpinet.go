@@ -403,7 +403,10 @@ func (p *Proc) Send(to, tag int, data []complex128) error {
 
 // send is Send with the writer's flush callback (see sendFrame).
 func (p *Proc) send(to, tag int, data []complex128, flushed func()) error {
-	pe := p.peerOf(to, "send")
+	pe, err := p.peerOf(to, "send")
+	if err != nil {
+		return err
+	}
 	if err := pe.sendFrame(pe.encode(tag, data), flushed); err != nil {
 		pe.wire.sendErrors.Add(1)
 		return &TransportError{Rank: to, Op: "send", Err: err}
@@ -415,7 +418,10 @@ func (p *Proc) send(to, tag int, data []complex128, flushed func()) error {
 // A dead link, a corrupted frame, or an expired I/O deadline returns a
 // typed *TransportError naming `from`.
 func (p *Proc) RecvC(from, tag int) ([]complex128, error) {
-	pe := p.peerOf(from, "recv")
+	pe, err := p.peerOf(from, "recv")
+	if err != nil {
+		return nil, err
+	}
 	return p.recvFrame(pe, pe.box, nil, tag)
 }
 
@@ -423,16 +429,23 @@ func (p *Proc) RecvC(from, tag int) ([]complex128, error) {
 // the link's reusable wire buffer straight into dst, whose length the
 // frame must match.
 func (p *Proc) RecvInto(dst []complex128, from, tag int) error {
-	pe := p.peerOf(from, "recv")
-	_, err := p.recvFrame(pe, pe.box, dst, tag)
+	pe, err := p.peerOf(from, "recv")
+	if err != nil {
+		return err
+	}
+	_, err = p.recvFrame(pe, pe.box, dst, tag)
 	return err
 }
 
-func (p *Proc) peerOf(rank int, op string) *peer {
+// peerOf returns the link to rank, or for a rank outside the world (or
+// this rank itself, which has no link) a *TransportError of op — the
+// same typed failure as a dead link, never a panic.
+func (p *Proc) peerOf(rank int, op string) (*peer, error) {
 	if rank < 0 || rank >= p.size || rank == p.rank {
-		panic(fmt.Sprintf("mpinet: %s with invalid rank %d", op, rank))
+		return nil, &TransportError{Rank: rank, Op: op,
+			Err: fmt.Errorf("invalid rank %d (size %d, self %d)", rank, p.size, p.rank)}
 	}
-	return p.peers[rank]
+	return p.peers[rank], nil
 }
 
 // recvFrame pops the next frame of one peer mailbox, checks its tag and

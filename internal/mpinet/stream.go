@@ -1,7 +1,6 @@
 package mpinet
 
 import (
-	"fmt"
 	"time"
 
 	"soifft/internal/exch"
@@ -55,21 +54,21 @@ func (s *netStream) Send(dst, idx int, data []complex128) error {
 		s.trk.Deliver(exch.Chunk{Src: dst, Index: idx, Data: data})
 		return nil
 	}
-	if dst < 0 || dst >= p.size {
-		panic(fmt.Sprintf("mpinet: stream send to invalid rank %d", dst))
+	pe, err := p.peerOf(dst, "stream-send")
+	if err != nil {
+		return err
 	}
 	wire := data
 	if s.o.Codec != nil {
 		wire = s.o.Codec.EncodeChunk(data)
 	}
-	pe := p.peers[dst]
 	cr := s.credit[dst]
 	// Acquire a window slot: backpressure against the link's real flush
 	// progress. A dying link wakes the wait with its typed cause. When
 	// the window is full the blocked time is booked as credit-stall —
 	// per destination on the link and in aggregate on the recorder — the
 	// producer-outran-this-link signal the explainer attributes excess
-	// exchange time to, and the input a future adaptive window reads.
+	// exchange time to.
 	select {
 	case cr <- struct{}{}:
 	default:

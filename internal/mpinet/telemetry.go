@@ -13,7 +13,10 @@ import "soifft/internal/telemetry"
 // typed death cause once the peer is gone, which is the drain
 // goroutine's signal to mark the rank stale.
 func (p *Proc) RecvTelemetry(from int) ([]complex128, error) {
-	pe := p.peerOf(from, "recv telemetry")
+	pe, err := p.peerOf(from, "recv-telemetry")
+	if err != nil {
+		return nil, err
+	}
 	pkt, err := pe.tbox.get(0)
 	if err != nil {
 		return nil, &TransportError{Rank: from, Op: "recv-telemetry", Err: err}

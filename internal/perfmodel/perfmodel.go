@@ -96,21 +96,6 @@ func (m Model) TSOI(n int) time.Duration {
 	return m.TfftOversampled(n) + conv + comm
 }
 
-// WireComputeRatio predicts the single all-to-all's wire time over the
-// compute it can hide behind (the oversampled FFT batch plus the
-// convolution) at n nodes. This is the adaptive window controller's
-// prior ρ: adapt.PriorWindow(ρ) sizes the streamed exchange's first
-// window before any measurement exists. Above 1 the wire outlasts the
-// compute — the exchange cannot be fully hidden at any window.
-func (m Model) WireComputeRatio(n int) float64 {
-	comm := m.Fabric.AlltoallTime(n, int64(float64(m.PointsPerNode*16)*(1+m.Beta)))
-	compute := m.TfftOversampled(n) + time.Duration(float64(m.Tconv)*m.C)
-	if compute <= 0 {
-		return 0
-	}
-	return float64(comm) / float64(compute)
-}
-
 // Speedup is TStandard/TSOI at n nodes.
 func (m Model) Speedup(n int) float64 {
 	return float64(m.TStandard(n)) / float64(m.TSOI(n))

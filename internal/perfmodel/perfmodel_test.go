@@ -203,32 +203,6 @@ func TestTSOIUsesOversampledBytes(t *testing.T) {
 	}
 }
 
-func TestWireComputeRatio(t *testing.T) {
-	// The controller prior: comm over hideable compute. On a
-	// communication-bound fabric (10GbE) it must exceed the ratio on a
-	// fat IB fabric at the same scale, and pricing must match the TSOI
-	// decomposition exactly.
-	n := 16
-	eth, ib := paperModel(netsim.TenGigE()), paperModel(netsim.Gordon())
-	re, ri := eth.WireComputeRatio(n), ib.WireComputeRatio(n)
-	if re <= 0 || ri <= 0 {
-		t.Fatalf("ratios must be positive: eth %.3f ib %.3f", re, ri)
-	}
-	if re <= ri {
-		t.Errorf("10GbE ratio %.3f not above Gordon IB ratio %.3f", re, ri)
-	}
-	comm := eth.Fabric.AlltoallTime(n, int64(float64(eth.PointsPerNode*16)*1.25))
-	compute := eth.TfftOversampled(n) + time.Duration(float64(eth.Tconv)*eth.C)
-	if want := float64(comm) / float64(compute); math.Abs(re-want) > 1e-12 {
-		t.Errorf("ratio %.6f, want comm/compute %.6f", re, want)
-	}
-	zero := eth
-	zero.Alpha, zero.Tconv = 0, 0
-	if zero.WireComputeRatio(n) != 0 {
-		t.Error("zero compute must yield ratio 0, not Inf")
-	}
-}
-
 func TestProjectionDeterministic(t *testing.T) {
 	m := paperModel(netsim.Gordon())
 	a := m.Projection(TorusNodes(2, 4), []float64{1})

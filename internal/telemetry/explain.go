@@ -244,7 +244,7 @@ func parityNote(m int) string {
 }
 
 // overlapFindings flags streamed runs that hide little of the exchange —
-// the signal the ROADMAP's adaptive-window item consumes.
+// the cue to try another async window.
 func overlapFindings(s *ClusterSnapshot) []Finding {
 	if s.Shape.Window <= 0 {
 		return nil
