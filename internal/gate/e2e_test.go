@@ -3,6 +3,8 @@ package gate_test
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"math"
 	"net"
 	"net/http/httptest"
 	"os"
@@ -26,7 +28,7 @@ import (
 // startReplica runs a real serve.Server on an ephemeral port with an
 // httptest /healthz endpoint in front of its metrics handler, returning
 // the spec the gateway registers it under.
-func startReplica(t *testing.T, cfg serve.Config) (gate.ReplicaSpec, *serve.Server) {
+func startReplica(t testing.TB, cfg serve.Config) (gate.ReplicaSpec, *serve.Server) {
 	t.Helper()
 	cfg.Addr = "127.0.0.1:0"
 	s := serve.New(cfg)
@@ -399,5 +401,81 @@ func TestGateClusterRollup(t *testing.T) {
 		default:
 			t.Errorf("rollup names unknown replica %q", rc.Addr)
 		}
+	}
+}
+
+// TestGatePayloadRecyclingBitExact is the safety net for the recycled
+// wire payloads: client, gateway and both replicas share one process
+// and so one free list, and a payload released while a frame still
+// carried it would surface in some other request's answer. Eight
+// clients send mixed-size forward and inverse requests, each with its
+// own input, and every answer must equal a local plan's bits.
+func TestGatePayloadRecyclingBitExact(t *testing.T) {
+	const clients, perClient = 8, 8
+	var specs []gate.ReplicaSpec
+	for i := 0; i < 2; i++ {
+		sp, _ := startReplica(t, serve.Config{MaxLinger: 2 * time.Millisecond})
+		specs = append(specs, sp)
+	}
+	g := startGateway(t, gate.Config{Replicas: specs})
+	plans := map[int]*soifft.Plan{}
+	for _, n := range []int{4096, 16384} {
+		p, err := soifft.NewPlan(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans[n] = p
+	}
+
+	var wg sync.WaitGroup
+	errs := make(chan error, clients)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			cl, err := client.Dial(g.Addr().String())
+			if err != nil {
+				errs <- err
+				return
+			}
+			defer cl.Close()
+			for k := 0; k < perClient; k++ {
+				n, inverse := 4096, (c+k)%2 == 1
+				if (c+k)%4 == 0 {
+					n = 16384
+				}
+				in := signal.Random(n, int64(100*c+k))
+				want := make([]complex128, n)
+				var got []complex128
+				if inverse {
+					err = plans[n].Inverse(want, in)
+					if err == nil {
+						got, err = cl.Inverse(in, nil)
+					}
+				} else {
+					err = plans[n].Transform(want, in)
+					if err == nil {
+						got, err = cl.Transform(in, nil)
+					}
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+				for i := range want {
+					if math.Float64bits(real(got[i])) != math.Float64bits(real(want[i])) ||
+						math.Float64bits(imag(got[i])) != math.Float64bits(imag(want[i])) {
+						errs <- fmt.Errorf("client %d request %d (n=%d inverse=%v): point %d is %v, want %v",
+							c, k, n, inverse, i, got[i], want[i])
+						return
+					}
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

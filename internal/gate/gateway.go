@@ -369,6 +369,7 @@ func (g *Gateway) handleConn(conn net.Conn) {
 				Status: serve.StatusDraining, RetryAfter: g.cfg.RetryAfter,
 				Msg: "gateway is draining", Proto: req.Proto,
 			})
+			serve.Release(req.Data)
 			return
 		}
 		g.inflight.Add(1)
@@ -377,6 +378,10 @@ func (g *Gateway) handleConn(conn net.Conn) {
 		resp := g.process(req, tenant, log)
 		resp.Proto = req.Proto // echo the client's wire version
 		err = writeResp(resp)
+		// Both payloads were read here and every frame carrying them is
+		// written (failover re-sends req.Data, so it goes only now).
+		serve.Release(req.Data)
+		serve.Release(resp.Data)
 		g.inflight.Done()
 		if err != nil {
 			log.Warn("response write failed", "err", err)

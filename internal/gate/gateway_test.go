@@ -106,7 +106,7 @@ func okEcho(req *serve.Request) *serve.Response {
 }
 
 // startGateway builds and runs a gateway over the given replica addrs.
-func startGateway(t *testing.T, cfg gate.Config) *gate.Gateway {
+func startGateway(t testing.TB, cfg gate.Config) *gate.Gateway {
 	t.Helper()
 	cfg.Addr = "127.0.0.1:0"
 	if cfg.HealthInterval == 0 {

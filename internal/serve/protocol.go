@@ -20,6 +20,8 @@ import (
 	"io"
 	"math"
 	"time"
+
+	"soifft/internal/exch"
 )
 
 // Wire constants. Protocol v2 appends a trace ID to the request header
@@ -175,7 +177,8 @@ func WriteRequest(w io.Writer, req *Request) error {
 // ReadRequest reads one request frame, rejecting payloads longer than
 // maxCount points. Both protocol versions are accepted: the version
 // byte decides whether the trailing trace ID is present, and the frame
-// version read is recorded in req.Proto so responses can echo it.
+// version read is recorded in req.Proto so responses can echo it. The
+// caller owns req.Data (see Release).
 func ReadRequest(r io.Reader, maxCount int) (*Request, error) {
 	var hdr [reqHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:reqHeaderLenV1]); err != nil {
@@ -244,7 +247,7 @@ func WriteResponse(w io.Writer, resp *Response) error {
 }
 
 // ReadResponse reads one response frame, rejecting payloads longer than
-// maxCount points.
+// maxCount points. The caller owns resp.Data (see Release).
 func ReadResponse(r io.Reader, maxCount int) (*Response, error) {
 	var hdr [respHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -293,32 +296,73 @@ func (resp *Response) Err() error {
 	return &ServerError{Status: resp.Status, Msg: resp.Msg, RetryAfter: resp.RetryAfter}
 }
 
+// The payload codec streams through one pooled chunk, so a frame costs
+// the decoded payload and nothing payload-sized besides.
+const (
+	chunkPoints = 2048
+	chunkBytes  = 16 * chunkPoints // 32 KB
+)
+
+var (
+	// payloads recycles decoded payloads and the server's result and
+	// batch buffers; see Release.
+	payloads exch.FreeList[complex128]
+	// chunks recycles the codec's staging chunk.
+	chunks exch.FreeList[byte]
+)
+
+// Release hands back a payload that ReadRequest or ReadResponse
+// returned, for a later frame to reuse. Whoever read a frame owns its
+// payload and may release it once nothing references it any more — in
+// particular only after every frame carrying it has been written. A
+// payload handed to code that keeps it must not be released. Releasing
+// nil is a no-op.
+func Release(b []complex128) { payloads.Put(b) }
+
 func writeComplex(w io.Writer, data []complex128) error {
 	if len(data) == 0 {
 		return nil
 	}
-	buf := make([]byte, 16*len(data))
-	for i, v := range data {
-		binary.LittleEndian.PutUint64(buf[i*16:], math.Float64bits(real(v)))
-		binary.LittleEndian.PutUint64(buf[i*16+8:], math.Float64bits(imag(v)))
+	buf := chunks.Get(chunkBytes)
+	defer chunks.Put(buf)
+	for len(data) > 0 {
+		k := min(len(data), chunkPoints)
+		for i, v := range data[:k] {
+			binary.LittleEndian.PutUint64(buf[i*16:], math.Float64bits(real(v)))
+			binary.LittleEndian.PutUint64(buf[i*16+8:], math.Float64bits(imag(v)))
+		}
+		if _, err := w.Write(buf[:16*k]); err != nil {
+			return err
+		}
+		data = data[k:]
 	}
-	_, err := w.Write(buf)
-	return err
+	return nil
 }
 
+// readComplex decodes count points into a recycled payload; on a failed
+// read the payload goes straight back.
 func readComplex(r io.Reader, count int) ([]complex128, error) {
 	if count == 0 {
 		return nil, nil
 	}
-	raw := make([]byte, 16*count)
-	if _, err := io.ReadFull(r, raw); err != nil {
-		return nil, err
-	}
-	data := make([]complex128, count)
-	for i := range data {
-		re := math.Float64frombits(binary.LittleEndian.Uint64(raw[i*16:]))
-		im := math.Float64frombits(binary.LittleEndian.Uint64(raw[i*16+8:]))
-		data[i] = complex(re, im)
+	data := payloads.Get(count)
+	buf := chunks.Get(chunkBytes)
+	defer chunks.Put(buf)
+	for off := 0; off < count; off += chunkPoints {
+		part := data[off:min(count, off+chunkPoints)]
+		raw := buf[:16*len(part)]
+		if _, err := io.ReadFull(r, raw); err != nil {
+			Release(data)
+			if err == io.EOF && off > 0 {
+				err = io.ErrUnexpectedEOF // cut between chunks is still mid-payload
+			}
+			return nil, err
+		}
+		for i := range part {
+			re := math.Float64frombits(binary.LittleEndian.Uint64(raw[i*16:]))
+			im := math.Float64frombits(binary.LittleEndian.Uint64(raw[i*16+8:]))
+			part[i] = complex(re, im)
+		}
 	}
 	return data, nil
 }

@@ -33,8 +33,9 @@ type Config struct {
 	// TransformBatch call (default 8).
 	MaxBatch int
 	// MaxLinger is how long the first request of a batch waits for
-	// company before the batch flushes anyway (default 2ms; 0 flushes
-	// immediately, disabling coalescing).
+	// company before the batch flushes anyway (default 0: every request
+	// flushes immediately, disabling coalescing; soiserve's -linger flag
+	// defaults to 2ms).
 	MaxLinger time.Duration
 	// QueueDepth caps requests admitted but not yet executed; beyond it
 	// the server rejects with StatusOverloaded (default 256).
@@ -342,6 +343,7 @@ func (s *Server) handleConn(conn net.Conn) {
 				Status: StatusDraining, RetryAfter: s.cfg.RetryAfter,
 				Msg: "server is draining", Proto: req.Proto,
 			})
+			Release(req.Data)
 			return
 		}
 		s.inflight.Add(1)
@@ -352,6 +354,10 @@ func (s *Server) handleConn(conn net.Conn) {
 		tr.Begin(id, lane, "write_back")
 		err = writeResp(resp)
 		tr.End(id, lane, "write_back")
+		// The response frame is written, so nothing references either
+		// payload any more (resp.Data is the job's dst).
+		Release(req.Data)
+		Release(resp.Data)
 		s.inflight.Done()
 		if err != nil {
 			log.Warn("response write failed", "err", err, "trace_id", id.String())
@@ -425,7 +431,7 @@ func (s *Server) process(req *Request, log *slog.Logger) (*Response, trace.ID, i
 
 	j := &job{
 		src:   req.Data,
-		dst:   make([]complex128, req.N),
+		dst:   payloads.Get(req.N),
 		done:  make(chan struct{}),
 		start: start,
 		id:    id,
@@ -434,6 +440,7 @@ func (s *Server) process(req *Request, log *slog.Logger) (*Response, trace.ID, i
 	s.enqueue(plan, batchKey{plan: plan.Key(), inverse: req.Op == OpInverse}, j)
 	<-j.done
 	if j.err != nil {
+		Release(j.dst)
 		s.metrics.errors.Add(1)
 		log.Error("transform failed", "err", j.err, "n", req.N, "trace_id", id.String())
 		return &Response{Status: StatusInternal, Msg: j.err.Error()}, id, lane
@@ -562,8 +569,7 @@ func (s *Server) runBatch(b *batch) {
 	case m == 1:
 		b.jobs[0].err = b.plan.TransformContext(ctx, b.jobs[0].dst, b.jobs[0].src)
 	default:
-		src := make([]complex128, m*n)
-		dst := make([]complex128, m*n)
+		src, dst := payloads.Get(m*n), payloads.Get(m*n)
 		for i, j := range b.jobs {
 			copy(src[i*n:(i+1)*n], j.src)
 		}
@@ -575,6 +581,8 @@ func (s *Server) runBatch(b *batch) {
 				copy(j.dst, dst[i*n:(i+1)*n])
 			}
 		}
+		Release(src)
+		Release(dst)
 	}
 
 	execDur := time.Since(execStart)

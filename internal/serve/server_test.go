@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -565,5 +566,37 @@ func TestClientContext(t *testing.T) {
 	}
 	if re := relErr(got, ref); re > 1e-3 {
 		t.Errorf("TransformContext answer off: rel err %g", re)
+	}
+}
+
+// TestServeSteadyStateAllocBytes is the serving twin of core's
+// TestRunDistributedSteadyStateAllocBytes: once warm, a direct client →
+// replica round trip allocates the caller's result and a few kilobytes
+// of per-request bookkeeping — every frame's payload is recycled.
+func TestServeSteadyStateAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's allocations and dropped pool puts are not the steady state")
+	}
+	const n, ops = 4096, 200
+	s := startServer(t, serve.Config{})
+	c := dial(t, s)
+	src := signal.Random(n, 11)
+	for i := 0; i < 5; i++ {
+		if _, err := c.Transform(src, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < ops; i++ {
+		if _, err := c.Transform(src, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perOp := (after.TotalAlloc - before.TotalAlloc) / ops
+	t.Logf("n=%d: %d bytes/request", n, perOp)
+	if limit := uint64(16*n + 8<<10); perOp > limit {
+		t.Errorf("%d bytes/request, want ≤ %d (the result plus 8 KB)", perOp, limit)
 	}
 }
