@@ -412,10 +412,52 @@ func TestNewPlanMetricsMatchAnalyze(t *testing.T) {
 	}
 }
 
+// complexWeights builds the unfactored weight tensor, indexed
+// [(r*B+b)*P+i]: (ν/μ)·H(α)·exp(iπα) with α = num/den exactly, the tap
+// b inside num, so buildWeights' (−1)^b split is not assumed.
+func complexWeights(pl *Plan) []complex128 {
+	p := pl.prm
+	scale := float64(p.Nu) / float64(p.Mu)
+	den := 2 * p.Mu * p.P
+	wt := make([]complex128, p.Mu*p.B*p.P)
+	for r := 0; r < p.Mu; r++ {
+		for b := 0; b < p.B; b++ {
+			for i := 0; i < p.P; i++ {
+				num := 2*r*p.Nu*p.P + p.B*p.Mu*p.P - 2*(pl.dstart[r]+b)*p.Mu*p.P - 2*p.Mu*i
+				alpha := float64(num) / float64(den)
+				wt[(r*p.B+b)*p.P+i] = complex(scale*pl.win.HTime(alpha), 0) * fft.ExpIPi(num, den)
+			}
+		}
+	}
+	return wt
+}
+
+// convolveComplex is ConvolveRange with complex·complex MACs over the
+// unfactored tensor wt (from complexWeights).
+func convolveComplex(pl *Plan, wt, dst, src []complex128, jLo, jHi, colOff int) {
+	p := pl.prm
+	for j := jLo; j < jHi; j++ {
+		g, r := j/p.Mu, j%p.Mu
+		start := (g*p.Nu+pl.dstart[r])*p.P - colOff
+		w := wt[r*p.B*p.P : (r*p.B+p.B)*p.P]
+		out := dst[(j-jLo)*p.P : (j-jLo+1)*p.P]
+		for i := range out {
+			out[i] = 0
+		}
+		for b := 0; b < p.B; b++ {
+			xb := src[start+b*p.P : start+(b+1)*p.P]
+			wb := w[b*p.P : (b+1)*p.P]
+			for i, xv := range xb {
+				out[i] += wb[i] * xv
+			}
+		}
+	}
+}
+
 // TestConvolveRangeMatchesReference pins the factorized real-tap kernel
-// (the production ConvolveRange) to the complex-tensor reference within
-// a few ulps: the two compute the same sums with different — equally
-// valid — rounding.
+// (the production ConvolveRange) to the complex weight tensor it factors
+// within a few ulps: the two compute the same sums with different —
+// equally valid — rounding.
 func TestConvolveRangeMatchesReference(t *testing.T) {
 	for _, p := range []Params{
 		{N: 2048, P: 8, Mu: 5, Nu: 4, B: 40},
@@ -432,7 +474,7 @@ func TestConvolveRangeMatchesReference(t *testing.T) {
 		copy(ext[p.N:], src[:pl.HaloLen()])
 		ref := make([]complex128, pl.MPrime()*p.P)
 		got := make([]complex128, pl.MPrime()*p.P)
-		pl.convolveRangeRef(ref, ext, 0, pl.MPrime(), 0)
+		convolveComplex(pl, complexWeights(pl), ref, ext, 0, pl.MPrime(), 0)
 		pl.ConvolveRange(got, ext, 0, pl.MPrime(), 0)
 		if e := signal.MaxAbsErr(got, ref); e > 1e-13 {
 			t.Errorf("P=%d B=%d: fast kernel differs from reference by %.3e", p.P, p.B, e)

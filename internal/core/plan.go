@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"math/cmplx"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -16,8 +15,9 @@ import (
 
 // Plan holds the precomputed tables of one SOI factorization: the weight
 // tensor of the convolution operator W (μ·B·P distinct complex numbers,
-// paper Fig 4), the inverse demodulation samples 1/ŵ(k), and the two FFT
-// sub-plans F_P and F_M'. Plans are immutable and safe for concurrent use.
+// paper Fig 4, kept in factored form), the inverse demodulation samples
+// 1/ŵ(k), and the two FFT sub-plans F_P and F_M'. Plans are immutable and
+// safe for concurrent use.
 type Plan struct {
 	prm    Params
 	m      int // segment length M = N/P
@@ -25,15 +25,12 @@ type Plan struct {
 	np     int // oversampled total N' = M'·P
 	groups int // M'/μ row groups in the convolution
 
-	// wt is the weight tensor, indexed wt[(r*B+b)*P+i] for row phase
-	// r ∈ [0,μ), tap b ∈ [0,B), lane i ∈ [0,P).
-	wt []complex128
-	// The weight tensor factors exactly: wt[(r,b,i)] =
-	// hre[(r*B+b)*P+i] · phase[r*P+i], with hre real. The hot
-	// convolution kernel works on this split form — a real·complex MAC
-	// is half the flops and half the tap-table traffic of the
-	// complex·complex one, and all μ tap slabs (μ·B·P float64) fit in
-	// L1/L2 where the full complex tensor does not.
+	// The weight of row phase r ∈ [0,μ), tap b ∈ [0,B), lane i ∈ [0,P)
+	// factors exactly into hre[(r*B+b)*P+i] · phase[r*P+i], with hre
+	// real. The hot convolution kernel works on this split form — a
+	// real·complex MAC is half the flops and half the tap-table traffic
+	// of the complex·complex one, and all μ tap slabs (μ·B·P float64)
+	// fit in L1/L2 where the full complex tensor would not.
 	hre   []float64
 	phase []complex128
 	// dstart[r] = ⌊r·ν/μ⌋, the extra start-block offset of row phase r.
@@ -245,22 +242,27 @@ func NewPlan(p Params) (*Plan, error) {
 //
 //	α = r·ν/μ − (dstart[r]+b) − i/P + B/2
 //	weight = (ν/μ)·exp(iπα)·H(α)
+//
+// exp(iπα) = exp(iπ(α+b))·(−1)^b exactly (b integer), so the phase
+// depends on (r, i) only and the tap table is real. α+b is the rational
+// A/(2μP) with the integer A = 2rνP + BμP − 2·dstart[r]·μP − 2μi, which
+// fft.ExpIPi reduces exactly: the float form of α+b reaches ≈ B/2, and
+// π times it would carry ≈ πB/2·ε of phase error into every output.
 func (pl *Plan) buildWeights() {
 	p := pl.prm
 	pl.dstart = make([]int, p.Mu)
 	for r := 0; r < p.Mu; r++ {
 		pl.dstart[r] = r * p.Nu / p.Mu
 	}
-	pl.wt = make([]complex128, p.Mu*p.B*p.P)
 	pl.hre = make([]float64, p.Mu*p.B*p.P)
 	pl.phase = make([]complex128, p.Mu*p.P)
 	scale := float64(p.Nu) / float64(p.Mu)
+	den := 2 * p.Mu * p.P
 	for r := 0; r < p.Mu; r++ {
 		rOff := float64(r)*scale + float64(p.B)/2 - float64(pl.dstart[r])
-		// exp(iπα) = exp(iπ(rOff−i/P)) · (−1)^b exactly (b integer), so
-		// the phase depends on (r, i) only and the tap table is real.
+		a := 2*r*p.Nu*p.P + p.B*p.Mu*p.P - 2*pl.dstart[r]*p.Mu*p.P
 		for i := 0; i < p.P; i++ {
-			pl.phase[r*p.P+i] = cmplx.Exp(complex(0, math.Pi*(rOff-float64(i)/float64(p.P))))
+			pl.phase[r*p.P+i] = fft.ExpIPi(a-2*p.Mu*i, den)
 		}
 		for b := 0; b < p.B; b++ {
 			sign := scale
@@ -269,24 +271,21 @@ func (pl *Plan) buildWeights() {
 			}
 			for i := 0; i < p.P; i++ {
 				alpha := rOff - float64(b) - float64(i)/float64(p.P)
-				h := pl.win.HTime(alpha)
-				phase := cmplx.Exp(complex(0, math.Pi*alpha))
-				pl.wt[(r*p.B+b)*p.P+i] = complex(scale*h, 0) * phase
-				pl.hre[(r*p.B+b)*p.P+i] = sign * h
+				pl.hre[(r*p.B+b)*p.P+i] = sign * pl.win.HTime(alpha)
 			}
 		}
 	}
 }
 
-// buildDemodulation fills invW[k] = 1/ŵ(k) = exp(−iπBk/M)/Ĥ((k−M/2)/M).
+// buildDemodulation fills invW[k] = 1/ŵ(k) = exp(−iπBk/M)/Ĥ((k−M/2)/M),
+// the phase reduced exactly from the integer B·k (up to ≈ πB rad).
 func (pl *Plan) buildDemodulation() {
 	p := pl.prm
 	pl.invW = make([]complex128, pl.m)
 	for k := 0; k < pl.m; k++ {
 		u := (float64(k) - float64(pl.m)/2) / float64(pl.m)
 		hh := pl.win.HHat(u)
-		phase := cmplx.Exp(complex(0, -math.Pi*float64(p.B)*float64(k)/float64(pl.m)))
-		pl.invW[k] = phase * complex(1/hh, 0)
+		pl.invW[k] = fft.ExpIPi(-p.B*k, pl.m) * complex(1/hh, 0)
 	}
 }
 

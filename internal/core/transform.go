@@ -310,29 +310,6 @@ func (pl *Plan) ConvolveRange(dst, src []complex128, jLo, jHi, colOff int) {
 	}
 }
 
-// convolveRangeRef is the pre-factorization reference kernel operating
-// on the full complex weight tensor. It is retained as the ground truth
-// the fast path is tested against (TestConvolveRangeMatchesReference).
-func (pl *Plan) convolveRangeRef(dst, src []complex128, jLo, jHi, colOff int) {
-	p := pl.prm
-	for j := jLo; j < jHi; j++ {
-		g, r := j/p.Mu, j%p.Mu
-		start := (g*p.Nu+pl.dstart[r])*p.P - colOff
-		w := pl.wt[r*p.B*p.P : (r*p.B+p.B)*p.P]
-		out := dst[(j-jLo)*p.P : (j-jLo+1)*p.P]
-		for i := range out {
-			out[i] = 0
-		}
-		for b := 0; b < p.B; b++ {
-			xb := src[start+b*p.P : start+(b+1)*p.P]
-			wb := w[b*p.P : (b+1)*p.P]
-			for i, xv := range xb {
-				out[i] += wb[i] * xv
-			}
-		}
-	}
-}
-
 // Demodulate converts one segment's oversampled spectrum ytilde (length
 // M') into final DFT values: dst[k] = ytilde[k]/ŵ(k) for k ∈ [0, M).
 func (pl *Plan) Demodulate(dst, ytilde []complex128) {

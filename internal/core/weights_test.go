@@ -5,7 +5,9 @@ package core
 // (Definition 1 and the window transform pair), bypassing the tensor.
 
 import (
+	"fmt"
 	"math"
+	"math/big"
 	"math/cmplx"
 	"testing"
 
@@ -124,4 +126,70 @@ func TestDemodulationUsesWindowSamples(t *testing.T) {
 			t.Errorf("k=%d: invW·ŵ = %v, want 1", k, one)
 		}
 	}
+}
+
+// ratExpIPi returns exp(iπx) for the rational x, reduced with math/big
+// alone: x = q/2 + y with q = round(2x), so |y| ≤ 1/4, then y is rounded
+// once to float64 for math.Sincos and the q quarter turns are applied
+// exactly.
+func ratExpIPi(x *big.Rat) complex128 {
+	h := new(big.Rat).Add(new(big.Rat).Mul(x, big.NewRat(2, 1)), big.NewRat(1, 2))
+	q := new(big.Int).Div(h.Num(), h.Denom()) // floor: Rat denominators are positive
+	y, _ := new(big.Rat).Sub(x, new(big.Rat).SetFrac(q, big.NewInt(2))).Float64()
+	s, c := math.Sincos(math.Pi * y)
+	switch new(big.Int).Mod(q, big.NewInt(4)).Int64() {
+	case 1:
+		return complex(-s, c)
+	case 2:
+		return complex(-c, -s)
+	case 3:
+		return complex(s, -c)
+	}
+	return complex(c, s)
+}
+
+// TestPhaseTablesExact checks every pl.phase and pl.invW entry against
+// its phase argument reduced in exact rational arithmetic, over β ∈
+// {1/8, 1/4, 1/2, 1}, a P that is not a power of two and B up to 96,
+// where the unreduced arguments reach ≈ 300 rad. Both tables must be
+// within 2 ulps (2·2⁻⁵²·|want|) of the rational reference.
+func TestPhaseTablesExact(t *testing.T) {
+	const ulps = 2
+	worst := 0.0
+	check := func(what string, got, want complex128) {
+		e := cmplx.Abs(got-want) / (cmplx.Abs(want) * 0x1p-52)
+		worst = math.Max(worst, e)
+		if e > ulps {
+			t.Errorf("%s = %v, want %v (%.2f ulps)", what, got, want, e)
+		}
+	}
+	for _, mn := range [][2]int{{9, 8}, {5, 4}, {3, 2}, {2, 1}} {
+		for _, pp := range []int{6, 16} {
+			for _, b := range []int{24, 72, 96} {
+				// M = 192 is divisible by every ν and holds B = 96 taps.
+				p := Params{N: 192 * pp, P: pp, Mu: mn[0], Nu: mn[1], B: b, Win: window.TauSigma{Tau: 0.8, Sigma: 90}}
+				pl, err := NewPlan(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for r := 0; r < p.Mu; r++ {
+					for i := 0; i < p.P; i++ {
+						// α + b = r·ν/μ + B/2 − dstart[r] − i/P.
+						x := big.NewRat(int64(r*p.Nu), int64(p.Mu))
+						x.Add(x, big.NewRat(int64(p.B), 2))
+						x.Sub(x, big.NewRat(int64(pl.dstart[r]), 1))
+						x.Sub(x, big.NewRat(int64(i), int64(p.P)))
+						check(fmt.Sprintf("%+v: phase[r=%d, i=%d]", p, r, i), pl.phase[r*p.P+i], ratExpIPi(x))
+					}
+				}
+				m := pl.M()
+				for k := 0; k < m; k++ {
+					u := (float64(k) - float64(m)/2) / float64(m)
+					want := ratExpIPi(big.NewRat(int64(-p.B*k), int64(m))) * complex(1/pl.win.HHat(u), 0)
+					check(fmt.Sprintf("%+v: invW[%d]", p, k), pl.invW[k], want)
+				}
+			}
+		}
+	}
+	t.Logf("worst deviation %.2f ulps", worst)
 }

@@ -66,6 +66,32 @@ func TestForwardMatchesDirect(t *testing.T) {
 	}
 }
 
+// TestExpIPi checks the exactly reduced root: quarter turns come out
+// exact, and every other value — negative and many-period arguments
+// included — agrees with cmplx.Exp of the argument reduced into [0, 2π)
+// within that naive form's own ≈ 2π·ε error.
+func TestExpIPi(t *testing.T) {
+	for _, den := range []int{1, 2, 3, 4, 5, 8, 12, 1000, 1 << 20} {
+		for q, want := range []complex128{1, 1i, -1, -1i} {
+			if den%2 == 0 {
+				for _, turns := range []int{-3, 0, 5} {
+					num := q*den/2 + turns*2*den
+					if got := ExpIPi(num, den); got != want {
+						t.Errorf("ExpIPi(%d, %d) = %v, want exactly %v", num, den, got, want)
+					}
+				}
+			}
+		}
+		for num := -5*den - 7; num <= 5*den+7; num += max(1, den/97) {
+			red := (num%(2*den) + 2*den) % (2 * den)
+			want := cmplx.Exp(complex(0, math.Pi*float64(red)/float64(den)))
+			if e := cmplx.Abs(ExpIPi(num, den) - want); e > 8*0x1p-52 {
+				t.Errorf("ExpIPi(%d, %d) off by %.3g", num, den, e)
+			}
+		}
+	}
+}
+
 func TestInverseRoundTrip(t *testing.T) {
 	for _, n := range testLengths {
 		p, err := NewPlan(n)
