@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -340,15 +341,11 @@ func TestKaiserWindowEndToEnd(t *testing.T) {
 
 func TestTransformSteadyStateAllocs(t *testing.T) {
 	// The allocation-regression gate: with one worker (no goroutine
-	// spawning) the pooled workspaces, pooled FFT scratch and
+	// spawning) the free-listed workspaces and FFT scratch and the
 	// workspace-resident timing cells make repeated transforms exactly
 	// allocation-free. A nonzero count here means a scratch buffer,
-	// closure or timing cell escaped back onto the per-call path.
-	if raceEnabled {
-		// The race detector makes sync.Pool drop puts at random, so the
-		// pooled workspaces are legitimately re-allocated under -race.
-		t.Skip("zero-alloc guarantee requires an uninstrumented sync.Pool")
-	}
+	// closure or timing cell escaped back onto the per-call path. No
+	// sync.Pool is on this path, so the gate holds under -race too.
 	p := Params{N: 4096, P: 8, Mu: 5, Nu: 4, B: 48, Workers: 1}
 	pl, err := NewPlan(p)
 	if err != nil {
@@ -387,6 +384,36 @@ func TestTransformSteadyStateAllocs(t *testing.T) {
 	})
 	if pallocs > 32 {
 		t.Errorf("steady-state parallel Transform allocates %.0f objects per run; want ≤ 32 (goroutine bookkeeping only)", pallocs)
+	}
+}
+
+// TestTransformAllocsSurviveGC: a warm serial Transform allocates no
+// more after two garbage collections than before them. Two GCs empty a
+// sync.Pool: a pooled workspace is ≈ 270 kB rebuilt here, pooled F_M'
+// scratch ≈ 10 kB. The free lists keep both.
+func TestTransformAllocsSurviveGC(t *testing.T) {
+	p := Params{N: 4096, P: 8, Mu: 5, Nu: 4, B: 48, Workers: 1}
+	pl, err := NewPlan(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := signal.Random(p.N, 41)
+	dst := make([]complex128, p.N)
+	allocated := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := pl.Transform(dst, src); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	allocated()
+	warm := allocated()
+	runtime.GC()
+	runtime.GC()
+	if cold := allocated(); cold > warm {
+		t.Errorf("Transform after two GCs allocates %d B, warm %d B: the workspace did not survive", cold, warm)
 	}
 }
 

@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"soifft/internal/fft"
+	"soifft/internal/freelist"
 	"soifft/internal/instrument"
 	"soifft/internal/trace"
 	"soifft/internal/window"
@@ -53,16 +53,14 @@ type Plan struct {
 	// contract as rec; a tracer on the context overrides it.
 	tr *trace.Tracer
 
-	ws sync.Pool // *workspace, reused across Transform calls
-
-	// distFree holds the distributed driver's idle per-rank workspaces.
-	// A mutex-guarded list, not a second sync.Pool: the GC never empties
-	// it and no per-P cache hides entries, so it holds at most the peak
-	// number of ranks that ran concurrently on this plan, and a warm rank
-	// never re-allocates. distOnRelease (tests only) sees every workspace
-	// on its way back.
-	distMu        sync.Mutex
-	distFree      []*distWorkspace
+	// ws and distFree hold the idle node and per-rank distributed
+	// workspaces. Free lists, not sync.Pools: the GC never empties them
+	// and no per-P cache hides an entry, so they hold at most the peak
+	// number of transforms (ranks) that ran concurrently on this plan, and
+	// a warm plan never re-allocates. distOnRelease (tests only) sees every
+	// distributed workspace on its way back.
+	ws            freelist.List[*workspace]
+	distFree      freelist.List[*distWorkspace]
 	distOnRelease func(*distWorkspace)
 }
 
@@ -135,17 +133,9 @@ func grown[T any](buf []T, n int) []T {
 
 // getDistWorkspace pops an idle workspace cut for r ranks, or builds one.
 func (pl *Plan) getDistWorkspace(r int) *distWorkspace {
-	pl.distMu.Lock()
-	for i, ws := range pl.distFree {
-		if ws.r == r {
-			last := len(pl.distFree) - 1
-			pl.distFree[i], pl.distFree[last] = pl.distFree[last], nil
-			pl.distFree = pl.distFree[:last]
-			pl.distMu.Unlock()
-			return ws
-		}
+	if ws, ok := pl.distFree.Get(func(ws *distWorkspace) bool { return ws.r == r }); ok {
+		return ws
 	}
-	pl.distMu.Unlock()
 
 	p := pl.prm
 	bpr, nLocal := pl.mp/r, p.N/r
@@ -172,9 +162,28 @@ func (pl *Plan) putDistWorkspace(ws *distWorkspace) {
 	if pl.distOnRelease != nil {
 		pl.distOnRelease(ws)
 	}
-	pl.distMu.Lock()
-	pl.distFree = append(pl.distFree, ws)
-	pl.distMu.Unlock()
+	pl.distFree.Put(ws)
+}
+
+// getWorkspace pops an idle node workspace, or builds one.
+func (pl *Plan) getWorkspace() *workspace {
+	if ws, ok := pl.ws.Get(nil); ok {
+		return ws
+	}
+	workers := pl.prm.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	ws := &workspace{
+		ext:   make([]complex128, pl.prm.N+pl.HaloLen()),
+		seg:   make([]complex128, pl.np),
+		yb:    make([]complex128, pl.np),
+		tiles: make(chan []complex128, workers),
+	}
+	for w := 0; w < workers; w++ {
+		ws.tiles <- make([]complex128, convTileRows*pl.prm.P)
+	}
+	return ws
 }
 
 // NewPlan validates p, designs a window if none is given, and precomputes
@@ -212,22 +221,6 @@ func NewPlan(p Params) (*Plan, error) {
 	}
 	pl.buildWeights()
 	pl.buildDemodulation()
-	pl.ws.New = func() any {
-		workers := pl.prm.Workers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		ws := &workspace{
-			ext:   make([]complex128, pl.prm.N+pl.HaloLen()),
-			seg:   make([]complex128, pl.np),
-			yb:    make([]complex128, pl.np),
-			tiles: make(chan []complex128, workers),
-		}
-		for w := 0; w < workers; w++ {
-			ws.tiles <- make([]complex128, convTileRows*pl.prm.P)
-		}
-		return ws
-	}
 	return pl, nil
 }
 
@@ -247,7 +240,10 @@ func NewPlan(p Params) (*Plan, error) {
 // depends on (r, i) only and the tap table is real. α+b is the rational
 // A/(2μP) with the integer A = 2rνP + BμP − 2·dstart[r]·μP − 2μi, which
 // fft.ExpIPi reduces exactly: the float form of α+b reaches ≈ B/2, and
-// π times it would carry ≈ πB/2·ε of phase error into every output.
+// π times it would carry ≈ πB/2·ε of phase error into every output. The
+// taps take α itself as the rational num/den, num = A − 2bμP, den = 2μP,
+// so a window that reduces its own argument (window.HTimeFrac: the τσ
+// sinc's π·τ·α reaches ≈ 100 rad) sees it exactly.
 func (pl *Plan) buildWeights() {
 	p := pl.prm
 	pl.dstart = make([]int, p.Mu)
@@ -259,7 +255,6 @@ func (pl *Plan) buildWeights() {
 	scale := float64(p.Nu) / float64(p.Mu)
 	den := 2 * p.Mu * p.P
 	for r := 0; r < p.Mu; r++ {
-		rOff := float64(r)*scale + float64(p.B)/2 - float64(pl.dstart[r])
 		a := 2*r*p.Nu*p.P + p.B*p.Mu*p.P - 2*pl.dstart[r]*p.Mu*p.P
 		for i := 0; i < p.P; i++ {
 			pl.phase[r*p.P+i] = fft.ExpIPi(a-2*p.Mu*i, den)
@@ -270,8 +265,8 @@ func (pl *Plan) buildWeights() {
 				sign = -scale
 			}
 			for i := 0; i < p.P; i++ {
-				alpha := rOff - float64(b) - float64(i)/float64(p.P)
-				pl.hre[(r*p.B+b)*p.P+i] = sign * pl.win.HTime(alpha)
+				num := a - 2*p.Mu*i - 2*b*p.Mu*p.P
+				pl.hre[(r*p.B+b)*p.P+i] = sign * window.HTimeFrac(pl.win, num, den)
 			}
 		}
 	}

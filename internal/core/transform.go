@@ -92,7 +92,7 @@ func (pl *Plan) transform(ctx context.Context, dst, src []complex128, conj bool)
 	// is the shared-memory stand-in for the neighbour halo exchange.
 	t0 := time.Now()
 	tr.Begin(tid, 0, instrument.StageHalo.String())
-	ws := pl.ws.Get().(*workspace)
+	ws := pl.getWorkspace()
 	defer pl.ws.Put(ws)
 	xext := ws.ext
 	if conj {

@@ -193,3 +193,145 @@ func TestPhaseTablesExact(t *testing.T) {
 	}
 	t.Logf("worst deviation %.2f ulps", worst)
 }
+
+// tapPrec is the working precision of the tap reference: 256 bits and a
+// guard, far below any float64 rounding.
+const tapPrec = 288
+
+func bigFloat() *big.Float { return new(big.Float).SetPrec(tapPrec) }
+
+var (
+	bigPi, _ = bigFloat().SetString("3.14159265358979323846264338327950288419716939937510582097494459230781640628620899862803482534211706")
+	// sinCoef[k] = (−1)^k/(2k+1)! and expCoef[k] = 1/k!: the Taylor
+	// coefficients, truncated where the remainder falls below 2⁻³⁰⁰ on
+	// the reduced arguments (|y| ≤ π/2 and z ≤ 2⁻¹², below).
+	sinCoef = taylorCoef(40, func(k int) int64 { return int64(-2 * k * (2*k + 1)) })
+	expCoef = taylorCoef(22, func(k int) int64 { return int64(k) })
+)
+
+// taylorCoef returns c[0] = 1, c[k] = c[k−1]/step(k).
+func taylorCoef(n int, step func(k int) int64) []*big.Float {
+	c := []*big.Float{bigFloat().SetInt64(1)}
+	for k := 1; k < n; k++ {
+		c = append(c, bigFloat().Quo(c[k-1], bigFloat().SetInt64(step(k))))
+	}
+	return c
+}
+
+// horner returns Σ c[k]·z^k.
+func horner(c []*big.Float, z *big.Float) *big.Float {
+	sum, prod := bigFloat().Set(c[len(c)-1]), bigFloat()
+	for k := len(c) - 2; k >= 0; k-- {
+		sum.Add(prod.Mul(sum, z), c[k]) // unaliased: no mantissa per step
+	}
+	return sum
+}
+
+// bigSinPi returns sin(π·x) for the rational x, reduced modulo 2 exactly
+// and folded to |x| ≤ 1/2 by sin(π·x) = sin(π·(±1 − x)).
+func bigSinPi(x *big.Rat) *big.Float {
+	half := new(big.Rat).Add(new(big.Rat).Quo(x, big.NewRat(2, 1)), big.NewRat(1, 2))
+	k := new(big.Int).Div(half.Num(), half.Denom()) // round(x/2)
+	x = new(big.Rat).Sub(x, new(big.Rat).SetInt(k.Lsh(k, 1)))
+	if x.Cmp(big.NewRat(1, 2)) > 0 {
+		x.Sub(big.NewRat(1, 1), x)
+	} else if x.Cmp(big.NewRat(-1, 2)) < 0 {
+		x.Sub(big.NewRat(-1, 1), x)
+	}
+	y := bigFloat().Mul(bigFloat().SetRat(x), bigPi)
+	s := horner(sinCoef, bigFloat().Mul(y, y))
+	return s.Mul(s, y)
+}
+
+// bigExp returns exp(y) for |y| < 2⁸: the Taylor sum at y/2²⁰, squared
+// twenty times.
+func bigExp(y *big.Float) *big.Float {
+	e := horner(expCoef, bigFloat().SetMantExp(y, -20))
+	for i := 0; i < 20; i++ {
+		e.Mul(e, e)
+	}
+	return e
+}
+
+// tauSigmaRow returns H(α₀ − b) for b ∈ [0, n), H(α) = sinc(τα)·√(π/σ)·
+// exp(−cα²), c = π²/σ, at the rational α₀: each sine from its own exactly
+// reduced argument, the Gaussian by the recurrence
+// exp(−c(α−1)²) = exp(−cα²)·q, q = exp(c(2α−1)), q shrinking by exp(−2c)
+// a step.
+func tauSigmaRow(w window.TauSigma, alpha0 *big.Rat, n int) []*big.Float {
+	sigma := bigFloat().SetFloat64(w.Sigma)
+	c := bigFloat().Quo(bigFloat().Mul(bigPi, bigPi), sigma)
+	a0 := bigFloat().SetRat(alpha0)
+	g := bigExp(bigFloat().Neg(bigFloat().Mul(c, bigFloat().Mul(a0, a0))))
+	q := bigExp(bigFloat().Mul(c, bigFloat().Sub(bigFloat().Mul(a0, bigFloat().SetInt64(2)), bigFloat().SetInt64(1))))
+	step := bigExp(bigFloat().Mul(c, bigFloat().SetInt64(-2)))
+	h0 := bigFloat().Sqrt(bigFloat().Quo(bigPi, sigma))
+	tau := new(big.Rat).SetFloat64(w.Tau)
+	out := make([]*big.Float, n)
+	for b := range out {
+		alpha := new(big.Rat).Sub(alpha0, big.NewRat(int64(b), 1))
+		h := bigFloat().Mul(h0, g)
+		if alpha.Sign() != 0 {
+			ta := new(big.Rat).Mul(tau, alpha)
+			h.Mul(h, bigSinPi(ta))
+			h.Quo(h, bigFloat().Mul(bigPi, bigFloat().SetRat(ta)))
+		}
+		out[b] = h
+		g.Mul(g, q)
+		q.Mul(q, step)
+	}
+	return out
+}
+
+// TestTapTableExact checks every pl.hre entry, (−1)^b·(ν/μ)·H(α), against
+// a 256-bit reference that keeps α = r·ν/μ + B/2 − dstart[r] − b − i/P
+// exact, over TestPhaseTablesExact's grid with the designed windows.
+// Every tap must be within 4·ε·(ν/μ)·H(0). Forming α in floating point
+// leaves up to ≈ ulp(B/2) of absolute error where B/2 and b cancel, which
+// moves the steepest taps by ≈ 20·ε·H(0).
+func TestTapTableExact(t *testing.T) {
+	if raceEnabled {
+		t.Skip("256-bit reference over the grid is too slow under -race")
+	}
+	const eps, tol = 0x1p-52, 4
+	worst := 0.0
+	for _, mn := range [][2]int{{9, 8}, {5, 4}, {3, 2}, {2, 1}} {
+		for _, pp := range []int{6, 16} {
+			for _, b := range []int{24, 72, 96} {
+				p := Params{N: 192 * pp, P: pp, Mu: mn[0], Nu: mn[1], B: b}
+				pl, err := NewPlan(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				w, ok := pl.win.(window.TauSigma)
+				if !ok {
+					t.Fatalf("%+v: designed window %v is not τσ", p, pl.win)
+				}
+				scale := bigFloat().SetRat(big.NewRat(int64(p.Nu), int64(p.Mu)))
+				unit := float64(p.Nu) / float64(p.Mu) * w.HTime(0) * eps
+				for r := 0; r < p.Mu; r++ {
+					for i := 0; i < p.P; i++ {
+						alpha0 := big.NewRat(int64(r*p.Nu), int64(p.Mu))
+						alpha0.Add(alpha0, big.NewRat(int64(p.B), 2))
+						alpha0.Sub(alpha0, big.NewRat(int64(pl.dstart[r]), 1))
+						alpha0.Sub(alpha0, big.NewRat(int64(i), int64(p.P)))
+						for bb, ref := range tauSigmaRow(w, alpha0, p.B) {
+							ref.Mul(ref, scale)
+							if bb&1 == 1 {
+								ref.Neg(ref)
+							}
+							want, _ := ref.Float64()
+							got := pl.hre[(r*p.B+bb)*p.P+i]
+							e := math.Abs(got-want) / unit
+							worst = math.Max(worst, e)
+							if e > tol {
+								t.Errorf("%+v: hre[r=%d, b=%d, i=%d] = %.17g, want %.17g (%.2f ε·H(0))", p, r, bb, i, got, want, e)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("worst deviation %.2f ε·H(0)", worst)
+}

@@ -49,9 +49,8 @@ func (p *Plan) BatchScatter(dst, src []complex128, count, stride int) {
 	if i == count {
 		return
 	}
-	tmp := p.getScratch()
-	defer p.putScratch(tmp)
-	row, c := *tmp, p.codelet
+	row, c := p.getScratch(), p.codelet
+	defer p.putScratch(row)
 	for ; i < count; i++ {
 		if c != nil { // as in Batch: no per-row checks or dispatch
 			c(row, src[i*n:(i+1)*n])

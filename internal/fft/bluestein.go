@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
-	"sync"
 )
 
 // bluestein implements the chirp-z transform: an arbitrary-length DFT
@@ -15,8 +14,7 @@ type bluestein struct {
 	m     int          // power-of-two convolution length, m >= 2n-1
 	w     []complex128 // chirp: w[j] = exp(-i*pi*j*j/n)
 	bhat  []complex128 // forward FFT of the chirp filter
-	inner *Plan        // power-of-two plan of length m
-	pool  sync.Pool    // scratch of length m
+	inner *Plan        // power-of-two plan of length m; its scratch is ours
 }
 
 func newBluestein(n int) (*bluestein, error) {
@@ -29,7 +27,6 @@ func newBluestein(n int) (*bluestein, error) {
 		return nil, fmt.Errorf("fft: bluestein inner plan: %w", err)
 	}
 	b := &bluestein{n: n, m: m, inner: inner}
-	b.pool.New = func() any { buf := make([]complex128, m); return &buf }
 
 	b.w = make([]complex128, n)
 	for j := 0; j < n; j++ {
@@ -52,11 +49,9 @@ func newBluestein(n int) (*bluestein, error) {
 }
 
 func (b *bluestein) transform(dst, src []complex128) {
-	ap := b.pool.Get().(*[]complex128)
-	tp := b.pool.Get().(*[]complex128)
-	defer b.pool.Put(ap)
-	defer b.pool.Put(tp)
-	a, t := *ap, *tp
+	a, t := b.inner.getScratch(), b.inner.getScratch()
+	defer b.inner.putScratch(a)
+	defer b.inner.putScratch(t)
 
 	for j := 0; j < b.n; j++ {
 		a[j] = src[j] * b.w[j]

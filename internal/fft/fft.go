@@ -19,7 +19,8 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
-	"sync"
+
+	"soifft/internal/freelist"
 )
 
 // maxSmallPrime is the largest prime handled by the generic mixed-radix
@@ -40,9 +41,9 @@ type stage struct {
 type Plan struct {
 	n       int
 	stages  []stage
-	codelet codeletFunc // non-nil for tiny n: direct unrolled DFT
-	blue    *bluestein  // non-nil when the length needs the chirp-z path
-	scratch sync.Pool
+	codelet codeletFunc                 // non-nil for tiny n: direct unrolled DFT
+	blue    *bluestein                  // non-nil when the length needs the chirp-z path
+	scratch freelist.List[[]complex128] // idle length-n buffers
 }
 
 // NewPlan creates a transform plan for length n.
@@ -51,7 +52,6 @@ func NewPlan(n int) (*Plan, error) {
 		return nil, fmt.Errorf("fft: length must be positive, got %d", n)
 	}
 	p := &Plan{n: n}
-	p.scratch.New = func() any { b := make([]complex128, n); return &b }
 	radices, rem := factorize(n)
 	if rem != 1 {
 		b, err := newBluestein(n)
@@ -128,11 +128,16 @@ func buildStages(n int, radices []int) []stage {
 	return stages
 }
 
-// getScratch/putScratch hold *[]complex128 in the pool: storing the
-// pointer (not the slice header) avoids an interface-boxing allocation
-// on every Put.
-func (p *Plan) getScratch() *[]complex128  { return p.scratch.Get().(*[]complex128) }
-func (p *Plan) putScratch(b *[]complex128) { p.scratch.Put(b) }
+// getScratch pops an idle length-n buffer, or makes one; putScratch
+// returns it.
+func (p *Plan) getScratch() []complex128 {
+	if b, ok := p.scratch.Get(nil); ok {
+		return b
+	}
+	return make([]complex128, p.n)
+}
+
+func (p *Plan) putScratch(b []complex128) { p.scratch.Put(b) }
 
 // Forward computes the forward DFT of src into dst. dst and src must both
 // have length n; they may be the same slice, or must not overlap.
@@ -152,8 +157,8 @@ func (p *Plan) Forward(dst, src []complex128) {
 	}
 	if sameSlice(dst, src) {
 		tmp := p.getScratch()
-		copy(*tmp, src)
-		p.run(dst, *tmp)
+		copy(tmp, src)
+		p.run(dst, tmp)
 		p.putScratch(tmp)
 		return
 	}
@@ -166,9 +171,9 @@ func (p *Plan) Inverse(dst, src []complex128) {
 	p.checkLen(dst, src)
 	tmp := p.getScratch()
 	for i, v := range src {
-		(*tmp)[i] = cmplx.Conj(v)
+		tmp[i] = cmplx.Conj(v)
 	}
-	p.Forward(dst, *tmp)
+	p.Forward(dst, tmp)
 	p.putScratch(tmp)
 	inv := 1 / float64(p.n)
 	for i, v := range dst {
@@ -195,9 +200,8 @@ func (p *Plan) run(dst, src []complex128) {
 		applyStage(&p.stages[0], src, dst)
 		return
 	}
-	sp := p.getScratch()
-	defer p.putScratch(sp)
-	scratch := *sp
+	scratch := p.getScratch()
+	defer p.putScratch(scratch)
 
 	// Choose the first target so that pass k lands in dst.
 	var x, y []complex128

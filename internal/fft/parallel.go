@@ -22,8 +22,8 @@ func (p *Plan) ForwardParallel(dst, src []complex128, workers int) {
 	}
 	if sameSlice(dst, src) {
 		tmp := p.getScratch()
-		copy(*tmp, src)
-		p.runParallel(dst, *tmp, workers)
+		copy(tmp, src)
+		p.runParallel(dst, tmp, workers)
 		p.putScratch(tmp)
 		return
 	}
@@ -35,9 +35,9 @@ func (p *Plan) InverseParallel(dst, src []complex128, workers int) {
 	p.checkLen(dst, src)
 	tmp := p.getScratch()
 	for i, v := range src {
-		(*tmp)[i] = complex(real(v), -imag(v))
+		tmp[i] = complex(real(v), -imag(v))
 	}
-	p.ForwardParallel(dst, *tmp, workers)
+	p.ForwardParallel(dst, tmp, workers)
 	p.putScratch(tmp)
 	inv := 1 / float64(p.n)
 	for i, v := range dst {
@@ -51,9 +51,8 @@ func (p *Plan) runParallel(dst, src []complex128, workers int) {
 		parallelStage(&p.stages[0], src, dst, workers)
 		return
 	}
-	sp := p.getScratch()
-	defer p.putScratch(sp)
-	scratch := *sp
+	scratch := p.getScratch()
+	defer p.putScratch(scratch)
 	var x, y []complex128
 	if k%2 == 1 {
 		y = dst

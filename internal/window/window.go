@@ -33,6 +33,23 @@ type Window interface {
 	String() string
 }
 
+// fracTimer is a Window that can evaluate H at an exact rational
+// argument, keeping precision HTime loses when it rounds its argument
+// first.
+type fracTimer interface {
+	HTimeFrac(num, den int) float64
+}
+
+// HTimeFrac returns H(num/den) for w: through w's own HTimeFrac where it
+// has one (TauSigma reduces its sinc argument exactly), otherwise HTime
+// of num/den rounded once.
+func HTimeFrac(w Window, num, den int) float64 {
+	if f, ok := w.(fracTimer); ok {
+		return f.HTimeFrac(num, den)
+	}
+	return w.HTime(float64(num) / float64(den))
+}
+
 // TauSigma is the paper's two-parameter reference window, Eq. (2): the
 // convolution of a rectangle of width τ (a perfect bandpass filter) with
 // a Gaussian exp(-σu²), normalized by 1/τ. Closed forms:
@@ -55,6 +72,32 @@ func (w TauSigma) HHat(u float64) float64 {
 func (w TauSigma) HTime(t float64) float64 {
 	return sinc(w.Tau*t) * math.Sqrt(math.Pi/w.Sigma) *
 		math.Exp(-(math.Pi*t)*(math.Pi*t)/w.Sigma)
+}
+
+// HTimeFrac returns H(num/den) with the sinc argument reduced exactly:
+// π·τ·t reaches ≈ 100 rad at the tap counts SOI uses, so HTime's float
+// product τ·t puts ≈ 1e-14 of absolute error on the sine. Here τ·num is
+// split into the exact double-double hi + lo, hi is reduced modulo 2·den
+// (math.Mod is exact) into [−den, den], and π multiplies the reduced
+// fraction only. The sinc denominator and the Gaussian need relative
+// accuracy alone and take t = num/den rounded once. den must be
+// positive and |num| below 2⁵³.
+func (w TauSigma) HTimeFrac(num, den int) float64 {
+	if num == 0 {
+		return w.HTime(0)
+	}
+	n, d := float64(num), float64(den)
+	hi := w.Tau * n
+	lo := math.FMA(w.Tau, n, -hi)
+	hi = math.Mod(hi, 2*d)
+	if hi > d {
+		hi -= 2 * d
+	} else if hi < -d {
+		hi += 2 * d
+	}
+	t := n / d
+	return math.Sin(math.Pi*((hi+lo)/d)) / (math.Pi * (w.Tau * t)) *
+		math.Sqrt(math.Pi/w.Sigma) * math.Exp(-(math.Pi*t)*(math.Pi*t)/w.Sigma)
 }
 
 func (w TauSigma) String() string {

@@ -2,6 +2,7 @@ package window
 
 import (
 	"math"
+	"math/big"
 	"testing"
 	"testing/quick"
 )
@@ -180,5 +181,91 @@ func TestPropMoreTapsLessTruncation(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// ratReducedHTime returns H(num/den) for w with τ·num/den reduced to
+// [−1/2, 1/2] in exact rational arithmetic before the one float64 sine.
+func ratReducedHTime(w TauSigma, num, den int64) float64 {
+	x := new(big.Rat).SetFloat64(w.Tau)
+	x.Mul(x, big.NewRat(num, den))
+	h := new(big.Rat).Add(new(big.Rat).Quo(x, big.NewRat(2, 1)), big.NewRat(1, 2))
+	k := new(big.Int).Div(h.Num(), h.Denom()) // round(x/2): x − 2k ∈ [−1, 1]
+	x.Sub(x, new(big.Rat).SetInt(k.Lsh(k, 1)))
+	if half := big.NewRat(1, 2); x.Cmp(half) > 0 { // sin(π·x) = sin(π·(±1 − x))
+		x.Sub(big.NewRat(1, 1), x)
+	} else if x.Cmp(half.Neg(half)) < 0 {
+		x.Sub(big.NewRat(-1, 1), x)
+	}
+	xf, _ := x.Float64()
+	t := float64(num) / float64(den)
+	return math.Sin(math.Pi*xf) / (math.Pi * (w.Tau * t)) *
+		math.Sqrt(math.Pi/w.Sigma) * math.Exp(-(math.Pi*t)*(math.Pi*t)/w.Sigma)
+}
+
+// TestHTimeFracExact pins TauSigma.HTimeFrac to an exactly reduced
+// reference, for negative num, num a multiple of den and |num| up to 2⁴⁰.
+// The unit is ε times the sinc's envelope H(0)·exp(−(πt)²/σ)/max(1, |πτt|):
+// rounding τ·num/den before the sine costs ≈ |πτt|/2 of them, which
+// reaches ≈ 50 on the window's support. Where |τ·t| < 1, HTime's own
+// argument rounding is small, and the two must agree to 4 ulps of the
+// value.
+func TestHTimeFracExact(t *testing.T) {
+	const eps = 0x1p-52
+	worst := 0.0
+	for _, w := range []TauSigma{{Tau: 0.8, Sigma: 90}, Design(72, 0.25, 1e3).Window.(TauSigma), {Tau: 0.75, Sigma: 2000}} {
+		h0 := w.HTime(0)
+		if got := w.HTimeFrac(0, 7); got != h0 {
+			t.Errorf("%v: HTimeFrac(0, 7) = %g, want H(0) = %g", w, got, h0)
+		}
+		check := func(num, den int64) {
+			got := w.HTimeFrac(int(num), int(den))
+			if neg := w.HTimeFrac(int(-num), int(den)); neg != got {
+				t.Errorf("%v: H(−%d/%d) = %g, H(%d/%d) = %g: not even", w, num, den, neg, num, den, got)
+			}
+			want := ratReducedHTime(w, num, den)
+			tt := float64(num) / float64(den)
+			env := h0 * math.Exp(-(math.Pi*tt)*(math.Pi*tt)/w.Sigma) / math.Max(1, math.Abs(math.Pi*w.Tau*tt))
+			if e := math.Abs(got-want) / (env * eps); e > 4 || env == 0 {
+				t.Errorf("%v: HTimeFrac(%d, %d) = %.17g, want %.17g (%.2f ε·envelope)", w, num, den, got, want, e)
+			} else {
+				worst = math.Max(worst, e)
+			}
+		}
+		for _, den := range []int64{1, 3, 80, 576, 1 << 20, 1<<37 + 5} {
+			for k := int64(1); k <= 40; k++ {
+				check(k*den, den) // a multiple of den: t = k
+				check(k*den*7/5+1, den)
+			}
+		}
+		// |num| up to 2⁴⁰ with den keeping t inside the window's support.
+		for num := int64(1) << 40; num > 1<<30; num = num*7/8 - 3 {
+			check(num, 1<<36)
+			check(-num, 1<<36+1)
+		}
+		for num := 1; num < 1000; num += 7 {
+			tt := float64(num) / 997
+			if math.Abs(w.Tau*tt) >= 1 {
+				break
+			}
+			got, want := w.HTimeFrac(num, 997), w.HTime(tt)
+			if e := math.Abs(got-want) / (math.Abs(want) * eps); e > 4 {
+				t.Errorf("%v: HTimeFrac(%d, 997) = %.17g, HTime = %.17g (%.2f ulps)", w, num, got, want, e)
+			}
+		}
+	}
+	t.Logf("worst deviation %.2f ε·envelope", worst)
+}
+
+// TestHTimeFracDispatch: the package function reduces exactly where the
+// window can and rounds num/den once where it cannot.
+func TestHTimeFracDispatch(t *testing.T) {
+	ts := TauSigma{Tau: 0.8, Sigma: 90}
+	if got, want := HTimeFrac(ts, 12345, 576), ts.HTimeFrac(12345, 576); got != want {
+		t.Errorf("HTimeFrac(τσ) = %g, want the method's %g", got, want)
+	}
+	g := Gaussian{A: 40}
+	if got, want := HTimeFrac(g, 12345, 576), g.HTime(12345.0/576); got != want {
+		t.Errorf("HTimeFrac(gaussian) = %g, want HTime(num/den) = %g", got, want)
 	}
 }
