@@ -6,7 +6,6 @@
 //
 //	soifft [-n 65536] [-segments 8] [-taps 72] [-ranks 0] [-inverse]
 //	       [-signal random|tones|chirp] [-in data.c128] [-out result.c128]
-//	       [-wisdom-in plan.json] [-wisdom-out plan.json]
 //
 // Input/output files hold raw little-endian complex128 values (pairs of
 // float64). With -ranks R > 0 the transform runs distributed over R
@@ -36,8 +35,6 @@ func main() {
 	sig := flag.String("signal", "random", "generated input: random|tones|chirp")
 	inFile := flag.String("in", "", "read input from a raw complex128 file")
 	outFile := flag.String("out", "", "write the transform to a raw complex128 file")
-	wisdomIn := flag.String("wisdom-in", "", "load the plan from a wisdom file")
-	wisdomOut := flag.String("wisdom-out", "", "save the plan's wisdom after planning")
 	report := flag.Bool("report", false, "arm stage timers and print the plan's observability report after the transform")
 	traceOut := flag.String("trace", "", "write a Perfetto trace JSON of the transform's pipeline stages here (open in ui.perfetto.dev)")
 	flag.Parse()
@@ -47,25 +44,12 @@ func main() {
 		fail(err)
 	}
 
-	plan, err := makePlan(*wisdomIn, len(src), *segments, *taps)
+	plan, err := soifft.NewPlan(len(src), soifft.WithSegments(*segments), soifft.WithTaps(*taps))
 	if err != nil {
 		fail(err)
 	}
 	if *report {
 		plan.Instrument(soifft.InstrumentTimers)
-	}
-	if *wisdomOut != "" {
-		f, err := os.Create(*wisdomOut)
-		if err != nil {
-			fail(err)
-		}
-		if err := plan.WriteWisdom(f); err != nil {
-			fail(err)
-		}
-		if err := f.Close(); err != nil {
-			fail(err)
-		}
-		fmt.Printf("wisdom saved to %s\n", *wisdomOut)
 	}
 	fmt.Printf("SOI plan: N=%d P=%d B=%d beta=%.3g predicted digits=%.1f\n",
 		plan.N(), plan.Segments(), plan.Taps(), plan.Oversampling(), plan.PredictedDigits())
@@ -158,25 +142,6 @@ func main() {
 		}
 		fmt.Printf("result written to %s\n", *outFile)
 	}
-}
-
-func makePlan(wisdomPath string, n, segments, taps int) (*soifft.Plan, error) {
-	if wisdomPath != "" {
-		f, err := os.Open(wisdomPath)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		plan, err := soifft.ReadWisdom(f)
-		if err != nil {
-			return nil, err
-		}
-		if plan.N() != n {
-			return nil, fmt.Errorf("wisdom is for N=%d but input has %d points", plan.N(), n)
-		}
-		return plan, nil
-	}
-	return soifft.NewPlan(n, soifft.WithSegments(segments), soifft.WithTaps(taps))
 }
 
 func loadInput(path string, n int, sig string) ([]complex128, error) {

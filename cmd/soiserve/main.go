@@ -1,14 +1,13 @@
 // Command soiserve runs the SOI FFT service and its client verb.
 //
 //	soiserve serve -addr 127.0.0.1:7080 -metrics-addr 127.0.0.1:7081 \
-//	    -wisdom plan1.json,plan2.json -cache 32 -max-batch 8 -linger 2ms
+//	    -cache 32 -max-batch 8 -linger 2ms
 //
 // starts a long-running server: transform requests over TCP resolve
-// through an LRU plan cache (warmable from wisdom files), same-plan
-// requests coalesce into batches on a bounded worker pool with
-// backpressure, and live metrics are exported on the metrics address
-// (/debug/vars, /healthz). SIGTERM/SIGINT drain gracefully: accepted
-// requests finish, then the process exits 0.
+// through an LRU plan cache, same-plan requests coalesce into batches on
+// a bounded worker pool with backpressure, and live metrics are exported
+// on the metrics address (/debug/vars, /healthz). SIGTERM/SIGINT drain
+// gracefully: accepted requests finish, then the process exits 0.
 //
 //	soiserve query -addr 127.0.0.1:7080 -n 65536 -segments 8 -taps 72 \
 //	    [-inverse] [-count 4] [-signal random|tones|chirp] [-check]
@@ -24,7 +23,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -61,7 +59,6 @@ func runServe(args []string) {
 	fs := flag.NewFlagSet("soiserve serve", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:7080", "TCP listen address for transform requests")
 	metricsAddr := fs.String("metrics-addr", "127.0.0.1:7081", "HTTP listen address for /debug/vars and /healthz (empty = disabled)")
-	wisdom := fs.String("wisdom", "", "comma-separated wisdom files to warm the plan cache from")
 	cache := fs.Int("cache", 32, "plan cache capacity")
 	workers := fs.Int("workers", 0, "transform worker goroutines (0 = GOMAXPROCS)")
 	maxBatch := fs.Int("max-batch", 8, "max same-plan requests per batch")
@@ -100,21 +97,6 @@ func runServe(args []string) {
 		Tracer:     tracer,
 		FlightDir:  *flightDir,
 	})
-
-	if *wisdom != "" {
-		for _, path := range strings.Split(*wisdom, ",") {
-			f, err := os.Open(path)
-			if err != nil {
-				fail(err)
-			}
-			p, err := s.WarmWisdom(f)
-			f.Close()
-			if err != nil {
-				fail(fmt.Errorf("warming from %s: %w", path, err))
-			}
-			logger.Info("plan warmed", "key", p.Key().String(), "predicted_digits", p.PredictedDigits())
-		}
-	}
 
 	if err := s.Listen(); err != nil {
 		fail(err)

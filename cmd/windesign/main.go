@@ -1,16 +1,20 @@
 // Command windesign explores the SOI window design space: given a tap
 // budget B and oversampling β it reports the best two-parameter (τ,σ)
 // window, its condition number κ, aliasing and truncation errors, and
-// the predicted digits of accuracy (paper Section 4).
+// the predicted digits of accuracy (paper Section 4). With -table it
+// prints internal/window/design_table.go, the search's winners that
+// window.Design looks up before it searches.
 //
 // Usage:
 //
 //	windesign [-b 72] [-beta 0.25] [-kappa-max 1000] [-sweep] [-gaussian]
+//	windesign -table > internal/window/design_table.go
 package main
 
 import (
 	"flag"
 	"fmt"
+	"os"
 
 	"soifft/internal/window"
 )
@@ -23,7 +27,16 @@ func main() {
 	gaussian := flag.Bool("gaussian", false, "design the one-parameter gaussian window instead")
 	compact := flag.Bool("compact", false, "use the compactly supported bump window (zero aliasing)")
 	kaiser := flag.Bool("kaiser", false, "use the Kaiser-Bessel window (zero truncation)")
+	table := flag.Bool("table", false, "print the generated window table (internal/window/design_table.go)")
 	flag.Parse()
+
+	if *table {
+		if err := window.WriteTable(os.Stdout); err != nil {
+			fmt.Fprintln(os.Stderr, "windesign:", err)
+			os.Exit(1)
+		}
+		return
+	}
 
 	if *sweep {
 		fmt.Printf("%-5s %-34s %8s %10s %10s %8s\n", "B", "window", "kappa", "eps_alias", "eps_trunc", "digits")

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"strings"
@@ -436,6 +437,28 @@ func TestNewPlanMetricsMatchAnalyze(t *testing.T) {
 				break
 			}
 		}
+	}
+}
+
+var planSink *Plan
+
+// BenchmarkNewPlan times building a plan without a window (the default
+// B = 72 at μ/ν = 5/4): the window lookup, Analyze and the weight and
+// demodulation tables, at the serving tier's n = 4096 and the benchmark's
+// N = 2²⁰.
+func BenchmarkNewPlan(b *testing.B) {
+	for _, n := range []int{4096, 1 << 20} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			p := Params{N: n, P: 8, Mu: 5, Nu: 4, B: 72}
+			for i := 0; i < b.N; i++ {
+				pl, err := NewPlan(p)
+				if err != nil {
+					b.Fatal(err)
+				}
+				planSink = pl
+			}
+			b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/op")
+		})
 	}
 }
 

@@ -159,9 +159,8 @@ type Server struct {
 	workerWG sync.WaitGroup
 }
 
-// New builds a server; it owns a fresh plan cache (reachable via Cache
-// for wisdom warming) and starts its worker pool immediately so warmed
-// plans can serve as soon as a listener is attached.
+// New builds a server; it owns a fresh plan cache (reachable via Cache)
+// and starts its worker pool immediately.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
@@ -193,22 +192,9 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Cache exposes the server's plan cache (for wisdom warming at startup).
+// Cache exposes the server's plan cache, for its statistics or to insert
+// a pre-built plan with Add.
 func (s *Server) Cache() *soifft.PlanCache { return s.cache }
-
-// WarmWisdom loads one wisdom document into the cache and applies the
-// server's configured instrumentation level to the rebuilt plan, so
-// warmed plans report like built ones.
-func (s *Server) WarmWisdom(r io.Reader) (*soifft.Plan, error) {
-	p, err := s.cache.WarmWisdom(r)
-	if err != nil {
-		return nil, err
-	}
-	if s.cfg.Instrument > soifft.InstrumentOff {
-		p.Instrument(s.cfg.Instrument)
-	}
-	return p, nil
-}
 
 // Metrics exposes the server's live counters.
 func (s *Server) Metrics() *Metrics { return s.metrics }

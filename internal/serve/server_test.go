@@ -1,7 +1,6 @@
 package serve_test
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -301,45 +300,6 @@ func TestGracefulDrain(t *testing.T) {
 		c.Close()
 	}
 	wc.Close()
-}
-
-// TestWisdomWarmedServer warms the cache from a wisdom document and
-// checks the first request is a hit (no cold build), matching the
-// wisdom plan bit-for-bit.
-func TestWisdomWarmedServer(t *testing.T) {
-	const n = 2048
-	cold, err := soifft.NewPlan(n, soifft.WithSegments(8), soifft.WithTaps(48))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wisdom bytes.Buffer
-	if err := cold.WriteWisdom(&wisdom); err != nil {
-		t.Fatal(err)
-	}
-
-	s := startServer(t, serve.Config{MaxLinger: time.Millisecond})
-	if _, err := s.Cache().WarmWisdom(&wisdom); err != nil {
-		t.Fatal(err)
-	}
-
-	src := signal.Random(n, 5)
-	want := make([]complex128, n)
-	if err := cold.Transform(want, src); err != nil {
-		t.Fatal(err)
-	}
-	got, err := dial(t, s).Transform(src, &client.Options{Segments: 8, Taps: 48})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("served spectrum differs from wisdom plan at %d", i)
-		}
-	}
-	st := s.Cache().Stats()
-	if st.Misses != 0 || st.Hits != 1 {
-		t.Errorf("warmed cache: hits=%d misses=%d", st.Hits, st.Misses)
-	}
 }
 
 // TestBadRequestAndPing covers validation failures and the health probe.

@@ -1,8 +1,10 @@
 package window
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"os"
 	"strings"
 	"testing"
 )
@@ -108,93 +110,119 @@ func aliasProxyExhaustive(w Window, beta float64) float64 {
 	return tail / inner
 }
 
-// designExhaustive is Design without the bound pruning: every candidate
-// under the κ bound is scored in full. TestDesignMatchesExhaustiveScan
-// holds Design to it.
-func designExhaustive(b int, beta, kappaMax float64) DesignResult {
-	if b < 2 {
-		b = 2
-	}
-	if kappaMax <= 1 {
-		kappaMax = 1e3
-	}
+// exhaustive is scan without the bound pruning: every candidate under the
+// κ bound is scored in full. TestDesignMatchesExhaustiveScan holds the
+// table and scan to it.
+func (c cell) exhaustive() grid {
 	bestScore := math.Inf(1)
-	var best TauSigma
-	sigmaHi := float64(b*b) * 2
+	var best grid
 	for ti := 1; ti <= 60; ti++ {
-		tau := float64(ti) * 0.02
 		for si := 0; si <= 80; si++ {
-			sigma := math.Exp(math.Log(2) + float64(si)/80*math.Log(sigmaHi/2))
-			w := TauSigma{Tau: tau, Sigma: sigma}
+			g := grid{ti, si}
+			w := g.window(c.b)
 			k := kappaProxy(w)
-			if k > kappaMax {
+			if k > c.kappaMax {
 				continue
 			}
-			score := k * (aliasProxyExhaustive(w, beta) + truncProxy(w, b) + EpsFFT)
+			score := k * (aliasProxyExhaustive(w, c.beta) + truncProxy(w, c.b) + EpsFFT)
 			if score < bestScore {
 				bestScore = score
-				best = w
+				best = g
 			}
 		}
 	}
-	return DesignResult{Window: best, Metrics: Analyze(best, beta, b), B: b, Beta: beta}
+	return best
 }
 
-// TestDesignMatchesExhaustiveScan holds the bound-pruned search to the
-// exhaustive one, bit for bit in τ, σ and every metric: each Fig 7 rung at
-// four oversamplings under κ ≤ 1e3 and under its own κ bound, small, odd
-// and large tap counts, and the arguments Design clamps.
+// sameDesign fails t for each of τ, σ and the metrics in which got and
+// want differ in any bit.
+func sameDesign(t *testing.T, name string, got, want DesignResult) {
+	t.Helper()
+	gw, ww := got.Window.(TauSigma), want.Window.(TauSigma)
+	for _, f := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"tau", gw.Tau, ww.Tau},
+		{"sigma", gw.Sigma, ww.Sigma},
+		{"kappa", got.Metrics.Kappa, want.Metrics.Kappa},
+		{"eps_alias", got.Metrics.EpsAlias, want.Metrics.EpsAlias},
+		{"eps_trunc", got.Metrics.EpsTrunc, want.Metrics.EpsTrunc},
+	} {
+		if math.Float64bits(f.got) != math.Float64bits(f.want) {
+			t.Errorf("%s: %s = %v, exhaustive scan %v", name, f.name, f.got, f.want)
+		}
+	}
+}
+
+// TestDesignMatchesExhaustiveScan holds Design to the exhaustive scan, bit
+// for bit in τ, σ and every metric. Each table cell (each Fig 7 rung at
+// four oversamplings under κ ≤ 1e3 and under its own κ bound) is checked
+// through Design, which must answer it from the table, and through the
+// pruned scan called directly. Small, odd and large tap counts and the
+// arguments Design clamps are off the table and run the scan.
 func TestDesignMatchesExhaustiveScan(t *testing.T) {
 	type args struct {
 		b          int
 		beta, kmax float64
+		tabled     bool
 	}
 	var cases []args
-	for _, beta := range []float64{0.125, 0.25, 0.5, 1} {
-		for _, p := range Presets {
-			cases = append(cases, args{p.B, beta, 1e3})
-			if p.KappaMax != 1e3 {
-				cases = append(cases, args{p.B, beta, p.KappaMax})
-			}
-		}
+	for _, c := range tableCells() {
+		cases = append(cases, args{c.b, c.beta, c.kappaMax, true})
 	}
 	for _, b := range []int{2, 3, 7, 128} {
-		cases = append(cases, args{b, 0.25, 1e3})
+		cases = append(cases, args{b, 0.25, 1e3, false})
 	}
-	cases = append(cases, args{1, 0.25, 0.5})
-	for _, c := range cases {
-		t.Run(fmt.Sprintf("B=%d/beta=%g/kmax=%g", c.b, c.beta, c.kmax), func(t *testing.T) {
+	cases = append(cases, args{1, 0.25, 0.5, false})
+	for _, a := range cases {
+		t.Run(fmt.Sprintf("B=%d/beta=%g/kmax=%g", a.b, a.beta, a.kmax), func(t *testing.T) {
 			t.Parallel()
-			got, want := Design(c.b, c.beta, c.kmax), designExhaustive(c.b, c.beta, c.kmax)
-			gw, ww := got.Window.(TauSigma), want.Window.(TauSigma)
-			for _, f := range []struct {
-				name      string
-				got, want float64
-			}{
-				{"tau", gw.Tau, ww.Tau},
-				{"sigma", gw.Sigma, ww.Sigma},
-				{"kappa", got.Metrics.Kappa, want.Metrics.Kappa},
-				{"eps_alias", got.Metrics.EpsAlias, want.Metrics.EpsAlias},
-				{"eps_trunc", got.Metrics.EpsTrunc, want.Metrics.EpsTrunc},
-			} {
-				if math.Float64bits(f.got) != math.Float64bits(f.want) {
-					t.Errorf("%s = %v, exhaustive scan %v", f.name, f.got, f.want)
-				}
+			c := newCell(a.b, a.beta, a.kmax)
+			if _, ok := c.lookup(); ok != a.tabled {
+				t.Fatalf("table hit = %v, want %v", ok, a.tabled)
+			}
+			want := c.result(c.exhaustive())
+			sameDesign(t, "Design", Design(a.b, a.beta, a.kmax), want)
+			if a.tabled {
+				sameDesign(t, "scan", c.result(c.scan()), want)
 			}
 		})
 	}
 }
 
+// TestDesignTableFresh holds the committed design_table.go to the output
+// of "go run ./cmd/windesign -table", so the table cannot drift from the
+// scan. Regenerate the file with that command after changing the scan,
+// its proxies or tableCells.
+func TestDesignTableFresh(t *testing.T) {
+	committed, err := os.ReadFile("design_table.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rendered bytes.Buffer
+	if err := WriteTable(&rendered); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(committed, rendered.Bytes()) {
+		t.Errorf("design_table.go differs from windesign -table; regenerate it:\n%s", rendered.String())
+	}
+}
+
 var designSink DesignResult
 
-// BenchmarkDesign times the search core.NewPlan runs for a plan built
-// without a window (β = 1/4, κ ≤ 1e3), at the full-accuracy and the
-// smallest Fig 7 tap count.
+// BenchmarkDesign times Design at β = 1/4, κ ≤ 1e3, the request
+// core.NewPlan makes for a plan built without a window: table hits at the
+// full-accuracy and the smallest Fig 7 tap count, and a miss (B = 64)
+// that runs the search.
 func BenchmarkDesign(b *testing.B) {
-	for _, taps := range []int{72, 26} {
-		b.Run(fmt.Sprintf("B=%d", taps), func(b *testing.B) {
+	for _, leg := range []struct {
+		name string
+		taps int
+	}{{"hit/B=72", 72}, {"hit/B=26", 26}, {"miss/B=64", 64}} {
+		b.Run(leg.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				designSink = Design(taps, 0.25, 1e3)
+				designSink = Design(leg.taps, 0.25, 1e3)
 			}
 			b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/op")
 		})

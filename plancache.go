@@ -3,7 +3,6 @@ package soifft
 import (
 	"container/list"
 	"fmt"
-	"io"
 	"sync"
 )
 
@@ -57,23 +56,12 @@ func KeyOf(n int, opts ...Option) PlanKey {
 	return PlanKey{N: n, Segments: o.segments, Mu: o.mu, Nu: o.nu, Taps: b, Family: o.family}
 }
 
-// Key returns the canonical cache key of a built plan. Plans loaded from
-// wisdom key identically to plans built fresh with the same parameters,
-// so a cache warmed from wisdom files serves later NewPlan-shaped
-// requests without rebuilding.
+// Key returns the canonical cache key of a built plan. It equals KeyOf
+// of the options the plan was built with, so a plan inserted with Add
+// serves later NewPlan-shaped requests without rebuilding.
 func (p *Plan) Key() PlanKey {
 	prm := p.inner.Params()
-	fam := WindowAuto
-	if ref, err := windowRefOf(prm.Win); err == nil {
-		switch ref.Family {
-		case "gaussian":
-			fam = WindowGaussian
-		case "kaiser-bessel":
-			fam = WindowKaiser
-		case "compact-bump":
-			fam = WindowCompact
-		}
-	}
+	fam, _ := familyOf(prm.Win)
 	return PlanKey{N: prm.N, Segments: prm.P, Mu: prm.Mu, Nu: prm.Nu, Taps: prm.B, Family: fam}
 }
 
@@ -191,8 +179,7 @@ func (c *PlanCache) get(key PlanKey, build func() (*Plan, error)) (*Plan, bool, 
 	return e.plan, false, e.err
 }
 
-// Add inserts a pre-built plan (for example one loaded from wisdom)
-// under its canonical key and returns that key. An existing entry for
+// Add inserts a pre-built plan under its canonical key and returns that key. An existing entry for
 // the key is replaced.
 func (c *PlanCache) Add(p *Plan) PlanKey {
 	key := p.Key()
@@ -207,18 +194,6 @@ func (c *PlanCache) Add(p *Plan) PlanKey {
 	c.trimLocked()
 	c.mu.Unlock()
 	return key
-}
-
-// WarmWisdom reads one wisdom document from r, rebuilds its plan and
-// inserts it into the cache, returning the plan. Use it at server
-// startup to pre-pay plan construction for known traffic shapes.
-func (c *PlanCache) WarmWisdom(r io.Reader) (*Plan, error) {
-	p, err := ReadWisdom(r)
-	if err != nil {
-		return nil, err
-	}
-	c.Add(p)
-	return p, nil
 }
 
 // CachedPlan pairs a resident plan with its canonical key.

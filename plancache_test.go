@@ -1,7 +1,6 @@
 package soifft_test
 
 import (
-	"bytes"
 	"sync"
 	"testing"
 
@@ -24,6 +23,7 @@ func TestKeyOfMatchesPlanKey(t *testing.T) {
 		{"shrunk-taps", 256, []soifft.Option{soifft.WithSegments(8), soifft.WithTaps(72)}},
 		{"gaussian", 2048, []soifft.Option{soifft.WithSegments(8), soifft.WithTaps(32), soifft.WithWindow(soifft.WindowGaussian)}},
 		{"kaiser", 2048, []soifft.Option{soifft.WithSegments(8), soifft.WithTaps(32), soifft.WithWindow(soifft.WindowKaiser)}},
+		{"compact", 2048, []soifft.Option{soifft.WithSegments(8), soifft.WithTaps(32), soifft.WithWindow(soifft.WindowCompact)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -38,42 +38,41 @@ func TestKeyOfMatchesPlanKey(t *testing.T) {
 	}
 }
 
-// TestWisdomCachePlanReuse round-trips a plan through WriteWisdom → a
-// serve-side plan cache → Transform: the cached plan must be reused (hit
-// counter increments) and its results must match a cold plan
-// bit-for-bit.
-func TestWisdomCachePlanReuse(t *testing.T) {
+// TestPlanCacheAddReuse inserts a built plan with Add → a plan cache →
+// Transform: a request shaped like the plan's NewPlan call must reuse it
+// (hit counter increments) and its results must match a plan built
+// separately bit-for-bit.
+func TestPlanCacheAddReuse(t *testing.T) {
 	const n = 2048
 	opts := []soifft.Option{soifft.WithSegments(8), soifft.WithTaps(48)}
 	cold, err := soifft.NewPlan(n, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := cold.WriteWisdom(&buf); err != nil {
+	added, err := soifft.NewPlan(n, opts...)
+	if err != nil {
 		t.Fatal(err)
 	}
 
 	cache := soifft.NewPlanCache(4)
-	warmed, err := cache.WarmWisdom(&buf)
-	if err != nil {
-		t.Fatal(err)
+	if key := cache.Add(added); key != soifft.KeyOf(n, opts...) {
+		t.Fatalf("Add keyed the plan %v, KeyOf %v", key, soifft.KeyOf(n, opts...))
 	}
 	if st := cache.Stats(); st.Size != 1 || st.Hits != 0 || st.Misses != 0 {
-		t.Fatalf("after warm: stats %+v", st)
+		t.Fatalf("after Add: stats %+v", st)
 	}
 
 	// A request shaped like the original NewPlan call must hit the
-	// warmed entry — no rebuild.
+	// added entry — no rebuild.
 	got, hit, err := cache.Get(n, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !hit {
-		t.Fatalf("expected warm hit for key %v", soifft.KeyOf(n, opts...))
+		t.Fatalf("expected a hit for key %v", soifft.KeyOf(n, opts...))
 	}
-	if got != warmed {
-		t.Fatal("cache returned a different plan than the warmed one")
+	if got != added {
+		t.Fatal("cache returned a different plan than the added one")
 	}
 	st := cache.Stats()
 	if st.Hits != 1 || st.Misses != 0 {
@@ -83,8 +82,8 @@ func TestWisdomCachePlanReuse(t *testing.T) {
 		t.Fatalf("per-plan stats %+v", st.PerPlan)
 	}
 
-	// Bit-for-bit: the wisdom-rebuilt cached plan and the cold plan
-	// compute identical spectra.
+	// Bit-for-bit: the cached plan and the separately built one compute
+	// identical spectra.
 	src := make([]complex128, n)
 	for i := range src {
 		src[i] = complex(float64(i%17)-8, float64(i%5)-2)

@@ -252,10 +252,7 @@ type Config struct {
 // Config returns the plan's resolved parameter snapshot.
 func (p *Plan) Config() Config {
 	prm := p.inner.Params()
-	name := prm.Win.String()
-	if ref, err := windowRefOf(prm.Win); err == nil {
-		name = ref.Family
-	}
+	_, name := familyOf(prm.Win)
 	return Config{
 		N:               prm.N,
 		Segments:        prm.P,
@@ -281,6 +278,24 @@ func (p *Plan) Config() Config {
 func (p *Plan) Internal() *core.Plan { return p.inner }
 
 // buildFamilyWindow designs a window of the requested family for (B, β).
+// familyOf returns w's window family and the name Config reports for it:
+// the family's name, or a custom window's own description.
+func familyOf(w window.Window) (WindowFamily, string) {
+	switch v := w.(type) {
+	case window.TauSigma:
+		return WindowAuto, "tau-sigma"
+	case window.Gaussian:
+		return WindowGaussian, "gaussian"
+	case window.KaiserBessel:
+		return WindowKaiser, "kaiser-bessel"
+	case *window.Tabulated:
+		if _, _, ok := v.BumpParams(); ok {
+			return WindowCompact, "compact-bump"
+		}
+	}
+	return WindowAuto, w.String()
+}
+
 func buildFamilyWindow(f WindowFamily, b int, beta float64) (window.Window, error) {
 	switch f {
 	case WindowGaussian:
@@ -331,8 +346,8 @@ func (p *Plan) TransformBatch(dst, src []complex128, count int) error {
 
 // SelfTest runs a quick built-in accuracy check: it transforms a random
 // vector with the SOI plan and with the conventional engine and returns
-// the measured decimal digits of agreement. Use it to verify a plan (for
-// example one loaded from wisdom) on the current machine.
+// the measured decimal digits of agreement. Use it to verify a plan on
+// the current machine.
 func (p *Plan) SelfTest() (digits float64, err error) {
 	n := p.N()
 	src := selfTestInput(n)
