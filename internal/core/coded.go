@@ -133,7 +133,7 @@ func (pl *Plan) runCoded(ctx context.Context, c Comm, cfg distOptions, localOut,
 	if err := ValidateCoded(c.Size(), m); err != nil {
 		return DistributedTimes{}, err
 	}
-	e, localIn, err := pl.newDistExec(ctx, cfg, c, localOut, localIn)
+	e, err := pl.newDistExec(ctx, cfg, c, localOut, localIn)
 	if err != nil {
 		return DistributedTimes{}, err
 	}

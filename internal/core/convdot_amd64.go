@@ -7,10 +7,13 @@ import "soifft/internal/fft"
 // Implemented in convdot_amd64.s.
 //
 //go:noescape
-func convDotAVX2(out *complex128, h *float64, x, ph *complex128, taps, stride int)
+func convRowAVX2(out *complex128, h, x, ph *float64, taps, lanes int)
+
+//go:noescape
+func splitBlocksAVX2(dst *float64, src *complex128, blocks, lanes int, sign uint64)
 
 func init() {
 	if fft.HasAVX2() { // the repository's one CPUID routine lives beside the FFT kernels
-		convBlock8 = convDotAVX2
+		convRow8, splitBlocks = convRowAVX2, splitBlocksAVX2
 	}
 }

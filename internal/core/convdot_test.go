@@ -9,13 +9,82 @@ import (
 	"soifft/internal/signal"
 )
 
-// useGoKernel routes every convDot to convDotGo until the test or
-// benchmark ends, the way a CPU without AVX2 does from init. Nothing in
-// this package's tests runs in parallel, so the swap is not shared.
+// useGoKernel routes every convRow to convRowGo and every staged block
+// to splitRun's Go loop until the test or benchmark ends, the way a CPU
+// without AVX2 does from init. Nothing in this package's tests runs in
+// parallel, so the swap is not shared.
 func useGoKernel(tb testing.TB) {
-	saved := convBlock8
-	convBlock8 = nil
-	tb.Cleanup(func() { convBlock8 = saved })
+	row, split := convRow8, splitBlocks
+	convRow8, splitBlocks = nil, nil
+	tb.Cleanup(func() { convRow8, splitBlocks = row, split })
+}
+
+// convDotGo is the bit reference of every convolution kernel, on
+// interleaved complex operands: out[i] = ph[i] · Σ_b h[b·lanes+i]·x[b·lanes+i],
+// even and odd taps in two accumulator pairs added once at the end, each
+// product rounded before its add.
+func convDotGo(out []complex128, h []float64, x, ph []complex128, lanes int) {
+	n := len(h)
+	if len(x) != n {
+		panic("core: convDotGo: input slab and tap slab differ in length")
+	}
+	step := 2 * lanes
+	for i := range out {
+		var re0, im0, re1, im1 float64
+		k := i
+		for ; k+lanes < n; k += step {
+			h0, x0 := h[k], x[k]
+			re0 += h0 * real(x0)
+			im0 += h0 * imag(x0)
+			h1, x1 := h[k+lanes], x[k+lanes]
+			re1 += h1 * real(x1)
+			im1 += h1 * imag(x1)
+		}
+		if k < n {
+			h0, x0 := h[k], x[k]
+			re0 += h0 * real(x0)
+			im0 += h0 * imag(x0)
+		}
+		p := ph[i]
+		re, im := re0+re1, im0+im1
+		out[i] = complex(re*real(p)-im*imag(p), re*imag(p)+im*real(p))
+	}
+}
+
+// splitOf lays a block-major slab x (lanes per block) and the lane
+// phases out as convRow reads them — each block's reals then its
+// imaginaries, the phases' reals then imaginaries — off float64s into
+// their allocations.
+func splitOf(x, ph []complex128, lanes, off int) (xs, phs []float64) {
+	xs = make([]float64, off+2*len(x))[off:]
+	for e, v := range x {
+		o := 2*(e/lanes)*lanes + e%lanes
+		xs[o], xs[o+lanes] = real(v), imag(v)
+	}
+	phs = make([]float64, off+2*lanes)[off:]
+	for i, v := range ph {
+		phs[i], phs[lanes+i] = real(v), imag(v)
+	}
+	return xs, phs
+}
+
+// convRowCase runs one row through convRow (the seam) and convRowGo on
+// the split operands, and convDotGo on the interleaved ones.
+func convRowCase(h []float64, x, ph []complex128, taps, lanes, off int) error {
+	xs, phs := splitOf(x, ph, lanes, off)
+	want := make([]complex128, lanes)
+	convDotGo(want, h, x, ph, lanes)
+	got := make([]complex128, off+lanes)[off:]
+	goK := make([]complex128, lanes)
+	convRow(got, h, xs, phs, taps, lanes)
+	convRowGo(goK, h, xs, phs, lanes)
+	for i := range want {
+		if !sameBits(got[i], want[i]) || !sameBits(goK[i], want[i]) {
+			return fmt.Errorf("lanes %d taps %d off %d: lane %d = %v (seam), %v (convRowGo), reference %v",
+				lanes, taps, off, i, got[i], goK[i], want[i])
+		}
+	}
+	return nil
 }
 
 // sameBits reports whether two complex values carry the same float64
@@ -56,33 +125,27 @@ func fillSlab(rng *rand.Rand, h []float64, x, ph []complex128, special bool) {
 }
 
 // TestConvDotMatchesGo is the bit-identity table of the dispatch seam:
-// whatever convDot runs for a lane count must return convDotGo's bits.
+// whatever convRow runs for a lane count on the split operands, and its
+// Go twin convRowGo, must return convDotGo's bits on the interleaved ones.
 func TestConvDotMatchesGo(t *testing.T) {
+	if convRow8 == nil {
+		t.Logf("no AVX2 kernel on this host or build (kernel %q), assembly half skipped", ConvolveKernel())
+	}
 	rng := rand.New(rand.NewSource(14))
 	for _, lanes := range []int{8, 16, 24, 4, 6, 3} {
-		if lanes%8 == 0 && convBlock8 == nil {
-			t.Logf("lanes %d: no AVX2 kernel on this host or build (kernel %q), assembly half skipped", lanes, ConvolveKernel())
-			continue
-		}
 		for _, taps := range []int{1, 2, 71, 72, 73} {
-			// Offsets 0 and 1 of one allocation: x, ph and out are 16-byte
-			// elements, so one of the two is off a 32-byte boundary.
-			for off := 0; off < 2; off++ {
+			// Offsets 0, 1 and 2 elements into one allocation: float64
+			// operands 0, 8 and 16 bytes and complex outputs 0, 16 and 32
+			// bytes off a 32-byte boundary.
+			for off := 0; off < 3; off++ {
 				for _, special := range []bool{false, true} {
 					n := taps * lanes
 					h := make([]float64, off+n)[off:]
-					x := make([]complex128, off+n)[off:]
-					ph := make([]complex128, off+lanes)[off:]
+					x := make([]complex128, n)
+					ph := make([]complex128, lanes)
 					fillSlab(rng, h, x, ph, special)
-					got := make([]complex128, off+lanes)[off:]
-					want := make([]complex128, lanes)
-					convDot(got, h, x, ph, taps, lanes)
-					convDotGo(want, h, x, ph, lanes)
-					for i := range want {
-						if !sameBits(got[i], want[i]) {
-							t.Fatalf("lanes %d taps %d off %d special %v: lane %d = %v, Go kernel %v",
-								lanes, taps, off, special, i, got[i], want[i])
-						}
+					if err := convRowCase(h, x, ph, taps, lanes, off); err != nil {
+						t.Fatalf("special %v: %v", special, err)
 					}
 				}
 			}
@@ -95,15 +158,19 @@ func TestConvDotMatchesGo(t *testing.T) {
 func TestConvDotRejectsShortSlab(t *testing.T) {
 	const lanes, taps = 8, 4
 	h := make([]float64, taps*lanes)
-	ph := make([]complex128, lanes)
+	x := make([]float64, 2*taps*lanes)
+	ph := make([]float64, 2*lanes)
 	out := make([]complex128, lanes)
 	for name, call := range map[string]func(){
-		"short x":   func() { convDot(out, h, make([]complex128, taps*lanes-1), ph, taps, lanes) },
-		"short out": func() { convDot(out[:lanes-1], h, make([]complex128, taps*lanes), ph, taps, lanes) },
-		"short ph":  func() { convDot(out, h, make([]complex128, taps*lanes), ph[:lanes-1], taps, lanes) },
-		"short h":   func() { convDot(out, h[:taps*lanes-1], make([]complex128, taps*lanes-1), ph, taps, lanes) },
-		"no taps":   func() { convDot(out, nil, nil, ph, 0, lanes) },
-		"go kernel": func() { convDotGo(out, h, make([]complex128, taps*lanes-1), ph, lanes) },
+		"short x":   func() { convRow(out, h, x[:len(x)-1], ph, taps, lanes) },
+		"short out": func() { convRow(out[:lanes-1], h, x, ph, taps, lanes) },
+		"short ph":  func() { convRow(out, h, x, ph[:len(ph)-1], taps, lanes) },
+		"short h":   func() { convRow(out, h[:taps*lanes-1], x[:len(x)-2], ph, taps, lanes) },
+		"no taps":   func() { convRow(out, nil, nil, ph, 0, lanes) },
+		"go kernel": func() { convRowGo(out, h, x[:len(x)-1], ph, lanes) },
+		"short window": func() {
+			splitRun(make([]float64, 2*taps*lanes-1), 0, make([]complex128, taps*lanes), lanes, false)
+		},
 	} {
 		func() {
 			defer func() {
@@ -113,6 +180,53 @@ func TestConvDotRejectsShortSlab(t *testing.T) {
 			}()
 			call()
 		}()
+	}
+}
+
+// TestStageSplitsBodyAndTail: a staged window holds column c of body or,
+// past its end, of tail, as block reals then block imaginaries, the
+// imaginaries negated when conjugating — wherever the body ends, on a
+// block boundary or inside a block — on the dispatched staging and on
+// the Go loop alone, special values included.
+func TestStageSplitsBodyAndTail(t *testing.T) {
+	t.Run("dispatched", testStageSplits)
+	t.Run("go", func(t *testing.T) {
+		useGoKernel(t)
+		testStageSplits(t)
+	})
+}
+
+func testStageSplits(t *testing.T) {
+	const lanes = 4
+	body, tail := signal.Random(37, 1), signal.Random(19, 2)
+	for i, v := range specials {
+		body[i] = complex(v, specials[len(specials)-1-i])
+	}
+	for _, conj := range []bool{false, true} {
+		for _, col := range []int{0, 3, 100} {
+			in := convSource{body: body, tail: tail, col: col, conj: conj}
+			for _, win := range [][2]int{{0, 8}, {0, 36}, {8, 40}, {32, 44}, {36, 56}, {40, 52}} {
+				c0, c1 := col+win[0], col+win[1]
+				buf := make([]float64, 2*(c1-c0))
+				in.stage(buf, c0, c1, lanes)
+				for c := c0; c < c1; c++ {
+					var v complex128
+					if c-col < len(body) {
+						v = body[c-col]
+					} else {
+						v = tail[c-col-len(body)]
+					}
+					if conj {
+						v = complex(real(v), -imag(v))
+					}
+					e := c - c0
+					o := 2*(e/lanes)*lanes + e%lanes
+					if got := complex(buf[o], buf[o+lanes]); !sameBits(got, v) {
+						t.Fatalf("conj %v col %d window %v: column %d staged as %v, want %v", conj, col, win, c, got, v)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -156,7 +270,7 @@ func TestConvolveRangeKernelsBitEqual(t *testing.T) {
 			}
 		})
 	}
-	if convBlock8 == nil {
+	if convRow8 == nil {
 		t.Skipf("kernel %q: both legs ran the Go kernel, the assembly was not compared", ConvolveKernel())
 	}
 }
@@ -165,11 +279,14 @@ func TestConvolveRangeKernelsBitEqual(t *testing.T) {
 // init made, and that decision follows the build and the CPU.
 func TestConvolveKernelNamesDispatch(t *testing.T) {
 	want := "go"
-	if convBlock8 != nil {
+	if convRow8 != nil {
 		want = "avx2"
 	}
 	if got := ConvolveKernel(); got != want {
-		t.Errorf("ConvolveKernel() = %q with convBlock8 set: %v", got, convBlock8 != nil)
+		t.Errorf("ConvolveKernel() = %q with convRow8 set: %v", got, convRow8 != nil)
+	}
+	if (splitBlocks != nil) != (convRow8 != nil) {
+		t.Errorf("dispatch variables disagree: convRow8 set %v, splitBlocks set %v", convRow8 != nil, splitBlocks != nil)
 	}
 	useGoKernel(t)
 	if got := ConvolveKernel(); got != "go" {
@@ -190,8 +307,8 @@ func FuzzConvDotMatchesGo(f *testing.F) {
 		}
 		rng := rand.New(rand.NewSource(seed))
 		h := make([]float64, off+nt*lanes)[off:]
-		x := make([]complex128, off+nt*lanes)[off:]
-		ph := make([]complex128, off+lanes)[off:]
+		x := make([]complex128, nt*lanes)
+		ph := make([]complex128, lanes)
 		fillSlab(rng, h, x, ph, special)
 		if !special {
 			// Raw bit patterns: every exponent, denormals and NaNs included.
@@ -199,13 +316,8 @@ func FuzzConvDotMatchesGo(f *testing.F) {
 				h[i] = math.Float64frombits(rng.Uint64())
 			}
 		}
-		got, want := make([]complex128, lanes), make([]complex128, lanes)
-		convDot(got, h, x, ph, nt, lanes)
-		convDotGo(want, h, x, ph, lanes)
-		for i := range want {
-			if !sameBits(got[i], want[i]) {
-				t.Fatalf("lanes %d taps %d: lane %d = %v, Go kernel %v", lanes, nt, i, got[i], want[i])
-			}
+		if err := convRowCase(h, x, ph, nt, lanes, off); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

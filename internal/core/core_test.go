@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/cmplx"
 	"runtime"
 	"strings"
 	"testing"
@@ -300,6 +301,29 @@ func TestTransformSegmentMatchesFull(t *testing.T) {
 		if e := signal.MaxAbsErr(seg, full[s*m:(s+1)*m]); e > 1e-10 {
 			t.Errorf("segment %d differs from full transform by %.3e", s, e)
 		}
+	}
+}
+
+// TestFPRowExact: the F_P row of segment pursuit takes its entries from
+// exactly reduced arguments, so the quarter turns are exact (ω^2 = −i at
+// P = 8) and every entry is within an ulp of exp(−2πi·si/P).
+func TestFPRowExact(t *testing.T) {
+	const P = 8
+	for s := 0; s < P; s++ {
+		row := fpRow(s, P)
+		for i, w := range row {
+			k := s * i % P
+			want := cmplx.Exp(complex(0, -2*math.Pi*float64(k)/P))
+			if d := cmplx.Abs(w - want); d > 2e-16 {
+				t.Errorf("s %d i %d: %v, exp gives %v", s, i, w, want)
+			}
+			if k%2 == 0 && (real(w) != math.Round(real(w)) || imag(w) != math.Round(imag(w))) {
+				t.Errorf("s %d i %d: quarter turn %v is not exact", s, i, w)
+			}
+		}
+	}
+	if w := fpRow(1, P)[2]; w != complex(0, -1) {
+		t.Errorf("ω^2 at P = 8 = %v, want exactly −i", w)
 	}
 }
 

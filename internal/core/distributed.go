@@ -201,7 +201,7 @@ func (pl *Plan) runDistributed(ctx context.Context, c Comm, localOut, localIn []
 // all-to-all (blocking, or streamed and overlapped when an async window
 // is configured), then phase 4.
 func (pl *Plan) runFlat(ctx context.Context, c Comm, cfg distOptions, localOut, localIn []complex128) (DistributedTimes, error) {
-	e, localIn, err := pl.newDistExec(ctx, cfg, c, localOut, localIn)
+	e, err := pl.newDistExec(ctx, cfg, c, localOut, localIn)
 	if err != nil {
 		return DistributedTimes{}, err
 	}
@@ -267,22 +267,20 @@ type distExec struct {
 }
 
 // newDistExec validates plan/world/buffer shapes, takes a workspace and
-// assembles the execution state. It returns the input the phases must
-// read: localIn itself, or on an inverse run its conjugate in the
-// workspace.
-func (pl *Plan) newDistExec(ctx context.Context, cfg distOptions, c Comm, localOut, localIn []complex128) (*distExec, []complex128, error) {
+// assembles the execution state.
+func (pl *Plan) newDistExec(ctx context.Context, cfg distOptions, c Comm, localOut, localIn []complex128) (*distExec, error) {
 	r := c.Size()
 	if err := pl.ValidateDistributed(r); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	p := pl.prm
 	nLocal := p.N / r
 	if len(localIn) != nLocal || len(localOut) != nLocal {
-		return nil, nil, fmt.Errorf("core: rank %d: need local length %d, got in %d out %d: %w",
+		return nil, fmt.Errorf("core: rank %d: need local length %d, got in %d out %d: %w",
 			c.Rank(), nLocal, len(localIn), len(localOut), ErrLength)
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	e := &distExec{
 		pl: pl, c: instrumentComm(c, cfg.rec), ws: pl.getDistWorkspace(r),
@@ -295,12 +293,7 @@ func (pl *Plan) newDistExec(ctx context.Context, cfg distOptions, c Comm, localO
 		timed:   cfg.rec.Timing(),
 	}
 	e.tr, e.tid = pl.tracerFor(ctx)
-	if e.inverse {
-		e.ws.conj = grown(e.ws.conj, nLocal)
-		conjInto(e.ws.conj, localIn)
-		localIn = e.ws.conj
-	}
-	return e, localIn, nil
+	return e, nil
 }
 
 // finish closes a run that produced a complete spectrum: the inverse's
@@ -342,21 +335,21 @@ func (e *distExec) finish(localOut []complex128, deg *DegradedError) {
 func (e *distExec) produce(ctx context.Context, st exch.Stream, bounds []int, localIn []complex128, onDead func(dst int)) (sendWait time.Duration, err error) {
 	pl, rank, r, ws := e.pl, e.rank, e.r, e.ws
 	halo := pl.HaloLen()
-	own := len(ws.stitch) - halo // owned columns the boundary rows read
-	copy(ws.stitch, localIn[ws.stitchCol:])
 
 	// Phase 1: post the halo prefix(es) immediately (sends are
 	// asynchronous). In production shapes the halo is a single short
 	// neighbour message (paper: "typically less than 0.01% of M"); tiny
-	// test shapes may span several neighbours.
+	// test shapes may span several neighbours. The prefix goes out as it
+	// is: an inverse run conjugates it where it is staged, like the
+	// owned columns.
 	t0 := time.Now()
 	e.tr.Begin(e.tid, rank, instrument.StageHalo.String())
 	var hs *haloStream
 	switch {
 	case r == 1:
-		copy(ws.stitch[own:], localIn[:halo])
+		copy(ws.halo, localIn[:halo])
 	case st != nil:
-		hs, err = e.startHaloStream(localIn, ws.stitch[own:])
+		hs, err = e.startHaloStream(localIn, ws.halo)
 	default:
 		for d := 1; err == nil && (d-1)*e.nLocal < halo; d++ {
 			err = e.c.Send((rank-d+r*d)%r, tagHalo+d, localIn[:min(halo-(d-1)*e.nLocal, e.nLocal)])
@@ -382,8 +375,7 @@ func (e *distExec) produce(ctx context.Context, st exch.Stream, bounds []int, lo
 				err = hs.wait()
 			} else {
 				for d := 1; err == nil && (d-1)*e.nLocal < halo; d++ {
-					dst := ws.stitch[own+(d-1)*e.nLocal : own+min(d*e.nLocal, halo)]
-					err = e.c.RecvInto(dst, (rank+d)%r, tagHalo+d)
+					err = e.c.RecvInto(ws.halo[(d-1)*e.nLocal:min(d*e.nLocal, halo)], (rank+d)%r, tagHalo+d)
 				}
 			}
 			e.dt.Halo += time.Since(t0)
@@ -431,24 +423,23 @@ func (e *distExec) produce(ctx context.Context, st exch.Stream, bounds []int, lo
 }
 
 // packRows is the fused phase-2 kernel for local rows [lo, hi), the
-// distributed twin of convPass: per convTileRows-row tile, ConvolveRange
+// distributed twin of convPass: per convTileRows-row tile, convolution
 // → F_P batch → each destination's lanes written straight into the
 // packed send layout while the tile is cache-hot (the node-local
 // permutation of paper Fig 3: destination t gets lanes [t·spr, (t+1)·spr)
-// of every block). Interior rows convolve directly from localIn; rows
-// from jMid on read the halo stitch buffer. Disjoint row ranges touch
-// disjoint cells of send, so ranges may run concurrently.
+// of every block). Each tile stages its window from localIn and, for
+// rows from jMid on, the neighbour halo past it. Disjoint row ranges
+// touch disjoint cells of send, so ranges may run concurrently.
 func (e *distExec) packRows(localIn []complex128, lo, hi int) {
 	pl, ws, lanes := e.pl, e.ws, e.pl.prm.P
 	sc := <-ws.scratch
 	defer func() { ws.scratch <- sc }()
-	jLo, col := e.rank*e.bpr, e.rank*e.nLocal
+	jLo := e.rank * e.bpr
+	in := convSource{body: localIn, tail: ws.halo, col: e.rank * e.nLocal, conj: e.inverse}
 	for t := lo; t < hi; t += convTileRows {
 		tEnd := min(t+convTileRows, hi)
 		n := tEnd - t
-		mid := min(max(ws.jMid, t), tEnd) // first boundary row of the tile
-		pl.ConvolveRange(sc.conv, localIn, jLo+t, jLo+mid, col)
-		pl.ConvolveRange(sc.conv[(mid-t)*lanes:], ws.stitch, jLo+mid, jLo+tEnd, col+ws.stitchCol)
+		pl.convTile(sc.conv, sc.stage, &in, jLo+t, jLo+tEnd)
 		pl.fftP.Batch(sc.v[:n*lanes], sc.conv[:n*lanes], n)
 		for d := 0; d < e.r; d++ {
 			out := ws.send[d*e.chunk+t*e.spr : d*e.chunk+tEnd*e.spr]
@@ -470,7 +461,8 @@ func (e *distExec) chunkOf(src int) []complex128 {
 }
 
 // phase4 segment-FFTs and demodulates one rank's worth of owned segments
-// into out (nLocal elements). Each segment's oversampled sequence is
+// into out (nLocal elements), the demodulation fused into the FFT's last
+// pass. Each segment's oversampled sequence is
 // gathered from the per-source chunks (the receive side of the stride-P
 // transpose): chunkOf(src) must return the bpr·spr chunk that source
 // rank src addressed to the output owner. The segment pipeline is
@@ -491,8 +483,7 @@ func (e *distExec) phase4(chunkOf func(src int) []complex128, out []complex128) 
 					xt[src*e.bpr+j] = cb[j*e.spr+ss]
 				}
 			}
-			pl.SegmentFFT(sc.yt, xt)
-			pl.Demodulate(out[ss*pl.m:(ss+1)*pl.m], sc.yt)
+			pl.fftMP.ForwardDemod(out[ss*pl.m:(ss+1)*pl.m], xt, pl.invW)
 		}
 		if e.timed {
 			e.segBusy.Add(int64(time.Since(w0)))

@@ -31,7 +31,7 @@ func (hs *haloStream) wait() error {
 
 // startHaloStream posts this rank's prefix chunks to the preceding
 // rank(s) and starts the background receiver assembling the neighbour
-// prefix(es) into dst (the halo part of the workspace's stitch buffer).
+// prefix(es) into dst (the workspace's halo buffer).
 // Only boundary rows read dst, and they synchronize through wait's
 // channel, so the receiver and the interior tiles proceed concurrently.
 // A send error (dead neighbour link) is returned immediately — the

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"context"
-	"math/cmplx"
-)
+import "context"
 
 // InverseTransform computes dst = IDFT(src), scaled by 1/N so a
 // forward-inverse round trip reproduces the input. It reuses the forward
@@ -18,8 +15,8 @@ func (pl *Plan) InverseTransform(dst, src []complex128) error {
 
 // InverseTransformContext is InverseTransform with the forward path's
 // cancellation checks at stage boundaries. The conjugation happens while
-// the input is loaded into the pooled workspace, so the inverse
-// allocates exactly what the forward transform does.
+// each convolution tile stages its input, so the inverse allocates
+// exactly what the forward transform does.
 func (pl *Plan) InverseTransformContext(ctx context.Context, dst, src []complex128) error {
 	if _, err := pl.transform(ctx, dst, src, true); err != nil {
 		return err
@@ -33,15 +30,9 @@ func (pl *Plan) InverseTransformContext(ctx context.Context, dst, src []complex1
 // communication profile is identical to the forward run (one halo
 // exchange plus a single all-to-all), and the forward driver's options
 // (WithAsyncWindow, WithCoding, WithRecorder) apply unchanged. The
-// conjugated input lives in the rank's workspace.
+// input, halo included, is conjugated where the convolution stages it.
 func (pl *Plan) RunDistributedInverse(ctx context.Context, c Comm, localOut, localIn []complex128, opts ...DistOption) (DistributedTimes, error) {
 	return pl.runDistributed(ctx, c, localOut, localIn, opts, true)
-}
-
-func conjInto(dst, src []complex128) {
-	for i, v := range src {
-		dst[i] = cmplx.Conj(v)
-	}
 }
 
 func conjScale(x []complex128, s float64) {

@@ -26,13 +26,15 @@ type Plan struct {
 	groups int // M'/μ row groups in the convolution
 
 	// The weight of row phase r ∈ [0,μ), tap b ∈ [0,B), lane i ∈ [0,P)
-	// factors exactly into hre[(r*B+b)*P+i] · phase[r*P+i], with hre
-	// real. The hot convolution kernel works on this split form — a
-	// real·complex MAC is half the flops and half the tap-table traffic
-	// of the complex·complex one, and all μ tap slabs (μ·B·P float64)
-	// fit in L1/L2 where the full complex tensor would not.
+	// factors exactly into hre[(r*B+b)*P+i] · φ_{r,i}, with hre real. The
+	// hot convolution kernel works on this split form — a real·complex
+	// MAC is half the flops and half the tap-table traffic of the
+	// complex·complex one, and all μ tap slabs (μ·B·P float64) fit in
+	// L1/L2 where the full complex tensor would not. phase holds φ split
+	// like the staged input: Re φ_{r,i} at phase[2rP+i], Im φ_{r,i} at
+	// phase[2rP+P+i].
 	hre   []float64
-	phase []complex128
+	phase []float64
 	// dstart[r] = ⌊r·ν/μ⌋, the extra start-block offset of row phase r.
 	dstart []int
 	// invW[k] = 1/ŵ(k) for k ∈ [0,M): the demodulation diagonal.
@@ -71,19 +73,32 @@ type Plan struct {
 // parallel path's closures would otherwise force a heap allocation per
 // transform.
 type workspace struct {
-	ext []complex128 // input + halo, N + (B−1)P
-	seg []complex128 // segment-major permutation, N'
-	yb  []complex128 // segment spectra, N'
+	// seg is the segment-major permutation, N'. Each segment's F_M' then
+	// ping-pongs through its own slice of seg and one pooled M' scratch
+	// of the F_M' plan, and stores its kept bins straight into dst.
+	seg []complex128
 
-	// tiles holds one convTileRows-row tile per worker goroutine: a tile's
-	// convolution output lives only until F_P scatters it into seg, so it
-	// never leaves the cache. Sized when the workspace is built; a pass
-	// that runs more workers than that (GOMAXPROCS raised since) queues
-	// for a tile.
-	tiles chan []complex128
+	// tiles holds one tile per worker goroutine: a tile's staged input
+	// and convolution output live only until F_P scatters it into seg, so
+	// they never leave the cache. Sized when the workspace is built; a
+	// pass that runs more workers than that (GOMAXPROCS raised since)
+	// queues for a tile.
+	tiles chan *convScratch
 
 	busyConv, nsScatter atomic.Int64 // pass A worker busy / scatter slices
-	busySeg, nsDemod    atomic.Int64 // pass B worker busy / demod slices
+	busySeg             atomic.Int64 // pass B worker busy
+}
+
+// convScratch is one worker's convolution tile: the split-complex input
+// window (stageLen float64) and the convTileRows·P outputs.
+type convScratch struct {
+	stage []float64
+	conv  []complex128
+}
+
+// newConvScratch sizes one worker's tile buffers.
+func (pl *Plan) newConvScratch() convScratch {
+	return convScratch{stage: make([]float64, pl.stageLen()), conv: make([]complex128, convTileRows*pl.prm.P)}
 }
 
 // distWorkspace holds every payload-sized buffer one rank's distributed
@@ -102,15 +117,14 @@ type distWorkspace struct {
 	// layout, source s's chunk at [s·chunk, (s+1)·chunk). N'/R each.
 	send, recv []complex128
 
-	// Rows from jMid on have taps leaving the owned block and read stitch:
-	// the owned tail from local column stitchCol onward, then the
-	// (B−1)·P-element neighbour halo.
-	jMid, stitchCol int
-	stitch          []complex128
+	// Rows from jMid on have taps leaving the owned block: their staged
+	// window continues past the owned columns into halo, the
+	// (B−1)·P-element neighbour prefix.
+	jMid int
+	halo []complex128
 
 	scratch chan *rankScratch // one per worker goroutine
 
-	conj     []complex128 // inverse runs only: the conjugated input
 	parity   []complex128 // coded runs only: m parity shares of chunk elements
 	parityIn []complex128 // coded runs only: the m shares received, share i at [i·chunk, (i+1)·chunk)
 	code     []byte       // coded runs only: one strip of share byte images
@@ -118,8 +132,9 @@ type distWorkspace struct {
 
 // rankScratch is one worker's tile and segment buffers.
 type rankScratch struct {
-	conv, v []complex128 // a convTileRows-row tile before and after F_P
-	xt, yt  []complex128 // one segment's oversampled sequence and spectrum
+	convScratch              // a convTileRows-row tile: staged input, output before F_P
+	v           []complex128 // the tile after F_P
+	xt          []complex128 // one segment's oversampled sequence, F_M's dead input
 }
 
 // grown returns buf resliced to n elements, reallocating only when its
@@ -139,19 +154,16 @@ func (pl *Plan) getDistWorkspace(r int) *distWorkspace {
 
 	p := pl.prm
 	bpr, nLocal := pl.mp/r, p.N/r
-	ws := &distWorkspace{r: r, send: make([]complex128, bpr*p.P), recv: make([]complex128, bpr*p.P), stitchCol: nLocal}
+	ws := &distWorkspace{r: r, send: make([]complex128, bpr*p.P), recv: make([]complex128, bpr*p.P)}
 	for ws.jMid < bpr && pl.rowEndCol(ws.jMid) <= nLocal {
 		ws.jMid++
 	}
-	if ws.jMid < bpr {
-		ws.stitchCol = pl.rowEndCol(ws.jMid) - p.B*p.P
-	}
-	ws.stitch = make([]complex128, nLocal-ws.stitchCol+pl.HaloLen())
+	ws.halo = make([]complex128, pl.HaloLen())
 	ws.scratch = make(chan *rankScratch, max(p.Workers, 1))
 	for w := 0; w < cap(ws.scratch); w++ {
 		ws.scratch <- &rankScratch{
-			conv: make([]complex128, convTileRows*p.P), v: make([]complex128, convTileRows*p.P),
-			xt: make([]complex128, pl.mp), yt: make([]complex128, pl.mp),
+			convScratch: pl.newConvScratch(),
+			v:           make([]complex128, convTileRows*p.P), xt: make([]complex128, pl.mp),
 		}
 	}
 	return ws
@@ -174,14 +186,10 @@ func (pl *Plan) getWorkspace() *workspace {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	ws := &workspace{
-		ext:   make([]complex128, pl.prm.N+pl.HaloLen()),
-		seg:   make([]complex128, pl.np),
-		yb:    make([]complex128, pl.np),
-		tiles: make(chan []complex128, workers),
-	}
+	ws := &workspace{seg: make([]complex128, pl.np), tiles: make(chan *convScratch, workers)}
 	for w := 0; w < workers; w++ {
-		ws.tiles <- make([]complex128, convTileRows*pl.prm.P)
+		sc := pl.newConvScratch()
+		ws.tiles <- &sc
 	}
 	return ws
 }
@@ -251,13 +259,14 @@ func (pl *Plan) buildWeights() {
 		pl.dstart[r] = r * p.Nu / p.Mu
 	}
 	pl.hre = make([]float64, p.Mu*p.B*p.P)
-	pl.phase = make([]complex128, p.Mu*p.P)
+	pl.phase = make([]float64, 2*p.Mu*p.P)
 	scale := float64(p.Nu) / float64(p.Mu)
 	den := 2 * p.Mu * p.P
 	for r := 0; r < p.Mu; r++ {
 		a := 2*r*p.Nu*p.P + p.B*p.Mu*p.P - 2*pl.dstart[r]*p.Mu*p.P
 		for i := 0; i < p.P; i++ {
-			pl.phase[r*p.P+i] = fft.ExpIPi(a-2*p.Mu*i, den)
+			ph := fft.ExpIPi(a-2*p.Mu*i, den)
+			pl.phase[2*r*p.P+i], pl.phase[2*r*p.P+p.P+i] = real(ph), imag(ph)
 		}
 		for b := 0; b < p.B; b++ {
 			sign := scale

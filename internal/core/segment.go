@@ -4,10 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/cmplx"
 	"runtime"
 	"time"
 
+	"soifft/internal/fft"
 	"soifft/internal/instrument"
 )
 
@@ -46,30 +46,13 @@ func (pl *Plan) TransformSegmentContext(ctx context.Context, dst, src []complex1
 		t0 = time.Now()
 	}
 
-	ext := make([]complex128, p.N+pl.HaloLen())
-	copy(ext, src)
-	copy(ext[p.N:], src[:pl.HaloLen()])
-
-	// s-th row of F_P: ω^{s·i}, ω = e^{-i2π/P}.
-	row := make([]complex128, p.P)
-	for i := 0; i < p.P; i++ {
-		ang := -2 * math.Pi * float64((s*i)%p.P) / float64(p.P)
-		row[i] = cmplx.Exp(complex(0, ang))
-	}
-
-	// x̃^(s)[j] = Σ_i ω^{si} · (W_j x)[i], fused with the convolution.
+	// x̃^(s)[j] = Σ_i ω^{si} · (W_j x)[i], fused with the convolution;
+	// the tap windows wrap past N into the input's head.
+	row := fpRow(s, p.P)
+	in := convSource{body: src, tail: src[:pl.HaloLen()]}
 	xt := make([]complex128, pl.mp)
 	parfor(workers, pl.mp, func(jLo, jHi int) {
-		block := make([]complex128, (jHi-jLo)*p.P)
-		pl.ConvolveRange(block, ext, jLo, jHi, 0)
-		for j := jLo; j < jHi; j++ {
-			b := block[(j-jLo)*p.P : (j-jLo+1)*p.P]
-			var acc complex128
-			for i, w := range row {
-				acc += w * b[i]
-			}
-			xt[j] = acc
-		}
+		pl.segmentLane(xt[jLo:jHi], &in, row, jLo, jHi)
 	})
 	var convWall time.Duration
 	if timed {
@@ -82,9 +65,7 @@ func (pl *Plan) TransformSegmentContext(ctx context.Context, dst, src []complex1
 	if timed {
 		t0 = time.Now()
 	}
-	yt := make([]complex128, pl.mp)
-	pl.fftMP.Forward(yt, xt)
-	pl.Demodulate(dst, yt)
+	pl.fftMP.ForwardDemod(dst, xt, pl.invW)
 	if rec.On() {
 		var segWall time.Duration
 		if timed {
@@ -130,18 +111,16 @@ func (pl *Plan) RunDistributedSegment(c Comm, localIn []complex128, s, root int)
 	bpr := pl.mp / r
 
 	// Halo exchange (same pattern as RunDistributed).
-	ext := make([]complex128, nLocal+halo)
-	copy(ext, localIn)
-	if r == 1 {
-		copy(ext[nLocal:], localIn[:halo])
-	} else {
+	tail := localIn[:halo] // one rank: the circular wrap into its own head
+	if r > 1 {
+		tail = make([]complex128, halo)
 		for d := 1; (d-1)*nLocal < halo; d++ {
 			if err := c.Send((rank-d+r*d)%r, tagHalo+d, localIn[:min(halo-(d-1)*nLocal, nLocal)]); err != nil {
 				return nil, err
 			}
 		}
 		for d := 1; (d-1)*nLocal < halo; d++ {
-			if err := c.RecvInto(ext[d*nLocal:min((d+1)*nLocal, nLocal+halo)], (rank+d)%r, tagHalo+d); err != nil {
+			if err := c.RecvInto(tail[(d-1)*nLocal:min(d*nLocal, halo)], (rank+d)%r, tagHalo+d); err != nil {
 				return nil, err
 			}
 		}
@@ -149,30 +128,44 @@ func (pl *Plan) RunDistributedSegment(c Comm, localIn []complex128, s, root int)
 
 	// Local blocks' lane-s values: one convolution pass and a dot product
 	// with the s-th DFT row per block.
-	row := make([]complex128, p.P)
-	for i := 0; i < p.P; i++ {
-		ang := -2 * math.Pi * float64((s*i)%p.P) / float64(p.P)
-		row[i] = cmplx.Exp(complex(0, ang))
-	}
 	jLo := rank * bpr
-	block := make([]complex128, bpr*p.P)
-	pl.ConvolveRange(block, ext, jLo, jLo+bpr, rank*nLocal)
 	part := make([]complex128, bpr)
-	for j := 0; j < bpr; j++ {
-		var acc complex128
-		for i, w := range row {
-			acc += w * block[j*p.P+i]
-		}
-		part[j] = acc
-	}
+	pl.segmentLane(part, &convSource{body: localIn, tail: tail, col: rank * nLocal}, fpRow(s, p.P), jLo, jLo+bpr)
 
 	xt, err := c.Gather(root, part)
 	if err != nil || rank != root {
 		return nil, err
 	}
-	yt := make([]complex128, pl.mp)
-	pl.SegmentFFT(yt, xt)
 	out := make([]complex128, pl.m)
-	pl.Demodulate(out, yt)
+	pl.fftMP.ForwardDemod(out, xt, pl.invW)
 	return out, nil
+}
+
+// fpRow returns the s-th row of F_n, ω^{s·i} with ω = e^{−2πi/n}, each
+// entry from its exactly reduced argument (so ω^{n/4} is exactly −i).
+func fpRow(s, n int) []complex128 {
+	row := make([]complex128, n)
+	for i := range row {
+		row[i] = fft.ExpIPi(-2*(s*i%n), n)
+	}
+	return row
+}
+
+// segmentLane sets xt[j−jLo] = Σ_i row[i]·(W_j x)[i] for rows
+// [jLo, jHi): one lane of each block's P-point DFT, computed tile by
+// tile while the tile's convolution output is hot.
+func (pl *Plan) segmentLane(xt []complex128, in *convSource, row []complex128, jLo, jHi int) {
+	lanes := pl.prm.P
+	sc := pl.newConvScratch()
+	for t := jLo; t < jHi; t += convTileRows {
+		tEnd := min(t+convTileRows, jHi)
+		pl.convTile(sc.conv, sc.stage, in, t, tEnd)
+		for j := t; j < tEnd; j++ {
+			var acc complex128
+			for i, w := range row {
+				acc += w * sc.conv[(j-t)*lanes+i]
+			}
+			xt[j-jLo] = acc
+		}
+	}
 }

@@ -27,16 +27,17 @@ func (pl *Plan) tracerFor(ctx context.Context) (*trace.Tracer, trace.ID) {
 // feeds the performance-model calibration and the op-count ablation
 // (paper Section 7.4 measures convolution time ≈ FFT time within SOI).
 //
-// The shared-memory pipeline runs fused (I_M'⊗F_P and the permutation
-// are one call per tile inside the convolution pass, demodulation runs
-// segment by segment inside the FFT pass), so Transpose and Demod report
-// the accumulated time of those fused slices and Convolve/SegmentFT the
-// remainder of their pass walls.
+// The shared-memory pipeline runs fused: I_M'⊗F_P and the permutation
+// are one call per tile inside the convolution pass, so Transpose reports
+// the accumulated time of those slices and Convolve the remainder of the
+// pass wall. The demodulation is no separate step at all — the last
+// F_M' pass stores only the kept bins, already multiplied by 1/ŵ — so
+// its time is inside SegmentFT and Demod stays zero.
 type PhaseTimes struct {
-	Convolve  time.Duration // W·x (plus the input copy and halo extension)
+	Convolve  time.Duration // W·x, each tile's input staged on the way in
 	Transpose time.Duration // I_M'⊗F_P storing straight into segment-major order
-	SegmentFT time.Duration // per-segment F_M'
-	Demod     time.Duration // projection + Ŵ⁻¹ scaling
+	SegmentFT time.Duration // per-segment F_M' with projection and Ŵ⁻¹ scaling fused
+	Demod     time.Duration // zero: fused into SegmentFT's last pass
 }
 
 // Total returns the sum over phases.
@@ -88,38 +89,27 @@ func (pl *Plan) transform(ctx context.Context, dst, src []complex128, conj bool)
 	timed := rec.Timing()
 	tr, tid := pl.tracerFor(ctx)
 
-	// Extend the input with its own head so tap windows never wrap: this
-	// is the shared-memory stand-in for the neighbour halo exchange.
-	t0 := time.Now()
-	tr.Begin(tid, 0, instrument.StageHalo.String())
-	ws := pl.getWorkspace()
-	defer pl.ws.Put(ws)
-	xext := ws.ext
-	if conj {
-		conjInto(xext, src)
-	} else {
-		copy(xext, src)
-	}
-	copy(xext[p.N:], xext[:pl.HaloLen()])
-	tr.End(tid, 0, instrument.StageHalo.String())
-
 	// Pass A — stages 1+2+3 fused per tile: convolution, P-point FFTs and
 	// the stride-P scatter into segment-major layout run tile by tile, so
 	// each tile's FFT and permutation read convolution output that is
 	// still cache-hot, and (with workers > 1) the FFT/scatter of one tile
-	// overlaps the convolution of the next across goroutines. The
-	// standalone full-array transpose sweep of the unfused pipeline is
-	// gone.
+	// overlaps the convolution of the next across goroutines. Each tile
+	// stages its own input window, wrapping past N into the input's head
+	// (the shared-memory stand-in for the neighbour halo exchange) and
+	// conjugating for the inverse, so the input is never copied whole.
+	t0 := time.Now()
+	ws := pl.getWorkspace()
+	defer pl.ws.Put(ws)
+	in := convSource{body: src, tail: src[:pl.HaloLen()], conj: conj}
 	ws.busyConv.Store(0)
 	ws.nsScatter.Store(0)
 	ws.busySeg.Store(0)
-	ws.nsDemod.Store(0)
 	tr.Begin(tid, 0, instrument.StageConvolve.String())
 	if workers <= 1 {
-		pl.convPass(ws, 0, pl.mp, timed)
+		pl.convPass(ws, in, 0, pl.mp, timed)
 	} else {
 		parfor(workers, pl.mp, func(jLo, jHi int) {
-			pl.convPass(ws, jLo, jHi, timed)
+			pl.convPass(ws, in, jLo, jHi, timed)
 		})
 	}
 	pt.Transpose = time.Duration(ws.nsScatter.Load())
@@ -129,8 +119,8 @@ func (pl *Plan) transform(ctx context.Context, dst, src []complex128, conj bool)
 		return pt, err
 	}
 
-	// Pass B — stages 4+5 fused per segment: the M'-point FFT of segment
-	// s feeds straight into its demodulation while the spectrum is hot.
+	// Pass B — stages 4+5 fused per segment: the last pass of segment s's
+	// M'-point FFT stores its first M bins, demodulated, into dst.
 	t0 = time.Now()
 	tr.Begin(tid, 0, instrument.StageSegmentFFT.String())
 	if workers <= 1 {
@@ -140,8 +130,7 @@ func (pl *Plan) transform(ctx context.Context, dst, src []complex128, conj bool)
 			pl.segPass(ws, dst, sLo, sHi, timed)
 		})
 	}
-	pt.Demod = time.Duration(ws.nsDemod.Load())
-	pt.SegmentFT = time.Since(t0) - pt.Demod
+	pt.SegmentFT = time.Since(t0)
 	tr.End(tid, 0, instrument.StageSegmentFFT.String())
 
 	if rec.On() {
@@ -155,6 +144,8 @@ func (pl *Plan) transform(ctx context.Context, dst, src []complex128, conj bool)
 		rec.ObserveStage(instrument.StageExchange, wall.Transpose, 0, workers, 0)
 		rec.ObserveStage(instrument.StageSegmentFFT, wall.SegmentFT,
 			time.Duration(ws.busySeg.Load()), workers, pl.segmentStageFlops())
+		// The demodulation's flops are booked on its own stage; its wall
+		// is SegmentFT's (zero here).
 		rec.ObserveStage(instrument.StageDemod, wall.Demod, 0, workers, pl.demodStageFlops())
 	}
 	return pt, nil
@@ -171,19 +162,19 @@ const convTileRows = 256
 // the stride-P permutation. Disjoint row ranges scatter to disjoint
 // cells of seg, so ranges may run concurrently; per-call timing lands in
 // the workspace atomics.
-func (pl *Plan) convPass(ws *workspace, jLo, jHi int, timed bool) {
+func (pl *Plan) convPass(ws *workspace, in convSource, jLo, jHi int, timed bool) {
 	var w0 time.Time
 	if timed {
 		w0 = time.Now()
 	}
-	tile := <-ws.tiles
-	defer func() { ws.tiles <- tile }()
+	sc := <-ws.tiles
+	defer func() { ws.tiles <- sc }()
 	var scat int64
 	for t := jLo; t < jHi; t += convTileRows {
 		tEnd := min(t+convTileRows, jHi)
-		pl.ConvolveRange(tile, ws.ext, t, tEnd, 0)
+		pl.convTile(sc.conv, sc.stage, &in, t, tEnd)
 		s0 := time.Now()
-		pl.fftP.BatchScatter(ws.seg[t:], tile, tEnd-t, pl.mp)
+		pl.fftP.BatchScatter(ws.seg[t:], sc.conv, tEnd-t, pl.mp)
 		scat += int64(time.Since(s0))
 	}
 	ws.nsScatter.Add(scat)
@@ -193,88 +184,189 @@ func (pl *Plan) convPass(ws *workspace, jLo, jHi int, timed bool) {
 }
 
 // segPass runs the fused stage-4/5 pipeline for segments [sLo, sHi):
-// each segment's M'-point FFT feeds its demodulation immediately.
+// each segment's M'-point FFT ping-pongs through its own (dead) slice of
+// seg and stores its first M bins, demodulated, straight into dst.
 func (pl *Plan) segPass(ws *workspace, dst []complex128, sLo, sHi int, timed bool) {
 	var w0 time.Time
 	if timed {
 		w0 = time.Now()
 	}
-	var dem int64
 	for s := sLo; s < sHi; s++ {
-		pl.fftMP.Forward(ws.yb[s*pl.mp:(s+1)*pl.mp], ws.seg[s*pl.mp:(s+1)*pl.mp])
-		d0 := time.Now()
-		pl.Demodulate(dst[s*pl.m:(s+1)*pl.m], ws.yb[s*pl.mp:(s+1)*pl.mp])
-		dem += int64(time.Since(d0))
+		pl.fftMP.ForwardDemod(dst[s*pl.m:(s+1)*pl.m], ws.seg[s*pl.mp:(s+1)*pl.mp], pl.invW)
 	}
-	ws.nsDemod.Add(dem)
 	if timed {
 		ws.busySeg.Add(int64(time.Since(w0)))
 	}
 }
 
-// convBlock8, when the package's init found a SIMD kernel this CPU and OS
-// can run, computes one row for a block of eight lanes out of stride; nil
-// leaves every row to convDotGo. It is written once, before any plan
-// exists, and never again: the one kernel decision of the package.
-var convBlock8 func(out *complex128, h *float64, x, ph *complex128, taps, stride int)
+// convRow8, when the package's init found a SIMD kernel this CPU and OS
+// can run, computes one row for a block of eight lanes out of lanes
+// (see convRow); nil leaves every row to convRowGo. It is written once,
+// before any plan exists, and never again: the one kernel decision of
+// the package.
+var convRow8 func(out *complex128, h, x, ph *float64, taps, lanes int)
+
+// splitBlocks, set with convRow8, stages whole blocks of a lane count
+// divisible by 4: block b's lanes reals at dst[2b·lanes:], its lanes
+// imaginaries XOR sign (0, or the sign bit to conjugate) after them.
+// nil leaves every block to splitRun's Go loop. The two return the same
+// bits: a move and a sign flip round nothing.
+var splitBlocks func(dst *float64, src *complex128, blocks, lanes int, sign uint64)
 
 // ConvolveKernel names the convolution kernel plans with P % 8 == 0 run
 // on this machine: "avx2" or, where the build or the CPU has none, "go"
 // (which every other P runs regardless). The two return the same bits.
 func ConvolveKernel() string {
-	if convBlock8 != nil {
+	if convRow8 != nil {
 		return "avx2"
 	}
 	return "go"
 }
 
-// convDot computes out[i] = ph[i] · Σ_b h[b·lanes+i]·x[b·lanes+i] for
-// each lane. h and x are one row's contiguous tap slab (len B·lanes).
-// It is the only caller of the assembly, which checks no bounds: every
-// pointer it passes comes from a slice whose length is asserted here.
-func convDot(out []complex128, h []float64, x, ph []complex128, taps, lanes int) {
-	if taps < 1 || lanes < 1 || len(h) != taps*lanes || len(x) != len(h) || len(out) != lanes || len(ph) != lanes {
-		panic("core: convDot: slab lengths do not match taps × lanes")
+// convRow computes one output row,
+//
+//	out[i] = ph_i · Σ_b h[b·lanes+i]·x_{b,i},
+//
+// from split-complex operands: x holds the row's taps as blocks of
+// 2·lanes float64, block b's reals x[2b·lanes:][:lanes] then its
+// imaginaries; ph holds the lanes' phase reals then imaginaries. The
+// real taps multiply the reals and the imaginaries as they lie, with no
+// shuffle per tap. It is the only caller of the assembly, which checks
+// no bounds: every pointer it passes comes from a slice whose length is
+// asserted here.
+func convRow(out []complex128, h, x, ph []float64, taps, lanes int) {
+	if taps < 1 || lanes < 1 || len(h) != taps*lanes || len(x) != 2*len(h) || len(out) != lanes || len(ph) != 2*lanes {
+		panic("core: convRow: slab lengths do not match taps × lanes")
 	}
-	if convBlock8 == nil || lanes%8 != 0 {
-		convDotGo(out, h, x, ph, lanes)
+	if convRow8 == nil || lanes%8 != 0 {
+		convRowGo(out, h, x, ph, lanes)
 		return
 	}
 	for i := 0; i < lanes; i += 8 {
-		convBlock8(&out[i], &h[i], &x[i], &ph[i], taps, lanes)
+		convRow8(&out[i], &h[i], &x[i], &ph[i], taps, lanes)
 	}
 }
 
-// convDotGo is the portable kernel and the reference the assembly must
-// match bit for bit. The per-lane walk is lanes-strided but the whole
-// slab is L1-resident. Two accumulator pairs per lane (even taps, odd
-// taps) break the add dependency chain; that association is part of the
-// result's bits, so it is the contract of every other kernel too.
-func convDotGo(out []complex128, h []float64, x, ph []complex128, lanes int) {
+// convRowGo is the portable kernel, the assembly's Go twin; both return
+// the bits of the test reference convDotGo on the same data
+// interleaved. Two accumulator pairs per lane (even taps, odd taps)
+// break the add dependency chain; that association, each product
+// rounded before its add, is part of the result's bits and so the
+// contract of every kernel. The per-lane walk is strided but the whole
+// slab is L1-resident.
+func convRowGo(out []complex128, h, x, ph []float64, lanes int) {
 	n := len(h)
-	if len(x) != n { // also what lets the compiler drop x's bounds checks below
-		panic("core: convDotGo: input slab and tap slab differ in length")
+	if len(x) != 2*n || len(ph) != 2*lanes {
+		panic("core: convRowGo: split slab and tap slab differ in length")
 	}
-	step := 2 * lanes
 	for i := range out {
 		var re0, im0, re1, im1 float64
-		k := i
-		for ; k+lanes < n; k += step {
-			h0, x0 := h[k], x[k]
-			re0 += h0 * real(x0)
-			im0 += h0 * imag(x0)
-			h1, x1 := h[k+lanes], x[k+lanes]
-			re1 += h1 * real(x1)
-			im1 += h1 * imag(x1)
+		k, o := i, i // tap b's h index b·lanes+i, its real at x[2b·lanes+i]
+		for ; k+lanes < n; k, o = k+2*lanes, o+4*lanes {
+			h0 := h[k]
+			re0 += h0 * x[o]
+			im0 += h0 * x[o+lanes]
+			h1 := h[k+lanes]
+			re1 += h1 * x[o+2*lanes]
+			im1 += h1 * x[o+3*lanes]
 		}
 		if k < n {
-			h0, x0 := h[k], x[k]
-			re0 += h0 * real(x0)
-			im0 += h0 * imag(x0)
+			h0 := h[k]
+			re0 += h0 * x[o]
+			im0 += h0 * x[o+lanes]
 		}
-		p := ph[i]
+		pr, pi := ph[i], ph[lanes+i]
 		re, im := re0+re1, im0+im1
-		out[i] = complex(re*real(p)-im*imag(p), re*imag(p)+im*real(p))
+		out[i] = complex(re*pr-im*pi, re*pi+im*pr)
+	}
+}
+
+// convSource is the input a convolution tile stages its window from:
+// global column c ≥ col is body[c−col] while that is in range and
+// tail[c−col−len(body)] past it — the input's own head on a node (the
+// circular wrap), the neighbour halo on a rank. conj loads conjugates
+// (the inverse's first half).
+type convSource struct {
+	body, tail []complex128
+	col        int
+	conj       bool
+}
+
+// stage writes global columns [c0, c1) of the source into buf split per
+// P-block: block k's lanes reals at buf[2k·lanes:], then its lanes
+// imaginaries.
+func (in *convSource) stage(buf []float64, c0, c1, lanes int) {
+	end := in.col + len(in.body)
+	split := min(max(c0, end), c1) // first column past the body
+	if c0 < split {
+		splitRun(buf, 0, in.body[c0-in.col:split-in.col], lanes, in.conj)
+	}
+	if split < c1 {
+		splitRun(buf, split-c0, in.tail[split-end:c1-end], lanes, in.conj)
+	}
+}
+
+// splitRun stores src as elements e, e+1, … of a split buffer (see
+// stage). Element e is lane e%lanes of block e/lanes. Whole blocks go to
+// splitBlocks where there is one; it is that assembly's only caller and
+// touches the last element it will write first.
+func splitRun(buf []float64, e int, src []complex128, lanes int, conj bool) {
+	k, i := e/lanes, e%lanes
+	for len(src) > 0 {
+		if blocks := len(src) / lanes; i == 0 && blocks > 0 && splitBlocks != nil && lanes%4 == 0 {
+			_ = buf[2*(k+blocks)*lanes-1]
+			var sign uint64
+			if conj {
+				sign = 1 << 63
+			}
+			splitBlocks(&buf[2*k*lanes], &src[0], blocks, lanes, sign)
+			k, src = k+blocks, src[blocks*lanes:]
+			continue
+		}
+		n := min(lanes-i, len(src))
+		o := 2*k*lanes + i
+		re, im := buf[o:o+n], buf[o+lanes:o+lanes+n]
+		if conj {
+			for j, v := range src[:n] {
+				re[j], im[j] = real(v), -imag(v)
+			}
+		} else {
+			for j, v := range src[:n] {
+				re[j], im[j] = real(v), imag(v)
+			}
+		}
+		src = src[n:]
+		k, i = k+1, 0
+	}
+}
+
+// stageLen is the split-buffer length one tile of convTileRows rows
+// stages: its first and last rows' start blocks lie at most
+// ⌊(convTileRows−1)·ν/μ⌋+1 apart, and the last row reads B blocks.
+func (pl *Plan) stageLen() int {
+	p := pl.prm
+	return 2 * p.P * ((convTileRows-1)*p.Nu/p.Mu + 1 + p.B)
+}
+
+// convTile computes rows [jLo, jHi), at most convTileRows of them, into
+// dst (block-major: dst[(j−jLo)·P + i]): it stages the rows' input
+// window [s_jLo·P, (s_{jHi−1}+B)·P) from in into buf (stageLen long),
+// then runs one convRow per row over it.
+func (pl *Plan) convTile(dst []complex128, buf []float64, in *convSource, jLo, jHi int) {
+	p := pl.prm
+	lanes, taps := p.P, p.B
+	c0 := pl.rowEndCol(jLo) - taps*lanes
+	in.stage(buf, c0, pl.rowEndCol(jHi-1), lanes)
+	g, r := jLo/p.Mu, jLo%p.Mu
+	for j := jLo; j < jHi; j++ {
+		start := 2 * ((g*p.Nu+pl.dstart[r])*lanes - c0)
+		h := pl.hre[r*taps*lanes : (r*taps+taps)*lanes]
+		xs := buf[start : start+2*taps*lanes]
+		ph := pl.phase[2*r*lanes : 2*(r+1)*lanes]
+		convRow(dst[(j-jLo)*lanes:(j-jLo+1)*lanes], h, xs, ph, taps, lanes)
+		if r++; r == p.Mu {
+			g, r = g+1, 0
+		}
 	}
 }
 
@@ -292,26 +384,23 @@ func convDotGo(out []complex128, h []float64, x, ph []complex128, lanes int) {
 // a real tap table and a per-(r, i) phase (see buildWeights): each lane
 // is a real·complex dot product over one contiguous B·P input slab —
 // half the arithmetic and half the table traffic of the complex MAC
-// form — followed by a single complex multiply by the lane phase.
+// form — followed by a single complex multiply by the lane phase. The
+// slab is staged tile by tile into split-complex form first, so the
+// real taps multiply reals and imaginaries as they lie.
 func (pl *Plan) ConvolveRange(dst, src []complex128, jLo, jHi, colOff int) {
-	p := pl.prm
-	lanes, taps := p.P, p.B
-	g, r := jLo/p.Mu, jLo%p.Mu
-	for j := jLo; j < jHi; j++ {
-		start := (g*p.Nu+pl.dstart[r])*lanes - colOff
-		h := pl.hre[r*taps*lanes : (r*taps+taps)*lanes]
-		xs := src[start : start+taps*lanes]
-		ph := pl.phase[r*lanes : (r+1)*lanes]
-		out := dst[(j-jLo)*lanes : (j-jLo+1)*lanes]
-		convDot(out, h, xs, ph, taps, lanes)
-		if r++; r == p.Mu {
-			g, r = g+1, 0
-		}
+	buf := make([]float64, pl.stageLen())
+	in := convSource{body: src, col: colOff}
+	for t := jLo; t < jHi; t += convTileRows {
+		tEnd := min(t+convTileRows, jHi)
+		pl.convTile(dst[(t-jLo)*pl.prm.P:], buf, &in, t, tEnd)
 	}
 }
 
 // Demodulate converts one segment's oversampled spectrum ytilde (length
 // M') into final DFT values: dst[k] = ytilde[k]/ŵ(k) for k ∈ [0, M).
+// The transforms never call it: their F_M' stores these values from its
+// last pass (fft.Plan.ForwardDemod), with the same bits as SegmentFFT
+// followed by Demodulate.
 func (pl *Plan) Demodulate(dst, ytilde []complex128) {
 	for k := 0; k < pl.m; k++ {
 		dst[k] = ytilde[k] * pl.invW[k]
@@ -336,8 +425,8 @@ func (pl *Plan) demodStageFlops() int64 {
 	return int64(pl.prm.N) * 6
 }
 
-// SegmentFFT runs the per-segment F_M' transform (exposed for the
-// distributed driver).
+// SegmentFFT runs the per-segment F_M' transform on its own, without
+// the fused demodulation (exposed for kernel probes).
 func (pl *Plan) SegmentFFT(dst, src []complex128) { pl.fftMP.Forward(dst, src) }
 
 // BlockFFTBatch applies F_P to count contiguous P-blocks (exposed for

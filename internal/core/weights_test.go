@@ -179,7 +179,7 @@ func TestPhaseTablesExact(t *testing.T) {
 						x.Add(x, big.NewRat(int64(p.B), 2))
 						x.Sub(x, big.NewRat(int64(pl.dstart[r]), 1))
 						x.Sub(x, big.NewRat(int64(i), int64(p.P)))
-						check(fmt.Sprintf("%+v: phase[r=%d, i=%d]", p, r, i), pl.phase[r*p.P+i], ratExpIPi(x))
+						check(fmt.Sprintf("%+v: phase[r=%d, i=%d]", p, r, i), complex(pl.phase[2*r*p.P+i], pl.phase[2*r*p.P+p.P+i]), ratExpIPi(x))
 					}
 				}
 				m := pl.M()

@@ -129,7 +129,7 @@ func poison(ws *distWorkspace) {
 			b[i] = nan
 		}
 	}
-	for _, b := range [][]complex128{ws.send, ws.recv, ws.stitch, ws.conj, ws.parity, ws.parityIn} {
+	for _, b := range [][]complex128{ws.send, ws.recv, ws.halo, ws.parity, ws.parityIn} {
 		fill(b)
 	}
 	code := ws.code[:cap(ws.code)]
@@ -138,8 +138,11 @@ func poison(ws *distWorkspace) {
 	}
 	for i := 0; i < cap(ws.scratch); i++ {
 		sc := <-ws.scratch
-		for _, b := range [][]complex128{sc.conv, sc.v, sc.xt, sc.yt} {
+		for _, b := range [][]complex128{sc.conv, sc.v, sc.xt} {
 			fill(b)
+		}
+		for i := range sc.stage {
+			sc.stage[i] = math.NaN()
 		}
 		ws.scratch <- sc
 	}

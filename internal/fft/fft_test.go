@@ -126,6 +126,50 @@ func TestForwardInPlace(t *testing.T) {
 	}
 }
 
+// TestForwardDemodMatchesForward: for every kind of plan — codelet,
+// Bluestein, one pass, several passes, a last pass of radix 5 (the
+// fused kernel) or another — ForwardDemod returns the bits of Forward
+// followed by the multiply, for any kept prefix.
+func TestForwardDemodMatchesForward(t *testing.T) {
+	for _, n := range []int{1, 5, 8, 12, 25, 40, 101, 128, 640, 96 * 5, 2 * 3 * 7, 163840} {
+		p, err := NewPlan(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := randomVec(n, int64(n))
+		w := randomVec(n, int64(n)+1)
+		full := make([]complex128, n)
+		p.Forward(full, src)
+		for _, keep := range []int{0, 1, n * 4 / 5, n - 1, n} {
+			if keep < 0 {
+				continue
+			}
+			got := make([]complex128, keep)
+			p.ForwardDemod(got, append([]complex128(nil), src...), w[:keep])
+			for k := range got {
+				if want := full[k] * w[k]; !sameBits(got[k], want) {
+					t.Fatalf("n %d keep %d: dst[%d] = %v, Forward·w %v", n, keep, k, got[k], want)
+				}
+			}
+		}
+	}
+	p, _ := NewPlan(10)
+	for name, call := range map[string]func(){
+		"short src": func() { p.ForwardDemod(make([]complex128, 4), make([]complex128, 9), make([]complex128, 4)) },
+		"long dst":  func() { p.ForwardDemod(make([]complex128, 11), make([]complex128, 10), make([]complex128, 11)) },
+		"short w":   func() { p.ForwardDemod(make([]complex128, 4), make([]complex128, 10), make([]complex128, 3)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			call()
+		}()
+	}
+}
+
 func TestInverseInPlace(t *testing.T) {
 	n := 96
 	p, _ := NewPlan(n)

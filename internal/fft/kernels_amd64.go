@@ -22,11 +22,14 @@ func stage5LanesAVX2(x, y, tw *complex128, s, m, count int)
 func stage4LanesAVX2(x, y, tw *complex128, s, m, count int)
 
 //go:noescape
+func stage5DemodAVX2(x, dst, tw, w *complex128, s, pairs, rows int)
+
+//go:noescape
 func dft8PairAVX2(dst, src *complex128, pairs, rowStride, elemStride int)
 
 func init() {
 	if HasAVX2() {
 		lanes8, lanes5, lanes4 = stage8LanesAVX2, stage5LanesAVX2, stage4LanesAVX2
-		first8, dft8Pair = stage8FirstAVX2, dft8PairAVX2
+		first8, dft8Pair, demod5 = stage8FirstAVX2, dft8PairAVX2, stage5DemodAVX2
 	}
 }

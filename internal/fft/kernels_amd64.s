@@ -377,6 +377,101 @@ lane5:
 	VZEROUPPER
 	RET
 
+// WMUL multiplies z by the per-lane factors at wp, clobbering ta and tb:
+// (zr·wr − zi·wi, zr·wi + zi·wr), each product rounded before the
+// add/subtract as in Go's complex multiply.
+#define WMUL(wp, z, ta, tb) \
+	VMOVUPD   wp, ta     \
+	VMOVDDUP  z, tb      \
+	VMULPD    ta, tb, tb \
+	VPERMILPD $5, ta, ta \
+	VPERMILPD $0xF, z, z \
+	VMULPD    ta, z, z   \
+	VADDSUBPD z, tb, z
+
+// func stage5DemodAVX2(x, dst, tw, w *complex128, s, pairs, rows int)
+//
+// stage5LanesAVX2 at m = 1 (one sub-block: inputs and outputs both 16·s
+// bytes apart, in R8) with each output multiplied by its w before it is
+// stored and outputs u ≥ rows not stored at all. R10 walks w beside DI.
+TEXT ·stage5DemodAVX2(SB), NOSPLIT, $0-56
+	MOVQ x+0(FP), SI
+	MOVQ dst+8(FP), DI
+	MOVQ tw+16(FP), DX
+	MOVQ w+24(FP), R10
+	MOVQ s+32(FP), R8
+	MOVQ pairs+40(FP), CX
+	MOVQ rows+48(FP), AX
+	SHLQ $4, R8
+	LEAQ (R8)(R8*2), R9
+	VMOVUPD      signOdd<>(SB), Y15
+	VBROADCASTSD ·radix5Consts+0(SB), Y12  // c1
+	VBROADCASTSD ·radix5Consts+8(SB), Y13  // s1
+	VBROADCASTSD ·radix5Consts+16(SB), Y14 // c2
+	VBROADCASTSD ·radix5Consts+24(SB), Y11 // s2
+demod5:
+	VMOVUPD (SI), Y0
+	VMOVUPD (SI)(R8*1), Y1
+	VMOVUPD (SI)(R8*2), Y2
+	VMOVUPD (SI)(R9*1), Y3
+	VMOVUPD (SI)(R8*4), Y4
+	VADDPD  Y4, Y1, Y5 // t1 = a1+a4
+	VSUBPD  Y4, Y1, Y1 // t3 = a1−a4
+	VADDPD  Y3, Y2, Y6 // t2 = a2+a3
+	VSUBPD  Y3, Y2, Y2 // t4 = a2−a3
+	VADDPD  Y5, Y0, Y3
+	VADDPD  Y6, Y3, Y3 // out0 = a0+t1+t2
+	WMUL((R10), Y3, Y7, Y8)
+	VMOVUPD Y3, (DI)
+	VMULPD  Y12, Y5, Y3
+	VADDPD  Y3, Y0, Y3
+	VMULPD  Y14, Y6, Y4
+	VADDPD  Y4, Y3, Y3 // m1 = a0 + c1·t1 + c2·t2
+	VMULPD  Y14, Y5, Y4
+	VADDPD  Y4, Y0, Y4
+	VMULPD  Y12, Y6, Y7
+	VADDPD  Y7, Y4, Y4 // m2 = a0 + c2·t1 + c1·t2
+	VMULPD  Y13, Y1, Y5
+	VMULPD  Y11, Y2, Y6
+	VADDPD  Y6, Y5, Y5 // u = s1·t3 + s2·t4
+	VMULPD  Y11, Y1, Y6
+	VMULPD  Y13, Y2, Y7
+	VSUBPD  Y7, Y6, Y6 // v = s2·t3 − s1·t4
+	NEGI(Y5)           // n1 = −i·u
+	NEGI(Y6)           // n2 = −i·v
+	VADDPD  Y5, Y3, Y0 // m1+n1
+	VSUBPD  Y5, Y3, Y3 // m1−n1
+	VADDPD  Y6, Y4, Y1 // m2+n2
+	VSUBPD  Y6, Y4, Y4 // m2−n2
+	CMPQ    AX, $2
+	JLT     next5
+	TWMUL(0, Y0, Y7, Y8)
+	WMUL((R10)(R8*1), Y0, Y7, Y8)
+	VMOVUPD Y0, (DI)(R8*1)
+	CMPQ    AX, $3
+	JLT     next5
+	TWMUL(16, Y1, Y9, Y10)
+	WMUL((R10)(R8*2), Y1, Y9, Y10)
+	VMOVUPD Y1, (DI)(R8*2)
+	CMPQ    AX, $4
+	JLT     next5
+	TWMUL(32, Y4, Y7, Y8)
+	WMUL((R10)(R9*1), Y4, Y7, Y8)
+	VMOVUPD Y4, (DI)(R9*1)
+	CMPQ    AX, $5
+	JLT     next5
+	TWMUL(48, Y3, Y9, Y10)
+	WMUL((R10)(R8*4), Y3, Y9, Y10)
+	VMOVUPD Y3, (DI)(R8*4)
+next5:
+	ADDQ $32, SI
+	ADDQ $32, DI
+	ADDQ $32, R10
+	DECQ CX
+	JNZ  demod5
+	VZEROUPPER
+	RET
+
 // PAIRLOAD loads element t of the two rows at SI into the halves of y
 // (x is its low half).
 #define PAIRLOAD(t, x, y) \

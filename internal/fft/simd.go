@@ -26,6 +26,13 @@ var (
 	// two rows to a vector, and stores output u of row i at
 	// dst[u·elemStride + i·rowStride]. Go twin: codelet8.
 	dft8Pair func(dst, src *complex128, pairs, rowStride, elemStride int)
+
+	// demod5 runs 2·pairs lanes of a plan's last radix-5 pass (m = 1),
+	// two lanes to a vector, storing output u of lane q times w[q+s·u]
+	// at dst[q+s·u] for u < rows; x, dst and w point at the first lane's
+	// x[q], dst[q] and w[q], tw at the pass's four twiddles. Go twin:
+	// stageRadix5Demod.
+	demod5 func(x, dst, tw, w *complex128, s, pairs, rows int)
 )
 
 // Kernel names the butterfly kernels this process runs for the passes

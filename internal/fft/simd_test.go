@@ -12,9 +12,9 @@ import (
 // Nothing in this package's tests runs in parallel, so the swap is not
 // shared.
 func useGoKernels(tb testing.TB) {
-	l8, l5, l4, f8, d8 := lanes8, lanes5, lanes4, first8, dft8Pair
-	lanes8, lanes5, lanes4, first8, dft8Pair = nil, nil, nil, nil, nil
-	tb.Cleanup(func() { lanes8, lanes5, lanes4, first8, dft8Pair = l8, l5, l4, f8, d8 })
+	l8, l5, l4, f8, d8, m5 := lanes8, lanes5, lanes4, first8, dft8Pair, demod5
+	lanes8, lanes5, lanes4, first8, dft8Pair, demod5 = nil, nil, nil, nil, nil, nil
+	tb.Cleanup(func() { lanes8, lanes5, lanes4, first8, dft8Pair, demod5 = l8, l5, l4, f8, d8, m5 })
 }
 
 // sameBits reports whether two complex values carry the same float64
@@ -110,6 +110,31 @@ func stageCase(rng *rand.Rand, r, s, m, lo, hi, off int, payload string, goK sta
 	return nil
 }
 
+// demodCase runs a last radix-5 pass (m = 1) of lane count s that keeps
+// n outputs through lastPassDemod (the seam) and, as the definition,
+// through stageRadix5 followed by the multiply, on slices off elements
+// into their allocation; the cell past dst must keep its sentinel.
+func demodCase(rng *rand.Rand, s, n, off int, payload string) error {
+	st := &stage{radix: 5, m: 1, s: s, tw: make([]complex128, off+4)[off:]}
+	fill(rng, st.tw, payload)
+	x := make([]complex128, off+5*s)[off:]
+	fill(rng, x, payload)
+	w := make([]complex128, off+n)[off:]
+	fill(rng, w, payload)
+	y := make([]complex128, 5*s)
+	stageRadix5(st, x, y, 0, 1)
+	want := make([]complex128, n+1)
+	mulInto(want[:n], y, w)
+	got := make([]complex128, off+n+1)[off:]
+	got[n], want[n] = complex(7, -7), complex(7, -7)
+	lastPassDemod(st, x, nil, got[:n], w)
+	if i := firstBitDiff(got, want); i >= 0 {
+		return fmt.Errorf("demod s %d n %d off %d %s: dst[%d] = %v, stageRadix5·w %v",
+			s, n, off, payload, i, got[i], want[i])
+	}
+	return nil
+}
+
 // TestStageKernelsMatchGo is the bit-identity table of the lane seam:
 // whatever applyStageRange runs for a (radix, s) must return the Go
 // kernel's bits, over lane counts from one vector to segment size,
@@ -139,6 +164,22 @@ func TestStageKernelsMatchGo(t *testing.T) {
 								t.Fatal(err)
 							}
 						}
+					}
+				}
+			}
+		}
+	}
+	// The demodulating last pass: every partial output count around the
+	// row boundaries, odd lane counts (a Go tail lane) included.
+	for _, s := range []int{1, 2, 3, 8, 9, 64, 4096} {
+		for _, n := range []int{0, 1, s - 1, s, s + 1, 4*s - 1, 4 * s, 4*s + 1, 5*s - 1, 5 * s} {
+			if n < 0 || n > 5*s {
+				continue
+			}
+			for off := 0; off < 2; off++ {
+				for _, payload := range payloads {
+					if err := demodCase(rng, s, n, off, payload); err != nil {
+						t.Fatal(err)
 					}
 				}
 			}
@@ -190,6 +231,22 @@ func TestStageLanesRejectsShortSlices(t *testing.T) {
 		"first: short tw": func() { st, x, y := full(); st.s = 1; st.m = n / r; stageFirst8(st, x, y, 0, n/r) },
 		"short src": func() {
 			dft8Rows(make([]complex128, 32), make([]complex128, 31), 4, 8, 1)
+		},
+		"demod: short x": func() {
+			st := &stage{radix: 5, m: 1, s: 4, tw: make([]complex128, 4)}
+			stageRadix5DemodRange(st, make([]complex128, 19), make([]complex128, 16), make([]complex128, 16), 0, 4, 4)
+		},
+		"demod: short dst": func() {
+			st := &stage{radix: 5, m: 1, s: 4, tw: make([]complex128, 4)}
+			stageRadix5DemodRange(st, make([]complex128, 20), make([]complex128, 15), make([]complex128, 16), 0, 4, 4)
+		},
+		"demod: short w": func() {
+			st := &stage{radix: 5, m: 1, s: 4, tw: make([]complex128, 4)}
+			stageRadix5DemodRange(st, make([]complex128, 20), make([]complex128, 16), make([]complex128, 15), 0, 4, 4)
+		},
+		"demod: short tw": func() {
+			st := &stage{radix: 5, m: 1, s: 4, tw: make([]complex128, 3)}
+			stageRadix5DemodRange(st, make([]complex128, 20), make([]complex128, 16), make([]complex128, 16), 0, 4, 4)
 		},
 		"short dst": func() {
 			dft8Rows(make([]complex128, 7*10+3), make([]complex128, 32), 4, 1, 10)
@@ -324,7 +381,7 @@ func TestPlansBitIdenticalAcrossKernels(t *testing.T) {
 	if testing.Short() {
 		sizes = []int{8, 64, 640, 2560, 8 * 3 * 5 * 7}
 	}
-	type result struct{ fwd, par, batch, scat []complex128 }
+	type result struct{ fwd, par, demod, batch, scat []complex128 }
 	const count = 3
 	run := func(n int, src []complex128) result {
 		p, err := NewPlan(n)
@@ -337,6 +394,8 @@ func TestPlansBitIdenticalAcrossKernels(t *testing.T) {
 		}
 		p.Forward(r.fwd, src[:n])
 		p.ForwardParallel(r.par, src[:n], 3)
+		r.demod = make([]complex128, n*4/5)
+		p.ForwardDemod(r.demod, append([]complex128(nil), src[:n]...), randomVec(len(r.demod), int64(n)+21))
 		if n <= 2560 {
 			p.Batch(r.batch, src, count)
 			p.BatchScatter(r.scat, src, count, count)
@@ -352,7 +411,7 @@ func TestPlansBitIdenticalAcrossKernels(t *testing.T) {
 			want = run(n, src)
 		}()
 		for name, pair := range map[string][2][]complex128{
-			"Forward": {got.fwd, want.fwd}, "ForwardParallel": {got.par, want.par},
+			"Forward": {got.fwd, want.fwd}, "ForwardParallel": {got.par, want.par}, "ForwardDemod": {got.demod, want.demod},
 			"Batch": {got.batch, want.batch}, "BatchScatter": {got.scat, want.scat},
 		} {
 			if i := firstBitDiff(pair[0], pair[1]); i >= 0 {
@@ -374,6 +433,7 @@ func TestKernelNamesDispatch(t *testing.T) {
 	}
 	for name, set := range map[string]bool{
 		"lanes5": lanes5 != nil, "lanes4": lanes4 != nil, "first8": first8 != nil, "dft8Pair": dft8Pair != nil,
+		"demod5": demod5 != nil,
 	} {
 		if set != (lanes8 != nil) {
 			t.Errorf("dispatch variables disagree: lanes8 set %v, %s set %v", lanes8 != nil, name, set)
@@ -413,6 +473,10 @@ func FuzzStageKernelsMatchGo(f *testing.F) {
 		}
 		count := int(lanes) % 40
 		if err := batchCase(rng, p8, count, count+int(blocks), off, pl); err != nil {
+			t.Fatal(err)
+		}
+		// The demodulating last pass keeps any prefix of the 5·s outputs.
+		if err := demodCase(rng, s, (int(lo)<<8|int(hi))%(5*s+1), off, pl); err != nil {
 			t.Fatal(err)
 		}
 	})

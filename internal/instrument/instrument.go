@@ -77,6 +77,8 @@ const (
 	// StageSegmentFFT is the per-segment F_M' batch.
 	StageSegmentFFT
 	// StageDemod is the projection to M entries and Ŵ⁻¹ demodulation.
+	// The transforms fuse it into the last F_M' pass, so it carries
+	// calls and flops and its wall is StageSegmentFFT's.
 	StageDemod
 
 	// NumStages is the stage count (for iteration).

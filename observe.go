@@ -58,7 +58,10 @@ func (p *Plan) InstrumentationLevel() InstrumentLevel {
 // StageReport is the accumulated observation of one pipeline stage.
 type StageReport struct {
 	// Stage is the stable stage identifier: "halo", "convolve",
-	// "exchange", "segment_fft" or "demod", in pipeline order.
+	// "exchange", "segment_fft" or "demod", in pipeline order. The
+	// demodulation runs inside the last pass of each segment FFT, so
+	// "demod" books its calls and flops with zero wall: its time is in
+	// "segment_fft".
 	Stage string
 	// Calls counts stage executions (one per transform that ran it).
 	Calls int64
