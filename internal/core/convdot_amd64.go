@@ -13,7 +13,7 @@ func convRowAVX2(out *complex128, h, x, ph *float64, taps, lanes int)
 func splitBlocksAVX2(dst *float64, src *complex128, blocks, lanes int, sign uint64)
 
 func init() {
-	if fft.HasAVX2() { // the repository's one CPUID routine lives beside the FFT kernels
+	if fft.HasAVX2FMA() { // the repository's one CPUID routine lives beside the FFT kernels
 		convRow8, splitBlocks = convRowAVX2, splitBlocksAVX2
 	}
 }

@@ -6,38 +6,34 @@
 // hb (two loads) multiply the eight staged reals at xr (a0, a1) and the
 // eight staged imaginaries at xi (a2, a3) as they lie — no shuffle. CX
 // is the tap's byte offset into h and half its offset into x, whose
-// taps lie twice as far apart. Multiply then add, never fused: the Go
-// kernel rounds the product too.
+// taps lie twice as far apart. Each multiply-add is one fused
+// VFMADD231PD, rounded once, exactly as the Go kernel's math.FMA.
 #define MAC(hb, xr, xi, a0, a1, a2, a3) \
-	VMOVUPD (hb)(CX*1), Y8          \
-	VMOVUPD 32(hb)(CX*1), Y9        \
-	VMULPD  (xr)(CX*2), Y8, Y10     \
-	VMULPD  32(xr)(CX*2), Y9, Y11   \
-	VMULPD  (xi)(CX*2), Y8, Y12     \
-	VMULPD  32(xi)(CX*2), Y9, Y13   \
-	VADDPD  Y10, a0, a0             \
-	VADDPD  Y11, a1, a1             \
-	VADDPD  Y12, a2, a2             \
-	VADDPD  Y13, a3, a3
+	VMOVUPD     (hb)(CX*1), Y8          \
+	VMOVUPD     32(hb)(CX*1), Y9        \
+	VFMADD231PD (xr)(CX*2), Y8, a0      \
+	VFMADD231PD 32(xr)(CX*2), Y9, a1    \
+	VFMADD231PD (xi)(CX*2), Y8, a2      \
+	VFMADD231PD 32(xi)(CX*2), Y9, a3
 
 // PHASE multiplies four lanes' sums (reals in re, imaginaries in im) by
 // their phases (reals at off(BX), imaginaries R8 bytes further on):
-// (re·pr − im·pi, re·pi + im·pr), each product rounded before the
-// add/subtract exactly as in the Go kernel. It then interleaves the
-// split results into four complex values, stored at o0(DI) and o1(DI).
+// re·pr − im·pi as im·pi rounded, then re·pr − that fused
+// (VFMSUB231PD), and re·pi + im·pr as im·pr rounded, then re·pi + that
+// fused (VFMADD231PD) — the Go kernel's two math.FMA calls. It then
+// interleaves the split results into four complex values, stored at
+// o0(DI) and o1(DI).
 #define PHASE(off, o0, o1, re, im) \
-	VMULPD     off(BX), re, Y8        \
-	VMULPD     off(BX)(R8*1), im, Y9  \
-	VSUBPD     Y9, Y8, Y8             \
-	VMULPD     off(BX)(R8*1), re, Y10 \
-	VMULPD     off(BX), im, Y11       \
-	VADDPD     Y11, Y10, Y10          \
-	VUNPCKLPD  Y10, Y8, Y12           \
-	VUNPCKHPD  Y10, Y8, Y13           \
-	VPERM2F128 $0x20, Y13, Y12, Y14   \
-	VPERM2F128 $0x31, Y13, Y12, Y15   \
-	VMOVUPD    Y14, o0(DI)            \
-	VMOVUPD    Y15, o1(DI)
+	VMULPD      off(BX)(R8*1), im, Y8  \
+	VFMSUB231PD off(BX), re, Y8        \
+	VMULPD      off(BX), im, Y10       \
+	VFMADD231PD off(BX)(R8*1), re, Y10 \
+	VUNPCKLPD   Y10, Y8, Y12           \
+	VUNPCKHPD   Y10, Y8, Y13           \
+	VPERM2F128  $0x20, Y13, Y12, Y14   \
+	VPERM2F128  $0x31, Y13, Y12, Y15   \
+	VMOVUPD     Y14, o0(DI)            \
+	VMOVUPD     Y15, o1(DI)
 
 // func convRowAVX2(out *complex128, h, x, ph *float64, taps, lanes int)
 //

@@ -21,8 +21,9 @@ func useGoKernel(tb testing.TB) {
 
 // convDotGo is the bit reference of every convolution kernel, on
 // interleaved complex operands: out[i] = ph[i] · Σ_b h[b·lanes+i]·x[b·lanes+i],
-// even and odd taps in two accumulator pairs added once at the end, each
-// product rounded before its add.
+// even and odd taps in two accumulator pairs added once at the end,
+// each tap's multiply-add fused into one rounding, and each phase
+// component one rounded product fused with the other (see convRowGo).
 func convDotGo(out []complex128, h []float64, x, ph []complex128, lanes int) {
 	n := len(h)
 	if len(x) != n {
@@ -34,20 +35,20 @@ func convDotGo(out []complex128, h []float64, x, ph []complex128, lanes int) {
 		k := i
 		for ; k+lanes < n; k += step {
 			h0, x0 := h[k], x[k]
-			re0 += h0 * real(x0)
-			im0 += h0 * imag(x0)
+			re0 = math.FMA(h0, real(x0), re0)
+			im0 = math.FMA(h0, imag(x0), im0)
 			h1, x1 := h[k+lanes], x[k+lanes]
-			re1 += h1 * real(x1)
-			im1 += h1 * imag(x1)
+			re1 = math.FMA(h1, real(x1), re1)
+			im1 = math.FMA(h1, imag(x1), im1)
 		}
 		if k < n {
 			h0, x0 := h[k], x[k]
-			re0 += h0 * real(x0)
-			im0 += h0 * imag(x0)
+			re0 = math.FMA(h0, real(x0), re0)
+			im0 = math.FMA(h0, imag(x0), im0)
 		}
 		p := ph[i]
 		re, im := re0+re1, im0+im1
-		out[i] = complex(re*real(p)-im*imag(p), re*imag(p)+im*real(p))
+		out[i] = complex(math.FMA(re, real(p), -(im*imag(p))), math.FMA(re, imag(p), im*real(p)))
 	}
 }
 
@@ -148,6 +149,78 @@ func TestConvDotMatchesGo(t *testing.T) {
 						t.Fatalf("special %v: %v", special, err)
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestConvRowFuses pins where the convolution rounds, against bits worked
+// out by hand rather than against another kernel, so a kernel that drops
+// the fused multiply-add fails here by name, even when the assembly and
+// its Go twin drop it together. With a = 1+2⁻²⁷ and b = 1−2⁻²⁷,
+// a·b = 1−2⁻⁵⁴ rounds to 1 on its own, so fma(a, b, −1) = −2⁻⁵⁴ where
+// round(a·b) − 1 = 0. The MAC lanes seed an accumulator with −1 through
+// an earlier tap of the same set (and pass the sum through the phase 1
+// exactly); the phase lanes pass one tap through exactly and put the
+// cancellation in the phase multiply, where the contract fuses re·pr
+// and re·pi and rounds im·pi and im·pr.
+func TestConvRowFuses(t *testing.T) {
+	const a, b, d = 1 + 0x1p-27, 1 - 0x1p-27, -0x1p-54
+	type lane struct {
+		name       string
+		h          []float64
+		x          []complex128
+		ph, want   complex128
+		mulThenAdd complex128 // what rounding every product before its add returns
+	}
+	phase := []lane{
+		{"phase re·pr fused", []float64{1}, []complex128{complex(a, 1)}, complex(b, 1), complex(d, 2), complex(0, 2)},
+		{"phase im·pi rounded", []float64{1}, []complex128{complex(1, a)}, complex(1, b), complex(0, 2), complex(0, 2)},
+		{"phase re·pi fused", []float64{1}, []complex128{complex(a, -1)}, complex(1, b), complex(2, d), complex(2, 0)},
+		{"phase im·pr rounded", []float64{1}, []complex128{complex(1, a)}, complex(b, -1), complex(2, 0), complex(2, 0)},
+	}
+	even := lane{"even-set tap MAC", []float64{1, 0, a, 0}, []complex128{-1 - 1i, 0, complex(b, b), 0}, 1, complex(d, d), 0}
+	odd := lane{"odd-set tap MAC", []float64{0, 1, 0, a}, []complex128{0, -1 - 1i, 0, complex(b, b)}, 1, complex(d, d), 0}
+	tail := lane{"odd-tail tap MAC", []float64{1, 0, a}, []complex128{-1 - 1i, 0, complex(b, b)}, 1, complex(d, d), 0}
+	rows := []struct {
+		taps  int
+		lanes []lane
+	}{
+		{4, append([]lane{even, odd}, append(phase, even, odd)...)},
+		{3, append([]lane{tail}, append(phase, tail, tail, tail)...)},
+	}
+	const lanes = 8
+	for _, row := range rows {
+		h := make([]float64, row.taps*lanes)
+		x := make([]complex128, row.taps*lanes)
+		ph := make([]complex128, lanes)
+		for i, l := range row.lanes {
+			for k := range l.h {
+				h[k*lanes+i], x[k*lanes+i] = l.h[k], l.x[k]
+			}
+			ph[i] = l.ph
+		}
+		xs, phs := splitOf(x, ph, lanes, 0)
+		for _, k := range []struct {
+			name string
+			run  func(out []complex128)
+		}{
+			{"convRow (" + ConvolveKernel() + ")", func(out []complex128) { convRow(out, h, xs, phs, row.taps, lanes) }},
+			{"convRowGo", func(out []complex128) { convRowGo(out, h, xs, phs, lanes) }},
+			{"convDotGo", func(out []complex128) { convDotGo(out, h, x, ph, lanes) }},
+		} {
+			out := make([]complex128, lanes)
+			k.run(out)
+			for i, l := range row.lanes {
+				if sameBits(out[i], l.want) {
+					continue
+				}
+				how := ""
+				if sameBits(out[i], l.mulThenAdd) {
+					how = ", the bits of a product rounded before its add"
+				}
+				t.Errorf("%s taps %d lane %d (%s) = %v, want %v%s: the convolution's bit contract fuses every tap's multiply-add and the phase's re·pr and re·pi products with their add/subtract (math.FMA in convRowGo), and no other product",
+					k.name, row.taps, i, l.name, out[i], l.want, how)
 			}
 		}
 	}

@@ -5,9 +5,11 @@
 // AVX2 forms of the hot butterflies. A YMM register holds two complex128
 // values (re, im, re, im): two adjacent lanes q, q+1 of a Stockham pass,
 // or one element from each of two rows of a DFT-8 batch. Every kernel
-// returns the bits of its Go twin in kernels.go / codelet.go: products
-// are rounded before they are added (no FMA) and every sum associates as
-// the Go source does. The Go wrappers in simd.go are the only callers and
+// returns the bits of its Go twin in kernels.go / codelet.go / demod.go:
+// the repository's kernels fuse a multiply and an add only where the Go
+// twin calls math.FMA, and these twins never do, so every product here
+// is rounded before it is added and every sum associates as the Go
+// source does. The Go wrappers in simd.go are the only callers and
 // the only bounds checks.
 
 // Sign bit of the imaginary (odd) elements.
@@ -31,11 +33,12 @@ DATA rtConj<>+16(SB)/8, $0x3FE6A09E667F3BCD
 DATA rtConj<>+24(SB)/8, $0xBFE6A09E667F3BCD
 GLOBL rtConj<>(SB), RODATA|NOPTR, $32
 
-// func HasAVX2() bool
+// func HasAVX2FMA() bool
 //
-// AVX2 is usable when the CPU reports it (CPUID.7.0:EBX bit 5) and the OS
-// saves the YMM state (CPUID.1:ECX OSXSAVE+AVX, then XCR0 bits 1 and 2).
-TEXT ·HasAVX2(SB), NOSPLIT, $0-1
+// AVX2 and FMA are usable when the CPU reports them (CPUID.7.0:EBX bit 5,
+// CPUID.1:ECX bit 12) and the OS saves the YMM state (CPUID.1:ECX
+// OSXSAVE+AVX, then XCR0 bits 1 and 2).
+TEXT ·HasAVX2FMA(SB), NOSPLIT, $0-1
 	MOVL $0, AX
 	MOVL $0, CX
 	CPUID
@@ -44,8 +47,8 @@ TEXT ·HasAVX2(SB), NOSPLIT, $0-1
 	MOVL $1, AX
 	MOVL $0, CX
 	CPUID
-	ANDL $0x18000000, CX // OSXSAVE | AVX
-	CMPL CX, $0x18000000
+	ANDL $0x18001000, CX // OSXSAVE | AVX | FMA
+	CMPL CX, $0x18001000
 	JNE  no
 	MOVL $0, CX
 	XGETBV
