@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"soifft/internal/core"
+	"soifft/internal/exch"
 )
 
 // Times records one rank's phase breakdown; Exchanges is the total time
@@ -86,7 +87,7 @@ func Transpose(c core.Comm, local []complex128, n1, n2 int) ([]complex128, error
 		}
 	}
 	recv := make([]complex128, rn1*n2)
-	if err := c.AlltoallInto(recv, send, rn1*rn2); err != nil {
+	if err := exch.Alltoall(c, recv, send, rn1*rn2); err != nil {
 		return nil, fmt.Errorf("baseline: transpose %dx%d: %w", n1, n2, err)
 	}
 	out := make([]complex128, rn2*n1)

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"soifft/internal/core"
+	"soifft/internal/exch"
 	"soifft/internal/fft"
 )
 
@@ -92,7 +93,7 @@ func (BinaryExchange) Transform(c core.Comm, localOut, localIn []complex128, n i
 	// Element q of cur is y[q·R + br]; destination rank is (q·R+br)/nLocal
 	// = q/qPer, so contiguous q-ranges map to ranks in order: cur is
 	// already packed correctly for an equal-count all-to-all.
-	if err := c.AlltoallInto(other, cur, qPer); err != nil {
+	if err := exch.Alltoall(c, other, cur, qPer); err != nil {
 		return tm, fmt.Errorf("baseline: binexchange final all-to-all: %w", err)
 	}
 	for src := 0; src < r; src++ {

@@ -12,10 +12,9 @@ import (
 )
 
 // Coded-exchange tags live in a far negative band of their own, away
-// from the collective tags of both transports (mpi: -1..-6; mpinet:
-// -4..-7) and the positive halo band.
+// from the collective tags of both transports (-4..-7) and the positive
+// halo band.
 const (
-	tagCodedData    = -1000 // the all-to-all data chunk C_{src→dst}
 	tagCodedParity  = -1001 // parity share i of a source's codeword: tagCodedParity - i
 	tagCodedView    = -1100 // post-exchange liveness/receipt masks
 	tagCodedAgree   = -1101 // dead-set agreement masks
@@ -103,10 +102,9 @@ func ValidateCoded(r, m int) error {
 // RunDistributed(..., WithCoding(m)): each rank encodes its R outgoing
 // chunks (its own included) into m parity shares over GF(2^8) and fans
 // data plus parity across its peers, so the transform survives rank
-// deaths mid-exchange. Phases 1–2, the coded exchange (blocking fan-out,
-// or streamed tile fan-out when an async window is configured),
-// detection/recovery, then phase 4 with output takeover on the
-// coordinator.
+// deaths mid-exchange. Phases 1–2 fanned out through the exchange
+// stream, parity, detection/recovery, then phase 4 with output takeover
+// on the coordinator.
 //
 // Outcomes:
 //   - no loss: identical to the uncoded run, bit for bit, at a wire cost
@@ -144,24 +142,9 @@ func (pl *Plan) runCoded(ctx context.Context, c Comm, cfg distOptions, localOut,
 	if e.rec.On() { // match the uncoded path: count only when observing
 		cx.rec = e.rec
 	}
-	var deg *DegradedError
-	if e.window > 0 {
-		deg, err = cx.runStreamed(ctx, localIn)
-		if err != nil {
-			return e.dt, err
-		}
-	} else {
-		if _, err = e.produce(ctx, nil, []int{0, e.ws.jMid, e.bpr}, localIn, nil); err != nil {
-			return e.dt, err
-		}
-		t0 := time.Now()
-		e.tr.Begin(e.tid, e.rank, instrument.StageExchange.String())
-		deg, err = cx.run()
-		e.dt.Exchange = time.Since(t0)
-		e.tr.End(e.tid, e.rank, instrument.StageExchange.String())
-		if err != nil {
-			return e.dt, err
-		}
+	deg, err := cx.exchange(ctx, localIn)
+	if err != nil {
+		return e.dt, err
 	}
 	if err := ctx.Err(); err != nil {
 		return e.dt, err
@@ -229,17 +212,6 @@ func (cx *codedExchange) column(d, src int) []complex128 {
 
 func (cx *codedExchange) markDead(rank int) { cx.dead[rank] = true }
 
-// setup initializes the per-rank exchange state shared by the blocking
-// and streamed fan-outs.
-func (cx *codedExchange) setup() {
-	r, ws := cx.e.r, cx.e.ws
-	ws.parityIn = grown(ws.parityIn, cx.m*cx.e.chunk)
-	cx.recv = make([][]complex128, r)
-	cx.parityIn = make(map[int][]complex128)
-	cx.dead = make([]bool, r)
-	cx.masks = make([]uint64, r)
-}
-
 // codeStripElems is the strip length of the parity encode: the shares'
 // byte images are produced and coded a strip at a time, so the scratch is
 // (R+m)·64 KiB of cache-resident bytes instead of a second copy of the
@@ -288,9 +260,7 @@ func (cx *codedExchange) encodeParity() (*erasure.Code, [][]complex128, error) {
 	return code, parityOut, nil
 }
 
-// sendParity ships parity share i to rank+1+i (the blocking and streamed
-// fan-outs share it; on the streamed path the per-link FIFO places these
-// frames after every data tile, so receivers drain the stream first).
+// sendParity ships parity share i to rank+1+i.
 func (cx *codedExchange) sendParity(parityOut [][]complex128) {
 	e, c := cx.e, cx.c
 	for i := 0; i < cx.m; i++ {
@@ -304,9 +274,8 @@ func (cx *codedExchange) sendParity(parityOut [][]complex128) {
 	cx.rec.CountParityBytes(cx.parityBytes)
 }
 
-// fanOutParity encodes and ships this rank's parity shares — the shared
-// tail of the blocking and streamed data fan-outs — then passes the
-// chaos failpoint.
+// fanOutParity encodes and ships this rank's parity shares, after the
+// data fan-out, then passes the chaos failpoint.
 func (cx *codedExchange) fanOutParity() (*erasure.Code, error) {
 	code, parityOut, err := cx.encodeParity()
 	if err != nil {
@@ -317,56 +286,6 @@ func (cx *codedExchange) fanOutParity() (*erasure.Code, error) {
 		return code, fp(cx.e.rank)
 	}
 	return code, nil
-}
-
-// run executes the blocking coded exchange: encode, fan out, detect, and
-// (when needed and possible) recover. On success every survivor's own
-// column is complete; a non-nil *DegradedError reports reconstructions.
-func (cx *codedExchange) run() (*DegradedError, error) {
-	e, c := cx.e, cx.c
-	r, rank, chunk, rec := e.r, e.rank, e.chunk, cx.rec
-	cx.setup()
-	cx.recv[rank] = e.chunkOf(rank)
-
-	// Fan out: data chunk to every peer, parity share i to rank+1+i. A
-	// send failure means the peer is already dead; note it and move on.
-	if rank == 0 {
-		rec.CountAlltoallOp()
-	}
-	rec.CountAlltoallBytes(int64(r-1) * int64(chunk) * 16)
-	for off := 1; off < r; off++ {
-		s := (rank + off) % r
-		if err := c.Send(s, tagCodedData, cx.send[s*chunk:(s+1)*chunk]); err != nil {
-			cx.markDead(s)
-		}
-	}
-	code, err := cx.fanOutParity()
-	if err != nil {
-		return nil, err
-	}
-
-	// Receive data (and the parity share each source addressed to us, if
-	// any) into the workspace, in the layout of every other exchange.
-	// Frame order per link is fixed — data, then parity — matching the
-	// fan-out. Receives are attempted even from peers already marked dead
-	// (e.g. because our send to them failed): a gracefully dying peer
-	// flushes its frames before the FIN and the transport keeps a dead
-	// link's queued frames readable, so the victim's contribution usually
-	// survives it; a dead link with nothing queued fails immediately,
-	// without a deadline wait. A frame the wrong size fails its receive
-	// like a dead link: the source is lost.
-	for off := 1; off < r; off++ {
-		src := (rank + off) % r
-		dst := e.chunkOf(src)
-		if err := c.RecvInto(dst, src, tagCodedData); err != nil {
-			cx.markDead(src)
-			continue
-		}
-		cx.recv[src] = dst
-		cx.recvParity(src)
-	}
-
-	return cx.detect(code, rec)
 }
 
 // recvParity receives the parity share src addressed to this rank, if
@@ -387,8 +306,7 @@ func (cx *codedExchange) recvParity(src int) {
 }
 
 // detect runs the view and agreement rounds over the received state and,
-// when losses are within budget, the recovery — the shared tail of the
-// blocking and streamed fan-outs.
+// when losses are within budget, the recovery.
 func (cx *codedExchange) detect(code *erasure.Code, rec *instrument.Recorder) (*DegradedError, error) {
 	e, m := cx.e, cx.m
 	r, rank := e.r, e.rank
@@ -464,25 +382,26 @@ func (cx *codedExchange) detect(code *erasure.Code, rec *instrument.Recorder) (*
 	return cx.recover(code, deadList)
 }
 
-// runStreamed executes the coded exchange over the streamed tile
-// fan-out: data tiles travel through the windowed chunk stream
-// (overlapped with convolution exactly as in the uncoded streamed path),
-// parity is encoded over the completed packed buffer after the produce
-// loop and ships on the usual parity tags — per-link FIFO places those
-// frames after every data tile, so a receiver drains the stream fully
-// and then finds the parity heading its mailboxes, the same per-link
-// order as the blocking fan-out. Detection and recovery are the shared
-// tail, so outcomes (clean, degraded bit-exact, typed loss) are
-// identical to the blocking coded exchange.
-func (cx *codedExchange) runStreamed(ctx context.Context, localIn []complex128) (deg *DegradedError, err error) {
-	e, r, rank, rec := cx.e, cx.e.r, cx.e.rank, cx.rec
-	cx.setup()
+// exchange executes the coded exchange: data chunks travel through the
+// exchange stream exactly as in the uncoded run, parity is encoded over
+// the completed packed buffer after the produce loop and ships on the
+// parity tags — per link the transports keep those frames apart from
+// the stream's — then detection and, within budget, recovery. On
+// success every survivor's own column is complete; a non-nil
+// *DegradedError reports reconstructions.
+func (cx *codedExchange) exchange(ctx context.Context, localIn []complex128) (deg *DegradedError, err error) {
+	e, rec := cx.e, cx.rec
+	r, rank, ws := e.r, e.rank, e.ws
+	ws.parityIn = grown(ws.parityIn, cx.m*e.chunk)
+	cx.recv = make([][]complex128, r)
+	cx.parityIn = make(map[int][]complex128)
+	cx.dead = make([]bool, r)
+	cx.masks = make([]uint64, r)
 
-	st, bounds, got, done := e.startStream()
+	st, got, done := e.startStream()
 	defer st.Close()
-	streamStart := time.Now()
 
-	// Remote tiles land in the workspace's per-source chunks; the
+	// Remote chunks land in the workspace's per-source chunks; the
 	// self-chunk aliases the packed send buffer once the producer
 	// finishes.
 	for src := 0; src < r; src++ {
@@ -490,10 +409,10 @@ func (cx *codedExchange) runStreamed(ctx context.Context, localIn []complex128) 
 	}
 
 	// Route around a dead destination; detection settles it.
-	sendWait, perr := e.produce(ctx, st, bounds, localIn, cx.markDead)
-	tExch := time.Now()
+	fan, perr := e.produce(ctx, st, localIn, cx.markDead)
+	prodDone := time.Now()
 	e.tr.Begin(e.tid, rank, instrument.StageExchange.String())
-	defer e.bookStream(streamStart, tExch, sendWait)
+	defer e.bookStream(fan, prodDone)
 	if perr != nil {
 		return nil, perr // context cancellation or a halo send failure
 	}
@@ -503,20 +422,20 @@ func (cx *codedExchange) runStreamed(ctx context.Context, localIn []complex128) 
 		return nil, err
 	}
 
-	// Drain fully before any parity receive: the stream's per-source
-	// receiver goroutines pop tile frames from the same per-link mailboxes
-	// the ordinary receives use, so the parity frames are safe to receive
-	// only once every receiver has delivered its last event.
+	// Drain fully before any parity receive, so a source whose stream
+	// failed is known dead before its parity is asked for.
 	<-done
 
-	// A source whose stream ended early lost tiles — a dead link, or a
-	// frame the wrong size for its slot: dead (its receiver may have left
-	// tile frames queued, so its parity is unreachable — skip it).
-	// Completed sources behave exactly as in the blocking receive loop, a
-	// gracefully dying peer's flushed tiles and parity included.
+	// A source whose stream ended early lost chunks — a dead link, or a
+	// frame the wrong size for its slot: dead, and its parity is skipped.
+	// Receives are attempted even from peers already marked dead (e.g.
+	// because our send to them failed): a gracefully dying peer flushes
+	// its frames before the FIN and the transport keeps a dead link's
+	// queued frames readable, so the victim's contribution usually
+	// survives it.
 	for off := 1; off < r; off++ {
 		src := (rank + off) % r
-		if got[src] < len(bounds)-1 {
+		if got[src] < len(e.chunks)-1 {
 			cx.recv[src] = nil
 			cx.markDead(src)
 			continue
@@ -575,7 +494,7 @@ func (cx *codedExchange) recover(code *erasure.Code, deadList []int) (*DegradedE
 	}
 	cx.decoded = make(map[int][][]complex128)
 	cx.columns = make(map[int][][]complex128)
-	base := cx.recoveryBytes // mask-round bytes, already booked by run()
+	base := cx.recoveryBytes // mask-round bytes, already booked by detect
 
 	var decodeErr error
 	for _, d := range deadList {

@@ -12,11 +12,6 @@ import (
 	"soifft/internal/trace"
 )
 
-// Tags used by the distributed driver.
-const (
-	tagHalo = 100
-)
-
 // Comm is the one transport contract of the distributed drivers, held
 // by *mpi.Comm (the in-process runtime) and *mpinet.Proc (TCP), so the
 // same SOI code runs over goroutines or over real sockets. It holds only
@@ -30,7 +25,6 @@ type Comm interface {
 	Send(to, tag int, data []complex128) error
 	RecvC(from, tag int) ([]complex128, error)
 	RecvInto(dst []complex128, from, tag int) error
-	AlltoallInto(recv, send []complex128, chunk int) error
 	Gather(root int, chunk []complex128) ([]complex128, error)
 	StartAlltoallv(o exch.Options) exch.Stream
 }
@@ -93,7 +87,7 @@ func (pl *Plan) ValidateDistributed(r int) error {
 // inter-rank contribution (self-copies excluded, matching what a fabric
 // would carry — summed over per-rank recorders, or accumulated in one
 // shared recorder, the total is 16·(1+β)·N·(R−1)/R bytes per SOI
-// transform, identical for the blocking and streamed exchanges). The
+// transform, whatever the window). The
 // collective op itself is counted once per world, on rank 0, mirroring
 // the mpi.World statistics convention. Receives forward by embedding.
 type countingComm struct {
@@ -115,14 +109,6 @@ func (cc *countingComm) Send(to, tag int, data []complex128) error {
 	return cc.Comm.Send(to, tag, data)
 }
 
-func (cc *countingComm) AlltoallInto(recv, send []complex128, chunk int) error {
-	if cc.Comm.Rank() == 0 {
-		cc.rec.CountAlltoallOp()
-	}
-	cc.rec.CountAlltoallBytes(int64(cc.Comm.Size()-1) * int64(chunk) * 16)
-	return cc.Comm.AlltoallInto(recv, send, chunk)
-}
-
 func (cc *countingComm) Gather(root int, chunk []complex128) ([]complex128, error) {
 	if cc.Comm.Rank() != root {
 		cc.rec.CountMessage(int64(len(chunk)) * 16)
@@ -130,12 +116,10 @@ func (cc *countingComm) Gather(root int, chunk []complex128) ([]complex128, erro
 	return cc.Comm.Gather(root, chunk)
 }
 
-// StartAlltoallv counts the chunked frames against the same analytic
-// budget as the blocking exchange: the op once on rank 0, and every
-// non-self chunk's payload at the sender. Summed over a stream, the
-// chunks partition exactly the blocking exchange's (R−1)·chunk elements,
-// so the live 3/(1+β) ratio check holds unchanged regardless of window
-// size.
+// StartAlltoallv counts the exchange against its analytic budget: the op
+// once on rank 0, and every non-self chunk's payload at the sender.
+// Summed over a stream, the chunks partition exactly (R−1)·chunk
+// elements, so the live 3/(1+β) ratio check holds whatever the window.
 func (cc *countingComm) StartAlltoallv(o exch.Options) exch.Stream {
 	if cc.Comm.Rank() == 0 {
 		cc.rec.CountAlltoallOp()
@@ -165,10 +149,10 @@ func (s *countedStream) Send(dst, idx int, data []complex128) error {
 //
 // Options select the exchange machinery without changing the spectrum
 // (all variants are bit-identical on a clean run):
-//   - WithAsyncWindow(w) streams the all-to-all in chunks, w in flight
-//     per link, overlapped with convolution — wire time hides behind
-//     compute, and the Exchange stage time reports only the un-hidden
-//     remainder;
+//   - WithAsyncWindow(w) streams the all-to-all in per-tile chunks, w in
+//     flight per link, overlapped with convolution — wire time hides
+//     behind compute, and the Exchange stage time reports only the
+//     un-hidden remainder;
 //   - WithCoding(m) erasure-protects the exchange so the transform
 //     survives up to m rank deaths; coding composes with
 //     WithAsyncWindow;
@@ -197,33 +181,18 @@ func (pl *Plan) runDistributed(ctx context.Context, c Comm, localOut, localIn []
 	return pl.runFlat(ctx, c, cfg, localOut, localIn)
 }
 
-// runFlat is the uncoded distributed transform: phases 1–2 and the single
-// all-to-all (blocking, or streamed and overlapped when an async window
-// is configured), then phase 4.
+// runFlat is the uncoded distributed transform: phases 1–2 fanned out
+// through the single all-to-all, then phase 4.
 func (pl *Plan) runFlat(ctx context.Context, c Comm, cfg distOptions, localOut, localIn []complex128) (DistributedTimes, error) {
 	e, err := pl.newDistExec(ctx, cfg, c, localOut, localIn)
 	if err != nil {
 		return DistributedTimes{}, err
 	}
 	// Phases 1–3: the single all-to-all (stride-P permutation
-	// P_perm^{P,N'}), blocking or streamed, leaves the per-source chunks
-	// where chunkOf finds them.
-	if e.window > 0 {
-		if err := e.exchangeStreamed(ctx, localIn); err != nil {
-			return e.dt, err
-		}
-	} else {
-		if _, err := e.produce(ctx, nil, []int{0, e.ws.jMid, e.bpr}, localIn, nil); err != nil {
-			return e.dt, err
-		}
-		t0 := time.Now()
-		e.tr.Begin(e.tid, e.rank, instrument.StageExchange.String())
-		err = e.c.AlltoallInto(e.ws.recv, e.ws.send, e.chunk)
-		e.dt.Exchange = time.Since(t0)
-		e.tr.End(e.tid, e.rank, instrument.StageExchange.String())
-		if err != nil {
-			return e.dt, err
-		}
+	// P_perm^{P,N'}) leaves the per-source chunks where chunkOf finds
+	// them.
+	if err := e.exchange(ctx, localIn); err != nil {
+		return e.dt, err
 	}
 	if err := ctx.Err(); err != nil {
 		return e.dt, err
@@ -253,11 +222,12 @@ type distExec struct {
 	rank, r           int
 	workers           int
 	nLocal            int
-	bpr               int  // convolution blocks per rank
-	spr               int  // segments per rank
-	chunk             int  // elements per destination in the exchange (bpr·spr)
-	window            int  // streamed-exchange in-flight window (0 = blocking)
-	inverse           bool // conjugate in, conjugate-and-scale out
+	bpr               int   // convolution blocks per rank
+	spr               int   // segments per rank
+	chunk             int   // elements per destination in the exchange (bpr·spr)
+	window            int   // in-flight chunks per link (0 = one chunk, sent after the last row)
+	tiles, chunks     []int // the exchange schedule's compute tiles and chunk bounds, in blocks
+	inverse           bool  // conjugate in, conjugate-and-scale out
 	tr                *trace.Tracer
 	tid               trace.ID
 	tele              *telemetry.Plane
@@ -318,23 +288,19 @@ func (e *distExec) finish(localOut []complex128, deg *DegradedError) {
 }
 
 // produce is the tile-wise phase 1–2, shared by every exchange: post the
-// halo, then per tile [bounds[k], bounds[k+1]) of local rows convolve →
-// F_P → pack into the workspace's send buffer (destination t's chunk at
-// [t·chunk, (t+1)·chunk)) and, when st is non-nil, fan the tile out so
-// destination links carry tile k while tile k+1 is still convolving. The
-// blocking exchanges pass st == nil and the two tiles {interior,
-// boundary}: the interior rows overlap the halo flight and nothing
-// leaves before the caller's all-to-all. The neighbour prefix is awaited
+// halo, then per compute tile [tiles[k], tiles[k+1]) of local rows
+// convolve → F_P → pack into the workspace's send buffer (destination
+// t's chunk at [t·chunk, (t+1)·chunk)), and once the rows of chunk i are
+// packed fan it out through st, so destination links carry chunk i while
+// the next tile is still convolving. The neighbour prefix is awaited
 // before the first tile holding a boundary row.
 //
-// In-flight chunks may reference the send buffer until the stream is
-// closed; the coded exchange encodes parity over it after the fan-out.
-// sendWait is the cumulative time Send spent blocked on window
-// backpressure. A send error fails the run unless onDead is set: the
-// coded path notes the dead destination there and carries on.
-func (e *distExec) produce(ctx context.Context, st exch.Stream, bounds []int, localIn []complex128, onDead func(dst int)) (sendWait time.Duration, err error) {
+// The stream may read the send buffer until it is closed; the coded
+// exchange encodes parity over it after the fan-out. A send error fails
+// the run unless onDead is set: the coded path notes the dead
+// destination there and carries on.
+func (e *distExec) produce(ctx context.Context, st exch.Stream, localIn []complex128, onDead func(dst int)) (fan fanOut, err error) {
 	pl, rank, r, ws := e.pl, e.rank, e.r, e.ws
-	halo := pl.HaloLen()
 
 	// Phase 1: post the halo prefix(es) immediately (sends are
 	// asynchronous). In production shapes the halo is a single short
@@ -345,43 +311,31 @@ func (e *distExec) produce(ctx context.Context, st exch.Stream, bounds []int, lo
 	t0 := time.Now()
 	e.tr.Begin(e.tid, rank, instrument.StageHalo.String())
 	var hs *haloStream
-	switch {
-	case r == 1:
-		copy(ws.halo, localIn[:halo])
-	case st != nil:
-		hs, err = e.startHaloStream(localIn, ws.halo)
-	default:
-		for d := 1; err == nil && (d-1)*e.nLocal < halo; d++ {
-			err = e.c.Send((rank-d+r*d)%r, tagHalo+d, localIn[:min(halo-(d-1)*e.nLocal, e.nLocal)])
-		}
+	if r == 1 {
+		copy(ws.halo, localIn[:pl.HaloLen()])
+	} else {
+		hs, err = startHalo(e.c, localIn, ws.halo, e.window > 0, e.tr, e.tid)
 	}
 	e.dt.Halo += time.Since(t0)
 	e.tr.End(e.tid, rank, instrument.StageHalo.String())
 	if err != nil {
-		return 0, err
+		return fan, err
 	}
 
-	haveHalo := r == 1
-	for k := 0; k+1 < len(bounds); k++ {
-		lo, hi := bounds[k], bounds[k+1]
+	next := 0 // the next chunk to fan out
+	for k := 0; k+1 < len(e.tiles); k++ {
+		lo, hi := e.tiles[k], e.tiles[k+1]
 
 		// The boundary rows need the neighbour prefix(es); the tiles before
 		// this point overlapped with the halo flight.
-		if !haveHalo && (hi > ws.jMid || k+2 == len(bounds)) {
-			haveHalo = true
+		if hs != nil && (hi > ws.jMid || k+2 == len(e.tiles)) {
 			t0 = time.Now()
 			e.tr.Begin(e.tid, rank, instrument.StageHalo.String())
-			if hs != nil {
-				err = hs.wait()
-			} else {
-				for d := 1; err == nil && (d-1)*e.nLocal < halo; d++ {
-					err = e.c.RecvInto(ws.halo[(d-1)*e.nLocal:min(d*e.nLocal, halo)], (rank+d)%r, tagHalo+d)
-				}
-			}
+			err, hs = hs.wait(), nil
 			e.dt.Halo += time.Since(t0)
 			e.tr.End(e.tid, rank, instrument.StageHalo.String())
 			if err != nil {
-				return sendWait, err
+				return fan, err
 			}
 		}
 
@@ -398,28 +352,36 @@ func (e *distExec) produce(ctx context.Context, st exch.Stream, bounds []int, lo
 		e.dt.Convolve += time.Since(t0)
 		e.tr.End(e.tid, rank, instrument.StageConvolve.String())
 
-		// Fan tile k out, neighbours first, self last; Send blocks only on
-		// the in-flight window (wire pacing), which we book as visible
-		// exchange time.
-		for off := 0; st != nil && off < r; off++ {
-			dst := (rank + 1 + off) % r
+		// Fan chunk next out once its rows are packed, neighbours first,
+		// self last; Send blocks only on the in-flight window (wire
+		// pacing), which is booked as visible exchange time.
+		if next+1 < len(e.chunks) && hi == e.chunks[next+1] {
+			cLo := e.chunks[next] * e.spr
 			w0 := time.Now()
-			e.tr.ChunkBegin(e.tid, rank, "exchange_chunk_send", k)
-			serr := st.Send(dst, k, ws.send[dst*e.chunk+lo*e.spr:dst*e.chunk+hi*e.spr])
-			e.tr.ChunkEnd(e.tid, rank, "exchange_chunk_send", k)
-			sendWait += time.Since(w0)
-			if serr != nil {
-				if onDead == nil {
-					return sendWait, serr
+			for off := 0; off < r; off++ {
+				dst := (rank + 1 + off) % r
+				e.tr.ChunkBegin(e.tid, rank, "exchange_chunk_send", next)
+				serr := st.Send(dst, next, ws.send[dst*e.chunk+cLo:dst*e.chunk+hi*e.spr])
+				e.tr.ChunkEnd(e.tid, rank, "exchange_chunk_send", next)
+				if serr != nil {
+					if onDead == nil {
+						return fan, serr
+					}
+					onDead(dst)
 				}
-				onDead(dst)
 			}
+			fan.last = time.Now()
+			if next == 0 {
+				fan.first = w0
+			}
+			fan.wait += fan.last.Sub(w0)
+			next++
 		}
 		if err := ctx.Err(); err != nil {
-			return sendWait, err
+			return fan, err
 		}
 	}
-	return sendWait, nil
+	return fan, nil
 }
 
 // packRows is the fused phase-2 kernel for local rows [lo, hi), the
@@ -452,7 +414,7 @@ func (e *distExec) packRows(localIn []complex128, lo, hi int) {
 
 // chunkOf returns the chunk source rank src addressed to this rank: the
 // self chunk never leaves the packed send buffer, every other lands in
-// recv in the blocking layout, whichever exchange ran.
+// recv at src·chunk, whatever the window.
 func (e *distExec) chunkOf(src int) []complex128 {
 	if src == e.rank {
 		return e.ws.send[src*e.chunk : (src+1)*e.chunk]

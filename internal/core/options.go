@@ -38,11 +38,11 @@ func WithCoding(m int) DistOption {
 	return func(o *distOptions) { o.coded = true; o.parity = m }
 }
 
-// WithAsyncWindow streams the exchange in chunks with at most w chunks
-// in flight (queued but unflushed) per destination link, overlapping
-// wire time with convolution on the send side and with segment assembly
-// on the receive side. w <= 0 selects the blocking exchange (the
-// default). Results are bit-identical to the blocking exchange for every
+// WithAsyncWindow streams the exchange in per-tile chunks with at most w
+// chunks in flight (queued but unflushed) per destination link,
+// overlapping wire time with convolution. w <= 0 (the default) is the
+// same stream with one chunk per destination, sent once the last row is
+// packed: the blocking exchange. Results are bit-identical for every
 // window.
 func WithAsyncWindow(w int) DistOption {
 	return func(o *distOptions) {

@@ -110,19 +110,16 @@ func (pl *Plan) RunDistributedSegment(c Comm, localIn []complex128, s, root int)
 	halo := pl.HaloLen()
 	bpr := pl.mp / r
 
-	// Halo exchange (same pattern as RunDistributed).
+	// Halo exchange, through RunDistributed's routine.
 	tail := localIn[:halo] // one rank: the circular wrap into its own head
 	if r > 1 {
 		tail = make([]complex128, halo)
-		for d := 1; (d-1)*nLocal < halo; d++ {
-			if err := c.Send((rank-d+r*d)%r, tagHalo+d, localIn[:min(halo-(d-1)*nLocal, nLocal)]); err != nil {
-				return nil, err
-			}
+		hs, err := startHalo(c, localIn, tail, false, nil, 0)
+		if err == nil {
+			err = hs.wait()
 		}
-		for d := 1; (d-1)*nLocal < halo; d++ {
-			if err := c.RecvInto(tail[(d-1)*nLocal:min(d*nLocal, halo)], (rank+d)%r, tagHalo+d); err != nil {
-				return nil, err
-			}
+		if err != nil {
+			return nil, err
 		}
 	}
 

@@ -9,55 +9,63 @@ import (
 	"soifft/internal/instrument"
 )
 
-// This file is the streamed (async pipelined) variant of the distributed
-// driver: instead of convolving every block and then blocking in one
-// monolithic all-to-all, the producer fans phase-1/2 output out
-// tile-by-tile while later tiles are still convolving, and the transport
-// decodes each arriving chunk straight into the workspace's recv, in the
-// blocking exchange's layout, which phase 4 gathers from. Wire time
-// hides behind compute; DistributedTimes.Exchange reports only the
-// un-hidden remainder (send backpressure plus the post-compute drain
-// tail), and the overlapped span is booked via Recorder.AddHiddenExchange.
+// This file is the exchange of the distributed driver: one chunked
+// all-to-all stream, which every run goes through. The producer fans
+// phase-1/2 output out chunk by chunk, and the transport lands each
+// arriving chunk straight in the workspace's recv (source src's chunk at
+// src·chunk), which phase 4 gathers from. With an async window w > 0
+// every compute tile is its own chunk, sent while later tiles are still
+// convolving, so wire time hides behind compute; window 0 is the same
+// stream with one chunk per destination, sent after the last row is
+// packed — the blocking exchange. DistributedTimes.Exchange reports the
+// un-hidden remainder (the fan-out itself plus the post-compute drain
+// tail), and the overlapped span is booked via
+// Recorder.AddHiddenExchange.
 //
-// The chunk schedule is derived identically on every rank from the plan
-// and the world size alone: tile k covers convolution blocks
-// [bounds[k], bounds[k+1]), and the chunk for (src→dst, k) is lanes
-// [bounds[k]·spr, bounds[k+1]·spr) of dst's per-source chunk — a
-// contiguous span of the same packed buffer the blocking exchange sends,
-// so the streamed chunks partition the blocking payload exactly (same
-// bytes, same analytic 16·(1+β)·N·(R−1)/R budget) and the spectra are
-// bit-identical for every window.
+// The chunk schedule is derived identically on every rank from the plan,
+// the world size and the window alone: chunk k covers convolution blocks
+// [chunks[k], chunks[k+1]), and the chunk for (src→dst, k) is lanes
+// [chunks[k]·spr, chunks[k+1]·spr) of dst's per-source chunk — a
+// contiguous span of the packed send buffer, so the chunks of every
+// window partition the same payload exactly (same bytes, same analytic
+// 16·(1+β)·N·(R−1)/R budget) and the spectra are bit-identical.
 
-// tileBounds splits this rank's bpr convolution blocks into T tiles,
-// T = min(bpr, max(4, 2·window)): enough tiles to keep the window busy,
-// never more than one block each. bounds has T+1 entries. The window is
-// the caller's WithAsyncWindow(w), the same on every rank, so the
-// schedule — which receivers size the expected chunks from — comes out
-// identical everywhere.
-func (e *distExec) tileBounds() []int {
-	T := min(max(2*e.window, 4), e.bpr)
-	bounds := make([]int, T+1)
-	for k := 0; k <= T; k++ {
-		bounds[k] = k * e.bpr / T
+// schedule sets the compute tiles and the chunk bounds, in blocks. At
+// window w > 0 this rank's bpr blocks split into T = min(bpr, max(4, 2w))
+// tiles — enough to keep the window busy, never more than one block
+// each — and every tile is its own chunk. Window 0 computes the two
+// tiles {interior, boundary}, so the interior rows overlap the halo
+// flight, and sends each destination's whole chunk once, after the last
+// row. The window is the caller's WithAsyncWindow(w), the same on every
+// rank, so the schedule — which receivers size the expected chunks from
+// — comes out identical everywhere.
+func (e *distExec) schedule() {
+	if e.window == 0 {
+		e.tiles, e.chunks = []int{0, e.ws.jMid, e.bpr}, []int{0, e.bpr}
+		return
 	}
-	return bounds
+	T := min(max(2*e.window, 4), e.bpr)
+	e.tiles = make([]int, T+1)
+	for k := range e.tiles {
+		e.tiles[k] = k * e.bpr / T
+	}
+	e.chunks = e.tiles
 }
 
-// startStream opens the chunked all-to-all on the tile schedule, tile k
-// of source src landing in recv at src·chunk + bounds[k]·spr, and starts
+// startStream opens the chunked all-to-all on the schedule and starts
 // draining it: done yields the first per-source failure, and got holds
 // each source's delivered chunk count, once every source has finished or
 // failed.
-func (e *distExec) startStream() (st exch.Stream, bounds, got []int, done <-chan error) {
-	bounds = e.tileBounds()
-	sizes := make([]int, len(bounds)-1)
+func (e *distExec) startStream() (st exch.Stream, got []int, done <-chan error) {
+	e.schedule()
+	sizes := make([]int, len(e.chunks)-1)
 	for k := range sizes {
-		sizes[k] = (bounds[k+1] - bounds[k]) * e.spr
+		sizes[k] = (e.chunks[k+1] - e.chunks[k]) * e.spr
 	}
 	st = e.c.StartAlltoallv(exch.Options{Sizes: sizes, Recv: e.ws.recv, Window: e.window})
 	got, ch := make([]int, e.r), make(chan error, 1)
 	go func() { ch <- e.drain(st, got) }()
-	return st, bounds, got, ch
+	return st, got, ch
 }
 
 // drain counts the chunks as the transport lands them in recv and
@@ -81,15 +89,12 @@ func (e *distExec) drain(st exch.Stream, got []int) (err error) {
 	}
 }
 
-// exchangeStreamed executes phases 1–3 with the chunked overlapped
-// exchange.
-func (e *distExec) exchangeStreamed(ctx context.Context, localIn []complex128) error {
-	st, bounds, _, done := e.startStream()
+// exchange executes phases 1–3: produce over the stream, then drain it.
+func (e *distExec) exchange(ctx context.Context, localIn []complex128) error {
+	st, _, done := e.startStream()
 	defer st.Close()
 
-	streamStart := time.Now()
-
-	sendWait, perr := e.produce(ctx, st, bounds, localIn, nil)
+	fan, perr := e.produce(ctx, st, localIn, nil)
 	if perr != nil {
 		// A producer that bailed mid-schedule left self-delivery slots the
 		// drain would otherwise wait on forever; Close aborts the tracker
@@ -103,18 +108,29 @@ func (e *distExec) exchangeStreamed(ctx context.Context, localIn []complex128) e
 	prodDone := time.Now()
 	e.tr.Begin(e.tid, e.rank, instrument.StageExchange.String())
 	err := cmp.Or(perr, <-done, ctx.Err())
-	e.bookStream(streamStart, prodDone, sendWait)
+	e.bookStream(fan, prodDone)
 	return err
 }
 
-// bookStream closes a streamed exchange's stage: the visible exchange
-// time is the send backpressure plus the tail since the producer
-// finished; everything else of the stream's span ran hidden behind
-// compute.
-func (e *distExec) bookStream(start, prodDone time.Time, sendWait time.Duration) {
-	e.dt.Exchange = sendWait + time.Since(prodDone)
+// fanOut is the producer's account of its chunk sends: when the first
+// began and the last ended, and the time spent sending in between.
+type fanOut struct {
+	first, last time.Time
+	wait        time.Duration
+}
+
+// bookStream closes the exchange stage: the visible exchange time is the
+// fan-out itself plus the tail since the last send; the rest of the span
+// from the first send on ran hidden behind compute. Window 0 sends in
+// one burst after the last row, so it books nothing hidden.
+func (e *distExec) bookStream(fan fanOut, prodDone time.Time) {
+	if fan.last.IsZero() { // nothing was sent
+		fan.first, fan.last = prodDone, prodDone
+	}
+	now := time.Now()
+	e.dt.Exchange = fan.wait + now.Sub(fan.last)
 	e.tr.End(e.tid, e.rank, instrument.StageExchange.String())
-	if hidden := time.Since(start) - e.dt.Exchange; e.timed && hidden > 0 {
+	if hidden := now.Sub(fan.first) - e.dt.Exchange; e.timed && hidden > 0 {
 		e.rec.AddHiddenExchange(hidden)
 	}
 }

@@ -139,20 +139,55 @@ func TestStreamedHaloBytesCounted(t *testing.T) {
 	}
 }
 
-// truncating shortens every streamed chunk, and every blocking coded data
-// chunk, its rank sends to a peer by one element, so each arrives the
-// wrong size for its recv slot.
+// TestHiddenExchangeFromFirstSend: hidden exchange time is booked from
+// the first remote chunk send, not from the stream's open, which
+// precedes the halo post and the first tile's convolution. Window 0
+// sends each destination's one chunk in a single burst after the last
+// row, so it hides nothing; window 2 hides the tiles convolved after its
+// first send, which is less than the producer's whole halo and
+// convolution time.
+func TestHiddenExchangeFromFirstSend(t *testing.T) {
+	const r = 2
+	pl, err := NewPlan(streamParams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := signal.Random(streamParams.N, 23)
+	nLocal := streamParams.N / r
+	for _, w := range []int{0, 2} {
+		rec := instrument.New(instrument.LevelTimers)
+		world, err := mpi.NewWorld(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = world.Run(func(c *mpi.Comm) error {
+			k := c.Rank()
+			_, err := pl.RunDistributed(context.Background(), c, make([]complex128, nLocal),
+				src[k*nLocal:(k+1)*nLocal], WithAsyncWindow(w), WithRecorder(rec))
+			return err
+		})
+		if err != nil {
+			t.Fatalf("window %d: %v", w, err)
+		}
+		snap := rec.Snapshot()
+		hidden := snap.Comm.HiddenExchange
+		produced := snap.Stages[instrument.StageHalo].Wall + snap.Stages[instrument.StageConvolve].Wall
+		switch {
+		case w == 0 && hidden != 0:
+			t.Errorf("window 0 booked %v hidden exchange, want 0", hidden)
+		case w > 0 && (hidden <= 0 || hidden >= produced):
+			t.Errorf("window %d booked %v hidden exchange, want in (0, %v): halo plus convolution, less the first tile",
+				w, hidden, produced)
+		}
+	}
+}
+
+// truncating shortens every exchange chunk its rank sends to a peer by
+// one element, so each arrives the wrong size for its recv slot.
 type truncating struct{ Comm }
 
 func (c truncating) StartAlltoallv(o exch.Options) exch.Stream {
 	return truncStream{c.Comm.StartAlltoallv(o), c.Rank()}
-}
-
-func (c truncating) Send(to, tag int, data []complex128) error {
-	if tag == tagCodedData {
-		data = data[:len(data)-1]
-	}
-	return c.Comm.Send(to, tag, data)
 }
 
 type truncStream struct {

@@ -313,7 +313,7 @@ func runInproc(pl *Plan, r int, out, in []complex128, opts ...DistOption) error 
 // TestTransformSteadyStateAllocs: on a warm plan with caller-owned
 // buffers, one transform of a 2-rank world allocates bookkeeping only
 // (≤ 1 MB), on every exchange and both transports. Every exchange
-// receives into the workspace; the in-process all-to-all is a rendezvous,
+// receives into the workspace; the in-process stream lends its chunks,
 // in-process Send copies into buffers RecvInto recycles, and the mesh
 // encodes and decodes through its links' pooled wire buffers. A workspace
 // buffer or a payload copy back on the per-call path is 1.3 MB or more.
@@ -345,6 +345,7 @@ func TestRunDistributedSteadyStateAllocBytes(t *testing.T) {
 		{"blocking", runInproc, nil},
 		{"streamed", runInproc, []DistOption{WithAsyncWindow(2)}},
 		{"coded", runInproc, []DistOption{WithCoding(1)}},
+		{"mpinet/blocking", onWire, nil},
 		{"mpinet/streamed", onWire, []DistOption{WithAsyncWindow(2)}},
 		{"mpinet/coded", onWire, []DistOption{WithCoding(1)}},
 	} {

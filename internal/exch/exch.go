@@ -1,9 +1,11 @@
 // Package exch defines the chunked, windowed, asynchronous all-to-all
-// stream the distributed SOI driver uses to hide wire time behind
-// convolution. It is a leaf package: both transports (internal/mpi,
-// internal/mpinet) implement the Stream surface against these types, and
-// internal/core consumes it, so the three packages agree on one schedule
-// and one event shape (and one FreeList) without import cycles.
+// stream every exchange of the distributed SOI driver runs on — one
+// chunk per destination for the blocking exchange, per-tile chunks to
+// hide wire time behind convolution. It is a leaf package: both
+// transports (internal/mpi, internal/mpinet) implement the Stream
+// surface against these types, and internal/core consumes it, so the
+// three packages agree on one schedule and one event shape (and one
+// FreeList) without import cycles.
 //
 // Protocol: all ranks derive the same chunk schedule (Options.Sizes, an
 // element count per chunk index) and each rank streams chunk idx to
@@ -25,8 +27,8 @@ import (
 
 // TagBase is the top of the stream tag band: chunk idx travels with tag
 // TagBase-idx. The band grows downward from -2000, clear of both
-// transports' collective tags (mpi -1..-6, mpinet -4..-7), the positive
-// halo band, and the coded-exchange bands (-1000..-1400s).
+// transports' collective tags (-4..-7), the positive halo band, and the
+// coded-exchange bands (-1001..-1400s).
 const TagBase = -2000
 
 // Tag returns the wire tag of chunk index idx.
@@ -34,9 +36,9 @@ func Tag(idx int) int { return TagBase - idx }
 
 // The halo exchange streams through the same chunk-schedule idea as the
 // all-to-all, but over the transports' ordinary (positive-tag) mailboxes:
-// the neighbour prefix to depth d is split into HaloSizes chunks, each
-// sent with HaloTag(d, i), and the boundary tiles of the
-// streamed producer wait only for the residual chunks still in flight.
+// on a streamed run the neighbour prefix to depth d is split into
+// HaloSizes chunks, each sent with HaloTag(d, i), and the boundary tiles
+// wait only for the residual chunks still in flight.
 // Per link the chunks are the only ordinary-tag traffic during the
 // produce loop, so both transports' FIFO pop order matches the send
 // order, and any coded-exchange parity frames queue strictly behind the
@@ -47,13 +49,12 @@ const MaxHaloChunks = 8
 
 // minHaloChunkElems floors the chunk size at 16 Ki complex elements
 // (one 256 KiB frame, the transports' I/O chunk), so a modest halo
-// travels as the single frame the blocking swap would send — per-frame
-// costs (headers, shaper pacing, syscalls) are amortized exactly as
-// before — and only a halo big enough to be worth overlapping splits.
+// travels as a single frame — its per-frame costs (headers, shaper
+// pacing, syscalls) are paid once — and only a halo big enough to be
+// worth overlapping splits.
 const minHaloChunkElems = 16384
 
-// HaloTagBase is the bottom of the positive halo-stream band, above the
-// blocking halo tags (100+d, d < world size).
+// HaloTagBase is the bottom of the positive halo band.
 const HaloTagBase = 200
 
 // HaloTag returns the wire tag of halo chunk i to neighbour depth d
@@ -82,8 +83,8 @@ func HaloSizes(total int) []int {
 	return sizes
 }
 
-// ErrOverlap is the cause both transports' AlltoallInto give a recv
-// buffer that shares memory with send.
+// ErrOverlap is the cause a stream that lends its chunks (the in-process
+// one) gives a chunk that shares memory with its own Options.Recv.
 var ErrOverlap = errors.New("exch: all-to-all recv overlaps send")
 
 // Overlap reports whether a and b share memory. Slices of one array share
@@ -128,16 +129,15 @@ type Options struct {
 	// Sizes holds the element count of each chunk index; the same
 	// schedule applies to every (source, destination) pair.
 	Sizes []int
-	// Recv (required) receives the remote chunks in the blocking
-	// exchange's layout, Size()·Σ Sizes elements: source src's chunks in
-	// rank order, chunk idx at Σ Sizes[:idx] within them (see Slot).
-	// Chunks are decoded straight into it; a frame whose size disagrees
-	// with its slot fails its source. Self chunks are not copied here.
+	// Recv (required) receives the remote chunks, Size()·Σ Sizes
+	// elements: source src's chunks in rank order, chunk idx at
+	// Σ Sizes[:idx] within them (see Slot). Chunks are decoded straight
+	// into it; a frame whose size disagrees with its slot fails its
+	// source. Self chunks are not copied here.
 	Recv []complex128
 	// Window caps the queued-but-unflushed chunks per destination link;
-	// values below 1 are treated as 1. Transports whose sends complete
-	// synchronously (the in-process runtime) treat every send as
-	// immediately flushed, so the window never blocks there.
+	// values below 1 are treated as 1. The in-process runtime lends
+	// every chunk at once, so the window never blocks there.
 	Window int
 	// Codec optionally transforms payloads on the wire; nil = identity.
 	// Decoded chunks are copied into their slot.
@@ -184,26 +184,17 @@ type Stream interface {
 	// ok=false means every source has either delivered all its chunks or
 	// failed (each failure was yielded once as a Chunk with Err set).
 	Next() (Chunk, bool)
-	// Close abandons the stream: the consumer's next Next returns
-	// ok=false even if chunk slots are still outstanding (a producer
-	// that failed mid-schedule can never fill its own self-delivery
-	// slots, so the consumer must not wait for them). Buffering
-	// guarantees that transport goroutines never block on an abandoned
-	// stream, so Close never waits; in-flight frames from peers stay in
-	// their per-link mailboxes.
+	// Close ends the stream: the consumer's next Next returns ok=false
+	// even if chunk slots are still outstanding (a producer that failed
+	// mid-schedule can never fill its own self-delivery slots, so the
+	// consumer must not wait for them), and the stream settles its loans.
+	// A transport that lends chunks by reference (the in-process one)
+	// waits for the copies its peers take, so after Close no peer reads
+	// the data sent; it revokes the loans nobody took only once the
+	// world aborts. A transport that copies at Send (the mesh) never
+	// waits. The producer calls Close after its last Send; it is
+	// idempotent.
 	Close()
-}
-
-// Conn is the point-to-point subset of core.Comm the generic Stream
-// runs on (*mpinet.Proc ships its own natively windowed Stream). Chunks
-// arrive through RecvInto, straight into their Options.Recv slot, whose
-// length the frame must match; RecvC serves only a Codec's wire form.
-type Conn interface {
-	Rank() int
-	Size() int
-	Send(to, tag int, data []complex128) error
-	RecvC(from, tag int) ([]complex128, error)
-	RecvInto(dst []complex128, from, tag int) error
 }
 
 // Tracker is the consumer-side bookkeeping shared by Stream
@@ -264,61 +255,38 @@ func (t *Tracker) Next() (Chunk, bool) {
 	return c, true
 }
 
-// stream is the generic Stream over a point-to-point Conn. Sends
-// delegate to Conn.Send (window pacing is left to the transport: on the
-// in-process runtime sends are buffered and complete immediately); one
-// goroutine per source drives sequential receives.
-type stream struct {
-	c   Conn
-	o   Options
-	trk *Tracker
+// Streamer is the part of a transport the one-chunk all-to-all runs on.
+type Streamer interface {
+	Rank() int
+	Size() int
+	StartAlltoallv(o Options) Stream
 }
 
-// Start begins a streamed all-to-all over c with the given schedule.
-// Every rank of the world must start a stream with the same Sizes before
-// blocking on Next, or peers stall until their transport deadlines.
-func Start(c Conn, o Options) Stream {
-	s := &stream{c: c, o: o, trk: NewTracker(c.Size(), len(o.Sizes))}
-	for src := 0; src < c.Size(); src++ {
-		if src != c.Rank() {
-			go s.recvLoop(src)
+// Alltoall is the equal-counts personalized exchange — the paper's
+// "global transpose" primitive — as a one-chunk stream: chunk elements of
+// send go to each rank, and recv receives, in rank order, the chunk each
+// rank sent to this one. send and recv hold Size()·chunk elements and
+// must not overlap. It returns the first failure, once the stream is
+// settled, so no peer reads send afterwards.
+func Alltoall(c Streamer, recv, send []complex128, chunk int) error {
+	rank, size := c.Rank(), c.Size()
+	st := c.StartAlltoallv(Options{Sizes: []int{chunk}, Recv: recv})
+	defer st.Close()
+	copy(recv[rank*chunk:(rank+1)*chunk], send[rank*chunk:(rank+1)*chunk])
+	for off := 1; off <= size; off++ {
+		dst := (rank + off) % size
+		if err := st.Send(dst, 0, send[dst*chunk:(dst+1)*chunk]); err != nil {
+			return err
 		}
 	}
-	return s
-}
-
-func (s *stream) Send(dst, idx int, data []complex128) error {
-	if dst == s.c.Rank() {
-		s.trk.Deliver(Chunk{Src: dst, Index: idx, Data: data})
-		return nil
-	}
-	wire := data
-	if s.o.Codec != nil {
-		wire = s.o.Codec.EncodeChunk(data)
-	}
-	return s.c.Send(dst, Tag(idx), wire)
-}
-
-func (s *stream) recvLoop(src int) {
-	for idx := range s.o.Sizes {
-		slot := s.o.Slot(src, idx)
-		var err error
-		if s.o.Codec == nil {
-			err = s.c.RecvInto(slot, src, Tag(idx))
-		} else {
-			var wire []complex128
-			if wire, err = s.c.RecvC(src, Tag(idx)); err == nil {
-				err = DecodeInto(s.o.Codec, slot, wire)
-			}
+	var err error
+	for {
+		ch, ok := st.Next()
+		if !ok {
+			return err
 		}
-		if err != nil {
-			s.trk.Deliver(Chunk{Src: src, Err: err})
-			return
+		if err == nil {
+			err = ch.Err
 		}
-		s.trk.Deliver(Chunk{Src: src, Index: idx, Data: slot})
 	}
 }
-
-func (s *stream) Next() (Chunk, bool) { return s.trk.Next() }
-
-func (s *stream) Close() { s.trk.Abort() }

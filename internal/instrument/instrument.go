@@ -280,8 +280,8 @@ func (r *Recorder) CountDegraded() {
 	r.comm.degraded.Add(1)
 }
 
-// CountStreamChunk records one chunk shipped through the streamed
-// (async pipelined) all-to-all, self-chunks excluded.
+// CountStreamChunk records one chunk shipped through the exchange
+// stream, self-chunks excluded.
 func (r *Recorder) CountStreamChunk() {
 	if r == nil {
 		return

@@ -59,16 +59,16 @@ func TestGatherCheckedMismatch(t *testing.T) {
 	}
 }
 
-// TestAlltoallvMalformedCounts: send or recv buffers that disagree with
-// size·chunk are a typed error on the calling rank, before any traffic.
+// TestAlltoallvMalformedCounts: a send buffer that disagrees with
+// size·chunk is a typed error on the calling rank, before any traffic.
 func TestAlltoallvMalformedCounts(t *testing.T) {
 	w, _ := NewWorld(2)
 	err := w.Run(func(c *Comm) error {
-		for _, n := range [][2]int{{3, 4}, {4, 3}} {
-			err := c.AlltoallInto(make([]complex128, n[0]), make([]complex128, n[1]), 2)
+		for _, n := range []int{3, 5} {
+			_, err := c.Alltoall(make([]complex128, n), 2)
 			var ce *CollectiveError
 			if !errors.As(err, &ce) || !errors.Is(err, ErrCountMismatch) {
-				t.Errorf("recv/send lengths %v: got %v, want a CollectiveError wrapping ErrCountMismatch", n, err)
+				t.Errorf("send length %d: got %v, want a CollectiveError wrapping ErrCountMismatch", n, err)
 			}
 		}
 		return nil
@@ -87,7 +87,8 @@ func TestAlltoallvPeerCountMismatch(t *testing.T) {
 	w, _ := NewWorld(2)
 	err := w.Run(func(c *Comm) error {
 		chunk := 1 + c.Rank() // the ranks disagree about the chunk length
-		return c.AlltoallInto(make([]complex128, 2*chunk), make([]complex128, 2*chunk), chunk)
+		_, err := c.Alltoall(make([]complex128, 2*chunk), chunk)
+		return err
 	})
 	var ce *CollectiveError
 	if !errors.As(err, &ce) {

@@ -3,7 +3,7 @@ package mpi
 import "sync"
 
 // packet is one in-flight message: a Send's buffered copy, or a chunk
-// AlltoallInto lends by reference.
+// the exchange stream lends by reference.
 type packet struct {
 	tag  int
 	data []complex128

@@ -212,8 +212,9 @@ func TestRunPropagatesError(t *testing.T) {
 }
 
 // TestTagMismatchIsTyped: a receive that finds another tag heading the
-// queue returns a typed comm fault naming both tags, on every core.Comm
-// receive, instead of panicking.
+// queue returns a typed comm fault naming both tags, on every
+// point-to-point receive, instead of panicking (the stream's case is
+// TestStreamOutOfOrderChunkTyped).
 func TestTagMismatchIsTyped(t *testing.T) {
 	recvs := map[string]func(c *Comm) error{
 		"RecvC": func(c *Comm) error {
@@ -221,9 +222,6 @@ func TestTagMismatchIsTyped(t *testing.T) {
 			return err
 		},
 		"RecvInto": func(c *Comm) error { return c.RecvInto(make([]complex128, 1), 0, 2) },
-		"AlltoallInto": func(c *Comm) error {
-			return c.AlltoallInto(make([]complex128, 2), make([]complex128, 2), 1)
-		},
 	}
 	for name, recv := range recvs {
 		w := mustWorld(t, 2)
@@ -334,40 +332,6 @@ func TestMailboxRewindsWhenDrained(t *testing.T) {
 	}
 	if cap(m.queue) != base || len(m.queue) != 0 || m.head != 0 {
 		t.Errorf("after 1000 drained bursts: cap %d (was %d), len %d, head %d", cap(m.queue), base, len(m.queue), m.head)
-	}
-}
-
-// TestAlltoallIntoMatchesAlltoall: the receive-into form fills the
-// caller's buffer with exactly what the allocating wrapper returns, and
-// counts the same traffic.
-func TestAlltoallIntoMatchesAlltoall(t *testing.T) {
-	const size, chunk = 4, 5
-	w, _ := NewWorld(size)
-	err := w.Run(func(c *Comm) error {
-		send := make([]complex128, size*chunk)
-		for i := range send {
-			send[i] = complex(float64(c.Rank()), float64(i))
-		}
-		want, err := c.Alltoall(send, chunk)
-		if err != nil {
-			return err
-		}
-		got := make([]complex128, size*chunk)
-		if err := c.AlltoallInto(got, send, chunk); err != nil {
-			return err
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				return fmt.Errorf("rank %d element %d: into %v, alltoall %v", c.Rank(), i, got[i], want[i])
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := w.Stats(); st.Alltoalls != 2 || st.AlltoallBytes != 2*size*(size-1)*chunk*16 {
-		t.Errorf("stats %+v: want 2 all-to-alls of %d bytes each", st, size*(size-1)*chunk*16)
 	}
 }
 

@@ -20,13 +20,17 @@ func TestCollectiveStress(t *testing.T) {
 	// it from a shared seed before spawning.
 	sched := rand.New(rand.NewSource(seed))
 	type op struct {
-		kind  int
-		root  int
-		chunk int
+		kind   int
+		root   int
+		sizes  []int // a stream's chunk schedule
+		window int
 	}
 	ops := make([]op, rounds)
 	for i := range ops {
-		ops[i] = op{kind: sched.Intn(3), root: sched.Intn(size), chunk: 1 + sched.Intn(7)}
+		ops[i] = op{kind: sched.Intn(3), root: sched.Intn(size), sizes: make([]int, 1+sched.Intn(3)), window: sched.Intn(3)}
+		for k := range ops[i].sizes {
+			ops[i].sizes[k] = sched.Intn(5)
+		}
 	}
 
 	w := mustWorld(t, size)
@@ -36,23 +40,25 @@ func TestCollectiveStress(t *testing.T) {
 		}
 		for i, o := range ops {
 			switch o.kind {
-			case 0: // alltoall
-				send := make([]complex128, size*o.chunk)
-				for r := 0; r < size; r++ {
-					for k := 0; k < o.chunk; k++ {
-						send[r*o.chunk+k] = complex(float64(c.Rank()), float64(r*o.chunk+k))
-					}
+			case 0: // a chunked all-to-all stream
+				chunk := 0
+				for _, n := range o.sizes {
+					chunk += n
 				}
-				got := make([]complex128, size*o.chunk)
-				if err := c.AlltoallInto(got, send, o.chunk); err != nil {
+				send := make([]complex128, size*chunk)
+				for k := range send {
+					send[k] = complex(float64(c.Rank()), float64(k))
+				}
+				got := make([]complex128, size*chunk)
+				if err := streamAll(c, got, send, o.sizes, o.window); err != nil {
 					return err
 				}
 				for r := 0; r < size; r++ {
-					for k := 0; k < o.chunk; k++ {
-						want := complex(float64(r), float64(c.Rank()*o.chunk+k))
-						if got[r*o.chunk+k] != want {
-							return fmt.Errorf("op %d alltoall: slot (%d,%d) %v want %v",
-								i, r, k, got[r*o.chunk+k], want)
+					for k := 0; k < chunk; k++ {
+						want := complex(float64(r), float64(c.Rank()*chunk+k))
+						if got[r*chunk+k] != want {
+							return fmt.Errorf("op %d stream %v: slot (%d,%d) %v want %v",
+								i, o.sizes, r, k, got[r*chunk+k], want)
 						}
 					}
 				}

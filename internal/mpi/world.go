@@ -1,8 +1,8 @@
 // Package mpi is an in-process message-passing runtime with MPI-shaped
 // semantics: a World of R ranks, each running the same SPMD function on
 // its own goroutine, communicating through core.Comm — point-to-point
-// []complex128 sends and receives, Gather, the rendezvous all-to-all and
-// the streamed all-to-all.
+// []complex128 sends and receives, Gather and the chunked all-to-all
+// stream.
 //
 // It substitutes for the MPI layer of the paper's implementation (Go has
 // no MPI ecosystem): the programming model, message matching and
@@ -12,8 +12,9 @@
 //
 // Sends are buffered (the payload is copied into a recycled buffer, which
 // RecvInto hands back) and receives match per (source, tag) in FIFO order;
-// the one rendezvous is AlltoallInto, which returns once its peers have
-// copied send. Every method returns its fault: a rank returning an error
+// the one rendezvous is the all-to-all stream, whose chunks are lent by
+// reference and copied once, and whose Close returns once its peers have
+// copied them. Every method returns its fault: a rank returning an error
 // aborts the world, and the other ranks' calls then return *AbortError.
 package mpi
 

@@ -30,8 +30,8 @@ func TestCommContractReturnsFaults(t *testing.T) {
 			return err
 		}},
 		{"RecvInto", func(c core.Comm) error { return c.RecvInto(make([]complex128, 1), 1, 5) }},
-		{"AlltoallInto", func(c core.Comm) error {
-			return c.AlltoallInto(make([]complex128, 2), make([]complex128, 2), 1)
+		{"StartAlltoallv", func(c core.Comm) error {
+			return exch.Alltoall(c, make([]complex128, 2), make([]complex128, 2), 1)
 		}},
 		{"Gather", func(c core.Comm) error {
 			_, err := c.Gather(0, make([]complex128, 1))

@@ -398,16 +398,11 @@ func (p *Proc) Shutdown() {
 // the peer's typed *TransportError instead of queueing into the void (or
 // blocking forever on a full queue — the fail-fast path for dead peers).
 func (p *Proc) Send(to, tag int, data []complex128) error {
-	return p.send(to, tag, data, nil)
-}
-
-// send is Send with the writer's flush callback (see sendFrame).
-func (p *Proc) send(to, tag int, data []complex128, flushed func()) error {
 	pe, err := p.peerOf(to, "send")
 	if err != nil {
 		return err
 	}
-	if err := pe.sendFrame(pe.encode(tag, data), flushed); err != nil {
+	if err := pe.sendFrame(pe.encode(tag, data), nil); err != nil {
 		pe.wire.sendErrors.Add(1)
 		return &TransportError{Rank: to, Op: "send", Err: err}
 	}
@@ -474,67 +469,20 @@ func (p *Proc) recvFrame(pe *peer, box *netMailbox, dst []complex128, tag int) (
 	return pe.decode(dst, pkt)
 }
 
-// Alltoall is AlltoallInto into a fresh buffer.
+// Alltoall is the equal-counts personalized exchange into a fresh
+// buffer: the one-chunk stream of exch.Alltoall, one frame per peer. A
+// send that is not size·chunk elements is a typed *TransportError,
+// before any traffic.
 func (p *Proc) Alltoall(send []complex128, chunk int) ([]complex128, error) {
-	recv := make([]complex128, p.size*chunk)
-	if err := p.AlltoallInto(recv, send, chunk); err != nil {
+	if len(send) != p.size*chunk {
+		return nil, &TransportError{Rank: p.rank, Op: "alltoall",
+			Err: fmt.Errorf("send length %d, want %d", len(send), p.size*chunk)}
+	}
+	recv := make([]complex128, len(send))
+	if err := exch.Alltoall(p, recv, send, chunk); err != nil {
 		return nil, err
 	}
 	return recv, nil
-}
-
-// AlltoallInto is the equal-counts personalized exchange (see
-// mpi.Comm.AlltoallInto; recv must not overlap send): queue a frame per
-// peer, copy the self chunk, then decode each peer's frame into place
-// through the links' reusable wire buffers. It returns only once its own
-// frames are on the wire and their buffers back in the pools, so the
-// next exchange reuses them instead of racing the writers: on a warm
-// mesh it allocates nothing payload-sized.
-func (p *Proc) AlltoallInto(recv, send []complex128, chunk int) error {
-	if len(send) != p.size*chunk || len(recv) != p.size*chunk {
-		return &TransportError{Rank: p.rank, Op: "alltoall",
-			Err: fmt.Errorf("send/recv lengths %d/%d, want %d", len(send), len(recv), p.size*chunk)}
-	}
-	if exch.Overlap(recv, send) {
-		return &TransportError{Rank: p.rank, Op: "alltoall", Err: exch.ErrOverlap}
-	}
-	const tag = -6
-	flushed := make([]chan struct{}, p.size)
-	for r := 0; r < p.size; r++ {
-		if r == p.rank {
-			copy(recv[r*chunk:(r+1)*chunk], send[r*chunk:(r+1)*chunk])
-			continue
-		}
-		ch := make(chan struct{}, 1)
-		flushed[r] = ch
-		if err := p.send(r, tag, send[r*chunk:(r+1)*chunk], func() { ch <- struct{}{} }); err != nil {
-			return err
-		}
-	}
-	for r := 0; r < p.size; r++ {
-		if r == p.rank {
-			continue
-		}
-		if err := p.RecvInto(recv[r*chunk:(r+1)*chunk], r, tag); err != nil {
-			return err
-		}
-	}
-	for r, ch := range flushed {
-		if ch == nil {
-			continue
-		}
-		pe := p.peers[r]
-		select {
-		case <-ch:
-		case <-pe.dead:
-			select {
-			case <-ch: // flushed before the link died
-			default:
-				return &TransportError{Rank: r, Op: "send", Err: pe.failure()}
-			}
-		}
-	}
-	return nil
 }
 
 // Gather concatenates equal-length chunks at root (nil elsewhere).

@@ -129,11 +129,11 @@ func TestTCPAlltoall(t *testing.T) {
 	})
 }
 
-// TestAlltoallIntoWarmAllocs: on a warm loopback pair AlltoallInto moves
-// its frames through the links' pooled wire buffers into the caller's
-// buffer — after the first call nothing payload-sized is allocated — and
-// delivers exactly what Alltoall does.
-func TestAlltoallIntoWarmAllocs(t *testing.T) {
+// TestStreamWarmAllocs: on a warm loopback pair the one-chunk exchange
+// stream moves its frames through the links' pooled wire buffers into
+// the caller's buffer — after the first call nothing payload-sized is
+// allocated — and delivers exactly what Alltoall does.
+func TestStreamWarmAllocs(t *testing.T) {
 	const size, chunk = 2, 1 << 16 // 1 MiB of payload per link
 	procs := mesh(t, size)
 	var send, recv [size][]complex128
@@ -143,7 +143,7 @@ func TestAlltoallIntoWarmAllocs(t *testing.T) {
 	}
 	exchange := func() {
 		spmd(t, procs, func(p *Proc) error {
-			return p.AlltoallInto(recv[p.Rank()], send[p.Rank()], chunk)
+			return exch.Alltoall(p, recv[p.Rank()], send[p.Rank()], chunk)
 		})
 	}
 	exchange() // the first calls size the pools
@@ -156,7 +156,7 @@ func TestAlltoallIntoWarmAllocs(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	if perCall := (after.TotalAlloc - before.TotalAlloc) / calls; perCall > 16*chunk/4 {
-		t.Errorf("warm AlltoallInto allocates %d bytes per call; one payload is %d", perCall, 16*chunk)
+		t.Errorf("a warm one-chunk stream allocates %d bytes per call; one payload is %d", perCall, 16*chunk)
 	}
 	spmd(t, procs, func(p *Proc) error {
 		want, err := p.Alltoall(send[p.Rank()], chunk)
@@ -165,7 +165,7 @@ func TestAlltoallIntoWarmAllocs(t *testing.T) {
 		}
 		for i, v := range recv[p.Rank()] {
 			if v != want[i] {
-				return fmt.Errorf("rank %d element %d: AlltoallInto %v, Alltoall %v", p.Rank(), i, v, want[i])
+				return fmt.Errorf("rank %d element %d: stream %v, Alltoall %v", p.Rank(), i, v, want[i])
 			}
 		}
 		return nil
@@ -177,18 +177,10 @@ func TestAlltoallIntoWarmAllocs(t *testing.T) {
 // a bare string.
 func TestAlltoallvShapeErrorIsTyped(t *testing.T) {
 	procs := mesh(t, 2)
-	err := procs[0].AlltoallInto(make([]complex128, 2), make([]complex128, 3), 1)
+	_, err := procs[0].Alltoall(make([]complex128, 3), 1)
 	var te *TransportError
 	if !errors.As(err, &te) || te.Op != "alltoall" {
 		t.Errorf("length mismatch surfaced as %v, want a typed alltoall TransportError", err)
-	}
-	// recv overlapping send is refused the same way, as on mpi (the
-	// deadline turns a missed check into a failure, not a hang).
-	procs[0].SetIOTimeout(time.Second)
-	buf := make([]complex128, 3)
-	err = procs[0].AlltoallInto(buf[1:], buf[:2], 1)
-	if !errors.As(err, &te) || te.Op != "alltoall" || !errors.Is(err, exch.ErrOverlap) {
-		t.Errorf("aliased recv/send surfaced as %v, want a typed alltoall TransportError wrapping exch.ErrOverlap", err)
 	}
 }
 

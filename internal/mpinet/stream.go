@@ -7,15 +7,16 @@ import (
 )
 
 // StartAlltoallv begins a chunked, windowed, asynchronous all-to-all
-// (core.Comm's streamed exchange). Unlike the generic
-// exch implementation, the window here is real: Send blocks while
+// (core.Comm's exchange). Unlike the in-process one, the window here is
+// real: Send blocks while
 // o.Window chunks for that destination are queued but not yet flushed to
 // the socket, so a producer racing ahead of a slow link is paced by the
 // wire instead of buffering without bound. Each chunk travels as one
 // ordinary framed message (CRC32C, size guard) under the per-operation
 // I/O deadline, and a dead or hung peer surfaces as one per-source
-// *TransportError through Next — the stream analogue of the blocking
-// collectives' returned faults.
+// *TransportError through Next — the stream analogue of the other
+// collectives' returned faults. Send encodes each chunk into its own
+// frame, so the caller's data is free again when Send returns.
 //
 // One goroutine may produce (Send) while one other consumes (Next); the
 // stream must be fully drained or abandoned before the next collective

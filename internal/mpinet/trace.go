@@ -15,8 +15,7 @@ import (
 )
 
 // tagTraceID is the reserved control tag trace IDs travel under; it
-// sits with the other negative collective tags (-4 gather, -5 barrier,
-// -6 alltoall).
+// sits with the other negative collective tags (-4 gather, -5 barrier).
 const tagTraceID = -7
 
 // SetTracer attaches (or, with nil, detaches) the event tracer the

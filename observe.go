@@ -102,8 +102,9 @@ type CommReport struct {
 	Retransmits    int64
 	DeadlineEvents int64
 	ChecksumErrors int64
-	// StreamChunks counts chunks shipped by the streamed (windowed)
-	// all-to-all; zero when the blocking exchange ran.
+	// StreamChunks counts the remote chunks the exchange stream shipped:
+	// one per peer at window 0, one per peer and tile with an async
+	// window.
 	StreamChunks int64
 	// HiddenExchange is exchange wire time that ran concurrently with
 	// convolution or segment assembly — time the async pipeline hid.
