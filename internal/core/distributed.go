@@ -339,12 +339,13 @@ func (e *distExec) produce(ctx context.Context, st exch.Stream, localIn []comple
 			}
 		}
 
-		// Phase 2 for this tile.
+		// Phase 2 for this tile, which lies inside stream chunk next.
 		t0 = time.Now()
 		e.tr.Begin(e.tid, rank, instrument.StageConvolve.String())
+		cLo, cHi := e.chunks[next], e.chunks[next+1]
 		parfor(e.workers, hi-lo, func(a, b int) {
 			w0 := time.Now()
-			e.packRows(localIn, lo+a, lo+b)
+			e.packRows(localIn, lo+a, lo+b, cLo, cHi)
 			if e.timed {
 				e.convBusy.Add(int64(time.Since(w0)))
 			}
@@ -355,13 +356,12 @@ func (e *distExec) produce(ctx context.Context, st exch.Stream, localIn []comple
 		// Fan chunk next out once its rows are packed, neighbours first,
 		// self last; Send blocks only on the in-flight window (wire
 		// pacing), which is booked as visible exchange time.
-		if next+1 < len(e.chunks) && hi == e.chunks[next+1] {
-			cLo := e.chunks[next] * e.spr
+		if hi == cHi {
 			w0 := time.Now()
 			for off := 0; off < r; off++ {
 				dst := (rank + 1 + off) % r
 				e.tr.ChunkBegin(e.tid, rank, "exchange_chunk_send", next)
-				serr := st.Send(dst, next, ws.send[dst*e.chunk+cLo:dst*e.chunk+hi*e.spr])
+				serr := st.Send(dst, next, ws.send[dst*e.chunk+cLo*e.spr:dst*e.chunk+cHi*e.spr])
 				e.tr.ChunkEnd(e.tid, rank, "exchange_chunk_send", next)
 				if serr != nil {
 					if onDead == nil {
@@ -384,37 +384,40 @@ func (e *distExec) produce(ctx context.Context, st exch.Stream, localIn []comple
 	return fan, nil
 }
 
-// packRows is the fused phase-2 kernel for local rows [lo, hi), the
-// distributed twin of convPass: per convTileRows-row tile, convolution
-// → F_P batch → each destination's lanes written straight into the
+// packRows is the fused phase-2 kernel for local rows [lo, hi) of
+// stream chunk [cLo, cHi), the distributed twin of convPass: per
+// convTileRows-row tile, convolution → one BatchScatter (lane u of the
+// tile's rows lands contiguous at u·n) → one copy per lane into the
 // packed send layout while the tile is cache-hot (the node-local
-// permutation of paper Fig 3: destination t gets lanes [t·spr, (t+1)·spr)
-// of every block). Each tile stages its window from localIn and, for
-// rows from jMid on, the neighbour halo past it. Disjoint row ranges
-// touch disjoint cells of send, so ranges may run concurrently.
-func (e *distExec) packRows(localIn []complex128, lo, hi int) {
+// permutation of paper Fig 3). Destination d gets lanes [d·spr,
+// (d+1)·spr), and within its stream chunk each segment ss is one run of
+// cHi−cLo rows at ss·(cHi−cLo): segment-major, so phase 4 copies runs.
+// Each tile stages its window from localIn and, for rows from jMid on,
+// the neighbour halo past it. Disjoint row ranges touch disjoint cells
+// of send, so ranges may run concurrently.
+func (e *distExec) packRows(localIn []complex128, lo, hi, cLo, cHi int) {
 	pl, ws, lanes := e.pl, e.ws, e.pl.prm.P
 	sc := <-ws.scratch
 	defer func() { ws.scratch <- sc }()
-	jLo := e.rank * e.bpr
+	jLo, nk := e.rank*e.bpr, cHi-cLo
 	in := convSource{body: localIn, tail: ws.halo, col: e.rank * e.nLocal, conj: e.inverse}
 	for t := lo; t < hi; t += convTileRows {
 		tEnd := min(t+convTileRows, hi)
 		n := tEnd - t
 		pl.convTile(sc.conv, sc.stage, &in, jLo+t, jLo+tEnd)
-		pl.fftP.Batch(sc.v[:n*lanes], sc.conv[:n*lanes], n)
-		for d := 0; d < e.r; d++ {
-			out := ws.send[d*e.chunk+t*e.spr : d*e.chunk+tEnd*e.spr]
-			for j := 0; j < n; j++ {
-				copy(out[j*e.spr:(j+1)*e.spr], sc.v[j*lanes+d*e.spr:])
-			}
+		pl.fftP.BatchScatter(sc.v, sc.conv, n, n)
+		for u := 0; u < lanes; u++ {
+			d, ss := u/e.spr, u%e.spr
+			copy(ws.send[d*e.chunk+cLo*e.spr+ss*nk+t-cLo:][:n], sc.v[u*n:])
 		}
 	}
 }
 
 // chunkOf returns the chunk source rank src addressed to this rank: the
 // self chunk never leaves the packed send buffer, every other lands in
-// recv at src·chunk, whatever the window.
+// recv at src·chunk, whatever the window. Within it, stream chunk
+// [cLo, cHi) holds segment ss's rows as the run at
+// cLo·spr + ss·(cHi−cLo).
 func (e *distExec) chunkOf(src int) []complex128 {
 	if src == e.rank {
 		return e.ws.send[src*e.chunk : (src+1)*e.chunk]
@@ -424,13 +427,14 @@ func (e *distExec) chunkOf(src int) []complex128 {
 
 // phase4 segment-FFTs and demodulates one rank's worth of owned segments
 // into out (nLocal elements), the demodulation fused into the FFT's last
-// pass. Each segment's oversampled sequence is
-// gathered from the per-source chunks (the receive side of the stride-P
-// transpose): chunkOf(src) must return the bpr·spr chunk that source
-// rank src addressed to the output owner. The segment pipeline is
-// owner-agnostic (the global segment identity is baked into the chunk
-// data by the phase-2 modulation), so the coded driver reuses it verbatim
-// to take over a dead rank's output with bit-identical results.
+// pass. Each segment's oversampled sequence is assembled from the
+// per-source chunks (the receive side of the stride-P transpose), one
+// contiguous run per source and stream chunk: chunkOf(src) must return
+// the segment-major bpr·spr chunk that source rank src addressed to the
+// output owner. The segment pipeline is owner-agnostic (the global
+// segment identity is baked into the chunk data by the phase-2
+// modulation), so the coded driver reuses it verbatim to take over a dead
+// rank's output with bit-identical results.
 func (e *distExec) phase4(chunkOf func(src int) []complex128, out []complex128) {
 	pl := e.pl
 	parfor(e.workers, e.spr, func(sLo, sHi int) {
@@ -440,9 +444,10 @@ func (e *distExec) phase4(chunkOf func(src int) []complex128, out []complex128) 
 		for ss := sLo; ss < sHi; ss++ {
 			xt := sc.xt
 			for src := 0; src < e.r; src++ {
-				cb := chunkOf(src)
-				for j := 0; j < e.bpr; j++ {
-					xt[src*e.bpr+j] = cb[j*e.spr+ss]
+				cb, row := chunkOf(src), xt[src*e.bpr:]
+				for k := 0; k+1 < len(e.chunks); k++ {
+					cLo, cHi := e.chunks[k], e.chunks[k+1]
+					copy(row[cLo:cHi], cb[cLo*e.spr+ss*(cHi-cLo):])
 				}
 			}
 			pl.fftMP.ForwardDemod(out[ss*pl.m:(ss+1)*pl.m], xt, pl.invW)

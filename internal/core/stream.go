@@ -13,14 +13,14 @@ import (
 // all-to-all stream, which every run goes through. The producer fans
 // phase-1/2 output out chunk by chunk, and the transport lands each
 // arriving chunk straight in the workspace's recv (source src's chunk at
-// src·chunk), which phase 4 gathers from. With an async window w > 0
-// every compute tile is its own chunk, sent while later tiles are still
-// convolving, so wire time hides behind compute; window 0 is the same
-// stream with one chunk per destination, sent after the last row is
-// packed — the blocking exchange. DistributedTimes.Exchange reports the
-// un-hidden remainder (the fan-out itself plus the post-compute drain
-// tail), and the overlapped span is booked via
-// Recorder.AddHiddenExchange.
+// src·chunk), which phase 4 copies from in contiguous runs. With an
+// async window w > 0 every compute tile is its own chunk, sent while
+// later tiles are still convolving, so wire time hides behind compute;
+// window 0 is the same stream with one chunk per destination, sent after
+// the last row is packed — the blocking exchange.
+// DistributedTimes.Exchange reports the un-hidden remainder (the fan-out
+// itself plus the post-compute drain tail), and the overlapped span is
+// booked via Recorder.AddHiddenExchange.
 //
 // The chunk schedule is derived identically on every rank from the plan,
 // the world size and the window alone: chunk k covers convolution blocks
@@ -28,7 +28,9 @@ import (
 // [chunks[k]·spr, chunks[k+1]·spr) of dst's per-source chunk — a
 // contiguous span of the packed send buffer, so the chunks of every
 // window partition the same payload exactly (same bytes, same analytic
-// 16·(1+β)·N·(R−1)/R budget) and the spectra are bit-identical.
+// 16·(1+β)·N·(R−1)/R budget) and the spectra are bit-identical. Inside
+// the span the order is segment-major: each of the spr segments is one
+// run of chunks[k+1]−chunks[k] rows.
 
 // schedule sets the compute tiles and the chunk bounds, in blocks. At
 // window w > 0 this rank's bpr blocks split into T = min(bpr, max(4, 2w))

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -369,6 +370,71 @@ func TestRunDistributedInverseOptions(t *testing.T) {
 			}
 			if e := signal.MaxAbsErr(got, want); e != 0 {
 				t.Errorf("%s pass %d: distributed inverse differs from InverseTransform by %.3e", name, pass, e)
+			}
+		}
+	}
+}
+
+// TestChunkLayoutBitIdentity pins the segment-major chunk layout: the
+// shape's stream chunks are taller than convTileRows, so sub-tiles start
+// inside a chunk (t − cLo > 0), and window 3's tile count does not divide
+// the rows per rank, so chunks differ in height. With two workers parfor
+// splits each compute tile, and the halves write disjoint runs of one
+// destination chunk. Every cell, forward and inverse, flat and coded,
+// must equal the shared-memory transform bit for bit.
+func TestChunkLayoutBitIdentity(t *testing.T) {
+	p := Params{N: 1 << 14, P: 8, Mu: 5, Nu: 4, B: 32}
+	src := signal.Random(p.N, 305)
+	plans := make([]*Plan, 3)
+	for workers := 1; workers <= 2; workers++ {
+		p.Workers = workers
+		pl, err := NewPlan(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans[workers] = pl
+	}
+	fwd, inv := make([]complex128, p.N), make([]complex128, p.N)
+	if err := plans[1].Transform(fwd, src); err != nil {
+		t.Fatal(err)
+	}
+	if err := plans[1].InverseTransform(inv, src); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []int{2, 4} {
+		nLocal := p.N / r
+		for _, win := range []int{0, 1, 3, r} {
+			for workers := 1; workers <= 2; workers++ {
+				for _, inverse := range []bool{false, true} {
+					for _, coded := range []bool{false, true} {
+						opts := []DistOption{WithAsyncWindow(win)}
+						if coded {
+							opts = append(opts, WithCoding(1))
+						}
+						pl := plans[workers]
+						run, want := pl.RunDistributed, fwd
+						if inverse {
+							run, want = pl.RunDistributedInverse, inv
+						}
+						cell := fmt.Sprintf("R=%d window=%d workers=%d inverse=%v coded=%v", r, win, workers, inverse, coded)
+						got := make([]complex128, p.N)
+						w, err := mpi.NewWorld(r)
+						if err != nil {
+							t.Fatal(err)
+						}
+						err = w.Run(func(c *mpi.Comm) error {
+							k := c.Rank()
+							_, err := run(context.Background(), c, got[k*nLocal:(k+1)*nLocal], src[k*nLocal:(k+1)*nLocal], opts...)
+							return err
+						})
+						if err != nil {
+							t.Fatalf("%s: %v", cell, err)
+						}
+						if e := signal.MaxAbsErr(got, want); e != 0 {
+							t.Errorf("%s: differs from the shared-memory transform by %.3e", cell, e)
+						}
+					}
+				}
 			}
 		}
 	}

@@ -437,7 +437,7 @@ func (pl *Plan) demodStageFlops() int64 {
 func (pl *Plan) SegmentFFT(dst, src []complex128) { pl.fftMP.Forward(dst, src) }
 
 // BlockFFTBatch applies F_P to count contiguous P-blocks (exposed for
-// the distributed driver).
+// kernel probes and the ablations in internal/bench).
 func (pl *Plan) BlockFFTBatch(dst, src []complex128, count int) {
 	pl.fftP.Batch(dst, src, count)
 }

@@ -43,8 +43,8 @@ func soiSpectra(t *testing.T, pl [2]*core.Plan, src []complex128) [3][]complex12
 
 // TestSOITransformBitIdenticalAcrossFFTKernels is the whole-pipeline form
 // of the kernel tables: every path from core into this package (the fused
-// F_P scatter of the shared-memory pass, the row-major F_P batch of the
-// distributed pack, the segment FFT of both) must produce the same
+// F_P scatter of the shared-memory pass and of the distributed pack, the
+// segment FFT of both) must produce the same
 // spectrum bits with the SIMD kernels as with the Go kernels. It lives
 // here, not in core, because only this directory can swap the dispatch
 // variables; core's convolution kernel has the same test beside it.

@@ -355,23 +355,31 @@ func TestChaosOversizedFrameRejected(t *testing.T) {
 	}
 }
 
-// TestChaosOldMagicFrameRejected: a frame from a peer on the "SOI1" wire
-// format, whose parity shares are coded differently, kills the link with
+// TestChaosOldMagicFrameRejected: a frame from a peer on an older wire
+// format — "SOI1" codes parity shares differently, "SOI2" orders chunk
+// elements row-major at the same payload size — kills the link with
 // ErrBadFrame instead of being decoded as if it were current.
 func TestChaosOldMagicFrameRejected(t *testing.T) {
-	a, b := net.Pipe()
-	defer a.Close()
-	defer b.Close()
-	pe := newPeer(a, 1, &Proc{rank: 0, size: 2})
-	go pe.readLoop()
+	for _, old := range []struct {
+		name  string
+		magic uint32
+	}{{"SOI1", 0x31494F53}, {"SOI2", 0x32494F53}} {
+		t.Run(old.name, func(t *testing.T) {
+			a, b := net.Pipe()
+			defer a.Close()
+			defer b.Close()
+			pe := newPeer(a, 1, &Proc{rank: 0, size: 2})
+			go pe.readLoop()
 
-	frame := encodeFrame(3, []complex128{1, 2})
-	binary.LittleEndian.PutUint32(frame[20:24], 0x31494F53) // "SOI1"; the CRC does not cover the magic
-	go func() { _, _ = b.Write(frame) }()
+			frame := encodeFrame(3, []complex128{1, 2})
+			binary.LittleEndian.PutUint32(frame[20:24], old.magic) // the CRC does not cover the magic
+			go func() { _, _ = b.Write(frame) }()
 
-	_, err := pe.box.get(5 * time.Second)
-	if !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("old-magic frame surfaced as %v, want ErrBadFrame", err)
+			_, err := pe.box.get(5 * time.Second)
+			if !errors.Is(err, ErrBadFrame) {
+				t.Fatalf("%s frame surfaced as %v, want ErrBadFrame", old.name, err)
+			}
+		})
 	}
 }
 

@@ -536,7 +536,7 @@ func (p *Proc) Barrier() error {
 // corruption.
 const (
 	frameHdrLen = 24
-	frameMagic  = 0x32494F53 // "SOI2" little-endian; "SOI1" peers code parity differently
+	frameMagic  = 0x33494F53 // "SOI3" little-endian; "SOI2" peers order chunk elements row-major, "SOI1" peers code parity differently
 
 	// tagHeartbeat marks the empty keep-alive frames idle links carry
 	// while an I/O deadline is armed; readers drop them silently.

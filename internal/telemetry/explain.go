@@ -54,7 +54,9 @@ type Finding struct {
 	Measured float64 `json:"measured"`
 	Expected float64 `json:"expected"`
 	Ratio    float64 `json:"ratio"`
-	// Severity orders findings across kinds (higher = report first).
+	// Severity orders findings across kinds (higher = report first),
+	// after the categorical stale-rank findings, which rank above every
+	// ratio-derived finding whatever its ratio.
 	Severity float64 `json:"severity"`
 	Detail   string  `json:"detail"`
 }
@@ -64,7 +66,8 @@ func (f Finding) String() string {
 }
 
 // Explain runs the model comparison over a snapshot, stores the ranked
-// findings on it, and returns them. Thresholds: times are findings at
+// findings on it, and returns them: stale or silent ranks first, then by
+// severity. Thresholds: times are findings at
 // RatioThreshold over the fleet median (the calibration-free analogue of
 // perfmodel's measured constants), wire volumes at VolumeRatioThreshold
 // over the analytic 16·(1+β)·N terms.
@@ -79,7 +82,12 @@ func Explain(s *ClusterSnapshot) []Finding {
 	out = append(out, volumeFindings(s)...)
 	out = append(out, overlapFindings(s)...)
 	out = append(out, recoveryFindings(s)...)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Severity > out[j].Severity })
+	sort.SliceStable(out, func(i, j int) bool {
+		if si, sj := out[i].Kind == KindStaleRank, out[j].Kind == KindStaleRank; si != sj {
+			return si
+		}
+		return out[i].Severity > out[j].Severity
+	})
 	s.Findings = out
 	return out
 }

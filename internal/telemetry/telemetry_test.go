@@ -214,6 +214,43 @@ func TestExplainerStaleOutranksAll(t *testing.T) {
 	}
 }
 
+// TestExplainerStaleOutranksAnyRatio: a dead or silent rank is a
+// categorical finding, so it ranks above a slow link however far off
+// the fleet median that link's time is (one scheduler stall on a link
+// that moved a few KB can read 100x and more).
+func TestExplainerStaleOutranksAnyRatio(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mark func(r *RankStat)
+	}{
+		{"stale", func(r *RankStat) { r.Stale, r.StaleReason = true, "rank died" }},
+		{"never reported", func(r *RankStat) { r.Reported = false }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := synthSnapshot()
+			for i := range s.Ranks[3].Links {
+				if s.Ranks[3].Links[i].Peer == 1 {
+					s.Ranks[3].Links[i].FlushNs = 2000e6 // 200x the fleet link time
+				}
+			}
+			tc.mark(&s.Ranks[2])
+			findings := Explain(s)
+			var link *Finding
+			for i := range findings {
+				if findings[i].Kind == KindSlowLink && findings[i].Rank == 3 && findings[i].Peer == 1 {
+					link = &findings[i]
+				}
+			}
+			if link == nil || link.Ratio <= 100 {
+				t.Fatalf("want a >100x slow-link 3->1 finding, got %v", findings)
+			}
+			if top := findings[0]; top.Kind != KindStaleRank || top.Rank != 2 {
+				t.Fatalf("stale rank 2 should outrank a %.0fx slow link, got top %+v", link.Ratio, top)
+			}
+		})
+	}
+}
+
 func TestExplainerQuietOnModel(t *testing.T) {
 	a := NewAggregator(2)
 	for r := 0; r < 2; r++ {
