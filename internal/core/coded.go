@@ -152,28 +152,26 @@ func (pl *Plan) runCoded(ctx context.Context, c Comm, cfg distOptions, localOut,
 
 	t0 := time.Now()
 	e.tr.Begin(e.tid, e.rank, instrument.StageSegmentFFT.String())
-	e.phase4(cx.columnChunk, localOut)
+	e.phase4(cx.recv, localOut)
 	if deg != nil && e.rank == deg.Coordinator {
 		// Take over the dead ranks' segment assembly: the pipeline is
 		// owner-agnostic, so feeding it dead rank d's column (pooled
 		// survivor chunks plus decoded chunks) yields d's exact block.
 		for _, d := range deg.ReconstructedRanks {
 			out := make([]complex128, e.nLocal)
-			e.phase4(func(src int) []complex128 { return cx.column(d, src) }, out)
+			e.phase4(cx.column(d), out)
 			deg.TakenOver[d] = out
 		}
 	}
 	e.dt.SegmentFT = time.Since(t0)
 	e.tr.End(e.tid, e.rank, instrument.StageSegmentFFT.String())
 
+	dt := e.dt // e lives in the workspace finish hands back
 	e.finish(localOut, deg)
 	if deg != nil {
-		if e.rec.On() {
-			e.rec.CountDegraded()
-		}
-		return e.dt, deg
+		return dt, deg
 	}
-	return e.dt, nil
+	return dt, nil
 }
 
 // codedExchange is the per-rank state of one erasure-protected exchange.
@@ -184,7 +182,7 @@ type codedExchange struct {
 	m    int
 	send []complex128 // the workspace's packed buffer; dest t's chunk at [t·chunk, (t+1)·chunk)
 
-	recv     [][]complex128 // recv[src] = C_{src→rank}; nil until received/refilled
+	recv     [][]complex128 // recv[src] = C_{src→rank}: the run's cols, nil while lost, then refilled
 	parityIn map[int][]complex128
 	dead     []bool
 	masks    []uint64 // view round: masks[x] bit j ⇔ rank x received C_{j→x}
@@ -197,17 +195,18 @@ type codedExchange struct {
 	parityBytes, recoveryBytes int64
 }
 
-// columnChunk returns source src's contribution to this rank's own
-// output column (after any refill, every source is present).
-func (cx *codedExchange) columnChunk(src int) []complex128 { return cx.recv[src] }
-
-// column returns source src's contribution to dead rank d's output
+// column returns every source's contribution to dead rank d's output
 // column (coordinator only, after recovery).
-func (cx *codedExchange) column(d, src int) []complex128 {
-	if cx.dead[src] {
-		return cx.decoded[src][d]
+func (cx *codedExchange) column(d int) [][]complex128 {
+	col := make([][]complex128, cx.e.r)
+	for src := range col {
+		if cx.dead[src] {
+			col[src] = cx.decoded[src][d]
+		} else {
+			col[src] = cx.columns[d][src]
+		}
 	}
-	return cx.columns[d][src]
+	return col
 }
 
 func (cx *codedExchange) markDead(rank int) { cx.dead[rank] = true }
@@ -393,20 +392,15 @@ func (cx *codedExchange) exchange(ctx context.Context, localIn []complex128) (de
 	e, rec := cx.e, cx.rec
 	r, rank, ws := e.r, e.rank, e.ws
 	ws.parityIn = grown(ws.parityIn, cx.m*e.chunk)
-	cx.recv = make([][]complex128, r)
+	// Remote chunks land in the workspace's per-source chunks; the
+	// self-chunk is the packed send buffer's once the producer finishes.
+	cx.recv = ws.cols
 	cx.parityIn = make(map[int][]complex128)
 	cx.dead = make([]bool, r)
 	cx.masks = make([]uint64, r)
 
-	st, got, done := e.startStream()
+	st := e.startStream()
 	defer st.Close()
-
-	// Remote chunks land in the workspace's per-source chunks; the
-	// self-chunk aliases the packed send buffer once the producer
-	// finishes.
-	for src := 0; src < r; src++ {
-		cx.recv[src] = e.chunkOf(src)
-	}
 
 	// Route around a dead destination; detection settles it.
 	fan, perr := e.produce(ctx, st, localIn, cx.markDead)
@@ -423,8 +417,9 @@ func (cx *codedExchange) exchange(ctx context.Context, localIn []complex128) (de
 	}
 
 	// Drain fully before any parity receive, so a source whose stream
-	// failed is known dead before its parity is asked for.
-	<-done
+	// failed is known dead before its parity is asked for: its short
+	// chunk count, not the error, marks it below.
+	_ = e.await(st)
 
 	// A source whose stream ended early lost chunks — a dead link, or a
 	// frame the wrong size for its slot: dead, and its parity is skipped.
@@ -435,7 +430,7 @@ func (cx *codedExchange) exchange(ctx context.Context, localIn []complex128) (de
 	// survives it.
 	for off := 1; off < r; off++ {
 		src := (rank + off) % r
-		if got[src] < len(e.chunks)-1 {
+		if ws.got[src] < len(e.chunks)-1 {
 			cx.recv[src] = nil
 			cx.markDead(src)
 			continue

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"sync/atomic"
@@ -55,6 +56,8 @@ type DistributedTimes struct {
 	Convolve  time.Duration // W·x plus I⊗F_P on local blocks
 	Exchange  time.Duration // the one and only all-to-all
 	SegmentFT time.Duration // owned segments' F_M' + demodulation
+
+	transpose time.Duration // the share of Convolve inside BatchScatter: PhaseTimes.Transpose
 }
 
 // Total returns the sum over phases.
@@ -97,8 +100,10 @@ type countingComm struct {
 
 // instrumentComm wraps c when the recorder is observing; otherwise it
 // returns c untouched so the uninstrumented path has zero indirection.
+// A node run is never wrapped: it moves no byte and counts no
+// collective.
 func instrumentComm(c Comm, rec *instrument.Recorder) Comm {
-	if !rec.On() {
+	if _, node := c.(nodeComm); node || !rec.On() {
 		return c
 	}
 	return &countingComm{Comm: c, rec: rec}
@@ -182,15 +187,15 @@ func (pl *Plan) runDistributed(ctx context.Context, c Comm, localOut, localIn []
 }
 
 // runFlat is the uncoded distributed transform: phases 1–2 fanned out
-// through the single all-to-all, then phase 4.
+// through the single all-to-all, then phase 4. Plan.Transform runs it on
+// the one-rank nodeComm.
 func (pl *Plan) runFlat(ctx context.Context, c Comm, cfg distOptions, localOut, localIn []complex128) (DistributedTimes, error) {
 	e, err := pl.newDistExec(ctx, cfg, c, localOut, localIn)
 	if err != nil {
 		return DistributedTimes{}, err
 	}
 	// Phases 1–3: the single all-to-all (stride-P permutation
-	// P_perm^{P,N'}) leaves the per-source chunks where chunkOf finds
-	// them.
+	// P_perm^{P,N'}) leaves the per-source chunks in ws.cols.
 	if err := e.exchange(ctx, localIn); err != nil {
 		return e.dt, err
 	}
@@ -202,18 +207,19 @@ func (pl *Plan) runFlat(ctx context.Context, c Comm, cfg distOptions, localOut, 
 	// projection and demodulation.
 	t0 := time.Now()
 	e.tr.Begin(e.tid, e.rank, instrument.StageSegmentFFT.String())
-	e.phase4(e.chunkOf, localOut)
+	e.phase4(e.ws.cols, localOut)
 	e.dt.SegmentFT = time.Since(t0)
 	e.tr.End(e.tid, e.rank, instrument.StageSegmentFFT.String())
 
+	dt := e.dt // e lives in the workspace finish hands back
 	e.finish(localOut, nil)
-	return e.dt, nil
+	return dt, nil
 }
 
 // distExec is the per-rank execution state one distributed transform
 // shares between its phases; the plain and coded drivers both build one
 // and differ only in how chunks cross the wire between produce and
-// phase4.
+// phase4. It lives in the run's workspace.
 type distExec struct {
 	pl                *Plan
 	c                 Comm                 // collective/halo surface (instrument-wrapped when observing)
@@ -222,22 +228,25 @@ type distExec struct {
 	rank, r           int
 	workers           int
 	nLocal            int
-	bpr               int   // convolution blocks per rank
-	spr               int   // segments per rank
-	chunk             int   // elements per destination in the exchange (bpr·spr)
-	window            int   // in-flight chunks per link (0 = one chunk, sent after the last row)
-	tiles, chunks     []int // the exchange schedule's compute tiles and chunk bounds, in blocks
-	inverse           bool  // conjugate in, conjugate-and-scale out
+	bpr               int        // convolution blocks per rank
+	spr               int        // segments per rank
+	chunk             int        // elements per destination in the exchange (bpr·spr)
+	window            int        // in-flight chunks per link (0 = one chunk, sent after the last row)
+	tiles, chunks     []int      // the exchange schedule's compute tiles and chunk bounds, in blocks
+	drained           chan error // the drain goroutine's verdict (R > 1)
+	inverse           bool       // conjugate in, conjugate-and-scale out
 	tr                *trace.Tracer
 	tid               trace.ID
 	tele              *telemetry.Plane
 	timed             bool
 	convBusy, segBusy atomic.Int64
+	scatter           atomic.Int64 // ns inside BatchScatter
 	dt                DistributedTimes
 }
 
 // newDistExec validates plan/world/buffer shapes, takes a workspace and
-// assembles the execution state.
+// assembles the execution state in it. A run uses cfg.workers goroutines,
+// else Params.Workers, at least one.
 func (pl *Plan) newDistExec(ctx context.Context, cfg distOptions, c Comm, localOut, localIn []complex128) (*distExec, error) {
 	r := c.Size()
 	if err := pl.ValidateDistributed(r); err != nil {
@@ -252,11 +261,23 @@ func (pl *Plan) newDistExec(ctx context.Context, cfg distOptions, c Comm, localO
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	e := &distExec{
-		pl: pl, c: instrumentComm(c, cfg.rec), ws: pl.getDistWorkspace(r),
-		rec: cfg.rec, rank: c.Rank(), r: r, nLocal: nLocal,
-		workers: max(p.Workers, 1), // one goroutine per rank unless hybrid mode is requested
-		bpr:     pl.mp / r, spr: p.P / r, chunk: (pl.mp / r) * (p.P / r),
+	workers := cmp.Or(cfg.workers, max(p.Workers, 1))
+	ws := pl.getDistWorkspace(r, workers)
+	rank, bpr, spr := c.Rank(), pl.mp/r, p.P/r
+	chunk := bpr * spr
+	for src := range ws.cols {
+		buf := ws.recv
+		if src == rank {
+			buf = ws.send // the self chunk never leaves send
+		}
+		ws.cols[src] = buf[src*chunk : (src+1)*chunk]
+	}
+	e := &ws.exec
+	*e = distExec{
+		pl: pl, c: instrumentComm(c, cfg.rec), ws: ws,
+		rec: cfg.rec, rank: rank, r: r, nLocal: nLocal,
+		workers: workers,
+		bpr:     bpr, spr: spr, chunk: chunk,
 		window:  cfg.window,
 		inverse: cfg.inverse,
 		tele:    cfg.tele,
@@ -270,7 +291,7 @@ func (pl *Plan) newDistExec(ctx context.Context, cfg distOptions, c Comm, localO
 // output fix-up, the stage report, and — only on a clean run, here, with
 // every helper goroutine joined and the stream closed — the workspace's
 // return to the free list. Every other exit, a degraded one included,
-// drops the workspace.
+// drops the workspace. e is not the caller's after finish.
 func (e *distExec) finish(localOut []complex128, deg *DegradedError) {
 	if e.inverse {
 		scale := 1 / float64(e.pl.prm.N)
@@ -284,6 +305,8 @@ func (e *distExec) finish(localOut []complex128, deg *DegradedError) {
 	e.report()
 	if deg == nil {
 		e.pl.putDistWorkspace(e.ws)
+	} else if e.rec.On() {
+		e.rec.CountDegraded()
 	}
 }
 
@@ -305,9 +328,9 @@ func (e *distExec) produce(ctx context.Context, st exch.Stream, localIn []comple
 	// Phase 1: post the halo prefix(es) immediately (sends are
 	// asynchronous). In production shapes the halo is a single short
 	// neighbour message (paper: "typically less than 0.01% of M"); tiny
-	// test shapes may span several neighbours. The prefix goes out as it
-	// is: an inverse run conjugates it where it is staged, like the
-	// owned columns.
+	// test shapes may span several neighbours. One rank's halo is its own
+	// head, the circular wrap. The prefix goes out as it is: an inverse
+	// run conjugates it where it is staged, like the owned columns.
 	t0 := time.Now()
 	e.tr.Begin(e.tid, rank, instrument.StageHalo.String())
 	var hs *haloStream
@@ -339,17 +362,16 @@ func (e *distExec) produce(ctx context.Context, st exch.Stream, localIn []comple
 			}
 		}
 
-		// Phase 2 for this tile, which lies inside stream chunk next.
+		// Phase 2 for this tile, which lies inside stream chunk next. One
+		// worker calls the body itself: parfor's closure would escape.
 		t0 = time.Now()
 		e.tr.Begin(e.tid, rank, instrument.StageConvolve.String())
 		cLo, cHi := e.chunks[next], e.chunks[next+1]
-		parfor(e.workers, hi-lo, func(a, b int) {
-			w0 := time.Now()
-			e.packRows(localIn, lo+a, lo+b, cLo, cHi)
-			if e.timed {
-				e.convBusy.Add(int64(time.Since(w0)))
-			}
-		})
+		if e.workers <= 1 {
+			e.packRows(localIn, lo, hi, cLo, cHi)
+		} else {
+			parfor(e.workers, hi-lo, func(a, b int) { e.packRows(localIn, lo+a, lo+b, cLo, cHi) })
+		}
 		e.dt.Convolve += time.Since(t0)
 		e.tr.End(e.tid, rank, instrument.StageConvolve.String())
 
@@ -381,86 +403,107 @@ func (e *distExec) produce(ctx context.Context, st exch.Stream, localIn []comple
 			return fan, err
 		}
 	}
+	e.dt.transpose = time.Duration(e.scatter.Load())
 	return fan, nil
 }
 
 // packRows is the fused phase-2 kernel for local rows [lo, hi) of
-// stream chunk [cLo, cHi), the distributed twin of convPass: per
-// convTileRows-row tile, convolution → one BatchScatter (lane u of the
-// tile's rows lands contiguous at u·n) → one copy per lane into the
-// packed send layout while the tile is cache-hot (the node-local
-// permutation of paper Fig 3). Destination d gets lanes [d·spr,
-// (d+1)·spr), and within its stream chunk each segment ss is one run of
-// cHi−cLo rows at ss·(cHi−cLo): segment-major, so phase 4 copies runs.
-// Each tile stages its window from localIn and, for rows from jMid on,
-// the neighbour halo past it. Disjoint row ranges touch disjoint cells
-// of send, so ranges may run concurrently.
+// stream chunk [cLo, cHi): per convTileRows-row tile, convolution → one
+// BatchScatter (I⊗F_P with the node-local permutation of paper Fig 3 in
+// its stores) while the tile is cache-hot. Destination d gets lanes
+// [d·spr, (d+1)·spr), and within its stream chunk each segment ss is one
+// run of cHi−cLo rows at ss·(cHi−cLo): segment-major, so phase 4 reads
+// runs. When the chunk spans every row (window 0), lane u's rows are the
+// run at u·bpr of send, so BatchScatter stores straight into it;
+// otherwise lane u of the tile lands contiguous at u·n of v, and one copy
+// per lane places it. Each tile stages its window from localIn and, for
+// rows from jMid on, the neighbour halo past it. Disjoint row ranges
+// touch disjoint cells of send, so ranges may run concurrently.
 func (e *distExec) packRows(localIn []complex128, lo, hi, cLo, cHi int) {
+	w0 := time.Now()
 	pl, ws, lanes := e.pl, e.ws, e.pl.prm.P
 	sc := <-ws.scratch
 	defer func() { ws.scratch <- sc }()
 	jLo, nk := e.rank*e.bpr, cHi-cLo
 	in := convSource{body: localIn, tail: ws.halo, col: e.rank * e.nLocal, conj: e.inverse}
+	var scat time.Duration
 	for t := lo; t < hi; t += convTileRows {
 		tEnd := min(t+convTileRows, hi)
 		n := tEnd - t
 		pl.convTile(sc.conv, sc.stage, &in, jLo+t, jLo+tEnd)
+		s0 := time.Now()
+		if nk == e.bpr {
+			pl.fftP.BatchScatter(ws.send[t:], sc.conv, n, e.bpr)
+			scat += time.Since(s0)
+			continue
+		}
+		sc.v = grown(sc.v, convTileRows*lanes)
 		pl.fftP.BatchScatter(sc.v, sc.conv, n, n)
+		scat += time.Since(s0)
 		for u := 0; u < lanes; u++ {
 			d, ss := u/e.spr, u%e.spr
 			copy(ws.send[d*e.chunk+cLo*e.spr+ss*nk+t-cLo:][:n], sc.v[u*n:])
 		}
 	}
-}
-
-// chunkOf returns the chunk source rank src addressed to this rank: the
-// self chunk never leaves the packed send buffer, every other lands in
-// recv at src·chunk, whatever the window. Within it, stream chunk
-// [cLo, cHi) holds segment ss's rows as the run at
-// cLo·spr + ss·(cHi−cLo).
-func (e *distExec) chunkOf(src int) []complex128 {
-	if src == e.rank {
-		return e.ws.send[src*e.chunk : (src+1)*e.chunk]
+	e.scatter.Add(int64(scat))
+	if e.timed {
+		e.convBusy.Add(int64(time.Since(w0)))
 	}
-	return e.ws.recv[src*e.chunk : (src+1)*e.chunk]
 }
 
 // phase4 segment-FFTs and demodulates one rank's worth of owned segments
 // into out (nLocal elements), the demodulation fused into the FFT's last
 // pass. Each segment's oversampled sequence is assembled from the
 // per-source chunks (the receive side of the stride-P transpose), one
-// contiguous run per source and stream chunk: chunkOf(src) must return
-// the segment-major bpr·spr chunk that source rank src addressed to the
+// contiguous run per source and stream chunk: cols[src] must be the
+// segment-major bpr·spr chunk that source rank src addressed to the
 // output owner. The segment pipeline is owner-agnostic (the global
 // segment identity is baked into the chunk data by the phase-2
 // modulation), so the coded driver reuses it verbatim to take over a dead
 // rank's output with bit-identical results.
-func (e *distExec) phase4(chunkOf func(src int) []complex128, out []complex128) {
+func (e *distExec) phase4(cols [][]complex128, out []complex128) {
+	if e.workers <= 1 { // parfor's closure would escape
+		e.segments(cols, out, 0, e.spr)
+		return
+	}
+	parfor(e.workers, e.spr, func(sLo, sHi int) { e.segments(cols, out, sLo, sHi) })
+}
+
+// segments is phase4's body for owned segments [sLo, sHi). With one
+// source and one chunk (one rank, window 0) segment ss is already the
+// contiguous run at ss·bpr of the chunk, dead after the exchange, so
+// F_M' reads it in place.
+func (e *distExec) segments(cols [][]complex128, out []complex128, sLo, sHi int) {
+	w0 := time.Now()
 	pl := e.pl
-	parfor(e.workers, e.spr, func(sLo, sHi int) {
-		w0 := time.Now()
-		sc := <-e.ws.scratch
-		defer func() { e.ws.scratch <- sc }()
-		for ss := sLo; ss < sHi; ss++ {
-			xt := sc.xt
-			for src := 0; src < e.r; src++ {
-				cb, row := chunkOf(src), xt[src*e.bpr:]
+	sc := <-e.ws.scratch
+	defer func() { e.ws.scratch <- sc }()
+	inPlace := e.r == 1 && len(e.chunks) == 2
+	for ss := sLo; ss < sHi; ss++ {
+		xt := cols[0][ss*e.bpr:][:e.bpr] // with one source and one chunk, segment ss is this run
+		if !inPlace {
+			sc.xt = grown(sc.xt, pl.mp)
+			xt = sc.xt
+			for src, cb := range cols {
+				row := xt[src*e.bpr:]
 				for k := 0; k+1 < len(e.chunks); k++ {
 					cLo, cHi := e.chunks[k], e.chunks[k+1]
 					copy(row[cLo:cHi], cb[cLo*e.spr+ss*(cHi-cLo):])
 				}
 			}
-			pl.fftMP.ForwardDemod(out[ss*pl.m:(ss+1)*pl.m], xt, pl.invW)
 		}
-		if e.timed {
-			e.segBusy.Add(int64(time.Since(w0)))
-		}
-	})
+		pl.fftMP.ForwardDemod(out[ss*pl.m:(ss+1)*pl.m], xt, pl.invW)
+	}
+	if e.timed {
+		e.segBusy.Add(int64(time.Since(w0)))
+	}
 }
 
 // report books the transform's stage observations into the plan's
 // recorder (no-op when instrumentation is off) and, when a telemetry
 // plane is attached, ships the rank's refreshed stat frame to rank 0.
+// The demodulation is fused into the segment FFT's last pass: its flops
+// are booked on its own stage, its wall on segment_fft.
 func (e *distExec) report() {
 	defer e.tele.OnTransformEnd() // after the recorder sees this transform
 	rec := e.rec
@@ -472,11 +515,12 @@ func (e *distExec) report() {
 	if !rec.Timing() {
 		wall = DistributedTimes{}
 	}
+	r := int64(e.r)
 	rec.ObserveStage(instrument.StageHalo, wall.Halo, 0, 1, 0)
 	rec.ObserveStage(instrument.StageConvolve, wall.Convolve,
-		time.Duration(e.convBusy.Load()), e.workers, e.pl.convStageFlops()/int64(e.r))
+		time.Duration(e.convBusy.Load()), e.workers, e.pl.convStageFlops()/r)
 	rec.ObserveStage(instrument.StageExchange, wall.Exchange, 0, 1, 0)
 	rec.ObserveStage(instrument.StageSegmentFFT, wall.SegmentFT,
-		time.Duration(e.segBusy.Load()), e.workers,
-		(e.pl.segmentStageFlops()+e.pl.demodStageFlops())/int64(e.r))
+		time.Duration(e.segBusy.Load()), e.workers, e.pl.segmentStageFlops()/r)
+	rec.ObserveStage(instrument.StageDemod, 0, 0, e.workers, e.pl.demodStageFlops()/r)
 }

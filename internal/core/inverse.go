@@ -18,11 +18,8 @@ func (pl *Plan) InverseTransform(dst, src []complex128) error {
 // each convolution tile stages its input, so the inverse allocates
 // exactly what the forward transform does.
 func (pl *Plan) InverseTransformContext(ctx context.Context, dst, src []complex128) error {
-	if _, err := pl.transform(ctx, dst, src, true); err != nil {
-		return err
-	}
-	conjScale(dst, 1/float64(pl.prm.N))
-	return nil
+	_, err := pl.transform(ctx, dst, src, true)
+	return err
 }
 
 // RunDistributedInverse is the distributed counterpart of

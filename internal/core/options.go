@@ -13,7 +13,8 @@ type distOptions struct {
 	coded   bool
 	parity  int
 	window  int
-	inverse bool // set by RunDistributedInverse, not an option
+	inverse bool // set by RunDistributedInverse and the node inverse, not an option
+	workers int  // set by the node entry points, not an option: 0 is max(Params.Workers, 1)
 	rec     *instrument.Recorder
 	tele    *telemetry.Plane
 }

@@ -9,9 +9,9 @@
 // then per-segment M'-point FFTs, projection to M entries, and
 // demodulation by the inverse window samples.
 //
-// The package provides both a shared-memory execution path (Plan.Transform,
-// used for validation and node-local work) and the building blocks the
-// distributed driver composes over a Comm.
+// One driver executes it over a Comm: Plan.RunDistributed on R ranks,
+// and Plan.Transform, the shared-memory path, on a one-rank world whose
+// all-to-all is the stride-P permutation landing in place.
 package core
 
 import (
@@ -38,7 +38,7 @@ type Params struct {
 	// automatically for (B, β) with κ ≤ 1e3.
 	Win window.Window
 	// Workers bounds the goroutines used by shared-memory execution;
-	// 0 means GOMAXPROCS.
+	// 0 means GOMAXPROCS there and one per rank on a distributed run.
 	Workers int
 }
 

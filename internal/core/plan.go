@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync/atomic"
 
 	"soifft/internal/fft"
 	"soifft/internal/freelist"
@@ -55,38 +53,14 @@ type Plan struct {
 	// contract as rec; a tracer on the context overrides it.
 	tr *trace.Tracer
 
-	// ws and distFree hold the idle node and per-rank distributed
-	// workspaces. Free lists, not sync.Pools: the GC never empties them
-	// and no per-P cache hides an entry, so they hold at most the peak
-	// number of transforms (ranks) that ran concurrently on this plan, and
-	// a warm plan never re-allocates. distOnRelease (tests only) sees every
-	// distributed workspace on its way back.
-	ws            freelist.List[*workspace]
+	// distFree holds the idle workspaces, node runs' included (a node
+	// run is the one-rank cluster). A free list, not a sync.Pool: the GC
+	// never empties it and no per-P cache hides an entry, so it holds at
+	// most the peak number of transforms (ranks) that ran concurrently on
+	// this plan, and a warm plan never re-allocates. distOnRelease (tests
+	// only) sees every workspace on its way back.
 	distFree      freelist.List[*distWorkspace]
 	distOnRelease func(*distWorkspace)
-}
-
-// workspace holds the per-transform scratch buffers and timing cells so
-// steady-state Transform calls allocate nothing (the serial path is
-// exactly zero allocations; with workers > 1 only goroutine bookkeeping
-// remains). The atomics live here rather than on the stack because the
-// parallel path's closures would otherwise force a heap allocation per
-// transform.
-type workspace struct {
-	// seg is the segment-major permutation, N'. Each segment's F_M' then
-	// ping-pongs through its own slice of seg and one pooled M' scratch
-	// of the F_M' plan, and stores its kept bins straight into dst.
-	seg []complex128
-
-	// tiles holds one tile per worker goroutine: a tile's staged input
-	// and convolution output live only until F_P scatters it into seg, so
-	// they never leave the cache. Sized when the workspace is built; a
-	// pass that runs more workers than that (GOMAXPROCS raised since)
-	// queues for a tile.
-	tiles chan *convScratch
-
-	busyConv, nsScatter atomic.Int64 // pass A worker busy / scatter slices
-	busySeg             atomic.Int64 // pass B worker busy
 }
 
 // convScratch is one worker's convolution tile: the split-complex input
@@ -101,27 +75,37 @@ func (pl *Plan) newConvScratch() convScratch {
 	return convScratch{stage: make([]float64, pl.stageLen()), conv: make([]complex128, convTileRows*pl.prm.P)}
 }
 
-// distWorkspace holds every payload-sized buffer one rank's distributed
-// transform needs, sized by the plan and the world size alone (the row
-// geometry is rank-invariant), so a steady-state RunDistributed allocates
-// only bookkeeping. A run takes one from the plan's free list and puts it
-// back only after it succeeded with every helper goroutine joined; a run
-// that failed, was cancelled or panicked drops it, because a straggling
-// receiver may still be writing into it. Nothing that outlives the call
-// may alias these buffers.
+// distWorkspace holds every payload-sized buffer of one rank's
+// transform and the run state itself, sized by the plan, the world size
+// and the worker count alone (the row geometry is rank-invariant), so a
+// steady-state run allocates only bookkeeping and a node run nothing. A
+// run takes one from the plan's free list and puts it back only after it
+// succeeded with every helper goroutine joined; a run that failed, was
+// cancelled or panicked drops it, because a straggling receiver may
+// still be writing into it. Nothing that outlives the call may alias
+// these buffers.
 type distWorkspace struct {
 	r int // world size the buffers are cut for
 
+	exec distExec // the run's state, kept here so a run allocates none
+
 	// send is the packed exchange buffer, destination t's chunk at
 	// [t·chunk, (t+1)·chunk); recv receives every exchange in the same
-	// layout, source s's chunk at [s·chunk, (s+1)·chunk). N'/R each.
+	// layout, source s's chunk at [s·chunk, (s+1)·chunk). N'/R each. A
+	// one-rank stream lands nothing, so a one-rank workspace has no recv:
+	// its send is the node's segment-major array.
 	send, recv []complex128
+	cols       [][]complex128 // cols[src]: the chunk source src addressed to this rank
+	got        []int          // chunks delivered per source
 
 	// Rows from jMid on have taps leaving the owned block: their staged
 	// window continues past the owned columns into halo, the
 	// (B−1)·P-element neighbour prefix.
 	jMid int
 	halo []complex128
+
+	// Window 0's schedule (see schedule), and the running exchange's chunk sizes.
+	tiles0, chunks0, sizes []int
 
 	scratch chan *rankScratch // one per worker goroutine
 
@@ -130,11 +114,12 @@ type distWorkspace struct {
 	code     []byte       // coded runs only: one strip of share byte images
 }
 
-// rankScratch is one worker's tile and segment buffers.
+// rankScratch is one worker's tile and segment buffers; v and xt are
+// grown only by the runs that copy through them.
 type rankScratch struct {
 	convScratch              // a convTileRows-row tile: staged input, output before F_P
-	v           []complex128 // the tile after F_P
-	xt          []complex128 // one segment's oversampled sequence, F_M's dead input
+	v           []complex128 // a tile after F_P, when a stream chunk is not the whole row range
+	xt          []complex128 // one segment's oversampled sequence, assembled unless it lies in send already
 }
 
 // grown returns buf resliced to n elements, reallocating only when its
@@ -146,25 +131,29 @@ func grown[T any](buf []T, n int) []T {
 	return buf[:n]
 }
 
-// getDistWorkspace pops an idle workspace cut for r ranks, or builds one.
-func (pl *Plan) getDistWorkspace(r int) *distWorkspace {
-	if ws, ok := pl.distFree.Get(func(ws *distWorkspace) bool { return ws.r == r }); ok {
+// getDistWorkspace pops an idle workspace cut for r ranks with at least
+// workers tile scratches, or builds one.
+func (pl *Plan) getDistWorkspace(r, workers int) *distWorkspace {
+	if ws, ok := pl.distFree.Get(func(ws *distWorkspace) bool { return ws.r == r && cap(ws.scratch) >= workers }); ok {
 		return ws
 	}
 
 	p := pl.prm
 	bpr, nLocal := pl.mp/r, p.N/r
-	ws := &distWorkspace{r: r, send: make([]complex128, bpr*p.P), recv: make([]complex128, bpr*p.P)}
+	ws := &distWorkspace{r: r, send: make([]complex128, bpr*p.P), cols: make([][]complex128, r), got: make([]int, r)}
 	for ws.jMid < bpr && pl.rowEndCol(ws.jMid) <= nLocal {
 		ws.jMid++
 	}
+	ws.tiles0, ws.chunks0 = []int{0, ws.jMid, bpr}, []int{0, bpr}
+	if r > 1 {
+		ws.recv = make([]complex128, bpr*p.P)
+	} else { // nothing lands in recv, and no halo is in flight to overlap: one tile
+		ws.tiles0 = ws.chunks0
+	}
 	ws.halo = make([]complex128, pl.HaloLen())
-	ws.scratch = make(chan *rankScratch, max(p.Workers, 1))
-	for w := 0; w < cap(ws.scratch); w++ {
-		ws.scratch <- &rankScratch{
-			convScratch: pl.newConvScratch(),
-			v:           make([]complex128, convTileRows*p.P), xt: make([]complex128, pl.mp),
-		}
+	ws.scratch = make(chan *rankScratch, workers)
+	for w := 0; w < workers; w++ {
+		ws.scratch <- &rankScratch{convScratch: pl.newConvScratch()}
 	}
 	return ws
 }
@@ -175,23 +164,6 @@ func (pl *Plan) putDistWorkspace(ws *distWorkspace) {
 		pl.distOnRelease(ws)
 	}
 	pl.distFree.Put(ws)
-}
-
-// getWorkspace pops an idle node workspace, or builds one.
-func (pl *Plan) getWorkspace() *workspace {
-	if ws, ok := pl.ws.Get(nil); ok {
-		return ws
-	}
-	workers := pl.prm.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	ws := &workspace{seg: make([]complex128, pl.np), tiles: make(chan *convScratch, workers)}
-	for w := 0; w < workers; w++ {
-		sc := pl.newConvScratch()
-		ws.tiles <- &sc
-	}
-	return ws
 }
 
 // NewPlan validates p, designs a window if none is given, and precomputes

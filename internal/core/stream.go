@@ -10,10 +10,11 @@ import (
 )
 
 // This file is the exchange of the distributed driver: one chunked
-// all-to-all stream, which every run goes through. The producer fans
-// phase-1/2 output out chunk by chunk, and the transport lands each
-// arriving chunk straight in the workspace's recv (source src's chunk at
-// src·chunk), which phase 4 copies from in contiguous runs. With an
+// all-to-all stream, which every run goes through, a node run's on its
+// one-rank world included. The producer fans phase-1/2 output out chunk
+// by chunk, and the transport lands each arriving chunk straight in the
+// workspace's recv (source src's chunk at src·chunk), which phase 4
+// copies from in contiguous runs. With an
 // async window w > 0 every compute tile is its own chunk, sent while
 // later tiles are still convolving, so wire time hides behind compute;
 // window 0 is the same stream with one chunk per destination, sent after
@@ -37,13 +38,15 @@ import (
 // tiles — enough to keep the window busy, never more than one block
 // each — and every tile is its own chunk. Window 0 computes the two
 // tiles {interior, boundary}, so the interior rows overlap the halo
-// flight, and sends each destination's whole chunk once, after the last
-// row. The window is the caller's WithAsyncWindow(w), the same on every
-// rank, so the schedule — which receivers size the expected chunks from
-// — comes out identical everywhere.
+// flight (one tile at R = 1, where nothing is in flight), and sends each
+// destination's whole chunk once, after the last row; the workspace
+// holds that schedule. The window is the caller's
+// WithAsyncWindow(w), the same on every rank, so the schedule — which
+// receivers size the expected chunks from — comes out identical
+// everywhere.
 func (e *distExec) schedule() {
 	if e.window == 0 {
-		e.tiles, e.chunks = []int{0, e.ws.jMid, e.bpr}, []int{0, e.bpr}
+		e.tiles, e.chunks = e.ws.tiles0, e.ws.chunks0
 		return
 	}
 	T := min(max(2*e.window, 4), e.bpr)
@@ -54,27 +57,40 @@ func (e *distExec) schedule() {
 	e.chunks = e.tiles
 }
 
-// startStream opens the chunked all-to-all on the schedule and starts
-// draining it: done yields the first per-source failure, and got holds
-// each source's delivered chunk count, once every source has finished or
-// failed.
-func (e *distExec) startStream() (st exch.Stream, got []int, done <-chan error) {
+// startStream opens the chunked all-to-all on the schedule. With peers a
+// goroutine drains it as chunks land; a one-rank stream carries only the
+// self chunks, which await drains once the producer is done.
+func (e *distExec) startStream() exch.Stream {
 	e.schedule()
-	sizes := make([]int, len(e.chunks)-1)
-	for k := range sizes {
-		sizes[k] = (e.chunks[k+1] - e.chunks[k]) * e.spr
+	ws := e.ws
+	ws.sizes = grown(ws.sizes, len(e.chunks)-1)
+	for k := range ws.sizes {
+		ws.sizes[k] = (e.chunks[k+1] - e.chunks[k]) * e.spr
 	}
-	st = e.c.StartAlltoallv(exch.Options{Sizes: sizes, Recv: e.ws.recv, Window: e.window})
-	got, ch := make([]int, e.r), make(chan error, 1)
-	go func() { ch <- e.drain(st, got) }()
-	return st, got, ch
+	clear(ws.got)
+	st := e.c.StartAlltoallv(exch.Options{Sizes: ws.sizes, Recv: ws.recv, Window: e.window})
+	if e.r > 1 {
+		e.drained = make(chan error, 1)
+		go func() { e.drained <- e.drain(st) }()
+	}
+	return st
+}
+
+// await returns the stream's first per-source failure once every source
+// has finished or failed; ws.got then holds each source's delivered chunk
+// count.
+func (e *distExec) await(st exch.Stream) error {
+	if e.r == 1 {
+		return e.drain(st)
+	}
+	return <-e.drained
 }
 
 // drain counts the chunks as the transport lands them in recv and
 // returns the first per-source failure (a dead link, or a frame the wrong
 // size for its slot). The flat exchange fails with it; the coded one
 // treats a short count as a lost source.
-func (e *distExec) drain(st exch.Stream, got []int) (err error) {
+func (e *distExec) drain(st exch.Stream) (err error) {
 	for {
 		c, ok := st.Next()
 		if !ok {
@@ -87,13 +103,13 @@ func (e *distExec) drain(st exch.Stream, got []int) (err error) {
 		if c.Src != e.rank {
 			e.tr.ChunkInstant(e.tid, e.rank, "exchange_chunk_recv", c.Index)
 		}
-		got[c.Src]++
+		e.ws.got[c.Src]++
 	}
 }
 
 // exchange executes phases 1–3: produce over the stream, then drain it.
 func (e *distExec) exchange(ctx context.Context, localIn []complex128) error {
-	st, _, done := e.startStream()
+	st := e.startStream()
 	defer st.Close()
 
 	fan, perr := e.produce(ctx, st, localIn, nil)
@@ -109,7 +125,7 @@ func (e *distExec) exchange(ctx context.Context, localIn []complex128) error {
 	// before the workspace can go back to the free list.
 	prodDone := time.Now()
 	e.tr.Begin(e.tid, e.rank, instrument.StageExchange.String())
-	err := cmp.Or(perr, <-done, ctx.Err())
+	err := cmp.Or(perr, e.await(st), ctx.Err())
 	e.bookStream(fan, prodDone)
 	return err
 }

@@ -380,8 +380,13 @@ func TestRunDistributedInverseOptions(t *testing.T) {
 // inside a chunk (t − cLo > 0), and window 3's tile count does not divide
 // the rows per rank, so chunks differ in height. With two workers parfor
 // splits each compute tile, and the halves write disjoint runs of one
-// destination chunk. Every cell, forward and inverse, flat and coded,
-// must equal the shared-memory transform bit for bit.
+// destination chunk. The one-rank world runs both layouts through a
+// generic Comm: window 0 scatters straight into send and runs F_M' in
+// place, windows 1 and 3 tile, copy and assemble (its coded cells carry
+// no parity, m ≤ R−1 = 0). Every cell, forward and inverse, flat and
+// coded, must equal the shared-memory transform bit for bit; that
+// transform runs the same driver, so TestTransformBitsPinned's hashes
+// are the independent anchor.
 func TestChunkLayoutBitIdentity(t *testing.T) {
 	p := Params{N: 1 << 14, P: 8, Mu: 5, Nu: 4, B: 32}
 	src := signal.Random(p.N, 305)
@@ -401,15 +406,19 @@ func TestChunkLayoutBitIdentity(t *testing.T) {
 	if err := plans[1].InverseTransform(inv, src); err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range []int{2, 4} {
+	for _, r := range []int{1, 2, 4} {
 		nLocal := p.N / r
-		for _, win := range []int{0, 1, 3, r} {
+		wins := []int{0, 1, 3, r}
+		if r == 1 {
+			wins = wins[:3]
+		}
+		for _, win := range wins {
 			for workers := 1; workers <= 2; workers++ {
 				for _, inverse := range []bool{false, true} {
 					for _, coded := range []bool{false, true} {
 						opts := []DistOption{WithAsyncWindow(win)}
 						if coded {
-							opts = append(opts, WithCoding(1))
+							opts = append(opts, WithCoding(min(1, r-1)))
 						}
 						pl := plans[workers]
 						run, want := pl.RunDistributed, fwd

@@ -8,7 +8,7 @@ import (
 	"sync"
 	"time"
 
-	"soifft/internal/instrument"
+	"soifft/internal/exch"
 	"soifft/internal/trace"
 )
 
@@ -27,10 +27,10 @@ func (pl *Plan) tracerFor(ctx context.Context) (*trace.Tracer, trace.ID) {
 // feeds the performance-model calibration and the op-count ablation
 // (paper Section 7.4 measures convolution time ≈ FFT time within SOI).
 //
-// The shared-memory pipeline runs fused: I_M'⊗F_P and the permutation
-// are one call per tile inside the convolution pass, so Transpose reports
-// the accumulated time of those slices and Convolve the remainder of the
-// pass wall. The demodulation is no separate step at all — the last
+// The pipeline runs fused: I_M'⊗F_P and the permutation are one call per
+// tile inside the convolution stage, so Transpose reports the
+// accumulated time of those calls and Convolve the remainder of the
+// stage wall. The demodulation is no separate step at all — the last
 // F_M' pass stores only the kept bins, already multiplied by 1/ŵ — so
 // its time is inside SegmentFT and Demod stays zero.
 type PhaseTimes struct {
@@ -67,137 +67,50 @@ func (pl *Plan) TransformTimed(dst, src []complex128) (PhaseTimes, error) {
 	return pl.transform(context.Background(), dst, src, false)
 }
 
-// transform is the shared-memory pipeline; conj loads the conjugate of
-// src instead (the inverse's first half).
-func (pl *Plan) transform(ctx context.Context, dst, src []complex128, conj bool) (PhaseTimes, error) {
-	var pt PhaseTimes
-	p := pl.prm
-	if len(src) != p.N || len(dst) != p.N {
-		return pt, fmt.Errorf("core: need len %d, got dst %d src %d: %w", p.N, len(dst), len(src), ErrLength)
+// transform is the shared-memory transform: the distributed driver on
+// the one-rank nodeComm, with Params.Workers goroutines (0: GOMAXPROCS).
+// At one rank the all-to-all is the stride-P permutation BatchScatter
+// stores into the workspace, and each segment's F_M' reads its run there
+// in place. inverse loads the conjugate of src, and the driver
+// conjugates and scales the result.
+func (pl *Plan) transform(ctx context.Context, dst, src []complex128, inverse bool) (PhaseTimes, error) {
+	if !inverse && len(dst) == pl.prm.N && len(src) == pl.prm.N && &dst[0] == &src[0] {
+		return PhaseTimes{}, fmt.Errorf("core: dst must not alias src: %w", ErrAlias)
 	}
-	if !conj && len(src) > 0 && len(dst) > 0 && &dst[0] == &src[0] {
-		return pt, fmt.Errorf("core: dst must not alias src: %w", ErrAlias)
-	}
-	if err := ctx.Err(); err != nil {
-		return pt, err
-	}
-	workers := p.Workers
+	workers := pl.prm.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	rec := pl.rec
-	timed := rec.Timing()
-	tr, tid := pl.tracerFor(ctx)
-
-	// Pass A — stages 1+2+3 fused per tile: convolution, P-point FFTs and
-	// the stride-P scatter into segment-major layout run tile by tile, so
-	// each tile's FFT and permutation read convolution output that is
-	// still cache-hot, and (with workers > 1) the FFT/scatter of one tile
-	// overlaps the convolution of the next across goroutines. Each tile
-	// stages its own input window, wrapping past N into the input's head
-	// (the shared-memory stand-in for the neighbour halo exchange) and
-	// conjugating for the inverse, so the input is never copied whole.
-	t0 := time.Now()
-	ws := pl.getWorkspace()
-	defer pl.ws.Put(ws)
-	in := convSource{body: src, tail: src[:pl.HaloLen()], conj: conj}
-	ws.busyConv.Store(0)
-	ws.nsScatter.Store(0)
-	ws.busySeg.Store(0)
-	tr.Begin(tid, 0, instrument.StageConvolve.String())
-	if workers <= 1 {
-		pl.convPass(ws, in, 0, pl.mp, timed)
-	} else {
-		parfor(workers, pl.mp, func(jLo, jHi int) {
-			pl.convPass(ws, in, jLo, jHi, timed)
-		})
-	}
-	pt.Transpose = time.Duration(ws.nsScatter.Load())
-	pt.Convolve = time.Since(t0) - pt.Transpose
-	tr.End(tid, 0, instrument.StageConvolve.String())
-	if err := ctx.Err(); err != nil {
-		return pt, err
-	}
-
-	// Pass B — stages 4+5 fused per segment: the last pass of segment s's
-	// M'-point FFT stores its first M bins, demodulated, into dst.
-	t0 = time.Now()
-	tr.Begin(tid, 0, instrument.StageSegmentFFT.String())
-	if workers <= 1 {
-		pl.segPass(ws, dst, 0, p.P, timed)
-	} else {
-		parfor(workers, p.P, func(sLo, sHi int) {
-			pl.segPass(ws, dst, sLo, sHi, timed)
-		})
-	}
-	pt.SegmentFT = time.Since(t0)
-	tr.End(tid, 0, instrument.StageSegmentFFT.String())
-
-	if rec.On() {
-		rec.AddTransform()
-		wall := pt
-		if !timed {
-			wall = PhaseTimes{} // counters level: events and FLOPs only
-		}
-		rec.ObserveStage(instrument.StageConvolve, wall.Convolve,
-			time.Duration(ws.busyConv.Load()), workers, pl.convStageFlops())
-		rec.ObserveStage(instrument.StageExchange, wall.Transpose, 0, workers, 0)
-		rec.ObserveStage(instrument.StageSegmentFFT, wall.SegmentFT,
-			time.Duration(ws.busySeg.Load()), workers, pl.segmentStageFlops())
-		// The demodulation's flops are booked on its own stage; its wall
-		// is SegmentFT's (zero here).
-		rec.ObserveStage(instrument.StageDemod, wall.Demod, 0, workers, pl.demodStageFlops())
-	}
-	return pt, nil
+	dt, err := pl.runFlat(ctx, nodeComm{}, distOptions{rec: pl.rec, workers: workers, inverse: inverse}, dst, src)
+	return PhaseTimes{Convolve: dt.Convolve - dt.transpose, Transpose: dt.transpose, SegmentFT: dt.SegmentFT}, err
 }
+
+// nodeComm is the one-rank world of a shared-memory transform. Its
+// all-to-all delivers nothing, because a rank's self chunk never leaves
+// the send buffer, and the driver sends no message at one rank.
+type nodeComm struct{}
+
+func (nodeComm) Rank() int                                      { return 0 }
+func (nodeComm) Size() int                                      { return 1 }
+func (nodeComm) StartAlltoallv(exch.Options) exch.Stream        { return nodeStream{} }
+func (nodeComm) Send(int, int, []complex128) error              { return errNoPeer }
+func (nodeComm) RecvC(int, int) ([]complex128, error)           { return nil, errNoPeer }
+func (nodeComm) RecvInto([]complex128, int, int) error          { return errNoPeer }
+func (nodeComm) Gather(int, []complex128) ([]complex128, error) { return nil, errNoPeer }
+
+var errNoPeer = fmt.Errorf("core: a shared-memory transform has no peer: %w", ErrPlanMismatch)
+
+// nodeStream is nodeComm's all-to-all.
+type nodeStream struct{}
+
+func (nodeStream) Send(int, int, []complex128) error { return nil }
+func (nodeStream) Next() (exch.Chunk, bool)          { return exch.Chunk{}, false }
+func (nodeStream) Close()                            {}
 
 // convTileRows is the tile height of the fused convolve→F_P→scatter
-// pass: 256 rows × P lanes × 16 B ≈ 32 KiB per tile buffer at P = 8, so
+// stage: 256 rows × P lanes × 16 B ≈ 32 KiB per tile buffer at P = 8, so
 // a tile's convolution output is still in L1/L2 when its FFTs read it.
 const convTileRows = 256
-
-// convPass runs the fused stage-1/2/3 pipeline for rows [jLo, jHi):
-// convolve a tile of rows, then one BatchScatter applies the P-point FFTs
-// and stores lane s of row j at seg[s·M'+j] — the codelet's stores are
-// the stride-P permutation. Disjoint row ranges scatter to disjoint
-// cells of seg, so ranges may run concurrently; per-call timing lands in
-// the workspace atomics.
-func (pl *Plan) convPass(ws *workspace, in convSource, jLo, jHi int, timed bool) {
-	var w0 time.Time
-	if timed {
-		w0 = time.Now()
-	}
-	sc := <-ws.tiles
-	defer func() { ws.tiles <- sc }()
-	var scat int64
-	for t := jLo; t < jHi; t += convTileRows {
-		tEnd := min(t+convTileRows, jHi)
-		pl.convTile(sc.conv, sc.stage, &in, t, tEnd)
-		s0 := time.Now()
-		pl.fftP.BatchScatter(ws.seg[t:], sc.conv, tEnd-t, pl.mp)
-		scat += int64(time.Since(s0))
-	}
-	ws.nsScatter.Add(scat)
-	if timed {
-		ws.busyConv.Add(int64(time.Since(w0)))
-	}
-}
-
-// segPass runs the fused stage-4/5 pipeline for segments [sLo, sHi):
-// each segment's M'-point FFT ping-pongs through its own (dead) slice of
-// seg and stores its first M bins, demodulated, straight into dst.
-func (pl *Plan) segPass(ws *workspace, dst []complex128, sLo, sHi int, timed bool) {
-	var w0 time.Time
-	if timed {
-		w0 = time.Now()
-	}
-	for s := sLo; s < sHi; s++ {
-		pl.fftMP.ForwardDemod(dst[s*pl.m:(s+1)*pl.m], ws.seg[s*pl.mp:(s+1)*pl.mp], pl.invW)
-	}
-	if timed {
-		ws.busySeg.Add(int64(time.Since(w0)))
-	}
-}
 
 // convRow8, when the package's init found a SIMD kernel this CPU and OS
 // can run, computes one row for a block of eight lanes out of lanes

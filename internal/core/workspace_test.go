@@ -290,6 +290,110 @@ func TestWorkspaceDroppedOnFailure(t *testing.T) {
 	}
 }
 
+// TestPlanConcurrentTransforms: the run state of a node transform lives
+// in a free-listed workspace, and the plan is shared. Four goroutines
+// run forward and inverse transforms on one plan at once, at one and two
+// workers, and every result must equal the serial reference bit for bit.
+// A workspace handed to two runs, or run state left outside it, shows
+// here as a wrong spectrum (or, under -race, as a race).
+func TestPlanConcurrentTransforms(t *testing.T) {
+	const goroutines, passes = 4, 3
+	for workers := 1; workers <= 2; workers++ {
+		p := Params{N: 1 << 12, P: 8, Mu: 5, Nu: 4, B: 32, Workers: workers}
+		pl, err := NewPlan(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := make([][]complex128, goroutines)
+		fwd, inv := make([][]complex128, goroutines), make([][]complex128, goroutines)
+		for g := range src {
+			src[g] = signal.Random(p.N, int64(700+g))
+			fwd[g], inv[g] = make([]complex128, p.N), make([]complex128, p.N)
+			if err := pl.Transform(fwd[g], src[g]); err != nil {
+				t.Fatal(err)
+			}
+			if err := pl.InverseTransform(inv[g], src[g]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				got := make([]complex128, p.N)
+				for pass := 0; pass < passes; pass++ {
+					for _, inverse := range []bool{false, true} {
+						run, want := pl.Transform, fwd[g]
+						if inverse {
+							run, want = pl.InverseTransform, inv[g]
+						}
+						if err := run(got, src[g]); err != nil {
+							t.Errorf("workers=%d goroutine %d: %v", workers, g, err)
+							return
+						}
+						if e := signal.MaxAbsErr(got, want); e != 0 {
+							t.Errorf("workers=%d goroutine %d pass %d inverse=%v: differs from the serial run by %.3e",
+								workers, g, pass, inverse, e)
+						}
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+	}
+}
+
+// TestNodeWorkspaceFootprint: a node transform is the one-rank cluster,
+// and its workspace holds what the node needs and no more — the
+// segment-major array (send, N' elements) and the halo, one tile scratch
+// per worker, and no recv, tile copy (v) or segment assembly (xt), since
+// window 0 scatters straight into send and F_M' reads it in place. At
+// N = 2²⁰ that is ≈ 21.0 MB.
+func TestNodeWorkspaceFootprint(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		p := Params{N: 1 << 12, P: 8, Mu: 5, Nu: 4, B: 32, Workers: workers}
+		pl, err := NewPlan(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var released []*distWorkspace
+		pl.distOnRelease = func(ws *distWorkspace) { released = append(released, ws) }
+		src, dst := signal.Random(p.N, 11), make([]complex128, p.N)
+		for pass := 0; pass < 2; pass++ {
+			if err := pl.Transform(dst, src); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(released) != 2 || released[0] != released[1] {
+			t.Fatalf("workers=%d: %d releases, want 2 of one reused workspace", workers, len(released))
+		}
+		ws := released[0]
+		if ws.r != 1 || ws.recv != nil {
+			t.Errorf("workers=%d: r = %d, recv %d elements; want 1 and none", workers, ws.r, len(ws.recv))
+		}
+		if got, want := 16*(len(ws.send)+len(ws.halo)), 16*(pl.NPrime()+pl.HaloLen()); got != want {
+			t.Errorf("workers=%d: payload buffers %d bytes, want 16·(N'+HaloLen) = %d", workers, got, want)
+		}
+		if cap(ws.scratch) != workers {
+			t.Errorf("workers=%d: %d tile scratches", workers, cap(ws.scratch))
+		}
+		for i := 0; i < cap(ws.scratch); i++ {
+			sc := <-ws.scratch
+			if sc.v != nil || sc.xt != nil {
+				t.Errorf("workers=%d: scratch holds v %d, xt %d elements; want none", workers, len(sc.v), len(sc.xt))
+			}
+			if len(sc.stage) != pl.stageLen() || len(sc.conv) != convTileRows*p.P {
+				t.Errorf("workers=%d: tile scratch %d + %d, want %d + %d", workers, len(sc.stage), len(sc.conv), pl.stageLen(), convTileRows*p.P)
+			}
+			ws.scratch <- sc
+		}
+		if ws.parity != nil || ws.parityIn != nil || ws.code != nil {
+			t.Errorf("workers=%d: coded buffers allocated by a node run", workers)
+		}
+	}
+}
+
 // allocParams is large enough that one payload-sized buffer (a chunk is
 // 1.3 MB) dwarfs the 1 MB bookkeeping allowance.
 var allocParams = Params{N: 1 << 18, P: 8, Mu: 5, Nu: 4, B: 72}

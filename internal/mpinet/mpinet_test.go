@@ -132,7 +132,11 @@ func TestTCPAlltoall(t *testing.T) {
 // TestStreamWarmAllocs: on a warm loopback pair the one-chunk exchange
 // stream moves its frames through the links' pooled wire buffers into
 // the caller's buffer — after the first call nothing payload-sized is
-// allocated — and delivers exactly what Alltoall does.
+// allocated — and delivers exactly what Alltoall does. TotalAlloc is
+// process-wide, and a window can catch a refill of a pool the GC
+// emptied, so up to three 5-call windows are measured and the smallest
+// per-call figure is held to the bound: an allocation on the per-call
+// path shows in every window.
 func TestStreamWarmAllocs(t *testing.T) {
 	const size, chunk = 2, 1 << 16 // 1 MiB of payload per link
 	procs := mesh(t, size)
@@ -148,15 +152,19 @@ func TestStreamWarmAllocs(t *testing.T) {
 	}
 	exchange() // the first calls size the pools
 	exchange()
-	const calls = 5
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < calls; i++ {
-		exchange()
+	const calls, windows, bound = 5, 3, 16 * chunk / 4
+	perCall := uint64(math.MaxUint64)
+	for w := 0; w < windows && perCall > bound; w++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < calls; i++ {
+			exchange()
+		}
+		runtime.ReadMemStats(&after)
+		perCall = min(perCall, (after.TotalAlloc-before.TotalAlloc)/calls)
 	}
-	runtime.ReadMemStats(&after)
-	if perCall := (after.TotalAlloc - before.TotalAlloc) / calls; perCall > 16*chunk/4 {
-		t.Errorf("a warm one-chunk stream allocates %d bytes per call; one payload is %d", perCall, 16*chunk)
+	if perCall > bound {
+		t.Errorf("a warm one-chunk stream allocates %d bytes per call in its best of %d windows; one payload is %d", perCall, windows, 16*chunk)
 	}
 	spmd(t, procs, func(p *Proc) error {
 		want, err := p.Alltoall(send[p.Rank()], chunk)
