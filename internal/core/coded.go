@@ -131,14 +131,21 @@ func (pl *Plan) runCoded(ctx context.Context, c Comm, cfg distOptions, localOut,
 	if err := ValidateCoded(c.Size(), m); err != nil {
 		return DistributedTimes{}, err
 	}
+	code, err := erasure.New(c.Size(), m) // recovery decodes with it
+	if err != nil {
+		return DistributedTimes{}, err
+	}
 	e, err := pl.newDistExec(ctx, cfg, c, localOut, localIn)
 	if err != nil {
 		return DistributedTimes{}, err
 	}
+	if m > 0 { // produce folds each tile into the shares
+		e.code, e.ws.parity = code, grown(e.ws.parity, m*e.chunk)
+	}
 
 	// The protocol runs on the unwrapped c, not e.c: its parity and
 	// recovery frames are booked by their own counters, not as messages.
-	cx := &codedExchange{e: e, c: c, m: m, send: e.ws.send}
+	cx := &codedExchange{e: e, c: c, m: m}
 	if e.rec.On() { // match the uncoded path: count only when observing
 		cx.rec = e.rec
 	}
@@ -176,11 +183,10 @@ func (pl *Plan) runCoded(ctx context.Context, c Comm, cfg distOptions, localOut,
 
 // codedExchange is the per-rank state of one erasure-protected exchange.
 type codedExchange struct {
-	e    *distExec
-	c    Comm
-	rec  *instrument.Recorder // nil unless observing
-	m    int
-	send []complex128 // the workspace's packed buffer; dest t's chunk at [t·chunk, (t+1)·chunk)
+	e   *distExec
+	c   Comm
+	rec *instrument.Recorder // nil unless observing
+	m   int
 
 	recv     [][]complex128 // recv[src] = C_{src→rank}: the run's cols, nil while lost, then refilled
 	parityIn map[int][]complex128
@@ -211,80 +217,24 @@ func (cx *codedExchange) column(d int) [][]complex128 {
 
 func (cx *codedExchange) markDead(rank int) { cx.dead[rank] = true }
 
-// codeStripElems is the strip length of the parity encode: the shares'
-// byte images are produced and coded a strip at a time, so the scratch is
-// (R+m)·64 KiB of cache-resident bytes instead of a second copy of the
-// whole exchange buffer. The code is byte-wise, so stripping changes no
-// parity bit.
-const codeStripElems = 4096
-
-// encodeParity encodes this rank's codeword: the R outgoing chunks — the
-// unsent self-chunk included, so the exchange's redundancy also covers
-// this rank's contribution to its own column — plus m parity shares.
-// Coding is on the Float64bits byte image, so any k-of-n subset decodes
-// to bit-identical chunks. The shares live in the workspace.
-func (cx *codedExchange) encodeParity() (*erasure.Code, [][]complex128, error) {
-	r, chunk, m, ws := cx.e.r, cx.e.chunk, cx.m, cx.e.ws
-	if m == 0 {
-		return nil, nil, nil
-	}
-	code, err := erasure.New(r, m)
-	if err != nil {
-		return nil, nil, err
-	}
-	ws.parity = grown(ws.parity, m*chunk)
-	ws.code = grown(ws.code, (r+m)*codeStripElems*16)
-	shares := make([][]byte, r+m)
-	parityOut := make([][]complex128, m)
-	for i := range parityOut {
-		parityOut[i] = ws.parity[i*chunk : (i+1)*chunk]
-	}
-	for off := 0; off < chunk; off += codeStripElems {
-		n := min(codeStripElems, chunk-off)
-		for j := range shares {
-			shares[j] = ws.code[j*codeStripElems*16:][:n*16]
-			if j < r {
-				erasure.ComplexToBytes(shares[j][:0], cx.send[j*chunk+off:j*chunk+off+n])
-			}
-		}
-		if err := code.Encode(shares[:r], shares[r:]); err != nil {
-			return nil, nil, err
-		}
-		for i, out := range parityOut {
-			if _, err := erasure.BytesToComplex(out[off:off], shares[r+i]); err != nil {
-				return nil, nil, err
-			}
-		}
-	}
-	return code, parityOut, nil
-}
-
-// sendParity ships parity share i to rank+1+i.
-func (cx *codedExchange) sendParity(parityOut [][]complex128) {
+// fanOutParity ships parity share i to rank+1+i, after the data fan-out,
+// then passes the chaos failpoint. produce folded every tile into the
+// shares, so they are complete once it returns.
+func (cx *codedExchange) fanOutParity() error {
 	e, c := cx.e, cx.c
 	for i := 0; i < cx.m; i++ {
 		s := (e.rank + 1 + i) % e.r
-		if err := c.Send(s, tagCodedParity-i, parityOut[i]); err != nil {
+		if err := c.Send(s, tagCodedParity-i, e.ws.parity[i*e.chunk:(i+1)*e.chunk]); err != nil {
 			cx.markDead(s)
 			continue
 		}
 		cx.parityBytes += int64(e.chunk) * 16
 	}
 	cx.rec.CountParityBytes(cx.parityBytes)
-}
-
-// fanOutParity encodes and ships this rank's parity shares, after the
-// data fan-out, then passes the chaos failpoint.
-func (cx *codedExchange) fanOutParity() (*erasure.Code, error) {
-	code, parityOut, err := cx.encodeParity()
-	if err != nil {
-		return nil, err
-	}
-	cx.sendParity(parityOut)
 	if fp := CodedExchangeFailpoint; fp != nil {
-		return code, fp(cx.e.rank)
+		return fp(e.rank)
 	}
-	return code, nil
+	return nil
 }
 
 // recvParity receives the parity share src addressed to this rank, if
@@ -382,10 +332,10 @@ func (cx *codedExchange) detect(code *erasure.Code, rec *instrument.Recorder) (*
 }
 
 // exchange executes the coded exchange: data chunks travel through the
-// exchange stream exactly as in the uncoded run, parity is encoded over
-// the completed packed buffer after the produce loop and ships on the
-// parity tags — per link the transports keep those frames apart from
-// the stream's — then detection and, within budget, recovery. On
+// exchange stream exactly as in the uncoded run, the parity produce
+// folded tile by tile ships on the parity tags after the produce loop —
+// per link the transports keep those frames apart from the stream's —
+// then detection and, within budget, recovery. On
 // success every survivor's own column is complete; a non-nil
 // *DegradedError reports reconstructions.
 func (cx *codedExchange) exchange(ctx context.Context, localIn []complex128) (deg *DegradedError, err error) {
@@ -411,8 +361,7 @@ func (cx *codedExchange) exchange(ctx context.Context, localIn []complex128) (de
 		return nil, perr // context cancellation or a halo send failure
 	}
 
-	code, err := cx.fanOutParity()
-	if err != nil {
+	if err := cx.fanOutParity(); err != nil {
 		return nil, err
 	}
 
@@ -438,7 +387,7 @@ func (cx *codedExchange) exchange(ctx context.Context, localIn []complex128) (de
 		cx.recvParity(src)
 	}
 
-	return cx.detect(code, rec)
+	return cx.detect(e.code, rec)
 }
 
 // exchangeMasks runs one all-pairs round of single-value control frames,
@@ -608,7 +557,7 @@ func (cx *codedExchange) sendPool(coord, d int) error {
 		held |= 1 << uint(r+i)
 		parts = append(parts, p)
 	}
-	parts = append(parts, cx.send[d*chunk:(d+1)*chunk])
+	parts = append(parts, e.ws.send[d*chunk:(d+1)*chunk])
 	frame := make([]complex128, 1, 1+len(parts)*chunk) // sized exactly
 	frame[0] = complex(float64(held), 0)
 	for _, p := range parts {
@@ -646,7 +595,7 @@ func (cx *codedExchange) poolAndDecode(code *erasure.Code, d, coord int) error {
 		i := (coord - d - 1 + 2*r) % r
 		addShare(r+i, p)
 	}
-	column[coord] = cx.send[d*chunk : (d+1)*chunk]
+	column[coord] = e.ws.send[d*chunk : (d+1)*chunk]
 
 	for s := 0; s < r; s++ {
 		if s == coord || cx.dead[s] {

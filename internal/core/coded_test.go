@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 
 	"soifft/internal/erasure"
@@ -107,6 +109,87 @@ func TestCodedWireOverhead(t *testing.T) {
 	}
 	if s.Reconstructions != 0 || s.DegradedTransforms != 0 || s.RecoveryBytes != 0 {
 		t.Errorf("clean run booked recovery activity: %+v", s)
+	}
+}
+
+// TestParityMatchesEncode: the parity produce folds tile by tile is, bit
+// for bit, erasure.Encode over the run's packed send buffer, for every
+// parity budget, window and worker count, forward and inverse. The shape
+// puts two tiles inside window 0's chunk (R = 2), so direct-scatter tiles
+// start past a chunk's first row; with two workers parfor splits each
+// compute tile and the halves fold disjoint cells of every share
+// concurrently.
+func TestParityMatchesEncode(t *testing.T) {
+	p := Params{N: 18432, P: 24, Mu: 5, Nu: 4, B: 32}
+	src := signal.Random(p.N, 47)
+	for workers := 1; workers <= 2; workers++ {
+		p.Workers = workers
+		pl, err := NewPlan(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var mu sync.Mutex
+		var cell string
+		checked := 0
+		pl.distOnRelease = func(ws *distWorkspace) {
+			chunk := len(ws.send) / ws.r
+			m := len(ws.parity) / chunk
+			code, err := erasure.New(ws.r, m)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			data, want := make([][]byte, ws.r), make([][]byte, m)
+			for d := range data {
+				data[d] = erasure.ComplexToBytes(nil, ws.send[d*chunk:(d+1)*chunk])
+			}
+			for i := range want {
+				want[i] = make([]byte, 16*chunk)
+			}
+			if err := code.Encode(data, want); err != nil {
+				t.Error(err)
+				return
+			}
+			for i := range want {
+				if !bytes.Equal(erasure.ComplexToBytes(nil, ws.parity[i*chunk:(i+1)*chunk]), want[i]) {
+					t.Errorf("%s rank %d: parity share %d differs from Encode over send", cell, ws.exec.rank, i)
+				}
+			}
+			mu.Lock()
+			checked++
+			mu.Unlock()
+		}
+		for _, r := range []int{2, 3, 4} {
+			nLocal := p.N / r
+			for m := 1; m < r; m++ {
+				for _, win := range []int{0, 1, r} {
+					for _, inverse := range []bool{false, true} {
+						cell = fmt.Sprintf("R=%d m=%d window=%d workers=%d inverse=%v", r, m, win, workers, inverse)
+						run := pl.RunDistributed
+						if inverse {
+							run = pl.RunDistributedInverse
+						}
+						w, err := mpi.NewWorld(r)
+						if err != nil {
+							t.Fatal(err)
+						}
+						checked = 0
+						err = w.Run(func(c *mpi.Comm) error {
+							k := c.Rank()
+							_, err := run(context.Background(), c, make([]complex128, nLocal), src[k*nLocal:(k+1)*nLocal],
+								WithCoding(m), WithAsyncWindow(win))
+							return err
+						})
+						if err != nil {
+							t.Fatalf("%s: %v", cell, err)
+						}
+						if checked != r {
+							t.Fatalf("%s: %d ranks' parity checked, want %d", cell, checked, r)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -415,7 +415,11 @@ func TestTransformSteadyStateAllocs(t *testing.T) {
 // TestTransformAllocsSurviveGC: a warm serial Transform allocates no
 // more after two garbage collections than before them. Two GCs empty a
 // sync.Pool: a pooled workspace is ≈ 270 kB rebuilt here, pooled F_M'
-// scratch ≈ 10 kB. The free lists keep both.
+// scratch ≈ 10 kB. The free lists keep both. TotalAlloc is process-wide,
+// and another goroutine (the runtime's, another test's) may allocate
+// inside a window, so up to three cold windows are measured, two GCs
+// before each, and the smallest is held to the bound: a workspace the GC
+// really dropped is rebuilt in every window.
 func TestTransformAllocsSurviveGC(t *testing.T) {
 	p := Params{N: 4096, P: 8, Mu: 5, Nu: 4, B: 48, Workers: 1}
 	pl, err := NewPlan(p)
@@ -435,10 +439,14 @@ func TestTransformAllocsSurviveGC(t *testing.T) {
 	}
 	allocated()
 	warm := allocated()
-	runtime.GC()
-	runtime.GC()
-	if cold := allocated(); cold > warm {
-		t.Errorf("Transform after two GCs allocates %d B, warm %d B: the workspace did not survive", cold, warm)
+	cold := uint64(math.MaxUint64)
+	for w := 0; w < 3 && cold > warm; w++ {
+		runtime.GC()
+		runtime.GC()
+		cold = min(cold, allocated())
+	}
+	if cold > warm {
+		t.Errorf("Transform after two GCs allocates %d B in its best of 3 windows, warm %d B: the workspace did not survive", cold, warm)
 	}
 }
 

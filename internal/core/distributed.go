@@ -4,9 +4,11 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"sync/atomic"
 	"time"
 
+	"soifft/internal/erasure"
 	"soifft/internal/exch"
 	"soifft/internal/instrument"
 	"soifft/internal/telemetry"
@@ -225,6 +227,7 @@ type distExec struct {
 	c                 Comm                 // collective/halo surface (instrument-wrapped when observing)
 	ws                *distWorkspace       // every payload-sized buffer of the run
 	rec               *instrument.Recorder // this run's recorder (plan's unless WithRecorder overrode it)
+	code              *erasure.Code        // coded runs with m ≥ 1: packRows folds every tile into ws.parity
 	rank, r           int
 	workers           int
 	nLocal            int
@@ -266,11 +269,14 @@ func (pl *Plan) newDistExec(ctx context.Context, cfg distOptions, c Comm, localO
 	rank, bpr, spr := c.Rank(), pl.mp/r, p.P/r
 	chunk := bpr * spr
 	for src := range ws.cols {
-		buf := ws.recv
-		if src == rank {
+		buf, at := ws.recv, src
+		switch {
+		case src == rank:
 			buf = ws.send // the self chunk never leaves send
+		case src > rank:
+			at-- // recv has no slot for this rank
 		}
-		ws.cols[src] = buf[src*chunk : (src+1)*chunk]
+		ws.cols[src] = buf[at*chunk : (at+1)*chunk]
 	}
 	e := &ws.exec
 	*e = distExec{
@@ -318,9 +324,8 @@ func (e *distExec) finish(localOut []complex128, deg *DegradedError) {
 // the next tile is still convolving. The neighbour prefix is awaited
 // before the first tile holding a boundary row.
 //
-// The stream may read the send buffer until it is closed; the coded
-// exchange encodes parity over it after the fan-out. A send error fails
-// the run unless onDead is set: the coded path notes the dead
+// The stream may read the send buffer until it is closed. A send error
+// fails the run unless onDead is set: the coded path notes the dead
 // destination there and carries on.
 func (e *distExec) produce(ctx context.Context, st exch.Stream, localIn []complex128, onDead func(dst int)) (fan fanOut, err error) {
 	pl, rank, r, ws := e.pl, e.rank, e.r, e.ws
@@ -416,9 +421,10 @@ func (e *distExec) produce(ctx context.Context, st exch.Stream, localIn []comple
 // runs. When the chunk spans every row (window 0), lane u's rows are the
 // run at u·bpr of send, so BatchScatter stores straight into it;
 // otherwise lane u of the tile lands contiguous at u·n of v, and one copy
-// per lane places it. Each tile stages its window from localIn and, for
-// rows from jMid on, the neighbour halo past it. Disjoint row ranges
-// touch disjoint cells of send, so ranges may run concurrently.
+// per lane places it. On either path a coded run then folds the cache-hot
+// tile into the parity. Each tile stages its window from localIn and, for
+// rows from jMid on, the neighbour halo past it. Disjoint row ranges touch
+// disjoint cells of send and of the parity, so ranges may run concurrently.
 func (e *distExec) packRows(localIn []complex128, lo, hi, cLo, cHi int) {
 	w0 := time.Now()
 	pl, ws, lanes := e.pl, e.ws, e.pl.prm.P
@@ -435,6 +441,9 @@ func (e *distExec) packRows(localIn []complex128, lo, hi, cLo, cHi int) {
 		if nk == e.bpr {
 			pl.fftP.BatchScatter(ws.send[t:], sc.conv, n, e.bpr)
 			scat += time.Since(s0)
+			for ss := 0; e.code != nil && ss < e.spr; ss++ {
+				e.fold(sc, ws.send[ss*e.bpr+t:], e.chunk, ss*e.bpr+t, n)
+			}
 			continue
 		}
 		sc.v = grown(sc.v, convTileRows*lanes)
@@ -444,10 +453,48 @@ func (e *distExec) packRows(localIn []complex128, lo, hi, cLo, cHi int) {
 			d, ss := u/e.spr, u%e.spr
 			copy(ws.send[d*e.chunk+cLo*e.spr+ss*nk+t-cLo:][:n], sc.v[u*n:])
 		}
+		for ss := 0; e.code != nil && ss < e.spr; ss++ {
+			e.fold(sc, sc.v[ss*n:], e.spr*n, cLo*e.spr+ss*nk+t-cLo, n)
+		}
 	}
 	e.scatter.Add(int64(scat))
 	if e.timed {
 		e.convBusy.Add(int64(time.Since(w0)))
+	}
+}
+
+// fold encodes one strip of this rank's codeword, its R outgoing chunks
+// (the unsent self chunk included, so parity covers its own column too):
+// data share d's n elements at strip[d·stride:], which land at off of
+// d's chunk, into the m parity shares' cells at off. Share 0 XORs the
+// Float64bits (the first parity row is all ones); shares ≥ 1 multiply-add
+// the byte images. The code is byte-wise, so any R of the R+m shares
+// decode bit-identical chunks.
+func (e *distExec) fold(sc *rankScratch, strip []complex128, stride, off, n int) {
+	acc, p0 := strip[:n], e.ws.parity[off:][:n]
+	for d := 1; d < e.r; d++ { // parity needs R ≥ 2
+		s := strip[d*stride:][:n]
+		for k := range p0 {
+			a, b := acc[k], s[k]
+			p0[k] = complex(math.Float64frombits(math.Float64bits(real(a))^math.Float64bits(real(b))),
+				math.Float64frombits(math.Float64bits(imag(a))^math.Float64bits(imag(b))))
+		}
+		acc = p0
+	}
+	if e.code.M() == 1 {
+		return
+	}
+	size := 16 * n // img: the accumulating share, then the R strips' byte images
+	sc.img = grown(sc.img, (1+e.r)*size)
+	for d := 0; d < e.r; d++ {
+		erasure.ComplexToBytes(sc.img[(1+d)*size:][:0], strip[d*stride:][:n])
+	}
+	for i := 1; i < e.code.M(); i++ {
+		clear(sc.img[:size])
+		for d := 0; d < e.r; d++ {
+			e.code.MulAdd(i, d, sc.img[:size], sc.img[(1+d)*size:][:size])
+		}
+		_, _ = erasure.BytesToComplex(e.ws.parity[i*e.chunk+off:][:0], sc.img[:size]) // whole elements
 	}
 }
 

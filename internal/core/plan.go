@@ -90,10 +90,10 @@ type distWorkspace struct {
 	exec distExec // the run's state, kept here so a run allocates none
 
 	// send is the packed exchange buffer, destination t's chunk at
-	// [t·chunk, (t+1)·chunk); recv receives every exchange in the same
-	// layout, source s's chunk at [s·chunk, (s+1)·chunk). N'/R each. A
-	// one-rank stream lands nothing, so a one-rank workspace has no recv:
-	// its send is the node's segment-major array.
+	// [t·chunk, (t+1)·chunk); recv lands the chunks from the R−1 peers in
+	// rank order, this rank's own staying in send. A one-rank stream
+	// lands nothing, so a one-rank workspace has no recv: its send is the
+	// node's segment-major array.
 	send, recv []complex128
 	cols       [][]complex128 // cols[src]: the chunk source src addressed to this rank
 	got        []int          // chunks delivered per source
@@ -109,9 +109,8 @@ type distWorkspace struct {
 
 	scratch chan *rankScratch // one per worker goroutine
 
-	parity   []complex128 // coded runs only: m parity shares of chunk elements
+	parity   []complex128 // coded runs only: m parity shares of chunk elements, folded per tile by produce
 	parityIn []complex128 // coded runs only: the m shares received, share i at [i·chunk, (i+1)·chunk)
-	code     []byte       // coded runs only: one strip of share byte images
 }
 
 // rankScratch is one worker's tile and segment buffers; v and xt are
@@ -120,6 +119,7 @@ type rankScratch struct {
 	convScratch              // a convTileRows-row tile: staged input, output before F_P
 	v           []complex128 // a tile after F_P, when a stream chunk is not the whole row range
 	xt          []complex128 // one segment's oversampled sequence, assembled unless it lies in send already
+	img         []byte       // coded runs with m ≥ 2: a tile strip's byte images and one parity share's
 }
 
 // grown returns buf resliced to n elements, reallocating only when its
@@ -146,7 +146,7 @@ func (pl *Plan) getDistWorkspace(r, workers int) *distWorkspace {
 	}
 	ws.tiles0, ws.chunks0 = []int{0, ws.jMid, bpr}, []int{0, bpr}
 	if r > 1 {
-		ws.recv = make([]complex128, bpr*p.P)
+		ws.recv = make([]complex128, bpr*(p.P-p.P/r))
 	} else { // nothing lands in recv, and no halo is in flight to overlap: one tile
 		ws.tiles0 = ws.chunks0
 	}

@@ -13,12 +13,12 @@ import (
 // all-to-all stream, which every run goes through, a node run's on its
 // one-rank world included. The producer fans phase-1/2 output out chunk
 // by chunk, and the transport lands each arriving chunk straight in the
-// workspace's recv (source src's chunk at src·chunk), which phase 4
-// copies from in contiguous runs. With an
-// async window w > 0 every compute tile is its own chunk, sent while
-// later tiles are still convolving, so wire time hides behind compute;
-// window 0 is the same stream with one chunk per destination, sent after
-// the last row is packed — the blocking exchange.
+// workspace's recv (in rank order, this rank's own chunk left in send),
+// which phase 4 copies from in contiguous runs. With an async window
+// w > 0 every compute tile is its own chunk, sent while later tiles are
+// still convolving, so wire time hides behind compute; window 0 is the
+// same stream with one chunk per destination, sent after the last row is
+// packed — the blocking exchange.
 // DistributedTimes.Exchange reports the un-hidden remainder (the fan-out
 // itself plus the post-compute drain tail), and the overlapped span is
 // booked via Recorder.AddHiddenExchange.

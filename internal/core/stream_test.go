@@ -382,9 +382,10 @@ func TestRunDistributedInverseOptions(t *testing.T) {
 // splits each compute tile, and the halves write disjoint runs of one
 // destination chunk. The one-rank world runs both layouts through a
 // generic Comm: window 0 scatters straight into send and runs F_M' in
-// place, windows 1 and 3 tile, copy and assemble (its coded cells carry
-// no parity, m ≤ R−1 = 0). Every cell, forward and inverse, flat and
-// coded, must equal the shared-memory transform bit for bit; that
+// place, windows 1 and 3 tile, copy and assemble. Coded cells carry the
+// most parity the world allows, m = R−1 (none at one rank), folded on
+// both store paths. Every cell, forward and inverse, flat and coded,
+// must equal the shared-memory transform bit for bit; that
 // transform runs the same driver, so TestTransformBitsPinned's hashes
 // are the independent anchor.
 func TestChunkLayoutBitIdentity(t *testing.T) {
@@ -418,7 +419,7 @@ func TestChunkLayoutBitIdentity(t *testing.T) {
 					for _, coded := range []bool{false, true} {
 						opts := []DistOption{WithAsyncWindow(win)}
 						if coded {
-							opts = append(opts, WithCoding(min(1, r-1)))
+							opts = append(opts, WithCoding(r-1))
 						}
 						pl := plans[workers]
 						run, want := pl.RunDistributed, fwd

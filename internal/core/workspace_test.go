@@ -132,10 +132,6 @@ func poison(ws *distWorkspace) {
 	for _, b := range [][]complex128{ws.send, ws.recv, ws.halo, ws.parity, ws.parityIn} {
 		fill(b)
 	}
-	code := ws.code[:cap(ws.code)]
-	for i := range code {
-		code[i] = 0xFF
-	}
 	for i := 0; i < cap(ws.scratch); i++ {
 		sc := <-ws.scratch
 		for _, b := range [][]complex128{sc.conv, sc.v, sc.xt} {
@@ -143,6 +139,10 @@ func poison(ws *distWorkspace) {
 		}
 		for i := range sc.stage {
 			sc.stage[i] = math.NaN()
+		}
+		img := sc.img[:cap(sc.img)]
+		for i := range img {
+			img[i] = 0xFF
 		}
 		ws.scratch <- sc
 	}
@@ -380,16 +380,46 @@ func TestNodeWorkspaceFootprint(t *testing.T) {
 		}
 		for i := 0; i < cap(ws.scratch); i++ {
 			sc := <-ws.scratch
-			if sc.v != nil || sc.xt != nil {
-				t.Errorf("workers=%d: scratch holds v %d, xt %d elements; want none", workers, len(sc.v), len(sc.xt))
+			if sc.v != nil || sc.xt != nil || sc.img != nil {
+				t.Errorf("workers=%d: scratch holds v %d, xt %d elements, img %d bytes; want none", workers, len(sc.v), len(sc.xt), len(sc.img))
 			}
 			if len(sc.stage) != pl.stageLen() || len(sc.conv) != convTileRows*p.P {
 				t.Errorf("workers=%d: tile scratch %d + %d, want %d + %d", workers, len(sc.stage), len(sc.conv), pl.stageLen(), convTileRows*p.P)
 			}
 			ws.scratch <- sc
 		}
-		if ws.parity != nil || ws.parityIn != nil || ws.code != nil {
+		if ws.parity != nil || ws.parityIn != nil {
 			t.Errorf("workers=%d: coded buffers allocated by a node run", workers)
+		}
+	}
+}
+
+// TestRankWorkspaceFootprint: a rank's own chunk never leaves send, so
+// its recv holds the R−1 chunks of its peers alone: one chunk at R = 2,
+// ≈ 5.2 MB less per rank at N = 2²⁰ than a slot per rank.
+func TestRankWorkspaceFootprint(t *testing.T) {
+	const r = 2
+	p := Params{N: 1 << 12, P: 8, Mu: 5, Nu: 4, B: 32, Workers: 1}
+	pl, err := NewPlan(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var released []*distWorkspace
+	pl.distOnRelease = func(ws *distWorkspace) {
+		mu.Lock()
+		released = append(released, ws)
+		mu.Unlock()
+	}
+	if err := runInproc(pl, r, make([]complex128, p.N), signal.Random(p.N, 12)); err != nil {
+		t.Fatal(err)
+	}
+	if len(released) != r {
+		t.Fatalf("%d releases, want %d", len(released), r)
+	}
+	for _, ws := range released {
+		if chunk := len(ws.send) / r; ws.r != r || len(ws.recv) != chunk {
+			t.Errorf("rank workspace: r = %d, recv %d elements; want %d and one chunk, %d", ws.r, len(ws.recv), r, chunk)
 		}
 	}
 }

@@ -179,11 +179,15 @@ func (c *Code) Encode(data, parity [][]byte) error {
 	for i, out := range parity {
 		clear(out)
 		for j, src := range data {
-			mulAdd(out, src, &c.tbl[i*c.k+j])
+			c.MulAdd(i, j, out, src)
 		}
 	}
 	return nil
 }
+
+// MulAdd xors data share j's term of parity share i, gen[i][j]·src, into
+// out: Encode's step, for a caller folding data in a piece at a time.
+func (c *Code) MulAdd(i, j int, out, src []byte) { mulAdd(out, src, &c.tbl[i*c.k+j]) }
 
 // Reconstruct rebuilds the missing data shares in place. shares must
 // have length k+m, indexed share order (data 0..k-1, parity k..k+m-1);
@@ -302,14 +306,11 @@ func invertMatrix(a [][]byte) ([][]byte, error) {
 // survive — so encode→decode over any channel that preserves bytes is
 // the identity on complex128 values.
 func ComplexToBytes(dst []byte, src []complex128) []byte {
-	for _, v := range src {
-		re := math.Float64bits(real(v))
-		im := math.Float64bits(imag(v))
-		dst = append(dst,
-			byte(re), byte(re>>8), byte(re>>16), byte(re>>24),
-			byte(re>>32), byte(re>>40), byte(re>>48), byte(re>>56),
-			byte(im), byte(im>>8), byte(im>>16), byte(im>>24),
-			byte(im>>32), byte(im>>40), byte(im>>48), byte(im>>56))
+	n := len(dst)
+	dst = append(dst, make([]byte, 16*len(src))...)
+	for k, v := range src {
+		binary.LittleEndian.PutUint64(dst[n+16*k:], math.Float64bits(real(v)))
+		binary.LittleEndian.PutUint64(dst[n+16*k+8:], math.Float64bits(imag(v)))
 	}
 	return dst
 }
@@ -320,12 +321,11 @@ func BytesToComplex(dst []complex128, src []byte) ([]complex128, error) {
 	if len(src)%16 != 0 {
 		return nil, fmt.Errorf("%w: %d bytes is not a whole number of complex128", ErrShardSize, len(src))
 	}
-	for off := 0; off < len(src); off += 16 {
-		re := uint64(src[off]) | uint64(src[off+1])<<8 | uint64(src[off+2])<<16 | uint64(src[off+3])<<24 |
-			uint64(src[off+4])<<32 | uint64(src[off+5])<<40 | uint64(src[off+6])<<48 | uint64(src[off+7])<<56
-		im := uint64(src[off+8]) | uint64(src[off+9])<<8 | uint64(src[off+10])<<16 | uint64(src[off+11])<<24 |
-			uint64(src[off+12])<<32 | uint64(src[off+13])<<40 | uint64(src[off+14])<<48 | uint64(src[off+15])<<56
-		dst = append(dst, complex(math.Float64frombits(re), math.Float64frombits(im)))
+	n := len(dst)
+	dst = append(dst, make([]complex128, len(src)/16)...)
+	for k := range dst[n:] {
+		dst[n+k] = complex(math.Float64frombits(binary.LittleEndian.Uint64(src[16*k:])),
+			math.Float64frombits(binary.LittleEndian.Uint64(src[16*k+8:])))
 	}
 	return dst, nil
 }

@@ -129,11 +129,11 @@ type Options struct {
 	// Sizes holds the element count of each chunk index; the same
 	// schedule applies to every (source, destination) pair.
 	Sizes []int
-	// Recv (required) receives the remote chunks, Size()·Σ Sizes
-	// elements: source src's chunks in rank order, chunk idx at
-	// Σ Sizes[:idx] within them (see Slot). Chunks are decoded straight
-	// into it; a frame whose size disagrees with its slot fails its
-	// source. Self chunks are not copied here.
+	// Recv (required) receives the remote chunks in rank order, Σ Sizes
+	// elements per source, chunk idx at Σ Sizes[:idx] within them; at
+	// (Size()−1)·Σ Sizes it leaves out the receiver's own (see Slot).
+	// Chunks are decoded straight into it; a frame whose size disagrees
+	// with its slot fails its source. Self chunks are not copied here.
 	Recv []complex128
 	// Window caps the queued-but-unflushed chunks per destination link;
 	// values below 1 are treated as 1. The in-process runtime lends
@@ -144,14 +144,17 @@ type Options struct {
 	Codec Codec
 }
 
-// Slot returns the span of Recv that chunk idx from source src lands in.
-func (o Options) Slot(src, idx int) []complex128 {
+// Slot returns the span of Recv that chunk idx from src lands in at rank self of size ranks.
+func (o Options) Slot(self, size, src, idx int) []complex128 {
 	total, off := 0, 0
 	for i, n := range o.Sizes {
 		if i < idx {
 			off += n
 		}
 		total += n
+	}
+	if src > self && len(o.Recv) < size*total { // no slot for self
+		src--
 	}
 	return o.Recv[src*total+off:][:o.Sizes[idx]]
 }

@@ -245,7 +245,8 @@ func TestStreamDeadSourceYieldsOneTypedFailure(t *testing.T) {
 // TestStreamLandsChunksInRecvSlots: every remote chunk is delivered as
 // its Recv slot holding the sent payload; a chunk the wrong size for its
 // slot ends that source's stream with one failure and leaves the other
-// sources alone.
+// sources alone. Rank 0's Recv has a slot per rank; ranks 1 and 2 leave
+// out their own, and rank 2's sources keep their places below it.
 func TestStreamLandsChunksInRecvSlots(t *testing.T) {
 	const size = 3
 	w, err := mpi.NewWorld(size)
@@ -253,12 +254,15 @@ func TestStreamLandsChunksInRecvSlots(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := exch.Options{Sizes: []int{2, 3}, Window: 1}
-	var recv0 exch.Options
+	var recv0, recv2 exch.Options
 	err = w.Run(func(c *mpi.Comm) error {
 		rank := c.Rank()
-		oo := withRecv(o, size)
-		if rank == 0 {
+		oo := withRecv(o, size-min(rank, 1))
+		switch rank {
+		case 0:
 			recv0 = oo
+		case 2:
+			recv2 = oo
 		}
 		s := c.StartAlltoallv(oo)
 		defer s.Close()
@@ -289,7 +293,7 @@ func TestStreamLandsChunksInRecvSlots(t *testing.T) {
 				}
 				continue
 			}
-			if ch.Src != rank && &ch.Data[0] != &oo.Slot(ch.Src, ch.Index)[0] {
+			if ch.Src != rank && &ch.Data[0] != &oo.Slot(rank, size, ch.Src, ch.Index)[0] {
 				return fmt.Errorf("rank %d: chunk %d from %d was not delivered in its Recv slot", rank, ch.Index, ch.Src)
 			}
 		}
@@ -305,6 +309,12 @@ func TestStreamLandsChunksInRecvSlots(t *testing.T) {
 	for i, v := range want {
 		if got := recv0.Recv[5+i]; got != v {
 			t.Fatalf("Recv[%d] = %v, want %v (source 1's chunks at offset 5)", 5+i, got, v)
+		}
+	}
+	want = append(payload(1, 2, 0, 2), payload(1, 2, 1, 3)...)
+	for i, v := range want {
+		if got := recv2.Recv[5+i]; got != v {
+			t.Fatalf("rank 2: Recv[%d] = %v, want %v (source 1's chunks at offset 5 of 10)", 5+i, got, v)
 		}
 	}
 }

@@ -98,7 +98,7 @@ func (s *stream) Send(dst, idx int, data []complex128) error {
 // slot) ends src's stream with one typed event.
 func (s *stream) recvLoop(src int) {
 	for idx := range s.o.Sizes {
-		slot := s.o.Slot(src, idx)
+		slot := s.o.Slot(s.c.rank, s.c.world.size, src, idx)
 		if err := s.borrow(slot, src, idx); err != nil {
 			s.trk.Deliver(exch.Chunk{Src: src, Err: err})
 			return

@@ -98,7 +98,7 @@ func (s *netStream) Send(dst, idx int, data []complex128) error {
 func (s *netStream) recvLoop(src int) {
 	pe := s.p.peers[src]
 	for idx := range s.o.Sizes {
-		slot := s.o.Slot(src, idx)
+		slot := s.o.Slot(s.p.rank, s.p.size, src, idx)
 		var wire []complex128
 		var err error
 		if s.o.Codec == nil {
