@@ -1,11 +1,9 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 
 	"soifft/internal/erasure"
 	"soifft/internal/instrument"
@@ -98,95 +96,13 @@ func ValidateCoded(r, m int) error {
 	return nil
 }
 
-// runCoded is the erasure-protected distributed transform behind
-// RunDistributed(..., WithCoding(m)): each rank encodes its R outgoing
-// chunks (its own included) into m parity shares over GF(2^8) and fans
-// data plus parity across its peers, so the transform survives rank
-// deaths mid-exchange. Phases 1–2 fanned out through the exchange
-// stream, parity, detection/recovery, then phase 4 with output takeover
-// on the coordinator.
-//
-// Outcomes:
-//   - no loss: identical to the uncoded run, bit for bit, at a wire cost
-//     of (R−1+m)/(R−1) times the plain exchange;
-//   - ranks die but every lost codeword retains ≥ R of its R+m shares
-//     (guaranteed for any single death with m ≥ 1 when the victim's
-//     sends flushed): every survivor finishes with the bit-exact
-//     spectrum and returns *DegradedError naming the reconstructed
-//     ranks; the coordinator additionally recomputes the dead ranks'
-//     output blocks (DegradedError.TakenOver, routed by GatherDegraded);
-//   - loss beyond the budget: every survivor returns a typed
-//     *UnrecoverableLossError naming the dead peers, within the
-//     transport's deadline bounds.
-//
-// The protocol detects deaths with a two-round view/agreement exchange
-// after the data fan-out; it therefore handles ranks that crash up to
-// that point. Deaths during the recovery itself surface as typed
-// transport errors (clean failure, never a wrong answer).
-//
-// Only a clean run returns its workspace to the plan; a degraded or
-// failed one drops it, and TakenOver blocks are caller-owned makes.
-func (pl *Plan) runCoded(ctx context.Context, c Comm, cfg distOptions, localOut, localIn []complex128) (DistributedTimes, error) {
-	m := cfg.parity
-	if err := ValidateCoded(c.Size(), m); err != nil {
-		return DistributedTimes{}, err
-	}
-	code, err := erasure.New(c.Size(), m) // recovery decodes with it
-	if err != nil {
-		return DistributedTimes{}, err
-	}
-	e, err := pl.newDistExec(ctx, cfg, c, localOut, localIn)
-	if err != nil {
-		return DistributedTimes{}, err
-	}
-	if m > 0 { // produce folds each tile into the shares
-		e.code, e.ws.parity = code, grown(e.ws.parity, m*e.chunk)
-	}
-
-	// The protocol runs on the unwrapped c, not e.c: its parity and
-	// recovery frames are booked by their own counters, not as messages.
-	cx := &codedExchange{e: e, c: c, m: m}
-	if e.rec.On() { // match the uncoded path: count only when observing
-		cx.rec = e.rec
-	}
-	deg, err := cx.exchange(ctx, localIn)
-	if err != nil {
-		return e.dt, err
-	}
-	if err := ctx.Err(); err != nil {
-		return e.dt, err
-	}
-
-	t0 := time.Now()
-	e.tr.Begin(e.tid, e.rank, instrument.StageSegmentFFT.String())
-	e.phase4(cx.recv, localOut)
-	if deg != nil && e.rank == deg.Coordinator {
-		// Take over the dead ranks' segment assembly: the pipeline is
-		// owner-agnostic, so feeding it dead rank d's column (pooled
-		// survivor chunks plus decoded chunks) yields d's exact block.
-		for _, d := range deg.ReconstructedRanks {
-			out := make([]complex128, e.nLocal)
-			e.phase4(cx.column(d), out)
-			deg.TakenOver[d] = out
-		}
-	}
-	e.dt.SegmentFT = time.Since(t0)
-	e.tr.End(e.tid, e.rank, instrument.StageSegmentFFT.String())
-
-	dt := e.dt // e lives in the workspace finish hands back
-	e.finish(localOut, deg)
-	if deg != nil {
-		return dt, deg
-	}
-	return dt, nil
-}
-
 // codedExchange is the per-rank state of one erasure-protected exchange.
 type codedExchange struct {
-	e   *distExec
-	c   Comm
-	rec *instrument.Recorder // nil unless observing
-	m   int
+	e    *distExec
+	c    Comm
+	rec  *instrument.Recorder // nil unless observing
+	m    int
+	code *erasure.Code
 
 	recv     [][]complex128 // recv[src] = C_{src→rank}: the run's cols, nil while lost, then refilled
 	parityIn map[int][]complex128
@@ -254,11 +170,31 @@ func (cx *codedExchange) recvParity(src int) {
 	cx.parityIn[src] = share
 }
 
-// detect runs the view and agreement rounds over the received state and,
-// when losses are within budget, the recovery.
-func (cx *codedExchange) detect(code *erasure.Code, rec *instrument.Recorder) (*DegradedError, error) {
-	e, m := cx.e, cx.m
+// detect runs after the drain: it marks every source whose stream ended
+// early dead and receives the others' parity, runs the view and
+// agreement rounds over the received state and, when losses are within
+// budget, the recovery. On success every survivor's own column is
+// complete.
+func (cx *codedExchange) detect() (*DegradedError, error) {
+	e, m, rec := cx.e, cx.m, cx.rec
 	r, rank := e.r, e.rank
+
+	// A source whose stream ended early lost chunks — a dead link, or a
+	// frame the wrong size for its slot: dead, and its parity is skipped.
+	// Receives are attempted even from peers already marked dead (e.g.
+	// because our send to them failed): a gracefully dying peer flushes
+	// its frames before the FIN and the transport keeps a dead link's
+	// queued frames readable, so the victim's contribution usually
+	// survives it.
+	for off := 1; off < r; off++ {
+		src := (rank + off) % r
+		if e.ws.got[src] < len(e.chunks)-1 {
+			cx.recv[src] = nil
+			cx.markDead(src)
+			continue
+		}
+		cx.recvParity(src)
+	}
 
 	// View round: exchange receipt masks. A peer unreachable here is
 	// dead. Masks travel as exact float64 integers (≤ 52 bits, enforced
@@ -328,66 +264,7 @@ func (cx *codedExchange) detect(code *erasure.Code, rec *instrument.Recorder) (*
 		return nil, &UnrecoverableLossError{DeadRanks: deadList, Parity: m}
 	}
 
-	return cx.recover(code, deadList)
-}
-
-// exchange executes the coded exchange: data chunks travel through the
-// exchange stream exactly as in the uncoded run, the parity produce
-// folded tile by tile ships on the parity tags after the produce loop —
-// per link the transports keep those frames apart from the stream's —
-// then detection and, within budget, recovery. On
-// success every survivor's own column is complete; a non-nil
-// *DegradedError reports reconstructions.
-func (cx *codedExchange) exchange(ctx context.Context, localIn []complex128) (deg *DegradedError, err error) {
-	e, rec := cx.e, cx.rec
-	r, rank, ws := e.r, e.rank, e.ws
-	ws.parityIn = grown(ws.parityIn, cx.m*e.chunk)
-	// Remote chunks land in the workspace's per-source chunks; the
-	// self-chunk is the packed send buffer's once the producer finishes.
-	cx.recv = ws.cols
-	cx.parityIn = make(map[int][]complex128)
-	cx.dead = make([]bool, r)
-	cx.masks = make([]uint64, r)
-
-	st := e.startStream()
-	defer st.Close()
-
-	// Route around a dead destination; detection settles it.
-	fan, perr := e.produce(ctx, st, localIn, cx.markDead)
-	prodDone := time.Now()
-	e.tr.Begin(e.tid, rank, instrument.StageExchange.String())
-	defer e.bookStream(fan, prodDone)
-	if perr != nil {
-		return nil, perr // context cancellation or a halo send failure
-	}
-
-	if err := cx.fanOutParity(); err != nil {
-		return nil, err
-	}
-
-	// Drain fully before any parity receive, so a source whose stream
-	// failed is known dead before its parity is asked for: its short
-	// chunk count, not the error, marks it below.
-	_ = e.await(st)
-
-	// A source whose stream ended early lost chunks — a dead link, or a
-	// frame the wrong size for its slot: dead, and its parity is skipped.
-	// Receives are attempted even from peers already marked dead (e.g.
-	// because our send to them failed): a gracefully dying peer flushes
-	// its frames before the FIN and the transport keeps a dead link's
-	// queued frames readable, so the victim's contribution usually
-	// survives it.
-	for off := 1; off < r; off++ {
-		src := (rank + off) % r
-		if ws.got[src] < len(e.chunks)-1 {
-			cx.recv[src] = nil
-			cx.markDead(src)
-			continue
-		}
-		cx.recvParity(src)
-	}
-
-	return cx.detect(e.code, rec)
+	return cx.recover(deadList)
 }
 
 // exchangeMasks runs one all-pairs round of single-value control frames,
@@ -425,7 +302,7 @@ func (cx *codedExchange) exchangeMasks(tag int, mine uint64, out []uint64) {
 // the coordinator (min surviving rank), decodes them, refills survivors
 // whose own chunks were lost, and retains the decoded columns for the
 // coordinator's output takeover.
-func (cx *codedExchange) recover(code *erasure.Code, deadList []int) (*DegradedError, error) {
+func (cx *codedExchange) recover(deadList []int) (*DegradedError, error) {
 	e, c, m := cx.e, cx.c, cx.m
 	r, rank, chunk, rec := e.r, e.rank, e.chunk, cx.rec
 
@@ -451,7 +328,7 @@ func (cx *codedExchange) recover(code *erasure.Code, deadList []int) (*DegradedE
 		if decodeErr != nil {
 			continue // first failure decides; remaining pool frames stay queued
 		}
-		if err := cx.poolAndDecode(code, d, coord); err != nil {
+		if err := cx.poolAndDecode(d, coord); err != nil {
 			decodeErr = err
 			continue
 		}
@@ -573,7 +450,7 @@ func (cx *codedExchange) sendPool(coord, d int) error {
 // poolAndDecode (coordinator) gathers every survivor's pool frame for
 // dead rank d, assembles the share set, reconstructs the codeword, and
 // stores the decoded data chunks and the pooled column.
-func (cx *codedExchange) poolAndDecode(code *erasure.Code, d, coord int) error {
+func (cx *codedExchange) poolAndDecode(d, coord int) error {
 	e, c, m := cx.e, cx.c, cx.m
 	r, chunk := e.r, e.chunk
 	if cx.poolMasks == nil {
@@ -641,7 +518,7 @@ func (cx *codedExchange) poolAndDecode(code *erasure.Code, d, coord int) error {
 		return &UnrecoverableLossError{DeadRanks: []int{d}, Parity: m,
 			Cause: fmt.Errorf("%w: %d of %d shares survive for rank %d's codeword", erasure.ErrTooFewShares, present, r, d)}
 	}
-	if err := code.Reconstruct(shares); err != nil {
+	if err := cx.code.Reconstruct(shares); err != nil {
 		return &UnrecoverableLossError{DeadRanks: []int{d}, Parity: m, Cause: err}
 	}
 	decoded := make([][]complex128, r)

@@ -7,11 +7,13 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"soifft/internal/erasure"
 	"soifft/internal/instrument"
 	"soifft/internal/mpi"
 	"soifft/internal/signal"
+	"soifft/internal/trace"
 )
 
 // codedParams is a shape with several segments and blocks per rank on 4
@@ -484,6 +486,71 @@ func TestGatherDegradedRoutesAroundDeadRoot(t *testing.T) {
 			}
 			if e := signal.MaxAbsErr(fulls[rank], ref); e != 0 {
 				t.Errorf("victim %d: gathered spectrum differs by %.3e", tc.victim, e)
+			}
+		}
+	}
+}
+
+// TestCodedEpilogueBookedAsExchange: the parity fan-out, the failpoint
+// after it and the detection rounds run inside the exchange stage. A
+// failpoint that sleeps on rank 0 must show in rank 0's
+// DistributedTimes.Exchange and in its exchange trace span at every
+// parity budget and window — a lower bound the sleep makes
+// deterministic, not a wall-clock threshold.
+func TestCodedEpilogueBookedAsExchange(t *testing.T) {
+	const r, nap = 4, 30 * time.Millisecond
+	pl, err := NewPlan(codedParams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := CodedExchangeFailpoint
+	CodedExchangeFailpoint = func(rank int) error {
+		if rank == 0 {
+			time.Sleep(nap)
+		}
+		return nil
+	}
+	defer func() { CodedExchangeFailpoint = prev }()
+	src := signal.Random(codedParams.N, 31)
+	nLocal := codedParams.N / r
+	for _, m := range []int{0, 1} {
+		for _, window := range []int{0, 2} {
+			w, err := mpi.NewWorld(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr := trace.New(1 << 10)
+			var exchange time.Duration
+			if err := w.Run(func(c *mpi.Comm) error {
+				k, ctx := c.Rank(), context.Background()
+				if k == 0 {
+					ctx = trace.WithTracer(ctx, tr)
+				}
+				dt, err := pl.RunDistributed(ctx, c, make([]complex128, nLocal),
+					src[k*nLocal:(k+1)*nLocal], WithCoding(m), WithAsyncWindow(window))
+				if k == 0 {
+					exchange = dt.Exchange
+				}
+				return err
+			}); err != nil {
+				t.Fatalf("m=%d window=%d: %v", m, window, err)
+			}
+			if exchange < nap {
+				t.Errorf("m=%d window=%d: rank 0 books %v as exchange, want at least the failpoint's %v", m, window, exchange, nap)
+			}
+			var begin, span int64
+			for _, ev := range tr.Snapshot() {
+				if ev.Name != instrument.StageExchange.String() {
+					continue
+				}
+				if ev.Kind == trace.KindBegin {
+					begin = ev.TS
+				} else if ev.Kind == trace.KindEnd {
+					span = ev.TS - begin
+				}
+			}
+			if time.Duration(span) < nap {
+				t.Errorf("m=%d window=%d: rank 0's exchange span lasts %v, want at least the failpoint's %v", m, window, time.Duration(span), nap)
 			}
 		}
 	}

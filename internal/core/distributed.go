@@ -182,23 +182,24 @@ func (pl *Plan) RunDistributed(ctx context.Context, c Comm, localOut, localIn []
 func (pl *Plan) runDistributed(ctx context.Context, c Comm, localOut, localIn []complex128, opts []DistOption, inverse bool) (DistributedTimes, error) {
 	cfg := pl.resolveDistOptions(opts)
 	cfg.inverse = inverse
-	if cfg.coded {
-		return pl.runCoded(ctx, c, cfg, localOut, localIn)
-	}
-	return pl.runFlat(ctx, c, cfg, localOut, localIn)
+	return pl.run(ctx, c, cfg, localOut, localIn)
 }
 
-// runFlat is the uncoded distributed transform: phases 1–2 fanned out
-// through the single all-to-all, then phase 4. Plan.Transform runs it on
-// the one-rank nodeComm.
-func (pl *Plan) runFlat(ctx context.Context, c Comm, cfg distOptions, localOut, localIn []complex128) (DistributedTimes, error) {
+// run is the distributed driver: phases 1–2 fanned out through the
+// single all-to-all, then phase 4. A coded run is the same run plus its
+// stages: produce folds each tile into the parity, the exchange fans the
+// parity out and ends with detection and recovery, and after a degraded
+// exchange the coordinator also takes over each dead rank's block.
+// Plan.Transform runs it on the one-rank nodeComm.
+func (pl *Plan) run(ctx context.Context, c Comm, cfg distOptions, localOut, localIn []complex128) (DistributedTimes, error) {
 	e, err := pl.newDistExec(ctx, cfg, c, localOut, localIn)
 	if err != nil {
 		return DistributedTimes{}, err
 	}
 	// Phases 1–3: the single all-to-all (stride-P permutation
 	// P_perm^{P,N'}) leaves the per-source chunks in ws.cols.
-	if err := e.exchange(ctx, localIn); err != nil {
+	deg, err := e.exchange(ctx, localIn)
+	if err != nil {
 		return e.dt, err
 	}
 	if err := ctx.Err(); err != nil {
@@ -210,24 +211,35 @@ func (pl *Plan) runFlat(ctx context.Context, c Comm, cfg distOptions, localOut, 
 	t0 := time.Now()
 	e.tr.Begin(e.tid, e.rank, instrument.StageSegmentFFT.String())
 	e.phase4(e.ws.cols, localOut)
+	if deg != nil && e.rank == deg.Coordinator {
+		// Take over the dead ranks' segment assembly: the pipeline is
+		// owner-agnostic, so feeding it dead rank d's column (pooled
+		// survivor chunks plus decoded chunks) yields d's exact block.
+		for _, d := range deg.ReconstructedRanks {
+			out := make([]complex128, e.nLocal)
+			e.phase4(e.cx.column(d), out)
+			deg.TakenOver[d] = out
+		}
+	}
 	e.dt.SegmentFT = time.Since(t0)
 	e.tr.End(e.tid, e.rank, instrument.StageSegmentFFT.String())
 
 	dt := e.dt // e lives in the workspace finish hands back
-	e.finish(localOut, nil)
+	e.finish(localOut, deg)
+	if deg != nil {
+		return dt, deg
+	}
 	return dt, nil
 }
 
 // distExec is the per-rank execution state one distributed transform
-// shares between its phases; the plain and coded drivers both build one
-// and differ only in how chunks cross the wire between produce and
-// phase4. It lives in the run's workspace.
+// shares between its phases. It lives in the run's workspace.
 type distExec struct {
 	pl                *Plan
 	c                 Comm                 // collective/halo surface (instrument-wrapped when observing)
 	ws                *distWorkspace       // every payload-sized buffer of the run
 	rec               *instrument.Recorder // this run's recorder (plan's unless WithRecorder overrode it)
-	code              *erasure.Code        // coded runs with m ≥ 1: packRows folds every tile into ws.parity
+	cx                *codedExchange       // coded runs only: parity, detection and recovery state
 	rank, r           int
 	workers           int
 	nLocal            int
@@ -248,10 +260,21 @@ type distExec struct {
 }
 
 // newDistExec validates plan/world/buffer shapes, takes a workspace and
-// assembles the execution state in it. A run uses cfg.workers goroutines,
-// else Params.Workers, at least one.
+// assembles the execution state in it; a coded run also gets its code,
+// its parity buffers and its codedExchange. A run uses cfg.workers
+// goroutines, else Params.Workers, at least one.
 func (pl *Plan) newDistExec(ctx context.Context, cfg distOptions, c Comm, localOut, localIn []complex128) (*distExec, error) {
 	r := c.Size()
+	var code *erasure.Code
+	if cfg.coded {
+		if err := ValidateCoded(r, cfg.parity); err != nil {
+			return nil, err
+		}
+		var err error
+		if code, err = erasure.New(r, cfg.parity); err != nil {
+			return nil, err
+		}
+	}
 	if err := pl.ValidateDistributed(r); err != nil {
 		return nil, err
 	}
@@ -290,6 +313,17 @@ func (pl *Plan) newDistExec(ctx context.Context, cfg distOptions, c Comm, localO
 		timed:   cfg.rec.Timing(),
 	}
 	e.tr, e.tid = pl.tracerFor(ctx)
+	if cfg.coded {
+		m := cfg.parity
+		ws.parity, ws.parityIn = grown(ws.parity, m*chunk), grown(ws.parityIn, m*chunk)
+		// The protocol runs on the unwrapped c, not e.c: its parity and
+		// recovery frames are booked by their own counters, not as messages.
+		e.cx = &codedExchange{e: e, c: c, m: m, code: code, recv: ws.cols,
+			parityIn: make(map[int][]complex128), dead: make([]bool, r), masks: make([]uint64, r)}
+		if e.rec.On() { // match the uncoded path: count only when observing
+			e.cx.rec = e.rec
+		}
+	}
 	return e, nil
 }
 
@@ -325,9 +359,9 @@ func (e *distExec) finish(localOut []complex128, deg *DegradedError) {
 // before the first tile holding a boundary row.
 //
 // The stream may read the send buffer until it is closed. A send error
-// fails the run unless onDead is set: the coded path notes the dead
-// destination there and carries on.
-func (e *distExec) produce(ctx context.Context, st exch.Stream, localIn []complex128, onDead func(dst int)) (fan fanOut, err error) {
+// fails a flat run; a coded run marks the destination dead, and
+// detection settles it.
+func (e *distExec) produce(ctx context.Context, st exch.Stream, localIn []complex128) (fan fanOut, err error) {
 	pl, rank, r, ws := e.pl, e.rank, e.r, e.ws
 
 	// Phase 1: post the halo prefix(es) immediately (sends are
@@ -391,10 +425,10 @@ func (e *distExec) produce(ctx context.Context, st exch.Stream, localIn []comple
 				serr := st.Send(dst, next, ws.send[dst*e.chunk+cLo*e.spr:dst*e.chunk+cHi*e.spr])
 				e.tr.ChunkEnd(e.tid, rank, "exchange_chunk_send", next)
 				if serr != nil {
-					if onDead == nil {
+					if e.cx == nil {
 						return fan, serr
 					}
-					onDead(dst)
+					e.cx.markDead(dst)
 				}
 			}
 			fan.last = time.Now()
@@ -428,6 +462,7 @@ func (e *distExec) produce(ctx context.Context, st exch.Stream, localIn []comple
 func (e *distExec) packRows(localIn []complex128, lo, hi, cLo, cHi int) {
 	w0 := time.Now()
 	pl, ws, lanes := e.pl, e.ws, e.pl.prm.P
+	coded := e.cx != nil && e.cx.m > 0
 	sc := <-ws.scratch
 	defer func() { ws.scratch <- sc }()
 	jLo, nk := e.rank*e.bpr, cHi-cLo
@@ -441,7 +476,7 @@ func (e *distExec) packRows(localIn []complex128, lo, hi, cLo, cHi int) {
 		if nk == e.bpr {
 			pl.fftP.BatchScatter(ws.send[t:], sc.conv, n, e.bpr)
 			scat += time.Since(s0)
-			for ss := 0; e.code != nil && ss < e.spr; ss++ {
+			for ss := 0; coded && ss < e.spr; ss++ {
 				e.fold(sc, ws.send[ss*e.bpr+t:], e.chunk, ss*e.bpr+t, n)
 			}
 			continue
@@ -453,7 +488,7 @@ func (e *distExec) packRows(localIn []complex128, lo, hi, cLo, cHi int) {
 			d, ss := u/e.spr, u%e.spr
 			copy(ws.send[d*e.chunk+cLo*e.spr+ss*nk+t-cLo:][:n], sc.v[u*n:])
 		}
-		for ss := 0; e.code != nil && ss < e.spr; ss++ {
+		for ss := 0; coded && ss < e.spr; ss++ {
 			e.fold(sc, sc.v[ss*n:], e.spr*n, cLo*e.spr+ss*nk+t-cLo, n)
 		}
 	}
@@ -481,7 +516,8 @@ func (e *distExec) fold(sc *rankScratch, strip []complex128, stride, off, n int)
 		}
 		acc = p0
 	}
-	if e.code.M() == 1 {
+	m := e.cx.m
+	if m == 1 {
 		return
 	}
 	size := 16 * n // img: the accumulating share, then the R strips' byte images
@@ -489,10 +525,10 @@ func (e *distExec) fold(sc *rankScratch, strip []complex128, stride, off, n int)
 	for d := 0; d < e.r; d++ {
 		erasure.ComplexToBytes(sc.img[(1+d)*size:][:0], strip[d*stride:][:n])
 	}
-	for i := 1; i < e.code.M(); i++ {
+	for i := 1; i < m; i++ {
 		clear(sc.img[:size])
 		for d := 0; d < e.r; d++ {
-			e.code.MulAdd(i, d, sc.img[:size], sc.img[(1+d)*size:][:size])
+			e.cx.code.MulAdd(i, d, sc.img[:size], sc.img[(1+d)*size:][:size])
 		}
 		_, _ = erasure.BytesToComplex(e.ws.parity[i*e.chunk+off:][:0], sc.img[:size]) // whole elements
 	}
@@ -506,7 +542,7 @@ func (e *distExec) fold(sc *rankScratch, strip []complex128, stride, off, n int)
 // segment-major bpr·spr chunk that source rank src addressed to the
 // output owner. The segment pipeline is owner-agnostic (the global
 // segment identity is baked into the chunk data by the phase-2
-// modulation), so the coded driver reuses it verbatim to take over a dead
+// modulation), so a coded run reuses it verbatim to take over a dead
 // rank's output with bit-identical results.
 func (e *distExec) phase4(cols [][]complex128, out []complex128) {
 	if e.workers <= 1 { // parfor's closure would escape

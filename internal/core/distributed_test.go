@@ -2,8 +2,13 @@ package core
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"soifft/internal/fft"
 	"soifft/internal/mpi"
@@ -258,5 +263,148 @@ func TestRunDistributedSegment(t *testing.T) {
 	})
 	if err == nil {
 		t.Error("expected segment range error")
+	}
+}
+
+// countdownCtx is a context whose Err reports context.Canceled from its
+// k-th call on, so a test picks the cancelled stage deterministically.
+type countdownCtx struct {
+	context.Context
+	left atomic.Int64
+}
+
+func newCountdownCtx(k int) *countdownCtx {
+	c := &countdownCtx{Context: context.Background()}
+	c.left.Store(int64(k))
+	return c
+}
+
+func (c *countdownCtx) Err() error {
+	if c.left.Add(-1) <= 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestRunDistributedCancelled cancels rank 0 at each of its context
+// checks in turn, k = 1, 2, … until a run completes. The cancelled rank
+// returns context.Canceled and releases no workspace; every other rank
+// returns, without hanging, nil, a *DegradedError or a Fault. The node
+// transform is held to the same at R = 1, no goroutine outlives the
+// runs, and an already-cancelled context takes no workspace off the free
+// list.
+func TestRunDistributedCancelled(t *testing.T) {
+	base := runtime.NumGoroutine()
+	pl, err := NewPlan(codedParams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := signal.Random(codedParams.N, 41)
+	var victimReleased atomic.Bool
+	pl.distOnRelease = func(ws *distWorkspace) {
+		if ws.exec.rank == 0 {
+			victimReleased.Store(true)
+		}
+	}
+	// cancelAt runs one transform with rank 0 on newCountdownCtx(k) and
+	// reports whether rank 0 was cancelled.
+	cancelAt := func(name string, k int, run func(ctx context.Context) error) bool {
+		victimReleased.Store(false)
+		done := make(chan error, 1)
+		go func() { done <- run(newCountdownCtx(k)) }()
+		select {
+		case err := <-done:
+			switch {
+			case err == nil:
+				return false
+			case !errors.Is(err, context.Canceled):
+				t.Fatalf("%s k=%d: rank 0 returned %v, want context.Canceled", name, k, err)
+			case victimReleased.Load():
+				t.Errorf("%s k=%d: the cancelled rank released its workspace", name, k)
+			}
+			return true
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%s k=%d: the run hangs", name, k)
+		}
+		return false
+	}
+	// sweep raises k until a run completes; cancellation must have hit at
+	// least newDistExec, the producer and the check before phase 4.
+	sweep := func(name string, run func(ctx context.Context) error) {
+		k := 1
+		for ; cancelAt(name, k, run); k++ {
+			if k == 64 {
+				t.Fatalf("%s: still cancelled after %d context checks", name, k)
+			}
+		}
+		if k < 4 {
+			t.Errorf("%s: completed at k=%d, want at least three cancellable checks", name, k)
+		}
+	}
+
+	for _, r := range []int{2, 4} {
+		nLocal := codedParams.N / r
+		for _, v := range []struct {
+			name string
+			opts []DistOption
+		}{{"flat", nil}, {"async", []DistOption{WithAsyncWindow(2)}}, {"coded", []DistOption{WithCoding(1)}}} {
+			name := fmt.Sprintf("R=%d %s", r, v.name)
+			sweep(name, func(ctx context.Context) error {
+				w, err := mpi.NewWorld(r)
+				if err != nil {
+					return err
+				}
+				errs := make([]error, r)
+				_ = w.Run(func(c *mpi.Comm) error {
+					k, rctx := c.Rank(), context.Background()
+					if k == 0 {
+						rctx = ctx
+					}
+					_, errs[k] = pl.RunDistributed(rctx, c, make([]complex128, nLocal), src[k*nLocal:(k+1)*nLocal], v.opts...)
+					return errs[k] // a failed rank aborts the world, which wakes its peers
+				})
+				for k := 1; k < r; k++ {
+					var deg *DegradedError
+					var fault Fault
+					if err := errs[k]; err != nil && !errors.As(err, &deg) && !errors.As(err, &fault) {
+						t.Errorf("%s: rank %d returned %v, want nil, *DegradedError or a Fault", name, k, err)
+					}
+				}
+				return errs[0]
+			})
+		}
+	}
+	dst := make([]complex128, codedParams.N)
+	sweep("node", func(ctx context.Context) error { return pl.TransformContext(ctx, dst, src) })
+
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	free := pl.distFree.Len()
+	if err := pl.TransformContext(cancelled, dst, src); !errors.Is(err, context.Canceled) {
+		t.Errorf("node run on a cancelled context returned %v", err)
+	}
+	const r = 2
+	w, err := mpi.NewWorld(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Run(func(c *mpi.Comm) error {
+		k := c.Rank()
+		_, err := pl.RunDistributed(cancelled, c, make([]complex128, codedParams.N/r), src[:codedParams.N/r], WithCoding(1))
+		if !errors.Is(err, context.Canceled) {
+			return fmt.Errorf("rank %d on a cancelled context returned %v", k, err)
+		}
+		return nil
+	}); err != nil {
+		t.Error(err)
+	}
+	if n := pl.distFree.Len(); n != free {
+		t.Errorf("runs on a cancelled context left %d workspaces on the free list, want %d", n, free)
+	}
+
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > base; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the cancelled runs, %d before", runtime.NumGoroutine(), base)
+		}
 	}
 }

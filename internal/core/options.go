@@ -32,9 +32,32 @@ func (pl *Plan) resolveDistOptions(opts []DistOption) distOptions {
 
 // WithCoding runs the exchange erasure-protected with m parity shares
 // per codeword, so the transform survives up to m rank deaths
-// mid-exchange (bit-exact, reported via *DegradedError); m = 0 means
-// detection without repair. The protocol contract (outcomes, what deaths
-// it survives) is documented on runCoded in coded.go.
+// mid-exchange; m = 0 means detection without repair. Each rank encodes
+// its R outgoing chunks (its own included) into m parity shares over
+// GF(2^8), tile by tile as they are packed, and sends share i to rank+1+i
+// after its data.
+//
+// Outcomes:
+//   - no loss: identical to the uncoded run, bit for bit, at a wire cost
+//     of (R−1+m)/(R−1) times the plain exchange;
+//   - ranks die but every lost codeword retains ≥ R of its R+m shares
+//     (guaranteed for any single death with m ≥ 1 when the victim's
+//     sends flushed): every survivor finishes with the bit-exact
+//     spectrum and returns *DegradedError naming the reconstructed
+//     ranks; the coordinator additionally recomputes the dead ranks'
+//     output blocks (DegradedError.TakenOver, routed by GatherDegraded);
+//   - loss beyond the budget: every survivor returns a typed
+//     *UnrecoverableLossError naming the dead peers, within the
+//     transport's deadline bounds.
+//
+// Deaths are detected by a two-round view/agreement exchange after the
+// data and parity fan-out, so the protocol handles ranks that crash up
+// to that point. Deaths during the recovery itself surface as typed
+// transport errors (clean failure, never a wrong answer). Parity,
+// detection and recovery are booked as exchange time.
+//
+// Only a clean run returns its workspace to the plan; a degraded or
+// failed one drops it, and TakenOver blocks are caller-owned makes.
 func WithCoding(m int) DistOption {
 	return func(o *distOptions) { o.coded = true; o.parity = m }
 }

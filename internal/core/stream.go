@@ -108,26 +108,39 @@ func (e *distExec) drain(st exch.Stream) (err error) {
 }
 
 // exchange executes phases 1–3: produce over the stream, then drain it.
-func (e *distExec) exchange(ctx context.Context, localIn []complex128) error {
+// A coded run fans its parity out after the producer and, once drained,
+// detects losses and recovers within budget, all inside the exchange
+// stage; a non-nil *DegradedError reports reconstructions.
+func (e *distExec) exchange(ctx context.Context, localIn []complex128) (*DegradedError, error) {
 	st := e.startStream()
 	defer st.Close()
 
-	fan, perr := e.produce(ctx, st, localIn, nil)
-	if perr != nil {
+	fan, err := e.produce(ctx, st, localIn)
+	prodDone := time.Now()
+	e.tr.Begin(e.tid, e.rank, instrument.StageExchange.String())
+	defer e.bookStream(fan, prodDone)
+	if err == nil && e.cx != nil {
+		err = e.cx.fanOutParity()
+	}
+	if err != nil {
 		// A producer that bailed mid-schedule left self-delivery slots the
 		// drain would otherwise wait on forever; Close aborts the tracker
-		// so the drain below stays bounded.
+		// so the drain below stays bounded. A failed parity fan-out closes
+		// too, so both failures drain alike.
 		st.Close()
 	}
 
 	// Drain: whatever the producer's outcome, wait for the receivers —
 	// their loops are deadline-bounded, and they must be done with recv
-	// before the workspace can go back to the free list.
-	prodDone := time.Now()
-	e.tr.Begin(e.tid, e.rank, instrument.StageExchange.String())
-	err := cmp.Or(perr, e.await(st), ctx.Err())
-	e.bookStream(fan, prodDone)
-	return err
+	// before the workspace can go back to the free list. A coded run
+	// drains fully before any parity receive, so a source whose stream
+	// failed is known dead, by its short chunk count, before its parity
+	// is asked for.
+	aerr := e.await(st)
+	if e.cx == nil || err != nil {
+		return nil, cmp.Or(err, aerr, ctx.Err())
+	}
+	return e.cx.detect()
 }
 
 // fanOut is the producer's account of its chunk sends: when the first

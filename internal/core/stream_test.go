@@ -205,8 +205,8 @@ func (s truncStream) Send(dst, idx int, data []complex128) error {
 
 // TestStreamWrongSizeChunk pins what a chunk the wrong size for its recv
 // slot does, on both transports: the transport fails that source with a
-// typed fault. The flat streamed driver fails with it on every rank the
-// source sent to. Both coded drivers, streamed and blocking, treat the
+// typed fault. A flat streamed run fails with it on every rank the
+// source sent to. A coded run, streamed or blocking, treats the
 // source as lost, like a dead link — here beyond the m = 1 budget, since
 // every data share of its codeword went — and fail typed naming it.
 func TestStreamWrongSizeChunk(t *testing.T) {

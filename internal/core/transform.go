@@ -81,7 +81,7 @@ func (pl *Plan) transform(ctx context.Context, dst, src []complex128, inverse bo
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	dt, err := pl.runFlat(ctx, nodeComm{}, distOptions{rec: pl.rec, workers: workers, inverse: inverse}, dst, src)
+	dt, err := pl.run(ctx, nodeComm{}, distOptions{rec: pl.rec, workers: workers, inverse: inverse}, dst, src)
 	return PhaseTimes{Convolve: dt.Convolve - dt.transpose, Transpose: dt.transpose, SegmentFT: dt.SegmentFT}, err
 }
 

@@ -341,31 +341,3 @@ func (c *Conn) sleep(d time.Duration, deadline time.Time) error {
 		return nil
 	}
 }
-
-// Listener wraps Accept so every inbound connection gets the plan,
-// each with its own deterministic stream.
-type Listener struct {
-	net.Listener
-	plan Plan
-
-	mu   sync.Mutex
-	next int64
-}
-
-// NewListener wraps ln under the plan.
-func NewListener(ln net.Listener, plan Plan) *Listener {
-	return &Listener{Listener: ln, plan: plan}
-}
-
-// Accept wraps the next inbound connection.
-func (l *Listener) Accept() (net.Conn, error) {
-	c, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	l.mu.Lock()
-	id := l.next
-	l.next++
-	l.mu.Unlock()
-	return l.plan.Conn(c, id), nil
-}

@@ -2,7 +2,6 @@ package fft
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 )
 
@@ -70,35 +69,6 @@ func (p *Plan) InverseBatch(dst, src []complex128, count int) {
 	for i := 0; i < count; i++ {
 		p.Inverse(dst[i*n:(i+1)*n], src[i*n:(i+1)*n])
 	}
-}
-
-// ParallelBatch is Batch with the transforms spread over workers
-// goroutines (GOMAXPROCS when workers <= 0). It models the intra-node
-// OpenMP threading of the paper's implementation.
-func (p *Plan) ParallelBatch(dst, src []complex128, count, workers int) {
-	p.checkBatch(dst, src, count)
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > count {
-		workers = count
-	}
-	if workers <= 1 {
-		p.Batch(dst, src, count)
-		return
-	}
-	n := p.n
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * count / workers
-		hi := (w + 1) * count / workers
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			p.Batch(dst[lo*n:hi*n], src[lo*n:hi*n], hi-lo)
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 func (p *Plan) checkBatch(dst, src []complex128, count int) {

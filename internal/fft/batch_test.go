@@ -19,21 +19,6 @@ func TestBatchMatchesSingle(t *testing.T) {
 	}
 }
 
-func TestParallelBatchMatchesBatch(t *testing.T) {
-	const n, count = 120, 33
-	p, _ := NewPlan(n)
-	src := randomVec(n*count, 6)
-	want := make([]complex128, n*count)
-	p.Batch(want, src, count)
-	for _, workers := range []int{0, 1, 2, 3, 8, 64} {
-		got := make([]complex128, n*count)
-		p.ParallelBatch(got, src, count, workers)
-		if e := maxAbsErr(got, want); e > 0 {
-			t.Errorf("workers=%d: ParallelBatch differs by %.3e", workers, e)
-		}
-	}
-}
-
 func TestInverseBatchRoundTrip(t *testing.T) {
 	const n, count = 48, 5
 	p, _ := NewPlan(n)
@@ -91,58 +76,5 @@ func TestConvenienceForwardInverse(t *testing.T) {
 	}
 	if e := maxAbsErr(back, src); e > 1e-11 {
 		t.Errorf("convenience round trip error %.3e", e)
-	}
-}
-
-func TestForwardParallelBitIdentical(t *testing.T) {
-	for _, n := range []int{64, 1 << 12, 1 << 16, 3 * 1 << 10, 5 * 7 * 64} {
-		p, err := NewPlan(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		src := randomVec(n, int64(n))
-		want := make([]complex128, n)
-		p.Forward(want, src)
-		for _, workers := range []int{0, 2, 4, 16} {
-			got := make([]complex128, n)
-			p.ForwardParallel(got, src, workers)
-			if e := maxAbsErr(got, want); e != 0 {
-				t.Errorf("n=%d workers=%d: parallel differs by %.3e", n, workers, e)
-			}
-		}
-		// In-place parallel.
-		buf := append([]complex128(nil), src...)
-		p.ForwardParallel(buf, buf, 4)
-		if e := maxAbsErr(buf, want); e != 0 {
-			t.Errorf("n=%d: in-place parallel differs", n)
-		}
-	}
-}
-
-func TestInverseParallelRoundTrip(t *testing.T) {
-	const n = 1 << 14
-	p, _ := NewPlan(n)
-	src := randomVec(n, 77)
-	freq := make([]complex128, n)
-	back := make([]complex128, n)
-	p.ForwardParallel(freq, src, 4)
-	p.InverseParallel(back, freq, 4)
-	if e := maxAbsErr(back, src); e > 1e-11 {
-		t.Errorf("parallel round trip error %.3e", e)
-	}
-}
-
-func TestForwardParallelBluesteinFallsBack(t *testing.T) {
-	p, err := NewPlan(1009) // prime: Bluestein path
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := randomVec(1009, 5)
-	want := make([]complex128, 1009)
-	p.Forward(want, src)
-	got := make([]complex128, 1009)
-	p.ForwardParallel(got, src, 8)
-	if e := maxAbsErr(got, want); e != 0 {
-		t.Error("bluestein parallel fallback differs")
 	}
 }

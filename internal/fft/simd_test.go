@@ -381,7 +381,7 @@ func TestPlansBitIdenticalAcrossKernels(t *testing.T) {
 	if testing.Short() {
 		sizes = []int{8, 64, 640, 2560, 8 * 3 * 5 * 7}
 	}
-	type result struct{ fwd, par, demod, batch, scat []complex128 }
+	type result struct{ fwd, demod, batch, scat []complex128 }
 	const count = 3
 	run := func(n int, src []complex128) result {
 		p, err := NewPlan(n)
@@ -389,11 +389,10 @@ func TestPlansBitIdenticalAcrossKernels(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := result{
-			fwd: make([]complex128, n), par: make([]complex128, n),
+			fwd:   make([]complex128, n),
 			batch: make([]complex128, count*n), scat: make([]complex128, count*n),
 		}
 		p.Forward(r.fwd, src[:n])
-		p.ForwardParallel(r.par, src[:n], 3)
 		r.demod = make([]complex128, n*4/5)
 		p.ForwardDemod(r.demod, append([]complex128(nil), src[:n]...), randomVec(len(r.demod), int64(n)+21))
 		if n <= 2560 {
@@ -411,7 +410,7 @@ func TestPlansBitIdenticalAcrossKernels(t *testing.T) {
 			want = run(n, src)
 		}()
 		for name, pair := range map[string][2][]complex128{
-			"Forward": {got.fwd, want.fwd}, "ForwardParallel": {got.par, want.par}, "ForwardDemod": {got.demod, want.demod},
+			"Forward": {got.fwd, want.fwd}, "ForwardDemod": {got.demod, want.demod},
 			"Batch": {got.batch, want.batch}, "BatchScatter": {got.scat, want.scat},
 		} {
 			if i := firstBitDiff(pair[0], pair[1]); i >= 0 {
