@@ -11,7 +11,8 @@ import "soifft/internal/core"
 //
 // Errors born from a cancelled context are ctx.Err() (context.Canceled
 // or context.DeadlineExceeded), not members of this taxonomy; transport
-// failures of TCP mesh runs are *mpinet.TransportError values.
+// failures, in process and on a TCP mesh, are *mpinet.TransportError
+// values.
 var (
 	// ErrLength reports a dst/src/filter slice whose length does not
 	// match what the plan requires.

@@ -16,8 +16,9 @@ import (
 )
 
 // Comm is the one transport contract of the distributed drivers, held
-// by *mpi.Comm (the in-process runtime) and *mpinet.Proc (TCP), so the
-// same SOI code runs over goroutines or over real sockets. It holds only
+// by *mpinet.Proc over either of its links — in process (mpi.NewWorld,
+// whose Comm is that Proc) or TCP — so the same SOI code runs over
+// goroutines or over real sockets. It holds only
 // what the drivers call. Like an MPI call returning its code, every
 // fallible method reports a transport failure (peer death, corrupted
 // frame, expired I/O deadline, aborted world) as a returned error that
@@ -33,9 +34,9 @@ type Comm interface {
 }
 
 // Fault is the marker interface for typed communication failures:
-// *mpinet.TransportError, *mpi.AbortError and *mpi.CollectiveError
-// implement it, and the drivers return them unchanged, so a wire failure
-// surfaces as a typed error from RunDistributed instead of a hang.
+// *mpinet.TransportError, the one failure of both links, implements it,
+// and the drivers return it unchanged, so a wire failure surfaces as a
+// typed error from RunDistributed instead of a hang.
 type Fault interface {
 	error
 	CommFault()
@@ -94,7 +95,7 @@ func (pl *Plan) ValidateDistributed(r int) error {
 // shared recorder, the total is 16·(1+β)·N·(R−1)/R bytes per SOI
 // transform, whatever the window). The
 // collective op itself is counted once per world, on rank 0, mirroring
-// the mpi.World statistics convention. Receives forward by embedding.
+// the mpinet.World statistics convention. Receives forward by embedding.
 type countingComm struct {
 	Comm
 	rec *instrument.Recorder

@@ -1,11 +1,11 @@
 // Package exch defines the chunked, windowed, asynchronous all-to-all
 // stream every exchange of the distributed SOI driver runs on — one
 // chunk per destination for the blocking exchange, per-tile chunks to
-// hide wire time behind convolution. It is a leaf package: both
-// transports (internal/mpi, internal/mpinet) implement the Stream
-// surface against these types, and internal/core consumes it, so the
-// three packages agree on one schedule and one event shape (and one
-// FreeList) without import cycles.
+// hide wire time behind convolution. It is a leaf package: the
+// transport (internal/mpinet, over either of its links) implements the
+// Stream surface against these types, and internal/core consumes it, so
+// the two agree on one schedule and one event shape (and one FreeList)
+// without import cycles.
 //
 // Protocol: all ranks derive the same chunk schedule (Options.Sizes, an
 // element count per chunk index) and each rank streams chunk idx to
@@ -193,9 +193,9 @@ type Stream interface {
 	// consumer must not wait for them), and the stream settles its loans.
 	// A transport that lends chunks by reference (the in-process one)
 	// waits for the copies its peers take, so after Close no peer reads
-	// the data sent; it revokes the loans nobody took only once the
-	// world aborts. A transport that copies at Send (the mesh) never
-	// waits. The producer calls Close after its last Send; it is
+	// the data sent; it revokes the loans nobody took once the world
+	// aborts or, with an I/O deadline, once none was taken for that
+	// long. A transport that copies at Send (the mesh) never waits. The producer calls Close after its last Send; it is
 	// idempotent.
 	Close()
 }

@@ -6,8 +6,9 @@ import (
 	"unsafe"
 )
 
-// FreeList is the bounded best-fit free list both transports recycle
-// payload copies through (mpinet per link direction, mpi per process).
+// FreeList is the bounded best-fit free list both links recycle payload
+// copies through (a socket per direction, the in-process world per
+// process).
 // Buffers under minPooledBytes bypass it, so control frames never hold a
 // payload-sized buffer; past maxFree idle ones the oldest is dropped, so
 // stale sizes age out. The zero value is ready and safe for concurrent use.

@@ -3,11 +3,13 @@ package mpi
 import (
 	"errors"
 	"testing"
+
+	"soifft/internal/mpinet"
 )
 
 // TestGatherMismatchTyped: a rank sending the wrong chunk length must
-// come back from the root's Gather as a typed CollectiveError, with no
-// partial result, not a crash.
+// come back from the root's Gather as a typed *TransportError naming
+// that rank, with no partial result, not a crash.
 func TestGatherMismatchTyped(t *testing.T) {
 	w, err := NewWorld(3)
 	if err != nil {
@@ -24,15 +26,12 @@ func TestGatherMismatchTyped(t *testing.T) {
 		}
 		return err
 	})
-	var ce *CollectiveError
-	if !errors.As(err, &ce) {
-		t.Fatalf("got %v (%T), want *CollectiveError", err, err)
+	var te *mpinet.TransportError
+	if !errors.As(err, &te) {
+		t.Fatalf("got %v (%T), want *mpinet.TransportError", err, err)
 	}
-	if ce.Op != "gather" || ce.Rank != 0 {
-		t.Errorf("fault attributed to op=%q rank=%d, want gather on rank 0", ce.Op, ce.Rank)
-	}
-	if !errors.Is(err, ErrCountMismatch) {
-		t.Errorf("error %v does not wrap ErrCountMismatch", err)
+	if te.Op != "gather" || te.Rank != 2 {
+		t.Errorf("fault attributed to op=%q rank=%d, want gather from rank 2", te.Op, te.Rank)
 	}
 }
 
@@ -44,8 +43,9 @@ func TestGatherCheckedMismatch(t *testing.T) {
 		n := 2 + c.Rank()
 		out, err := c.Gather(0, make([]complex128, n))
 		if c.Rank() == 0 {
-			if !errors.Is(err, ErrCountMismatch) {
-				t.Errorf("rank 0: got %v, want ErrCountMismatch", err)
+			var te *mpinet.TransportError
+			if !errors.As(err, &te) || te.Rank != 1 {
+				t.Errorf("rank 0: got %v, want a *mpinet.TransportError naming rank 1", err)
 			}
 			if out != nil {
 				t.Errorf("rank 0: got partial result alongside error")
@@ -66,9 +66,9 @@ func TestAlltoallvMalformedCounts(t *testing.T) {
 	err := w.Run(func(c *Comm) error {
 		for _, n := range []int{3, 5} {
 			_, err := c.Alltoall(make([]complex128, n), 2)
-			var ce *CollectiveError
-			if !errors.As(err, &ce) || !errors.Is(err, ErrCountMismatch) {
-				t.Errorf("send length %d: got %v, want a CollectiveError wrapping ErrCountMismatch", n, err)
+			var te *mpinet.TransportError
+			if !errors.As(err, &te) || te.Op != "alltoall" {
+				t.Errorf("send length %d: got %v, want an alltoall *mpinet.TransportError", n, err)
 			}
 		}
 		return nil
@@ -90,17 +90,15 @@ func TestAlltoallvPeerCountMismatch(t *testing.T) {
 		_, err := c.Alltoall(make([]complex128, 2*chunk), chunk)
 		return err
 	})
-	var ce *CollectiveError
-	if !errors.As(err, &ce) {
-		t.Fatalf("got %v (%T), want *CollectiveError", err, err)
-	}
-	if !errors.Is(err, ErrCountMismatch) {
-		t.Errorf("error %v does not wrap ErrCountMismatch", err)
+	var te *mpinet.TransportError
+	if !errors.As(err, &te) || errors.Is(err, mpinet.ErrAborted) {
+		t.Fatalf("got %v (%T), want the mismatch's *mpinet.TransportError", err, err)
 	}
 }
 
 // TestCheckedAbortSurfaces: a world abort comes back from Send and RecvC
-// as a returned *AbortError, not a panic.
+// as a returned *mpinet.TransportError wrapping mpinet.ErrAborted, not a
+// panic.
 func TestCheckedAbortSurfaces(t *testing.T) {
 	w, _ := NewWorld(2)
 	errs := make([]error, 2)
@@ -114,9 +112,9 @@ func TestCheckedAbortSurfaces(t *testing.T) {
 		return nil
 	})
 	for i, op := range []string{"RecvC", "Send"} {
-		var ae *AbortError
-		if !errors.As(errs[i], &ae) {
-			t.Errorf("rank 0 %s: got %v, want *AbortError", op, errs[i])
+		var te *mpinet.TransportError
+		if !errors.As(errs[i], &te) || !errors.Is(errs[i], mpinet.ErrAborted) {
+			t.Errorf("rank 0 %s: got %v, want a *mpinet.TransportError wrapping mpinet.ErrAborted", op, errs[i])
 		}
 	}
 }

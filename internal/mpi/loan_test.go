@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"soifft/internal/exch"
+	"soifft/internal/mpinet"
 )
 
 // streamAll runs one stream over sizes on c: every chunk of send to every
@@ -101,63 +102,67 @@ func TestStreamLoanRecvSurvivesSendPoison(t *testing.T) {
 	}
 }
 
-// TestStreamLoanLenderAbortsBeforeCopying: a rank that lent its first
-// chunks and then failed without borrowing anything leaves its peers
-// with *AbortError within a second — their own loans to it are revoked,
-// not waited on — and leaks no goroutine.
+// TestStreamLoanLenderAbortsBeforeCopying: a rank that fails in the
+// middle of a stream — after lending its first chunks, or before
+// starting its own — leaves its peers with a typed abort within a
+// second: their loans to it are revoked, not waited on, and no
+// goroutine leaks.
 func TestStreamLoanLenderAbortsBeforeCopying(t *testing.T) {
 	const size, chunk = 3, 8
 	sizes := []int{chunk, chunk}
-	before := runtime.NumGoroutine()
-	w := mustWorld(t, size)
-	errs := make([]error, size)
-	elapsed := make([]time.Duration, size)
-	boom := errors.New("rank 1 dies after lending")
-	done := make(chan error, 1)
-	go func() {
-		done <- w.Run(func(c *Comm) error {
-			send := make([]complex128, size*2*chunk)
-			if c.Rank() == 1 {
-				back := make(chan struct{}, size)
-				for r := 0; r < size; r++ {
-					if r != 1 {
-						l := &loan{data: send[r*2*chunk:][:chunk], back: back}
-						c.world.box(1, r, exch.Tag(0)).put(packet{tag: exch.Tag(0), loan: l})
+	for _, lends := range []bool{true, false} {
+		before := runtime.NumGoroutine()
+		w := mustWorld(t, size)
+		errs := make([]error, size)
+		elapsed := make([]time.Duration, size)
+		boom := errors.New("rank 1 dies")
+		done := make(chan error, 1)
+		go func() {
+			done <- w.Run(func(c *Comm) error {
+				send := make([]complex128, size*2*chunk)
+				if c.Rank() == 1 {
+					if lends { // chunk 0 to every peer, then fail without settling
+						st := c.StartAlltoallv(exch.Options{Sizes: sizes, Recv: make([]complex128, size*2*chunk)})
+						for r := 0; r < size; r++ {
+							if err := st.Send(r, 0, send[r*2*chunk:][:chunk]); err != nil {
+								return err
+							}
+						}
 					}
+					time.Sleep(20 * time.Millisecond) // the peers reach their wait first
+					return boom
 				}
-				time.Sleep(20 * time.Millisecond) // the peers reach their wait first
-				return boom
+				start := time.Now()
+				errs[c.Rank()] = streamAll(c, make([]complex128, size*2*chunk), send, sizes, 1)
+				elapsed[c.Rank()] = time.Since(start)
+				return nil
+			})
+		}()
+		var err error
+		select {
+		case err = <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("lends %v: the peers still wait on their loans 5 s after rank 1 failed", lends)
+		}
+		if !errors.Is(err, boom) {
+			t.Fatalf("lends %v: world returned %v, want rank 1's failure", lends, err)
+		}
+		for _, k := range []int{0, 2} {
+			var te *mpinet.TransportError
+			if !errors.As(errs[k], &te) || te.Rank != 1 || !errors.Is(errs[k], mpinet.ErrAborted) {
+				t.Errorf("lends %v rank %d: got %v, want a *mpinet.TransportError from rank 1 wrapping mpinet.ErrAborted", lends, k, errs[k])
 			}
-			start := time.Now()
-			errs[c.Rank()] = streamAll(c, make([]complex128, size*2*chunk), send, sizes, 1)
-			elapsed[c.Rank()] = time.Since(start)
-			return nil
-		})
-	}()
-	var err error
-	select {
-	case err = <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("the peers still wait on their loans 5 s after the lender failed")
-	}
-	if !errors.Is(err, boom) {
-		t.Fatalf("world returned %v, want the lender's failure", err)
-	}
-	for _, k := range []int{0, 2} {
-		var ae *AbortError
-		if !errors.As(errs[k], &ae) {
-			t.Errorf("rank %d: got %v, want *AbortError", k, errs[k])
+			if elapsed[k] > time.Second {
+				t.Errorf("lends %v rank %d took %v to see the abort", lends, k, elapsed[k])
+			}
 		}
-		if elapsed[k] > time.Second {
-			t.Errorf("rank %d took %v to see the abort", k, elapsed[k])
+		deadline := time.Now().Add(time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
 		}
-	}
-	deadline := time.Now().Add(time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > before {
-		t.Errorf("%d goroutines after the run, %d before", n, before)
+		if n := runtime.NumGoroutine(); n > before {
+			t.Errorf("lends %v: %d goroutines after the run, %d before", lends, n, before)
+		}
 	}
 }
 
@@ -174,9 +179,9 @@ func TestStreamLoanAliasedRecvTyped(t *testing.T) {
 		peer := 1 - c.Rank()
 		for _, data := range [][]complex128{buf[:2], buf[3:5]} {
 			err := st.Send(peer, 0, data)
-			var ce *CollectiveError
-			if !errors.As(err, &ce) || !errors.Is(err, exch.ErrOverlap) {
-				return fmt.Errorf("rank %d: got %v, want a *CollectiveError wrapping exch.ErrOverlap", c.Rank(), err)
+			var te *mpinet.TransportError
+			if !errors.As(err, &te) || !errors.Is(err, exch.ErrOverlap) {
+				return fmt.Errorf("rank %d: got %v, want a *mpinet.TransportError wrapping exch.ErrOverlap", c.Rank(), err)
 			}
 		}
 		// A chunk outside Recv completes the stream.
@@ -205,8 +210,8 @@ func TestStreamLoanAliasedRecvTyped(t *testing.T) {
 
 // TestStreamOutOfOrderChunkTyped: a chunk heading its queue out of
 // schedule order ends its source's stream with a typed
-// *TagMismatchError, and is handed back, so its lender does not wait on
-// it.
+// *mpinet.TransportError wrapping mpinet.ErrTagMismatch, and is handed
+// back, so its lender does not wait on it.
 func TestStreamOutOfOrderChunkTyped(t *testing.T) {
 	w := mustWorld(t, 2)
 	var got error
@@ -238,16 +243,15 @@ func TestStreamOutOfOrderChunkTyped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ce *CollectiveError
-	var tm *TagMismatchError
-	if !errors.As(got, &ce) || !errors.As(got, &tm) || tm.Want != exch.Tag(0) || tm.Got != exch.Tag(1) {
-		t.Errorf("got %v (%T), want a *CollectiveError wrapping *TagMismatchError", got, got)
+	var te *mpinet.TransportError
+	if !errors.As(got, &te) || te.Rank != 0 || !errors.Is(got, mpinet.ErrTagMismatch) {
+		t.Errorf("got %v (%T), want a *mpinet.TransportError from rank 0 wrapping mpinet.ErrTagMismatch", got, got)
 	}
 }
 
 // TestStreamPlainMessageTyped: a plain Send under a stream tag — a
 // mis-sequenced program — ends its source's stream with a typed
-// *CollectiveError, not a panic in the receiver.
+// *mpinet.TransportError, not a panic in the receiver.
 func TestStreamPlainMessageTyped(t *testing.T) {
 	w := mustWorld(t, 2)
 	var got error
@@ -273,8 +277,8 @@ func TestStreamPlainMessageTyped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !errors.As(got, new(*CollectiveError)) {
-		t.Errorf("got %v (%T), want a *CollectiveError", got, got)
+	if !errors.As(got, new(*mpinet.TransportError)) {
+		t.Errorf("got %v (%T), want a *mpinet.TransportError", got, got)
 	}
 }
 

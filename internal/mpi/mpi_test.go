@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"soifft/internal/mpinet"
 )
 
 // worldSizes covers degenerate, power-of-two and odd sizes.
@@ -236,16 +238,15 @@ func TestTagMismatchIsTyped(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: world failed: %v", name, err)
 		}
-		var ce *CollectiveError
-		var tm *TagMismatchError
-		if !errors.As(got, &ce) || !errors.As(got, &tm) || tm.Got != 1 {
-			t.Errorf("%s: got %v (%T), want a *CollectiveError wrapping *TagMismatchError", name, got, got)
+		var te *mpinet.TransportError
+		if !errors.As(got, &te) || te.Rank != 0 || !errors.Is(got, mpinet.ErrTagMismatch) {
+			t.Errorf("%s: got %v (%T), want a *mpinet.TransportError wrapping mpinet.ErrTagMismatch", name, got, got)
 		}
 	}
 }
 
 // TestInvalidRankIsTyped: a peer outside the world is a returned
-// *CollectiveError on every call that names one, not a panic.
+// *mpinet.TransportError on every call that names one, not a panic.
 func TestInvalidRankIsTyped(t *testing.T) {
 	w := mustWorld(t, 2)
 	err := w.Run(func(c *Comm) error {
@@ -257,8 +258,8 @@ func TestInvalidRankIsTyped(t *testing.T) {
 			"RecvInto":      c.RecvInto(nil, 2, 0),
 			"RecvTelemetry": telErr,
 		} {
-			if !errors.As(err, new(*CollectiveError)) {
-				t.Errorf("rank %d %s: got %v, want a *CollectiveError", c.Rank(), op, err)
+			if !errors.As(err, new(*mpinet.TransportError)) {
+				t.Errorf("rank %d %s: got %v, want a *mpinet.TransportError", c.Rank(), op, err)
 			}
 		}
 		return nil
@@ -313,25 +314,6 @@ func TestPropAlltoallIsPermutation(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestMailboxRewindsWhenDrained: a mailbox that is emptied between bursts
-// must keep reusing one backing array; before the rewind, get advanced a
-// window over it forever and put re-grew a fresh array every few packets.
-func TestMailboxRewindsWhenDrained(t *testing.T) {
-	m := newMailbox()
-	m.put(packet{tag: 1})
-	m.get()
-	base := cap(m.queue)
-	for i := 0; i < 1000; i++ {
-		m.put(packet{tag: 1})
-		if _, ok := m.get(); !ok {
-			t.Fatal("mailbox died")
-		}
-	}
-	if cap(m.queue) != base || len(m.queue) != 0 || m.head != 0 {
-		t.Errorf("after 1000 drained bursts: cap %d (was %d), len %d, head %d", cap(m.queue), base, len(m.queue), m.head)
 	}
 }
 

@@ -338,15 +338,15 @@ func TestChaosOversizedFrameRejected(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
 	defer b.Close()
-	pe := newPeer(a, 1, &Proc{rank: 0, size: 2})
-	go pe.readLoop()
+	l := newSockLink(a, 1, &Proc{rank: 0, size: 2, peers: make([]*peer, 2)})
+	go l.readLoop()
 
 	hdr := encodeFrame(0, nil) // valid magic + checksum, then poison the count
 	hdr[8] = 0xFF              // count LSB
 	hdr[14] = 0xFF             // count ≈ 2^52 elements ≈ 2^56 bytes
 	go func() { _, _ = b.Write(hdr) }()
 
-	_, err := pe.box.get(5 * time.Second)
+	_, err := l.pe.box.get(5 * time.Second)
 	if err == nil {
 		t.Fatal("oversized frame was accepted")
 	}
@@ -368,14 +368,14 @@ func TestChaosOldMagicFrameRejected(t *testing.T) {
 			a, b := net.Pipe()
 			defer a.Close()
 			defer b.Close()
-			pe := newPeer(a, 1, &Proc{rank: 0, size: 2})
-			go pe.readLoop()
+			l := newSockLink(a, 1, &Proc{rank: 0, size: 2, peers: make([]*peer, 2)})
+			go l.readLoop()
 
 			frame := encodeFrame(3, []complex128{1, 2})
 			binary.LittleEndian.PutUint32(frame[20:24], old.magic) // the CRC does not cover the magic
 			go func() { _, _ = b.Write(frame) }()
 
-			_, err := pe.box.get(5 * time.Second)
+			_, err := l.pe.box.get(5 * time.Second)
 			if !errors.Is(err, ErrBadFrame) {
 				t.Fatalf("%s frame surfaced as %v, want ErrBadFrame", old.name, err)
 			}
@@ -389,8 +389,8 @@ func TestChaosOldMagicFrameRejected(t *testing.T) {
 func TestChaosSendFailsFastAfterWriterDeath(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
-	pe := newPeer(a, 1, &Proc{rank: 0, size: 2})
-	go pe.writeLoop()
+	l := newSockLink(a, 1, &Proc{rank: 0, size: 2, peers: make([]*peer, 2)})
+	go l.writeLoop()
 	_ = b.Close() // every write on a now fails
 
 	frame := encodeFrame(7, []complex128{1})
@@ -398,7 +398,7 @@ func TestChaosSendFailsFastAfterWriterDeath(t *testing.T) {
 	go func() {
 		var firstErr error
 		for i := 0; i < 10000; i++ { // far beyond the 4096 buffer
-			if err := pe.sendFrame(frame, nil); err != nil {
+			if err := l.sendFrame(frame, nil); err != nil {
 				firstErr = err
 				break
 			}
@@ -416,5 +416,5 @@ func TestChaosSendFailsFastAfterWriterDeath(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("send to a dead peer blocked instead of failing fast")
 	}
-	close(pe.out)
+	close(l.out)
 }

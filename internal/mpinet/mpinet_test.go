@@ -17,7 +17,6 @@ import (
 	"soifft/internal/core"
 	"soifft/internal/exch"
 	"soifft/internal/fft"
-	"soifft/internal/mpi"
 	"soifft/internal/signal"
 )
 
@@ -282,11 +281,11 @@ func TestTransportParity(t *testing.T) {
 		block := func(x []complex128, k int) []complex128 { return x[k*nLocal : (k+1)*nLocal] }
 		for _, alg := range algs {
 			onWorld, onMesh := make([]complex128, n), make([]complex128, n)
-			w, err := mpi.NewWorld(ranks)
+			w, err := NewWorld(ranks)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := w.Run(func(c *mpi.Comm) error {
+			if err := w.Run(func(c *Proc) error {
 				return alg.run(c, block(onWorld, c.Rank()), block(src, c.Rank()))
 			}); err != nil {
 				t.Fatalf("%s R=%d in process: %v", alg.name, ranks, err)

@@ -1,55 +1,54 @@
 package mpinet
 
 import (
-	"time"
+	"sync"
 
 	"soifft/internal/exch"
 )
 
-// StartAlltoallv begins a chunked, windowed, asynchronous all-to-all
-// (core.Comm's exchange). Unlike the in-process one, the window here is
-// real: Send blocks while
-// o.Window chunks for that destination are queued but not yet flushed to
-// the socket, so a producer racing ahead of a slow link is paced by the
-// wire instead of buffering without bound. Each chunk travels as one
-// ordinary framed message (CRC32C, size guard) under the per-operation
-// I/O deadline, and a dead or hung peer surfaces as one per-source
-// *TransportError through Next — the stream analogue of the other
-// collectives' returned faults. Send encodes each chunk into its own
-// frame, so the caller's data is free again when Send returns.
+// StartAlltoallv begins a chunked all-to-all (core.Comm's exchange).
+// Each source's chunks arrive in index order, each under a fresh I/O
+// deadline, straight into their Options.Recv slots; the first anomaly
+// ends that source with one typed *TransportError through Next.
+//
+// On a socket Send encodes a chunk into its own frame, so data is free
+// again on return, and blocks while o.Window chunks for that destination
+// are unflushed: a producer racing ahead of a slow link is paced by the
+// wire. In process Send lends the chunk by reference and never blocks,
+// the receiver copies it once, and Close settles the loans, so data must
+// stay untouched until Close. The world books the collective once, on
+// rank 0, and each loan as the Send it replaces (one P2P message of its
+// wire bytes) plus its payload as all-to-all volume.
 //
 // One goroutine may produce (Send) while one other consumes (Next); the
-// stream must be fully drained or abandoned before the next collective
-// on this Proc.
+// stream must be fully drained or abandoned before the next collective.
 func (p *Proc) StartAlltoallv(o exch.Options) exch.Stream {
-	w := o.Window
-	if w < 1 {
-		w = 1
+	if p.world != nil && p.rank == 0 {
+		p.world.stats.alltoalls.Add(1)
 	}
-	s := &netStream{
-		p:      p,
-		o:      o,
-		trk:    exch.NewTracker(p.size, len(o.Sizes)),
-		credit: make([]chan struct{}, p.size),
-	}
-	for r := 0; r < p.size; r++ {
-		if r == p.rank {
-			continue
+	s := &stream{p: p, o: o, trk: exch.NewTracker(p.size, len(o.Sizes)), credit: make([]chan struct{}, p.size)}
+	for src := 0; src < p.size; src++ {
+		if src != p.rank {
+			go s.recvLoop(src)
 		}
-		s.credit[r] = make(chan struct{}, w)
-		go s.recvLoop(r)
 	}
 	return s
 }
 
-type netStream struct {
-	p      *Proc
-	o      exch.Options
-	trk    *exch.Tracker
-	credit []chan struct{} // per-destination in-flight window tokens
+type stream struct {
+	p   *Proc
+	o   exch.Options
+	trk *exch.Tracker
+
+	credit []chan struct{} // socket: per-destination window tokens, made at its first chunk
+	// back carries one token per loan a peer took, once copied; it has
+	// room for every loan the schedule posts, so a borrower never blocks.
+	back    chan struct{}
+	loans   []*loan // in process: every chunk Send lent
+	settled sync.Once
 }
 
-func (s *netStream) Send(dst, idx int, data []complex128) error {
+func (s *stream) Send(dst, idx int, data []complex128) error {
 	p := s.p
 	if dst == p.rank {
 		s.trk.Deliver(exch.Chunk{Src: dst, Index: idx, Data: data})
@@ -63,47 +62,22 @@ func (s *netStream) Send(dst, idx int, data []complex128) error {
 	if s.o.Codec != nil {
 		wire = s.o.Codec.EncodeChunk(data)
 	}
-	cr := s.credit[dst]
-	// Acquire a window slot: backpressure against the link's real flush
-	// progress. A dying link wakes the wait with its typed cause. When
-	// the window is full the blocked time is booked as credit-stall —
-	// per destination on the link and in aggregate on the recorder — the
-	// producer-outran-this-link signal the explainer attributes excess
-	// exchange time to.
-	select {
-	case cr <- struct{}{}:
-	default:
-		start := time.Now()
-		select {
-		case cr <- struct{}{}:
-			d := time.Since(start)
-			pe.wire.creditStallNs.Add(int64(d))
-			p.rec.Load().AddCreditStall(d)
-		case <-pe.dead:
-			return &TransportError{Rank: dst, Op: "stream-send", Err: pe.failure()}
-		}
-	}
-	if err := pe.sendFrame(pe.encode(exch.Tag(idx), wire), func() { <-cr }); err != nil {
+	if err := pe.link.sendChunk(s, exch.Tag(idx), wire, len(data)); err != nil {
 		return &TransportError{Rank: dst, Op: "stream-send", Err: err}
 	}
 	return nil
 }
 
-// recvLoop drives source src's chunk sequence: per-link FIFO delivery
-// means chunk idx always heads the mailbox when its turn comes, each
-// under a fresh I/O deadline, and is decoded from the wire buffer
-// straight into its Options.Recv slot. The first anomaly (death,
-// deadline, checksum, tag desync, a frame the wrong size for its slot)
-// ends the source's stream with one typed failure event.
-func (s *netStream) recvLoop(src int) {
-	pe := s.p.peers[src]
+// recvLoop receives source src's chunks in schedule order, each into its
+// Recv slot (through the codec, when there is one).
+func (s *stream) recvLoop(src int) {
 	for idx := range s.o.Sizes {
 		slot := s.o.Slot(s.p.rank, s.p.size, src, idx)
 		var wire []complex128
 		var err error
 		if s.o.Codec == nil {
-			_, err = s.p.recvFrame(pe, pe.sbox, slot, exch.Tag(idx))
-		} else if wire, err = s.p.recvFrame(pe, pe.sbox, nil, exch.Tag(idx)); err == nil {
+			_, err = s.p.recv(src, slot, "stream-recv", exch.Tag(idx))
+		} else if wire, err = s.p.recv(src, nil, "stream-recv", exch.Tag(idx)); err == nil {
 			if err = exch.DecodeInto(s.o.Codec, slot, wire); err != nil {
 				err = &TransportError{Rank: src, Op: "stream-recv", Err: err}
 			}
@@ -116,17 +90,21 @@ func (s *netStream) recvLoop(src int) {
 	}
 }
 
-func (s *netStream) Next() (exch.Chunk, bool) { return s.trk.Next() }
+func (s *stream) Next() (exch.Chunk, bool) { return s.trk.Next() }
 
-// isStreamTag reports whether a frame tag belongs to the streamed
-// exchange's band; readLoop routes those to the peer's dedicated stream
-// mailbox.
+// isStreamTag reports whether a tag belongs to the streamed exchange's
+// band, which has its own mailbox per peer.
 func isStreamTag(tag int) bool { return tag <= exch.TagBase }
 
-// Close abandons the stream: a consumer blocked in Next wakes with
-// ok=false even when slots are outstanding (the escape hatch for a
-// producer that failed mid-schedule and so can never fill its own
-// self-delivery slots). Receiver goroutines never block on the tracker
-// (its channel holds the worst case), so they unwind on their own
-// deadlines or when the Proc closes.
-func (s *netStream) Close() { s.trk.Abort() }
+// Close ends the stream: a consumer blocked in Next wakes with ok=false
+// even when slots are outstanding (the escape hatch for a producer that
+// failed mid-schedule and so can never fill its own self-delivery
+// slots), and in process it settles the loans, so after Close no peer
+// reads the data this rank sent. Receiver goroutines never block on the
+// tracker (its channel holds the worst case), so they unwind on their
+// own. The producer calls it after its last Send; later calls return at
+// once.
+func (s *stream) Close() {
+	s.trk.Abort()
+	s.settled.Do(s.settle)
+}

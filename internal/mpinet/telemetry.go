@@ -21,11 +21,15 @@ func (p *Proc) RecvTelemetry(from int) ([]complex128, error) {
 	if err != nil {
 		return nil, &TransportError{Rank: from, Op: "recv-telemetry", Err: err}
 	}
-	return pe.decode(nil, pkt)
+	return pe.link.payload(nil, pkt) // cannot fail without a dst
 }
 
-// LinkStats snapshots every live link's wire counters, sender-side.
+// LinkStats snapshots every live link's wire counters, sender-side; a
+// memory-linked Proc has no wire and reports none.
 func (p *Proc) LinkStats() []telemetry.LinkStat {
+	if p.world != nil {
+		return nil
+	}
 	out := make([]telemetry.LinkStat, 0, p.size-1)
 	for _, pe := range p.peers {
 		if pe == nil {

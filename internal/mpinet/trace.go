@@ -14,10 +14,6 @@ import (
 	"soifft/internal/trace"
 )
 
-// tagTraceID is the reserved control tag trace IDs travel under; it
-// sits with the other negative collective tags (-4 gather, -5 barrier).
-const tagTraceID = -7
-
 // SetTracer attaches (or, with nil, detaches) the event tracer the
 // transport dumps on typed faults and tags wire-level instants with.
 // Safe to call concurrently with traffic.

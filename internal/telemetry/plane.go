@@ -11,7 +11,7 @@ import (
 )
 
 // Conn is the subset of core.Comm the plane ships frames over: the
-// point-to-point send of *mpi.Comm and *mpinet.Proc.
+// point-to-point send of *mpinet.Proc, in process or on a mesh.
 // Stat frames ride the same links as the transform, on their own
 // control tag, so the plane needs no side channel.
 type Conn interface {
@@ -31,7 +31,8 @@ type Receiver interface {
 }
 
 // LinkStatser is the optional per-link wire counter capability
-// (*mpinet.Proc implements it; the in-process runtime has no wire).
+// (*mpinet.Proc implements it; a memory-linked one has no wire and
+// reports no links).
 type LinkStatser interface {
 	LinkStats() []LinkStat
 }
