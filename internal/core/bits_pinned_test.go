@@ -30,9 +30,10 @@ func bitsHash(v []complex128) string {
 // and distributed drivers on seeded inputs. The kernels are free to
 // change how they schedule the arithmetic, never what it rounds: a
 // kernel rewrite that keeps these hashes kept every bit of every output.
-// P = 8 runs the convolution on the SIMD kernel where there is one,
-// P = 4 always on the Go kernel; the hashes are the same on every amd64
-// build (default, GOAMD64=v3 and purego), because the convolution fuses
+// P = 8 runs the convolution on every kernel tier the host has (avx512,
+// avx2, go), P = 4 always on the Go kernel; the hashes are the same on
+// every tier and every amd64 build (default, GOAMD64=v3 and purego),
+// because the convolution fuses
 // its multiply-adds through math.FMA, which is correctly rounded
 // everywhere. They stay amd64's own for two reasons the convolution
 // contract does not reach: the window taps come from math.Exp and
@@ -56,6 +57,22 @@ func TestTransformBitsPinned(t *testing.T) {
 		"RunDistributed R=2 streamed": "5972a170bba7704ae5fa816e90f28bb0e7d92b7279b4933983abf3ff03a8b071",
 		"RunDistributed R=2 coded":    "5972a170bba7704ae5fa816e90f28bb0e7d92b7279b4933983abf3ff03a8b071",
 	}
+	for _, k := range convolveKernels() {
+		t.Run(k, func(t *testing.T) {
+			useConvolveKernel(t, k)
+			got := pinnedHashes(t, p8, p4)
+			for name, h := range want {
+				if got[name] != h {
+					t.Errorf("%s: output hash %s, pinned %s", name, got[name], h)
+				}
+			}
+		})
+	}
+}
+
+// pinnedHashes runs TestTransformBitsPinned's transforms and hashes
+// their outputs.
+func pinnedHashes(t *testing.T, p8, p4 Params) map[string]string {
 	got := map[string]string{}
 
 	transform := func(p Params, workers int, inverse bool) string {
@@ -109,9 +126,5 @@ func TestTransformBitsPinned(t *testing.T) {
 		got[name] = bitsHash(out)
 	}
 
-	for name, h := range want {
-		if got[name] != h {
-			t.Errorf("%s: output hash %s, pinned %s", name, got[name], h)
-		}
-	}
+	return got
 }

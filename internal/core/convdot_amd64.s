@@ -134,3 +134,115 @@ group:
 	JNZ       block
 	VZEROUPPER
 	RET
+
+// MAC4 adds one tap pair into one output row's accumulators, the
+// staged operands as memory operands: the even tap row (Z8) times the
+// row's even-tap reals at x and imaginaries at x+R8 into er and ei, the
+// odd tap row (Z9) times its odd-tap reals at x+2·R8 and imaginaries at
+// x+R13 (3·R8) into odr and odi. Each is one fused VFMADD231PD over
+// eight lanes.
+#define MAC4(x, er, ei, odr, odi) \
+	VFMADD231PD (x), Z8, er         \
+	VFMADD231PD (x)(R8*1), Z8, ei   \
+	VFMADD231PD (x)(R8*2), Z9, odr  \
+	VFMADD231PD (x)(R13*1), Z9, odi
+
+// TAIL4 adds the odd tail's tap row (in Z8) into one row's even set.
+#define TAIL4(x, er, ei) \
+	VFMADD231PD (x), Z8, er \
+	VFMADD231PD (x)(R8*1), Z8, ei
+
+// ROW4 finishes one output row at DI and moves DI to the next: the even
+// and odd sets added once (VADDPD), each zmm split into two ymm halves
+// of four lanes (VEXTRACTF64X4), and PHASE on each half, exactly as
+// convRowAVX2's epilogue.
+#define ROW4(er, ei, odr, odi) \
+	VADDPD        odr, er, Z0 \
+	VADDPD        odi, ei, Z2 \
+	VEXTRACTF64X4 $1, Z0, Y1 \
+	VEXTRACTF64X4 $1, Z2, Y3 \
+	PHASE(0, 0, 32, Y0, Y2)  \
+	PHASE(32, 64, 96, Y1, Y3) \
+	ADDQ          R15, DI
+
+// func convRows4AVX512(out *complex128, h, x, ph *float64, taps, lanes, xstride, ostride int)
+//
+// Four rows of one phase for a block of eight lanes (see convRows4):
+// row k reads the split slab at x + k·xstride float64 and stores at
+// out + k·ostride complex values, all four with the taps h and phases
+// ph. Each tap pair's two tap rows are loaded once (Z8, Z9) and
+// multiply-added into all four rows, the staged operands as memory
+// operands: 18 loads per 16 FMAs. Z16–Z31 hold the accumulators, four
+// per row (even re, even im, odd re, odd im); each lane's arithmetic and
+// its order are convRowAVX2's, so the bits are convRowGo's. Go never
+// preempts assembly asynchronously and no Go code keeps state in
+// Z16–Z31, so they need no saving.
+TEXT ·convRows4AVX512(SB), NOSPLIT, $0-64
+	MOVQ out+0(FP), DI
+	MOVQ h+8(FP), SI
+	MOVQ x+16(FP), DX
+	MOVQ ph+24(FP), BX
+	MOVQ taps+32(FP), AX
+	MOVQ lanes+40(FP), R8
+	MOVQ xstride+48(FP), R9
+	MOVQ ostride+56(FP), R15
+	SHLQ $3, R8            // h tap-row stride; x reals → imaginaries
+	SHLQ $3, R9            // row-to-row slab stride in bytes
+	SHLQ $4, R15           // row-to-row output stride in bytes
+	LEAQ (DX)(R9*1), R10   // row 1's slab
+	LEAQ (R10)(R9*1), R11  // row 2's
+	LEAQ (R11)(R9*1), R12  // row 3's
+	LEAQ (R8)(R8*2), R13   // odd taps' imaginaries
+	LEAQ (R8)(R8*1), R9    // h step per tap pair
+	LEAQ (R9)(R9*1), R14   // x step per tap pair
+	MOVQ AX, CX
+	SHRQ $1, CX            // tap pairs
+
+	VPXORQ Z16, Z16, Z16
+	VPXORQ Z17, Z17, Z17
+	VPXORQ Z18, Z18, Z18
+	VPXORQ Z19, Z19, Z19
+	VPXORQ Z20, Z20, Z20
+	VPXORQ Z21, Z21, Z21
+	VPXORQ Z22, Z22, Z22
+	VPXORQ Z23, Z23, Z23
+	VPXORQ Z24, Z24, Z24
+	VPXORQ Z25, Z25, Z25
+	VPXORQ Z26, Z26, Z26
+	VPXORQ Z27, Z27, Z27
+	VPXORQ Z28, Z28, Z28
+	VPXORQ Z29, Z29, Z29
+	VPXORQ Z30, Z30, Z30
+	VPXORQ Z31, Z31, Z31
+
+	TESTQ CX, CX
+	JZ    tail4
+pair4:
+	VMOVUPD (SI), Z8
+	VMOVUPD (SI)(R8*1), Z9
+	MAC4(DX, Z16, Z17, Z18, Z19)
+	MAC4(R10, Z20, Z21, Z22, Z23)
+	MAC4(R11, Z24, Z25, Z26, Z27)
+	MAC4(R12, Z28, Z29, Z30, Z31)
+	ADDQ R9, SI
+	ADDQ R14, DX
+	ADDQ R14, R10
+	ADDQ R14, R11
+	ADDQ R14, R12
+	DECQ CX
+	JNZ  pair4
+tail4:
+	TESTQ $1, AX
+	JZ    sum4
+	VMOVUPD (SI), Z8
+	TAIL4(DX, Z16, Z17)
+	TAIL4(R10, Z20, Z21)
+	TAIL4(R11, Z24, Z25)
+	TAIL4(R12, Z28, Z29)
+sum4:
+	ROW4(Z16, Z17, Z18, Z19)
+	ROW4(Z20, Z21, Z22, Z23)
+	ROW4(Z24, Z25, Z26, Z27)
+	ROW4(Z28, Z29, Z30, Z31)
+	VZEROUPPER
+	RET

@@ -4,19 +4,38 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"soifft/internal/signal"
 )
 
-// useGoKernel routes every convRow to convRowGo and every staged block
-// to splitRun's Go loop until the test or benchmark ends, the way a CPU
-// without AVX2 does from init. Nothing in this package's tests runs in
-// parallel, so the swap is not shared.
-func useGoKernel(tb testing.TB) {
-	row, split := convRow8, splitBlocks
-	convRow8, splitBlocks = nil, nil
-	tb.Cleanup(func() { convRow8, splitBlocks = row, split })
+// useConvolveKernel runs the convolution on the named tier until the
+// test or benchmark ends, the way a CPU with no higher one does from
+// init: "avx2" clears the four-row kernel, "go" every kernel variable.
+// The tiers nest, so a test can only step down from the one init chose.
+// Nothing in this package's tests runs in parallel, so the swap is not
+// shared.
+func useConvolveKernel(tb testing.TB, name string) {
+	rows, row, split := convRows8, convRow8, splitBlocks
+	tb.Cleanup(func() { convRows8, convRow8, splitBlocks = rows, row, split })
+	switch name {
+	case "avx2":
+		convRows8 = nil
+	case "go":
+		convRows8, convRow8, splitBlocks = nil, nil, nil
+	}
+	if got := ConvolveKernel(); got != name {
+		tb.Fatalf("convolution kernel %q is not available here: running %q", name, got)
+	}
+}
+
+// convolveKernels lists the convolution tiers this host and build run:
+// the one init chose and every one below it.
+func convolveKernels() []string {
+	all := []string{"avx512", "avx2", "go"}
+	return all[slices.Index(all, ConvolveKernel()):]
 }
 
 // convDotGo is the bit reference of every convolution kernel, on
@@ -105,15 +124,20 @@ var specials = []float64{
 	0x1p-1040, -0x1p-1030, math.Inf(1), math.Inf(-1), math.NaN(), math.MaxFloat64, 1, -1,
 }
 
-// fillSlab draws one row's operands: every value random, or (special)
-// about one in four replaced by a member of specials.
-func fillSlab(rng *rand.Rand, h []float64, x, ph []complex128, special bool) {
-	draw := func() float64 {
+// drawer returns a source of operand values: every value random, or
+// (special) about one in four replaced by a member of specials.
+func drawer(rng *rand.Rand, special bool) func() float64 {
+	return func() float64 {
 		if special && rng.Intn(4) == 0 {
 			return specials[rng.Intn(len(specials))]
 		}
 		return rng.NormFloat64()
 	}
+}
+
+// fillSlab draws one row's operands from drawer.
+func fillSlab(rng *rand.Rand, h []float64, x, ph []complex128, special bool) {
+	draw := drawer(rng, special)
 	for i := range h {
 		h[i] = draw()
 	}
@@ -147,6 +171,87 @@ func TestConvDotMatchesGo(t *testing.T) {
 					fillSlab(rng, h, x, ph, special)
 					if err := convRowCase(h, x, ph, taps, lanes, off); err != nil {
 						t.Fatalf("special %v: %v", special, err)
+					}
+				}
+			}
+		}
+	}
+}
+
+// at64 returns n zero values whose first lies off elements past a
+// 64-byte boundary: the width of a zmm load and of a cache line.
+func at64[T float64 | complex128](tb testing.TB, n, off int) []T {
+	var zero T
+	size := int(unsafe.Sizeof(zero))
+	s := make([]T, n+off+64/size)
+	for i := range 64 / size {
+		if uintptr(unsafe.Pointer(&s[i]))%64 == 0 {
+			return s[i+off:][:n]
+		}
+	}
+	tb.Fatalf("no %d-byte element of a fresh slice lies on a 64-byte boundary", size)
+	return nil
+}
+
+// fillFloats draws every value of v.
+func fillFloats(draw func() float64, v ...[]float64) {
+	for _, s := range v {
+		for i := range s {
+			s[i] = draw()
+		}
+	}
+}
+
+// convRows4Case runs four rows of one phase through convRows4 (the
+// seam), row k reading x[k·xstride:] and writing out[k·ostride:], and each row
+// through convRowGo alone: every lane must carry the same bits, and the
+// outputs between the rows must keep their poison.
+func convRows4Case(out []complex128, h, x, ph []float64, taps, lanes, xstride, ostride int) error {
+	poison := complex(math.Inf(1), -7)
+	for i := range out {
+		out[i] = poison
+	}
+	convRows4(out, h, x, ph, taps, lanes, xstride, ostride)
+	want := make([]complex128, lanes)
+	for k := range 4 {
+		convRowGo(want, h, x[k*xstride:k*xstride+2*taps*lanes], ph, lanes)
+		for i, w := range want {
+			if got := out[k*ostride+i]; !sameBits(got, w) {
+				return fmt.Errorf("lanes %d taps %d slab stride %d: row %d lane %d = %v (convRows4, %s), convRowGo %v",
+					lanes, taps, xstride, k, i, got, ConvolveKernel(), w)
+			}
+		}
+	}
+	for e, v := range out {
+		if e%ostride >= lanes && v != poison {
+			return fmt.Errorf("lanes %d taps %d: convRows4 wrote %v at %d, between rows %d apart", lanes, taps, v, e, ostride)
+		}
+	}
+	return nil
+}
+
+// TestConvRows4MatchesGo is the bit-identity table of the four-row
+// seam: each of the four rows of one phase, whose staged slabs lie ν
+// blocks apart, returns convRowGo's bits on its own slab, with operands
+// on and 8 or 32 bytes off a 64-byte boundary.
+func TestConvRows4MatchesGo(t *testing.T) {
+	if convRows8 == nil {
+		t.Logf("no AVX-512 kernel on this host or build (kernel %q), four-row assembly skipped", ConvolveKernel())
+	}
+	const mu = 5
+	rng := rand.New(rand.NewSource(52))
+	for _, lanes := range []int{8, 16, 24} {
+		for _, taps := range []int{1, 2, 71, 72, 73} {
+			for _, nu := range []int{1, 2, 4} {
+				for _, off := range []int{0, 1, 4} {
+					for _, special := range []bool{false, true} {
+						n, xstride, ostride := taps*lanes, 2*nu*lanes, mu*lanes
+						h, x, ph := at64[float64](t, n, off), at64[float64](t, 3*xstride+2*n, off), at64[float64](t, 2*lanes, off)
+						fillFloats(drawer(rng, special), h, x, ph)
+						out := at64[complex128](t, 3*ostride+lanes, off)
+						if err := convRows4Case(out, h, x, ph, taps, lanes, xstride, ostride); err != nil {
+							t.Fatalf("ν %d off %d special %v: %v", nu, off, special, err)
+						}
 					}
 				}
 			}
@@ -201,14 +306,28 @@ func TestConvRowFuses(t *testing.T) {
 			ph[i] = l.ph
 		}
 		xs, phs := splitOf(x, ph, lanes, 0)
-		for _, k := range []struct {
+		type kernel struct {
 			name string
 			run  func(out []complex128)
-		}{
+		}
+		kernels := []kernel{
 			{"convRow (" + ConvolveKernel() + ")", func(out []complex128) { convRow(out, h, xs, phs, row.taps, lanes) }},
 			{"convRowGo", func(out []complex128) { convRowGo(out, h, xs, phs, lanes) }},
 			{"convDotGo", func(out []complex128) { convDotGo(out, h, x, ph, lanes) }},
-		} {
+		}
+		// The four-row seam, each row on its own copy of the slab.
+		x4 := make([]float64, 0, 4*len(xs))
+		for range 4 {
+			x4 = append(x4, xs...)
+		}
+		for r := range 4 {
+			kernels = append(kernels, kernel{fmt.Sprintf("convRows4 (%s) row %d", ConvolveKernel(), r), func(out []complex128) {
+				rows := make([]complex128, 4*lanes)
+				convRows4(rows, h, x4, phs, row.taps, lanes, len(xs), lanes)
+				copy(out, rows[r*lanes:])
+			}})
+		}
+		for _, k := range kernels {
 			out := make([]complex128, lanes)
 			k.run(out)
 			for i, l := range row.lanes {
@@ -264,7 +383,7 @@ func TestConvDotRejectsShortSlab(t *testing.T) {
 func TestStageSplitsBodyAndTail(t *testing.T) {
 	t.Run("dispatched", testStageSplits)
 	t.Run("go", func(t *testing.T) {
-		useGoKernel(t)
+		useConvolveKernel(t, "go")
 		testStageSplits(t)
 	})
 }
@@ -325,26 +444,32 @@ func convolveAll(tb testing.TB, p Params, seed int64) []complex128 {
 }
 
 // TestConvolveRangeKernelsBitEqual runs a whole plan's convolution on
-// the dispatched kernel and on the Go kernel.
+// every kernel tier this host has against the Go kernel.
 func TestConvolveRangeKernelsBitEqual(t *testing.T) {
 	for _, p := range []Params{
 		{N: 1 << 14, P: 8, Mu: 5, Nu: 4, B: 72},
 		{N: 1 << 13, P: 16, Mu: 5, Nu: 4, B: 31},
 		{N: 1 << 12, P: 4, Mu: 5, Nu: 4, B: 24},
 	} {
-		got := convolveAll(t, p, 3)
 		t.Run(fmt.Sprintf("P=%d,B=%d", p.P, p.B), func(t *testing.T) {
-			useGoKernel(t)
-			want := convolveAll(t, p, 3)
-			for i := range want {
-				if !sameBits(got[i], want[i]) {
-					t.Fatalf("element %d = %v on the dispatched kernel, Go kernel %v", i, got[i], want[i])
+			out := map[string][]complex128{}
+			for _, k := range convolveKernels() {
+				t.Run(k, func(t *testing.T) {
+					useConvolveKernel(t, k)
+					out[k] = convolveAll(t, p, 3)
+				})
+			}
+			for k, got := range out {
+				for i, want := range out["go"] {
+					if !sameBits(got[i], want) {
+						t.Fatalf("element %d = %v on the %s kernel, Go kernel %v", i, got[i], k, want)
+					}
 				}
 			}
 		})
 	}
-	if convRow8 == nil {
-		t.Skipf("kernel %q: both legs ran the Go kernel, the assembly was not compared", ConvolveKernel())
+	if len(convolveKernels()) == 1 {
+		t.Skipf("kernel %q: only the Go kernel ran, no assembly was compared", ConvolveKernel())
 	}
 }
 
@@ -352,27 +477,34 @@ func TestConvolveRangeKernelsBitEqual(t *testing.T) {
 // init made, and that decision follows the build and the CPU.
 func TestConvolveKernelNamesDispatch(t *testing.T) {
 	want := "go"
-	if convRow8 != nil {
+	switch {
+	case convRows8 != nil:
+		want = "avx512"
+	case convRow8 != nil:
 		want = "avx2"
 	}
 	if got := ConvolveKernel(); got != want {
-		t.Errorf("ConvolveKernel() = %q with convRow8 set: %v", got, convRow8 != nil)
+		t.Errorf("ConvolveKernel() = %q with convRows8 set %v, convRow8 set %v", got, convRows8 != nil, convRow8 != nil)
 	}
-	if (splitBlocks != nil) != (convRow8 != nil) {
-		t.Errorf("dispatch variables disagree: convRow8 set %v, splitBlocks set %v", convRow8 != nil, splitBlocks != nil)
+	if (splitBlocks != nil) != (convRow8 != nil) || (convRows8 != nil && convRow8 == nil) {
+		t.Errorf("dispatch variables disagree: convRows8 set %v, convRow8 set %v, splitBlocks set %v",
+			convRows8 != nil, convRow8 != nil, splitBlocks != nil)
 	}
-	useGoKernel(t)
-	if got := ConvolveKernel(); got != "go" {
-		t.Errorf("ConvolveKernel() = %q with no SIMD kernel installed", got)
+	for _, k := range convolveKernels() {
+		t.Run(k, func(t *testing.T) {
+			useConvolveKernel(t, k) // fails the test where the name does not follow the variables
+		})
 	}
 }
 
 // FuzzConvDotMatchesGo lets the engine pick the shape, the alignment and
-// the operand bits.
+// the operand bits, for one row through convRow and four rows of one
+// phase through convRows4.
 func FuzzConvDotMatchesGo(f *testing.F) {
 	f.Add(int64(1), uint8(1), uint8(72), false, false)
 	f.Add(int64(2), uint8(2), uint8(71), true, true)
 	f.Add(int64(3), uint8(3), uint8(1), true, false)
+	f.Add(int64(4), uint8(13), uint8(73), false, true)
 	f.Fuzz(func(t *testing.T, seed int64, blocks, taps uint8, odd, special bool) {
 		lanes, nt, off := 8*(1+int(blocks)%4), 1+int(taps)%96, 0
 		if odd {
@@ -392,13 +524,21 @@ func FuzzConvDotMatchesGo(f *testing.F) {
 		if err := convRowCase(h, x, ph, nt, lanes, off); err != nil {
 			t.Fatal(err)
 		}
+		// The same taps and phases for four rows of one phase, their
+		// slabs 1 to 4 blocks apart.
+		n, xstride, ostride := nt*lanes, 2*(1+int(blocks/4)%4)*lanes, 5*lanes
+		x4, phs := make([]float64, off+3*xstride+2*n)[off:], make([]float64, 2*lanes)
+		fillFloats(drawer(rng, special), x4, phs)
+		if err := convRows4Case(make([]complex128, 3*ostride+lanes), h, x4, phs, nt, lanes, xstride, ostride); err != nil {
+			t.Fatal(err)
+		}
 	})
 }
 
 // BenchmarkConvolveRange measures the SOI convolution W·x — the "extra"
 // arithmetic SOI trades for communication (Section 6 loops a–d) — at the
-// paper's shape, one leg per kernel: the one init chose where it is not
-// the Go kernel already, and the Go kernel. GF/s is the nominal ConvFlops
+// paper's shape, one leg per kernel tier this host has: the one init
+// chose and every one below it. GF/s is the nominal ConvFlops
 // count (8 per complex multiply-add) like every other report; the real-tap
 // kernels execute half of it.
 func BenchmarkConvolveRange(b *testing.B) {
@@ -417,11 +557,10 @@ func BenchmarkConvolveRange(b *testing.B) {
 		}
 		b.ReportMetric(float64(pl.ConvFlops())*float64(b.N)/b.Elapsed().Seconds()/1e9, "GF/s")
 	}
-	if k := ConvolveKernel(); k != "go" {
-		b.Run(k, func(b *testing.B) { run(b, pl.ConvolveRange) })
+	for _, k := range convolveKernels() {
+		b.Run(k, func(b *testing.B) {
+			useConvolveKernel(b, k)
+			run(b, pl.ConvolveRange)
+		})
 	}
-	b.Run("go", func(b *testing.B) {
-		useGoKernel(b)
-		run(b, pl.ConvolveRange)
-	})
 }

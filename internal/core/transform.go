@@ -114,10 +114,15 @@ const convTileRows = 256
 
 // convRow8, when the package's init found a SIMD kernel this CPU and OS
 // can run, computes one row for a block of eight lanes out of lanes
-// (see convRow); nil leaves every row to convRowGo. It is written once,
-// before any plan exists, and never again: the one kernel decision of
-// the package.
+// (see convRow); nil leaves every row to convRowGo. It and convRows8
+// are written once, before any plan exists, and never again: the
+// package's kernel decisions.
 var convRow8 func(out *complex128, h, x, ph *float64, taps, lanes int)
+
+// convRows8, set on top of convRow8 where the CPU and OS also run
+// AVX-512, computes four rows of one phase for a block of eight lanes
+// (see convRows4); nil leaves them to four convRow calls.
+var convRows8 func(out *complex128, h, x, ph *float64, taps, lanes, xstride, ostride int)
 
 // splitBlocks, set with convRow8, stages whole blocks of a lane count
 // divisible by 4: block b's lanes reals at dst[2b·lanes:], its lanes
@@ -127,10 +132,15 @@ var convRow8 func(out *complex128, h, x, ph *float64, taps, lanes int)
 var splitBlocks func(dst *float64, src *complex128, blocks, lanes int, sign uint64)
 
 // ConvolveKernel names the convolution kernel plans with P % 8 == 0 run
-// on this machine: "avx2" or, where the build or the CPU has none, "go"
-// (which every other P runs regardless). The two return the same bits.
+// on this machine: "avx512" (four rows of a phase per pass, and "avx2"
+// for the rows left over), "avx2" or, where the build or the CPU has
+// neither, "go" (which every other P runs regardless). All three return
+// the same bits.
 func ConvolveKernel() string {
-	if convRow8 != nil {
+	switch {
+	case convRows8 != nil:
+		return "avx512"
+	case convRow8 != nil:
 		return "avx2"
 	}
 	return "go"
@@ -144,9 +154,9 @@ func ConvolveKernel() string {
 // 2·lanes float64, block b's reals x[2b·lanes:][:lanes] then its
 // imaginaries; ph holds the lanes' phase reals then imaginaries. The
 // real taps multiply the reals and the imaginaries as they lie, with no
-// shuffle per tap. It is the only caller of the assembly, which checks
-// no bounds: every pointer it passes comes from a slice whose length is
-// asserted here.
+// shuffle per tap. It and convRows4 are the only callers of the
+// assembly, which checks no bounds: every pointer they pass comes from
+// a slice whose length they assert.
 func convRow(out []complex128, h, x, ph []float64, taps, lanes int) {
 	if taps < 1 || lanes < 1 || len(h) != taps*lanes || len(x) != 2*len(h) || len(out) != lanes || len(ph) != 2*lanes {
 		panic("core: convRow: slab lengths do not match taps × lanes")
@@ -157,6 +167,27 @@ func convRow(out []complex128, h, x, ph []float64, taps, lanes int) {
 	}
 	for i := 0; i < lanes; i += 8 {
 		convRow8(&out[i], &h[i], &x[i], &ph[i], taps, lanes)
+	}
+}
+
+// convRows4 computes four rows of one phase, which share the taps h and
+// the phases ph: row k is convRow(out[k·ostride:][:lanes], h,
+// x[k·xstride:][:2·taps·lanes], ph, taps, lanes), with the same bits. On
+// the four-row kernel each tap row is loaded once for the four rows
+// instead of once per row.
+func convRows4(out []complex128, h, x, ph []float64, taps, lanes, xstride, ostride int) {
+	n := taps * lanes
+	if taps < 1 || lanes < 1 || xstride < 0 || ostride < 0 || len(h) != n || len(x) != 3*xstride+2*n || len(out) != 3*ostride+lanes || len(ph) != 2*lanes {
+		panic("core: convRows4: slab lengths do not match taps × lanes and the row strides")
+	}
+	if convRows8 == nil || lanes%8 != 0 {
+		for k := range 4 {
+			convRow(out[k*ostride:k*ostride+lanes], h, x[k*xstride:k*xstride+2*n], ph, taps, lanes)
+		}
+		return
+	}
+	for i := 0; i < lanes; i += 8 {
+		convRows8(&out[i], &h[i], &x[i], &ph[i], taps, lanes, xstride, ostride)
 	}
 }
 
@@ -271,21 +302,29 @@ func (pl *Plan) stageLen() int {
 // convTile computes rows [jLo, jHi), at most convTileRows of them, into
 // dst (block-major: dst[(j−jLo)·P + i]): it stages the rows' input
 // window [s_jLo·P, (s_{jHi−1}+B)·P) from in into buf (stageLen long),
-// then runs one convRow per row over it.
+// then runs the rows phase by phase. The rows of phase r share its taps
+// and phases, and each starts ν blocks after the one before, so they go
+// through convRows4 four at a time and the last few through convRow.
 func (pl *Plan) convTile(dst []complex128, buf []float64, in *convSource, jLo, jHi int) {
 	p := pl.prm
 	lanes, taps := p.P, p.B
 	c0 := pl.rowEndCol(jLo) - taps*lanes
 	in.stage(buf, c0, pl.rowEndCol(jHi-1), lanes)
-	g, r := jLo/p.Mu, jLo%p.Mu
-	for j := jLo; j < jHi; j++ {
-		start := 2 * ((g*p.Nu+pl.dstart[r])*lanes - c0)
+	n := 2 * taps * lanes                        // one row's staged slab
+	xstride, ostride := 2*p.Nu*lanes, p.Mu*lanes // from a row to its phase's next: ν blocks in, μ rows out
+	for j := jLo; j < min(jLo+p.Mu, jHi); j++ {
+		g, r := j/p.Mu, j%p.Mu
 		h := pl.hre[r*taps*lanes : (r*taps+taps)*lanes]
-		xs := buf[start : start+2*taps*lanes]
 		ph := pl.phase[2*r*lanes : 2*(r+1)*lanes]
-		convRow(dst[(j-jLo)*lanes:(j-jLo+1)*lanes], h, xs, ph, taps, lanes)
-		if r++; r == p.Mu {
-			g, r = g+1, 0
+		start, o := 2*((g*p.Nu+pl.dstart[r])*lanes-c0), (j-jLo)*lanes
+		k := j
+		for ; k+3*p.Mu < jHi; k += 4 * p.Mu {
+			convRows4(dst[o:o+3*ostride+lanes], h, buf[start:start+3*xstride+n], ph, taps, lanes, xstride, ostride)
+			start, o = start+4*xstride, o+4*ostride
+		}
+		for ; k < jHi; k += p.Mu {
+			convRow(dst[o:o+lanes], h, buf[start:start+n], ph, taps, lanes)
+			start, o = start+xstride, o+ostride
 		}
 	}
 }

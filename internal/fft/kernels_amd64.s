@@ -33,37 +33,47 @@ DATA rtConj<>+16(SB)/8, $0x3FE6A09E667F3BCD
 DATA rtConj<>+24(SB)/8, $0xBFE6A09E667F3BCD
 GLOBL rtConj<>(SB), RODATA|NOPTR, $32
 
-// func HasAVX2FMA() bool
+// func cpuSIMD() (avx2FMA, avx512F bool)
 //
 // AVX2 and FMA are usable when the CPU reports them (CPUID.7.0:EBX bit 5,
 // CPUID.1:ECX bit 12) and the OS saves the YMM state (CPUID.1:ECX
-// OSXSAVE+AVX, then XCR0 bits 1 and 2).
-TEXT ·HasAVX2FMA(SB), NOSPLIT, $0-1
+// OSXSAVE+AVX, then XCR0 bits 1 and 2). AVX-512F is usable on top of
+// them when the CPU reports it (CPUID.7.0:EBX bit 16) and the OS also
+// saves the opmask and all 512 bits of all 32 vector registers (XCR0
+// bits 5, 6 and 7).
+TEXT ·cpuSIMD(SB), NOSPLIT, $0-2
+	MOVB $0, avx2FMA+0(FP)
+	MOVB $0, avx512F+1(FP)
 	MOVL $0, AX
 	MOVL $0, CX
 	CPUID
 	CMPL AX, $7
-	JLT  no
+	JLT  done
 	MOVL $1, AX
 	MOVL $0, CX
 	CPUID
 	ANDL $0x18001000, CX // OSXSAVE | AVX | FMA
 	CMPL CX, $0x18001000
-	JNE  no
+	JNE  done
 	MOVL $0, CX
 	XGETBV
+	MOVL AX, SI // XCR0, for the AVX-512 check
 	ANDL $6, AX // XMM | YMM state enabled
 	CMPL AX, $6
-	JNE  no
+	JNE  done
 	MOVL $7, AX
 	MOVL $0, CX
 	CPUID
 	TESTL $0x20, BX // AVX2
-	JZ   no
-	MOVB $1, ret+0(FP)
-	RET
-no:
-	MOVB $0, ret+0(FP)
+	JZ   done
+	MOVB $1, avx2FMA+0(FP)
+	TESTL $0x10000, BX // AVX-512F
+	JZ   done
+	ANDL $0xE0, SI // opmask | ZMM_Hi256 | Hi16_ZMM state enabled
+	CMPL SI, $0xE0
+	JNE  done
+	MOVB $1, avx512F+1(FP)
+done:
 	RET
 
 // NEGI multiplies z by −i: (re, im) → (im, −re). Y15 holds signOdd.

@@ -120,10 +120,11 @@ type Report struct {
 	// Level is the instrumentation level the data was recorded at.
 	Level InstrumentLevel
 	// ConvolveKernel names the convolution kernel this process runs for
-	// plans whose segment count is a multiple of 8: "avx2", or "go" where
-	// the build or the CPU has no SIMD kernel. Both return the same bits;
-	// a host that reads "go" where its peers read "avx2" convolves about
-	// four times slower.
+	// plans whose segment count is a multiple of 8: "avx512" (four rows
+	// of a phase per tap load), "avx2", or "go" where the build or the
+	// CPU has no SIMD kernel. All return the same bits; a host that reads
+	// "avx2" where its peers read "avx512" convolves about twice slower,
+	// and one that reads "go" several times slower still.
 	ConvolveKernel string
 	// FFTKernel names the butterfly kernels this process runs for the
 	// segment FFT and the P-point batch, "avx2" or "go" under the same
