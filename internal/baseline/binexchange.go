@@ -24,7 +24,9 @@ type BinaryExchange struct{}
 // Name identifies the algorithm in benchmark tables.
 func (BinaryExchange) Name() string { return "binexchange" }
 
-const tagButterfly = 200
+// tagButterfly+l tags round l's exchange, in exch's other band, below
+// the halo band.
+const tagButterfly = 100
 
 // Transform requires a power-of-two rank count and N divisible by R².
 func (BinaryExchange) Transform(c core.Comm, localOut, localIn []complex128, n int) (Times, error) {

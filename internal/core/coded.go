@@ -6,20 +6,7 @@ import (
 	"sort"
 
 	"soifft/internal/erasure"
-	"soifft/internal/instrument"
-)
-
-// Coded-exchange tags live in a far negative band of their own, away
-// from the collective tags of both transports (-4..-7) and the positive
-// halo band.
-const (
-	tagCodedParity  = -1001 // parity share i of a source's codeword: tagCodedParity - i
-	tagCodedView    = -1100 // post-exchange liveness/receipt masks
-	tagCodedAgree   = -1101 // dead-set agreement masks
-	tagCodedOutcome = -1102 // coordinator's decode verdict to each survivor
-	tagCodedPool    = -1200 // share pooling for dead rank d: tagCodedPool - d
-	tagCodedRefill  = -1300 // reconstructed chunk refill for dead rank d: tagCodedRefill - d
-	tagCodedGather  = -1400 // degraded gather; dead rank d's block: tagCodedGather - 1 - d
+	"soifft/internal/exch"
 )
 
 // CodedExchangeFailpoint, when non-nil, is invoked on every rank between
@@ -42,10 +29,11 @@ type DegradedError struct {
 	// Coordinator is the survivor (min rank alive) that pooled shares,
 	// decoded, and took over the dead ranks' output blocks.
 	Coordinator int
-	// ParityBytes counts erasure parity payload this rank sent.
+	// ParityBytes counts erasure parity payload this rank sent, read
+	// off its links' parity band (zero on a Comm without band counters).
 	ParityBytes int64
-	// RecoveryBytes counts view/agreement/pooling/refill payload this
-	// rank sent.
+	// RecoveryBytes counts view/agreement/outcome/pooling/refill payload
+	// this rank sent, read off its links' coded-control band likewise.
 	RecoveryBytes int64
 	// TakenOver maps each dead rank to its recomputed output block.
 	// Populated only on the coordinator; GatherDegraded routes it.
@@ -99,8 +87,6 @@ func ValidateCoded(r, m int) error {
 // codedExchange is the per-rank state of one erasure-protected exchange.
 type codedExchange struct {
 	e    *distExec
-	c    Comm
-	rec  *instrument.Recorder // nil unless observing
 	m    int
 	code *erasure.Code
 
@@ -113,8 +99,6 @@ type codedExchange struct {
 	decoded   map[int][][]complex128 // dead d → all R data chunks of d's codeword
 	columns   map[int][][]complex128 // dead d → pooled survivor chunks C_{s→d}
 	poolMasks map[int]uint64         // dead d → union of survivors' held data-share bits
-
-	parityBytes, recoveryBytes int64
 }
 
 // column returns every source's contribution to dead rank d's output
@@ -137,16 +121,13 @@ func (cx *codedExchange) markDead(rank int) { cx.dead[rank] = true }
 // then passes the chaos failpoint. produce folded every tile into the
 // shares, so they are complete once it returns.
 func (cx *codedExchange) fanOutParity() error {
-	e, c := cx.e, cx.c
+	e := cx.e
 	for i := 0; i < cx.m; i++ {
 		s := (e.rank + 1 + i) % e.r
-		if err := c.Send(s, tagCodedParity-i, e.ws.parity[i*e.chunk:(i+1)*e.chunk]); err != nil {
+		if err := e.c.Send(s, exch.TagCodedParity-i, e.ws.parity[i*e.chunk:(i+1)*e.chunk]); err != nil {
 			cx.markDead(s)
-			continue
 		}
-		cx.parityBytes += int64(e.chunk) * 16
 	}
-	cx.rec.CountParityBytes(cx.parityBytes)
 	if fp := CodedExchangeFailpoint; fp != nil {
 		return fp(e.rank)
 	}
@@ -163,7 +144,7 @@ func (cx *codedExchange) recvParity(src int) {
 		return
 	}
 	share := e.ws.parityIn[i*e.chunk : (i+1)*e.chunk]
-	if err := cx.c.RecvInto(share, src, tagCodedParity-i); err != nil {
+	if err := e.c.RecvInto(share, src, exch.TagCodedParity-i); err != nil {
 		cx.markDead(src)
 		return
 	}
@@ -176,7 +157,7 @@ func (cx *codedExchange) recvParity(src int) {
 // budget, the recovery. On success every survivor's own column is
 // complete.
 func (cx *codedExchange) detect() (*DegradedError, error) {
-	e, m, rec := cx.e, cx.m, cx.rec
+	e, m := cx.e, cx.m
 	r, rank := e.r, e.rank
 
 	// A source whose stream ended early lost chunks — a dead link, or a
@@ -206,7 +187,7 @@ func (cx *codedExchange) detect() (*DegradedError, error) {
 		}
 	}
 	cx.masks[rank] = myMask
-	cx.exchangeMasks(tagCodedView, myMask, cx.masks)
+	cx.exchangeMasks(exch.TagCodedView, myMask, cx.masks)
 
 	// Agreement round: union everyone's observed dead set, so all
 	// survivors run the same recovery (or fail the same way). Handles
@@ -220,7 +201,7 @@ func (cx *codedExchange) detect() (*DegradedError, error) {
 	}
 	agreed := make([]uint64, r)
 	agreed[rank] = myDead
-	cx.exchangeMasks(tagCodedAgree, myDead, agreed)
+	cx.exchangeMasks(exch.TagCodedAgree, myDead, agreed)
 	deadMask := uint64(0)
 	for j, d := range cx.dead {
 		if d { // include deaths first observed during the mask rounds
@@ -235,9 +216,6 @@ func (cx *codedExchange) detect() (*DegradedError, error) {
 			cx.dead[j] = true
 			deadList = append(deadList, j)
 		}
-	}
-	if len(deadList) > 0 { // mask rounds count as recovery traffic only on failure
-		rec.CountRecoveryBytes(cx.recoveryBytes)
 	}
 	if deadMask&(1<<uint(rank)) != 0 {
 		return nil, &UnrecoverableLossError{DeadRanks: deadList, Parity: m,
@@ -271,7 +249,7 @@ func (cx *codedExchange) detect() (*DegradedError, error) {
 // filling out[src] for every live peer and marking unreachable peers
 // dead.
 func (cx *codedExchange) exchangeMasks(tag int, mine uint64, out []uint64) {
-	e, c := cx.e, cx.c
+	e, c := cx.e, cx.e.c
 	payload := []complex128{complex(float64(mine), 0)}
 	for off := 1; off < e.r; off++ {
 		s := (e.rank + off) % e.r
@@ -280,9 +258,7 @@ func (cx *codedExchange) exchangeMasks(tag int, mine uint64, out []uint64) {
 		}
 		if err := c.Send(s, tag, payload); err != nil {
 			cx.markDead(s)
-			continue
 		}
-		cx.recoveryBytes += 16
 	}
 	for off := 1; off < e.r; off++ {
 		src := (e.rank + off) % e.r
@@ -303,8 +279,8 @@ func (cx *codedExchange) exchangeMasks(tag int, mine uint64, out []uint64) {
 // whose own chunks were lost, and retains the decoded columns for the
 // coordinator's output takeover.
 func (cx *codedExchange) recover(deadList []int) (*DegradedError, error) {
-	e, c, m := cx.e, cx.c, cx.m
-	r, rank, chunk, rec := e.r, e.rank, e.chunk, cx.rec
+	e, c, m := cx.e, cx.e.c, cx.m
+	r, rank, chunk := e.r, e.rank, e.chunk
 
 	coord := -1
 	for j := 0; j < r; j++ {
@@ -315,7 +291,6 @@ func (cx *codedExchange) recover(deadList []int) (*DegradedError, error) {
 	}
 	cx.decoded = make(map[int][][]complex128)
 	cx.columns = make(map[int][][]complex128)
-	base := cx.recoveryBytes // mask-round bytes, already booked by detect
 
 	var decodeErr error
 	for _, d := range deadList {
@@ -332,7 +307,9 @@ func (cx *codedExchange) recover(deadList []int) (*DegradedError, error) {
 			decodeErr = err
 			continue
 		}
-		rec.CountReconstruction()
+		if e.rec.On() {
+			e.rec.CountReconstruction()
+		}
 	}
 	// Outcome round: the coordinator tells every survivor whether the
 	// decodes succeeded, so an infeasible recovery fails typed on every
@@ -347,20 +324,18 @@ func (cx *codedExchange) recover(deadList []int) (*DegradedError, error) {
 			if s == coord || cx.dead[s] {
 				continue
 			}
-			if err := c.Send(s, tagCodedOutcome, verdict); err != nil {
+			if err := c.Send(s, exch.TagCodedOutcome, verdict); err != nil {
 				cx.markDead(s) // died during recovery; skip its refills
 				if lateErr == nil {
 					lateErr = err
 				}
-				continue
 			}
-			cx.recoveryBytes += 16
 		}
 		if decodeErr != nil {
 			return nil, decodeErr
 		}
 	} else {
-		v, err := c.RecvC(coord, tagCodedOutcome)
+		v, err := c.RecvC(coord, exch.TagCodedOutcome)
 		if err != nil {
 			return nil, err
 		}
@@ -378,15 +353,14 @@ func (cx *codedExchange) recover(deadList []int) (*DegradedError, error) {
 				if s == coord || cx.dead[s] || cx.heldBy(s, d) {
 					continue
 				}
-				if err := c.Send(s, tagCodedRefill-d, cx.decoded[d][s]); err != nil {
+				if err := c.Send(s, exch.TagCodedRefill-d, cx.decoded[d][s]); err != nil {
 					return nil, err
 				}
-				cx.recoveryBytes += int64(chunk) * 16
 			}
 			continue
 		}
 		if cx.recv[d] == nil {
-			data, err := c.RecvC(coord, tagCodedRefill-d)
+			data, err := c.RecvC(coord, exch.TagCodedRefill-d)
 			if err != nil {
 				return nil, err
 			}
@@ -397,15 +371,12 @@ func (cx *codedExchange) recover(deadList []int) (*DegradedError, error) {
 			cx.recv[d] = data
 		}
 	}
-	rec.CountRecoveryBytes(cx.recoveryBytes - base)
 	if lateErr != nil { // a survivor died mid-recovery; its column is gone
 		return nil, lateErr
 	}
 	deg := &DegradedError{
 		ReconstructedRanks: append([]int(nil), deadList...),
 		Coordinator:        coord,
-		ParityBytes:        cx.parityBytes,
-		RecoveryBytes:      cx.recoveryBytes,
 		TakenOver:          map[int][]complex128{},
 	}
 	sort.Ints(deg.ReconstructedRanks)
@@ -440,18 +411,14 @@ func (cx *codedExchange) sendPool(coord, d int) error {
 	for _, p := range parts {
 		frame = append(frame, p...)
 	}
-	if err := cx.c.Send(coord, tagCodedPool-d, frame); err != nil {
-		return err
-	}
-	cx.recoveryBytes += int64(len(frame)) * 16
-	return nil
+	return e.c.Send(coord, exch.TagCodedPool-d, frame)
 }
 
 // poolAndDecode (coordinator) gathers every survivor's pool frame for
 // dead rank d, assembles the share set, reconstructs the codeword, and
 // stores the decoded data chunks and the pooled column.
 func (cx *codedExchange) poolAndDecode(d, coord int) error {
-	e, c, m := cx.e, cx.c, cx.m
+	e, c, m := cx.e, cx.e.c, cx.m
 	r, chunk := e.r, e.chunk
 	if cx.poolMasks == nil {
 		cx.poolMasks = make(map[int]uint64)
@@ -478,7 +445,7 @@ func (cx *codedExchange) poolAndDecode(d, coord int) error {
 		if s == coord || cx.dead[s] {
 			continue
 		}
-		frame, err := c.RecvC(s, tagCodedPool-d)
+		frame, err := c.RecvC(s, exch.TagCodedPool-d)
 		if err != nil {
 			return err
 		}
@@ -560,12 +527,12 @@ func GatherDegraded(c Comm, root int, own []complex128, deg *DegradedError) (ful
 		at = deg.Coordinator
 	}
 	if rank != at {
-		if err := c.Send(at, tagCodedGather, own); err != nil {
+		if err := c.Send(at, exch.TagCodedGather, own); err != nil {
 			return nil, at, err
 		}
 		if rank == deg.Coordinator {
 			for _, d := range deg.ReconstructedRanks {
-				if err := c.Send(at, tagCodedGather-1-d, deg.TakenOver[d]); err != nil {
+				if err := c.Send(at, exch.TagCodedGather-1-d, deg.TakenOver[d]); err != nil {
 					return nil, at, err
 				}
 			}
@@ -578,7 +545,7 @@ func GatherDegraded(c Comm, root int, own []complex128, deg *DegradedError) (ful
 		if s == rank || dead[s] {
 			continue
 		}
-		data, err := c.RecvC(s, tagCodedGather)
+		data, err := c.RecvC(s, exch.TagCodedGather)
 		if err != nil {
 			return nil, at, err
 		}
@@ -594,7 +561,7 @@ func GatherDegraded(c Comm, root int, own []complex128, deg *DegradedError) (ful
 			block = deg.TakenOver[d]
 		} else {
 			var err error
-			block, err = c.RecvC(deg.Coordinator, tagCodedGather-1-d)
+			block, err = c.RecvC(deg.Coordinator, exch.TagCodedGather-1-d)
 			if err != nil {
 				return nil, at, err
 			}

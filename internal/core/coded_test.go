@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"soifft/internal/erasure"
+	"soifft/internal/exch"
 	"soifft/internal/instrument"
 	"soifft/internal/mpi"
 	"soifft/internal/signal"
@@ -228,14 +229,14 @@ type postFlushDeath struct {
 }
 
 func (c *postFlushDeath) Send(to, tag int, data []complex128) error {
-	if c.victims[to] && tag <= tagCodedView {
+	if c.victims[to] && tag <= exch.TagCodedView {
 		return &linkFault{peer: to}
 	}
 	return c.Comm.Send(to, tag, data)
 }
 
 func (c *postFlushDeath) RecvC(from, tag int) ([]complex128, error) {
-	if c.victims[from] && tag <= tagCodedView {
+	if c.victims[from] && tag <= exch.TagCodedView {
 		return nil, &linkFault{peer: from}
 	}
 	return c.Comm.RecvC(from, tag)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -88,64 +89,44 @@ func (pl *Plan) ValidateDistributed(r int) error {
 	return nil
 }
 
-// countingComm mirrors a Comm's traffic into a Recorder: point-to-point
-// payload bytes at the sender, all-to-all volume as this rank's
-// inter-rank contribution (self-copies excluded, matching what a fabric
-// would carry — summed over per-rank recorders, or accumulated in one
-// shared recorder, the total is 16·(1+β)·N·(R−1)/R bytes per SOI
-// transform, whatever the window). The
-// collective op itself is counted once per world, on rank 0, mirroring
-// the mpinet.World statistics convention. Receives forward by embedding.
-type countingComm struct {
-	Comm
-	rec *instrument.Recorder
-}
+// sentCounter is a Comm whose links count what this rank sends, by tag
+// band: *mpinet.Proc. A run books its traffic into the recorder as the
+// difference of a snapshot before and after; a Comm without the
+// counters, the node's among them, books none.
+type sentCounter interface{ Sent() exch.Bands }
 
-// instrumentComm wraps c when the recorder is observing; otherwise it
-// returns c untouched so the uninstrumented path has zero indirection.
-// A node run is never wrapped: it moves no byte and counts no
-// collective.
-func instrumentComm(c Comm, rec *instrument.Recorder) Comm {
-	if _, node := c.(nodeComm); node || !rec.On() {
-		return c
+// book books what this rank sent during the exchange, the traffic d its
+// band counters added: a degraded run's parity and coded-control bytes
+// into deg, and into the recorder halo and collective payloads as
+// messages, the stream band as all-to-all bytes and chunks (self-copies
+// never touch a link, so summed over ranks this is 16·(1+β)·N·(R−1)/R
+// bytes per transform, whatever the window), parity, and — only once a
+// death was detected — coded control as recovery traffic. Rank 0 books
+// the collective.
+func (e *distExec) book(d exch.Bands, deg *DegradedError) {
+	if deg != nil {
+		deg.ParityBytes, deg.RecoveryBytes = d[exch.BandParity].Bytes, d[exch.BandCoded].Bytes
 	}
-	return &countingComm{Comm: c, rec: rec}
-}
-
-func (cc *countingComm) Send(to, tag int, data []complex128) error {
-	cc.rec.CountMessage(int64(len(data)) * 16)
-	return cc.Comm.Send(to, tag, data)
-}
-
-func (cc *countingComm) Gather(root int, chunk []complex128) ([]complex128, error) {
-	if cc.Comm.Rank() != root {
-		cc.rec.CountMessage(int64(len(chunk)) * 16)
+	rec := e.rec
+	if !rec.On() {
+		return
 	}
-	return cc.Comm.Gather(root, chunk)
-}
-
-// StartAlltoallv counts the exchange against its analytic budget: the op
-// once on rank 0, and every non-self chunk's payload at the sender.
-// Summed over a stream, the chunks partition exactly (R−1)·chunk
-// elements, so the live 3/(1+β) ratio check holds whatever the window.
-func (cc *countingComm) StartAlltoallv(o exch.Options) exch.Stream {
-	if cc.Comm.Rank() == 0 {
-		cc.rec.CountAlltoallOp()
+	if e.rank == 0 {
+		rec.CountAlltoallOp()
 	}
-	return &countedStream{Stream: cc.Comm.StartAlltoallv(o), cc: cc}
-}
-
-type countedStream struct {
-	exch.Stream
-	cc *countingComm
-}
-
-func (s *countedStream) Send(dst, idx int, data []complex128) error {
-	if dst != s.cc.Comm.Rank() {
-		s.cc.rec.CountAlltoallBytes(int64(len(data)) * 16)
-		s.cc.rec.CountStreamChunk()
+	bookMessages(rec, d)
+	rec.CountAlltoallBytes(d[exch.BandStream].Bytes)
+	rec.CountStreamChunks(d[exch.BandStream].Messages)
+	rec.CountParityBytes(d[exch.BandParity].Bytes)
+	if e.cx != nil && slices.Contains(e.cx.dead, true) {
+		rec.CountRecoveryBytes(d[exch.BandCoded].Bytes)
 	}
-	return s.Stream.Send(dst, idx, data)
+}
+
+// bookMessages books d's halo and collective payloads as messages.
+func bookMessages(rec *instrument.Recorder, d exch.Bands) {
+	h, c := d[exch.BandHalo], d[exch.BandCollective]
+	rec.CountMessages(h.Messages+c.Messages, h.Bytes+c.Bytes)
 }
 
 // RunDistributed executes the SOI factorization over the communicator:
@@ -237,7 +218,7 @@ func (pl *Plan) run(ctx context.Context, c Comm, cfg distOptions, localOut, loca
 // shares between its phases. It lives in the run's workspace.
 type distExec struct {
 	pl                *Plan
-	c                 Comm                 // collective/halo surface (instrument-wrapped when observing)
+	c                 Comm
 	ws                *distWorkspace       // every payload-sized buffer of the run
 	rec               *instrument.Recorder // this run's recorder (plan's unless WithRecorder overrode it)
 	cx                *codedExchange       // coded runs only: parity, detection and recovery state
@@ -304,7 +285,7 @@ func (pl *Plan) newDistExec(ctx context.Context, cfg distOptions, c Comm, localO
 	}
 	e := &ws.exec
 	*e = distExec{
-		pl: pl, c: instrumentComm(c, cfg.rec), ws: ws,
+		pl: pl, c: c, ws: ws,
 		rec: cfg.rec, rank: rank, r: r, nLocal: nLocal,
 		workers: workers,
 		bpr:     bpr, spr: spr, chunk: chunk,
@@ -317,13 +298,8 @@ func (pl *Plan) newDistExec(ctx context.Context, cfg distOptions, c Comm, localO
 	if cfg.coded {
 		m := cfg.parity
 		ws.parity, ws.parityIn = grown(ws.parity, m*chunk), grown(ws.parityIn, m*chunk)
-		// The protocol runs on the unwrapped c, not e.c: its parity and
-		// recovery frames are booked by their own counters, not as messages.
-		e.cx = &codedExchange{e: e, c: c, m: m, code: code, recv: ws.cols,
+		e.cx = &codedExchange{e: e, m: m, code: code, recv: ws.cols,
 			parityIn: make(map[int][]complex128), dead: make([]bool, r), masks: make([]uint64, r)}
-		if e.rec.On() { // match the uncoded path: count only when observing
-			e.cx.rec = e.rec
-		}
 	}
 	return e, nil
 }

@@ -88,14 +88,18 @@ func (pl *Plan) TransformSegmentContext(ctx context.Context, dst, src []complex1
 // segment FFT and demodulates. Communication is a single gather of M'/R
 // points per rank plus the usual halo — far below even the SOI
 // transform's all-to-all. Returns the segment (length M) on root, nil on
-// other ranks.
+// other ranks. An observed run books the halo and gather payloads it
+// sent as messages.
 func (pl *Plan) RunDistributedSegment(c Comm, localIn []complex128, s, root int) ([]complex128, error) {
 	p := pl.prm
 	r := c.Size()
 	if err := pl.ValidateDistributed(r); err != nil {
 		return nil, err
 	}
-	c = instrumentComm(c, pl.rec)
+	if sc, ok := c.(sentCounter); ok && pl.rec.On() {
+		before := sc.Sent()
+		defer func() { bookMessages(pl.rec, sc.Sent().Since(before)) }()
+	}
 	if s < 0 || s >= p.P {
 		return nil, fmt.Errorf("core: segment %d out of range [0, %d): %w", s, p.P, ErrSegmentRange)
 	}

@@ -110,8 +110,13 @@ func (e *distExec) drain(st exch.Stream) (err error) {
 // exchange executes phases 1–3: produce over the stream, then drain it.
 // A coded run fans its parity out after the producer and, once drained,
 // detects losses and recovers within budget, all inside the exchange
-// stage; a non-nil *DegradedError reports reconstructions.
-func (e *distExec) exchange(ctx context.Context, localIn []complex128) (*DegradedError, error) {
+// stage; a non-nil *DegradedError reports reconstructions. What the
+// phases sent is booked on every exit.
+func (e *distExec) exchange(ctx context.Context, localIn []complex128) (deg *DegradedError, err error) {
+	if sc, ok := e.c.(sentCounter); ok {
+		before := sc.Sent()
+		defer func() { e.book(sc.Sent().Since(before), deg) }()
+	}
 	st := e.startStream()
 	defer st.Close()
 

@@ -25,15 +25,6 @@ import (
 	"sync"
 )
 
-// TagBase is the top of the stream tag band: chunk idx travels with tag
-// TagBase-idx. The band grows downward from -2000, clear of both
-// transports' collective tags (-4..-7), the positive halo band, and the
-// coded-exchange bands (-1001..-1400s).
-const TagBase = -2000
-
-// Tag returns the wire tag of chunk index idx.
-func Tag(idx int) int { return TagBase - idx }
-
 // The halo exchange streams through the same chunk-schedule idea as the
 // all-to-all, but over the transports' ordinary (positive-tag) mailboxes:
 // on a streamed run the neighbour prefix to depth d is split into
@@ -53,13 +44,6 @@ const MaxHaloChunks = 8
 // pacing, syscalls) are paid once — and only a halo big enough to be
 // worth overlapping splits.
 const minHaloChunkElems = 16384
-
-// HaloTagBase is the bottom of the positive halo band.
-const HaloTagBase = 200
-
-// HaloTag returns the wire tag of halo chunk i to neighbour depth d
-// (d ≥ 1, i < MaxHaloChunks).
-func HaloTag(d, i int) int { return HaloTagBase + d*MaxHaloChunks + i }
 
 // HaloSizes splits a halo prefix of total elements into the chunk
 // schedule — near-equal chunks, at most MaxHaloChunks, none smaller

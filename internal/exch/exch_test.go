@@ -98,3 +98,25 @@ func TestHaloTagBand(t *testing.T) {
 		}
 	}
 }
+
+// TestBandOf: every tag family lands in its band, at the widest shapes
+// its protocol allows (52 ranks plus parity shares, any chunk index).
+func TestBandOf(t *testing.T) {
+	for _, c := range []struct {
+		tag  int
+		want Band
+	}{
+		{HaloTag(1, 0), BandHalo}, {HaloTag(64, MaxHaloChunks-1), BandHalo},
+		{0, BandOther}, {HaloTagBase - 1, BandOther}, {-1000, BandOther}, {TagBase + 1, BandOther},
+		{-4, BandCollective}, {-7, BandCollective},
+		{TagCodedParity, BandParity}, {TagCodedParity - 50, BandParity},
+		{TagCodedView, BandCoded}, {TagCodedAgree, BandCoded}, {TagCodedOutcome, BandCoded},
+		{TagCodedPool - 51, BandCoded}, {TagCodedRefill - 51, BandCoded}, {TagCodedGather - 1 - 51, BandCoded},
+		{TagStat, BandTelemetry},
+		{Tag(0), BandStream}, {Tag(1 << 20), BandStream},
+	} {
+		if got := BandOf(c.tag); got != c.want {
+			t.Errorf("BandOf(%d) = %d, want %d", c.tag, got, c.want)
+		}
+	}
+}

@@ -215,12 +215,12 @@ func (r *Recorder) ObserveStage(s Stage, wall, busy time.Duration, workers int, 
 	}
 }
 
-// CountMessage records one point-to-point payload of the given size.
-func (r *Recorder) CountMessage(bytes int64) {
+// CountMessages records n point-to-point payloads of bytes in all.
+func (r *Recorder) CountMessages(n, bytes int64) {
 	if r == nil {
 		return
 	}
-	r.comm.messages.Add(1)
+	r.comm.messages.Add(n)
 	r.comm.bytes.Add(bytes)
 }
 
@@ -280,13 +280,13 @@ func (r *Recorder) CountDegraded() {
 	r.comm.degraded.Add(1)
 }
 
-// CountStreamChunk records one chunk shipped through the exchange
+// CountStreamChunks records n chunks shipped through the exchange
 // stream, self-chunks excluded.
-func (r *Recorder) CountStreamChunk() {
+func (r *Recorder) CountStreamChunks(n int64) {
 	if r == nil {
 		return
 	}
-	r.comm.streamChunks.Add(1)
+	r.comm.streamChunks.Add(n)
 }
 
 // AddHiddenExchange accumulates exchange wire time that ran concurrently

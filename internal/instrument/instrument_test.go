@@ -18,7 +18,7 @@ func TestNilRecorderIsInert(t *testing.T) {
 	// Every method must be a no-op, not a panic.
 	r.AddTransform()
 	r.ObserveStage(StageConvolve, time.Second, time.Second, 4, 100)
-	r.CountMessage(16)
+	r.CountMessages(1, 16)
 	r.CountAlltoallBytes(16)
 	r.CountAlltoallOp()
 	r.CountRetransmit()
@@ -52,7 +52,7 @@ func TestRecorderAccumulates(t *testing.T) {
 	r.AddTransform()
 	r.ObserveStage(StageConvolve, 100*time.Millisecond, 300*time.Millisecond, 4, 1000)
 	r.ObserveStage(StageConvolve, 100*time.Millisecond, 100*time.Millisecond, 2, 500)
-	r.CountMessage(128)
+	r.CountMessages(1, 128)
 	r.CountAlltoallOp()
 	r.CountAlltoallBytes(4096)
 
@@ -99,7 +99,7 @@ func TestRecorderConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				r.AddTransform()
-				r.CountMessage(16)
+				r.CountMessages(1, 16)
 				r.ObserveStage(StageExchange, 0, 0, 1, 10)
 			}
 		}()

@@ -1,6 +1,7 @@
 package mpinet
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -9,6 +10,9 @@ import (
 	"soifft/internal/baseline"
 	"soifft/internal/core"
 	"soifft/internal/exch"
+	"soifft/internal/instrument"
+	"soifft/internal/signal"
+	"soifft/internal/telemetry"
 )
 
 // TestCommContractReturnsFaults runs every fallible core.Comm method, and
@@ -192,6 +196,138 @@ func TestCommContractReturnsFaults(t *testing.T) {
 				}
 				if elapsed > 2*ioT {
 					t.Errorf("%s took %v, over twice the %v deadline", op.name, elapsed, ioT)
+				}
+			})
+		}
+	}
+}
+
+// TestCommContractCountsOnce runs one transform per row — each link
+// under the blocking, the streamed and the coded exchange — and holds
+// every view of the traffic to the one count in the links. The
+// recorder's all-to-all bytes and chunks, the ranks' stream band and, in
+// process, World.Stats equal the analytic 16(1+β)N(R−1)/R. The frames
+// the links carried in (LinkStats, Stats) are the payloads sent plus one
+// header each, in the stream band and in all. A clean coded run books its
+// parity and no recovery.
+func TestCommContractCountsOnce(t *testing.T) {
+	const n, ranks = 4096, 4
+	prm := core.Params{N: n, P: 8, Mu: 5, Nu: 4, B: 48}
+	pl, err := core.NewPlan(prm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := signal.Random(n, 29)
+	nLocal := n / ranks
+	model := int64(16 * n * prm.Mu / prm.Nu * (ranks - 1) / ranks)
+	chunk := pl.MPrime() / ranks * (prm.P / ranks)
+
+	// Each link runs fn on every rank of a fresh 4-rank world and returns
+	// the ranks, and in process the world.
+	links := []struct {
+		name string
+		hdr  int64 // wire bytes a frame adds to its payload
+		run  func(t *testing.T, fn func(p *Proc) error) ([]*Proc, *World)
+	}{
+		{"memory", 0, func(t *testing.T, fn func(p *Proc) error) ([]*Proc, *World) {
+			w, err := NewWorld(ranks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Run(fn); err != nil {
+				t.Fatal(err)
+			}
+			return w.procs, w
+		}},
+		{"socket", frameHdrLen, func(t *testing.T, fn func(p *Proc) error) ([]*Proc, *World) {
+			procs := mesh(t, ranks)
+			spmd(t, procs, fn)
+			return procs, nil
+		}},
+	}
+	exchanges := []struct {
+		name   string
+		parity int
+		opts   []core.DistOption
+	}{
+		{"window 0", 0, nil},
+		{"window 2", 0, []core.DistOption{core.WithAsyncWindow(2)}},
+		{"coded m=1", 1, []core.DistOption{core.WithCoding(1)}},
+	}
+	for _, l := range links {
+		for _, x := range exchanges {
+			t.Run(l.name+"/"+x.name, func(t *testing.T) {
+				rec := instrument.New(instrument.LevelCounters)
+				opts := append([]core.DistOption{core.WithRecorder(rec)}, x.opts...)
+				got := make([]complex128, n)
+				procs, w := l.run(t, func(p *Proc) error {
+					k := p.Rank()
+					_, err := pl.RunDistributed(context.Background(), p,
+						got[k*nLocal:(k+1)*nLocal], src[k*nLocal:(k+1)*nLocal], opts...)
+					return err
+				})
+
+				var sent exch.Bands
+				var in, inStream telemetry.LinkStat
+				var st NetStats
+				for _, p := range procs {
+					for b, v := range p.Sent() {
+						sent[b].Messages += v.Messages
+						sent[b].Bytes += v.Bytes
+					}
+					pls := p.LinkStats()
+					if len(pls) != ranks-1 {
+						t.Errorf("rank %d reports %d links, want %d", p.Rank(), len(pls), ranks-1)
+					}
+					for _, ls := range pls {
+						in.FramesReceived += ls.FramesReceived
+						in.BytesReceived += ls.BytesReceived
+						in.BytesSent += ls.BytesSent
+						if w != nil && (ls.FlushNs != 0 || ls.CreditStallNs != 0 || ls.HeartbeatRTTNs != 0) {
+							t.Errorf("in-process link %d→%d reports wire timing: %+v", p.Rank(), ls.Peer, ls)
+						}
+					}
+					for _, pe := range p.peers {
+						if pe != nil {
+							sb := pe.bands[exch.BandStream].in.load()
+							inStream.FramesReceived += sb.Messages
+							inStream.BytesReceived += sb.Bytes
+						}
+					}
+					s := p.Stats()
+					st.FramesReceived += s.FramesReceived
+					st.BytesReceived += s.BytesReceived
+				}
+				var payload int64
+				for _, v := range sent {
+					payload += v.Bytes
+				}
+				stream, c := sent[exch.BandStream], rec.Snapshot().Comm
+
+				if stream.Bytes != model || c.AlltoallBytes != stream.Bytes || c.StreamChunks != stream.Messages {
+					t.Errorf("stream band %d bytes in %d chunks, recorder %d in %d, want the model's %d",
+						stream.Bytes, stream.Messages, c.AlltoallBytes, c.StreamChunks, model)
+				}
+				if want := stream.Bytes + l.hdr*inStream.FramesReceived; inStream.BytesReceived != want {
+					t.Errorf("links carried %d stream bytes in, want the payload plus headers, %d", inStream.BytesReceived, want)
+				}
+				if want := payload + l.hdr*in.FramesReceived; in.BytesReceived != want ||
+					st.BytesReceived != in.BytesReceived || st.FramesReceived != in.FramesReceived {
+					t.Errorf("ΣLinkStats carried %d bytes in %d frames, ΣStats %d in %d, want the payload plus headers, %d",
+						in.BytesReceived, in.FramesReceived, st.BytesReceived, st.FramesReceived, want)
+				}
+				if w != nil {
+					ws := w.Stats()
+					if ws.AlltoallBytes != stream.Bytes || ws.P2PBytes != payload || in.BytesSent != payload || ws.Alltoalls != 1 {
+						t.Errorf("World.Stats %+v and ΣLinkStats %d sent, want stream %d, payload %d and one all-to-all",
+							ws, in.BytesSent, stream.Bytes, payload)
+					}
+				}
+				if want := int64(ranks * x.parity * chunk * 16); c.ParityBytes != want || sent[exch.BandParity].Bytes != want {
+					t.Errorf("parity: recorder %d, band %d, want %d", c.ParityBytes, sent[exch.BandParity].Bytes, want)
+				}
+				if c.RecoveryBytes != 0 {
+					t.Errorf("a clean run booked %d recovery bytes", c.RecoveryBytes)
 				}
 			})
 		}

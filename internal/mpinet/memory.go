@@ -21,17 +21,12 @@ type World struct {
 	procs     []*Proc
 	abortOnce sync.Once
 	dead      chan struct{} // closed when the world aborts
-	stats     struct {
-		p2pMessages, p2pBytes atomic.Int64
-		gathers, alltoalls    atomic.Int64
-		alltoallBytes         atomic.Int64
-	}
 }
 
-// WorldStats aggregates a world's communication volume: payload bytes
-// only. Collective byte counts include every payload byte moved between
-// distinct ranks (self-copies are excluded, matching what a fabric would
-// carry).
+// WorldStats aggregates a world's communication volume, summed over its
+// ranks' link counters: payload bytes only. Collective byte counts
+// include every payload byte moved between distinct ranks (self-copies
+// are excluded, matching what a fabric would carry).
 type WorldStats struct {
 	P2PMessages, P2PBytes int64
 	Gathers               int64
@@ -104,15 +99,21 @@ func (w *World) abort() {
 	})
 }
 
-// Stats snapshots the accumulated communication counters.
+// Stats sums the ranks' communication counters: every message of every
+// band, and the stream band's as all-to-all volume.
 func (w *World) Stats() WorldStats {
-	return WorldStats{
-		P2PMessages:   w.stats.p2pMessages.Load(),
-		P2PBytes:      w.stats.p2pBytes.Load(),
-		Gathers:       w.stats.gathers.Load(),
-		Alltoalls:     w.stats.alltoalls.Load(),
-		AlltoallBytes: w.stats.alltoallBytes.Load(),
+	var s WorldStats
+	for _, p := range w.procs {
+		sent := p.Sent()
+		for _, t := range sent {
+			s.P2PMessages += t.Messages
+			s.P2PBytes += t.Bytes
+		}
+		s.AlltoallBytes += sent[exch.BandStream].Bytes
+		s.Gathers += p.stats.gathers.Load()
+		s.Alltoalls += p.stats.alltoalls.Load()
 	}
+	return s
 }
 
 // sendCopies recycles the buffered copies Send makes in process: a link
@@ -131,16 +132,21 @@ func (l *memLink) send(tag int, data []complex128) error {
 	if err := l.pe.alive(); err != nil {
 		return err
 	}
-	st := &l.pe.pr.world.stats
-	st.p2pMessages.Add(1)
-	st.p2pBytes.Add(int64(len(data)) * 16)
 	b := sendCopies.Get(len(data))
 	copy(b, data)
-	l.to.boxFor(tag).put(packet{tag: tag, data: b})
+	l.hand(packet{tag: tag, data: b}, len(data))
 	return nil
 }
 
-func (l *memLink) sendChunk(s *stream, tag int, wire []complex128, n int) error {
+// hand puts pkt, of n payload elements, in the other end's mailbox. In
+// process a frame is its payload, carried out and in at once.
+func (l *memLink) hand(pkt packet, n int) {
+	l.pe.band(pkt.tag).out.add(16 * n)
+	l.to.band(pkt.tag).in.add(16 * n)
+	l.to.boxFor(pkt.tag).put(pkt)
+}
+
+func (l *memLink) sendChunk(s *stream, tag int, wire []complex128) error {
 	if err := l.pe.alive(); err != nil {
 		return err
 	}
@@ -154,11 +160,7 @@ func (l *memLink) sendChunk(s *stream, tag int, wire []complex128, n int) error 
 	}
 	lo := &loan{data: wire, back: s.back, pe: l.pe}
 	s.loans = append(s.loans, lo)
-	st := &l.pe.pr.world.stats
-	st.p2pMessages.Add(1)
-	st.p2pBytes.Add(int64(len(wire)) * 16)
-	st.alltoallBytes.Add(int64(n) * 16)
-	l.to.sbox.put(packet{tag: tag, loan: lo})
+	l.hand(packet{tag: tag, loan: lo}, len(wire))
 	return nil
 }
 
@@ -174,7 +176,7 @@ func (l *memLink) payload(dst []complex128, pkt packet) ([]complex128, error) {
 		}
 		defer func() { lo.back <- struct{}{} }()
 		data = lo.data
-	case isStreamTag(pkt.tag):
+	case exch.BandOf(pkt.tag) == exch.BandStream:
 		return nil, fmt.Errorf("a plain message under stream tag %d", pkt.tag)
 	case dst == nil:
 		return data, nil

@@ -12,11 +12,13 @@
 //   - In process (NewWorld) the ranks are goroutines and a link puts
 //     packets straight into the peer's mailboxes, with no encoding,
 //     checksum or writer. It stands in for the MPI layer of the paper's
-//     implementation and counts every byte that would cross the wire.
+//     implementation.
 //
 // Above the link everything is shared: per-peer mailboxes matched per tag
-// band in FIFO order, the optional I/O deadline (SetIOTimeout), the
-// collectives, the chunked all-to-all stream, and one typed failure:
+// band in FIFO order, one traffic counter per peer split by the same
+// bands (what Sent, Stats, LinkStats and World.Stats all read), the
+// optional I/O deadline (SetIOTimeout), the collectives, the chunked
+// all-to-all stream, and one typed failure:
 // every anomaly — checksum mismatch, malformed frame, reset, timeout,
 // peer death, an aborted world, a mis-sequenced tag, a rank outside the
 // world — is a *TransportError naming the peer rank and the operation,
@@ -96,20 +98,22 @@ type Proc struct {
 	stats       netStats
 }
 
-// netStats is the transport's internal accumulator (atomic counters).
+// netStats is the rank's event counters; its traffic is counted per
+// peer, in peer.bands.
 type netStats struct {
-	framesSent, bytesSent         atomic.Int64
-	framesReceived, bytesReceived atomic.Int64
-	heartbeatsSent                atomic.Int64
-	dialRetries                   atomic.Int64
-	deadlineEvents                atomic.Int64
-	checksumErrors                atomic.Int64
-	linkFailures                  atomic.Int64
+	alltoalls, gathers atomic.Int64 // collectives begun as rank 0, as root
+	heartbeatsSent     atomic.Int64
+	dialRetries        atomic.Int64
+	deadlineEvents     atomic.Int64
+	checksumErrors     atomic.Int64
+	linkFailures       atomic.Int64
 }
 
 // NetStats is a point-in-time snapshot of a rank's wire activity since
-// Connect. Frame and byte counts cover data frames only (header plus
-// payload); keep-alives are reported separately as HeartbeatsSent.
+// Connect. Frame and byte counts are its links' band counters summed:
+// data frames only (header plus payload), keep-alives being reported
+// separately as HeartbeatsSent. In process a frame is one message and its
+// bytes are the payload's.
 type NetStats struct {
 	FramesSent, BytesSent         int64 // data frames this rank wrote
 	FramesReceived, BytesReceived int64 // validated data frames read
@@ -122,25 +126,48 @@ type NetStats struct {
 
 // Stats snapshots the transport counters.
 func (p *Proc) Stats() NetStats {
-	return NetStats{
-		FramesSent:     p.stats.framesSent.Load(),
-		BytesSent:      p.stats.bytesSent.Load(),
-		FramesReceived: p.stats.framesReceived.Load(),
-		BytesReceived:  p.stats.bytesReceived.Load(),
+	s := NetStats{
 		HeartbeatsSent: p.stats.heartbeatsSent.Load(),
 		DialRetries:    p.stats.dialRetries.Load(),
 		DeadlineEvents: p.stats.deadlineEvents.Load(),
 		ChecksumErrors: p.stats.checksumErrors.Load(),
 		LinkFailures:   p.stats.linkFailures.Load(),
 	}
+	for _, pe := range p.peers {
+		if pe != nil {
+			l := pe.linkStat()
+			s.FramesSent += l.FramesSent
+			s.BytesSent += l.BytesSent
+			s.FramesReceived += l.FramesReceived
+			s.BytesReceived += l.BytesReceived
+		}
+	}
+	return s
+}
+
+// Sent sums, by tag band, the payloads this rank's successful sends
+// posted on all its links: the count the distributed driver books a
+// run's traffic from, as the difference of a snapshot before and after.
+func (p *Proc) Sent() exch.Bands {
+	var out exch.Bands
+	for _, pe := range p.peers {
+		if pe == nil {
+			continue
+		}
+		for b := range out {
+			t := pe.bands[b].posted.load()
+			out[b].Messages += t.Messages
+			out[b].Bytes += t.Bytes
+		}
+	}
+	return out
 }
 
 // SetRecorder mirrors transport fault events (deadline expiries,
 // checksum rejections, dial retries) into an observability recorder, so
-// a plan's CommReport surfaces wire trouble alongside its own traffic
-// counts. Payload bytes are NOT mirrored — the distributed driver
-// already counts logical traffic at the Comm layer — only fault events.
-// nil detaches.
+// a plan's CommReport surfaces wire trouble alongside its traffic. The
+// traffic itself is not mirrored: the links count it by band (Sent) and
+// the distributed driver books what its run sent. nil detaches.
 func (p *Proc) SetRecorder(r *instrument.Recorder) {
 	p.rec.Store(r)
 	if r.On() {
@@ -229,6 +256,7 @@ func (p *Proc) Send(to, tag int, data []complex128) error {
 		pe.wire.sendErrors.Add(1)
 		return &TransportError{Rank: to, Op: "send", Err: err}
 	}
+	pe.band(tag).posted.add(16 * len(data))
 	return nil
 }
 
@@ -288,8 +316,8 @@ func (p *Proc) recv(from int, dst []complex128, op string, tag int) ([]complex12
 	return out, nil
 }
 
-// Reserved negative tags of the collectives and of ShareTraceID's
-// control frame, clear of the user point-to-point tags.
+// Reserved tags of the collectives and of ShareTraceID's control frame,
+// in the collective band (exch.BandOf).
 const (
 	tagGather  = -4
 	tagBarrier = -5
@@ -319,9 +347,7 @@ func (p *Proc) Gather(root int, chunk []complex128) ([]complex128, error) {
 	if p.rank != root {
 		return nil, p.Send(root, tagGather, chunk)
 	}
-	if p.world != nil {
-		p.world.stats.gathers.Add(1)
-	}
+	p.stats.gathers.Add(1)
 	out := make([]complex128, len(chunk)*p.size)
 	copy(out[p.rank*len(chunk):], chunk)
 	for r := 0; r < p.size; r++ {
@@ -362,9 +388,8 @@ func (p *Proc) Barrier() error {
 type link interface {
 	// send posts an ordinary message; data is the caller's again on return.
 	send(tag int, data []complex128) error
-	// sendChunk posts stream s's chunk under tag: wire travels, n is the
-	// payload's element count.
-	sendChunk(s *stream, tag int, wire []complex128, n int) error
+	// sendChunk posts stream s's chunk, wire, under tag.
+	sendChunk(s *stream, tag int, wire []complex128) error
 	// payload moves a received packet's payload into dst (a fresh slice
 	// when dst is nil) and recycles what carried it.
 	payload(dst []complex128, pkt packet) ([]complex128, error)
@@ -385,27 +410,42 @@ type packet struct {
 	loan *loan
 }
 
-// wireStats is one directed link's counters — the per-peer split of
-// netStats that telemetry.LinkStat is built from.
+// bandStats is one link's traffic in one tag band: the payloads its
+// successful sends posted, and the frames it carried out and in — on a
+// socket flushed or read, header and payload; in process handed over,
+// the payload alone.
+type bandStats struct{ posted, out, in tally }
+
+// tally counts messages or frames and their bytes.
+type tally struct{ n, bytes atomic.Int64 }
+
+func (t *tally) add(bytes int) {
+	t.n.Add(1)
+	t.bytes.Add(int64(bytes))
+}
+
+func (t *tally) load() exch.Traffic { return exch.Traffic{Messages: t.n.Load(), Bytes: t.bytes.Load()} }
+
+// wireStats is one link's timing and error counters.
 type wireStats struct {
-	framesSent, bytesSent         atomic.Int64
-	framesReceived, bytesReceived atomic.Int64
-	flushNs                       atomic.Int64 // writer time pushing data frames into the socket: its service time
-	creditStallNs                 atomic.Int64 // streamed sends blocked on a full credit window
-	rttNs                         atomic.Int64 // the latest heartbeat echo round trip
-	sendErrors                    atomic.Int64
+	flushNs       atomic.Int64 // writer time pushing data frames into the socket: its service time
+	creditStallNs atomic.Int64 // streamed sends blocked on a full credit window
+	rttNs         atomic.Int64 // the latest heartbeat echo round trip
+	sendErrors    atomic.Int64
 }
 
 // peer is this rank's end of the link to one rank: the mailboxes its
-// packets land in, by tag band, and the link's failure.
+// packets land in and the counters of its traffic, both by tag band, and
+// the link's failure.
 type peer struct {
-	rank int
-	pr   *Proc // back-reference for the I/O deadline and counters
-	link link
-	box  *mailbox // ordinary messages
-	sbox *mailbox // streamed-exchange chunks (tag band <= exch.TagBase)
-	tbox *mailbox // telemetry stat frames (tag telemetry.TagStat)
-	wire wireStats
+	rank  int
+	pr    *Proc // back-reference for the I/O deadline and counters
+	link  link
+	box   *mailbox // ordinary messages
+	sbox  *mailbox // streamed-exchange chunks (exch.BandStream)
+	tbox  *mailbox // telemetry stat frames (exch.BandTelemetry)
+	bands [exch.NumBands]bandStats
+	wire  wireStats
 
 	failed  atomic.Bool
 	failErr error         // cause; written before dead closes
@@ -423,13 +463,36 @@ func newPeer(rank int, pr *Proc) *peer {
 // receives (halo, parity) on the same link, and a shared FIFO would let
 // any consumer pop another's packet.
 func (pe *peer) boxFor(tag int) *mailbox {
-	switch {
-	case isStreamTag(tag):
+	switch exch.BandOf(tag) {
+	case exch.BandStream:
 		return pe.sbox
-	case tag == telemetry.TagStat:
+	case exch.BandTelemetry:
 		return pe.tbox
 	}
 	return pe.box
+}
+
+// band returns the counters of tag's band.
+func (pe *peer) band(tag int) *bandStats { return &pe.bands[exch.BandOf(tag)] }
+
+// linkStat snapshots the link's counters, its frames and bytes summed
+// over the bands.
+func (pe *peer) linkStat() telemetry.LinkStat {
+	l := telemetry.LinkStat{
+		Peer:           pe.rank,
+		FlushNs:        pe.wire.flushNs.Load(),
+		CreditStallNs:  pe.wire.creditStallNs.Load(),
+		HeartbeatRTTNs: pe.wire.rttNs.Load(),
+		SendErrors:     pe.wire.sendErrors.Load(),
+	}
+	for b := range pe.bands {
+		out, in := pe.bands[b].out.load(), pe.bands[b].in.load()
+		l.FramesSent += out.Messages
+		l.BytesSent += out.Bytes
+		l.FramesReceived += in.Messages
+		l.BytesReceived += in.Bytes
+	}
+	return l
 }
 
 // fail marks the link dead once: it records the cause, wakes blocked

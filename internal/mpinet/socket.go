@@ -218,6 +218,9 @@ func heartbeatFrame(ts int64, echo bool) []byte {
 	return encodeFrame(tagHeartbeat, []complex128{complex(math.Float64frombits(uint64(ts)), marker)})
 }
 
+// frameTag reads the tag from a frame header.
+func frameTag(hdr []byte) int { return int(int64(binary.LittleEndian.Uint64(hdr[:8]))) }
+
 // encodeFrame lays out one frame in a fresh buffer.
 func encodeFrame(tag int, data []complex128) []byte {
 	return putFrame(make([]byte, frameHdrLen+16*len(data)), tag, data)
@@ -309,7 +312,7 @@ func (l *sockLink) send(tag int, data []complex128) error {
 // destination on the link and in aggregate on the recorder — the
 // producer-outran-this-link signal the explainer attributes excess
 // exchange time to. The writer frees the slot once the frame is flushed.
-func (l *sockLink) sendChunk(s *stream, tag int, wire []complex128, _ int) error {
+func (l *sockLink) sendChunk(s *stream, tag int, wire []complex128) error {
 	pe := l.pe
 	cr := s.credit[pe.rank]
 	if cr == nil {
@@ -443,10 +446,7 @@ func (l *sockLink) writeLoop() {
 		if fr.control {
 			pe.pr.stats.heartbeatsSent.Add(1)
 		} else {
-			pe.pr.stats.framesSent.Add(1)
-			pe.pr.stats.bytesSent.Add(int64(len(fr.buf)))
-			pe.wire.framesSent.Add(1)
-			pe.wire.bytesSent.Add(int64(len(fr.buf)))
+			pe.band(frameTag(fr.buf)).out.add(len(fr.buf))
 			pe.wire.flushNs.Add(int64(time.Since(start)))
 			l.sendBufs.Put(fr.buf)
 		}
@@ -508,7 +508,7 @@ func (l *sockLink) readLoop() {
 			pe.fail(fmt.Errorf("%w: magic %#x, want %#x", ErrBadFrame, m, frameMagic))
 			return
 		}
-		tag := int(int64(binary.LittleEndian.Uint64(hdr[:8])))
+		tag := frameTag(hdr)
 		count := binary.LittleEndian.Uint64(hdr[8:16])
 		if count > uint64(MaxFrameElems) {
 			pe.fail(fmt.Errorf("%w: header claims %d elements (limit %d)",
@@ -531,10 +531,7 @@ func (l *sockLink) readLoop() {
 			l.recvBufs.Put(raw)
 			continue
 		}
-		pe.pr.stats.framesReceived.Add(1)
-		pe.pr.stats.bytesReceived.Add(int64(frameHdrLen + len(raw)))
-		pe.wire.framesReceived.Add(1)
-		pe.wire.bytesReceived.Add(int64(frameHdrLen + len(raw)))
+		pe.band(tag).in.add(frameHdrLen + len(raw))
 		pe.boxFor(tag).put(packet{tag: tag, raw: raw})
 	}
 }

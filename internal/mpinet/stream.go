@@ -16,15 +16,14 @@ import (
 // are unflushed: a producer racing ahead of a slow link is paced by the
 // wire. In process Send lends the chunk by reference and never blocks,
 // the receiver copies it once, and Close settles the loans, so data must
-// stay untouched until Close. The world books the collective once, on
-// rank 0, and each loan as the Send it replaces (one P2P message of its
-// wire bytes) plus its payload as all-to-all volume.
+// stay untouched until Close. Rank 0 counts the collective once; each
+// chunk is counted like any send, in the stream band of its link.
 //
 // One goroutine may produce (Send) while one other consumes (Next); the
 // stream must be fully drained or abandoned before the next collective.
 func (p *Proc) StartAlltoallv(o exch.Options) exch.Stream {
-	if p.world != nil && p.rank == 0 {
-		p.world.stats.alltoalls.Add(1)
+	if p.rank == 0 {
+		p.stats.alltoalls.Add(1)
 	}
 	s := &stream{p: p, o: o, trk: exch.NewTracker(p.size, len(o.Sizes)), credit: make([]chan struct{}, p.size)}
 	for src := 0; src < p.size; src++ {
@@ -62,9 +61,10 @@ func (s *stream) Send(dst, idx int, data []complex128) error {
 	if s.o.Codec != nil {
 		wire = s.o.Codec.EncodeChunk(data)
 	}
-	if err := pe.link.sendChunk(s, exch.Tag(idx), wire, len(data)); err != nil {
+	if err := pe.link.sendChunk(s, exch.Tag(idx), wire); err != nil {
 		return &TransportError{Rank: dst, Op: "stream-send", Err: err}
 	}
+	pe.band(exch.Tag(idx)).posted.add(16 * len(wire))
 	return nil
 }
 
@@ -91,10 +91,6 @@ func (s *stream) recvLoop(src int) {
 }
 
 func (s *stream) Next() (exch.Chunk, bool) { return s.trk.Next() }
-
-// isStreamTag reports whether a tag belongs to the streamed exchange's
-// band, which has its own mailbox per peer.
-func isStreamTag(tag int) bool { return tag <= exch.TagBase }
 
 // Close ends the stream: a consumer blocked in Next wakes with ok=false
 // even when slots are outstanding (the escape hatch for a producer that

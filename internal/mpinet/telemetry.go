@@ -24,28 +24,16 @@ func (p *Proc) RecvTelemetry(from int) ([]complex128, error) {
 	return pe.link.payload(nil, pkt) // cannot fail without a dst
 }
 
-// LinkStats snapshots every live link's wire counters, sender-side; a
-// memory-linked Proc has no wire and reports none.
+// LinkStats snapshots every link's counters, sender-side, its frames
+// and bytes summed over the tag bands. A memory-linked Proc reports its
+// links to every other rank: a frame is one message there, its bytes are
+// the payload's, and flush time, credit stall and RTT stay zero.
 func (p *Proc) LinkStats() []telemetry.LinkStat {
-	if p.world != nil {
-		return nil
-	}
 	out := make([]telemetry.LinkStat, 0, p.size-1)
 	for _, pe := range p.peers {
-		if pe == nil {
-			continue
+		if pe != nil && pe.rank != p.rank {
+			out = append(out, pe.linkStat())
 		}
-		out = append(out, telemetry.LinkStat{
-			Peer:           pe.rank,
-			FramesSent:     pe.wire.framesSent.Load(),
-			BytesSent:      pe.wire.bytesSent.Load(),
-			FramesReceived: pe.wire.framesReceived.Load(),
-			BytesReceived:  pe.wire.bytesReceived.Load(),
-			FlushNs:        pe.wire.flushNs.Load(),
-			CreditStallNs:  pe.wire.creditStallNs.Load(),
-			HeartbeatRTTNs: pe.wire.rttNs.Load(),
-			SendErrors:     pe.wire.sendErrors.Load(),
-		})
 	}
 	return out
 }

@@ -127,6 +127,64 @@ func TestChaosTelemetryRankDeath(t *testing.T) {
 	}
 }
 
+// TestTelemetryInProcessLinks: a telemetry plane over a memory world
+// sees its links. Every rank's final frame carries its R−1 links with
+// the bytes they moved, and with no flush time to price, no link is
+// found slow.
+func TestTelemetryInProcessLinks(t *testing.T) {
+	const n, ranks = 2048, 4
+	pl, err := core.NewPlan(core.Params{N: n, P: 8, Mu: 5, Nu: 4, B: 48})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := signal.Random(n, 31)
+	w, err := NewWorld(ranks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.procs[0].Close() // aborts the world
+	recs := make([]*instrument.Recorder, ranks)
+	for r := range recs {
+		recs[r] = instrument.New(instrument.LevelTimers)
+	}
+	planes := armPlanes(t, w.procs, recs,
+		telemetry.Shape{N: n, Segments: 8, Beta: 0.25, Parity: -1}, 5*time.Second)
+
+	nLocal := n / ranks
+	got := make([]complex128, n)
+	if err := w.Run(func(p *Proc) error {
+		rank := p.Rank()
+		_, err := pl.RunDistributed(context.Background(), p,
+			got[rank*nLocal:(rank+1)*nLocal], src[rank*nLocal:(rank+1)*nLocal],
+			core.WithRecorder(recs[rank]), core.WithTelemetry(planes[rank]))
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for r := 1; r < ranks; r++ {
+		planes[r].Final()
+	}
+	snap := planes[0].Final()
+	if snap == nil {
+		t.Fatal("rank 0 Final returned no snapshot")
+	}
+	for r, rs := range snap.Ranks {
+		if len(rs.Links) != ranks-1 {
+			t.Errorf("rank %d frame carries %d links, want %d", r, len(rs.Links), ranks-1)
+		}
+		for _, l := range rs.Links {
+			if l.BytesSent <= 0 || l.FramesSent <= 0 {
+				t.Errorf("link %d→%d reports no traffic: %+v", r, l.Peer, l)
+			}
+		}
+	}
+	for _, f := range snap.Findings {
+		if f.Kind == telemetry.KindSlowLink {
+			t.Errorf("in-process run found a slow link: %s", f)
+		}
+	}
+}
+
 // TestAsyncThrottledLinkExplained is the telemetry acceptance run: a
 // 4-rank TCP mesh with exactly one directed link (3→1) throttled by
 // faultnet, a streamed transform, and the assertion that the explainer's

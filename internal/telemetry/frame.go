@@ -21,16 +21,16 @@ import (
 	"fmt"
 	"math"
 
+	"soifft/internal/exch"
 	"soifft/internal/instrument"
 )
 
-// TagStat is the dedicated control tag stat frames travel on. The value
-// sits between the coded-exchange bands (-1000..-1400s) and the streamed
-// exchange's band (<= -2000), so both transports can route it to a
-// dedicated telemetry mailbox: stat frames arrive asynchronously,
-// mid-transform, and must never head the FIFO an ordinary receive
-// (halo, parity, collective) is about to pop.
-const TagStat = -1500
+// TagStat is the dedicated control tag stat frames travel on, the one
+// tag of the telemetry band (see exch.BandOf): both transports route it
+// to a mailbox of its own, since stat frames arrive asynchronously,
+// mid-transform, and must never head the FIFO an ordinary receive (halo,
+// parity, collective) is about to pop.
+const TagStat = exch.TagStat
 
 // frame wire format constants.
 const (

@@ -31,8 +31,7 @@ type Receiver interface {
 }
 
 // LinkStatser is the optional per-link wire counter capability
-// (*mpinet.Proc implements it; a memory-linked one has no wire and
-// reports no links).
+// (*mpinet.Proc implements it, over either of its links).
 type LinkStatser interface {
 	LinkStats() []LinkStat
 }
