@@ -34,6 +34,29 @@ func BenchmarkTransform(b *testing.B) {
 	}
 }
 
+// BenchmarkTransformSegment measures segment pursuit on the node: one
+// segment of the spectrum, the convolution plus one M'-point FFT.
+func BenchmarkTransformSegment(b *testing.B) {
+	for _, n := range []int{1 << 16, 1 << 20} {
+		b.Run(sizeName(n), func(b *testing.B) {
+			plan, err := NewPlan(n)
+			if err != nil {
+				b.Fatal(err)
+			}
+			src := signal.Random(n, 4)
+			seg := make([]complex128, plan.SegmentLen())
+			b.SetBytes(int64(n) * 16)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := plan.TransformSegment(seg, src, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkObservability measures the cost of each instrumentation level
 // on the shared-memory transform; the "off" row is the basis of the
 // near-zero-overhead-when-off claim (compare against BenchmarkTransform

@@ -364,6 +364,9 @@ func main() {
 				*rank, snap.Comm.ParityBytes, snap.Comm.RecoveryBytes,
 				snap.Comm.Reconstructions, snap.Comm.DegradedTransforms)
 		}
+		// Shutdown flushes the closing barrier's frames out of the writer
+		// queue, so the frames and bytes out below equal what peers count in.
+		proc.Shutdown()
 		ns := proc.Stats()
 		fmt.Printf("rank %d: wire: %d frames out (%d B), %d frames in (%d B), %d heartbeats, %d dial retries, %d deadline, %d checksum, %d link failures\n",
 			*rank, ns.FramesSent, ns.BytesSent, ns.FramesReceived, ns.BytesReceived,

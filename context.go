@@ -49,39 +49,17 @@ func (p *Plan) TransformBatchContext(ctx context.Context, dst, src []complex128,
 // stops before its next local phase and the first error (ctx.Err())
 // aborts the world. A collective already in flight is not interrupted.
 func (p *Plan) TransformDistributedContext(ctx context.Context, w *World, dst, src []complex128) error {
-	n := p.N()
-	r := w.Ranks()
-	if len(dst) != n || len(src) != n {
-		return fmt.Errorf("soifft: need length %d, got dst %d src %d: %w", n, len(dst), len(src), ErrLength)
-	}
-	if err := p.inner.ValidateDistributed(r); err != nil {
+	return p.scatter(w, func(c *mpi.Comm, b [][]complex128) error {
+		_, err := p.inner.RunDistributed(ctx, c, b[0], b[1])
 		return err
-	}
-	nLocal := n / r
-	return w.inner.Run(func(c *mpi.Comm) error {
-		in := src[c.Rank()*nLocal : (c.Rank()+1)*nLocal]
-		out := dst[c.Rank()*nLocal : (c.Rank()+1)*nLocal]
-		_, err := p.inner.RunDistributed(ctx, c, out, in)
-		return err
-	})
+	}, dst, src)
 }
 
 // InverseDistributedContext is InverseDistributed with the forward
 // driver's cancellation checks at phase boundaries.
 func (p *Plan) InverseDistributedContext(ctx context.Context, w *World, dst, src []complex128) error {
-	n := p.N()
-	r := w.Ranks()
-	if len(dst) != n || len(src) != n {
-		return fmt.Errorf("soifft: need length %d, got dst %d src %d: %w", n, len(dst), len(src), ErrLength)
-	}
-	if err := p.inner.ValidateDistributed(r); err != nil {
+	return p.scatter(w, func(c *mpi.Comm, b [][]complex128) error {
+		_, err := p.inner.RunDistributedInverse(ctx, c, b[0], b[1])
 		return err
-	}
-	nLocal := n / r
-	return w.inner.Run(func(c *mpi.Comm) error {
-		in := src[c.Rank()*nLocal : (c.Rank()+1)*nLocal]
-		out := dst[c.Rank()*nLocal : (c.Rank()+1)*nLocal]
-		_, err := p.inner.RunDistributedInverse(ctx, c, out, in)
-		return err
-	})
+	}, dst, src)
 }

@@ -1,8 +1,6 @@
 package soifft
 
 import (
-	"fmt"
-
 	"soifft/internal/conv"
 	"soifft/internal/fft"
 	"soifft/internal/mpi"
@@ -25,20 +23,7 @@ func FilterSpectrum(h []complex128) ([]complex128, error) {
 // src have length N and are scattered block-wise like
 // TransformDistributed.
 func (p *Plan) Convolve(w *World, dst, src, filterSpec []complex128) error {
-	n := p.N()
-	r := w.Ranks()
-	if len(dst) != n || len(src) != n || len(filterSpec) != n {
-		return fmt.Errorf("soifft: need length %d, got dst %d src %d filter %d: %w",
-			n, len(dst), len(src), len(filterSpec), ErrLength)
-	}
-	if err := p.inner.ValidateDistributed(r); err != nil {
-		return err
-	}
-	nLocal := n / r
-	return w.inner.Run(func(c *mpi.Comm) error {
-		return conv.SOI(c, p.inner,
-			dst[c.Rank()*nLocal:(c.Rank()+1)*nLocal],
-			src[c.Rank()*nLocal:(c.Rank()+1)*nLocal],
-			filterSpec[c.Rank()*nLocal:(c.Rank()+1)*nLocal])
-	})
+	return p.scatter(w, func(c *mpi.Comm, b [][]complex128) error {
+		return conv.SOI(c, p.inner, b[0], b[1], b[2])
+	}, dst, src, filterSpec)
 }

@@ -76,26 +76,36 @@ func (w *World) RunSPMD(fn func(c *mpi.Comm) error) error { return w.inner.Run(f
 // SegmentLen) is assembled with one gather — no all-to-all at all. This
 // is the cheapest way to inspect part of a distributed spectrum.
 func (p *Plan) TransformSegmentDistributed(w *World, src []complex128, s int) ([]complex128, error) {
-	n := p.N()
-	r := w.Ranks()
-	if len(src) != n {
-		return nil, fmt.Errorf("soifft: need length %d, got %d: %w", n, len(src), ErrLength)
-	}
-	if err := p.inner.ValidateDistributed(r); err != nil {
-		return nil, err
-	}
-	nLocal := n / r
 	var out []complex128
-	err := w.inner.Run(func(c *mpi.Comm) error {
-		seg, err := p.inner.RunDistributedSegment(c,
-			src[c.Rank()*nLocal:(c.Rank()+1)*nLocal], s, 0)
-		if err != nil {
-			return err
-		}
+	err := p.scatter(w, func(c *mpi.Comm, b [][]complex128) error {
+		seg, err := p.inner.RunDistributedSegment(c, b[0], s, 0)
 		if c.Rank() == 0 {
 			out = seg
 		}
-		return nil
-	})
+		return err
+	}, src)
 	return out, err
+}
+
+// scatter checks that every buffer holds N points and that the plan
+// splits over the world, then runs fn once per rank with that rank's
+// block of each buffer, in order: rank p gets [p·N/R, (p+1)·N/R).
+func (p *Plan) scatter(w *World, fn func(c *mpi.Comm, blocks [][]complex128) error, bufs ...[]complex128) error {
+	n, r := p.N(), w.Ranks()
+	for _, b := range bufs {
+		if len(b) != n {
+			return fmt.Errorf("soifft: need length %d, got %d: %w", n, len(b), ErrLength)
+		}
+	}
+	if err := p.inner.ValidateDistributed(r); err != nil {
+		return err
+	}
+	nLocal := n / r
+	return w.inner.Run(func(c *mpi.Comm) error {
+		blocks := make([][]complex128, len(bufs))
+		for i, b := range bufs {
+			blocks[i] = b[c.Rank()*nLocal : (c.Rank()+1)*nLocal]
+		}
+		return fn(c, blocks)
+	})
 }

@@ -246,16 +246,6 @@ func TestPlanAccessors(t *testing.T) {
 	}
 }
 
-func TestDefaultParams(t *testing.T) {
-	p := DefaultParams(1<<20, 16)
-	if err := p.Validate(); err != nil {
-		t.Fatalf("DefaultParams invalid: %v", err)
-	}
-	if p.Beta() != 0.25 {
-		t.Errorf("Beta = %g", p.Beta())
-	}
-}
-
 func TestCompactSupportWindowEndToEnd(t *testing.T) {
 	// Paper Section 8: compactly supported windows eliminate aliasing
 	// entirely; accuracy is then set by truncation alone, which decays

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"soifft/internal/fft"
+	"soifft/internal/instrument"
 	"soifft/internal/mpi"
 	"soifft/internal/signal"
 )
@@ -215,54 +216,122 @@ func TestHybridWorkersBitIdentical(t *testing.T) {
 	}
 }
 
+// TestRunDistributedSegment: the distributed segment returns the node
+// segment's bits on root and nil elsewhere, for every rank count, worker
+// count and segment, and books its stages: each rank one convolve, root
+// one segment_fft, and the halo and gather payloads it sent as messages.
+// The node path sends nothing and books no message.
 func TestRunDistributedSegment(t *testing.T) {
 	p := Params{N: 2048, P: 8, Mu: 5, Nu: 4, B: 32}
+	src := signal.Random(p.N, 91)
+	for _, ranks := range []int{1, 2, 4} {
+		for _, workers := range []int{1, 3} {
+			p.Workers = workers
+			root := ranks - 1 // not 0 whenever there is a choice
+			node, err := NewPlan(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nodeRec := instrument.New(instrument.LevelCounters)
+			node.SetRecorder(nodeRec)
+			pls, recs := make([]*Plan, ranks), make([]*instrument.Recorder, ranks)
+			for i := range pls {
+				if pls[i], err = NewPlan(p); err != nil {
+					t.Fatal(err)
+				}
+				recs[i] = instrument.New(instrument.LevelCounters)
+				pls[i].SetRecorder(recs[i])
+			}
+			w, _ := mpi.NewWorld(ranks)
+			nLocal, halo, bpr := p.N/ranks, node.HaloLen(), node.mp/ranks
+			if ranks > 1 && halo > nLocal {
+				t.Fatalf("R=%d: halo %d spans more than one neighbour block %d", ranks, halo, nLocal)
+			}
+			for s := 0; s < p.P; s++ {
+				name := fmt.Sprintf("R=%d/workers=%d/s=%d", ranks, workers, s)
+				want := make([]complex128, node.M())
+				nodeRec.Reset()
+				if err := node.TransformSegment(want, src, s); err != nil {
+					t.Fatalf("%s: node: %v", name, err)
+				}
+				ns := nodeRec.Snapshot()
+				if ns.Comm.Messages != 0 || ns.Stages[instrument.StageConvolve].Calls != 1 ||
+					ns.Stages[instrument.StageSegmentFFT].Calls != 1 {
+					t.Errorf("%s: node booked %d messages, %d convolve, %d segment_fft; want 0, 1, 1", name, ns.Comm.Messages,
+						ns.Stages[instrument.StageConvolve].Calls, ns.Stages[instrument.StageSegmentFFT].Calls)
+				}
+				for _, rec := range recs {
+					rec.Reset()
+				}
+				var got []complex128
+				err := w.Run(func(c *mpi.Comm) error {
+					rank := c.Rank()
+					out, err := pls[rank].RunDistributedSegment(c, src[rank*nLocal:(rank+1)*nLocal], s, root)
+					if rank == root {
+						got = out
+					} else if out != nil {
+						t.Errorf("%s: non-root rank %d received data", name, rank)
+					}
+					return err
+				})
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%s: element %d is %v, the node segment's %v", name, i, got[i], want[i])
+					}
+				}
+				for rank, rec := range recs {
+					var msgs, bytes int64
+					if ranks > 1 {
+						msgs, bytes = 1, int64(16*halo)
+					}
+					if rank != root {
+						msgs, bytes = msgs+1, bytes+int64(16*bpr)
+					}
+					segCalls := int64(0)
+					if rank == root {
+						segCalls = 1
+					}
+					st := rec.Snapshot()
+					if st.Comm.Messages != msgs || st.Comm.Bytes != bytes {
+						t.Errorf("%s: rank %d booked %d messages of %d B, want %d of %d B",
+							name, rank, st.Comm.Messages, st.Comm.Bytes, msgs, bytes)
+					}
+					if c, sf := st.Stages[instrument.StageConvolve].Calls, st.Stages[instrument.StageSegmentFFT].Calls; c != 1 || sf != segCalls {
+						t.Errorf("%s: rank %d booked %d convolve and %d segment_fft calls, want 1 and %d",
+							name, rank, c, sf, segCalls)
+					}
+				}
+			}
+			// No all-to-all at all: just halo sends and a gather.
+			if a := w.Stats().Alltoalls; a != 0 {
+				t.Errorf("R=%d: segment queries used %d all-to-alls, want 0", ranks, a)
+			}
+		}
+	}
+
+	// Error paths.
 	pl, err := NewPlan(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := signal.Random(p.N, 91)
-	full := make([]complex128, p.N)
-	if err := pl.Transform(full, src); err != nil {
-		t.Fatal(err)
-	}
-	const ranks, seg, root = 4, 5, 2
-	w, _ := mpi.NewWorld(ranks)
-	nLocal := p.N / ranks
-	var got []complex128
+	w, _ := mpi.NewWorld(4)
 	err = w.Run(func(c *mpi.Comm) error {
-		out, err := pl.RunDistributedSegment(c,
-			src[c.Rank()*nLocal:(c.Rank()+1)*nLocal], seg, root)
-		if err != nil {
-			return err
-		}
-		if c.Rank() == root {
-			got = out
-		} else if out != nil {
-			t.Error("non-root rank received data")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := pl.M()
-	if e := signal.MaxAbsErr(got, full[seg*m:(seg+1)*m]); e > 1e-10 {
-		t.Errorf("distributed segment differs from full transform by %.3e", e)
-	}
-	// No all-to-all at all: just halo sends and a gather.
-	if a := w.Stats().Alltoalls; a != 0 {
-		t.Errorf("segment query used %d all-to-alls, want 0", a)
-	}
-
-	// Error paths.
-	w2, _ := mpi.NewWorld(4)
-	err = w2.Run(func(c *mpi.Comm) error {
-		_, err := pl.RunDistributedSegment(c, make([]complex128, nLocal), 99, 0)
+		_, err := pl.RunDistributedSegment(c, make([]complex128, p.N/4), 99, 0)
 		return err
 	})
-	if err == nil {
-		t.Error("expected segment range error")
+	if !errors.Is(err, ErrSegmentRange) {
+		t.Errorf("segment 99: %v, want ErrSegmentRange", err)
+	}
+	w, _ = mpi.NewWorld(4)
+	err = w.Run(func(c *mpi.Comm) error {
+		_, err := pl.RunDistributedSegment(c, make([]complex128, p.N/4), 0, 4)
+		return err
+	})
+	if !errors.Is(err, ErrPlanMismatch) {
+		t.Errorf("root 4 of 4 ranks: %v, want ErrPlanMismatch", err)
 	}
 }
 

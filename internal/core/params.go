@@ -42,12 +42,6 @@ type Params struct {
 	Workers int
 }
 
-// DefaultParams returns the paper's favourite configuration (β = 1/4,
-// B = 72 full accuracy) for an N-point transform with P segments.
-func DefaultParams(n, p int) Params {
-	return Params{N: n, P: p, Mu: 5, Nu: 4, B: 72}
-}
-
 // Beta returns the oversampling fraction β = Mu/Nu − 1.
 func (p Params) Beta() float64 { return float64(p.Mu)/float64(p.Nu) - 1 }
 

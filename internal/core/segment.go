@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"time"
 
 	"soifft/internal/fft"
@@ -23,63 +22,14 @@ func (pl *Plan) TransformSegment(dst, src []complex128, s int) error {
 }
 
 // TransformSegmentContext is TransformSegment with cancellation checks
-// between the convolution and the segment FFT.
+// between the convolution and the segment FFT: the segment driver on the
+// one-rank nodeComm, with Params.Workers goroutines (0: GOMAXPROCS).
 func (pl *Plan) TransformSegmentContext(ctx context.Context, dst, src []complex128, s int) error {
-	p := pl.prm
-	if s < 0 || s >= p.P {
-		return fmt.Errorf("core: segment %d out of range [0, %d): %w", s, p.P, ErrSegmentRange)
+	if len(dst) != pl.m {
+		return fmt.Errorf("core: need dst %d, got %d: %w", pl.m, len(dst), ErrLength)
 	}
-	if len(src) != p.N || len(dst) != pl.m {
-		return fmt.Errorf("core: need src %d dst %d, got %d/%d: %w", p.N, pl.m, len(src), len(dst), ErrLength)
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	workers := p.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	rec := pl.rec
-	timed := rec.Timing()
-	var t0 time.Time
-	if timed {
-		t0 = time.Now()
-	}
-
-	// x̃^(s)[j] = Σ_i ω^{si} · (W_j x)[i], fused with the convolution;
-	// the tap windows wrap past N into the input's head.
-	row := fpRow(s, p.P)
-	in := convSource{body: src, tail: src[:pl.HaloLen()]}
-	xt := make([]complex128, pl.mp)
-	parfor(workers, pl.mp, func(jLo, jHi int) {
-		pl.segmentLane(xt[jLo:jHi], &in, row, jLo, jHi)
-	})
-	var convWall time.Duration
-	if timed {
-		convWall = time.Since(t0)
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-
-	if timed {
-		t0 = time.Now()
-	}
-	pl.fftMP.ForwardDemod(dst, xt, pl.invW)
-	if rec.On() {
-		var segWall time.Duration
-		if timed {
-			segWall = time.Since(t0)
-		}
-		// Segment pursuit: the convolution runs in full, but only one
-		// lane of each P-point DFT is evaluated (2 flops per real op of
-		// an 8-flop complex MAC ⇒ row dot product ≈ mp·P·8).
-		rec.ObserveStage(instrument.StageConvolve, convWall, 0, workers,
-			pl.ConvFlops()+int64(pl.mp)*int64(p.P)*8)
-		rec.ObserveStage(instrument.StageSegmentFFT, segWall, 0, 1,
-			int64(5*float64(pl.mp)*math.Log2(float64(pl.mp))))
-	}
-	return nil
+	_, err := pl.segment(ctx, nodeComm{}, pl.nodeWorkers(), dst, src, s, 0)
+	return err
 }
 
 // RunDistributedSegment computes one frequency segment over the
@@ -88,17 +38,22 @@ func (pl *Plan) TransformSegmentContext(ctx context.Context, dst, src []complex1
 // segment FFT and demodulates. Communication is a single gather of M'/R
 // points per rank plus the usual halo — far below even the SOI
 // transform's all-to-all. Returns the segment (length M) on root, nil on
-// other ranks. An observed run books the halo and gather payloads it
-// sent as messages.
+// other ranks. Each rank uses Params.Workers goroutines, at least one.
 func (pl *Plan) RunDistributedSegment(c Comm, localIn []complex128, s, root int) ([]complex128, error) {
+	return pl.segment(context.Background(), c, max(pl.prm.Workers, 1), nil, localIn, s, root)
+}
+
+// segment is the one segment driver: halo, the lane-s values of this
+// rank's mp/R convolution rows, one gather to root, and there the
+// segment FFT and demodulation into dst (a new slice when dst is nil).
+// It returns the segment on root and nil elsewhere. An observed run books
+// the halo and gather payloads this rank sent as messages, its 1/R share
+// of the convolve stage and, on root, the segment_fft stage.
+func (pl *Plan) segment(ctx context.Context, c Comm, workers int, dst, localIn []complex128, s, root int) ([]complex128, error) {
 	p := pl.prm
-	r := c.Size()
+	r, rank := c.Size(), c.Rank()
 	if err := pl.ValidateDistributed(r); err != nil {
 		return nil, err
-	}
-	if sc, ok := c.(sentCounter); ok && pl.rec.On() {
-		before := sc.Sent()
-		defer func() { bookMessages(pl.rec, sc.Sent().Since(before)) }()
 	}
 	if s < 0 || s >= p.P {
 		return nil, fmt.Errorf("core: segment %d out of range [0, %d): %w", s, p.P, ErrSegmentRange)
@@ -108,16 +63,22 @@ func (pl *Plan) RunDistributedSegment(c Comm, localIn []complex128, s, root int)
 	}
 	nLocal := p.N / r
 	if len(localIn) != nLocal {
-		return nil, fmt.Errorf("core: rank %d: need local length %d, got %d: %w", c.Rank(), nLocal, len(localIn), ErrLength)
+		return nil, fmt.Errorf("core: rank %d: need local length %d, got %d: %w", rank, nLocal, len(localIn), ErrLength)
 	}
-	rank := c.Rank()
-	halo := pl.HaloLen()
-	bpr := pl.mp / r
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	rec := pl.rec
+	if sc, ok := c.(sentCounter); ok && rec.On() {
+		before := sc.Sent()
+		defer func() { bookMessages(rec, sc.Sent().Since(before)) }()
+	}
 
-	// Halo exchange, through RunDistributed's routine.
-	tail := localIn[:halo] // one rank: the circular wrap into its own head
+	// Halo exchange, through RunDistributed's routine. One rank's halo is
+	// its own head, the circular wrap.
+	tail := localIn[:pl.HaloLen()]
 	if r > 1 {
-		tail = make([]complex128, halo)
+		tail = make([]complex128, len(tail))
 		hs, err := startHalo(c, localIn, tail, false, nil, 0)
 		if err == nil {
 			err = hs.wait()
@@ -127,19 +88,49 @@ func (pl *Plan) RunDistributedSegment(c Comm, localIn []complex128, s, root int)
 		}
 	}
 
-	// Local blocks' lane-s values: one convolution pass and a dot product
-	// with the s-th DFT row per block.
+	// x̃^(s)[j] = Σ_i ω^{si} · (W_j x)[i] for this rank's rows, fused with
+	// the convolution.
+	t0 := time.Now()
+	bpr := pl.mp / r
 	jLo := rank * bpr
+	in := convSource{body: localIn, tail: tail, col: rank * nLocal}
+	row := fpRow(s, p.P)
 	part := make([]complex128, bpr)
-	pl.segmentLane(part, &convSource{body: localIn, tail: tail, col: rank * nLocal}, fpRow(s, p.P), jLo, jLo+bpr)
-
-	xt, err := c.Gather(root, part)
-	if err != nil || rank != root {
+	parfor(workers, bpr, func(a, b int) {
+		pl.segmentLane(part[a:b], &in, row, jLo+a, jLo+b)
+	})
+	convWall := time.Since(t0)
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	out := make([]complex128, pl.m)
-	pl.fftMP.ForwardDemod(out, xt, pl.invW)
-	return out, nil
+
+	xt, err := c.Gather(root, part)
+	if err != nil {
+		return nil, err
+	}
+	var segWall time.Duration
+	if rank == root {
+		t0 = time.Now()
+		if dst == nil {
+			dst = make([]complex128, pl.m)
+		}
+		pl.fftMP.ForwardDemod(dst, xt, pl.invW)
+		segWall = time.Since(t0)
+	}
+	if !rec.Timing() {
+		convWall, segWall = 0, 0
+	}
+	// The convolution runs in full, but only one lane of each P-point DFT
+	// is evaluated (2 flops per real op of an 8-flop complex MAC ⇒ row dot
+	// product ≈ mp·P·8); this rank did 1/R of it.
+	rec.ObserveStage(instrument.StageConvolve, convWall, 0, workers,
+		(pl.ConvFlops()+int64(pl.mp)*int64(p.P)*8)/int64(r))
+	if rank != root {
+		return nil, nil
+	}
+	rec.ObserveStage(instrument.StageSegmentFFT, segWall, 0, 1,
+		int64(5*float64(pl.mp)*math.Log2(float64(pl.mp))))
+	return dst, nil
 }
 
 // fpRow returns the s-th row of F_n, ω^{s·i} with ω = e^{−2πi/n}, each

@@ -77,26 +77,39 @@ func (pl *Plan) transform(ctx context.Context, dst, src []complex128, inverse bo
 	if !inverse && len(dst) == pl.prm.N && len(src) == pl.prm.N && &dst[0] == &src[0] {
 		return PhaseTimes{}, fmt.Errorf("core: dst must not alias src: %w", ErrAlias)
 	}
-	workers := pl.prm.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	dt, err := pl.run(ctx, nodeComm{}, distOptions{rec: pl.rec, workers: workers, inverse: inverse}, dst, src)
+	dt, err := pl.run(ctx, nodeComm{}, distOptions{rec: pl.rec, workers: pl.nodeWorkers(), inverse: inverse}, dst, src)
 	return PhaseTimes{Convolve: dt.Convolve - dt.transpose, Transpose: dt.transpose, SegmentFT: dt.SegmentFT}, err
 }
 
-// nodeComm is the one-rank world of a shared-memory transform. Its
-// all-to-all delivers nothing, because a rank's self chunk never leaves
-// the send buffer, and the driver sends no message at one rank.
+// nodeWorkers is the node entry points' goroutine count: Params.Workers,
+// or GOMAXPROCS when that is not positive.
+func (pl *Plan) nodeWorkers() int {
+	if w := pl.prm.Workers; w > 0 {
+		return w
+	}
+	return runtime.GOMAXPROCS(0)
+}
+
+// nodeComm is the one-rank world of a shared-memory transform and of a
+// segment. Its all-to-all delivers nothing, because a rank's self chunk
+// never leaves the send buffer, its gather returns the caller's chunk,
+// and the drivers send no message at one rank.
 type nodeComm struct{}
 
-func (nodeComm) Rank() int                                      { return 0 }
-func (nodeComm) Size() int                                      { return 1 }
-func (nodeComm) StartAlltoallv(exch.Options) exch.Stream        { return nodeStream{} }
-func (nodeComm) Send(int, int, []complex128) error              { return errNoPeer }
-func (nodeComm) RecvC(int, int) ([]complex128, error)           { return nil, errNoPeer }
-func (nodeComm) RecvInto([]complex128, int, int) error          { return errNoPeer }
-func (nodeComm) Gather(int, []complex128) ([]complex128, error) { return nil, errNoPeer }
+func (nodeComm) Rank() int                               { return 0 }
+func (nodeComm) Size() int                               { return 1 }
+func (nodeComm) StartAlltoallv(exch.Options) exch.Stream { return nodeStream{} }
+func (nodeComm) Send(int, int, []complex128) error       { return errNoPeer }
+func (nodeComm) RecvC(int, int) ([]complex128, error)    { return nil, errNoPeer }
+func (nodeComm) RecvInto([]complex128, int, int) error   { return errNoPeer }
+
+// Gather at root 0 is the caller's own chunk: the one rank's gather.
+func (nodeComm) Gather(root int, chunk []complex128) ([]complex128, error) {
+	if root != 0 {
+		return nil, errNoPeer
+	}
+	return chunk, nil
+}
 
 var errNoPeer = fmt.Errorf("core: a shared-memory transform has no peer: %w", ErrPlanMismatch)
 

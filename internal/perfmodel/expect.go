@@ -19,16 +19,6 @@ func ExpectedExchangeBytes(n, r int, beta float64) int64 {
 	return int64(perRank * float64(r-1) / float64(r))
 }
 
-// ExpectedLinkBytes is the analytic volume one directed link carries in
-// the exchange: each rank's (1+β)·N/R elements split evenly over R
-// destinations, so every src→dst link moves 16·(1+β)·N/R² bytes.
-func ExpectedLinkBytes(n, r int, beta float64) int64 {
-	if r <= 1 {
-		return 0
-	}
-	return int64(float64(n) * (1 + beta) * 16 / float64(r) / float64(r))
-}
-
 // ExpectedParityBytes is the wire overhead the coded exchange adds for m
 // parity shares: m/(R−1) of the data volume (each codeword of R−1 data
 // chunks gains m shares of the same chunk size).
