@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"soifft/internal/core"
 	"soifft/internal/fft"
@@ -25,8 +24,8 @@ func AblateBeta(cfg Config) *Table {
 	for _, r := range []rat{{9, 8}, {5, 4}, {3, 2}, {2, 1}} {
 		beta := float64(r.mu)/float64(r.nu) - 1
 		b := minTapsForDigits(beta, 13)
-		mG := cfg.Cal.Model(netsim.Gordon(), cfg.PointsPerNode, beta, b)
-		mE := cfg.Cal.Model(netsim.TenGigE(), cfg.PointsPerNode, beta, b)
+		mG := PaperNodeRates().Model(netsim.Gordon(), cfg.PointsPerNode, beta, b)
+		mE := PaperNodeRates().Model(netsim.TenGigE(), cfg.PointsPerNode, beta, b)
 		t.AddRow(
 			fmt.Sprintf("%.3f", beta),
 			fmt.Sprintf("%d/%d", r.mu, r.nu),
@@ -143,47 +142,22 @@ func AblateSegments(pointsPerRank, ranks, b int) (*Table, error) {
 // AblateOpcount reproduces the Section 7.4 arithmetic analysis: the
 // convolution costs ≈4× the FFT flops at B=72, but (paper) runs at ~40%
 // of peak versus ~10% for the FFT, so its wall-clock share is ~half.
+// The counts are the plan's; the rates each stage reaches on a machine
+// are benchmark/'s core.convolve_gflops and core.segment_fft_gflops.
 func AblateOpcount(cfg Config) (*Table, error) {
 	t := &Table{
-		Title: "Ablation: convolution vs FFT arithmetic (Section 7.4)",
-		Header: []string{"N", "B", "conv/fft flops", "conv ms", "fft stages ms",
-			"conv GF/s", "fft GF/s"},
+		Title:  "Ablation: convolution vs FFT arithmetic (Section 7.4)",
+		Header: []string{"N", "B", "conv/fft flops"},
 	}
 	for _, n := range []int{1 << 18, 1 << 20} {
-		p := core.Params{N: n, P: 8, Mu: 5, Nu: 4, B: cfg.B, Workers: 1}
-		cp, err := core.NewPlan(p)
+		cp, err := core.NewPlan(core.Params{N: n, P: 8, Mu: 5, Nu: 4, B: cfg.B})
 		if err != nil {
 			return nil, err
 		}
-		src := signal.Random(n, int64(n))
-
-		// Time the convolution kernel alone.
-		ext := make([]complex128, n+cp.HaloLen())
-		copy(ext, src)
-		copy(ext[n:], src[:cp.HaloLen()])
-		v := make([]complex128, cp.NPrime())
-		t0 := time.Now()
-		cp.ConvolveRange(v, ext, 0, cp.MPrime(), 0)
-		convTime := time.Since(t0)
-
-		// Time the FFT stages alone (I⊗F_P batch plus per-segment F_M').
-		w := make([]complex128, cp.NPrime())
-		yt := make([]complex128, cp.MPrime())
-		t0 = time.Now()
-		cp.BlockFFTBatch(w, v, cp.MPrime())
-		for s := 0; s < p.P; s++ {
-			cp.SegmentFFT(yt, w[s*cp.MPrime():(s+1)*cp.MPrime()])
-		}
-		fftTime := time.Since(t0)
-		ratio := float64(cp.ConvFlops()) / float64(cp.FFTFlops())
 		t.AddRow(
 			fmt.Sprintf("%d", n),
 			fmt.Sprintf("%d", cfg.B),
-			fmt.Sprintf("%.2f", ratio),
-			fmt.Sprintf("%.1f", convTime.Seconds()*1000),
-			fmt.Sprintf("%.1f", fftTime.Seconds()*1000),
-			fmt.Sprintf("%.2f", float64(cp.ConvFlops())/convTime.Seconds()/1e9),
-			fmt.Sprintf("%.2f", float64(cp.FFTFlops())/fftTime.Seconds()/1e9),
+			fmt.Sprintf("%.2f", float64(cp.ConvFlops())/float64(cp.FFTFlops())),
 		)
 	}
 	t.Notes = append(t.Notes,

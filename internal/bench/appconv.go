@@ -20,10 +20,9 @@ import (
 func AppConvolution(cfg Config, n, ranks int) (*Table, error) {
 	t := &Table{
 		Title: fmt.Sprintf("Application: distributed cyclic convolution (measured at N=%d, R=%d)", n, ranks),
-		Header: []string{"strategy", "a2a/conv", "rel err", "wall ms",
+		Header: []string{"strategy", "a2a/conv", "rel err",
 			"modeled Gordon64 comm", "modeled 10GbE64 comm"},
 	}
-	nLocal := n / ranks
 	x := signal.Random(n, 1)
 	h := signal.Random(n, 2)
 	spec, err := fft.Forward(h)
@@ -42,15 +41,32 @@ func AppConvolution(cfg Config, n, ranks int) (*Table, error) {
 		return nil, err
 	}
 
+	// part is rank c's block of a distributed vector; run runs fn on a
+	// fresh world and returns the all-to-alls it made.
+	part := func(v []complex128, c *mpi.Comm) []complex128 {
+		nLocal := n / ranks
+		return v[c.Rank()*nLocal : (c.Rank()+1)*nLocal]
+	}
+	run := func(fn func(c *mpi.Comm) error) (int64, error) {
+		w, err := mpi.NewWorld(ranks)
+		if err != nil {
+			return 0, err
+		}
+		err = w.Run(fn)
+		return w.Stats().Alltoalls, err
+	}
 	bytesPerNode := cfg.PointsPerNode * 16
 	gordon, tenge := netsim.Gordon(), netsim.TenGigE()
-	commCost := func(exchanges int, oversampled bool) (time.Duration, time.Duration) {
+	got := make([]complex128, n)
+	addRow := func(name string, alltoalls int64, exchanges int, oversampled bool) {
 		b := bytesPerNode
 		if oversampled {
 			b = int64(float64(bytesPerNode) * (1 + cfg.Beta))
 		}
-		return time.Duration(exchanges) * gordon.AlltoallTime(64, b),
-			time.Duration(exchanges) * tenge.AlltoallTime(64, b)
+		t.AddRow(name, fmt.Sprintf("%d", alltoalls),
+			fmt.Sprintf("%.1e", signal.RelErrL2(got, want)),
+			fmt.Sprintf("%.2fs", (time.Duration(exchanges)*gordon.AlltoallTime(64, b)).Seconds()),
+			fmt.Sprintf("%.2fs", (time.Duration(exchanges)*tenge.AlltoallTime(64, b)).Seconds()))
 	}
 
 	// SOI strategy.
@@ -58,71 +74,44 @@ func AppConvolution(cfg Config, n, ranks int) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	got := make([]complex128, n)
-	w, err := mpi.NewWorld(ranks)
-	if err != nil {
-		return nil, err
-	}
-	t0 := time.Now()
-	err = w.Run(func(c *mpi.Comm) error {
-		return conv.SOI(c, pl, got[c.Rank()*nLocal:(c.Rank()+1)*nLocal],
-			x[c.Rank()*nLocal:(c.Rank()+1)*nLocal],
-			spec[c.Rank()*nLocal:(c.Rank()+1)*nLocal])
+	a2a, err := run(func(c *mpi.Comm) error {
+		return conv.SOI(c, pl, part(got, c), part(x, c), part(spec, c))
 	})
 	if err != nil {
 		return nil, err
 	}
-	gA, eA := commCost(2, true)
-	t.AddRow("SOI (2 a2a)", fmt.Sprintf("%d", w.Stats().Alltoalls),
-		fmt.Sprintf("%.1e", signal.RelErrL2(got, want)),
-		fmt.Sprintf("%.1f", time.Since(t0).Seconds()*1000),
-		fmt.Sprintf("%.2fs", gA.Seconds()), fmt.Sprintf("%.2fs", eA.Seconds()))
+	addRow("SOI (2 a2a)", a2a, 2, true)
 
-	// Out-of-order strategy.
+	// Out-of-order strategy: the filter's scrambled spectrum is computed
+	// once, on a world of its own, as a cached filter would be.
 	o, err := conv.PlanOutOfOrder(n, ranks)
 	if err != nil {
 		return nil, err
 	}
 	hsT := make([][]complex128, ranks)
-	wPre, _ := mpi.NewWorld(ranks)
-	if err := wPre.Run(func(c *mpi.Comm) error {
-		hs, err := o.Forward(c, h[c.Rank()*nLocal:(c.Rank()+1)*nLocal])
+	if _, err := run(func(c *mpi.Comm) error {
+		hs, err := o.Forward(c, part(h, c))
 		hsT[c.Rank()] = hs
 		return err
 	}); err != nil {
 		return nil, err
 	}
-	w2, _ := mpi.NewWorld(ranks)
-	t0 = time.Now()
-	err = w2.Run(func(c *mpi.Comm) error {
-		return o.Convolve(c, got[c.Rank()*nLocal:(c.Rank()+1)*nLocal],
-			x[c.Rank()*nLocal:(c.Rank()+1)*nLocal], hsT[c.Rank()])
+	a2a, err = run(func(c *mpi.Comm) error {
+		return o.Convolve(c, part(got, c), part(x, c), hsT[c.Rank()])
 	})
 	if err != nil {
 		return nil, err
 	}
-	gB, eB := commCost(4, false)
-	t.AddRow("out-of-order (4 a2a)", fmt.Sprintf("%d", w2.Stats().Alltoalls),
-		fmt.Sprintf("%.1e", signal.RelErrL2(got, want)),
-		fmt.Sprintf("%.1f", time.Since(t0).Seconds()*1000),
-		fmt.Sprintf("%.2fs", gB.Seconds()), fmt.Sprintf("%.2fs", eB.Seconds()))
+	addRow("out-of-order (4 a2a)", a2a, 4, false)
 
 	// In-order strategy.
-	w3, _ := mpi.NewWorld(ranks)
-	t0 = time.Now()
-	err = w3.Run(func(c *mpi.Comm) error {
-		return conv.InOrder(c, got[c.Rank()*nLocal:(c.Rank()+1)*nLocal],
-			x[c.Rank()*nLocal:(c.Rank()+1)*nLocal],
-			spec[c.Rank()*nLocal:(c.Rank()+1)*nLocal], n)
+	a2a, err = run(func(c *mpi.Comm) error {
+		return conv.InOrder(c, part(got, c), part(x, c), part(spec, c), n)
 	})
 	if err != nil {
 		return nil, err
 	}
-	gC, eC := commCost(6, false)
-	t.AddRow("in-order (6 a2a)", fmt.Sprintf("%d", w3.Stats().Alltoalls),
-		fmt.Sprintf("%.1e", signal.RelErrL2(got, want)),
-		fmt.Sprintf("%.1f", time.Since(t0).Seconds()*1000),
-		fmt.Sprintf("%.2fs", gC.Seconds()), fmt.Sprintf("%.2fs", eC.Seconds()))
+	addRow("in-order (6 a2a)", a2a, 6, false)
 
 	t.Notes = append(t.Notes,
 		"steady-state filtering with cached filter spectrum; modeled comm at 64 nodes, paper weak-scaling load",

@@ -9,34 +9,16 @@ import (
 	"soifft/internal/netsim"
 )
 
-// testConfig uses the paper's node rates: the shape assertions below are
-// about the published figures, which assume the paper's compute/
-// communication balance.
+// testConfig is the paper's scale: the shape assertions below are about
+// the published figures, which assume the paper's compute/communication
+// balance.
 func testConfig(t *testing.T) Config {
 	t.Helper()
 	return Config{
-		Cal:           PaperNodeRates(),
 		PointsPerNode: 1 << 28,
 		Beta:          0.25,
 		B:             72,
 		Nodes:         []int{1, 2, 4, 8, 16, 32, 64},
-	}
-}
-
-func TestCalibrateProducesSaneRates(t *testing.T) {
-	cal, err := Calibrate(1 << 14)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Any machine runs these kernels between 10 MF/s and 1 TF/s.
-	if cal.FFTFlopsPerSec < 1e7 || cal.FFTFlopsPerSec > 1e12 {
-		t.Errorf("FFT rate %.3g implausible", cal.FFTFlopsPerSec)
-	}
-	if cal.ConvFlopsPerSec < 1e7 || cal.ConvFlopsPerSec > 1e12 {
-		t.Errorf("conv rate %.3g implausible", cal.ConvFlopsPerSec)
-	}
-	if cal.TfftSingle(1<<28) <= 0 || cal.Tconv(1<<28, 72, 0.25) <= 0 {
-		t.Error("extrapolated times must be positive")
 	}
 }
 
@@ -55,7 +37,7 @@ func TestFig5ShapeMatchesPaper(t *testing.T) {
 	}
 	// The paper's qualitative shape: SOI ahead of the triple-all-to-all
 	// class at every multi-node point, with the margin growing at 64.
-	m := cfg.Cal.Model(netsim.Endeavor(), cfg.PointsPerNode, cfg.Beta, cfg.B)
+	m := PaperNodeRates().Model(netsim.Endeavor(), cfg.PointsPerNode, cfg.Beta, cfg.B)
 	s8, s64 := m.Speedup(8), m.Speedup(64)
 	if s8 <= 1.0 {
 		t.Errorf("speedup at 8 nodes %.2f, want > 1", s8)
@@ -74,8 +56,8 @@ func TestFig5ShapeMatchesPaper(t *testing.T) {
 
 func TestFig6GordonBeatsEndeavorAtScale(t *testing.T) {
 	cfg := testConfig(t)
-	mE := cfg.Cal.Model(netsim.Endeavor(), cfg.PointsPerNode, cfg.Beta, cfg.B)
-	mG := cfg.Cal.Model(netsim.Gordon(), cfg.PointsPerNode, cfg.Beta, cfg.B)
+	mE := PaperNodeRates().Model(netsim.Endeavor(), cfg.PointsPerNode, cfg.Beta, cfg.B)
+	mG := PaperNodeRates().Model(netsim.Gordon(), cfg.PointsPerNode, cfg.Beta, cfg.B)
 	// Paper: additional gain on Gordon from 32 nodes onwards.
 	if mG.Speedup(64) <= mE.Speedup(64)*0.98 {
 		t.Errorf("Gordon speedup %.2f should be at least Endeavor's %.2f at 64 nodes",
@@ -88,7 +70,7 @@ func TestFig6GordonBeatsEndeavorAtScale(t *testing.T) {
 
 func TestFig8NearTheoreticalBound(t *testing.T) {
 	cfg := testConfig(t)
-	m := cfg.Cal.Model(netsim.TenGigE(), cfg.PointsPerNode, cfg.Beta, cfg.B)
+	m := PaperNodeRates().Model(netsim.TenGigE(), cfg.PointsPerNode, cfg.Beta, cfg.B)
 	for _, n := range []int{8, 16, 32, 64} {
 		s := m.Speedup(n)
 		if s < 2.2 || s > 2.41 {
@@ -177,7 +159,7 @@ func TestMeasuredWeakScalingRuns(t *testing.T) {
 		t.Fatalf("rows %d, want 12", len(tb.Rows))
 	}
 	for _, row := range tb.Rows {
-		alg, a2a := row[2], row[4]
+		alg, a2a := row[2], row[3]
 		switch alg {
 		case "SOI":
 			if a2a != "1" {
@@ -240,6 +222,9 @@ func TestAppConvolutionLadder(t *testing.T) {
 	}
 	if len(tb.Rows) != 3 {
 		t.Fatalf("rows %d, want 3", len(tb.Rows))
+	}
+	if _, err := AppConvolution(cfg, 4096, 0); err == nil {
+		t.Error("a world of 0 ranks: want the world's error")
 	}
 	wantA2A := []string{"2", "4", "6"}
 	for i, row := range tb.Rows {
@@ -317,19 +302,6 @@ func TestExtensions(t *testing.T) {
 	}
 	if new64 <= 1.2 {
 		t.Errorf("modern node on modern fabric should restore the SOI win, got %.2f", new64)
-	}
-}
-
-func TestTableCSV(t *testing.T) {
-	tb := Table1()
-	var sb strings.Builder
-	tb.FprintCSV(&sb)
-	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	if len(lines) != 1+len(tb.Rows) {
-		t.Errorf("CSV has %d lines, want %d", len(lines), 1+len(tb.Rows))
-	}
-	if !strings.HasPrefix(lines[0], "system,") {
-		t.Errorf("CSV header: %q", lines[0])
 	}
 }
 

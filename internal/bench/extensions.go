@@ -18,7 +18,7 @@ func StrongScaling(cfg Config, totalPoints int64) *Table {
 			"SOI comm ms"},
 	}
 	m := perfmodel.StrongModel{
-		Model:       cfg.Cal.Model(netsim.Gordon(), cfg.PointsPerNode, cfg.Beta, cfg.B),
+		Model:       PaperNodeRates().Model(netsim.Gordon(), cfg.PointsPerNode, cfg.Beta, cfg.B),
 		TotalPoints: totalPoints,
 	}
 	for _, n := range []int{8, 32, 128, 512, 2048, 8192} {
@@ -63,7 +63,7 @@ func ModernFabric(cfg Config) *Table {
 		name string
 		cal  Calibration
 	}{
-		{"2012 (330GF)", cfg.Cal},
+		{"2012 (330GF)", PaperNodeRates()},
 		{"modern (10TF)", ModernNodeRates()},
 	} {
 		m := era.cal.Model(fabric, cfg.PointsPerNode, cfg.Beta, cfg.B)

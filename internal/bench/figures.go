@@ -13,9 +13,9 @@ import (
 	"soifft/internal/window"
 )
 
-// Config parameterizes the paper-scale experiments.
+// Config parameterizes the paper-scale experiments, which are priced at
+// PaperNodeRates.
 type Config struct {
-	Cal           Calibration
 	PointsPerNode int64 // weak-scaling load (paper: 2^28)
 	Beta          float64
 	B             int   // full-accuracy taps (paper: 72)
@@ -24,11 +24,9 @@ type Config struct {
 
 // DefaultConfig targets the paper's scale (2^28 points/node) with the
 // paper's node compute rates, so the modeled figures reproduce the
-// published shapes. Swap Cal for a Calibrate() result to project this Go
-// implementation's own compute rates instead.
+// published shapes.
 func DefaultConfig() Config {
 	return Config{
-		Cal:           PaperNodeRates(),
 		PointsPerNode: 1 << 28,
 		Beta:          0.25,
 		B:             72,
@@ -48,7 +46,7 @@ func gflops(pointsPerNode int64, n int, t time.Duration) float64 {
 // libraryTimes models the per-node-count execution times of SOI and the
 // three comparator classes on a fabric.
 func libraryTimes(cfg Config, fabric netsim.Fabric, n int) (soi, sixstep, slowLocal, binex time.Duration) {
-	m := cfg.Cal.Model(fabric, cfg.PointsPerNode, cfg.Beta, cfg.B)
+	m := PaperNodeRates().Model(fabric, cfg.PointsPerNode, cfg.Beta, cfg.B)
 	soi = m.TSOI(n)
 	sixstep = m.TStandard(n)
 	// FFTE-class: same triple-all-to-all structure, ~20% slower local
@@ -78,7 +76,7 @@ func weakScalingTable(cfg Config, fabric netsim.Fabric, title string, includeAll
 	if !includeAll {
 		t.Header = []string{"nodes", "SOI GF", "3xA2A GF", "speedup", "comm share"}
 	}
-	m := cfg.Cal.Model(fabric, cfg.PointsPerNode, cfg.Beta, cfg.B)
+	m := PaperNodeRates().Model(fabric, cfg.PointsPerNode, cfg.Beta, cfg.B)
 	for _, n := range cfg.Nodes {
 		soi, six, slow, bx := libraryTimes(cfg, fabric, n)
 		bestNonSOI := six
@@ -106,12 +104,8 @@ func weakScalingTable(cfg Config, fabric netsim.Fabric, title string, includeAll
 			fmt.Sprintf("%.0f%%", 100*commShare))
 		t.AddRow(row...)
 	}
-	src := "paper-node compute rates (Table 1 + Section 7.4 efficiencies)"
-	if cfg.Cal.MeasureN != 0 {
-		src = fmt.Sprintf("compute rates measured on this machine at N=%d", cfg.Cal.MeasureN)
-	}
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("weak scaling, %d complex points/node; %s; wire times from the %s model", cfg.PointsPerNode, src, fabric.Name()),
+		fmt.Sprintf("weak scaling, %d complex points/node; paper-node compute rates (Table 1 + Section 7.4 efficiencies); wire times from the %s model", cfg.PointsPerNode, fabric.Name()),
 		"speedup = best non-SOI time / SOI time; comm share = 3·Tmpi/T3xA2A")
 	return t
 }
@@ -161,7 +155,7 @@ func Fig7(cfg Config) (*Table, error) {
 	plan.Forward(ref, src)
 
 	const n64 = 64
-	mFull := cfg.Cal.Model(fabric, cfg.PointsPerNode, cfg.Beta, cfg.B)
+	mFull := PaperNodeRates().Model(fabric, cfg.PointsPerNode, cfg.Beta, cfg.B)
 	tStd := mFull.TStandard(n64)
 	for _, pr := range window.Presets {
 		d := window.ForPreset(pr, cfg.Beta)
@@ -175,7 +169,7 @@ func Fig7(cfg Config) (*Table, error) {
 			return nil, err
 		}
 		snr := signal.SNRdB(got, ref)
-		m := cfg.Cal.Model(fabric, cfg.PointsPerNode, cfg.Beta, pr.B)
+		m := PaperNodeRates().Model(fabric, cfg.PointsPerNode, cfg.Beta, pr.B)
 		tsoi := m.TSOI(n64)
 		t.AddRow(
 			pr.Name,
@@ -200,7 +194,7 @@ func Fig9(cfg Config) *Table {
 		Title:  "Fig 9: speedup projection on a hypothetical 3-D torus (n = 16k^3)",
 		Header: []string{"k", "nodes", "speedup c=0.75", "c=1.00", "c=1.25"},
 	}
-	m := cfg.Cal.Model(netsim.Gordon(), cfg.PointsPerNode, cfg.Beta, cfg.B)
+	m := PaperNodeRates().Model(netsim.Gordon(), cfg.PointsPerNode, cfg.Beta, cfg.B)
 	pts := m.Projection(perfmodel.TorusNodes(2, 10), []float64{0.75, 1.0, 1.25})
 	for i, pt := range pts {
 		t.AddRow(

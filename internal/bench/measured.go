@@ -15,21 +15,20 @@ import (
 // MeasuredRun is one real end-to-end distributed execution on the
 // in-process runtime.
 type MeasuredRun struct {
-	Algorithm     string
-	Ranks         int
-	N             int
-	Wall          time.Duration
-	Alltoalls     int64
-	AlltoallMB    float64
-	TotalMB       float64
-	RelErrVsFFT   float64
-	SegmentsPerRk int
+	Algorithm   string
+	Ranks       int
+	N           int
+	Wall        time.Duration // timed by RunSOIMeasured only
+	Alltoalls   int64
+	AlltoallMB  float64
+	TotalMB     float64
+	RelErrVsFFT float64
 }
 
 // RunSOIMeasured executes the distributed SOI transform for real and
 // checks it against the conventional FFT.
 func RunSOIMeasured(n, ranks, segments, b int, seed int64) (MeasuredRun, error) {
-	res := MeasuredRun{Algorithm: "SOI", Ranks: ranks, N: n, SegmentsPerRk: segments / ranks}
+	res := MeasuredRun{Algorithm: "SOI", Ranks: ranks, N: n}
 	p := core.Params{N: n, P: segments, Mu: 5, Nu: 4, B: b}
 	pl, err := core.NewPlan(p)
 	if err != nil {
@@ -71,14 +70,12 @@ func RunBaselineMeasured(alg baseline.Algorithm, n, ranks int, seed int64) (Meas
 		return res, err
 	}
 	nLocal := n / ranks
-	t0 := time.Now()
 	err = w.Run(func(c *mpi.Comm) error {
 		_, err := alg.Transform(c,
 			got[c.Rank()*nLocal:(c.Rank()+1)*nLocal],
 			src[c.Rank()*nLocal:(c.Rank()+1)*nLocal], n)
 		return err
 	})
-	res.Wall = time.Since(t0)
 	if err != nil {
 		return res, err
 	}
@@ -97,13 +94,14 @@ func fillMeasured(res *MeasuredRun, st mpi.Stats, got, src []complex128) {
 }
 
 // MeasuredWeakScaling runs every algorithm for real at laptop scale
-// (pointsPerRank complex points per rank) and reports wall time, traffic
-// and accuracy. This is the ground-truth companion to the modeled
-// figures: the communication *counts* here are exact.
+// (pointsPerRank complex points per rank) and reports traffic and
+// accuracy. This is the ground-truth companion to the modeled figures:
+// the communication *counts* here are exact. Wall times are benchmark/'s
+// (baseline.sixstep_ms, core.dist_*).
 func MeasuredWeakScaling(pointsPerRank int, ranks []int, b int) (*Table, error) {
 	t := &Table{
 		Title: fmt.Sprintf("Measured weak scaling (in-process ranks, %d points/rank)", pointsPerRank),
-		Header: []string{"ranks", "N", "algorithm", "wall ms", "a2a count",
+		Header: []string{"ranks", "N", "algorithm", "a2a count",
 			"a2a MB", "wire MB", "rel err vs FFT"},
 	}
 	algs := []baseline.Algorithm{
@@ -141,7 +139,6 @@ func addMeasuredRow(t *Table, r MeasuredRun) {
 		fmt.Sprintf("%d", r.Ranks),
 		fmt.Sprintf("%d", r.N),
 		r.Algorithm,
-		fmt.Sprintf("%.1f", float64(r.Wall.Microseconds())/1000),
 		fmt.Sprintf("%d", r.Alltoalls),
 		fmt.Sprintf("%.1f", r.AlltoallMB),
 		fmt.Sprintf("%.1f", r.TotalMB),

@@ -26,7 +26,7 @@ func AblatePrecision(cfg Config) *Table {
 	}
 	fabric := netsim.Gordon()
 	const n = 64
-	mDouble := cfg.Cal.Model(fabric, cfg.PointsPerNode, cfg.Beta, cfg.B)
+	mDouble := PaperNodeRates().Model(fabric, cfg.PointsPerNode, cfg.Beta, cfg.B)
 	tDouble := mDouble.TStandard(n)
 
 	// Single-precision library: half the bytes, ~half the FFT time.
@@ -34,7 +34,7 @@ func AblatePrecision(cfg Config) *Table {
 	tSingle := mDouble.Tfft(n)/2 + 3*tmpiSingle
 
 	// SOI at the ~10-digit rung (B = 34 preset).
-	mSOI10 := cfg.Cal.Model(fabric, cfg.PointsPerNode, cfg.Beta, 34)
+	mSOI10 := PaperNodeRates().Model(fabric, cfg.PointsPerNode, cfg.Beta, 34)
 	tSOI10 := mSOI10.TSOI(n)
 	// And at full accuracy for reference.
 	tSOIFull := mDouble.TSOI(n)

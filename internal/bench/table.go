@@ -1,15 +1,16 @@
-// Package bench is the experiment harness: it calibrates compute-rate
-// constants from real measured Go execution, runs real distributed
-// transforms on the in-process message-passing runtime, and combines both
-// with the interconnect models to regenerate every table and figure of
-// the paper's evaluation (Section 7) as text tables.
+// Package bench is the experiment harness: it prices paper-scale runs
+// with the Section 7.4 time model at the paper's node compute rates and
+// the interconnect models, runs real transforms for the accuracy and
+// communication-count columns (on the in-process message-passing
+// runtime where they are distributed), and renders every table and
+// figure of the paper's evaluation (Section 7) as markdown tables.
 package bench
 
 import (
-	"encoding/csv"
 	"fmt"
 	"io"
 	"strings"
+	"unicode/utf8"
 )
 
 // Table is a printable experiment result.
@@ -23,30 +24,25 @@ type Table struct {
 // AddRow appends one formatted row.
 func (t *Table) AddRow(cells ...string) { t.Rows = append(t.Rows, cells) }
 
-// Fprint renders the table with aligned columns.
+// Fprint renders the table as a GitHub-markdown table whose columns are
+// padded to a common width, so it reads aligned in a terminal too: a
+// bold title, the table, the notes as a list, and a closing blank line.
 func (t *Table) Fprint(w io.Writer) {
-	fmt.Fprintf(w, "\n== %s ==\n", t.Title)
+	fmt.Fprintf(w, "**%s**\n\n", t.Title)
 	widths := make([]int, len(t.Header))
 	for i, h := range t.Header {
-		widths[i] = len(h)
+		widths[i] = max(utf8.RuneCountInString(h), 3) // a delimiter cell needs three dashes
 	}
 	for _, row := range t.Rows {
 		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
+			widths[i] = max(widths[i], utf8.RuneCountInString(c))
 		}
 	}
 	line := func(cells []string) {
-		parts := make([]string, len(cells))
 		for i, c := range cells {
-			if i < len(widths) {
-				parts[i] = pad(c, widths[i])
-			} else {
-				parts[i] = c
-			}
+			fmt.Fprintf(w, "| %-*s ", widths[i], c)
 		}
-		fmt.Fprintln(w, "  "+strings.Join(parts, "  "))
+		fmt.Fprintln(w, "|")
 	}
 	line(t.Header)
 	sep := make([]string, len(t.Header))
@@ -57,24 +53,11 @@ func (t *Table) Fprint(w io.Writer) {
 	for _, row := range t.Rows {
 		line(row)
 	}
+	fmt.Fprintln(w)
 	for _, n := range t.Notes {
-		fmt.Fprintf(w, "  note: %s\n", n)
+		fmt.Fprintf(w, "- %s\n", n)
 	}
-}
-
-func pad(s string, w int) string {
-	if len(s) >= w {
-		return s
+	if len(t.Notes) > 0 {
+		fmt.Fprintln(w)
 	}
-	return s + strings.Repeat(" ", w-len(s))
-}
-
-// FprintCSV renders the table as CSV (header row first) for plotting.
-func (t *Table) FprintCSV(w io.Writer) {
-	cw := csv.NewWriter(w)
-	_ = cw.Write(t.Header)
-	for _, row := range t.Rows {
-		_ = cw.Write(row)
-	}
-	cw.Flush()
 }

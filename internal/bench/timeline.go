@@ -12,18 +12,20 @@ import (
 // Timeline renders modeled per-node execution Gantt charts for SOI and
 // the triple-all-to-all class at paper scale — a visual form of the
 // Section 7.4 time model that makes the "one exchange instead of three"
-// structure immediately legible.
+// structure immediately legible. The charts sit in a markdown code
+// fence, so the output reads the same in a terminal and in a document.
 func Timeline(w io.Writer, cfg Config, fabric netsim.Fabric, nodes int) {
-	m := cfg.Cal.Model(fabric, cfg.PointsPerNode, cfg.Beta, cfg.B)
+	m := PaperNodeRates().Model(fabric, cfg.PointsPerNode, cfg.Beta, cfg.B)
 	tmpi := m.Tmpi(nodes)
 	tfft := m.Tfft(nodes)
 
-	fmt.Fprintf(w, "\n== Modeled execution timeline: %d nodes on %s, %d points/node ==\n",
+	fmt.Fprintf(w, "**Modeled execution timeline: %d nodes on %s, %d points/node**\n\n",
 		nodes, fabric.Name(), cfg.PointsPerNode)
 
 	// Conventional: the three local FFT stages are interleaved with the
 	// three transposes; model each local stage as a third of Tfft.
-	fmt.Fprintln(w, "\nTriple-all-to-all (MKL class):")
+	fmt.Fprintln(w, "```")
+	fmt.Fprintln(w, "Triple-all-to-all (MKL class):")
 	var conv trace.Timeline
 	third := tfft / 3
 	for lane := 0; lane < min(4, nodes); lane++ {
@@ -52,5 +54,6 @@ func Timeline(w io.Writer, cfg Config, fabric netsim.Fabric, nodes int) {
 		soi.Add(lane, "segment FFTs", t, t+segfft)
 	}
 	soi.Render(w, 72)
-	fmt.Fprintf(w, "\nspeedup %.2fx (asymptote %.2fx)\n", m.Speedup(nodes), m.AsymptoticSpeedup())
+	fmt.Fprintln(w, "```")
+	fmt.Fprintf(w, "\nspeedup %.2fx (asymptote %.2fx)\n\n", m.Speedup(nodes), m.AsymptoticSpeedup())
 }
