@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	windesign [-b 72] [-beta 0.25] [-kappa-max 1000] [-sweep] [-gaussian]
+//	windesign [-b 72] [-beta 0.25] [-kappa-max 1000] [-sweep] [-gaussian | -compact]
 //	windesign -table > internal/window/design_table.go
 package main
 
@@ -26,7 +26,6 @@ func main() {
 	sweep := flag.Bool("sweep", false, "sweep B from 16 to 96 and print the accuracy ladder")
 	gaussian := flag.Bool("gaussian", false, "design the one-parameter gaussian window instead")
 	compact := flag.Bool("compact", false, "use the compactly supported bump window (zero aliasing)")
-	kaiser := flag.Bool("kaiser", false, "use the Kaiser-Bessel window (zero truncation)")
 	table := flag.Bool("table", false, "print the generated window table (internal/window/design_table.go)")
 	flag.Parse()
 
@@ -53,12 +52,10 @@ func main() {
 	case *compact:
 		w, err := window.NewCompactBump(*beta, float64(*b)/2+8)
 		if err != nil {
-			fmt.Println("windesign:", err)
-			return
+			fmt.Fprintln(os.Stderr, "windesign:", err)
+			os.Exit(1)
 		}
 		d = window.DesignResult{Window: w, Metrics: window.Analyze(w, *beta, *b), B: *b, Beta: *beta}
-	case *kaiser:
-		d = window.DesignKaiser(*b, *beta, *kmax)
 	case *gaussian:
 		d = window.DesignGaussian(*b, *beta)
 	default:

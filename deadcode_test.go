@@ -17,10 +17,14 @@ import (
 
 // TestNoDeadCode fails on any top-level function, type, variable or
 // constant declared under internal/ that no non-test Go file in the tree
-// (benchmark/ included) names outside its own declaration. Identifiers
-// kept on purpose — read only by tests, say — are listed in DEADCODE.txt
-// with their reason; an entry whose identifier is gone or referenced
-// again fails too, so the ledger cannot go stale.
+// (benchmark/ included) names outside its own declaration, and on any
+// method declared under internal/ whose name no such file selects
+// (x.Name) outside the method itself. Without type information methods
+// match by name, and a method whose name an interface declares — in the
+// tree, or in the standard library list stdlibMethods — counts as used.
+// Identifiers kept on purpose — read only by tests, say — are listed in
+// DEADCODE.txt with their reason; an entry whose identifier is gone or
+// referenced again fails too, so the ledger cannot go stale.
 func TestNoDeadCode(t *testing.T) {
 	mod := modulePath(t)
 	type file struct {
@@ -57,8 +61,10 @@ func TestNoDeadCode(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Declarations: top-level non-method names of internal/ packages.
+	// Declarations: top-level names of internal/ packages, and their
+	// methods as import/path.Type.Method.
 	declared := map[string]token.Position{}
+	methods := map[string]string{} // method key → method name
 	for _, f := range files {
 		if !strings.HasPrefix(f.pkg, mod+"/internal/") {
 			continue
@@ -69,14 +75,23 @@ func TestNoDeadCode(t *testing.T) {
 					declared[f.pkg+"."+id.Name] = fset.Position(id.Pos())
 				}
 			}
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil {
+				key := f.pkg + "." + receiverType(fd) + "." + fd.Name.Name
+				declared[key] = fset.Position(fd.Name.Pos())
+				methods[key] = fd.Name.Name
+			}
 		}
 	}
 
 	// References: unqualified names resolve to the file's own package,
-	// pkg.Name selectors through the file's imports. A name used only
-	// inside its own declaration (recursion, a method on itself) does not
-	// count.
+	// pkg.Name selectors through the file's imports, and any other x.Name
+	// selector names a method or field. A name used only inside its own
+	// declaration (recursion, a method on itself) does not count.
 	used := map[string]bool{}
+	selected := map[string]bool{} // method names: selectors and interface methods
+	for _, name := range stdlibMethods {
+		selected[name] = true
+	}
 	for _, f := range files {
 		imports := map[string]string{} // local name → import path
 		for _, im := range f.ast.Imports {
@@ -95,10 +110,12 @@ func TestNoDeadCode(t *testing.T) {
 			for _, id := range declNames(d) {
 				self[f.pkg+"."+id.Name] = true
 			}
+			method := ""
 			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil {
-				for _, id := range receiverTypes(fd) {
+				for _, id := range receiverIdents(fd) {
 					self[f.pkg+"."+id] = true
 				}
+				method = fd.Name.Name
 			}
 			var visit func(ast.Node) bool
 			visit = func(n ast.Node) bool {
@@ -108,8 +125,18 @@ func TestNoDeadCode(t *testing.T) {
 					if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
 						key = imports[x.Name] + "." + n.Sel.Name
 					} else {
+						if n.Sel.Name != method {
+							selected[n.Sel.Name] = true
+						}
 						ast.Inspect(n.X, visit) // Sel is a field or method
 					}
+				case *ast.InterfaceType:
+					for _, m := range n.Methods.List {
+						for _, id := range m.Names {
+							selected[id.Name] = true
+						}
+					}
+					return true
 				case *ast.Ident:
 					key = f.pkg + "." + n.Name
 				default:
@@ -124,6 +151,10 @@ func TestNoDeadCode(t *testing.T) {
 		}
 	}
 
+	for key, name := range methods {
+		used[key] = selected[name]
+	}
+
 	ledger := readLedger(t, "DEADCODE.txt")
 	for _, key := range sortedKeys(declared) {
 		if _, ok := ledger[key]; !ok && !used[key] {
@@ -133,7 +164,7 @@ func TestNoDeadCode(t *testing.T) {
 	for _, key := range sortedKeys(ledger) {
 		switch _, ok := declared[key]; {
 		case !ok:
-			t.Errorf("DEADCODE.txt: stale entry %s: no such top-level identifier under internal/", key)
+			t.Errorf("DEADCODE.txt: stale entry %s: no such identifier under internal/", key)
 		case used[key]:
 			t.Errorf("DEADCODE.txt: stale entry %s: it is referenced now", key)
 		}
@@ -162,8 +193,9 @@ func declNames(d ast.Decl) []*ast.Ident {
 	return out
 }
 
-// receiverTypes returns the type name a method's receiver names.
-func receiverTypes(fd *ast.FuncDecl) []string {
+// receiverIdents returns every identifier in a method's receiver: its
+// variable, its type and the type's parameters.
+func receiverIdents(fd *ast.FuncDecl) []string {
 	var out []string
 	ast.Inspect(fd.Recv, func(n ast.Node) bool {
 		if id, ok := n.(*ast.Ident); ok {
@@ -172,6 +204,35 @@ func receiverTypes(fd *ast.FuncDecl) []string {
 		return true
 	})
 	return out
+}
+
+// receiverType returns the name of a method's receiver type, without
+// pointer or type parameters.
+func receiverType(fd *ast.FuncDecl) string {
+	x := fd.Recv.List[0].Type
+	for {
+		switch e := x.(type) {
+		case *ast.StarExpr:
+			x = e.X
+		case *ast.IndexExpr:
+			x = e.X
+		case *ast.IndexListExpr:
+			x = e.X
+		case *ast.Ident:
+			return e.Name
+		default:
+			return "?"
+		}
+	}
+}
+
+// stdlibMethods are the methods of standard-library interfaces that types
+// under internal/ implement; the standard library, not a selector in the
+// tree, calls them.
+var stdlibMethods = []string{
+	"Error", "Unwrap", "String", // error, fmt.Stringer
+	"Read", "Write", "Close", // io
+	"ServeHTTP", // http.Handler
 }
 
 func sortedKeys[V any](m map[string]V) []string {

@@ -69,7 +69,7 @@ func TestDistributedSOIMatchesDirect(t *testing.T) {
 		}
 		got, want, _ := runSOIDistributed(t, c.p, c.r, int64(c.p.N+c.r))
 		e := signal.RelErrL2(got, want)
-		tol := pl.PredictedError() * 100
+		tol := pl.Metrics().TotalError() * 100
 		if tol < 1e-11 {
 			tol = 1e-11
 		}

@@ -36,7 +36,7 @@ func FuzzSOITransform(f *testing.F) {
 		if err := pl.Transform(got, src); err != nil {
 			t.Fatal(err)
 		}
-		tol := pl.PredictedError() * 1000
+		tol := pl.Metrics().TotalError() * 1000
 		if tol < 1e-9 {
 			tol = 1e-9
 		}

@@ -45,7 +45,7 @@ func TestPropSOIAccuracyMatchesPrediction(t *testing.T) {
 			return false
 		}
 		e := signal.RelErrL2(got, want)
-		tol := math.Max(pl.PredictedError()*1000, 1e-10)
+		tol := math.Max(pl.Metrics().TotalError()*1000, 1e-10)
 		if e > tol {
 			t.Logf("seed %d: %+v err %.3e > tol %.3e", seed, p, e, tol)
 			return false

@@ -316,9 +316,6 @@ func (pl *Plan) HaloLen() int { return (pl.prm.B - 1) * pl.prm.P }
 // the plan's window at its (B, β).
 func (pl *Plan) Metrics() window.Metrics { return pl.metrics }
 
-// PredictedError is the paper's error-scale estimate κ(ε_fft+ε_alias+ε_trunc).
-func (pl *Plan) PredictedError() float64 { return pl.metrics.TotalError() }
-
 // ConvFlops counts the real floating-point operations of the convolution
 // W·x (8 per complex multiply-add), the "extra" arithmetic SOI pays.
 func (pl *Plan) ConvFlops() int64 {

@@ -147,9 +147,6 @@ func New(k, m int) (*Code, error) {
 	return c, nil
 }
 
-// K returns the data share count.
-func (c *Code) K() int { return c.k }
-
 // M returns the parity share count.
 func (c *Code) M() int { return c.m }
 

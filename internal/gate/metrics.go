@@ -171,15 +171,6 @@ func (m *Metrics) RingSnapshot() RingStatus {
 	return st
 }
 
-// ReplicaRouted returns the routed-request counter for one replica
-// address (0 when unknown) — the per-replica affinity probe tests use.
-func (m *Metrics) ReplicaRouted(addr string) int64 {
-	if r := m.gw.reg.get(addr); r != nil {
-		return r.routed.Load()
-	}
-	return 0
-}
-
 // Handler returns the gateway's HTTP mux: Prometheus /metrics with
 // per-replica latency histograms and routing counters, /debug/ring with
 // the live ring snapshot, and /healthz (200 while at least one replica

@@ -14,7 +14,7 @@ func TestRingDistribution(t *testing.T) {
 	counts := map[string]int{}
 	const keys = 3000
 	for i := 0; i < keys; i++ {
-		c := r.candidates(fmt.Sprintf("n=%d p=8 mu=5 nu=4 b=72 win=auto", 1024+i), 1)
+		c := r.candidates(fmt.Sprintf("n=%d p=8 mu=5 nu=4 b=72", 1024+i), 1)
 		if len(c) != 1 {
 			t.Fatalf("candidates returned %d replicas, want 1", len(c))
 		}
@@ -39,7 +39,7 @@ func TestRingStability(t *testing.T) {
 	moved := 0
 	const keys = 2000
 	for i := 0; i < keys; i++ {
-		key := fmt.Sprintf("n=%d p=4 mu=5 nu=4 b=32 win=auto", i)
+		key := fmt.Sprintf("n=%d p=4 mu=5 nu=4 b=32", i)
 		before := full.candidates(key, 1)[0]
 		after := reduced.candidates(key, 1)[0]
 		if before == "d:1" {

@@ -105,16 +105,6 @@ func (m Model) Speedup(n int) float64 {
 // (paper Section 7.4: ≈2.4 at β=1/4, observed on 10GbE in Fig 8).
 func (m Model) AsymptoticSpeedup() float64 { return 3 / (1 + m.Beta) }
 
-// GFLOPS converts an execution time for the n-node weak-scaling problem
-// into the paper's reporting metric 5·N·log2(N)/time.
-func (m Model) GFLOPS(n int, t time.Duration) float64 {
-	if t <= 0 {
-		return 0
-	}
-	nTotal := float64(m.PointsPerNode) * float64(n)
-	return 5 * nTotal * math.Log2(nTotal) / t.Seconds() / 1e9
-}
-
 // ProjectionPoint is one sample of the Fig 9 curve.
 type ProjectionPoint struct {
 	Nodes    int

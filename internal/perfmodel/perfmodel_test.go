@@ -135,22 +135,6 @@ func TestTorusNodes(t *testing.T) {
 	}
 }
 
-func TestGFLOPSMetric(t *testing.T) {
-	m := paperModel(netsim.Gordon())
-	g1 := m.GFLOPS(1, 2*time.Second)
-	if g1 <= 0 {
-		t.Fatal("GFLOPS must be positive")
-	}
-	// Halving the time doubles the rate.
-	g2 := m.GFLOPS(1, time.Second)
-	if math.Abs(g2/g1-2) > 1e-9 {
-		t.Errorf("GFLOPS not inversely proportional to time: %.3f vs %.3f", g1, g2)
-	}
-	if m.GFLOPS(1, 0) != 0 {
-		t.Error("zero time must yield zero GFLOPS")
-	}
-}
-
 func TestWeakScalingFFTTime(t *testing.T) {
 	m := paperModel(netsim.Gordon())
 	// Tfft grows only logarithmically with n.

@@ -178,12 +178,6 @@ func (m *Metrics) Batches() int64 { return m.batches.Load() }
 // MaxBatch returns the largest batch size observed.
 func (m *Metrics) MaxBatch() int64 { return m.maxBatch.Load() }
 
-// BytesIn returns the bytes read from clients.
-func (m *Metrics) BytesIn() int64 { return m.bytesIn.Load() }
-
-// BytesOut returns the bytes written to clients.
-func (m *Metrics) BytesOut() int64 { return m.bytesOut.Load() }
-
 // Snapshot renders every metric as a JSON-encodable tree, the value
 // served under the "soiserve" key of /debug/vars.
 func (m *Metrics) Snapshot() map[string]any {

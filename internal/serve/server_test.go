@@ -414,8 +414,8 @@ func TestPrometheusEndpoint(t *testing.T) {
 		"soiserve_requests_total 1",
 		"# TYPE soiserve_requests_total counter",
 		"soiserve_queue_depth",
-		`soifft_transforms_total{plan="n=512 p=4 mu=5 nu=4 b=24 win=auto"} 1`,
-		`soifft_stage_calls_total{plan="n=512 p=4 mu=5 nu=4 b=24 win=auto",stage="convolve"} 1`,
+		`soifft_transforms_total{plan="n=512 p=4 mu=5 nu=4 b=24"} 1`,
+		`soifft_stage_calls_total{plan="n=512 p=4 mu=5 nu=4 b=24",stage="convolve"} 1`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q\n---\n%s", want, body)

@@ -39,7 +39,7 @@ const syncName = "trace_sync"
 
 // WritePerfetto dumps the ring as Chrome/Perfetto trace-event JSON.
 // Each rank becomes a process row (pid = rank+1, "rank R"), each span
-// or counter name becomes a thread row within it, so stages stack into
+// or instant name becomes a thread row within it, so stages stack into
 // a per-rank timeline. Safe to call while tracing continues; nil
 // writes an empty trace.
 func (t *Tracer) WritePerfetto(w io.Writer) error {
@@ -117,9 +117,6 @@ func writePerfettoEvents(w io.Writer, events []Event) error {
 				}
 				pe.Args["chunk"] = ev.Arg - 1
 			}
-		case KindCounter:
-			pe.Ph = "C"
-			pe.Args = map[string]any{"value": ev.Arg}
 		default:
 			continue
 		}

@@ -64,12 +64,11 @@ type Kind uint8
 
 // Event kinds, in the Chrome trace-event vocabulary: spans are a
 // Begin/End pair on one (rank, name) track, instants mark a point in
-// time, counters sample a value.
+// time.
 const (
 	KindBegin Kind = iota + 1
 	KindEnd
 	KindInstant
-	KindCounter
 )
 
 // Event is one decoded record from the ring (the Snapshot form; the
@@ -80,7 +79,7 @@ type Event struct {
 	Kind  Kind
 	Rank  int // lane/rank the event belongs to (-1 = unknown)
 	Name  string
-	Arg   int64 // counter value; unused otherwise
+	Arg   int64 // chunk index + 1 on Chunk* events; 0 otherwise
 	seq   uint64
 }
 
@@ -143,15 +142,6 @@ func New(capacity int) *Tracer {
 // Enabled reports whether events are being recorded (false for nil).
 func (t *Tracer) Enabled() bool { return t != nil }
 
-// Now returns the current timestamp in the tracer's timebase
-// (nanoseconds since creation); zero for nil.
-func (t *Tracer) Now() int64 {
-	if t == nil {
-		return 0
-	}
-	return time.Since(t.epoch).Nanoseconds()
-}
-
 // nameID interns name, so steady-state emits carry a small integer
 // instead of a string.
 func (t *Tracer) nameID(name string) uint64 {
@@ -210,16 +200,6 @@ func (t *Tracer) Begin(id ID, rank int, name string) { t.emit(KindBegin, id, ran
 // End closes the most recent span opened with Begin on the same track.
 func (t *Tracer) End(id ID, rank int, name string) { t.emit(KindEnd, id, rank, name, 0) }
 
-// Span opens a span and returns the closure that ends it — for
-// defer-style stage bracketing. Safe on nil (returns a no-op).
-func (t *Tracer) Span(id ID, rank int, name string) func() {
-	if t == nil {
-		return func() {}
-	}
-	t.Begin(id, rank, name)
-	return func() { t.End(id, rank, name) }
-}
-
 // Instant records a point event (fault markers, dump triggers, sync
 // points).
 func (t *Tracer) Instant(id ID, rank int, name string) { t.emit(KindInstant, id, rank, name, 0) }
@@ -241,11 +221,6 @@ func (t *Tracer) ChunkEnd(id ID, rank int, name string, idx int) {
 // (e.g. a chunk landing at the consumer), index as the argument.
 func (t *Tracer) ChunkInstant(id ID, rank int, name string, idx int) {
 	t.emit(KindInstant, id, rank, name, int64(idx)+1)
-}
-
-// Counter samples a value on the (rank, name) counter track.
-func (t *Tracer) Counter(id ID, rank int, name string, v int64) {
-	t.emit(KindCounter, id, rank, name, v)
 }
 
 // Len reports how many events have been emitted since creation (not
@@ -285,7 +260,7 @@ func (t *Tracer) Snapshot() []Event {
 		ev.Kind = Kind(meta >> 56)
 		ev.Rank = int(uint16(meta>>40)) - 1
 		ev.Name = t.nameOf(meta & (1<<40 - 1))
-		if ev.Kind < KindBegin || ev.Kind > KindCounter {
+		if ev.Kind < KindBegin || ev.Kind > KindInstant {
 			continue
 		}
 		events = append(events, ev)

@@ -35,8 +35,7 @@ func TestNilTracerIsInert(t *testing.T) {
 	tr.Begin(1, 0, "x")
 	tr.End(1, 0, "x")
 	tr.Instant(1, 0, "x")
-	tr.Counter(1, 0, "x", 7)
-	tr.Span(1, 0, "x")()
+	tr.ChunkInstant(1, 0, "x", 7)
 	tr.Sync(1, 0)
 	tr.SetFlightDir("/nope")
 	if path, err := tr.Fault(1, 0, "boom"); path != "" || err != nil {
@@ -54,14 +53,14 @@ func TestNilTracerIsInert(t *testing.T) {
 func TestRingWrapKeepsNewestEvents(t *testing.T) {
 	tr := New(8)
 	for i := 0; i < 20; i++ {
-		tr.Counter(1, 0, "tick", int64(i))
+		tr.ChunkInstant(1, 0, "tick", i)
 	}
 	events := tr.Snapshot()
 	if len(events) != 8 {
 		t.Fatalf("snapshot holds %d events, want ring capacity 8", len(events))
 	}
 	for i, ev := range events {
-		want := int64(12 + i) // the 8 newest of 20, oldest first
+		want := int64(13 + i) // the 8 newest of 20, oldest first; arg is index+1
 		if ev.Arg != want {
 			t.Fatalf("event %d has arg %d, want %d", i, ev.Arg, want)
 		}
@@ -77,12 +76,12 @@ func TestSnapshotOrderAndFields(t *testing.T) {
 	tr.Begin(id, 3, "halo")
 	tr.End(id, 3, "halo")
 	tr.Instant(id, 3, "mark")
-	tr.Counter(id, 3, "queue_depth", 42)
+	tr.ChunkInstant(id, 3, "landed", 41)
 	ev := tr.Snapshot()
 	if len(ev) != 4 {
 		t.Fatalf("got %d events, want 4", len(ev))
 	}
-	kinds := []Kind{KindBegin, KindEnd, KindInstant, KindCounter}
+	kinds := []Kind{KindBegin, KindEnd, KindInstant, KindInstant}
 	for i, e := range ev {
 		if e.Kind != kinds[i] {
 			t.Fatalf("event %d kind %d, want %d", i, e.Kind, kinds[i])
@@ -94,8 +93,8 @@ func TestSnapshotOrderAndFields(t *testing.T) {
 			t.Fatalf("timestamps not monotonic: %d after %d", e.TS, ev[i-1].TS)
 		}
 	}
-	if ev[3].Name != "queue_depth" || ev[3].Arg != 42 {
-		t.Fatalf("counter event = %+v", ev[3])
+	if ev[3].Name != "landed" || ev[3].Arg != 42 {
+		t.Fatalf("chunk event = %+v", ev[3])
 	}
 }
 
@@ -108,9 +107,9 @@ func TestConcurrentEmitAndSnapshot(t *testing.T) {
 			defer emitters.Done()
 			id := NewID()
 			for i := 0; i < 5000; i++ {
-				end := tr.Span(id, g, "work")
-				tr.Counter(id, g, "i", int64(i))
-				end()
+				tr.Begin(id, g, "work")
+				tr.ChunkInstant(id, g, "i", i)
+				tr.End(id, g, "work")
 			}
 		}(g)
 	}
@@ -120,7 +119,7 @@ func TestConcurrentEmitAndSnapshot(t *testing.T) {
 	// surfaced event must be fully formed, never torn.
 	for {
 		for _, ev := range tr.Snapshot() {
-			if ev.Kind < KindBegin || ev.Kind > KindCounter {
+			if ev.Kind < KindBegin || ev.Kind > KindInstant {
 				t.Fatalf("snapshot surfaced invalid kind %d", ev.Kind)
 			}
 			if ev.Name != "work" && ev.Name != "i" {

@@ -20,11 +20,6 @@ type Tabulated struct {
 	support float64   // Ĥ is (treated as) zero for |u| > support
 	dt      float64   // time-grid spacing
 	h       []float64 // H(k·dt), k = 0..len-1; H is even by symmetry
-
-	// bumpBeta/bumpTMax record NewCompactBump's inputs so the window can
-	// be serialized and rebuilt deterministically (zero when the window
-	// came from a custom Ĥ).
-	bumpBeta, bumpTMax float64
 }
 
 // tabulation parameters: uSamples controls quadrature accuracy (the
@@ -138,16 +133,5 @@ func NewCompactBump(beta float64, tMax float64) (*Tabulated, error) {
 		}
 		return math.Exp(1 - 1/d)
 	}
-	w, err := NewTabulated(fmt.Sprintf("compact-bump(S=%.3g)", s), bump, s, tMax)
-	if err != nil {
-		return nil, err
-	}
-	w.bumpBeta, w.bumpTMax = beta, tMax
-	return w, nil
-}
-
-// BumpParams returns the (β, tMax) NewCompactBump was built with; ok is
-// false for tabulated windows of other origins.
-func (w *Tabulated) BumpParams() (beta, tMax float64, ok bool) {
-	return w.bumpBeta, w.bumpTMax, w.bumpBeta > 0
+	return NewTabulated(fmt.Sprintf("compact-bump(S=%.3g)", s), bump, s, tMax)
 }

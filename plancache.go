@@ -13,27 +13,12 @@ import (
 // lists that produce the same transform produce the same key.
 type PlanKey struct {
 	N, Segments, Mu, Nu, Taps int
-	Family                    WindowFamily
 }
 
 // String renders the key in a compact, stable form ("n=4096 p=8 mu=5
-// nu=4 b=72 win=auto") used by the serving metrics.
+// nu=4 b=72") used by the serving metrics.
 func (k PlanKey) String() string {
-	return fmt.Sprintf("n=%d p=%d mu=%d nu=%d b=%d win=%s",
-		k.N, k.Segments, k.Mu, k.Nu, k.Taps, familyName(k.Family))
-}
-
-func familyName(f WindowFamily) string {
-	switch f {
-	case WindowGaussian:
-		return "gaussian"
-	case WindowKaiser:
-		return "kaiser"
-	case WindowCompact:
-		return "compact"
-	default:
-		return "auto"
-	}
+	return fmt.Sprintf("n=%d p=%d mu=%d nu=%d b=%d", k.N, k.Segments, k.Mu, k.Nu, k.Taps)
 }
 
 // KeyOf resolves options exactly as NewPlan does and returns the
@@ -53,7 +38,7 @@ func KeyOf(n int, opts ...Option) PlanKey {
 	if m := nSafeM(n, o.segments); b > m && m >= 2 {
 		b = m
 	}
-	return PlanKey{N: n, Segments: o.segments, Mu: o.mu, Nu: o.nu, Taps: b, Family: o.family}
+	return PlanKey{N: n, Segments: o.segments, Mu: o.mu, Nu: o.nu, Taps: b}
 }
 
 // Key returns the canonical cache key of a built plan. It equals KeyOf
@@ -61,8 +46,7 @@ func KeyOf(n int, opts ...Option) PlanKey {
 // serves later NewPlan-shaped requests without rebuilding.
 func (p *Plan) Key() PlanKey {
 	prm := p.inner.Params()
-	fam, _ := familyOf(prm.Win)
-	return PlanKey{N: prm.N, Segments: prm.P, Mu: prm.Mu, Nu: prm.Nu, Taps: prm.B, Family: fam}
+	return PlanKey{N: prm.N, Segments: prm.P, Mu: prm.Mu, Nu: prm.Nu, Taps: prm.B}
 }
 
 // CacheStats is a point-in-time snapshot of a PlanCache.
@@ -140,8 +124,7 @@ func (c *PlanCache) GetKey(key PlanKey) (*Plan, bool, error) {
 		return NewPlan(key.N,
 			WithSegments(key.Segments),
 			WithOversampling(key.Mu, key.Nu),
-			WithTaps(key.Taps),
-			WithWindow(key.Family))
+			WithTaps(key.Taps))
 	})
 }
 

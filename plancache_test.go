@@ -9,8 +9,7 @@ import (
 
 // TestKeyOfMatchesPlanKey checks that the key computed from options
 // (without building) agrees with the key of the built plan, across the
-// defaulting rules: default segments, accuracy presets, tap shrinking,
-// window families.
+// defaulting rules: default segments, accuracy presets, tap shrinking.
 func TestKeyOfMatchesPlanKey(t *testing.T) {
 	cases := []struct {
 		name string
@@ -21,9 +20,6 @@ func TestKeyOfMatchesPlanKey(t *testing.T) {
 		{"explicit", 2048, []soifft.Option{soifft.WithSegments(8), soifft.WithTaps(48)}},
 		{"accuracy", 4096, []soifft.Option{soifft.WithAccuracy(soifft.Accuracy230dB)}},
 		{"shrunk-taps", 256, []soifft.Option{soifft.WithSegments(8), soifft.WithTaps(72)}},
-		{"gaussian", 2048, []soifft.Option{soifft.WithSegments(8), soifft.WithTaps(32), soifft.WithWindow(soifft.WindowGaussian)}},
-		{"kaiser", 2048, []soifft.Option{soifft.WithSegments(8), soifft.WithTaps(32), soifft.WithWindow(soifft.WindowKaiser)}},
-		{"compact", 2048, []soifft.Option{soifft.WithSegments(8), soifft.WithTaps(32), soifft.WithWindow(soifft.WindowCompact)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

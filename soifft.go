@@ -68,29 +68,8 @@ type options struct {
 	accuracy   Accuracy
 	workers    int
 	useAcc     bool
-	family     WindowFamily
 	instrument InstrumentLevel
 }
-
-// WindowFamily selects the reference window family used to build the
-// convolution weights and demodulation samples.
-type WindowFamily int
-
-// Window families (see internal/window and paper Sections 4 and 8).
-const (
-	// WindowAuto designs the paper's two-parameter rectangle⊛Gaussian
-	// window — the full-accuracy default.
-	WindowAuto WindowFamily = iota
-	// WindowGaussian uses the one-parameter Gaussian (≤ ~10 digits at
-	// β = 1/4; paper Section 8).
-	WindowGaussian
-	// WindowKaiser uses the Kaiser–Bessel family: exactly zero
-	// truncation error, ~5-7 digits at β = 1/4.
-	WindowKaiser
-	// WindowCompact uses the C∞ compact-support bump: exactly zero
-	// aliasing error, sub-exponential tap decay.
-	WindowCompact
-)
 
 // WithSegments sets the segment count P (N = M·P). More segments mean
 // finer distribution granularity; P must divide N. Defaults to 8, or 1
@@ -113,9 +92,6 @@ func WithAccuracy(a Accuracy) Option {
 
 // WithWorkers bounds the goroutines used by shared-memory execution.
 func WithWorkers(n int) Option { return func(o *options) { o.workers = n } }
-
-// WithWindow selects the reference window family (default WindowAuto).
-func WithWindow(f WindowFamily) Option { return func(o *options) { o.family = f } }
 
 // Plan is a reusable SOI transform plan for a fixed length; it is safe
 // for concurrent use.
@@ -145,13 +121,6 @@ func NewPlan(n int, opts ...Option) (*Plan, error) {
 	if m := nSafeM(n, o.segments); p.B > m && m >= 2 {
 		p.B = m
 		p.Win = nil // the preset window no longer matches B
-	}
-	if o.family != WindowAuto {
-		w, err := buildFamilyWindow(o.family, p.B, p.Beta())
-		if err != nil {
-			return nil, err
-		}
-		p.Win = w
 	}
 	inner, err := core.NewPlan(p)
 	if err != nil {
@@ -238,9 +207,8 @@ type Config struct {
 	// Taps is the convolution tap count B (possibly shrunk from the
 	// requested value for short segments).
 	Taps int
-	// Window names the resolved reference window family ("tau-sigma",
-	// "gaussian", "kaiser-bessel", "compact-bump", or the window's own
-	// description for custom windows).
+	// Window names the reference window: always "tau-sigma", the
+	// paper's two-parameter window (Section 4).
 	Window string
 	// Workers bounds shared-memory parallelism (0 = GOMAXPROCS).
 	Workers int
@@ -252,7 +220,6 @@ type Config struct {
 // Config returns the plan's resolved parameter snapshot.
 func (p *Plan) Config() Config {
 	prm := p.inner.Params()
-	_, name := familyOf(prm.Win)
 	return Config{
 		N:               prm.N,
 		Segments:        prm.P,
@@ -262,7 +229,7 @@ func (p *Plan) Config() Config {
 		Nu:              prm.Nu,
 		Beta:            prm.Beta(),
 		Taps:            prm.B,
-		Window:          name,
+		Window:          "tau-sigma",
 		Workers:         prm.Workers,
 		PredictedDigits: p.inner.Metrics().Digits(),
 	}
@@ -276,38 +243,6 @@ func (p *Plan) Config() Config {
 // Internal remains only so existing harnesses keep compiling; it will be
 // removed in v2.
 func (p *Plan) Internal() *core.Plan { return p.inner }
-
-// buildFamilyWindow designs a window of the requested family for (B, β).
-// familyOf returns w's window family and the name Config reports for it:
-// the family's name, or a custom window's own description.
-func familyOf(w window.Window) (WindowFamily, string) {
-	switch v := w.(type) {
-	case window.TauSigma:
-		return WindowAuto, "tau-sigma"
-	case window.Gaussian:
-		return WindowGaussian, "gaussian"
-	case window.KaiserBessel:
-		return WindowKaiser, "kaiser-bessel"
-	case *window.Tabulated:
-		if _, _, ok := v.BumpParams(); ok {
-			return WindowCompact, "compact-bump"
-		}
-	}
-	return WindowAuto, w.String()
-}
-
-func buildFamilyWindow(f WindowFamily, b int, beta float64) (window.Window, error) {
-	switch f {
-	case WindowGaussian:
-		return window.DesignGaussian(b, beta).Window, nil
-	case WindowKaiser:
-		return window.DesignKaiser(b, beta, 1e3).Window, nil
-	case WindowCompact:
-		return window.NewCompactBump(beta, float64(b)/2+8)
-	default:
-		return nil, fmt.Errorf("soifft: unknown window family %d", f)
-	}
-}
 
 // FFT returns the forward DFT of x (any length; Bluestein handles large
 // prime factors) computed by the conventional engine.

@@ -347,39 +347,6 @@ func TestSelfTest(t *testing.T) {
 	}
 }
 
-func TestWithWindowFamilies(t *testing.T) {
-	const n = 2048
-	src := signal.Random(n, 85)
-	ref, err := FFT(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	type band struct{ lo, hi float64 }
-	cases := map[WindowFamily]band{
-		WindowAuto:     {12, 17},
-		WindowGaussian: {6, 12},
-		WindowKaiser:   {3, 9},
-		WindowCompact:  {2, 8},
-	}
-	for fam, b := range cases {
-		pl, err := NewPlan(n, WithWindow(fam), WithTaps(48))
-		if err != nil {
-			t.Fatalf("family %d: %v", fam, err)
-		}
-		got := make([]complex128, n)
-		if err := pl.Transform(got, src); err != nil {
-			t.Fatal(err)
-		}
-		digits := signal.Digits(signal.RelErrL2(got, ref))
-		if digits < b.lo || digits > b.hi {
-			t.Errorf("family %d: %.1f digits outside [%g, %g]", fam, digits, b.lo, b.hi)
-		}
-	}
-	if _, err := NewPlan(n, WithWindow(WindowFamily(99))); err == nil {
-		t.Error("expected unknown family error")
-	}
-}
-
 func TestRunSPMD(t *testing.T) {
 	w, err := NewWorld(3)
 	if err != nil {
